@@ -6,11 +6,10 @@ pointwise symplectic verdicts.  All arithmetic is exact rational."""
 from .rootdata import (CartanMatrix, RootSystem, build_root_system,
                        degrees_and_layers, cartan_matrix_for_label,
                        NonFiniteType, UnsupportedType)
-from .liealgebra import (LieAlgebra, chevalley_algebra, bracket, principal_triple,
+from .liealgebra import (LieAlgebra, chevalley_algebra, principal_triple,
                          principal_decomposition, is_regular, vandermonde_span,
                          PrincipalTriple, PrincipalDecomposition)
-from .polyring import (Poly, GradientContext, directional_derivative, gradient,
-                       poisson_bracket, hamiltonian_at)
+from .polyring import Poly, GradientContext, gradient, poisson_bracket, hamiltonian_at
 from .invariants import (InvariantFamily, invariant_generators, trace_oracle_type_A,
                          WrongDimension)
 from .argshift import (ShiftFamily, choose_regular_y, shift_family, pairwise_commute,

@@ -17,15 +17,15 @@ maximal gradient span b.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, principal_triple, signature_hash
-from .invariants import InvariantFamily
-from .polyring import GradientContext, Poly, gradient, gradient_polys, poisson_bracket
+from .invariants import InvariantFamily, read_json, write_json_atomic
+from .polyring import (GradientContext, Poly, coefficient_rows, gradient, gradient_polys,
+                       gradients_from_partials, poisson_bracket)
 from .rational import R0, R1, rat, to_rat, factorial_rat
 from .rootdata import RootSystem
 
@@ -111,9 +111,16 @@ class ShiftFamily:
     triple: PrincipalTriple
     y: list
     entries: list
-    I_positions: tuple     # 0-based positions beta-1 with k = 0
-    N_positions: tuple
     _partials: list = field(default=None, repr=False)
+
+    @property
+    def I_positions(self) -> tuple:
+        """0-based positions beta-1 of the underived invariants (k = 0)."""
+        return tuple(idx for idx, e in enumerate(self.entries) if e.k == 0)
+
+    @property
+    def N_positions(self) -> tuple:
+        return tuple(idx for idx, e in enumerate(self.entries) if e.k != 0)
 
     @property
     def qs(self) -> list:
@@ -133,30 +140,14 @@ class ShiftFamily:
         return self._partials
 
     def gradient_rows(self, x) -> list:
-        x = [to_rat(c) for c in x]
-        rows = []
-        for parts in self.partials():
-            vals = [p.evaluate(x) for p in parts]
-            rows.append(linalg.mat_vec(self.ctx.gram_inv, vals))
-        return rows
+        return gradients_from_partials(self.ctx, self.partials(), x)
 
     def graded_dims(self) -> dict:
         """Exact dimension of the degree-m slice of the family's span."""
         by_m: dict[int, list] = {}
         for e in self.entries:
             by_m.setdefault(e.m, []).append(e.poly)
-        out = {}
-        for m, polys in sorted(by_m.items()):
-            monos = sorted({mm for p in polys for mm in p.terms})
-            col = {mm: i for i, mm in enumerate(monos)}
-            rows = []
-            for p in polys:
-                v = [R0] * len(monos)
-                for mm, c in p.terms.items():
-                    v[col[mm]] = c
-                rows.append(v)
-            out[m] = linalg.rank(rows)
-        return out
+        return {m: linalg.rank(coefficient_rows(polys)) for m, polys in sorted(by_m.items())}
 
     def to_payload(self) -> dict:
         return {
@@ -197,20 +188,9 @@ def shift_family(L: LieAlgebra, inv: InvariantFamily, y,
     b = L.rank + L.n
     if len(entries) != b:
         raise DependentFamily(f"family has {len(entries)} members, expected {b}")
-    monos = sorted({mm for e in entries for mm in e.poly.terms})
-    col = {mm: i for i, mm in enumerate(monos)}
-    rows = []
-    for e in entries:
-        v = [R0] * len(monos)
-        for mm, c in e.poly.terms.items():
-            v[col[mm]] = c
-        rows.append(v)
-    if linalg.rank(rows) != b:
+    if linalg.rank(coefficient_rows([e.poly for e in entries])) != b:
         raise DependentFamily("shifted family members are linearly dependent")
-    I_pos = tuple(idx for idx, e in enumerate(entries) if e.k == 0)
-    N_pos = tuple(idx for idx, e in enumerate(entries) if e.k != 0)
-    return ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries,
-                       I_positions=I_pos, N_positions=N_pos)
+    return ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries)
 
 
 def pairwise_commute(F: ShiftFamily) -> tuple:
@@ -254,10 +234,7 @@ def family_from_payload(L: LieAlgebra, ctx: GradientContext, triple: PrincipalTr
     entries = [QEntry(beta=e["beta"], m=e["m"], j=e["j"], k=e["k"], i=e["i"],
                       poly=Poly.from_payload(L.dim, e["poly"]))
                for e in payload["entries"]]
-    I_pos = tuple(idx for idx, e in enumerate(entries) if e.k == 0)
-    N_pos = tuple(idx for idx, e in enumerate(entries) if e.k != 0)
-    return ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries,
-                       I_positions=I_pos, N_positions=N_pos)
+    return ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries)
 
 
 def family_cache_path(cache_dir: str, label: str, seed: int, L: LieAlgebra) -> str:
@@ -265,21 +242,15 @@ def family_cache_path(cache_dir: str, label: str, seed: int, L: LieAlgebra) -> s
 
 
 def save_family_cache(cache_dir: str, label: str, seed: int, F: ShiftFamily) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
     path = family_cache_path(cache_dir, label, seed, F.L)
-    with open(path, "w") as fh:
-        json.dump(F.to_payload(), fh, sort_keys=True, separators=(",", ":"))
+    write_json_atomic(path, F.to_payload())
     return path
 
 
 def load_family_cache(cache_dir: str, label: str, seed: int, L: LieAlgebra,
                       ctx: GradientContext, triple: PrincipalTriple) -> ShiftFamily | None:
-    path = family_cache_path(cache_dir, label, seed, L)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != "family_v1":
+    payload = read_json(family_cache_path(cache_dir, label, seed, L))
+    if payload is None or payload.get("schema") != "family_v1":
         return None
     return family_from_payload(L, ctx, triple, payload)
 
@@ -359,8 +330,7 @@ def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
 
 
 def mv_membership(L: LieAlgebra, inv: InvariantFamily, u, sample_count: int, seed: int,
-                  ctx: GradientContext | None = None, coeff_bound: int = 5,
-                  float_shadow: bool = False) -> tuple:
+                  ctx: GradientContext | None = None, coeff_bound: int = 5) -> tuple:
     """Search for a point where the family shifted along u has full span b.
 
     Returns (True, witness point) when found; (False, None) is inconclusive,
@@ -378,12 +348,6 @@ def mv_membership(L: LieAlgebra, inv: InvariantFamily, u, sample_count: int, see
                                rng.randint(1, 3)) for _ in range(L.dim)])
     partials = [[p.partial(k) for k in range(L.dim)] for p in members]
     for x in candidates:
-        rows = []
-        for parts in partials:
-            vals = [pp.evaluate(x) for pp in parts]
-            rows.append(linalg.mat_vec(ctx.gram_inv, vals))
-        if float_shadow and linalg.float_rank(rows) < b:
-            continue
-        if linalg.rank(rows) == b:
+        if linalg.rank(gradients_from_partials(ctx, partials, x)) == b:
             return True, x
     return False, None

@@ -12,12 +12,14 @@ default cache directory.  verify exits 0 exactly when no check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import invariants as invmod
 from .rational import rat_str, to_rat
+from .rootdata import NonFiniteType, UnsupportedType
 from .verifier import SuiteConfig, build_context, run_suite
 from .hessenberg import hess_section
 from .argshift import phi
@@ -54,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--determinism-trials", type=int, default=1)
     v.add_argument("--coeff-bound", type=int, default=5)
     v.add_argument("--series-order", type=int, default=0)
-    v.add_argument("--float-shadow", action="store_true")
 
     s = sub.add_parser("section", help="invert the generator value map on the slice")
     _add_common(s)
@@ -67,28 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(
-        algebra=args.algebra,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        enable_g2=args.g2,
-        hess_points=getattr(args, "hess_points", 20),
-        lagrangian_points=getattr(args, "lagrangian_points", 10),
-        transversality_points=getattr(args, "transversality_points", 10),
-        regular_points=getattr(args, "regular_points", 10),
-        roundtrip_points=getattr(args, "roundtrip_points", 20),
-        slice_points=getattr(args, "slice_points", 5),
-        membership_samples=getattr(args, "membership_samples", 8),
-        determinism_trials=getattr(args, "determinism_trials", 1),
-        coeff_bound=getattr(args, "coeff_bound", 5),
-        series_order=getattr(args, "series_order", 0),
-        float_shadow=getattr(args, "float_shadow", False),
-        output_format=getattr(args, "output_format", "text"),
-    )
+    """Each parsed option named like a SuiteConfig field sets that field; the
+    fields a subcommand does not parse keep their SuiteConfig defaults."""
+    names = {f.name for f in dataclasses.fields(SuiteConfig)}
+    return SuiteConfig(enable_g2=args.g2,
+                       **{k: v for k, v in vars(args).items() if k in names})
+
+
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
+    try:
+        config.validate()
+    except ValueError as exc:
+        return _error(str(exc))
     report = run_suite(config)
     text = report.to_json() if config.output_format == "json" else report.to_text()
     if args.out:
@@ -103,14 +100,18 @@ def cmd_verify(args) -> int:
 
 def cmd_section(args) -> int:
     config = _config_from_args(args)
+    try:
+        values = [to_rat(v) for v in args.values.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        return _error(f"--values takes comma-separated integers or p/q rationals ({exc})")
     sc = build_context(config)
-    values = [to_rat(v) for v in args.values.split(",")]
     if len(values) != sc.family.b:
-        print(f"error: expected {sc.family.b} values for {sc.label}, got {len(values)}",
-              file=sys.stderr)
-        return 2
+        return _error(f"expected {sc.family.b} values for {sc.label}, got {len(values)}")
     v = hess_section(sc.chart, values)
-    assert phi(sc.family, v) == values
+    if phi(sc.family, v) != values:
+        print("error: the section point does not take the requested values",
+              file=sys.stderr)
+        return 1
     print(",".join(rat_str(c) for c in v))
     for i, c in enumerate(v):
         if c:
@@ -136,12 +137,15 @@ def cmd_invariants(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "section":
-        return cmd_section(args)
-    if args.command == "invariants":
-        return cmd_invariants(args)
+    try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "section":
+            return cmd_section(args)
+        if args.command == "invariants":
+            return cmd_invariants(args)
+    except (UnsupportedType, NonFiniteType) as exc:  # the algebra does not build
+        return _error(str(exc))
     raise AssertionError("unreachable")
 
 

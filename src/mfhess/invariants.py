@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 from . import linalg
 from .liealgebra import LieAlgebra, chevalley_algebra, signature_hash
-from .polyring import GradientContext, Poly
+from .polyring import GradientContext, Poly, coefficient_rows
 from .rational import R0, R1, rat
 from .rootdata import RootSystem, UnsupportedType, CartanMatrix, build_root_system
 
@@ -141,7 +142,6 @@ def invariant_generators(L: LieAlgebra, rs: RootSystem | None = None,
     for d in sorted(set(degrees)):
         mult = sum(1 for x in degrees if x == d)
         monos = _zero_weight_monomials(L, d)
-        col_of = {m: i for i, m in enumerate(monos)}
 
         rows: dict = {}
         for g_idx, lintable in enumerate(action_tables):
@@ -173,28 +173,14 @@ def invariant_generators(L: LieAlgebra, rs: RootSystem | None = None,
             raise WrongDimension(
                 f"degree {d}: invariant space has dimension {len(kernel)}, expected {expected}")
 
-        decomposables = []
-        for combo in _degree_combinations(gen_degrees, d):
-            prod = Poly.const(L.dim, 1)
-            for gi in combo:
-                prod = prod * generators[gi]
-            vec = [R0] * len(monos)
-            for m, c in prod.terms.items():
-                vec[col_of[m]] = c
-            decomposables.append(vec)
+        decomposables = coefficient_rows(
+            decomposable_products(generators, gen_degrees, d), monos)
 
-        chosen = []
-        span = list(decomposables)
-        base_rank = linalg.rank(span) if span else 0
-        current = base_rank
-        for vec in kernel:
-            if len(chosen) == mult:
-                break
-            cand_rank = linalg.rank(span + [vec])
-            if cand_rank > current:
-                span.append(vec)
-                current = cand_rank
-                chosen.append(vec)
+        # kernel vectors outside the span of the decomposables and of the
+        # kernel vectors before them, in kernel order
+        kept = linalg.independent_subset(decomposables + kernel)
+        chosen = [kernel[i - len(decomposables)] for i in kept
+                  if i >= len(decomposables)][:mult]
         if len(chosen) != mult:
             raise WrongDimension(
                 f"degree {d}: found {len(chosen)} new generators, expected {mult}")
@@ -208,6 +194,19 @@ def invariant_generators(L: LieAlgebra, rs: RootSystem | None = None,
     if degs != tuple(sorted(degrees)):
         raise WrongDimension(f"generator degrees {degs} != expected {tuple(sorted(degrees))}")
     return InvariantFamily(polys=polys, degrees=degs, provenance="solver")
+
+
+def decomposable_products(polys: list, degrees, d: int) -> list:
+    """All products of two or more of the polys (of degrees below d) with
+    total degree d."""
+    lower = [p for p, dd in zip(polys, degrees) if dd < d]
+    out = []
+    for combo in _degree_combinations([dd for dd in degrees if dd < d], d):
+        prod = lower[combo[0]]
+        for gi in combo[1:]:
+            prod = prod * lower[gi]
+        out.append(prod)
+    return out
 
 
 def _degree_combinations(gen_degrees: list, d: int):
@@ -230,15 +229,13 @@ def _degree_combinations(gen_degrees: list, d: int):
 # -- type A trace oracle ---------------------------------------------------
 
 
+def _type_a_rows(rank: int) -> tuple:
+    return tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
+                 for i in range(rank))
+
+
 def _is_type_a(rs: RootSystem) -> bool:
-    ell = rs.rank
-    a = rs.cartan.entries
-    for i in range(ell):
-        for j in range(ell):
-            want = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-            if a[i][j] != want:
-                return False
-    return True
+    return rs.cartan.entries == _type_a_rows(rs.rank)
 
 
 def _mat_zero(n):
@@ -314,10 +311,7 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
 def trace_oracle_type_A(rank: int, L: LieAlgebra | None = None) -> InvariantFamily:
     """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra."""
     if L is None:
-        cm = CartanMatrix.from_rows(
-            [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
-             for i in range(rank)])
-        L = chevalley_algebra(build_root_system(cm))
+        L = chevalley_algebra(build_root_system(CartanMatrix.from_rows(_type_a_rows(rank))))
     images = matrix_images_type_A(L)
     size = rank + 1
     entries = [[Poly.zero(L.dim) for _ in range(size)] for _ in range(size)]
@@ -360,8 +354,31 @@ def cache_path(cache_dir: str, label: str, L: LieAlgebra) -> str:
     return os.path.join(cache_dir, f"invariants_{label}_{signature_hash(L)}.json")
 
 
+def write_json_atomic(path: str, payload: dict) -> None:
+    """Write compact sorted JSON to a temporary file beside path, then rename
+    it over path, so a reader never sees a partly written file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
+
+
+def read_json(path: str) -> dict | None:
+    """The JSON object stored at path; None when it is missing or corrupt."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def save_family(cache_dir: str, label: str, L: LieAlgebra, fam: InvariantFamily) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, label, L)
     payload = {
         "schema": "invariants_v1",
@@ -371,18 +388,13 @@ def save_family(cache_dir: str, label: str, L: LieAlgebra, fam: InvariantFamily)
         "provenance": fam.provenance,
         "polys": [p.to_payload() for p in fam.polys],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    write_json_atomic(path, payload)
     return path
 
 
 def load_family(cache_dir: str, label: str, L: LieAlgebra) -> InvariantFamily | None:
-    path = cache_path(cache_dir, label, L)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != "invariants_v1":
+    payload = read_json(cache_path(cache_dir, label, L))
+    if payload is None or payload.get("schema") != "invariants_v1":
         return None
     if payload.get("convention") != signature_hash(L):
         return None

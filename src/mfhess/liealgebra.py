@@ -117,22 +117,12 @@ class LieAlgebra:
     def zero(self) -> list:
         return [R0] * self.dim
 
-    def component(self, x, indices) -> list:
-        out = [R0] * self.dim
-        for i in indices:
-            out[i] = x[i]
-        return out
-
     def supported_in(self, x, indices) -> bool:
         allowed = set(indices)
         return all(not v or i in allowed for i, v in enumerate(x))
 
     def layer_indices(self, m: int) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay == m)
-
-    @property
-    def b_indices(self) -> tuple:
-        return tuple(i for i, lay in enumerate(self.layers) if lay >= 0)
 
     @property
     def bminus_indices(self) -> tuple:
@@ -145,10 +135,6 @@ class LieAlgebra:
     @property
     def n_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay > 0)
-
-
-def bracket(L: LieAlgebra, x, y) -> list:
-    return L.bracket(x, y)
 
 
 def _roots_with_negatives(rs: RootSystem):
@@ -579,18 +565,7 @@ def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
 
 def ut_action(L: LieAlgebra, triple: PrincipalTriple, t, v) -> list:
     """exp((t/2) ad f) applied to v."""
-    t = to_rat(t)
-    out = list(v)
-    cur = list(v)
-    k = 0
-    half = rat(1, 2)
-    while True:
-        k += 1
-        cur = L.bracket(triple.f, cur)
-        if not any(cur):
-            return out
-        scale = (t * half) ** k / factorial_rat(k)
-        out = [o + scale * c for o, c in zip(out, cur)]
+    return exp_ad_nilpotent(L, linalg.vec_scale(triple.f, to_rat(t) / 2), v)
 
 
 def vandermonde_span(L: LieAlgebra, ctx, inv_polys, t_values) -> tuple:

@@ -174,8 +174,14 @@ def span_basis(vectors: list) -> list:
     return rows[: len(pivots)]
 
 
-def span_dim(vectors: list) -> int:
-    return rank(vectors) if vectors else 0
+def independent_subset(vectors: list) -> list:
+    """Indices of the vectors kept by a left-to-right greedy independence scan.
+
+    Vector i is kept exactly when it is outside the span of vectors 0..i-1,
+    which makes the kept indices the pivot columns of one RREF of the matrix
+    whose columns are the vectors.
+    """
+    return rref(transpose(vectors))[1]
 
 
 def in_span(v: list, basis: list) -> bool:
@@ -214,12 +220,8 @@ def sparse_kernel(rows: list, ncols: int) -> list:
     """
     work = [dict(r) for r in rows if r]
     pivot_of_col: dict[int, dict] = {}
-    by_col: dict[int, set] = {}
-    for idx, row in enumerate(work):
-        for c in row:
-            by_col.setdefault(c, set()).add(idx)
 
-    def eliminate(row: dict, idx: int | None):
+    def eliminate(row: dict):
         # reduce row against existing pivots
         for c in sorted(row):
             if c in pivot_of_col and row.get(c):
@@ -235,7 +237,7 @@ def sparse_kernel(rows: list, ncols: int) -> list:
 
     order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
     for idx in order:
-        row = eliminate(work[idx], idx)
+        row = eliminate(work[idx])
         if not row:
             continue
         c0 = min(row)
@@ -266,27 +268,3 @@ def sparse_kernel(rows: list, ncols: int) -> list:
         basis.append(v)
     return basis
 
-
-def float_rank(mat: list, tol: float = 1e-9) -> int:
-    """Approximate rank via float elimination; heuristic prefilter only.
-
-    Never used for a pass/fail decision.
-    """
-    rows = [[float(x) for x in r] for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        sel = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
-        if abs(rows[sel][c]) < tol:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(nrows):
-            if i != r and abs(rows[i][c]) > 0:
-                f = rows[i][c] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r

@@ -207,12 +207,22 @@ class Poly:
         return cls(n, {tuple(int(x) for x in e): to_rat(c) for e, c in payload})
 
 
-def directional_derivative(p: Poly, y) -> Poly:
-    """The derivative of p along the constant vector field y.
+def coefficient_rows(polys, columns=None) -> list:
+    """Coefficient vector of each polynomial over a list of monomials.
 
-    Drops the degree of a homogeneous polynomial by exactly one (or kills it).
+    columns defaults to the sorted union of the polynomials' monomials; a
+    term outside a given column list raises KeyError.
     """
-    return p.directional([to_rat(c) for c in y])
+    if columns is None:
+        columns = sorted({e for p in polys for e in p.terms})
+    col = {e: i for i, e in enumerate(columns)}
+    rows = []
+    for p in polys:
+        row = [R0] * len(columns)
+        for e, c in p.terms.items():
+            row[col[e]] = c
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -259,11 +269,19 @@ class GradientContext:
         return self._pair_table
 
 
+def gradients_from_partials(ctx: GradientContext, partials: list, x) -> list:
+    """dp(x) for each polynomial p, given as its list of coordinate partials.
+
+    The gradient is the inverse Gram matrix applied to the partials' values.
+    """
+    x = [to_rat(c) for c in x]
+    return [linalg.mat_vec(ctx.gram_inv, [d.evaluate(x) for d in parts])
+            for parts in partials]
+
+
 def gradient(ctx: GradientContext, p: Poly, x) -> list:
     """dp(x): the vector whose Killing pairing with z differentiates p along z."""
-    x = [to_rat(c) for c in x]
-    partials = [p.partial(k).evaluate(x) for k in range(ctx.nvars)]
-    return linalg.mat_vec(ctx.gram_inv, partials)
+    return gradients_from_partials(ctx, [[p.partial(k) for k in range(ctx.nvars)]], x)[0]
 
 
 def gradient_polys(ctx: GradientContext, p: Poly) -> list:
@@ -301,11 +319,3 @@ def hamiltonian_at(ctx: GradientContext, p: Poly, x) -> list:
     x = [to_rat(c) for c in x]
     g = gradient(ctx, p, x)
     return ctx.L.bracket(x, g)
-
-
-def serialize_poly(p: Poly) -> list:
-    return p.to_payload()
-
-
-def parse_poly(n: int, payload) -> Poly:
-    return Poly.from_payload(n, payload)

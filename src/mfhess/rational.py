@@ -16,7 +16,7 @@ try:
         return _mpq(a, b)
 
     BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover
+except ImportError:
     def rat(a=0, b=1):
         return Fraction(a, b)
 

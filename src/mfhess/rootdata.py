@@ -65,7 +65,9 @@ class CartanMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "CartanMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
+        if not all(type(v) is int for row in entries for v in row):
+            raise ValueError("Cartan matrix entries must be integers")
         cm = cls(entries)
         cm.validate()
         return cm
@@ -76,6 +78,8 @@ class CartanMatrix:
 
     def validate(self) -> None:
         n = len(self.entries)
+        if not n:
+            raise ValueError("Cartan matrix must be nonempty")
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
@@ -106,9 +110,6 @@ class RootSystem:
     @property
     def b(self) -> int:
         return self.rank + self.num_positive
-
-    def root_height(self, coords) -> int:
-        return sum(coords)
 
     def pairing(self, coords, i: int) -> int:
         """Value of the i-th simple coroot on the root with given coordinates."""
@@ -195,7 +196,7 @@ def build_root_system(cm: CartanMatrix, max_height: int | None = None) -> RootSy
     hmax = max(heights)
     coxeter = hmax + 1
     layers = _layer_dims(n, heights, coxeter)
-    degrees = _dual_partition(layers)
+    degrees = tuple(sorted(dual_partition(layers)))
     if sum(degrees) != n + len(roots):
         raise NonFiniteType("degree/layer bookkeeping failed; input is not finite type")
     exponents = tuple(d - 1 for d in degrees)
@@ -222,15 +223,6 @@ def _layer_dims(rank: int, heights, coxeter: int) -> tuple:
     return tuple(out)
 
 
-def _dual_partition(layers) -> tuple:
-    """Dual partition: d_j = #{m : r_m >= j}, returned nondecreasing."""
-    if not layers:
-        return ()
-    top = max(layers)
-    dual = [sum(1 for r in layers if r >= j) for j in range(1, top + 1)]
-    return tuple(sorted(dual))
-
-
 def dual_partition(parts) -> tuple:
     """Public helper: dual of a partition given in any order (nonincreasing result)."""
     if not parts:
@@ -242,6 +234,6 @@ def dual_partition(parts) -> tuple:
 def degrees_and_layers(rs: RootSystem) -> tuple:
     """(degrees, exponents, layers) rederived from the stored root heights."""
     layers = _layer_dims(rs.rank, rs.heights, rs.coxeter_number)
-    degrees = _dual_partition(layers)
+    degrees = tuple(sorted(dual_partition(layers)))
     exponents = tuple(d - 1 for d in degrees)
     return degrees, exponents, layers

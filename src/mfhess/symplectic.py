@@ -51,19 +51,11 @@ def orbit_frame(L: LieAlgebra, x) -> TangentFrame:
     Its dimension always equals dim g minus the centralizer dimension.
     """
     x = [to_rat(c) for c in x]
-    preimages = []
-    tangents = []
-    kept = []
-    for i in range(L.dim):
-        z = L.basis_vector(i)
-        t = linalg.vec_scale(L.bracket(z, x), rat(-1))
-        if not any(t):
-            continue
-        if linalg.rank(kept + [t]) > len(kept):
-            kept.append(t)
-            preimages.append(z)
-            tangents.append(t)
-    return TangentFrame(point=x, preimages=preimages, tangents=tangents, dim=len(kept))
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    images = [linalg.vec_scale(L.bracket(z, x), rat(-1)) for z in basis]
+    kept = linalg.independent_subset(images)
+    return TangentFrame(point=x, preimages=[basis[i] for i in kept],
+                        tangents=[images[i] for i in kept], dim=len(kept))
 
 
 def zx_frame(F: ShiftFamily, x) -> TangentFrame:
@@ -125,12 +117,9 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     zx = zx_frame(F, x)
     slice_rows = slice_tangent_rows(L, x)
     slice_pre = [L.basis_vector(i) for i in L.nminus_indices]
-    slice_basis = []
-    slice_pre_kept = []
-    for z, t in zip(slice_pre, slice_rows):
-        if linalg.rank(slice_basis + [t]) > len(slice_basis):
-            slice_basis.append(t)
-            slice_pre_kept.append(z)
+    kept = linalg.independent_subset(slice_rows)
+    slice_basis = [slice_rows[i] for i in kept]
+    slice_pre_kept = [slice_pre[i] for i in kept]
     orbit_dim = L.dim - L.centralizer_dim(x)
     combined = linalg.rank(zx.tangents + slice_basis)
     pairing = [[omega(L, x, zx.preimages[i], slice_pre_kept[j])

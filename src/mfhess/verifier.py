@@ -22,9 +22,9 @@ from .rootdata import (CartanMatrix, NonFiniteType, UnsupportedType,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
 from .liealgebra import (chevalley_algebra, principal_triple, principal_decomposition,
                          is_regular, signature_hash, validate_algebra)
-from .polyring import GradientContext, gradient
+from .polyring import GradientContext, coefficient_rows, gradient
 from . import invariants as invmod
-from .invariants import invariant_generators, trace_oracle_type_A, _degree_combinations
+from .invariants import invariant_generators, trace_oracle_type_A
 from .argshift import (choose_regular_y, shift_family, shifted_invariants,
                        pairwise_commute, phi, is_strongly_regular, gradient_span,
                        zeta_chain, mv_membership, cartan_from_root_values,
@@ -37,10 +37,10 @@ from .symplectic import (omega, zx_frame, isotropy_witness, hess_lagrangian_chec
 
 
 class RegionExhausted(Exception):
-    """Bounded retries did not produce a point satisfying a region predicate."""
+    """Sampling did not produce a point satisfying a region predicate."""
 
 
-SCHEMA = "report_v1"
+SCHEMA = "report_v2"
 GENERATOR_ORDER_RULE = "degree-major, source-invariant ascending within a degree"
 SIGN_RULE = "extraspecial pairs positive, positive roots ordered by height then coordinates"
 
@@ -60,7 +60,6 @@ class SuiteConfig:
     coeff_bound: int = 5
     series_order: int = 0          # 0 means twice the Coxeter number
     enable_g2: bool = False
-    float_shadow: bool = False
     output_format: str = "text"    # "text" | "json"
     cache_dir: str | None = None
 
@@ -70,6 +69,10 @@ class SuiteConfig:
                   self.membership_samples, self.determinism_trials)
         if any(c < 1 for c in counts):
             raise ValueError("sample counts must be >= 1")
+        if self.coeff_bound < 1:
+            raise ValueError("coefficient bound must be >= 1")
+        if self.series_order < 0:
+            raise ValueError("series order must be >= 0")
         if self.output_format not in ("text", "json"):
             raise ValueError("output format must be text or json")
 
@@ -147,8 +150,10 @@ def resolve_cartan(config: SuiteConfig) -> tuple:
     """Label or inline JSON matrix -> (label, CartanMatrix)."""
     spec = config.algebra.strip()
     if spec.startswith("["):
-        rows = json.loads(spec)
-        return "custom", CartanMatrix.from_rows(rows)
+        try:
+            return "custom", CartanMatrix.from_rows(json.loads(spec))
+        except (ValueError, TypeError) as exc:  # bad JSON, entries or shape
+            raise UnsupportedType(f"invalid inline Cartan matrix: {exc}") from exc
     parts = spec.split("x")
     for part in parts:
         if part in FLAGGED_LABELS and not config.enable_g2:
@@ -195,49 +200,26 @@ def _rand_rat(rng: random.Random, bound: int):
 
 
 def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
-                  coeff_bound: int = 5, v0=None, max_tries: int = 2000) -> list:
-    """Deterministic rational points; region predicates re-verified exactly."""
+                  coeff_bound: int = 5, v0=None) -> list:
+    """Deterministic rational points of "hess" or of the "slice" through v0;
+    region predicates re-verified exactly."""
     rng = random.Random(f"{seed}:sample:{region}")
     L = sc.L
-    out = []
-    if count == 0:
-        return out
-    if region == "ambient":
-        for _ in range(count):
-            out.append([_rand_rat(rng, coeff_bound) for _ in range(L.dim)])
-        return out
     if region == "hess":
-        tries = 0
-        while len(out) < count:
-            tries += 1
-            if tries > max_tries:
-                raise RegionExhausted("hess sampling exhausted")
-            svals = [_rand_rat(rng, coeff_bound) for _ in range(sc.family.b)]
-            v = sc.chart.point_from_s(svals)
-            if point_in_hess(L, sc.triple, v):
-                out.append(v)
-        return out
-    if region == "cartan-regular":
-        from .argshift import is_regular_cartan
-        tries = 0
-        while len(out) < count:
-            tries += 1
-            if tries > max_tries:
-                raise RegionExhausted("no regular Cartan point found within the retry bound")
-            yv = L.zero()
-            for j in L.cartan_indices:
-                yv[j] = _rand_rat(rng, coeff_bound)
-            if is_regular_cartan(L, yv):
-                out.append(yv)
+        out = []
+        for _ in range(count):
+            v = sc.chart.point_from_s([_rand_rat(rng, coeff_bound) for _ in range(sc.family.b)])
+            if not point_in_hess(L, sc.triple, v):
+                raise RegionExhausted("the chart produced a point off the slice")
+            out.append(v)
         return out
     if region == "slice":
         if v0 is None:
             raise ValueError("slice region needs a base point")
-        vals = tuple(p.evaluate(v0) for p in sc.inv.polys)
+        s = orbit_slice(sc.inv, v0)
         pts = slice_sample(L, v0, count, rng, coeff_bound=min(coeff_bound, 3))
-        for v in pts:
-            if tuple(p.evaluate(v) for p in sc.inv.polys) != vals:
-                raise RegionExhausted("slice sampling produced a point off the slice")
+        if not all(slice_membership(s, sc.inv, v) for v in pts):
+            raise RegionExhausted("slice sampling produced a point off the slice")
         return pts
     raise ValueError(f"unknown region {region!r}")
 
@@ -567,25 +549,11 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
     fam = sc.inv
     for d in sorted(set(fam.degrees)):
         monos = invmod._zero_weight_monomials(sc.L, d)
-        col = {m: i for i, m in enumerate(monos)}
-
-        def vec(p):
-            v = [R0] * len(monos)
-            for m, c in p.terms.items():
-                v[col[m]] = c
-            return v
-
-        lower = [p for p, dd in zip(fam.polys, fam.degrees) if dd < d]
-        lower_degs = [dd for dd in fam.degrees if dd < d]
-        dec = []
-        for combo in _degree_combinations(list(lower_degs), d):
-            prod = lower[combo[0]]
-            for gi in combo[1:]:
-                prod = prod * lower[gi]
-            dec.append(vec(prod))
-        sol = [vec(p) for p, dd in zip(fam.polys, fam.degrees) if dd == d]
-        orc = [vec(p) for p, dd in zip(oracle.polys, oracle.degrees) if dd == d]
-        if not linalg.same_span(dec + sol, dec + orc):
+        dec = invmod.decomposable_products(fam.polys, fam.degrees, d)
+        sol = [p for p, dd in zip(fam.polys, fam.degrees) if dd == d]
+        orc = [p for p, dd in zip(oracle.polys, oracle.degrees) if dd == d]
+        if not linalg.same_span(coefficient_rows(dec + sol, monos),
+                                coefficient_rows(dec + orc, monos)):
             return {"ok": False, "witness": {"degree": d}}
     return {"ok": True, "witness": {"degrees": list(fam.degrees)}}
 
@@ -598,14 +566,13 @@ def check_membership(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
     n_samples = config.membership_samples
     ok_f, wit_f = mv_membership(L, sc.inv, sc.triple.f, n_samples, config.seed,
-                                sc.ctx, config.coeff_bound, config.float_shadow)
+                                sc.ctx, config.coeff_bound)
     ok_2f, _ = mv_membership(L, sc.inv, linalg.vec_scale(sc.triple.f, rat(2)),
-                             n_samples, config.seed, sc.ctx, config.coeff_bound,
-                             config.float_shadow)
+                             n_samples, config.seed, sc.ctx, config.coeff_bound)
     ok_y, _ = mv_membership(L, sc.inv, sc.y, n_samples, config.seed, sc.ctx,
-                            config.coeff_bound, config.float_shadow)
+                            config.coeff_bound)
     ok_0, _ = mv_membership(L, sc.inv, L.zero(), n_samples, config.seed, sc.ctx,
-                            config.coeff_bound, config.float_shadow)
+                            config.coeff_bound)
     if not (ok_f and ok_2f and ok_y):
         # a miss is inconclusive, not a refutation
         return {"ok": None, "witness": {"f": ok_f, "2f": ok_2f, "y": ok_y}}

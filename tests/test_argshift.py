@@ -201,5 +201,3 @@ def test_membership_search(bundles):
     assert ok3
     ok0, wit0 = mv_membership(B.L, B.inv, B.L.zero(), 3, 42, B.ctx)
     assert not ok0 and wit0 is None
-    okf, _ = mv_membership(B.L, B.inv, B.triple.f, 3, 42, B.ctx, float_shadow=True)
-    assert okf

@@ -60,7 +60,7 @@ def test_kernel_annihilates(rows):
 def test_span_helpers():
     v1 = [rat(1), rat(0), rat(1)]
     v2 = [rat(0), rat(1), rat(0)]
-    assert linalg.span_dim([v1, v2, linalg.vec_add(v1, v2)]) == 2
+    assert linalg.rank([v1, v2, linalg.vec_add(v1, v2)]) == 2
     assert linalg.in_span(linalg.vec_add(v1, v2), [v1, v2])
     assert not linalg.in_span([rat(0), rat(0), rat(1)], [v1, v2])
     assert linalg.same_span([v1, v2], [linalg.vec_add(v1, v2), v2])
@@ -83,6 +83,26 @@ def test_vandermonde_solve():
     assert [c[0] for c in coeffs] == [rat(1), rat(2), rat(3)]
 
 
-def test_float_rank_heuristic():
-    m = mat([[1, 2], [2, 4]])
-    assert linalg.float_rank(m) == 1
+def greedy_independent(vectors):
+    """Reference scan: keep each vector that raises the rank of those kept."""
+    kept = []
+    for i, v in enumerate(vectors):
+        if linalg.rank([vectors[j] for j in kept] + [v]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_independent_subset_matches_greedy_scan(data):
+    dim = data.draw(st.integers(min_value=1, max_value=4))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    vectors = mat(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                                     min_size=1, max_size=6)))
+    # repeated and zero vectors make sure dependencies occur
+    repeats = data.draw(st.lists(st.integers(0, len(vectors) - 1), max_size=3))
+    vectors += [vectors[i] for i in repeats] + [[rat(0)] * dim]
+    order = data.draw(st.permutations(range(len(vectors))))
+    vectors = [vectors[i] for i in order]
+    assert linalg.independent_subset(vectors) == greedy_independent(vectors)
+    assert linalg.independent_subset([]) == []

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.polyring import (Poly, directional_derivative, gradient,
-                             gradient_polys, hamiltonian_at, parse_poly,
-                             poisson_bracket, serialize_poly)
+from mfhess.polyring import (Poly, coefficient_rows, gradient, gradient_polys,
+                             hamiltonian_at, poisson_bracket)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -45,17 +44,17 @@ def test_evaluation_is_a_homomorphism(p, q):
 @settings(max_examples=25, deadline=None)
 @given(poly_strategy(4, max_deg=4))
 def test_serialization_round_trip(p):
-    assert parse_poly(4, serialize_poly(p)) == p
+    assert Poly.from_payload(4, p.to_payload()) == p
 
 
 def test_directional_derivative_basics(bundles):
     B = bundles("A1")
     n = B.L.dim
     y = [rat(1), rat(2), rat(-1)]
-    assert directional_derivative(Poly.const(n, 5), y).is_zero()
+    assert Poly.const(n, 5).directional(y).is_zero()
     z = [rat(3), rat(0), rat(1)]
     lz = B.ctx.linear_functional(z)
-    dy = directional_derivative(lz, y)
+    dy = lz.directional(y)
     assert dy == Poly.const(n, B.L.killing_pair(y, z))
 
 
@@ -210,3 +209,14 @@ def test_graded_parts():
     assert parts[2] == Poly(2, {(1, 1): rat(3)})
     assert p.homogeneous_part(1) == Poly(2, {(1, 0): rat(2)})
     assert not p.is_homogeneous()
+
+
+def test_coefficient_rows():
+    p = Poly(2, {(1, 0): rat(2), (0, 1): rat(-1)})
+    q = Poly(2, {(2, 0): rat(3)})
+    # default columns: the sorted union (0,1), (1,0), (2,0)
+    assert coefficient_rows([p, q]) == [[rat(-1), rat(2), rat(0)],
+                                        [rat(0), rat(0), rat(3)]]
+    assert coefficient_rows([p], [(1, 0), (0, 1)]) == [[rat(2), rat(-1)]]
+    with pytest.raises(KeyError):
+        coefficient_rows([q], [(1, 0), (0, 1)])

@@ -91,6 +91,10 @@ def test_invalid_matrices_rejected():
         CartanMatrix.from_rows([[2, 0], [-1, 2]])
     with pytest.raises(ValueError):
         CartanMatrix.from_rows([[2, -1], [-1, 2], [0, 0]])
+    with pytest.raises(ValueError):
+        CartanMatrix.from_rows([[2, -1.5], [-1, 2]])   # int() would truncate to A2
+    with pytest.raises(ValueError):
+        CartanMatrix.from_rows([])
 
 
 def test_unknown_label():

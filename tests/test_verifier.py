@@ -3,11 +3,11 @@ import os
 
 import pytest
 
+from mfhess import cli
 from mfhess.cli import main
-from mfhess.argshift import is_regular_cartan
 from mfhess.hessenberg import point_in_hess
-from mfhess.verifier import (RegionExhausted, SuiteConfig, build_context, run_suite,
-                             sample_points)
+from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
+                             run_suite, sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def test_reports_are_byte_identical():
 
 def test_report_schema(a1_report):
     data = json.loads(a1_report.to_json())
-    assert data["schema"] == "report_v1"
+    assert data["schema"] == "report_v2"
     assert set(data) == {"schema", "config", "convention", "summary", "checks"}
     assert data["convention"]["hash"]
     for check in data["checks"]:
@@ -55,11 +55,33 @@ def test_g2_gated_behind_flag():
     assert rep.failed and rep.checks[0].check_id == "build.algebra"
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(algebra="A1", hess_points=0))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(algebra="A1", output_format="xml"))
+    with pytest.raises(ValueError):
+        run_suite(SuiteConfig(algebra="A1", coeff_bound=0))
+    with pytest.raises(ValueError):
+        run_suite(SuiteConfig(algebra="A1", series_order=-1))
+    for flag in ("--hess-points", "--coeff-bound"):
+        assert main(["verify", "--type", "A1", flag, "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+BAD_INLINE_TYPES = ["[[2,-1],", "[[2,-1.5],[-1,2]]", "[[2,1],[1,2]]", "[]"]
+
+
+@pytest.mark.parametrize("spec", BAD_INLINE_TYPES,
+                         ids=["malformed-json", "non-integer", "not-cartan", "empty"])
+def test_bad_inline_type_rejected(spec, capsys):
+    rep = run_suite(SuiteConfig(algebra=spec, seed=1))
+    assert rep.checks[0].check_id == "build.algebra"
+    assert rep.checks[0].status == "fail"
+    assert rep.counts["pass"] == 0
+    assert main(["section", "--type", spec, "--values", "1,2"]) == 2
+    assert main(["invariants", "--type", spec]) == 2
+    assert "invalid inline Cartan matrix" in capsys.readouterr().err
 
 
 def test_custom_cartan_matrix():
@@ -86,29 +108,32 @@ def a2_context():
 
 def test_sampling_regions(a2_context):
     sc = a2_context
-    assert sample_points(sc, 5, "ambient", 0) == []
-    ambient = sample_points(sc, 5, "ambient", 4)
-    assert len(ambient) == 4 and len(set(map(tuple, ambient))) == 4
+    assert sample_points(sc, 5, "hess", 0) == []
     hess = sample_points(sc, 5, "hess", 3)
+    assert len(set(map(tuple, hess))) == 3
     for v in hess:
         assert point_in_hess(sc.L, sc.triple, v)
-    cart = sample_points(sc, 5, "cartan-regular", 3)
-    for y in cart:
-        assert is_regular_cartan(sc.L, y)
     v0 = hess[0]
     slc = sample_points(sc, 5, "slice", 3, v0=v0)
     vals = [p.evaluate(v0) for p in sc.inv.polys]
     for v in slc:
         assert [p.evaluate(v) for p in sc.inv.polys] == vals
     # determinism
-    assert sample_points(sc, 5, "ambient", 4) == ambient
+    assert sample_points(sc, 5, "hess", 3) == hess
     with pytest.raises(ValueError):
         sample_points(sc, 5, "nowhere", 1)
 
 
 def test_sampling_exhaustion(a2_context):
     with pytest.raises(RegionExhausted):
-        sample_points(a2_context, 5, "cartan-regular", 1, coeff_bound=0, max_tries=5)
+        _sample_regular(a2_context, 5, 1, bound=0, max_tries=5)
+
+
+def test_hess_sampling_rejects_point_off_slice(monkeypatch):
+    sc = build_context(SuiteConfig(algebra="A1", seed=5))
+    monkeypatch.setattr(sc.chart, "point_from_s", lambda svals: sc.triple.w)
+    with pytest.raises(RegionExhausted):
+        sample_points(sc, 5, "hess", 1)
 
 
 def test_cache_round_trip_through_context(tmp_path):
@@ -121,6 +146,19 @@ def test_cache_round_trip_through_context(tmp_path):
     assert sc1.family.to_payload() == sc2.family.to_payload()
 
 
+def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
+    sc1 = build_context(cfg)
+    paths = sorted(tmp_path.iterdir())
+    good = [p.read_text() for p in paths]
+    for p in paths:
+        p.write_text(p.read_text()[:40])   # a truncated write
+    sc2 = build_context(cfg)
+    assert sorted(tmp_path.iterdir()) == paths
+    assert [p.read_text() for p in paths] == good
+    assert sc1.family.to_payload() == sc2.family.to_payload()
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -130,7 +168,7 @@ def test_cli_verify_json(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == "report_v1"
+    assert data["schema"] == "report_v2"
     assert data["summary"]["fail"] == 0
 
 
@@ -151,6 +189,18 @@ def test_cli_section_round_trip(capsys):
 def test_cli_section_wrong_arity(capsys):
     code = main(["section", "--type", "A1", "--values", "1,2,3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("values", ["1.5", "1/0,1"])
+def test_cli_section_bad_values(values, capsys):
+    assert main(["section", "--type", "A1", "--values", values]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_section_checks_values(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.e1)
+    assert main(["section", "--type", "A1", "--values", "5,7"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_invariants_cache(tmp_path, capsys):
