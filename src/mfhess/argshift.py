@@ -252,7 +252,10 @@ def load_family_cache(cache_dir: str, label: str, seed: int, L: LieAlgebra,
     payload = read_json(family_cache_path(cache_dir, label, seed, L))
     if payload is None or payload.get("schema") != "family_v1":
         return None
-    return family_from_payload(L, ctx, triple, payload)
+    try:
+        return family_from_payload(L, ctx, triple, payload)
+    except (KeyError, TypeError, ValueError):   # a missing or malformed key
+        return None
 
 
 # -- the chain map zeta ------------------------------------------------------

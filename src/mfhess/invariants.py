@@ -398,6 +398,10 @@ def load_family(cache_dir: str, label: str, L: LieAlgebra) -> InvariantFamily | 
         return None
     if payload.get("convention") != signature_hash(L):
         return None
-    polys = [Poly.from_payload(L.dim, pp) for pp in payload["polys"]]
-    return InvariantFamily(polys=polys, degrees=tuple(payload["degrees"]),
+    try:
+        polys = [Poly.from_payload(L.dim, pp) for pp in payload["polys"]]
+        degrees = tuple(payload["degrees"])
+    except (KeyError, TypeError, ValueError):   # a missing or malformed key
+        return None
+    return InvariantFamily(polys=polys, degrees=degrees,
                            provenance=payload.get("provenance", "solver"))

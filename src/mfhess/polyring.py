@@ -14,10 +14,11 @@ functions themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .rational import R0, R1, to_rat, rat_str
+from .rational import R0, R1, rat, to_rat, rat_str
 
 
 class Poly:
@@ -232,7 +233,7 @@ class GradientContext:
     L: object
     gram: list = field(repr=False, default=None)
     gram_inv: list = field(repr=False, default=None)
-    _pair_table: dict = field(repr=False, default=None)
+    _pair_table: tuple = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.gram is None:
@@ -255,18 +256,42 @@ class GradientContext:
         """u_k with (u_k, x) = x_k for every x."""
         return [row[k] for row in self.gram_inv]
 
-    def pair_table(self) -> dict:
-        """Brackets of the coordinate functions: (i, j) i<j -> linear Poly."""
+    def pair_table(self) -> tuple:
+        """Brackets of the coordinate functions on integers: (scale, rows).
+
+        rows[i] lists (j, ((k, c), ...)) for every j with a nonzero bracket,
+        meaning {x_i, x_j} = sum of c * x_k over scale; the table is
+        antisymmetric in i and j and scale is the LCM of all its denominators.
+        """
         if self._pair_table is None:
-            table = {}
             duals = [self.dual_vector(k) for k in range(self.nvars)]
+            lins = {}
             for i in range(self.nvars):
                 for j in range(i + 1, self.nvars):
                     v = self.L.bracket(duals[i], duals[j])
                     if any(v):
-                        table[(i, j)] = Poly.linear(linalg.mat_vec(self.gram, v))
-            self._pair_table = table
+                        lins[(i, j)] = [(k, c) for k, c in
+                                        enumerate(linalg.mat_vec(self.gram, v)) if c]
+            scale = _denominator_lcm(c for lin in lins.values() for _, c in lin)
+            rows = [[] for _ in range(self.nvars)]
+            for (i, j), lin in lins.items():
+                ints = [(k, _scaled(c, scale)) for k, c in lin]
+                rows[i].append((j, tuple(ints)))
+                rows[j].append((i, tuple((k, -c) for k, c in ints)))
+            self._pair_table = (scale, rows)
         return self._pair_table
+
+
+def _denominator_lcm(coeffs) -> int:
+    out = 1
+    for c in coeffs:
+        out = math.lcm(out, int(c.denominator))
+    return out
+
+
+def _scaled(c, scale: int) -> int:
+    """The integer c * scale, for a scale that c's denominator divides."""
+    return int(c.numerator) * (scale // int(c.denominator))
 
 
 def gradients_from_partials(ctx: GradientContext, partials: list, x) -> list:
@@ -297,21 +322,71 @@ def gradient_polys(ctx: GradientContext, p: Poly) -> list:
     return out
 
 
+def _int_partials(f: Poly, unit: list) -> tuple:
+    """(scale, partials): partials[k] maps packed exponent -> integer
+    coefficient of scale * df/dx_k, scale being the LCM of f's denominators."""
+    scale = _denominator_lcm(f.terms.values())
+    out = [{} for _ in unit]
+    for e, c in f.terms.items():
+        c = _scaled(c, scale)
+        packed = sum(ek * unit[k] for k, ek in enumerate(e) if ek)
+        for k, ek in enumerate(e):
+            if ek:
+                out[k][packed - unit[k]] = c * ek
+    return scale, out
+
+
 def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
-    """Exact symbolic bracket of two polynomial functions."""
-    table = ctx.pair_table()
-    dp = [p.partial(k) for k in range(ctx.nvars)]
-    dq = [q.partial(k) for k in range(ctx.nvars)]
-    out = Poly.zero(ctx.nvars)
-    for (i, j), lin in table.items():
-        a = Poly.zero(ctx.nvars)
-        if not dp[i].is_zero() and not dq[j].is_zero():
-            a = a + dp[i] * dq[j]
-        if not dp[j].is_zero() and not dq[i].is_zero():
-            a = a - dp[j] * dq[i]
-        if not a.is_zero():
-            out = out + a * lin
-    return out
+    """Exact symbolic bracket {p, q} = sum_ij dp/dx_i dq/dx_j {x_i, x_j}.
+
+    The sum runs on integers.  p, q and the pair table are each scaled by the
+    LCM of their denominators; a nonzero integer scale cannot change which
+    coefficients vanish, and the result is divided by the product of the
+    three scales at the end.  Exponent vectors are packed into one int with a
+    fixed number of bits per variable (Monagan and Pearce, CASC 2007), so a
+    monomial product is an int addition.  Row i of the table is first folded
+    into M_i = sum_j dq/dx_j {x_i, x_j}, so that each dp/dx_i is multiplied
+    once, and every product term is accumulated into one dict in place.
+    """
+    n = ctx.nvars
+    if p.n != n or q.n != n:
+        raise ValueError(f"variable count mismatch: {p.n}, {q.n} != {n}")
+    # Every exponent of a product term is at most its total degree, which is
+    # at most top; once top fits in width bits, no field carries into the next.
+    top = p.degree() + q.degree() - 1
+    if top < 1:
+        return Poly.zero(n)
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    if top > mask:
+        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
+    unit = [1 << (width * k) for k in range(n)]
+    sp, dp = _int_partials(p, unit)
+    sq, dq = _int_partials(q, unit)
+    st, rows = ctx.pair_table()
+    acc: dict = {}
+    get = acc.get
+    for dpi, row in zip(dp, rows):
+        if not dpi:
+            continue
+        m: dict = {}
+        mget = m.get
+        for j, lin in row:
+            dqj = dq[j]
+            for k, c in lin:
+                u = unit[k]
+                for e, d in dqj.items():
+                    e += u
+                    m[e] = mget(e, 0) + c * d
+        for e2, c2 in m.items():
+            if c2:
+                for e1, c1 in dpi.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+    scale = sp * sq * st
+    shifts = [width * k for k in range(n)]
+    return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
+                    for e, c in acc.items() if c})
 
 
 def hamiltonian_at(ctx: GradientContext, p: Poly, x) -> list:

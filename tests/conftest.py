@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
+from mfhess import linalg
 from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
-from mfhess.polyring import GradientContext
+from mfhess.polyring import GradientContext, Poly
 from mfhess.invariants import invariant_generators
 from mfhess.argshift import choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
@@ -13,9 +16,12 @@ _BUNDLES = {}
 
 
 class Bundle:
+    """Everything built for one type: a label or an inline JSON Cartan matrix."""
+
     def __init__(self, label):
         self.label = label
-        self.rs = build_root_system(CartanMatrix.from_rows(cartan_matrix_for_label(label)))
+        rows = json.loads(label) if label.startswith("[") else cartan_matrix_for_label(label)
+        self.rs = build_root_system(CartanMatrix.from_rows(rows))
         self.L = chevalley_algebra(self.rs)
         self.ctx = GradientContext(self.L)
         self.triple = principal_triple(self.L)
@@ -35,3 +41,27 @@ def get_bundle(label):
 @pytest.fixture(scope="session")
 def bundles():
     return get_bundle
+
+
+def reference_poisson_bracket(ctx, p, q):
+    """The Poly-product bracket: sum over i < j of (dp_i dq_j - dp_j dq_i)
+    times the linear Poly {x_i, x_j}, with every product in Poly.__mul__."""
+    n = ctx.nvars
+    duals = [ctx.dual_vector(k) for k in range(n)]
+    dp = [p.partial(k) for k in range(n)]
+    dq = [q.partial(k) for k in range(n)]
+    out = Poly.zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = ctx.L.bracket(duals[i], duals[j])
+            if not any(v):
+                continue
+            a = dp[i] * dq[j] - dp[j] * dq[i]
+            if not a.is_zero():
+                out = out + a * Poly.linear(linalg.mat_vec(ctx.gram, v))
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_bracket():
+    return reference_poisson_bracket

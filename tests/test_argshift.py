@@ -91,7 +91,10 @@ def test_invalid_direction_rejected(bundles):
         shift_family(B.L, B.inv, bad, B.ctx, B.triple)
 
 
-@pytest.mark.parametrize("label,pairs", [("A1", 1), ("A2", 10)])
+@pytest.mark.parametrize("label,pairs", [
+    ("A1", 1), ("A2", 10),
+    pytest.param("[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]", 91, id="A4inline-91"),
+])
 def test_pairwise_commutativity(bundles, label, pairs):
     ok, count = pairwise_commute(bundles(label).family)
     assert ok and count == pairs

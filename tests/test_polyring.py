@@ -9,14 +9,15 @@ from mfhess.polyring import (Poly, coefficient_rows, gradient, gradient_polys,
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+mixed = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
-def poly_strategy(nvars, max_deg=3, max_terms=4):
+def poly_strategy(nvars, max_deg=3, max_terms=4, coeffs=frac):
     # a monomial is a multiset of at most max_deg variable indices
     mono = st.lists(st.integers(min_value=0, max_value=nvars - 1),
                     max_size=max_deg).map(
         lambda idxs: tuple(idxs.count(k) for k in range(nvars)))
-    term = st.tuples(mono, frac)
+    term = st.tuples(mono, coeffs)
     return st.lists(term, max_size=max_terms).map(
         lambda ts: Poly(nvars, {tuple(e): to_rat(c) for e, c in ts if c}))
 
@@ -161,6 +162,36 @@ def test_poisson_evaluation_compatibility(bundles):
         dp = gradient(B.ctx, p, x)
         dq = gradient(B.ctx, q, x)
         assert br.evaluate(x) == B.L.killing_pair(x, B.L.bracket(dp, dq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poisson_bracket_matches_reference(bundles, reference_bracket, data):
+    B = bundles(data.draw(st.sampled_from(["A1", "A2"])))
+    n = B.L.dim
+    p = data.draw(poly_strategy(n, max_deg=3, max_terms=5, coeffs=mixed))
+    q = data.draw(poly_strategy(n, max_deg=3, max_terms=5, coeffs=mixed))
+    c = to_rat(data.draw(mixed.filter(bool)))
+    # besides independent pairs, pairs whose bracket vanishes identically
+    case = data.draw(st.sampled_from(["free", "multiple", "casimir"]))
+    if case == "multiple":
+        q = p.scale(c)
+    elif case == "casimir":
+        p = data.draw(st.sampled_from(B.inv.polys)).scale(c)
+    assert poisson_bracket(B.ctx, p, q) == reference_bracket(B.ctx, p, q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_poisson_bracket_at_packing_width(bundles, reference_bracket, k):
+    # {x0, x1} = x0/4 on A1, so {x0^k, x0^(k-1) x1} = (k/4) x0^(2k-1): the
+    # exponent 2k - 1 = deg p + deg q - 1 fills every bit of its packed field
+    ctx = bundles("A1").ctx
+    x0, x1 = Poly.coordinate(3, 0), Poly.coordinate(3, 1)
+    p = x0 ** k
+    q = (x0 ** (k - 1) * x1).scale(rat(1, 3)) + Poly.coordinate(3, 2) ** k
+    br = poisson_bracket(ctx, p, q)
+    assert br == reference_bracket(ctx, p, q)
+    assert br.terms[(2 * k - 1, 0, 0)] == rat(k, 12)
 
 
 def test_hamiltonian_values(bundles):

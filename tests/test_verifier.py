@@ -1,13 +1,15 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from mfhess import cli
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
+from mfhess.polyring import Poly
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
-                             run_suite, sample_points)
+                             check_commutativity, run_suite, sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -146,17 +148,50 @@ def test_cache_round_trip_through_context(tmp_path):
     assert sc1.family.to_payload() == sc2.family.to_payload()
 
 
+def _drop_polys(text):
+    return json.dumps({k: v for k, v in json.loads(text).items() if k != "polys"})
+
+
 def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
     cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
     sc1 = build_context(cfg)
     paths = sorted(tmp_path.iterdir())
     good = [p.read_text() for p in paths]
-    for p in paths:
-        p.write_text(p.read_text()[:40])   # a truncated write
-    sc2 = build_context(cfg)
-    assert sorted(tmp_path.iterdir()) == paths
-    assert [p.read_text() for p in paths] == good
-    assert sc1.family.to_payload() == sc2.family.to_payload()
+    corruptions = {
+        "truncated write": lambda name, text: text[:40],
+        "family schema only": lambda name, text: (
+            '{"schema": "family_v1"}' if name.startswith("family_") else text),
+        "invariants without polys": lambda name, text: (
+            _drop_polys(text) if name.startswith("invariants_") else text),
+    }
+    for name, corrupt in corruptions.items():
+        for p, text in zip(paths, good):
+            p.write_text(corrupt(p.name, text))
+        assert [p.read_text() for p in paths] != good, name
+        sc2 = build_context(cfg)
+        assert sorted(tmp_path.iterdir()) == paths, name
+        assert [p.read_text() for p in paths] == good, name
+        assert sc1.family.to_payload() == sc2.family.to_payload(), name
+
+
+def test_commutativity_fails_on_planted_term(reference_bracket):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = build_context(cfg)
+    assert check_commutativity(sc, cfg)["ok"]
+    F = sc.family
+    pos = F.N_positions[0]
+    n = sc.L.dim
+    planted = F.entries[pos].poly + Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
+    entries = [replace(e, poly=planted) if idx == pos else e
+               for idx, e in enumerate(F.entries)]
+    bad = replace(sc, family=replace(F, entries=entries, _partials=None))
+    out = check_commutativity(bad, cfg)
+    assert out["ok"] is False
+    i, j = out["witness"]["pair"]
+    assert pos + 1 in (i, j)
+    qs = bad.family.qs
+    ref = reference_bracket(sc.ctx, qs[i - 1], qs[j - 1])
+    assert out["witness"]["bracket_terms"] == len(ref.terms) > 0
 
 
 # -- command line ------------------------------------------------------------
