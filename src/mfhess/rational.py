@@ -24,10 +24,17 @@ except ImportError:
 
 R0 = rat(0)
 R1 = rat(1)
+_RAT = type(R0)
 
 
 def to_rat(x):
-    """Coerce an int, "p/q" string, Fraction, or backend rational."""
+    """Coerce an int, "p/q" string, Fraction, or backend rational.
+
+    A value of exactly the backend's rational type is immutable and returned
+    as is: this is the common case, and rebuilding it would cost a gcd.
+    """
+    if type(x) is _RAT:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact rational required, got {type(x).__name__}")
     if isinstance(x, int):

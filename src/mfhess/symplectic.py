@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
-from .argshift import ShiftFamily, is_strongly_regular
+from .argshift import ShiftFamily
 from .hessenberg import (HessChart, orbit_slice, point_in_hess,
                          slice_membership, slice_sample, slice_tangent_rows)
 from .rational import R0, rat, to_rat
@@ -43,6 +43,7 @@ class TangentFrame:
     preimages: list
     tangents: list
     dim: int
+    gradients: list | None = None   # zx_frame: all b family gradients at point
 
 
 def orbit_frame(L: LieAlgebra, x) -> TangentFrame:
@@ -62,17 +63,19 @@ def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     """Hamiltonian tangent frame of the non-invariant generators at x.
 
     Requires strong regularity; the n tangents are verified independent.
+    The frame carries all b gradients, the only ones built for this visit.
     """
     x = [to_rat(c) for c in x]
-    if not is_strongly_regular(F, x):
+    rows = F.gradient_rows(x)
+    if linalg.rank(rows) != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
     L = F.L
-    rows = F.gradient_rows(x)
     preimages = [rows[i] for i in F.N_positions]
     tangents = [linalg.vec_scale(L.bracket(g, x), rat(-1)) for g in preimages]
     if linalg.rank(tangents) != L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
-    return TangentFrame(point=x, preimages=preimages, tangents=tangents, dim=L.n)
+    return TangentFrame(point=x, preimages=preimages, tangents=tangents, dim=L.n,
+                        gradients=rows)
 
 
 def isotropy_witness(L: LieAlgebra, x, preimages) -> tuple | None:
@@ -104,6 +107,7 @@ class TransversalityResult:
     pairing_det: object
     jacobian_rank: int
     passed: bool
+    frame: TangentFrame
 
 
 def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityResult:
@@ -126,15 +130,15 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
                 for j in range(len(slice_pre_kept))]
                for i in range(len(zx.preimages))]
     pdet = linalg.det(pairing) if len(slice_pre_kept) == L.n else R0
-    grads = F.gradient_rows(x)
-    jac = [[L.killing_pair(g, t) for t in slice_basis] for g in grads]
+    jac = [[L.killing_pair(g, t) for t in slice_basis] for g in zx.gradients]
     jrank = linalg.rank(jac)
     passed = (zx.dim == L.n and len(slice_basis) == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n
               and bool(pdet) and jrank == L.n)
     return TransversalityResult(zx_dim=zx.dim, slice_dim=len(slice_basis),
                                 combined_dim=combined, orbit_dim=orbit_dim,
-                                pairing_det=pdet, jacobian_rank=jrank, passed=passed)
+                                pairing_det=pdet, jacobian_rank=jrank, passed=passed,
+                                frame=zx)
 
 
 @dataclass
@@ -169,29 +173,30 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
 
     At each sampled point of the slice through v0: strong regularity, the
     Hamiltonian frame is Lagrangian, the slice tangents are Lagrangian, the
-    two are transversal, and the orbit has full dimension 2n.
+    two are transversal, and the orbit has full dimension 2n.  The slice
+    exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.
     """
     L = F.L
     v0 = [to_rat(c) for c in v0]
+    if not point_in_hess(L, chart.triple, v0):
+        raise ValueError("polarization is checked on slices through points of Hess")
     s = orbit_slice(inv, v0)
     rng = random.Random(f"{seed}:polarization")
     points = [v0] + slice_sample(L, v0, max(count - 1, 0), rng)
     report = PolarizationReport(base_point=v0, invariant_values=s.values)
     for x in points:
-        sreg = is_strongly_regular(F, x)
-        zx_ok = False
-        trans_ok = False
-        if sreg:
-            frame = zx_frame(F, x)
-            zx_ok = frame.dim == L.n and isotropy_witness(L, x, frame.preimages) is None
-            trans_ok = transversality_check(F, chart, x).passed
+        try:
+            res = transversality_check(F, chart, x)
+        except NotStronglyRegular:
+            res = None
+        sreg = res is not None
         verdict = PointVerdict(
             strongly_regular=sreg,
-            zx_lagrangian=zx_ok,
+            zx_lagrangian=sreg and isotropy_witness(L, x, res.frame.preimages) is None,
             slice_lagrangian=hess_lagrangian_check(L, x),
-            transversal=trans_ok,
+            transversal=sreg and res.passed,
             orbit_dim=L.dim - L.centralizer_dim(x),
-            in_slice=slice_membership(s, inv, x) and point_in_hess(L, chart.triple, x),
+            in_slice=slice_membership(s, inv, x),
         )
         report.verdicts.append(verdict)
     return report

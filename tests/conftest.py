@@ -7,7 +7,7 @@ from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_l
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
 from mfhess.polyring import GradientContext, Poly
 from mfhess.invariants import invariant_generators
-from mfhess.argshift import choose_regular_y, shift_family
+from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
 
 SEED = 42
@@ -65,3 +65,17 @@ def reference_poisson_bracket(ctx, p, q):
 @pytest.fixture(scope="session")
 def reference_bracket():
     return reference_poisson_bracket
+
+
+@pytest.fixture
+def gradient_rows_calls(monkeypatch):
+    """The points of every ShiftFamily.gradient_rows call during one test."""
+    calls = []
+    original = ShiftFamily.gradient_rows
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(ShiftFamily, "gradient_rows", counted)
+    return calls

@@ -112,6 +112,30 @@ def test_transversality_requires_slice_point(bundles):
         transversality_check(B.family, B.chart, B.triple.w)
 
 
+def test_transversality_builds_one_gradient_matrix(bundles, gradient_rows_calls):
+    B = bundles("A2")
+    x = hess_point(B, random.Random("visit"))
+    res = transversality_check(B.family, B.chart, x)
+    assert res.passed
+    assert len(gradient_rows_calls) == 1
+    assert res.frame.gradients == B.family.gradient_rows(x)
+
+
+def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_rows_calls):
+    B = bundles("A2")
+    for count in (1, 3):
+        gradient_rows_calls.clear()
+        rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
+        assert rep.all_pass
+        assert len(gradient_rows_calls) == count
+
+
+def test_polarization_requires_hess_base_point(bundles):
+    B = bundles("A2")
+    with pytest.raises(ValueError):
+        polarization_report(B.family, B.chart, B.inv, B.L.zero(), 3, seed=11)
+
+
 def test_polarization_report_nilpotent_slice(bundles):
     B = bundles("A1")
     rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)

@@ -8,8 +8,11 @@ from mfhess import cli
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.polyring import Poly
+from mfhess.symplectic import NotStronglyRegular
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
-                             check_commutativity, run_suite, sample_points)
+                             check_commutativity, check_hamiltonian_frame,
+                             check_polarization, check_strong_regularity,
+                             check_transversality, run_suite, sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -174,17 +177,41 @@ def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
         assert sc1.family.to_payload() == sc2.family.to_payload(), name
 
 
-def test_commutativity_fails_on_planted_term(reference_bracket):
-    cfg = SuiteConfig(algebra="A2", seed=5)
-    sc = build_context(cfg)
-    assert check_commutativity(sc, cfg)["ok"]
+def _with_member(sc, pos, poly):
+    """A copy of the context whose family has poly at 0-based position pos."""
     F = sc.family
-    pos = F.N_positions[0]
-    n = sc.L.dim
-    planted = F.entries[pos].poly + Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
-    entries = [replace(e, poly=planted) if idx == pos else e
+    entries = [replace(e, poly=poly) if idx == pos else e
                for idx, e in enumerate(F.entries)]
-    bad = replace(sc, family=replace(F, entries=entries, _partials=None))
+    return replace(sc, family=replace(F, entries=entries, _partials=None))
+
+
+def _x0x1(sc):
+    n = sc.L.dim
+    return Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
+
+
+def test_tampered_family_cache_is_a_build_failure(tmp_path):
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
+    sc = build_context(cfg)
+    path = next(tmp_path.glob("family_*.json"))
+    data = json.loads(path.read_text())
+    poly = Poly.from_payload(sc.L.dim, data["entries"][2]["poly"]) + _x0x1(sc)
+    data["entries"][2]["poly"] = poly.to_payload()
+    path.write_text(json.dumps(data))
+    rep = run_suite(cfg)
+    build = rep.checks[0]
+    assert (build.check_id, build.status) == ("build.algebra", "fail")
+    assert build.witness["error"].startswith("NotTriangular: ")
+    assert all(c.status == "skipped" for c in rep.checks[1:])
+    assert main(["verify", "--type", "A2", "--seed", "5", "--cache-dir", str(tmp_path)]) == 1
+
+
+def test_commutativity_fails_on_planted_term(a2_context, reference_bracket):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_commutativity(sc, cfg)["ok"]
+    pos = sc.family.N_positions[0]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
     out = check_commutativity(bad, cfg)
     assert out["ok"] is False
     i, j = out["witness"]["pair"]
@@ -192,6 +219,51 @@ def test_commutativity_fails_on_planted_term(reference_bracket):
     qs = bad.family.qs
     ref = reference_bracket(sc.ctx, qs[i - 1], qs[j - 1])
     assert out["witness"]["bracket_terms"] == len(ref.terms) > 0
+
+
+def test_pointwise_checks_fail_on_dependent_member(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    F = sc.family
+    pos, other = F.N_positions[0], F.N_positions[1]
+    bad = _with_member(sc, pos, F.entries[other].poly.scale(2))
+    out = check_strong_regularity(bad, cfg)
+    assert out["ok"] is False and "point" in out["witness"]
+    with pytest.raises(NotStronglyRegular):
+        check_hamiltonian_frame(bad, cfg)
+    with pytest.raises(NotStronglyRegular):
+        check_transversality(bad, cfg)
+    out = check_polarization(bad, cfg)
+    assert out["ok"] is False and set(out["witness"]) == {"base", "index"}
+
+
+def test_pointwise_checks_fail_on_planted_derived_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    pos = sc.family.N_positions[0]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
+    out = check_hamiltonian_frame(bad, cfg)
+    assert out["ok"] is False
+    assert len(out["witness"]["pair"]) == 2 and out["witness"]["value"] != "0"
+    assert check_polarization(bad, cfg)["ok"] is False
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_hamiltonian_frame_builds_one_gradient_matrix_per_point(a2_context,
+                                                                gradient_rows_calls, k):
+    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=k)
+    assert check_hamiltonian_frame(a2_context, cfg)["ok"]
+    assert len(gradient_rows_calls) == k
+
+
+def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    pos = sc.family.I_positions[0]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
+    out = check_hamiltonian_frame(bad, cfg)
+    assert out["ok"] is False
+    assert out["witness"]["kind"] == "invariant with nonzero Hamiltonian vector"
 
 
 # -- command line ------------------------------------------------------------
