@@ -7,8 +7,8 @@ from .rootdata import (CartanMatrix, RootSystem, build_root_system,
                        degrees_and_layers, cartan_matrix_for_label,
                        NonFiniteType, UnsupportedType)
 from .liealgebra import (LieAlgebra, chevalley_algebra, principal_triple,
-                         principal_decomposition, is_regular, vandermonde_span,
-                         PrincipalTriple, PrincipalDecomposition)
+                         principal_decomposition, is_regular, PrincipalTriple,
+                         PrincipalDecomposition)
 from .polyring import Poly, GradientContext, gradient, poisson_bracket, hamiltonian_at
 from .invariants import (InvariantFamily, invariant_generators, trace_oracle_type_A,
                          WrongDimension)

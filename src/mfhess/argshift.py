@@ -9,7 +9,8 @@ generator list q_1..q_b.  The positions carrying the underived invariants
 (k = 0) form the index set I, the rest form N.
 
 Also here: exact strong-regularity tests (the b gradients are independent),
-gradient spans of a family at a point, the chain map zeta built from a
+gradient spans over points (the span of the gradients of a list of
+polynomials at every point of a list), the chain map zeta built from a
 regular Cartan element and the nilpositive element of a principal triple,
 and a sampled membership test for directions whose family reaches the
 maximal gradient span b.
@@ -22,12 +23,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .liealgebra import LieAlgebra, PrincipalTriple, principal_triple, signature_hash
+from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
-from .polyring import (GradientContext, Poly, coefficient_rows, gradient, gradient_polys,
+from .polyring import (GradientContext, Poly, coefficient_rows, gradient_polys,
                        gradients_from_partials, poisson_bracket)
 from .rational import R0, R1, rat, to_rat, factorial_rat
-from .rootdata import RootSystem
 
 
 class DependentFamily(Exception):
@@ -66,7 +66,7 @@ def cartan_from_root_values(L: LieAlgebra, values) -> list:
     return y
 
 
-def choose_regular_y(L: LieAlgebra, rs: RootSystem, seed: int, bound: int = 5) -> list:
+def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> list:
     """Deterministic small-integer regular Cartan element."""
     rng = random.Random(f"{seed}:regular-y")
     for _ in range(10000):
@@ -81,7 +81,7 @@ def choose_regular_y(L: LieAlgebra, rs: RootSystem, seed: int, bound: int = 5) -
     raise NotInvertible("could not draw a regular Cartan element")
 
 
-def shifted_invariants(L: LieAlgebra, ctx: GradientContext, inv: InvariantFamily, u) -> list:
+def shifted_invariants(inv: InvariantFamily, u) -> list:
     """All pieces (j, k, I_{j,u,k}) with 0 <= k <= m_j, k-th derivative over k!."""
     u = [to_rat(c) for c in u]
     out = []
@@ -160,16 +160,13 @@ class ShiftFamily:
         }
 
 
-def shift_family(L: LieAlgebra, inv: InvariantFamily, y,
-                 ctx: GradientContext | None = None,
-                 triple: PrincipalTriple | None = None) -> ShiftFamily:
+def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
+                 triple: PrincipalTriple) -> ShiftFamily:
     """Build the ordered generator family for a regular Cartan direction y."""
-    ctx = ctx or GradientContext(L)
-    triple = triple or principal_triple(L)
     y = [to_rat(c) for c in y]
     if not is_regular_cartan(L, y):
         raise NotInvertible("shift direction must be a regular Cartan element")
-    pieces = shifted_invariants(L, ctx, inv, y)
+    pieces = shifted_invariants(inv, y)
     by_key = {(j, k): p for j, k, p in pieces}
     h = L.rs.coxeter_number
     ell = L.rank
@@ -220,10 +217,11 @@ def is_strongly_regular(F: ShiftFamily, x) -> bool:
     return linalg.rank(F.gradient_rows(x)) == F.b
 
 
-def gradient_span(ctx: GradientContext, polys, x) -> tuple:
-    """(dimension, canonical basis) of {dp(x) : p in span of the given polys}."""
-    x = [to_rat(c) for c in x]
-    rows = [gradient(ctx, p, x) for p in polys]
+def gradient_span(ctx: GradientContext, polys, points) -> tuple:
+    """(dimension, canonical basis) of the span of dp(x) over the given
+    polys p and points x.  Each polynomial's partials are taken once."""
+    partials = [[p.partial(k) for k in range(ctx.nvars)] for p in polys]
+    rows = [g for x in points for g in gradients_from_partials(ctx, partials, x)]
     basis = linalg.span_basis(rows)
     return len(basis), basis
 
@@ -289,14 +287,13 @@ class ZetaChain:
 
 
 def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
-               inv: InvariantFamily, ctx: GradientContext | None = None) -> ZetaChain:
+               inv: InvariantFamily, ctx: GradientContext) -> ZetaChain:
     """Extract the chains v_i(I_j) from the t-expansion of dI_j(e + t y).
 
     v_i is the coefficient of t^{d_j - 1 - i}; the chains satisfy
     [y, v_0] = 0, [e, v_{d_j-1}] = 0 and zeta(v_i) = v_{i+1}, with v_i
     homogeneous of adjoint weight 2i.  All relations are verified exactly.
     """
-    ctx = ctx or GradientContext(L)
     y = [to_rat(c) for c in y]
     vals = root_values(L, y)
     if not all(vals):
@@ -332,17 +329,16 @@ def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
 # -- sampled membership in the maximal-span locus ---------------------------
 
 
-def mv_membership(L: LieAlgebra, inv: InvariantFamily, u, sample_count: int, seed: int,
-                  ctx: GradientContext | None = None, coeff_bound: int = 5) -> tuple:
+def mv_membership(ctx: GradientContext, triple: PrincipalTriple, inv: InvariantFamily, u,
+                  sample_count: int, seed: int, coeff_bound: int) -> tuple:
     """Search for a point where the family shifted along u has full span b.
 
     Returns (True, witness point) when found; (False, None) is inconclusive,
     never a refutation.
     """
-    ctx = ctx or GradientContext(L)
-    members = [p for _, _, p in shifted_invariants(L, ctx, inv, u)]
+    L = ctx.L
+    members = [p for _, _, p in shifted_invariants(inv, u)]
     b = L.rank + L.n
-    triple = principal_triple(L)
     rng = random.Random(f"{seed}:mv-membership")
     candidates = [triple.w, triple.e, triple.e1,
                   linalg.vec_add(triple.w, triple.f)]

@@ -27,7 +27,7 @@ from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
-from .polyring import Poly, gradient
+from .polyring import Poly
 from .rational import R0, R1, rat, to_rat
 from .rootdata import RootSystem
 
@@ -101,8 +101,7 @@ def build_chart(F: ShiftFamily) -> HessChart:
     """
     L = F.L
     triple = F.triple
-    e1 = triple.e1
-    zvecs = [gradient(F.ctx, e.poly, e1) for e in F.entries]
+    zvecs = F.gradient_rows(triple.e1)
     for e, z in zip(F.entries, zvecs):
         if not L.supported_in(z, L.layer_indices(e.m - 1)):
             raise NotTriangular(
@@ -179,11 +178,6 @@ def slice_tangent_rows(L: LieAlgebra, v) -> list:
 
 def slice_tangent_dim(L: LieAlgebra, v) -> int:
     return linalg.rank(slice_tangent_rows(L, v))
-
-
-def slice_isotropy_dim(L: LieAlgebra, v) -> int:
-    """Dimension of the centralizer of v inside the lower nilradical."""
-    return L.n - slice_tangent_dim(L, v)
 
 
 def slice_sample(L: LieAlgebra, v0, count: int, rng: random.Random,

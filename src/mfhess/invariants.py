@@ -24,10 +24,10 @@ import tempfile
 from dataclasses import dataclass
 
 from . import linalg
-from .liealgebra import LieAlgebra, chevalley_algebra, signature_hash
-from .polyring import GradientContext, Poly, coefficient_rows
+from .liealgebra import LieAlgebra, signature_hash
+from .polyring import GradientContext, Poly, coefficient_rows, poisson_bracket
 from .rational import R0, R1, rat
-from .rootdata import RootSystem, UnsupportedType, CartanMatrix, build_root_system
+from .rootdata import RootSystem, UnsupportedType
 
 
 class WrongDimension(Exception):
@@ -125,19 +125,20 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def invariant_generators(L: LieAlgebra, rs: RootSystem | None = None,
-                         ctx: GradientContext | None = None) -> InvariantFamily:
+def simple_root_vectors(L: LieAlgebra) -> list:
+    """The 2l root vectors of the simple roots and of their negatives."""
+    simple_idx = [i for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
+    return ([L.basis_vector(L.pos_indices[i]) for i in simple_idx]
+            + [L.basis_vector(L.neg_indices[i]) for i in simple_idx])
+
+
+def invariant_generators(L: LieAlgebra, ctx: GradientContext) -> InvariantFamily:
     """Solve for the invariant generators degree by degree."""
-    rs = rs or L.rs
-    ctx = ctx or GradientContext(L)
-    degrees = rs.degrees
+    degrees = L.rs.degrees
     generators: list[Poly] = []
     gen_degrees: list[int] = []
 
-    simple_idx = [i for i, r in enumerate(rs.positive_roots) if sum(r) == 1]
-    gen_vectors = [L.basis_vector(L.pos_indices[i]) for i in simple_idx]
-    gen_vectors += [L.basis_vector(L.neg_indices[i]) for i in simple_idx]
-    action_tables = [_coordinate_brackets(L, ctx, z) for z in gen_vectors]
+    action_tables = [_coordinate_brackets(L, ctx, z) for z in simple_root_vectors(L)]
 
     for d in sorted(set(degrees)):
         mult = sum(1 for x in degrees if x == d)
@@ -194,6 +195,32 @@ def invariant_generators(L: LieAlgebra, rs: RootSystem | None = None,
     if degs != tuple(sorted(degrees)):
         raise WrongDimension(f"generator degrees {degs} != expected {tuple(sorted(degrees))}")
     return InvariantFamily(polys=polys, degrees=degs, provenance="solver")
+
+
+def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
+                            fam: InvariantFamily) -> bool:
+    """The conditions the solver imposes, checked on a given family.
+
+    The degrees are those of the root data, each polynomial is homogeneous of
+    its degree and Poisson commutes with the linear functional of every
+    simple root vector, and no polynomial lies in the span of the products
+    of the lower-degree ones.
+    """
+    if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
+        return False
+    if any(not p.is_homogeneous() or p.degree() != d
+           for p, d in zip(fam.polys, fam.degrees)):
+        return False
+    lins = [ctx.linear_functional(z) for z in simple_root_vectors(L)]
+    if any(not poisson_bracket(ctx, p, lin).is_zero() for p in fam.polys for lin in lins):
+        return False
+    for d in sorted(set(fam.degrees)):
+        dec = decomposable_products(fam.polys, fam.degrees, d)
+        new = [p for p, dd in zip(fam.polys, fam.degrees) if dd == d]
+        rows = coefficient_rows(dec + new)
+        if linalg.rank(rows) != linalg.rank(rows[:len(dec)]) + len(new):
+            return False
+    return True
 
 
 def decomposable_products(polys: list, degrees, d: int) -> list:
@@ -308,11 +335,10 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
     return images
 
 
-def trace_oracle_type_A(rank: int, L: LieAlgebra | None = None) -> InvariantFamily:
+def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
     """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra."""
-    if L is None:
-        L = chevalley_algebra(build_root_system(CartanMatrix.from_rows(_type_a_rows(rank))))
     images = matrix_images_type_A(L)
+    rank = L.rank
     size = rank + 1
     entries = [[Poly.zero(L.dim) for _ in range(size)] for _ in range(size)]
     for c in range(L.dim):
@@ -392,7 +418,10 @@ def save_family(cache_dir: str, label: str, L: LieAlgebra, fam: InvariantFamily)
     return path
 
 
-def load_family(cache_dir: str, label: str, L: LieAlgebra) -> InvariantFamily | None:
+def load_family(cache_dir: str, label: str, L: LieAlgebra,
+                ctx: GradientContext) -> InvariantFamily | None:
+    """The cached generators, or None when the file is missing, corrupt or
+    holds a family that fails the solver's conditions."""
     payload = read_json(cache_path(cache_dir, label, L))
     if payload is None or payload.get("schema") != "invariants_v1":
         return None
@@ -403,5 +432,6 @@ def load_family(cache_dir: str, label: str, L: LieAlgebra) -> InvariantFamily | 
         degrees = tuple(payload["degrees"])
     except (KeyError, TypeError, ValueError):   # a missing or malformed key
         return None
-    return InvariantFamily(polys=polys, degrees=degrees,
-                           provenance=payload.get("provenance", "solver"))
+    fam = InvariantFamily(polys=polys, degrees=degrees,
+                          provenance=payload.get("provenance", "solver"))
+    return fam if meets_solver_conditions(L, ctx, fam) else None

@@ -242,11 +242,11 @@ def _coroot_coordinates(rs: RootSystem, root) -> list:
     return out
 
 
-def chevalley_algebra(rs: RootSystem, validate: bool | None = None) -> LieAlgebra:
+def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
     """Build the algebra with integer structure constants from a root system.
 
-    validate=None runs the exhaustive Jacobi / Killing checks whenever
-    dim <= 16 (all v1 types); pass False to skip, True to force.
+    The exhaustive Jacobi / Killing checks run whenever dim <= 16, which
+    covers every labelled type.
     """
     pos = list(rs.positive_roots)
     n = len(pos)
@@ -330,9 +330,7 @@ def chevalley_algebra(rs: RootSystem, validate: bool | None = None) -> LieAlgebr
         layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
     L.killing = _killing_matrix(L)
-    if validate is None:
-        validate = dim <= 16
-    if validate:
+    if dim <= 16:
         errs = validate_algebra(L)
         if errs:
             raise ConstructionFailure(errs[0])
@@ -566,25 +564,3 @@ def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
 def ut_action(L: LieAlgebra, triple: PrincipalTriple, t, v) -> list:
     """exp((t/2) ad f) applied to v."""
     return exp_ad_nilpotent(L, linalg.vec_scale(triple.f, to_rat(t) / 2), v)
-
-
-def vandermonde_span(L: LieAlgebra, ctx, inv_polys, t_values) -> tuple:
-    """Span of the invariant gradients at the points w + t f over the given t.
-
-    Returns (dimension, canonical basis rows).  Every gradient lies in the
-    lower Borel subalgebra; with at least h distinct values of t the span is
-    all of it.
-    """
-    from .polyring import gradient
-
-    triple = principal_triple(L)
-    ts = list(t_values)
-    if len(set(ts)) != len(ts):
-        raise ValueError("t values must be distinct")
-    rows = []
-    for t in ts:
-        point = linalg.vec_add(triple.w, linalg.vec_scale(triple.f, to_rat(t)))
-        for p in inv_polys:
-            rows.append(gradient(ctx, p, point))
-    basis = linalg.span_basis(rows)
-    return len(basis), basis

@@ -231,18 +231,15 @@ class GradientContext:
     """Killing Gram matrix and its exact inverse for one algebra."""
 
     L: object
-    gram: list = field(repr=False, default=None)
-    gram_inv: list = field(repr=False, default=None)
-    _pair_table: tuple = field(repr=False, default=None)
+    gram: list = field(repr=False, init=False)
+    gram_inv: list = field(repr=False, init=False)
+    _pair_table: tuple = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
-        if self.gram is None:
-            self.gram = self.L.killing
-        if self.gram_inv is None:
-            self.gram_inv = linalg.inverse(self.gram)
-            prod = linalg.mat_mul(self.gram, self.gram_inv)
-            if prod != linalg.identity(self.L.dim):
-                raise ValueError("Gram inverse validation failed")
+        self.gram = self.L.killing
+        self.gram_inv = linalg.inverse(self.gram)
+        if linalg.mat_mul(self.gram, self.gram_inv) != linalg.identity(self.L.dim):
+            raise ValueError("Gram inverse validation failed")
 
     @property
     def nvars(self) -> int:

@@ -165,15 +165,15 @@ def _symmetrizer(entries) -> tuple:
     return tuple(d)
 
 
-def build_root_system(cm: CartanMatrix, max_height: int | None = None) -> RootSystem:
+def build_root_system(cm: CartanMatrix) -> RootSystem:
     """Close the simple roots under simple reflections.
 
-    Raises NonFiniteType when root heights exceed the iteration bound
-    (default 10 * rank**2), which a finite type never does.
+    Raises NonFiniteType when root heights exceed 10 * rank**2, which a
+    finite type never does.
     """
     cm.validate()
     n = cm.rank
-    bound = max_height if max_height is not None else 10 * n * n
+    bound = 10 * n * n
     entries = cm.entries
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     seen = set(simple)

@@ -23,8 +23,8 @@ from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
-from .hessenberg import (HessChart, orbit_slice, point_in_hess,
-                         slice_membership, slice_sample, slice_tangent_rows)
+from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
+                         slice_sample, slice_tangent_dim, slice_tangent_rows)
 from .rational import R0, rat, to_rat
 
 
@@ -88,14 +88,16 @@ def isotropy_witness(L: LieAlgebra, x, preimages) -> tuple | None:
     return None
 
 
+def slice_isotropic(L: LieAlgebra, v) -> bool:
+    """The orbit form at v vanishes on the lower-nilradical tangents."""
+    preimages = [L.basis_vector(i) for i in L.nminus_indices]
+    return isotropy_witness(L, v, preimages) is None
+
+
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
     """At v: the lower-nilradical tangents have dimension n and are isotropic."""
     v = [to_rat(c) for c in v]
-    rows = slice_tangent_rows(L, v)
-    if linalg.rank(rows) != L.n:
-        return False
-    preimages = [L.basis_vector(i) for i in L.nminus_indices]
-    return isotropy_witness(L, v, preimages) is None
+    return slice_tangent_dim(L, v) == L.n and slice_isotropic(L, v)
 
 
 @dataclass
@@ -143,11 +145,13 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
 
 @dataclass
 class PointVerdict:
+    """At a point that is not strongly regular nothing else is measured: the
+    other verdicts are False there and orbit_dim is None."""
     strongly_regular: bool
     zx_lagrangian: bool
     slice_lagrangian: bool
     transversal: bool
-    orbit_dim: int
+    orbit_dim: int | None
     in_slice: bool
 
     @property
@@ -174,7 +178,8 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     At each sampled point of the slice through v0: strong regularity, the
     Hamiltonian frame is Lagrangian, the slice tangents are Lagrangian, the
     two are transversal, and the orbit has full dimension 2n.  The slice
-    exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.
+    exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.  Each point
+    takes its dimensions from one transversality_check.
     """
     L = F.L
     v0 = [to_rat(c) for c in v0]
@@ -193,9 +198,9 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
         verdict = PointVerdict(
             strongly_regular=sreg,
             zx_lagrangian=sreg and isotropy_witness(L, x, res.frame.preimages) is None,
-            slice_lagrangian=hess_lagrangian_check(L, x),
+            slice_lagrangian=sreg and res.slice_dim == L.n and slice_isotropic(L, x),
             transversal=sreg and res.passed,
-            orbit_dim=L.dim - L.centralizer_dim(x),
+            orbit_dim=res.orbit_dim if sreg else None,
             in_slice=slice_membership(s, inv, x),
         )
         report.verdicts.append(verdict)

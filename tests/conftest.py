@@ -26,8 +26,8 @@ class Bundle:
         self.ctx = GradientContext(self.L)
         self.triple = principal_triple(self.L)
         self.decomp = principal_decomposition(self.L, self.triple)
-        self.inv = invariant_generators(self.L, self.rs, self.ctx)
-        self.y = choose_regular_y(self.L, self.rs, SEED)
+        self.inv = invariant_generators(self.L, self.ctx)
+        self.y = choose_regular_y(self.L, SEED)
         self.family = shift_family(self.L, self.inv, self.y, self.ctx, self.triple)
         self.chart = build_chart(self.family)
 

@@ -15,8 +15,8 @@ from mfhess.rational import rat
 
 def test_choose_regular_y_deterministic(bundles):
     B = bundles("A2")
-    y1 = choose_regular_y(B.L, B.rs, 42)
-    y2 = choose_regular_y(B.L, B.rs, 42)
+    y1 = choose_regular_y(B.L, 42)
+    y2 = choose_regular_y(B.L, 42)
     assert y1 == y2
     assert is_regular_cartan(B.L, y1)
     assert all(v for v in root_values(B.L, y1))
@@ -35,7 +35,7 @@ def test_a2_direction_from_simple_root_values(bundles):
 def test_piece_degrees_and_top_coefficient(bundles):
     B = bundles("A2")
     L = B.L
-    pieces = shifted_invariants(L, B.ctx, B.inv, B.y)
+    pieces = shifted_invariants(B.inv, B.y)
     for j, k, p in pieces:
         d = B.inv.degrees[j]
         assert p.degree() == d - k
@@ -139,27 +139,27 @@ def test_strong_regularity(bundles):
 def test_gradient_span_bounds(bundles):
     B = bundles("A2")
     F = B.family
-    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], B.triple.e)
+    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.e])
     assert dim == 0
     rng = random.Random("bound")
     for _ in range(5):
         x = [rat(rng.randint(-3, 3)) for _ in range(B.L.dim)]
-        dim, _ = gradient_span(B.ctx, F.qs, x)
+        dim, _ = gradient_span(B.ctx, F.qs, [x])
         assert dim <= F.b
 
 
 def test_span_at_nilpotent_points(bundles):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
-        de, _ = gradient_span(B.ctx, B.family.qs, B.triple.e)
-        de1, _ = gradient_span(B.ctx, B.family.qs, B.triple.e1)
+        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e])
+        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e1])
         assert de == de1 == B.family.b
 
 
 def test_shift_along_f_spans_lower_borel(bundles):
     B = bundles("A2")
-    members = [p for _, _, p in shifted_invariants(B.L, B.ctx, B.inv, B.triple.f)]
-    dim, basis = gradient_span(B.ctx, members, B.triple.w)
+    members = [p for _, _, p in shifted_invariants(B.inv, B.triple.f)]
+    dim, basis = gradient_span(B.ctx, members, [B.triple.w])
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     assert dim == B.family.b and linalg.same_span(basis, bminus)
 
@@ -196,11 +196,12 @@ def test_zeta_requires_regular_direction(bundles):
 
 def test_membership_search(bundles):
     B = bundles("A2")
-    ok, wit = mv_membership(B.L, B.inv, B.triple.f, 3, 42, B.ctx)
+    ok, wit = mv_membership(B.ctx, B.triple, B.inv, B.triple.f, 3, 42, 5)
     assert ok and wit == B.triple.w
-    ok2, _ = mv_membership(B.L, B.inv, linalg.vec_scale(B.triple.f, rat(2)), 3, 42, B.ctx)
+    ok2, _ = mv_membership(B.ctx, B.triple, B.inv, linalg.vec_scale(B.triple.f, rat(2)),
+                           3, 42, 5)
     assert ok2  # scaling preserves certification
-    ok3, _ = mv_membership(B.L, B.inv, B.y, 3, 42, B.ctx)
+    ok3, _ = mv_membership(B.ctx, B.triple, B.inv, B.y, 3, 42, 5)
     assert ok3
-    ok0, wit0 = mv_membership(B.L, B.inv, B.L.zero(), 3, 42, B.ctx)
+    ok0, wit0 = mv_membership(B.ctx, B.triple, B.inv, B.L.zero(), 3, 42, 5)
     assert not ok0 and wit0 is None

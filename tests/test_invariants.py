@@ -3,9 +3,10 @@ import random
 import pytest
 
 from mfhess import linalg
-from mfhess.invariants import (invariant_space_dimension, load_family,
-                               matrix_images_type_A, save_family, trace_oracle_type_A,
-                               _zero_weight_monomials, _degree_combinations)
+from mfhess.invariants import (InvariantFamily, invariant_space_dimension, load_family,
+                               matrix_images_type_A, meets_solver_conditions, save_family,
+                               trace_oracle_type_A, _zero_weight_monomials,
+                               _degree_combinations)
 from mfhess.liealgebra import is_regular
 from mfhess.polyring import Poly, gradient, poisson_bracket
 from mfhess.rational import rat
@@ -93,7 +94,7 @@ def test_gradient_rank_characterizes_regularity(bundles, label):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_trace_oracle_spans_match_solver(bundles, rank):
     B = bundles(f"A{rank}")
-    oracle = trace_oracle_type_A(rank, B.L)
+    oracle = trace_oracle_type_A(B.L)
     assert oracle.degrees == B.inv.degrees
     fam = B.inv
     for d in sorted(set(fam.degrees)):
@@ -114,7 +115,7 @@ def test_trace_oracle_spans_match_solver(bundles, rank):
 
 def test_trace_oracle_degree_two_is_killing_line(bundles):
     B = bundles("A1")
-    oracle = trace_oracle_type_A(1, B.L)
+    oracle = trace_oracle_type_A(B.L)
     rows = coeff_rows([oracle.polys[0], B.inv.polys[0]], B.L, 2)
     assert linalg.rank(rows) == 1
 
@@ -140,13 +141,29 @@ def test_trace_oracle_rejects_non_type_a(bundles):
 def test_cache_round_trip(tmp_path, bundles):
     B = bundles("A2")
     path = save_family(str(tmp_path), "A2", B.L, B.inv)
-    loaded = load_family(str(tmp_path), "A2", B.L)
+    loaded = load_family(str(tmp_path), "A2", B.L, B.ctx)
     assert loaded is not None
     assert loaded.degrees == B.inv.degrees
     assert loaded.polys == B.inv.polys
     assert path.endswith(".json")
 
 
+def test_solver_conditions_reject_altered_families(bundles):
+    B = bundles("B2")
+    quad, quartic = B.inv.polys
+    n = B.L.dim
+    x0x1 = Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
+    assert meets_solver_conditions(B.L, B.ctx, B.inv)
+    altered = {
+        "wrong degrees": InvariantFamily([quad, quartic], (2, 2)),
+        "inhomogeneous": InvariantFamily([quad + Poly.coordinate(n, 0), quartic], (2, 4)),
+        "not invariant": InvariantFamily([quad + x0x1, quartic], (2, 4)),
+        "decomposable": InvariantFamily([quad, quad * quad], (2, 4)),
+    }
+    for name, fam in altered.items():
+        assert not meets_solver_conditions(B.L, B.ctx, fam), name
+
+
 def test_cache_miss_on_missing_file(tmp_path, bundles):
     B = bundles("A1")
-    assert load_family(str(tmp_path), "A1", B.L) is None
+    assert load_family(str(tmp_path), "A1", B.L, B.ctx) is None

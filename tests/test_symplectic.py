@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mfhess import linalg
-from mfhess.liealgebra import exp_ad_nilpotent, is_regular
+from mfhess import hessenberg, linalg, symplectic
+from mfhess.liealgebra import LieAlgebra, exp_ad_nilpotent, is_regular
 from mfhess.argshift import phi
 from mfhess.hessenberg import slice_tangent_rows
 from mfhess.symplectic import (NotStronglyRegular, hess_lagrangian_check,
@@ -128,6 +128,26 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
         rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
         assert rep.all_pass
         assert len(gradient_rows_calls) == count
+
+
+def test_polarization_measures_each_point_once(bundles, monkeypatch):
+    B = bundles("A2")
+    calls = {"centralizer_dim": 0, "slice_tangent_rows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(LieAlgebra, "centralizer_dim",
+                        counted("centralizer_dim", LieAlgebra.centralizer_dim))
+    rows = counted("slice_tangent_rows", slice_tangent_rows)
+    monkeypatch.setattr(symplectic, "slice_tangent_rows", rows)
+    monkeypatch.setattr(hessenberg, "slice_tangent_rows", rows)
+    rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)
+    assert rep.all_pass and len(rep.verdicts) == 5
+    assert calls == {"centralizer_dim": 5, "slice_tangent_rows": 5}
 
 
 def test_polarization_requires_hess_base_point(bundles):

@@ -177,6 +177,20 @@ def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
         assert sc1.family.to_payload() == sc2.family.to_payload(), name
 
 
+def test_tampered_invariants_cache_is_a_miss_and_rewritten(tmp_path):
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
+    sc1 = build_context(cfg)
+    path = next(tmp_path.glob("invariants_*.json"))
+    good = path.read_text()
+    data = json.loads(good)
+    poly = Poly.from_payload(sc1.L.dim, data["polys"][0]) + _x0x1(sc1)
+    data["polys"][0] = poly.to_payload()
+    path.write_text(json.dumps(data))
+    sc2 = build_context(cfg)
+    assert sc2.inv.polys == sc1.inv.polys
+    assert path.read_text() == good
+
+
 def _with_member(sc, pos, poly):
     """A copy of the context whose family has poly at 0-based position pos."""
     F = sc.family
