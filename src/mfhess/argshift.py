@@ -14,6 +14,10 @@ polynomials at every point of a list), the chain map zeta built from a
 regular Cartan element and the nilpositive element of a principal triple,
 and a sampled membership test for directions whose family reaches the
 maximal gradient span b.
+
+A family compiles its members once (polyring.CompiledPolys) when it is
+built; gradients and values at points are read from that integer form, and
+no partial derivatives are cached.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
-from .polyring import (GradientContext, Poly, coefficient_rows, gradient_polys,
-                       gradients_from_partials, poisson_bracket)
+from .polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
+                       gradient_polys, poisson_bracket)
 from .rational import R0, R1, rat, to_rat, factorial_rat
 
 
@@ -111,7 +115,10 @@ class ShiftFamily:
     triple: PrincipalTriple
     y: list
     entries: list
-    _partials: list = field(default=None, repr=False)
+    compiled: CompiledPolys = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.compiled = CompiledPolys(e.poly for e in self.entries)
 
     @property
     def I_positions(self) -> tuple:
@@ -133,14 +140,8 @@ class ShiftFamily:
     def degrees(self) -> tuple:
         return tuple(e.m for e in self.entries)
 
-    def partials(self) -> list:
-        if self._partials is None:
-            self._partials = [
-                [e.poly.partial(k) for k in range(self.L.dim)] for e in self.entries]
-        return self._partials
-
     def gradient_rows(self, x) -> list:
-        return gradients_from_partials(self.ctx, self.partials(), x)
+        return self.compiled.gradients(self.ctx, x)
 
     def graded_dims(self) -> dict:
         """Exact dimension of the degree-m slice of the family's span."""
@@ -208,8 +209,7 @@ def pairwise_commute(F: ShiftFamily) -> tuple:
 
 def phi(F: ShiftFamily, x) -> list:
     """The b generator values at a point."""
-    x = [to_rat(c) for c in x]
-    return [q.evaluate(x) for q in F.qs]
+    return F.compiled.values(x)
 
 
 def is_strongly_regular(F: ShiftFamily, x) -> bool:
@@ -219,9 +219,9 @@ def is_strongly_regular(F: ShiftFamily, x) -> bool:
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:
     """(dimension, canonical basis) of the span of dp(x) over the given
-    polys p and points x.  Each polynomial's partials are taken once."""
-    partials = [[p.partial(k) for k in range(ctx.nvars)] for p in polys]
-    rows = [g for x in points for g in gradients_from_partials(ctx, partials, x)]
+    polys p and points x.  The polynomials are compiled once."""
+    compiled = CompiledPolys(polys)
+    rows = [g for x in points for g in compiled.gradients(ctx, x)]
     basis = linalg.span_basis(rows)
     return len(basis), basis
 
@@ -345,8 +345,8 @@ def mv_membership(ctx: GradientContext, triple: PrincipalTriple, inv: InvariantF
     for _ in range(sample_count):
         candidates.append([rat(rng.randint(-coeff_bound, coeff_bound),
                                rng.randint(1, 3)) for _ in range(L.dim)])
-    partials = [[p.partial(k) for k in range(L.dim)] for p in members]
+    compiled = CompiledPolys(members)
     for x in candidates:
-        if linalg.rank(gradients_from_partials(ctx, partials, x)) == b:
+        if linalg.rank(compiled.gradients(ctx, x)) == b:
             return True, x
     return False, None

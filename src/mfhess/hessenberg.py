@@ -21,13 +21,13 @@ nilradical, trivial isotropy) is checked exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
-from .polyring import Poly
+from .polyring import CompiledPolys, Poly
 from .rational import R0, R1, rat, to_rat
 from .rootdata import RootSystem
 
@@ -74,6 +74,11 @@ class HessChart:
     frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta
     restricted: list       # restrictions of the generators, in frame coordinates
     ms: tuple              # degrees m(beta)
+    # each restricted generator compiled alone: the section evaluates one per step
+    compiled: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.compiled = [CompiledPolys([rp]) for rp in self.restricted]
 
     @property
     def b(self) -> int:
@@ -147,7 +152,7 @@ def hess_section(chart: HessChart, cvals) -> list:
     for bi in range(chart.b):
         probe = list(svals)
         probe[bi] = R0
-        rest = chart.restricted[bi].evaluate(probe)
+        rest = chart.compiled[bi].values(probe)[0]
         svals[bi] = cvals[bi] - rest
     return chart.point_from_s(svals)
 
@@ -163,12 +168,11 @@ class OrbitSlice:
 
 def orbit_slice(inv: InvariantFamily, v0) -> OrbitSlice:
     v0 = [to_rat(c) for c in v0]
-    return OrbitSlice(base_point=v0, values=tuple(p.evaluate(v0) for p in inv.polys))
+    return OrbitSlice(base_point=v0, values=tuple(inv.compiled.values(v0)))
 
 
 def slice_membership(s: OrbitSlice, inv: InvariantFamily, v) -> bool:
-    v = [to_rat(c) for c in v]
-    return tuple(p.evaluate(v) for p in inv.polys) == s.values
+    return tuple(inv.compiled.values(v)) == s.values
 
 
 def slice_tangent_rows(L: LieAlgebra, v) -> list:

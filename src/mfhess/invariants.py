@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import GradientContext, Poly, coefficient_rows, poisson_bracket
+from .polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
+                       poisson_bracket)
 from .rational import R0, R1, rat
 from .rootdata import RootSystem, UnsupportedType
 
@@ -39,6 +40,10 @@ class InvariantFamily:
     polys: list
     degrees: tuple
     provenance: str = "solver"
+    compiled: CompiledPolys = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.compiled = CompiledPolys(self.polys)
 
     def __iter__(self):
         return iter(self.polys)
@@ -49,19 +54,21 @@ class InvariantFamily:
 
 def monomials_of_degree(nvars: int, d: int):
     """All exponent tuples of total degree d, lexicographically."""
-    out = []
-
-    def rec(pos: int, remaining: int, prefix: list):
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            rec(pos + 1, remaining - k, prefix + [k])
-
     if nvars == 0:
         return [()] if d == 0 else []
-    rec(0, d, [])
+    out = []
+    _append_monomials(out, nvars - 1, d, [])
     return out
+
+
+def _append_monomials(out: list, free: int, remaining: int, prefix: list) -> None:
+    # a module-level recursion: a nested function that calls itself is a
+    # reference cycle, which keeps out alive until the cyclic collector runs
+    if not free:
+        out.append(tuple(prefix + [remaining]))
+        return
+    for k in range(remaining + 1):
+        _append_monomials(out, free - 1, remaining - k, prefix + [k])
 
 
 def _zero_weight_monomials(L: LieAlgebra, d: int):
@@ -239,18 +246,20 @@ def decomposable_products(polys: list, degrees, d: int) -> list:
 def _degree_combinations(gen_degrees: list, d: int):
     """Multisets of previously found generators with total degree d."""
     out = []
-
-    def rec(start: int, remaining: int, picked: list):
-        if remaining == 0:
-            if picked:
-                out.append(tuple(picked))
-            return
-        for i in range(start, len(gen_degrees)):
-            if gen_degrees[i] <= remaining:
-                rec(i, remaining - gen_degrees[i], picked + [i])
-
-    rec(0, d, [])
+    _append_combinations(out, gen_degrees, 0, d, [])
     return out
+
+
+def _append_combinations(out: list, gen_degrees: list, start: int, remaining: int,
+                         picked: list) -> None:
+    if remaining == 0:
+        if picked:
+            out.append(tuple(picked))
+        return
+    for i in range(start, len(gen_degrees)):
+        if gen_degrees[i] <= remaining:
+            _append_combinations(out, gen_degrees, i, remaining - gen_degrees[i],
+                                 picked + [i])
 
 
 # -- type A trace oracle ---------------------------------------------------

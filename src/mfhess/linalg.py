@@ -7,9 +7,17 @@ appear when solving for invariant polynomials; rows there are dicts mapping
 column index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
+
+rank works on integers: each row is scaled by the LCM of its denominators
+and eliminated without fractions (integer row operations, each result
+divided by its content).  The routines that return a basis (rref, kernel,
+span_basis, independent_subset, solve, inverse) stay rational, because the
+basis they return is the canonical reduced one.
 """
 
 from __future__ import annotations
+
+import math
 
 from .rational import R0, R1, to_rat
 
@@ -91,10 +99,42 @@ def rref(mat: list) -> tuple[list, list]:
     return rows, pivots
 
 
+def _integer_row(row) -> list:
+    """The row times the LCM of its denominators."""
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row]
+
+
 def rank(mat: list) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+    """Exact rank by fraction-free elimination on the integer-scaled rows.
+
+    Each step takes the last remaining row as pivot row, at its first nonzero
+    column c, and replaces every other row r with a nonzero at c by
+    (p/g) r - (r_c/g) pivot, g = gcd(p, r_c), divided by its content.  These
+    operations keep the row space over Q, so the number of steps is the rank.
+    """
+    rows = [row for row in map(_integer_row, mat) if any(row)]
+    out = 0
+    while rows:
+        piv = rows.pop()
+        c = next(j for j, a in enumerate(piv) if a)
+        p = piv[c]
+        rest = []
+        for row in rows:
+            a = row[c]
+            if a:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * u - ag * v for u, v in zip(row, piv)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                if g > 1:
+                    row = [u // g for u in row]
+            rest.append(row)
+        rows = rest
+        out += 1
+    return out
 
 
 def kernel(mat: list, ncols: int | None = None) -> list:

@@ -10,6 +10,11 @@ makes dp(x) the inverse Gram matrix applied to the coordinate partials.
 The Poisson bracket of p and q is the function x -> (x, [dp(x), dq(x)]),
 computed symbolically through the precomputed brackets of the coordinate
 functions themselves.
+
+Values and gradients at points are taken on integers: a list of polynomials
+is compiled once (CompiledPolys) and each evaluation clears the point's
+denominators, accumulates in ints and builds one rational per entry.  No
+partial derivatives are stored.
 """
 
 from __future__ import annotations
@@ -233,6 +238,7 @@ class GradientContext:
     L: object
     gram: list = field(repr=False, init=False)
     gram_inv: list = field(repr=False, init=False)
+    gram_inv_int: tuple = field(repr=False, init=False)
     _pair_table: tuple = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
@@ -240,6 +246,10 @@ class GradientContext:
         self.gram_inv = linalg.inverse(self.gram)
         if linalg.mat_mul(self.gram, self.gram_inv) != linalg.identity(self.L.dim):
             raise ValueError("Gram inverse validation failed")
+        # (g, rows): g * gram_inv on integers, row i listing its nonzero (k, entry)
+        g = _denominator_lcm(c for row in self.gram_inv for c in row)
+        self.gram_inv_int = (g, [tuple((k, _scaled(c, g)) for k, c in enumerate(row) if c)
+                                 for row in self.gram_inv])
 
     @property
     def nvars(self) -> int:
@@ -291,19 +301,112 @@ def _scaled(c, scale: int) -> int:
     return int(c.numerator) * (scale // int(c.denominator))
 
 
-def gradients_from_partials(ctx: GradientContext, partials: list, x) -> list:
-    """dp(x) for each polynomial p, given as its list of coordinate partials.
+def _power_table(base: int, top: int) -> list:
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
-    The gradient is the inverse Gram matrix applied to the partials' values.
+
+class CompiledPolys:
+    """Integer form of a list of polynomials, compiled once for evaluation.
+
+    Each polynomial p is kept as (scale, deg, terms): scale is the LCM of its
+    coefficient denominators, deg its total degree, and each term is
+    (c, lift, support) with c = scale * coefficient (an int), lift =
+    deg - |e| and support the pairs (k, e_k) with e_k > 0.  At a point x with
+    common denominator D and integer numerators N = D x, every term of p
+    over the common denominator D^deg is c N^e D^lift; the lift keeps
+    non-homogeneous polynomials exact.  Values and partials are accumulated
+    in ints and each entry becomes one rational at the end.
     """
-    x = [to_rat(c) for c in x]
-    return [linalg.mat_vec(ctx.gram_inv, [d.evaluate(x) for d in parts])
-            for parts in partials]
+
+    __slots__ = ("n", "polys", "top")
+
+    def __init__(self, polys):
+        polys = list(polys)
+        self.n = polys[0].n if polys else 0
+        self.polys = []
+        for p in polys:
+            if p.n != self.n:
+                raise ValueError(f"variable count mismatch: {p.n} != {self.n}")
+            scale = _denominator_lcm(p.terms.values())
+            deg = p.degree()
+            terms = tuple(
+                (_scaled(c, scale), deg - sum(e),
+                 tuple((k, ek) for k, ek in enumerate(e) if ek))
+                for e, c in p.terms.items())
+            self.polys.append((scale, deg, terms))
+        self.top = max([0] + [deg for _, deg, _ in self.polys])
+
+    def _clear(self, x) -> tuple:
+        """Power tables of the numerators N = D x and of D, the common
+        denominator of the point x, up to the top degree."""
+        if len(x) != self.n:
+            raise ValueError("point has wrong dimension")
+        x = [to_rat(c) for c in x]
+        den = _denominator_lcm(x)
+        return ([_power_table(_scaled(c, den), self.top) for c in x],
+                _power_table(den, self.top))
+
+    def values(self, x) -> list:
+        """p(x) for each compiled p."""
+        pw, dp = self._clear(x)
+        out = []
+        for scale, deg, terms in self.polys:
+            acc = 0
+            for c, lift, support in terms:
+                t = c * dp[lift] if lift else c
+                for k, ek in support:
+                    t *= pw[k][ek]
+                acc += t
+            out.append(rat(acc, scale * dp[deg]) if acc else R0)
+        return out
+
+    def gradients(self, ctx: "GradientContext", x) -> list:
+        """dp(x) for each compiled p: the inverse Gram matrix applied to the
+        coordinate partials, all on integers until the last division."""
+        pw, dp = self._clear(x)
+        # dpw[k][e] = e * N_k^(e - 1), the derivative of N_k^e
+        dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
+        ginv_scale, ginv_rows = ctx.gram_inv_int
+        n = self.n
+        out = []
+        for scale, deg, terms in self.polys:
+            if deg < 1:
+                out.append([R0] * n)
+                continue
+            part = [0] * n
+            for c, lift, support in terms:
+                base = c * dp[lift] if lift else c
+                if len(support) == 1:
+                    k, ek = support[0]
+                    part[k] += base * dpw[k][ek]
+                    continue
+                # prefix products from the left, a running suffix from the right
+                pre = [base]
+                for k, ek in support:
+                    pre.append(pre[-1] * pw[k][ek])
+                suf = 1
+                for i in range(len(support) - 1, -1, -1):
+                    k, ek = support[i]
+                    part[k] += pre[i] * suf * dpw[k][ek]
+                    suf *= pw[k][ek]
+            den = ginv_scale * scale * dp[deg - 1]
+            row = []
+            for grow in ginv_rows:
+                num = 0
+                for k, g in grow:
+                    if part[k]:
+                        num += g * part[k]
+                row.append(rat(num, den) if num else R0)
+            out.append(row)
+        return out
 
 
 def gradient(ctx: GradientContext, p: Poly, x) -> list:
     """dp(x): the vector whose Killing pairing with z differentiates p along z."""
-    return gradients_from_partials(ctx, [[p.partial(k) for k in range(ctx.nvars)]], x)[0]
+    return CompiledPolys([p]).gradients(ctx, x)[0]
 
 
 def gradient_polys(ctx: GradientContext, p: Poly) -> list:

@@ -22,7 +22,7 @@ from .rootdata import (CartanMatrix, UnsupportedType,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
 from .liealgebra import (chevalley_algebra, principal_triple, principal_decomposition,
                          is_regular, signature_hash, validate_algebra)
-from .polyring import GradientContext, coefficient_rows, gradient
+from .polyring import GradientContext, coefficient_rows
 from . import invariants as invmod
 from .invariants import invariant_generators, trace_oracle_type_A
 from .argshift import (choose_regular_y, shift_family, shifted_invariants,
@@ -165,29 +165,45 @@ def resolve_cartan(config: SuiteConfig) -> tuple:
 
 
 def build_context(config: SuiteConfig) -> SuiteContext:
-    label, cm = resolve_cartan(config)
-    rs = build_root_system(cm)
-    L = chevalley_algebra(rs)
-    ctx = GradientContext(L)
-    triple = principal_triple(L)
-    inv = None
-    if config.cache_dir:
-        inv = invmod.load_family(config.cache_dir, label, L, ctx)
-    if inv is None:
-        inv = invariant_generators(L, ctx)
+    """Build every object the checks need, stage by stage.
+
+    An exception raised on the way carries the name of the stage that raised
+    it as its build_stage attribute: resolve, roots, algebra, invariants,
+    family or chart.
+    """
+    stage = "resolve"
+    try:
+        label, cm = resolve_cartan(config)
+        stage = "roots"
+        rs = build_root_system(cm)
+        stage = "algebra"
+        L = chevalley_algebra(rs)
+        ctx = GradientContext(L)
+        triple = principal_triple(L)
+        stage = "invariants"
+        inv = None
         if config.cache_dir:
-            invmod.save_family(config.cache_dir, label, L, inv)
-    y = choose_regular_y(L, config.seed, bound=config.coeff_bound)
-    family = None
-    if config.cache_dir:
-        family = load_family_cache(config.cache_dir, label, config.seed, L, ctx, triple)
-        if family is not None and family.y != y:
-            family = None
-    if family is None:
-        family = shift_family(L, inv, y, ctx, triple)
+            inv = invmod.load_family(config.cache_dir, label, L, ctx)
+        if inv is None:
+            inv = invariant_generators(L, ctx)
+            if config.cache_dir:
+                invmod.save_family(config.cache_dir, label, L, inv)
+        stage = "family"
+        y = choose_regular_y(L, config.seed, bound=config.coeff_bound)
+        family = None
         if config.cache_dir:
-            save_family_cache(config.cache_dir, label, config.seed, family)
-    chart = build_chart(family)
+            family = load_family_cache(config.cache_dir, label, config.seed, L, ctx, triple)
+            if family is not None and family.y != y:
+                family = None
+        if family is None:
+            family = shift_family(L, inv, y, ctx, triple)
+            if config.cache_dir:
+                save_family_cache(config.cache_dir, label, config.seed, family)
+        stage = "chart"
+        chart = build_chart(family)
+    except Exception as exc:
+        exc.build_stage = stage
+        raise
     return SuiteContext(label=label, rs=rs, L=L, ctx=ctx, triple=triple,
                         inv=inv, y=y, family=family, chart=chart)
 
@@ -302,7 +318,7 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     pts = _sample_regular(sc, config.seed, config.regular_points, config.coeff_bound)
     bad = None
     for x in pts:
-        grads = [gradient(ctx, p, x) for p in inv.polys]
+        grads = inv.compiled.gradients(ctx, x)
         if linalg.rank(grads) != L.rank:
             bad = {"kind": "rank at regular point", "point": _vec_str(x)}
             break
@@ -325,7 +341,7 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     singular_ranks = []
     if bad is None:
         for x in singular:
-            r = linalg.rank([gradient(ctx, p, x) for p in inv.polys])
+            r = linalg.rank(inv.compiled.gradients(ctx, x))
             singular_ranks.append(r)
             if r >= L.rank:
                 bad = {"kind": "full rank at a singular point", "point": _vec_str(x)}
@@ -706,7 +722,8 @@ def _suite_payload(config: SuiteConfig) -> tuple:
         records = [CheckRecord(check_id="build.algebra",
                                claim="the configured algebra builds",
                                status="fail", criterion=None,
-                               witness={"error": f"{type(exc).__name__}: {exc}"})]
+                               witness={"error": f"{type(exc).__name__}: {exc}",
+                                        "stage": exc.build_stage})]
         for fn in ALL_CHECKS:
             records.append(CheckRecord(check_id=fn.check_id, claim=fn.claim,
                                        status="skipped", criterion=fn.criterion,

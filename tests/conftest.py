@@ -67,6 +67,18 @@ def reference_bracket():
     return reference_poisson_bracket
 
 
+def reference_gradients_from_polys(ctx, polys, x):
+    """dp(x) for each polynomial p through its Poly partials and
+    Poly.evaluate: the inverse Gram matrix applied to the partials' values."""
+    return [linalg.mat_vec(ctx.gram_inv, [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
+            for p in polys]
+
+
+@pytest.fixture(scope="session")
+def reference_gradients():
+    return reference_gradients_from_polys
+
+
 @pytest.fixture
 def gradient_rows_calls(monkeypatch):
     """The points of every ShiftFamily.gradient_rows call during one test."""

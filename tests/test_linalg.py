@@ -4,6 +4,10 @@ from mfhess import linalg
 from mfhess.rational import rat, to_rat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# entries with denominators up to 10^6, zero about a third of the time
+wide_frac = st.one_of(st.just(0), st.just(0),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                   max_denominator=10 ** 6))
 
 
 def mat(rows):
@@ -106,3 +110,39 @@ def test_independent_subset_matches_greedy_scan(data):
     vectors = [vectors[i] for i in order]
     assert linalg.independent_subset(vectors) == greedy_independent(vectors)
     assert linalg.independent_subset([]) == []
+
+
+@st.composite
+def rank_matrices(draw):
+    """Wide, tall or square matrices; some rows repeat or combine others,
+    some are zero, and the all-zero matrix is drawn too."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "random":
+            rows.append(draw(st.lists(wide_frac, min_size=ncols, max_size=ncols)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(frac), draw(frac)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+    return [[to_rat(v) for v in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rank_matrices())
+def test_integer_rank_matches_rref(m):
+    assert linalg.rank(m) == len(linalg.rref(m)[1])
+    assert linalg.rank(linalg.transpose(m)) == len(linalg.rref(m)[1])
+
+
+def test_integer_rank_edge_cases():
+    assert linalg.rank([]) == 0
+    assert linalg.rank(mat([[0, 0, 0], [0, 0, 0]])) == 0
+    assert linalg.rank(mat([[0], [0], [5]])) == 1
+    assert linalg.rank(mat([["-1/999999", "1/1000000", 0]])) == 1
+    big = rat(10 ** 6 - 1, 10 ** 6)
+    assert linalg.rank([[big, rat(1)], [big * 3, rat(3)]]) == 1

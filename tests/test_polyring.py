@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.polyring import (Poly, coefficient_rows, gradient, gradient_polys,
-                             hamiltonian_at, poisson_bracket)
+from mfhess.polyring import (CompiledPolys, Poly, coefficient_rows, gradient,
+                             gradient_polys, hamiltonian_at, poisson_bracket)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -251,3 +251,46 @@ def test_coefficient_rows():
     assert coefficient_rows([p], [(1, 0), (0, 1)]) == [[rat(2), rat(-1)]]
     with pytest.raises(KeyError):
         coefficient_rows([q], [(1, 0), (0, 1)])
+
+
+def _compiled_cases(bundles):
+    """Family members, invariants and restricted generators of A2 and B2."""
+    out = []
+    for label in ("A2", "B2"):
+        B = bundles(label)
+        out.append((B.ctx, B.family.qs))
+        out.append((B.ctx, B.inv.polys))
+        out.append((None, B.chart.restricted))   # non-homogeneous, with constants
+    return out
+
+
+coordinate = st.one_of(st.just(0), st.just(0),
+                       st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_compiled_evaluation_matches_reference(bundles, reference_gradients, data):
+    """Compiled values and gradients against Poly.evaluate on the Poly partials,
+    at points with zero coordinates (the zero point included)."""
+    for ctx, polys in _compiled_cases(bundles):
+        n = polys[0].n
+        extra = data.draw(poly_strategy(n, max_deg=4, max_terms=5, coeffs=mixed))
+        polys = list(polys) + [extra, extra + Poly.const(n, rat(-7, 3)),
+                               Poly.const(n, 5), Poly.zero(n)]
+        compiled = CompiledPolys(polys)
+        for x in ([rat(0)] * n,
+                  [to_rat(c) for c in data.draw(st.lists(coordinate, min_size=n,
+                                                         max_size=n))]):
+            assert compiled.values(x) == [p.evaluate(x) for p in polys]
+            if ctx is not None:
+                assert compiled.gradients(ctx, x) == reference_gradients(ctx, polys, x)
+
+
+def test_compiled_rejects_wrong_dimension(bundles):
+    B = bundles("A1")
+    compiled = CompiledPolys(B.inv.polys)
+    with pytest.raises(ValueError):
+        compiled.values([rat(1)] * (B.L.dim + 1))
+    with pytest.raises(ValueError):
+        CompiledPolys([Poly.const(2, 1), Poly.const(3, 1)])

@@ -10,9 +10,12 @@ from mfhess.hessenberg import point_in_hess
 from mfhess.polyring import Poly
 from mfhess.symplectic import NotStronglyRegular
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
-                             check_commutativity, check_hamiltonian_frame,
-                             check_polarization, check_strong_regularity,
-                             check_transversality, run_suite, sample_points)
+                             check_algebra_soundness, check_chart_section,
+                             check_commutativity, check_gradient_rank,
+                             check_hamiltonian_frame, check_polarization,
+                             check_principal_shift_span, check_shifted_gradient_span,
+                             check_strong_regularity, check_transversality, run_suite,
+                             sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,7 @@ def test_unsupported_type_recorded():
     assert rep.failed
     by_id = {c.check_id: c for c in rep.checks}
     assert by_id["build.algebra"].status == "fail"
+    assert by_id["build.algebra"].witness["stage"] == "resolve"
     skipped = [c for c in rep.checks if c.status == "skipped" and c.criterion]
     assert len(skipped) >= 16
 
@@ -196,7 +200,7 @@ def _with_member(sc, pos, poly):
     F = sc.family
     entries = [replace(e, poly=poly) if idx == pos else e
                for idx, e in enumerate(F.entries)]
-    return replace(sc, family=replace(F, entries=entries, _partials=None))
+    return replace(sc, family=replace(F, entries=entries))
 
 
 def _x0x1(sc):
@@ -216,6 +220,7 @@ def test_tampered_family_cache_is_a_build_failure(tmp_path):
     build = rep.checks[0]
     assert (build.check_id, build.status) == ("build.algebra", "fail")
     assert build.witness["error"].startswith("NotTriangular: ")
+    assert build.witness["stage"] == "chart"
     assert all(c.status == "skipped" for c in rep.checks[1:])
     assert main(["verify", "--type", "A2", "--seed", "5", "--cache-dir", str(tmp_path)]) == 1
 
@@ -260,6 +265,45 @@ def test_pointwise_checks_fail_on_planted_derived_term(a2_context):
     assert out["ok"] is False
     assert len(out["witness"]["pair"]) == 2 and out["witness"]["value"] != "0"
     assert check_polarization(bad, cfg)["ok"] is False
+
+
+def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_algebra_soundness(sc, cfg)["ok"]
+    key = next(k for k in sorted(sc.L.table) if k[0] in sc.L.pos_indices
+               and k[1] in sc.L.pos_indices)
+    table = dict(sc.L.table)
+    table[key] = {c: -v for c, v in table[key].items()}
+    bad = replace(sc, L=replace(sc.L, table=table))
+    out = check_algebra_soundness(bad, cfg)
+    assert out["ok"] is False
+    assert out["witness"]["violations"]
+
+
+@pytest.mark.parametrize("check", [check_gradient_rank, check_shifted_gradient_span,
+                                   check_principal_shift_span],
+                         ids=["criterion-4", "criterion-5", "criterion-8"])
+def test_invariant_checks_fail_on_repeated_invariant(a2_context, check):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check(sc, cfg)["ok"]
+    polys = list(sc.inv.polys)
+    polys[1] = polys[0]
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    out = check(bad, cfg)
+    assert out["ok"] is False and out["witness"]
+
+
+def test_chart_section_fails_on_planted_member_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_chart_section(sc, cfg)["ok"]
+    pos = sc.family.N_positions[0]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
+    out = check_chart_section(bad, cfg)
+    assert out["ok"] is False
+    assert out["witness"]["kind"] == "section after values"
 
 
 @pytest.mark.parametrize("k", [1, 4])
