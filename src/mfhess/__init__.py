@@ -9,7 +9,7 @@ from .rootdata import (CartanMatrix, RootSystem, build_root_system,
 from .liealgebra import (LieAlgebra, chevalley_algebra, principal_triple,
                          principal_decomposition, is_regular, PrincipalTriple,
                          PrincipalDecomposition)
-from .polyring import Poly, GradientContext, gradient, poisson_bracket, hamiltonian_at
+from .polyring import Poly, GradientContext, gradient, poisson_bracket
 from .invariants import (InvariantFamily, invariant_generators, trace_oracle_type_A,
                          WrongDimension)
 from .argshift import (ShiftFamily, choose_regular_y, shift_family, pairwise_commute,

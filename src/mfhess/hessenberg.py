@@ -15,7 +15,7 @@ which is the exact section implemented here.
 
 Orbit slices of Hess are cut out by fixing the values of the underived
 invariants; their infinitesimal structure (tangents from the lower
-nilradical, trivial isotropy) is checked exactly.
+nilradical, trivial isotropy) is read from ad x by symplectic.slice_frame.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class HessChart:
     @property
     def b(self) -> int:
         return len(self.zvecs)
-
-    def s_coordinates(self, v) -> list:
-        """Chart coordinates of a point of Hess: s_beta = (z_beta, v - e1)."""
-        diff = linalg.vec_sub([to_rat(c) for c in v], self.triple.e1)
-        return [self.L.killing_pair(z, diff) for z in self.zvecs]
 
     def point_from_s(self, svals) -> list:
         v = list(self.triple.e1)
@@ -173,15 +168,6 @@ def orbit_slice(inv: InvariantFamily, v0) -> OrbitSlice:
 
 def slice_membership(s: OrbitSlice, inv: InvariantFamily, v) -> bool:
     return tuple(inv.compiled.values(v)) == s.values
-
-
-def slice_tangent_rows(L: LieAlgebra, v) -> list:
-    """Brackets of the lower-nilradical basis with v (tangents to the slice)."""
-    return [L.bracket(L.basis_vector(i), v) for i in L.nminus_indices]
-
-
-def slice_tangent_dim(L: LieAlgebra, v) -> int:
-    return linalg.rank(slice_tangent_rows(L, v))
 
 
 def slice_sample(L: LieAlgebra, v0, count: int, rng: random.Random,

@@ -94,9 +94,19 @@ class LieAlgebra:
         return v
 
     def ad(self, x) -> list:
-        """Dense matrix of ad x (columns are [x, basis_j])."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Dense matrix of ad x (columns are [x, basis_j]), in one pass over
+        the table: [e_a, e_b] = row puts x_a row in column b, -x_b row in a."""
+        self.check_vector(x)
+        m = [[R0] * self.dim for _ in range(self.dim)]
+        for (a, b), row in self.table.items():
+            xa, xb = x[a], x[b]
+            if xa or xb:
+                for k, v in row.items():
+                    if xa:
+                        m[k][b] += xa * v
+                    if xb:
+                        m[k][a] -= xb * v
+        return m
 
     def killing_pair(self, x, y):
         self.check_vector(x)

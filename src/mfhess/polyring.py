@@ -74,15 +74,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def graded_parts(self) -> dict:
-        out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), {})[e] = c
-        return {d: Poly(self.n, t) for d, t in sorted(out.items())}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
 
@@ -488,9 +479,3 @@ def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
                     for e, c in acc.items() if c})
 
-
-def hamiltonian_at(ctx: GradientContext, p: Poly, x) -> list:
-    """Value at x of the Hamiltonian field of p: minus the bracket of dp(x) with x."""
-    x = [to_rat(c) for c in x]
-    g = gradient(ctx, p, x)
-    return ctx.L.bracket(x, g)

@@ -1,9 +1,16 @@
 """Orbit symplectic form and Lagrangian verdicts at points.
 
-Every tangent vector to an adjoint orbit at x is -[z, x] for some bracket
+Every tangent vector to an adjoint orbit at x is [x, z] for some bracket
 preimage z, and the orbit form evaluates on preimages:
-omega_x(-[z1, x], -[z2, x]) = (x, [z2, z1]).  The value only depends on the
-tangent vectors, which is itself a tested property (shifting a preimage by a
+omega_x([x, z1], [x, z2]) = (x, [z2, z1]).  By the invariance of the trace
+form that value is also ([x, z2], z1), one Killing pairing of a preimage
+with a tangent.  So each visited point builds ad x once (LieAlgebra.ad) and
+reads every pointwise quantity from that matrix: the tangent of a preimage z
+is ad x . z = [x, z], the slice tangents are the n_- columns of ad x, the
+orbit dimension is rank(ad x), and omega_x(z1, z2) = (ad x . z2, z1), so no
+two preimages are ever bracketed.  The definitional omega below is the
+reference for that identity and the subject of the well-definedness check
+(the value only depends on the tangent vectors: shifting a preimage by a
 centralizer element leaves it unchanged).
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
@@ -24,8 +31,8 @@ from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
-                         slice_sample, slice_tangent_dim, slice_tangent_rows)
-from .rational import R0, rat, to_rat
+                         slice_sample)
+from .rational import R0, to_rat
 
 
 class NotStronglyRegular(Exception):
@@ -33,71 +40,81 @@ class NotStronglyRegular(Exception):
 
 
 def omega(L: LieAlgebra, x, z1, z2):
-    """Orbit form on tangents -[z1, x], -[z2, x], evaluated on the preimages."""
+    """Orbit form on tangents [x, z1], [x, z2], by its definition (x, [z2, z1])."""
     return L.killing_pair(x, L.bracket(z2, z1))
 
 
 @dataclass
 class TangentFrame:
-    point: list
+    ad: list           # ad x, the one adjoint matrix built for this visit
     preimages: list
-    tangents: list
+    tangents: list     # [x, z] = ad x . z for each preimage z
     dim: int
     gradients: list | None = None   # zx_frame: all b family gradients at point
 
 
-def orbit_frame(L: LieAlgebra, x) -> TangentFrame:
-    """Spanning frame of the orbit tangent space at x with bracket preimages.
+def _columns(adx, indices) -> list:
+    return [[row[j] for row in adx] for j in indices]
 
-    Its dimension always equals dim g minus the centralizer dimension.
+
+def orbit_frame(L: LieAlgebra, adx) -> TangentFrame:
+    """Spanning frame of the orbit tangent space at x: the independent
+    columns of ad x, with basis preimages.
+
+    Its dimension always equals rank(ad x), dim g minus the centralizer
+    dimension.
     """
-    x = [to_rat(c) for c in x]
-    basis = [L.basis_vector(i) for i in range(L.dim)]
-    images = [linalg.vec_scale(L.bracket(z, x), rat(-1)) for z in basis]
+    images = _columns(adx, range(L.dim))
     kept = linalg.independent_subset(images)
-    return TangentFrame(point=x, preimages=[basis[i] for i in kept],
+    return TangentFrame(ad=adx, preimages=[L.basis_vector(i) for i in kept],
                         tangents=[images[i] for i in kept], dim=len(kept))
+
+
+def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
+    """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
+    columns of ad x.  The dimension is their rank."""
+    tangents = _columns(adx, L.nminus_indices)
+    return TangentFrame(ad=adx, preimages=[L.basis_vector(i) for i in L.nminus_indices],
+                        tangents=tangents, dim=linalg.rank(tangents))
 
 
 def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     """Hamiltonian tangent frame of the non-invariant generators at x.
 
     Requires strong regularity; the n tangents are verified independent.
-    The frame carries all b gradients, the only ones built for this visit.
+    The frame carries all b gradients and ad x, the only ones built for this
+    visit.
     """
     x = [to_rat(c) for c in x]
     rows = F.gradient_rows(x)
     if linalg.rank(rows) != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
     L = F.L
+    adx = L.ad(x)
     preimages = [rows[i] for i in F.N_positions]
-    tangents = [linalg.vec_scale(L.bracket(g, x), rat(-1)) for g in preimages]
+    tangents = [linalg.mat_vec(adx, g) for g in preimages]
     if linalg.rank(tangents) != L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
-    return TangentFrame(point=x, preimages=preimages, tangents=tangents, dim=L.n,
+    return TangentFrame(ad=adx, preimages=preimages, tangents=tangents, dim=L.n,
                         gradients=rows)
 
 
-def isotropy_witness(L: LieAlgebra, x, preimages) -> tuple | None:
-    """First pair of preimages with nonzero form value, or None if isotropic."""
-    for i in range(len(preimages)):
-        for j in range(i + 1, len(preimages)):
-            val = omega(L, x, preimages[i], preimages[j])
+def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
+    """First pair i < j with omega_x(z_i, z_j) = (z_i, [x, z_j]) nonzero, or
+    None if the frame is isotropic."""
+    z, t = frame.preimages, frame.tangents
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            val = L.killing_pair(z[i], t[j])
             if val:
                 return (i, j, val)
     return None
 
 
-def slice_isotropic(L: LieAlgebra, v) -> bool:
-    """The orbit form at v vanishes on the lower-nilradical tangents."""
-    preimages = [L.basis_vector(i) for i in L.nminus_indices]
-    return isotropy_witness(L, v, preimages) is None
-
-
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
     """At v: the lower-nilradical tangents have dimension n and are isotropic."""
-    v = [to_rat(c) for c in v]
-    return slice_tangent_dim(L, v) == L.n and slice_isotropic(L, v)
+    sl = slice_frame(L, L.ad([to_rat(c) for c in v]))
+    return sl.dim == L.n and isotropy_witness(L, sl) is None
 
 
 @dataclass
@@ -110,37 +127,36 @@ class TransversalityResult:
     jacobian_rank: int
     passed: bool
     frame: TangentFrame
+    slice: TangentFrame
 
 
 def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityResult:
     """At a point of Hess: the Hamiltonian frame and the slice tangents are
     complementary Lagrangians of the orbit tangent space, nonsingularly paired.
+
+    The pairing omega_x(g, e_i) = (g, [x, e_i]) of a derived generator's
+    gradient g with a slice preimage is that generator's row of the Jacobian
+    of the family along the slice tangents.
     """
     L = F.L
     x = [to_rat(c) for c in x]
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
     zx = zx_frame(F, x)
-    slice_rows = slice_tangent_rows(L, x)
-    slice_pre = [L.basis_vector(i) for i in L.nminus_indices]
-    kept = linalg.independent_subset(slice_rows)
-    slice_basis = [slice_rows[i] for i in kept]
-    slice_pre_kept = [slice_pre[i] for i in kept]
-    orbit_dim = L.dim - L.centralizer_dim(x)
-    combined = linalg.rank(zx.tangents + slice_basis)
-    pairing = [[omega(L, x, zx.preimages[i], slice_pre_kept[j])
-                for j in range(len(slice_pre_kept))]
-               for i in range(len(zx.preimages))]
-    pdet = linalg.det(pairing) if len(slice_pre_kept) == L.n else R0
-    jac = [[L.killing_pair(g, t) for t in slice_basis] for g in zx.gradients]
+    sl = slice_frame(L, zx.ad)
+    orbit_dim = linalg.rank(zx.ad)
+    combined = linalg.rank(zx.tangents + sl.tangents)
+    jac = [[L.killing_pair(g, t) for t in sl.tangents] for g in zx.gradients]
+    pairing = [jac[i] for i in F.N_positions]
+    pdet = linalg.det(pairing) if sl.dim == L.n else R0
     jrank = linalg.rank(jac)
-    passed = (zx.dim == L.n and len(slice_basis) == L.n
+    passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n
               and bool(pdet) and jrank == L.n)
-    return TransversalityResult(zx_dim=zx.dim, slice_dim=len(slice_basis),
+    return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
                                 combined_dim=combined, orbit_dim=orbit_dim,
                                 pairing_det=pdet, jacobian_rank=jrank, passed=passed,
-                                frame=zx)
+                                frame=zx, slice=sl)
 
 
 @dataclass
@@ -179,7 +195,7 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     Hamiltonian frame is Lagrangian, the slice tangents are Lagrangian, the
     two are transversal, and the orbit has full dimension 2n.  The slice
     exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.  Each point
-    takes its dimensions from one transversality_check.
+    takes its dimensions, its frames and ad x from one transversality_check.
     """
     L = F.L
     v0 = [to_rat(c) for c in v0]
@@ -197,8 +213,9 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
         sreg = res is not None
         verdict = PointVerdict(
             strongly_regular=sreg,
-            zx_lagrangian=sreg and isotropy_witness(L, x, res.frame.preimages) is None,
-            slice_lagrangian=sreg and res.slice_dim == L.n and slice_isotropic(L, x),
+            zx_lagrangian=sreg and isotropy_witness(L, res.frame) is None,
+            slice_lagrangian=sreg and res.slice_dim == L.n
+            and isotropy_witness(L, res.slice) is None,
             transversal=sreg and res.passed,
             orbit_dim=res.orbit_dim if sreg else None,
             in_slice=slice_membership(s, inv, x),

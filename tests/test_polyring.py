@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.polyring import (CompiledPolys, Poly, coefficient_rows, gradient,
-                             gradient_polys, hamiltonian_at, poisson_bracket)
+                             gradient_polys, poisson_bracket)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -194,6 +194,11 @@ def test_poisson_bracket_at_packing_width(bundles, reference_bracket, k):
     assert br.terms[(2 * k - 1, 0, 0)] == rat(k, 12)
 
 
+def hamiltonian(B, p, x):
+    """The Hamiltonian vector of p at x: [x, dp(x)], read from ad x."""
+    return linalg.mat_vec(B.L.ad(x), gradient(B.ctx, p, x))
+
+
 def test_hamiltonian_values(bundles):
     B = bundles("A2")
     L = B.L
@@ -203,10 +208,10 @@ def test_hamiltonian_values(bundles):
     lz = B.ctx.linear_functional(z)
     for _ in range(3):
         x = rand_point(rng, n)
-        assert hamiltonian_at(B.ctx, lz, x) == linalg.vec_scale(L.bracket(z, x), rat(-1))
+        assert hamiltonian(B, lz, x) == linalg.vec_scale(L.bracket(z, x), rat(-1))
         for inv in B.inv.polys:
-            assert hamiltonian_at(B.ctx, inv, x) == [rat(0)] * n
-    assert hamiltonian_at(B.ctx, lz, L.zero()) == [rat(0)] * n
+            assert hamiltonian(B, inv, x) == [rat(0)] * n
+    assert hamiltonian(B, lz, L.zero()) == [rat(0)] * n
 
 
 def test_hamiltonian_tangent_to_orbit(bundles):
@@ -217,7 +222,7 @@ def test_hamiltonian_tangent_to_orbit(bundles):
     p = B.inv.polys[0] * Poly.coordinate(n, 2) + Poly.coordinate(n, 7) ** 2
     for _ in range(5):
         x = rand_point(rng, n)
-        v = hamiltonian_at(B.ctx, p, x)
+        v = hamiltonian(B, p, x)
         image = [L.bracket(L.basis_vector(i), x) for i in range(n)]
         assert linalg.in_span(v, [r for r in image if any(r)])
 
@@ -233,13 +238,11 @@ def test_gradient_polys_match_pointwise(bundles):
         assert [c.evaluate(x) for c in comps] == gradient(B.ctx, p, x)
 
 
-def test_graded_parts():
+def test_is_homogeneous():
     p = Poly(2, {(0, 0): rat(1), (1, 0): rat(2), (1, 1): rat(3)})
-    parts = p.graded_parts()
-    assert set(parts) == {0, 1, 2}
-    assert parts[2] == Poly(2, {(1, 1): rat(3)})
-    assert p.homogeneous_part(1) == Poly(2, {(1, 0): rat(2)})
     assert not p.is_homogeneous()
+    assert Poly(2, {(2, 0): rat(2), (1, 1): rat(3)}).is_homogeneous()
+    assert Poly.zero(2).is_homogeneous()
 
 
 def test_coefficient_rows():

@@ -1,13 +1,16 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mfhess import hessenberg, linalg, symplectic
-from mfhess.liealgebra import LieAlgebra, exp_ad_nilpotent, is_regular
+from mfhess import linalg
+from mfhess.liealgebra import (chevalley_algebra, exp_ad_nilpotent, is_regular,
+                               principal_triple)
 from mfhess.argshift import phi
-from mfhess.hessenberg import slice_tangent_rows
+from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
 from mfhess.symplectic import (NotStronglyRegular, hess_lagrangian_check,
-                               isotropy_witness, omega, orbit_frame,
+                               isotropy_witness, omega, orbit_frame, slice_frame,
                                polarization_report, transversality_check, zx_frame)
 from mfhess.rational import rat
 
@@ -50,14 +53,14 @@ def test_orbit_frame_dimension(bundles):
     L = B.L
     rng = random.Random("frame")
     x = hess_point(B, rng)
-    fr = orbit_frame(L, x)
+    fr = orbit_frame(L, L.ad(x))
     assert fr.dim == L.dim - L.centralizer_dim(x) == 2 * L.n
     for z, t in zip(fr.preimages, fr.tangents):
         assert t == linalg.vec_scale(L.bracket(z, x), rat(-1))
     # a singular point has a smaller orbit
     sing = L.basis_vector(L.pos_indices[0])
     assert not is_regular(L, sing)
-    assert orbit_frame(L, sing).dim < 2 * L.n
+    assert orbit_frame(L, L.ad(sing)).dim < 2 * L.n
 
 
 def test_zx_frame_lagrangian(bundles):
@@ -69,7 +72,8 @@ def test_zx_frame_lagrangian(bundles):
             x = hess_point(B, rng)
             fr = zx_frame(B.family, x)
             assert fr.dim == L.n
-            assert isotropy_witness(L, x, fr.preimages) is None
+            assert isotropy_witness(L, fr) is None
+            assert fr.tangents == [L.bracket(x, g) for g in fr.preimages]
             # Hamiltonian vectors of the underived invariants vanish
             rows = B.family.gradient_rows(x)
             for pos in B.family.I_positions:
@@ -88,7 +92,9 @@ def test_hess_lagrangian_check(bundles):
     for _ in range(5):
         v = hess_point(B, rng)
         assert hess_lagrangian_check(B.L, v)
-        assert linalg.rank(slice_tangent_rows(B.L, v)) == B.L.n
+        sl = slice_frame(B.L, B.L.ad(v))
+        assert sl.dim == B.L.n
+        assert sl.tangents == [B.L.bracket(v, z) for z in sl.preimages]
 
 
 def test_transversality(bundles):
@@ -130,26 +136,6 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
         assert len(gradient_rows_calls) == count
 
 
-def test_polarization_measures_each_point_once(bundles, monkeypatch):
-    B = bundles("A2")
-    calls = {"centralizer_dim": 0, "slice_tangent_rows": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(LieAlgebra, "centralizer_dim",
-                        counted("centralizer_dim", LieAlgebra.centralizer_dim))
-    rows = counted("slice_tangent_rows", slice_tangent_rows)
-    monkeypatch.setattr(symplectic, "slice_tangent_rows", rows)
-    monkeypatch.setattr(hessenberg, "slice_tangent_rows", rows)
-    rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)
-    assert rep.all_pass and len(rep.verdicts) == 5
-    assert calls == {"centralizer_dim": 5, "slice_tangent_rows": 5}
-
-
 def test_polarization_requires_hess_base_point(bundles):
     B = bundles("A2")
     with pytest.raises(ValueError):
@@ -187,3 +173,28 @@ def test_invariant_values_conserved_along_exponential(bundles):
     vx, vm = phi(B.family, x), phi(B.family, moved)
     for pos in B.family.I_positions:
         assert vx[pos] == vm[pos]
+
+
+@functools.cache
+def _bare_algebra(label):
+    """Only the algebra and its principal triple: no invariant solve."""
+    rs = build_root_system(CartanMatrix.from_rows(cartan_matrix_for_label(label)))
+    L = chevalley_algebra(rs)
+    return L, principal_triple(L)
+
+
+coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@pytest.mark.parametrize("at", ["random", "zero", "e"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ad_matrix_reads_tangents_and_orbit_form(label, at, data):
+    L, triple = _bare_algebra(label)
+    vec = st.lists(coord, min_size=L.dim, max_size=L.dim)
+    x = {"random": lambda: data.draw(vec), "zero": L.zero, "e": lambda: triple.e}[at]()
+    z1, z2 = data.draw(vec), data.draw(vec)
+    adx = L.ad(x)
+    assert linalg.mat_vec(adx, z1) == L.bracket(x, z1)
+    assert L.killing_pair(linalg.mat_vec(adx, z2), z1) == omega(L, x, z1, z2)

@@ -4,18 +4,20 @@ from dataclasses import replace
 
 import pytest
 
-from mfhess import cli
+from mfhess import cli, linalg
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
+from mfhess.liealgebra import LieAlgebra
 from mfhess.polyring import Poly
 from mfhess.symplectic import NotStronglyRegular
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
                              check_commutativity, check_gradient_rank,
-                             check_hamiltonian_frame, check_polarization,
-                             check_principal_shift_span, check_shifted_gradient_span,
-                             check_strong_regularity, check_transversality, run_suite,
-                             sample_points)
+                             check_hamiltonian_frame, check_omega_well_defined,
+                             check_polarization, check_principal_shift_span,
+                             check_shifted_gradient_span, check_slice_infinitesimal,
+                             check_slice_lagrangian, check_strong_regularity,
+                             check_transversality, run_suite, sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +324,51 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
     out = check_hamiltonian_frame(bad, cfg)
     assert out["ok"] is False
     assert out["witness"]["kind"] == "invariant with nonzero Hamiltonian vector"
+
+
+def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
+    sc = a2_context
+    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=3, lagrangian_points=2,
+                      transversality_points=4, slice_points=3)
+    calls = []
+    original = LieAlgebra.ad
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(LieAlgebra, "ad", counted)
+    visits = [(check_hamiltonian_frame, 3), (check_slice_lagrangian, 2),
+              (check_transversality, 4), (check_slice_infinitesimal, 1 + 3),
+              (check_omega_well_defined, 3), (check_polarization, 2 * 3)]
+    for check, points in visits:
+        calls.clear()
+        assert check(sc, cfg)["ok"], check.check_id
+        assert len(calls) == points, check.check_id
+
+
+def test_slice_lagrangian_fails_on_moved_base_point(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_slice_lagrangian(sc, cfg)["ok"]
+    highest = sc.L.basis_vector(sc.L.pos_indices[-1])
+    triple = replace(sc.triple, e1=linalg.vec_add(sc.triple.e1, highest))
+    bad = replace(sc, triple=triple, chart=replace(sc.chart, triple=triple))
+    out = check_slice_lagrangian(bad, cfg)
+    assert out["ok"] is False and set(out["witness"]) == {"point"}
+
+
+def test_slice_infinitesimal_fails_on_planted_cartan_square(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_slice_infinitesimal(sc, cfg)["ok"]
+    n = sc.L.dim
+    polys = list(sc.inv.polys)
+    polys[0] = polys[0] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 2
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    out = check_slice_infinitesimal(bad, cfg)
+    assert out["ok"] is False
+    assert out["witness"]["kind"] == "invariant values changed"
 
 
 # -- command line ------------------------------------------------------------
