@@ -8,6 +8,15 @@ fully invariant polynomials, and any solution is supported on monomials of
 total root-lattice weight zero.  The kernel is therefore computed inside
 the zero-weight subspace of S^d, which keeps the linear systems small.
 
+The solve is weight-directed and runs on integers.  The zero-weight
+monomials are generated directly, never filtered out of all of S^d: a
+suffix table of reachable (degree, weight) pairs lets the enumeration enter
+only prefixes that can still close to weight zero.  The action table of each
+simple root vector is scaled by the LCM of its denominators, so every
+equation has integer coefficients (scaling an equation leaves the kernel
+unchanged), and linalg.sparse_kernel solves them by fraction-free
+elimination.
+
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, selected by deterministic row reduction over the
 canonical monomial order and normalized to primitive integer coefficients.
@@ -19,6 +28,7 @@ and pulls tr(x^k) back to Chevalley coordinates.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -52,49 +62,62 @@ class InvariantFamily:
         return len(self.polys)
 
 
-def monomials_of_degree(nvars: int, d: int):
-    """All exponent tuples of total degree d, lexicographically."""
-    if nvars == 0:
-        return [()] if d == 0 else []
+def _zero_weight_monomials(L: LieAlgebra, d: int):
+    """Exponent tuples of total degree d and root-lattice weight zero, in
+    ascending lexicographic order.
+
+    Only zero-weight monomials are generated.  Each weight is packed into one
+    int in a balanced radix wide enough for any sum of d weights, so packing
+    is additive and injective.  reach[k][r] holds the packed weights that
+    variables k.. reach with total degree r, and the recursion enters a
+    prefix only when the negated prefix weight is reachable after it.
+    """
+    n = L.dim
+    radix = 2 * d * max(abs(c) for w in L.weights for c in w) + 1
+    codes = [sum(c * radix ** i for i, c in enumerate(w)) for w in L.weights]
+    reach = [None] * (n + 1)
+    reach[n] = [{0}] + [set() for _ in range(d)]
+    for k in range(n - 1, -1, -1):
+        # degree r from variables k..: none of x_k, or one x_k times degree r - 1
+        row = [reach[k + 1][0]]
+        for r in range(1, d + 1):
+            row.append(reach[k + 1][r] | {w + codes[k] for w in row[r - 1]})
+        reach[k] = row
     out = []
-    _append_monomials(out, nvars - 1, d, [])
+    if 0 in reach[0][d]:
+        _append_zero_weight(out, codes, reach, [0] * n, 0, d, 0)
     return out
 
 
-def _append_monomials(out: list, free: int, remaining: int, prefix: list) -> None:
+def _append_zero_weight(out: list, codes: list, reach: list, exps: list, k: int,
+                        remaining: int, weight: int) -> None:
     # a module-level recursion: a nested function that calls itself is a
     # reference cycle, which keeps out alive until the cyclic collector runs
-    if not free:
-        out.append(tuple(prefix + [remaining]))
+    if k == len(exps):
+        out.append(tuple(exps))
         return
-    for k in range(remaining + 1):
-        _append_monomials(out, free - 1, remaining - k, prefix + [k])
-
-
-def _zero_weight_monomials(L: LieAlgebra, d: int):
-    ell = L.rank
-    zero = tuple([0] * ell)
-    out = []
-    for e in monomials_of_degree(L.dim, d):
-        w = [0] * ell
-        for k, p in enumerate(e):
-            if p:
-                wk = L.weights[k]
-                for i in range(ell):
-                    w[i] += p * wk[i]
-        if tuple(w) == zero:
-            out.append(e)
-    return sorted(out, key=lambda t: (sum(t), t))
+    after = reach[k + 1]
+    for e in range(remaining + 1):
+        w = weight + e * codes[k]
+        if -w in after[remaining - e]:
+            exps[k] = e
+            _append_zero_weight(out, codes, reach, exps, k + 1, remaining - e, w)
+    exps[k] = 0
 
 
 def _coordinate_brackets(L: LieAlgebra, ctx: GradientContext, z) -> list:
-    """For a fixed z, the linear forms {(z, .), x_k} as coefficient vectors."""
-    out = []
+    """For a fixed z, the linear forms {(z, .), x_k} as sparse integer rows
+    [(j, c_j), ...] (None when zero), all scaled by the LCM of their
+    denominators: the equations of one z then share one positive factor,
+    which leaves their kernel unchanged."""
+    forms = []
     for k in range(L.dim):
-        u = ctx.dual_vector(k)
-        v = L.bracket(z, u)
-        out.append(linalg.mat_vec(ctx.gram, v) if any(v) else None)
-    return out
+        v = L.bracket(z, ctx.dual_vector(k))
+        forms.append(linalg.mat_vec(ctx.gram, v) if any(v) else None)
+    den = math.lcm(*(c.denominator for f in forms if f for c in f))
+    return [None if f is None else
+            [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
+            for f in forms]
 
 
 def invariant_space_dimension(degrees, d: int) -> int:
@@ -162,20 +185,13 @@ def invariant_generators(L: LieAlgebra, ctx: GradientContext) -> InvariantFamily
                         continue
                     base = list(mono)
                     base[k] -= 1
-                    for j, cj in enumerate(lin):
-                        if not cj:
-                            continue
+                    for j, cj in lin:
                         tgt = list(base)
                         tgt[j] += 1
                         key = (g_idx, tuple(tgt))
                         row = rows.setdefault(key, {})
-                        row[col] = row.get(col, R0) + p * cj
-        eq_rows = []
-        for key in sorted(rows):
-            row = {c: v for c, v in rows[key].items() if v}
-            if row:
-                eq_rows.append(row)
-        kernel = linalg.sparse_kernel(eq_rows, len(monos))
+                        row[col] = row.get(col, 0) + p * cj
+        kernel = linalg.sparse_kernel([rows[key] for key in sorted(rows)], len(monos))
         expected = invariant_space_dimension(degrees, d)
         if len(kernel) != expected:
             raise WrongDimension(

@@ -53,6 +53,8 @@ class LieAlgebra:
     # sparse table: (a, b) with a < b -> {c: integer coefficient}
     table: dict = field(repr=False)
     killing: list = field(repr=False)
+    # killing_rows[i]: the nonzero entries (j, killing[i][j]) of row i
+    killing_rows: tuple = field(default=(), repr=False)
     # per-basis-index data
     layers: tuple = ()          # ad-w eigenvalue / 2 for each basis vector
     weights: tuple = ()         # root-lattice weight of each basis vector
@@ -113,12 +115,11 @@ class LieAlgebra:
         self.check_vector(y)
         total = R0
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.killing[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    total = total + xi * yj * row[j]
+            if xi:
+                for j, kij in self.killing_rows[i]:
+                    yj = y[j]
+                    if yj:
+                        total = total + xi * yj * kij
         return total
 
     def centralizer_dim(self, x) -> int:
@@ -341,6 +342,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
     L.killing = _killing_matrix(L)
+    L.killing_rows = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in L.killing)
     return L
 
 

@@ -8,18 +8,20 @@ column index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
 
-rank works on integers: each row is scaled by the LCM of its denominators
-and eliminated without fractions (integer row operations, each result
-divided by its content).  The routines that return a basis (rref, kernel,
-span_basis, independent_subset, solve, inverse) stay rational, because the
-basis they return is the canonical reduced one.
+rank and sparse_kernel work on integers: each row is scaled by the LCM of
+its denominators and eliminated without fractions (integer row operations,
+each result divided by its content).  sparse_kernel forms one rational per
+kernel entry at the end and returns the canonical basis that rational
+elimination returns.  The dense routines that return a
+basis (rref, kernel, span_basis, independent_subset, solve, inverse) stay
+rational, because the basis they return is the canonical reduced one.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rational import R0, R1, to_rat
+from .rational import R0, R1, rat, to_rat
 
 
 def zeros(n: int) -> list:
@@ -253,58 +255,78 @@ def vandermonde_solve(nodes: list, values: list) -> list:
 
 
 def sparse_kernel(rows: list, ncols: int) -> list:
-    """Right kernel for sparse rows (dicts col->coeff); deterministic RREF.
+    """Right kernel of sparse rows (dicts col -> int or rational; zero
+    entries are ignored): the canonical basis, a 1 on each free column and
+    zeros on the other free columns.
 
-    Columns are eliminated in ascending index order; among candidate rows the
-    sparsest (then first-inserted) is chosen as pivot.
+    Fraction-free elimination on the integer-scaled rows.  Rows are taken
+    sparsest first, then in input order.  Each is reduced against the pivot
+    rows at the pivot columns it holds; its lowest column c0 becomes a pivot
+    and is cleared from the earlier pivot rows that hold it, found through a
+    column index rather than a scan.  So every pivot row is zero at every
+    other pivot column.  Each reduction is one integer row operation and a
+    division by the content (_reduce_at): every row stays primitive and
+    proportional to the row that rational elimination holds at the same
+    step.  The only rationals formed are the kernel entries -q[free] / q[pc]
+    of each pivot row q.
+
+    The row order sets only the cost.  A reduced row is zero at every pivot
+    column, so its lowest column is a new leading column of the row space;
+    the pivots end as the leading columns of the row space in any order.
     """
-    work = [dict(r) for r in rows if r]
-    pivot_of_col: dict[int, dict] = {}
-
-    def eliminate(row: dict):
-        # reduce row against existing pivots
-        for c in sorted(row):
-            if c in pivot_of_col and row.get(c):
-                piv = pivot_of_col[c]
-                f = row[c]
-                for cc, val in piv.items():
-                    nv = row.get(cc, R0) - f * val
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-        return row
-
+    work = [{j: c for j, c in zip(r, _integer_row(r.values())) if c} for r in rows]
     order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
+    pivots: dict[int, dict] = {}
+    holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there
     for idx in order:
-        row = eliminate(work[idx])
+        row = work[idx]
+        for c in sorted(row):
+            if c in pivots and c in row:
+                _reduce_at(row, pivots[c], c)
         if not row:
             continue
         c0 = min(row)
-        inv = R1 / row[c0]
-        row = {c: v * inv for c, v in row.items()}
-        # clear c0 from previously chosen pivot rows
-        for pc, prow in list(pivot_of_col.items()):
-            if c0 in prow:
-                f = prow[c0]
-                for cc, val in row.items():
-                    nv = prow.get(cc, R0) - f * val
-                    if nv:
-                        prow[cc] = nv
-                    elif cc in prow:
-                        del prow[cc]
-        pivot_of_col[c0] = row
-    pivcols = set(pivot_of_col)
+        for pc in holders.pop(c0, ()):
+            prow = pivots[pc]
+            _reduce_at(prow, row, c0)
+            # the reduction changes prow only at the columns of row
+            for j in row:
+                if j in prow:
+                    holders.setdefault(j, set()).add(pc)
+                elif j in holders:
+                    holders[j].discard(pc)
+        pivots[c0] = row
+        for j in row:
+            holders.setdefault(j, set()).add(c0)
     basis = []
     for free in range(ncols):
-        if free in pivcols:
+        if free in pivots:
             continue
         v = zeros(ncols)
         v[free] = R1
-        for pc, prow in pivot_of_col.items():
-            coeff = prow.get(free)
-            if coeff:
-                v[pc] = -coeff
+        for pc in holders.get(free, ()):
+            v[pc] = rat(-pivots[pc][free], pivots[pc][pc])
         basis.append(v)
     return basis
 
+
+def _reduce_at(row: dict, piv: dict, c: int) -> None:
+    """In place, row := ((p/g) row - (a/g) piv) / content, a = row[c],
+    p = piv[c], g = gcd(a, p): zero at c, and proportional to
+    row - (a/p) piv."""
+    a, p = row[c], piv[c]
+    g = math.gcd(a, p)
+    s, t = p // g, a // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, v in piv.items():
+        nv = row.get(j, 0) - t * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g

@@ -6,6 +6,7 @@ from mfhess import linalg
 from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
 from mfhess.polyring import GradientContext, Poly
+from mfhess.rational import R0, R1
 from mfhess.invariants import invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
@@ -77,6 +78,98 @@ def reference_gradients_from_polys(ctx, polys, x):
 @pytest.fixture(scope="session")
 def reference_gradients():
     return reference_gradients_from_polys
+
+
+def _append_monomials(out, free, remaining, prefix):
+    if not free:
+        out.append(tuple(prefix + [remaining]))
+        return
+    for k in range(remaining + 1):
+        _append_monomials(out, free - 1, remaining - k, prefix + [k])
+
+
+def reference_zero_weight_monomials(L, d):
+    """Every exponent tuple of total degree d, filtered to root-lattice
+    weight zero and sorted lexicographically."""
+    ell = L.rank
+    zero = tuple([0] * ell)
+    monos = []
+    _append_monomials(monos, L.dim - 1, d, [])
+    out = []
+    for e in monos:
+        w = [0] * ell
+        for k, p in enumerate(e):
+            if p:
+                wk = L.weights[k]
+                for i in range(ell):
+                    w[i] += p * wk[i]
+        if tuple(w) == zero:
+            out.append(e)
+    return sorted(out, key=lambda t: (sum(t), t))
+
+
+@pytest.fixture(scope="session")
+def reference_zero_weight():
+    return reference_zero_weight_monomials
+
+
+def reference_sparse_kernel(rows, ncols):
+    """Kernel of sparse rows by rational elimination: rows sparsest first,
+    each reduced against the pivot rows, scaled to 1 at its lowest column,
+    which is then cleared from the earlier pivot rows; one basis vector per
+    free column."""
+    work = [dict(r) for r in rows if r]
+    pivot_of_col = {}
+
+    def eliminate(row):
+        for c in sorted(row):
+            if c in pivot_of_col and row.get(c):
+                piv = pivot_of_col[c]
+                f = row[c]
+                for cc, val in piv.items():
+                    nv = row.get(cc, R0) - f * val
+                    if nv:
+                        row[cc] = nv
+                    elif cc in row:
+                        del row[cc]
+        return row
+
+    order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
+    for idx in order:
+        row = eliminate(work[idx])
+        if not row:
+            continue
+        c0 = min(row)
+        inv = R1 / row[c0]
+        row = {c: v * inv for c, v in row.items()}
+        for pc, prow in list(pivot_of_col.items()):
+            if c0 in prow:
+                f = prow[c0]
+                for cc, val in row.items():
+                    nv = prow.get(cc, R0) - f * val
+                    if nv:
+                        prow[cc] = nv
+                    elif cc in prow:
+                        del prow[cc]
+        pivot_of_col[c0] = row
+    pivcols = set(pivot_of_col)
+    basis = []
+    for free in range(ncols):
+        if free in pivcols:
+            continue
+        v = linalg.zeros(ncols)
+        v[free] = R1
+        for pc, prow in pivot_of_col.items():
+            coeff = prow.get(free)
+            if coeff:
+                v[pc] = -coeff
+        basis.append(v)
+    return basis
+
+
+@pytest.fixture(scope="session")
+def reference_kernel():
+    return reference_sparse_kernel
 
 
 @pytest.fixture

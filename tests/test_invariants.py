@@ -1,16 +1,48 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from mfhess import linalg
-from mfhess.invariants import (InvariantFamily, invariant_space_dimension, load_family,
+from mfhess.invariants import (InvariantFamily, invariant_generators,
+                               invariant_space_dimension, load_family,
                                matrix_images_type_A, meets_solver_conditions, save_family,
                                trace_oracle_type_A, _zero_weight_monomials,
                                _degree_combinations)
-from mfhess.liealgebra import is_regular
-from mfhess.polyring import Poly, gradient, poisson_bracket
+from mfhess.liealgebra import chevalley_algebra, is_regular
+from mfhess.polyring import GradientContext, Poly, gradient, poisson_bracket
 from mfhess.rational import rat
-from mfhess.rootdata import UnsupportedType
+from mfhess.rootdata import (CartanMatrix, FLAGGED_LABELS, SUPPORTED_LABELS, UnsupportedType,
+                             build_root_system, cartan_matrix_for_label)
+
+INLINE_TYPES = {
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+# sha256 of the compact JSON of Poly.to_payload() of each solved generator:
+# the generators fix the family and every report byte, so a change to the
+# solver must reproduce them exactly
+INVARIANT_DIGESTS = {
+    "B3": ["9d5572ddbcfcf9ee9b6c5f25b2b9c8d1973d06afb276f29fbdccd3315cdadbbb",
+           "4833440501e60e9b4e403c25dc59025d8bc4cdf98289dda85727415063506ba9",
+           "ed3973fef55b0ae0561cce1b3604e0c2adb94c2b97d2c9abd954d9e6134eeeea"],
+    "C3": ["66e036c50b7d6542e06cc8841bd7d83d8acebc8dece74f34cb66c9408e04c1dd",
+           "8473816ba6a70b7d5a7fe21eac07e5ed8d34292f87de9fdff7dfaff35b858148",
+           "47a375c9068176249d538d2a737db7ca100b7ee0beda9c903616d3b36160b3d7"],
+    "A4": ["2865be99d620a405a5a321d21fc019b17204a6c6b8cfcd55e92d93ec7c03dc3c",
+           "fe8ec1a1561a566086c135c2db96aeb878ea12518d9975c9e8b6f8ace429e119",
+           "d9bc15b6ecaa136a4aaf08e78d3f356e391feb24d186f3a330ca9b73ef7103da",
+           "0415aba48b857ec44fb1247e539cffd91d8671b94acb71ebc183c88aa62adf1a"],
+}
+
+
+def algebra(label):
+    rows = INLINE_TYPES.get(label) or cartan_matrix_for_label(label)
+    return chevalley_algebra(build_root_system(CartanMatrix.from_rows(rows)))
 
 
 def coeff_rows(polys, L, d):
@@ -23,6 +55,25 @@ def coeff_rows(polys, L, d):
             v[col[m]] = c
         rows.append(v)
     return rows
+
+
+@pytest.mark.parametrize("label, degrees",
+                         [pytest.param(label, None, id=label) for label in
+                          SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")]
+                         + [pytest.param("D4", (2, 4), id="D4")])
+def test_zero_weight_enumeration_matches_filter(reference_zero_weight, label, degrees):
+    L = algebra(label)
+    for d in degrees or (0, 1) + tuple(sorted(set(L.rs.degrees))):
+        assert _zero_weight_monomials(L, d) == reference_zero_weight(L, d), d
+
+
+@pytest.mark.parametrize("label", sorted(INVARIANT_DIGESTS))
+def test_rank_three_and_four_invariants_are_pinned(label):
+    L = algebra(label)
+    fam = invariant_generators(L, GradientContext(L))
+    digests = [hashlib.sha256(json.dumps(p.to_payload(), separators=(",", ":")).encode())
+               .hexdigest() for p in fam.polys]
+    assert digests == INVARIANT_DIGESTS[label]
 
 
 def test_degrees_match_root_data(bundles):

@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.rational import rat, to_rat
@@ -77,6 +77,56 @@ def test_sparse_kernel_matches_dense():
     sparse = linalg.sparse_kernel(sparse_rows, 4)
     assert linalg.same_span(dense, sparse)
     assert len(sparse) == len(dense)
+
+
+nonzero_int = st.integers(min_value=-9, max_value=9).filter(bool)
+nonzero_wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                            max_denominator=10 ** 6).filter(bool).map(to_rat)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols): sparse rows over a few columns, so that reductions fill
+    columns that become pivots later.  Rows are empty, all-int, mixed int and
+    rational (denominators up to 10^6), duplicates, proportional to an
+    earlier row (the factor may be negative) or combinations of two."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["zero", "int", "mixed", "duplicate",
+                                     "proportional", "combination"]))
+        if kind in ("duplicate", "proportional", "combination") and not rows:
+            kind = "zero"
+        if kind == "zero":
+            rows.append({})
+        elif kind in ("int", "mixed"):
+            entry = nonzero_int if kind == "int" else st.one_of(nonzero_int, nonzero_wide)
+            cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1, unique=True))
+            rows.append({c: draw(entry) for c in cols})
+        elif kind == "duplicate":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "proportional":
+            f = to_rat(draw(frac.filter(bool)))
+            rows.append({c: f * v for c, v in draw(st.sampled_from(rows)).items()})
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = to_rat(draw(frac)), to_rat(draw(frac))
+            row = {c: f * a.get(c, 0) + g * b.get(c, 0) for c in sorted(set(a) | set(b))}
+            rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+@example(([], 3))
+@example(([{}, {}], 2))
+# the reduction of the second row fills column 3, the pivot of the third
+@example(([{0: 1, 3: 1}, {0: 1, 1: 1}, {3: 1, 4: 2}], 5))
+@example(([{0: -2, 1: 4}, {0: 1, 1: -2}, {0: rat(-3, 7), 1: rat(6, 7)}], 3))
+@example(([{0: rat(1, 999999), 1: rat(-1, 10 ** 6)}, {0: 3, 2: rat(7, 10 ** 6)}], 3))
+def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
+    rows, ncols = system
+    assert linalg.sparse_kernel(rows, ncols) == reference_kernel(rows, ncols)
 
 
 def test_vandermonde_solve():

@@ -17,7 +17,8 @@ from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, buil
                              check_polarization, check_principal_shift_span,
                              check_shifted_gradient_span, check_slice_infinitesimal,
                              check_slice_lagrangian, check_strong_regularity,
-                             check_transversality, run_suite, sample_points)
+                             check_trace_oracle, check_transversality, run_suite,
+                             sample_points)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,18 @@ def test_slice_infinitesimal_fails_on_planted_cartan_square(a2_context):
     out = check_slice_infinitesimal(bad, cfg)
     assert out["ok"] is False
     assert out["witness"]["kind"] == "invariant values changed"
+
+
+def test_trace_oracle_fails_on_planted_cartan_cube(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_trace_oracle(sc, cfg) == {"ok": True, "witness": {"degrees": [2, 3]}}
+    n = sc.L.dim
+    polys = list(sc.inv.polys)
+    assert sc.inv.degrees[1] == 3
+    polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    assert check_trace_oracle(bad, cfg) == {"ok": False, "witness": {"degree": 3}}
 
 
 # -- command line ------------------------------------------------------------
