@@ -30,7 +30,7 @@ from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
 from .polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
-                       gradient_polys, poisson_bracket)
+                       gradient_polys, poisson_bracket, restrict_affine)
 from .rational import R0, R1, rat, to_rat, factorial_rat
 
 
@@ -298,11 +298,9 @@ def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
     vals = root_values(L, y)
     if not all(vals):
         raise NotInvertible("ad y is singular on the nilradical")
-    subs = [Poly(1, {(0,): triple.e[c]} if triple.e[c] else {}) +
-            Poly(1, {(1,): y[c]} if y[c] else {}) for c in range(L.dim)]
     chains = []
     for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
-        comps = [g.compose(subs) for g in gradient_polys(ctx, p)]
+        comps = restrict_affine(gradient_polys(ctx, p), triple.e, [y])
         vecs = []
         for i in range(d):
             a = d - 1 - i

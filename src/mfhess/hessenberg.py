@@ -2,10 +2,11 @@
 
 Hess is the translate e1 + (lower Borel), where e1 is the multiple of the
 nilpositive element normalized against f by the Killing form.  Restriction
-of polynomial functions to Hess is polynomial composition with the affine
-parametrization; the coordinates used for that parametrization are dual
-(under the Killing pairing of the upper and lower Borel) to the gradient
-frame z_beta = dq_beta(e1) of an ordered shift family.
+of polynomial functions to Hess is substitution of the affine
+parametrization s -> e1 + sum_g s_g frame_g, done for the whole family in
+one integer pass (polyring.restrict_affine); the frame is dual (under the
+Killing pairing of the upper and lower Borel) to the gradient frame
+z_beta = dq_beta(e1) of an ordered shift family.
 
 In these coordinates the restricted generators are unitriangular: the
 restriction of q_beta is s_beta plus a polynomial in the strictly earlier
@@ -27,7 +28,7 @@ from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
-from .polyring import CompiledPolys, Poly
+from .polyring import CompiledPolys, restrict_affine
 from .rational import R0, R1, rat, to_rat
 from .rootdata import RootSystem
 
@@ -41,28 +42,44 @@ def point_in_hess(L: LieAlgebra, triple: PrincipalTriple, v) -> bool:
     return L.supported_in(diff, L.bminus_indices)
 
 
-def restrict_to_hess(L: LieAlgebra, triple: PrincipalTriple, p: Poly,
-                     frame: list | None = None) -> Poly:
-    """Restriction of p to Hess as a polynomial in the frame coordinates.
+def restrict_to_hess(L: LieAlgebra, triple: PrincipalTriple, polys,
+                     frame: list | None = None) -> list:
+    """Restrictions of polys to Hess as polynomials in the frame coordinates.
 
     frame defaults to the Chevalley basis of the lower Borel; a chart
     substitutes its dual frame instead.
     """
     if frame is None:
         frame = [L.basis_vector(i) for i in L.bminus_indices]
-    b = len(frame)
-    subs = []
-    for c in range(L.dim):
-        terms = {}
-        if triple.e1[c]:
-            terms[tuple([0] * b)] = triple.e1[c]
-        for g, vec in enumerate(frame):
-            if vec[c]:
-                e = [0] * b
-                e[g] = 1
-                terms[tuple(e)] = vec[c]
-        subs.append(Poly(b, terms))
-    return p.compose(subs)
+    return restrict_affine(polys, triple.e1, frame)
+
+
+def _unitriangular_violation(restricted: list) -> str | None:
+    """Why the restricted generators are not unitriangular, or None.
+
+    Generator bi must not involve any coordinate after s_bi, and its only
+    term involving s_bi must be s_bi itself with coefficient 1 (that is, its
+    derivative along s_bi is 1).  Generators are taken in order and the
+    diagonal is tested before the later coordinates.
+    """
+    for bi, rp in enumerate(restricted):
+        diagonal = False
+        later = None
+        for e, c in rp.terms.items():
+            if e[bi]:
+                if c != R1 or sum(e) != 1:
+                    return f"diagonal derivative of restricted generator {bi + 1} is not 1"
+                diagonal = True
+            for gi in range(bi + 1, len(e)):
+                if e[gi]:
+                    if later is None or gi < later:
+                        later = gi
+                    break
+        if not diagonal:
+            return f"diagonal derivative of restricted generator {bi + 1} is not 1"
+        if later is not None:
+            return f"restricted generator {bi + 1} depends on later coordinate {later + 1}"
+    return None
 
 
 @dataclass
@@ -76,19 +93,24 @@ class HessChart:
     ms: tuple              # degrees m(beta)
     # each restricted generator compiled alone: the section evaluates one per step
     compiled: list = field(init=False, repr=False, compare=False)
+    # the nonzero (index, value) pairs of each frame vector
+    frame_support: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.compiled = [CompiledPolys([rp]) for rp in self.restricted]
+        self.frame_support = [[(i, c) for i, c in enumerate(vec) if c] for vec in self.frame]
 
     @property
     def b(self) -> int:
         return len(self.zvecs)
 
     def point_from_s(self, svals) -> list:
+        """The point e1 + sum_g s_g frame_g of Hess."""
         v = list(self.triple.e1)
-        for s, vec in zip(svals, self.frame):
+        for s, support in zip(svals, self.frame_support):
             if s:
-                v = linalg.vec_add(v, linalg.vec_scale(vec, s))
+                for i, c in support:
+                    v[i] += s * c
         return v
 
 
@@ -118,18 +140,10 @@ def build_chart(F: ShiftFamily) -> HessChart:
             if pinv[mu][g]:
                 vec = linalg.vec_add(vec, linalg.vec_scale(bminus[mu], pinv[mu][g]))
         frame.append(vec)
-    restricted = [restrict_to_hess(L, triple, e.poly, frame) for e in F.entries]
-    for bi, rp in enumerate(restricted):
-        for gi in range(F.b):
-            d = rp.partial(gi)
-            if gi == bi:
-                if d != Poly.const(F.b, 1):
-                    raise NotTriangular(
-                        f"diagonal derivative of restricted generator {bi + 1} is not 1")
-            elif gi > bi:
-                if not d.is_zero():
-                    raise NotTriangular(
-                        f"restricted generator {bi + 1} depends on later coordinate {gi + 1}")
+    restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
+    violation = _unitriangular_violation(restricted)
+    if violation:
+        raise NotTriangular(violation)
     return HessChart(L=L, triple=triple, family=F, zvecs=zvecs, frame=frame,
                      restricted=restricted, ms=tuple(e.m for e in F.entries))
 

@@ -15,6 +15,13 @@ Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation clears the point's
 denominators, accumulates in ints and builds one rational per entry.  No
 partial derivatives are stored.
+
+Restriction to an affine subspace s -> base + sum_g s_g directions[g] (the
+chart on Hess, the t-expansion along a line) is also taken on integers:
+restrict_affine clears the common denominator of the substitution, expands
+every term of a whole list of polynomials over shared power tables of the
+coordinates' integer affine forms, with packed exponents, and builds one
+rational per output coefficient.
 """
 
 from __future__ import annotations
@@ -171,28 +178,6 @@ class Poly:
                     term = term * point[k] ** p
             total = total + term
         return total
-
-    def compose(self, subs: list) -> "Poly":
-        """Substitute subs[k] (all over a common variable set) for variable k."""
-        if len(subs) != self.n:
-            raise ValueError("substitution list has wrong length")
-        m = subs[0].n
-        powers: dict[int, list] = {}
-
-        def power(k: int, p: int) -> "Poly":
-            cache = powers.setdefault(k, [Poly.const(m, 1)])
-            while len(cache) <= p:
-                cache.append(cache[-1] * subs[k])
-            return cache[p]
-
-        out = Poly.zero(m)
-        for e, c in self.terms.items():
-            term = Poly.const(m, c)
-            for k, p in enumerate(e):
-                if p:
-                    term = term * power(k, p)
-            out = out + term
-        return out
 
     # -- serialization ---------------------------------------------------
     def to_payload(self) -> list:
@@ -479,3 +464,84 @@ def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
                     for e, c in acc.items() if c})
 
+
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Product of two polynomials held as packed exponent -> int coefficient."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def restrict_affine(polys, base, directions) -> list:
+    """Each p restricted to s -> base + sum_g s_g directions[g], exactly.
+
+    The results are polynomials in len(directions) variables s_g.  With D
+    the common denominator of base and the directions, coordinate k becomes
+    the integer affine form A_k(s) = D base_k + sum_g D directions[g]_k s_g
+    over D, held with packed exponents (the width rule of poisson_bracket).
+    The powers of every A_k are tabulated once per call and shared by all
+    polynomials; a term touching a coordinate whose form is zero is skipped.
+    As in CompiledPolys, a term c x^e of p (scale the LCM of p's
+    denominators, deg its total degree) contributes scale c A^e D^(deg - |e|)
+    over scale D^deg, and each output coefficient becomes one rational at
+    the end.
+    """
+    polys = list(polys)
+    n = len(base)
+    base = [to_rat(c) for c in base]
+    directions = [[to_rat(c) for c in d] for d in directions]
+    for d in directions:
+        if len(d) != n:
+            raise ValueError(f"direction has wrong dimension: {len(d)} != {n}")
+    for p in polys:
+        if p.n != n:
+            raise ValueError(f"variable count mismatch: {p.n} != {n}")
+    m = len(directions)
+    # Every exponent of an output term is at most its total degree, which is
+    # at most top; once top fits in width bits, no field carries into the next.
+    top = max([0] + [p.degree() for p in polys])
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    if top > mask:
+        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
+    unit = [1 << (width * g) for g in range(m)]
+    den = _denominator_lcm(c for vec in [base] + directions for c in vec)
+    forms = []
+    for k in range(n):
+        form = {0: _scaled(base[k], den)} if base[k] else {}
+        for u, d in zip(unit, directions):
+            if d[k]:
+                form[u] = _scaled(d[k], den)
+        forms.append(form)
+    # powers[k][e] = A_k^e, extended on demand
+    powers = [[{0: 1}, form] for form in forms]
+    dpow = _power_table(den, top)
+    shifts = [width * g for g in range(m)]
+    out = []
+    for p in polys:
+        scale = _denominator_lcm(p.terms.values())
+        deg = p.degree()
+        acc: dict = {}
+        get = acc.get
+        for e, c in p.terms.items():
+            term = {0: _scaled(c, scale) * dpow[deg - sum(e)]}
+            for k, ek in enumerate(e):
+                if not ek:
+                    continue
+                if not forms[k]:
+                    break
+                pk = powers[k]
+                while len(pk) <= ek:
+                    pk.append(_mul_packed(pk[-1], forms[k]))
+                term = _mul_packed(term, pk[ek])
+            else:
+                for te, tc in term.items():
+                    acc[te] = get(te, 0) + tc
+        whole = scale * dpow[deg] if deg >= 0 else 1
+        out.append(Poly(m, {tuple((e >> s) & mask for s in shifts): rat(c, whole)
+                            for e, c in acc.items() if c}))
+    return out

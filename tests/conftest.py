@@ -68,6 +68,56 @@ def reference_bracket():
     return reference_poisson_bracket
 
 
+def reference_compose_poly(p, subs):
+    """p with subs[k] (all over one variable set) substituted for variable k,
+    by Poly products: the powers of each subs[k] are tabulated once and
+    every term is multiplied out with Poly.__mul__."""
+    if len(subs) != p.n:
+        raise ValueError("substitution list has wrong length")
+    m = subs[0].n
+    powers = {}
+
+    def power(k, e):
+        cache = powers.setdefault(k, [Poly.const(m, 1)])
+        while len(cache) <= e:
+            cache.append(cache[-1] * subs[k])
+        return cache[e]
+
+    out = Poly.zero(m)
+    for e, c in p.terms.items():
+        term = Poly.const(m, c)
+        for k, ek in enumerate(e):
+            if ek:
+                term = term * power(k, ek)
+        out = out + term
+    return out
+
+
+def affine_substitution(base, directions):
+    """The substitution list of s -> base + sum_g s_g directions[g]: for each
+    coordinate k, the affine Poly base_k + sum_g directions[g]_k s_g."""
+    m = len(directions)
+    subs = []
+    for k in range(len(base)):
+        terms = {tuple([0] * m): base[k]}
+        for g, d in enumerate(directions):
+            e = [0] * m
+            e[g] = 1
+            terms[tuple(e)] = d[k]
+        subs.append(Poly(m, terms))
+    return subs
+
+
+@pytest.fixture(scope="session")
+def reference_compose():
+    return reference_compose_poly
+
+
+@pytest.fixture(scope="session")
+def affine_subs():
+    return affine_substitution
+
+
 def reference_gradients_from_polys(ctx, polys, x):
     """dp(x) for each polynomial p through its Poly partials and
     Poly.evaluate: the inverse Gram matrix applied to the partials' values."""

@@ -9,7 +9,7 @@ from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
                              phi, root_values, shift_family, shifted_invariants,
                              zeta_apply, zeta_chain)
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
-from mfhess.polyring import Poly
+from mfhess.polyring import Poly, restrict_affine
 from mfhess.rational import rat
 
 
@@ -45,8 +45,7 @@ def test_piece_degrees_and_top_coefficient(bundles):
     x = [rat(rng.randint(-3, 3)) for _ in range(L.dim)]
     for j, p in enumerate(B.inv.polys):
         d = B.inv.degrees[j]
-        subs = [Poly(1, {(1,): B.y[c]}) + Poly(1, {(0,): x[c]}) for c in range(L.dim)]
-        expansion = p.compose(subs)
+        [expansion] = restrict_affine([p], x, [B.y])
         assert expansion.terms.get((d,), rat(0)) == p.evaluate(B.y)
         # and the t^k coefficient is the k-th piece at x
         for jj, k, piece in pieces:

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from mfhess import linalg
-from mfhess.hessenberg import (hess_section, orbit_slice, point_in_hess,
-                               poincare_series, restrict_to_hess, slice_membership,
-                               slice_sample)
+from mfhess.hessenberg import (NotTriangular, build_chart, hess_section, orbit_slice,
+                               point_in_hess, poincare_series, restrict_to_hess,
+                               slice_membership, slice_sample)
 from mfhess.liealgebra import exp_ad_nilpotent
 from mfhess.polyring import Poly
 from mfhess.argshift import phi
@@ -21,25 +24,24 @@ def test_restriction_of_f_functional_is_one(bundles):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
         lf = B.ctx.linear_functional(B.triple.f)
-        assert restrict_to_hess(B.L, B.triple, lf) == Poly.const(B.rs.b, 1)
+        assert restrict_to_hess(B.L, B.triple, [lf]) == [Poly.const(B.rs.b, 1)]
 
 
 def test_restriction_of_constant(bundles):
     B = bundles("A2")
     p = Poly.const(B.L.dim, rat(5, 3))
-    assert restrict_to_hess(B.L, B.triple, p) == Poly.const(B.rs.b, rat(5, 3))
+    assert restrict_to_hess(B.L, B.triple, [p]) == [Poly.const(B.rs.b, rat(5, 3))]
 
 
 def test_restriction_of_upper_borel_linear_functionals(bundles):
     B = bundles("A2")
     # in the chart frame the functional of a frame vector is its coordinate
-    for beta, z in enumerate(B.chart.zvecs):
-        lz = B.ctx.linear_functional(z)
-        assert restrict_to_hess(B.L, B.triple, lz, B.chart.frame) == \
-            Poly.coordinate(B.family.b, beta)
+    lzs = [B.ctx.linear_functional(z) for z in B.chart.zvecs]
+    assert restrict_to_hess(B.L, B.triple, lzs, B.chart.frame) == \
+        [Poly.coordinate(B.family.b, beta) for beta in range(B.family.b)]
     # with the default frame a linear functional restricts to degree <= 1
     lz = B.ctx.linear_functional(B.L.basis_vector(B.L.pos_indices[0]))
-    r = restrict_to_hess(B.L, B.triple, lz)
+    [r] = restrict_to_hess(B.L, B.triple, [lz])
     assert r.degree() <= 1
 
 
@@ -74,6 +76,67 @@ def test_chart_unitriangular_jacobian(bundles):
                 assert chart.restricted[bi] == Poly.coordinate(b, bi)
 
 
+def _with_planted_squares(B, pos, betas):
+    """B's family with (l_z - l_z(e1))^2 added to member pos for z the frame
+    vector beta, for each beta in betas: the gradient at e1, hence the
+    frame, is unchanged, and the restriction of member pos gains s_beta^2."""
+    n = B.L.dim
+    poly = B.family.entries[pos].poly
+    for beta in betas:
+        z = B.chart.zvecs[beta]
+        lz = B.ctx.linear_functional(z) - Poly.const(n, B.L.killing_pair(z, B.triple.e1))
+        poly = poly + lz * lz
+    F = B.family
+    entries = [replace(e, poly=poly) if idx == pos else e for idx, e in enumerate(F.entries)]
+    return replace(F, entries=entries)
+
+
+@pytest.mark.parametrize("pos,betas,message", [
+    (0, (0,), "diagonal derivative of restricted generator 1 is not 1"),
+    (2, (2,), "diagonal derivative of restricted generator 3 is not 1"),
+    (0, (3,), "restricted generator 1 depends on later coordinate 4"),
+    (1, (2,), "restricted generator 2 depends on later coordinate 3"),
+    (0, (4, 2), "restricted generator 1 depends on later coordinate 3"),
+    (0, (2, 4), "restricted generator 1 depends on later coordinate 3"),
+    (1, (4, 1), "diagonal derivative of restricted generator 2 is not 1"),
+])
+def test_build_chart_rejects_non_triangular_restriction(bundles, pos, betas, message):
+    B = bundles("A2")
+    bad = _with_planted_squares(B, pos, betas)
+    with pytest.raises(NotTriangular) as err:
+        build_chart(bad)
+    assert str(err.value) == message
+
+
+# sha256 of the compact JSON of [p.to_payload() for p in chart.restricted],
+# recorded with the Poly.compose restriction (family built at seed 42)
+RESTRICTED_DIGESTS = {
+    "A1": "416336a3d75ef7d0ed9d002e568b38fca1bdc7c9caa45508abe1ad149b20067f",
+    "A2": "d5652e4ad4b76ee6bdedbbfdbf3d8a5430a756f2555743398a040d9426112c33",
+    "A3": "1e45f178869c70fa1cf2f69e25c56610256faf3b6956cbebf49ede2743841dd7",
+    "B2": "cf28cec6442ae0253dc0cc95f331dc140d7fa8dbac5dfdff65457e7fc42ce17f",
+    "C2": "e241f280aa8edfefaf7dd84a2dff713bc6e002908c9d223a04ac9dfbaa6693d7",
+    "A1xA1": "2b41ab81c84d84df127c0db128392a97670e1d2b9c806285190b111c6a68388e",
+    "G2": "bf0ca7b3156df960c3e14eb7933b7826011cc3a901183f50041fe0447204fb7b",
+    "B3": "3396d3189396bfb465eb66d3647e06c7f61706039300cc594349dbe7b84ec263",
+    "C3": "f7037f69563215e8b204ac11e566bcd271807cc99341f595accc9a62cd254b27",
+    "A4": "c5cc042f0dd7a06c16c1c0384664b05e94005220a5f8009a105f2887c6c1dec9",
+}
+INLINE_TYPES = {
+    "B3": "[[2,-1,0],[-1,2,-1],[0,-2,2]]",
+    "C3": "[[2,-1,0],[-1,2,-2],[0,-1,2]]",
+    "A4": "[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RESTRICTED_DIGESTS))
+def test_restricted_generators_are_pinned(bundles, label):
+    B = bundles(INLINE_TYPES.get(label, label))
+    payload = [p.to_payload() for p in B.chart.restricted]
+    digest = hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+    assert digest == RESTRICTED_DIGESTS[label]
+
+
 def test_leading_term_against_interpolation(bundles):
     """Frame vectors against an interpolated first derivative along the slice."""
     B = bundles("A2")
@@ -104,6 +167,19 @@ def test_section_round_trips(bundles):
             w = hess_section(chart, c)
             assert phi(F, w) == c and point_in_hess(B.L, B.triple, w)
         assert hess_section(chart, phi(F, B.triple.e1)) == B.triple.e1
+
+
+def test_point_from_s_matches_dense_sum(bundles):
+    for label in ("A1", "A2", "A1xA1", "B2"):
+        B = bundles(label)
+        chart = B.chart
+        rng = random.Random(f"pts:{label}")
+        for _ in range(10):
+            svals = rand_svals(rng, B.family.b)
+            want = list(B.triple.e1)
+            for s, vec in zip(svals, chart.frame):
+                want = linalg.vec_add(want, linalg.vec_scale(vec, s))
+            assert chart.point_from_s(svals) == want
 
 
 def test_section_input_validation(bundles):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.polyring import (CompiledPolys, Poly, coefficient_rows, gradient,
-                             gradient_polys, poisson_bracket)
+                             gradient_polys, poisson_bracket, restrict_affine)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -72,8 +72,7 @@ def test_taylor_coefficients_match_iterated_derivatives(bundles, label):
             Poly.coordinate(n, min(4, n - 1))
         x = rand_point(rng, n)
         y = rand_point(rng, n)
-        subs = [Poly(1, {(0,): x[c]}) + Poly(1, {(1,): y[c]}) for c in range(n)]
-        expanded = p.compose(subs)
+        [expanded] = restrict_affine([p], x, [y])
         cur = p
         for k in range(p.degree() + 1):
             want = cur.evaluate(x) / factorial_rat(k)
@@ -92,8 +91,8 @@ def test_gradient_pairing_identity(bundles, label):
         x = rand_point(rng, n, 3)
         z = rand_point(rng, n, 3)
         g = gradient(B.ctx, p, x)
-        subs = [Poly(1, {(0,): x[c]}) + Poly(1, {(1,): z[c]}) for c in range(n)]
-        lin = p.compose(subs).terms.get((1,), rat(0))
+        [expansion] = restrict_affine([p], x, [z])
+        lin = expansion.terms.get((1,), rat(0))
         assert B.L.killing_pair(g, z) == lin
 
 
@@ -297,3 +296,52 @@ def test_compiled_rejects_wrong_dimension(bundles):
         compiled.values([rat(1)] * (B.L.dim + 1))
     with pytest.raises(ValueError):
         CompiledPolys([Poly.const(2, 1), Poly.const(3, 1)])
+
+
+# -- affine restriction ---------------------------------------------------------
+
+big = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_restrict_affine_matches_reference(reference_compose, affine_subs, data):
+    """restrict_affine against Poly-product substitution: large denominators,
+    non-homogeneous polynomials and constants, degrees up to 8, zero
+    coordinates of the substitution, a zero base, no directions at all."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    m = data.draw(st.integers(min_value=0, max_value=3))
+    entry = st.one_of(st.just(rat(0)), big.map(to_rat))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    base = data.draw(st.one_of(st.just([rat(0)] * n), vector))
+    directions = data.draw(st.lists(vector, min_size=m, max_size=m))
+    polys = data.draw(st.lists(poly_strategy(n, max_deg=8, max_terms=4, coeffs=big),
+                               min_size=1, max_size=3))
+    polys.append(polys[0] + Poly.const(n, rat(-7, 999983)))
+    subs = affine_subs(base, directions)
+    assert restrict_affine(polys, base, directions) == \
+        [reference_compose(p, subs) for p in polys]
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 7, 8])
+def test_restrict_affine_at_packing_width(reference_compose, affine_subs, d):
+    """Degrees where the exponent field is exactly full (3, 7) or one bit
+    wider than the degree below (4, 8): every field of (s0 + s1 + s2 + c)^d
+    reaches d next to its neighbours, and lower-degree terms are lifted."""
+    n = 3
+    p = (Poly.coordinate(n, 0) + Poly.coordinate(n, 1) + Poly.coordinate(n, 2)) ** d
+    p = p + Poly.coordinate(n, 1) ** (d - 1) + Poly.const(n, rat(2, 7))
+    base = [rat(1, 3), rat(0), rat(-5, 2)]
+    directions = [[rat(1), rat(0), rat(2, 5)], [rat(0), rat(-3), rat(0)],
+                  [rat(1, 7), rat(0), rat(1)]]
+    restricted = restrict_affine([p, Poly.zero(n)], base, directions)
+    assert restricted == [reference_compose(p, affine_subs(base, directions)),
+                          Poly.zero(3)]
+    assert restricted[0].degree() == d
+
+
+def test_restrict_affine_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError):
+        restrict_affine([Poly.const(2, 1)], [rat(0)] * 3, [])
+    with pytest.raises(ValueError):
+        restrict_affine([Poly.const(2, 1)], [rat(0)] * 2, [[rat(1)]])

@@ -16,6 +16,7 @@ from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, buil
                              check_hamiltonian_frame, check_omega_well_defined,
                              check_polarization, check_principal_shift_span,
                              check_shifted_gradient_span, check_slice_infinitesimal,
+                             check_span_and_chain,
                              check_slice_lagrangian, check_strong_regularity,
                              check_trace_oracle, check_transversality, run_suite,
                              sample_points)
@@ -382,6 +383,19 @@ def test_trace_oracle_fails_on_planted_cartan_cube(a2_context):
     polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
     bad = replace(sc, inv=replace(sc.inv, polys=polys))
     assert check_trace_oracle(bad, cfg) == {"ok": False, "witness": {"degree": 3}}
+
+
+def test_span_and_chain_fails_on_planted_non_invariant_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_span_and_chain(sc, cfg)["witness"]["chain"] == "verified"
+    n = sc.L.dim
+    polys = list(sc.inv.polys)
+    polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    out = check_span_and_chain(bad, cfg)
+    assert out == {"ok": False, "witness": {"dim_at_e": 5, "dim_at_e1": 5,
+                                            "chain_error": "zeta(v_0) != v_1 for invariant 1"}}
 
 
 # -- command line ------------------------------------------------------------
