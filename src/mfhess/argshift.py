@@ -11,9 +11,10 @@ generator list q_1..q_b.  The positions carrying the underived invariants
 Also here: exact strong-regularity tests (the b gradients are independent),
 gradient spans over points (the span of the gradients of a list of
 polynomials at every point of a list), the chain map zeta built from a
-regular Cartan element and the nilpositive element of a principal triple,
-and a sampled membership test for directions whose family reaches the
-maximal gradient span b.
+regular Cartan element and the nilpositive element of a principal triple
+(its chains are the gradients of the shifted pieces at that element), and
+a sampled membership test for directions whose family reaches the maximal
+gradient span b.
 
 A family compiles its members once (polyring.CompiledPolys) when it is
 built; gradients and values at points are read from that integer form, and
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
-from .polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
-                       gradient_polys, poisson_bracket, restrict_affine)
+from .polyring import CompiledPolys, GradientContext, Poly, coefficient_rows, poisson_bracket
 from .rational import R0, R1, rat, to_rat, factorial_rat
 
 
@@ -290,24 +290,27 @@ def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
                inv: InvariantFamily, ctx: GradientContext) -> ZetaChain:
     """Extract the chains v_i(I_j) from the t-expansion of dI_j(e + t y).
 
-    v_i is the coefficient of t^{d_j - 1 - i}; the chains satisfy
-    [y, v_0] = 0, [e, v_{d_j-1}] = 0 and zeta(v_i) = v_{i+1}, with v_i
-    homogeneous of adjoint weight 2i.  All relations are verified exactly.
+    v_i is the coefficient of t^{d_j - 1 - i}, and the coefficient of t^k is
+    the gradient at e of the shifted piece (1/k!) (d_y)^k I_j, so every chain
+    vector comes from one gradient evaluation of all pieces at e.  The
+    chains satisfy [y, v_0] = 0, [e, v_{d_j-1}] = 0 and zeta(v_i) = v_{i+1},
+    with v_i homogeneous of adjoint weight 2i.  All relations are verified
+    exactly.
     """
     y = [to_rat(c) for c in y]
     vals = root_values(L, y)
     if not all(vals):
         raise NotInvertible("ad y is singular on the nilradical")
+    pieces = shifted_invariants(inv, y)
+    grads = CompiledPolys(p for _, _, p in pieces).gradients(ctx, triple.e)
+    coeff = {(j, k): g for (j, k, _), g in zip(pieces, grads)}
     chains = []
     for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
-        comps = restrict_affine(gradient_polys(ctx, p), triple.e, [y])
-        vecs = []
-        for i in range(d):
-            a = d - 1 - i
-            vecs.append([comp.terms.get((a,), R0) for comp in comps])
-        for comp in comps:
-            if any(sum(e) >= d for e in comp.terms):
-                raise ValueError("gradient expansion has unexpected high-order terms")
+        # dI_j(e + t y) has t-degree below deg I_j: for deg I_j <= d the
+        # pieces with k < d carry all of it
+        if p.degree() > d:
+            raise ValueError("gradient expansion has unexpected high-order terms")
+        vecs = [coeff[(j, d - 1 - i)] for i in range(d)]
         # chain relations
         if any(L.bracket(y, vecs[0])):
             raise ValueError(f"[y, v_0] != 0 for invariant {j}")

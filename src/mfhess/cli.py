@@ -6,7 +6,8 @@
 
 The --type argument accepts a series label (A1, A2, A3, B2, C2, A1xA1, and
 G2 behind --g2) or an inline JSON integer matrix.  MFHESS_CACHE sets the
-default cache directory.  verify exits 0 exactly when no check failed.
+default cache directory.  verify exits 0 exactly when no check failed;
+section and invariants exit 2 when the algebra does not build.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 
 from . import invariants as invmod
 from .rational import rat_str, to_rat
-from .rootdata import NonFiniteType, UnsupportedType
 from .verifier import SuiteConfig, build_context, run_suite
 from .hessenberg import hess_section
 from .argshift import phi
@@ -144,8 +144,12 @@ def main(argv=None) -> int:
             return cmd_section(args)
         if args.command == "invariants":
             return cmd_invariants(args)
-    except (UnsupportedType, NonFiniteType) as exc:  # the algebra does not build
-        return _error(str(exc))
+    except Exception as exc:
+        if not hasattr(exc, "build_stage"):
+            raise
+        # build_context failed; verify records that in its report instead
+        return _error(f"build failed at stage {exc.build_stage}: "
+                      f"{type(exc).__name__}: {exc}")
     raise AssertionError("unreachable")
 
 

@@ -131,28 +131,16 @@ def invariant_space_dimension(degrees, d: int) -> int:
 
 
 def _normalize_generator(vec: list, monos: list, nvars: int) -> Poly:
-    denom = 1
-    for c in vec:
-        if c:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+    """The primitive integer multiple of vec whose first nonzero entry is
+    positive, as a polynomial over monos."""
+    denom = math.lcm(*(c.denominator for c in vec if c))
     ints = [int(c * denom) for c in vec]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ints)
     if g:
         ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
+    if next((c for c in ints if c), 0) < 0:
+        ints = [-c for c in ints]
     return Poly(nvars, {m: rat(c) for m, c in zip(monos, ints) if c})
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def simple_root_vectors(L: LieAlgebra) -> list:

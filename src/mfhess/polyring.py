@@ -14,10 +14,11 @@ functions themselves.
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation clears the point's
 denominators, accumulates in ints and builds one rational per entry.  No
-partial derivatives are stored.
+partial derivatives are stored, and gradients are never formed as
+polynomials.
 
-Restriction to an affine subspace s -> base + sum_g s_g directions[g] (the
-chart on Hess, the t-expansion along a line) is also taken on integers:
+Restriction to an affine subspace s -> base + sum_g s_g directions[g] (Hess,
+in the chart's dual frame or in the Chevalley frame) is also taken on integers:
 restrict_affine clears the common denominator of the substitution, expands
 every term of a whole list of polynomials over shared power tables of the
 coordinates' integer affine forms, with packed exponents, and builds one
@@ -383,19 +384,6 @@ class CompiledPolys:
 def gradient(ctx: GradientContext, p: Poly, x) -> list:
     """dp(x): the vector whose Killing pairing with z differentiates p along z."""
     return CompiledPolys([p]).gradients(ctx, x)[0]
-
-
-def gradient_polys(ctx: GradientContext, p: Poly) -> list:
-    """The coordinates of x -> dp(x) as polynomials."""
-    partials = [p.partial(k) for k in range(ctx.nvars)]
-    out = []
-    for i in range(ctx.nvars):
-        acc = Poly.zero(ctx.nvars)
-        for k, coeff in enumerate(ctx.gram_inv[i]):
-            if coeff and not partials[k].is_zero():
-                acc = acc + partials[k].scale(coeff)
-        out.append(acc)
-    return out
 
 
 def _int_partials(f: Poly, unit: list) -> tuple:

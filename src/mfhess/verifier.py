@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, asdict, field
 
 from . import linalg
-from .rational import R0, R1, rat, to_rat, rat_str
+from .rational import R0, R1, rat, rat_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -30,7 +30,7 @@ from .argshift import (choose_regular_y, shift_family, shifted_invariants,
                        zeta_chain, mv_membership, cartan_from_root_values,
                        load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, orbit_slice, slice_membership,
-                         point_in_hess, poincare_series, slice_sample)
+                         point_in_hess, poincare_series, restrict_to_hess, slice_sample)
 from .symplectic import (omega, zx_frame, isotropy_witness, hess_lagrangian_check,
                          transversality_check, polarization_report, orbit_frame,
                          slice_frame)
@@ -322,13 +322,12 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
         if linalg.rank(grads) != L.rank:
             bad = {"kind": "rank at regular point", "point": _vec_str(x)}
             break
-        cent = linalg.kernel(L.ad(x), L.dim)
-        for g in grads:
-            if any(any(L.bracket(g, k)) for k in cent):
-                bad = {"kind": "gradient outside the centralizer center",
-                       "point": _vec_str(x)}
-                break
-        if bad:
+        # x is regular, so z(x) has dimension rank, and the rank independent
+        # gradients span it once each commutes with x.  As x lies in z(x), the
+        # gradients centralize z(x) exactly when each commutes with x and with
+        # every other gradient.
+        if any(any(L.bracket(a, g)) for i, g in enumerate(grads) for a in [x] + grads[:i]):
+            bad = {"kind": "gradient outside the centralizer center", "point": _vec_str(x)}
             break
     singular = [L.zero()]
     if L.rank >= 2:
@@ -625,30 +624,13 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
          "expansion of each restricted generator in the lower Borel directions")
 def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
-    e1 = sc.triple.e1
-    for entry, z in zip(sc.family.entries, sc.chart.zvecs):
-        # independent route: differentiate q(e1 + t z_dir) at t = 0
-        for i in L.bminus_indices:
-            zdir = L.basis_vector(i)
-            line = [to_rat(e1[c]) for c in range(L.dim)]
-            # first-order coefficient of q along zdir
-            p = entry.poly
-            val = R0
-            for mono, coeff in p.terms.items():
-                # expand product of (e1_c + t zdir_c)^k, keep t^1 coefficient
-                const = R1
-                lin = R0
-                for c, k in enumerate(mono):
-                    if not k:
-                        continue
-                    a, bc = line[c], zdir[c]
-                    if bc:
-                        lin = lin * a ** k + const * k * a ** (k - 1) * bc
-                    else:
-                        lin = lin * a ** k
-                    const = const * a ** k
-                val = val + coeff * lin
-            if val != L.killing_pair(z, zdir):
+    # independent route: the linear terms of each member restricted to Hess
+    # in the Chevalley frame are its first derivatives at e1 along that frame
+    restricted = restrict_to_hess(L, sc.triple, sc.family.qs)
+    units = [tuple(int(h == g) for h in range(sc.family.b)) for g in range(sc.family.b)]
+    for entry, z, rp in zip(sc.family.entries, sc.chart.zvecs, restricted):
+        for unit, i in zip(units, L.bminus_indices):
+            if rp.terms.get(unit, R0) != L.killing_pair(z, L.basis_vector(i)):
                 return {"ok": False,
                         "witness": {"position": entry.beta, "direction": L.labels[i]}}
     return {"ok": True, "witness": {"positions": sc.family.b}}

@@ -130,6 +130,25 @@ def reference_gradients():
     return reference_gradients_from_polys
 
 
+def reference_gradient_polynomials(ctx, p):
+    """The coordinates of x -> dp(x) as polynomials: the inverse Gram matrix
+    applied to the Poly partials, summed with Poly.__add__ and scale."""
+    partials = [p.partial(k) for k in range(ctx.nvars)]
+    out = []
+    for i in range(ctx.nvars):
+        acc = Poly.zero(ctx.nvars)
+        for k, coeff in enumerate(ctx.gram_inv[i]):
+            if coeff and not partials[k].is_zero():
+                acc = acc + partials[k].scale(coeff)
+        out.append(acc)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_gradient_polys():
+    return reference_gradient_polynomials
+
+
 def _append_monomials(out, free, remaining, prefix):
     if not free:
         out.append(tuple(prefix + [remaining]))

@@ -11,6 +11,9 @@ from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
 from mfhess.polyring import Poly, restrict_affine
 from mfhess.rational import rat
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
+
+B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
 
 
 def test_choose_regular_y_deterministic(bundles):
@@ -176,6 +179,21 @@ def test_zeta_chain_structure(bundles):
         # forward map reproduces the chain
         for i in range(d - 1):
             assert zeta_apply(B.L, B.triple, B.y, zc.chains[j][i]) == zc.chains[j][i + 1]
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",))
+def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gradient_polys,
+                                                          label):
+    """Chains from the pieces' gradients at e against the t-expansion of the
+    gradient polynomials of each invariant along e + t y."""
+    B = bundles(label)
+    zc = zeta_chain(B.L, B.triple, B.y, B.inv, B.ctx)
+    for j, (p, d) in enumerate(zip(B.inv.polys, B.inv.degrees)):
+        comps = restrict_affine(reference_gradient_polys(B.ctx, p), B.triple.e, [B.y])
+        assert all(a < d for comp in comps for (a,) in comp.terms)
+        want = [[comp.terms.get((d - 1 - i,), rat(0)) for comp in comps] for i in range(d)]
+        assert zc.chains[j] == want
 
 
 def test_zeta_chain_a1_length(bundles):

@@ -139,19 +139,20 @@ def test_restricted_generators_are_pinned(bundles, label):
 
 def test_leading_term_against_interpolation(bundles):
     """Frame vectors against an interpolated first derivative along the slice."""
-    B = bundles("A2")
-    L = B.L
-    e1 = B.triple.e1
-    nodes = [0, 1, 2, 3, 4]
-    for e, z in zip(B.family.entries, B.chart.zvecs):
-        for i in L.bminus_indices:
-            zdir = L.basis_vector(i)
-            vals = []
-            for t in nodes:
-                pt = linalg.vec_add(e1, linalg.vec_scale(zdir, rat(t)))
-                vals.append([e.poly.evaluate(pt)])
-            coeffs = linalg.vandermonde_solve(nodes, vals)
-            assert coeffs[1][0] == L.killing_pair(z, zdir)
+    nodes = [0, 1, 2, 3, 4]   # members have degree at most 4 on these types
+    for label in ("A2", "A1", "A1xA1", "B2", "C2"):
+        B = bundles(label)
+        L = B.L
+        e1 = B.triple.e1
+        for e, z in zip(B.family.entries, B.chart.zvecs):
+            for i in L.bminus_indices:
+                zdir = L.basis_vector(i)
+                vals = []
+                for t in nodes:
+                    pt = linalg.vec_add(e1, linalg.vec_scale(zdir, rat(t)))
+                    vals.append([e.poly.evaluate(pt)])
+                coeffs = linalg.vandermonde_solve(nodes, vals)
+                assert coeffs[1][0] == L.killing_pair(z, zdir), (label, e.beta, i)
 
 
 def test_section_round_trips(bundles):

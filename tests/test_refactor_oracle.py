@@ -1,5 +1,7 @@
 """The refactor oracle: every suite report keeps the digest the benchmark
-recorded in perfbench/expected.json, computed by the benchmark's own code."""
+recorded in perfbench/expected.json, computed by the benchmark's own code.
+G2 and an inline B3, outside the benchmark's suite workload, keep digests
+recorded below with the same code."""
 
 import importlib.util
 import json
@@ -33,3 +35,21 @@ def test_suite_report_matches_recorded_digest(seed, label):
     d = report.as_dict()
     assert BENCH.report_digest(d) == want
     assert BENCH.gate_report(d, EXPECTED["statuses"][label], want) == 0
+
+
+# (algebra, report_digest) of the seed-2024 report of each type, recorded
+# before the checks of criteria 4 and 7 and the leading-term check were rewritten
+WIDER_DIGESTS = {
+    "G2": ("G2", "8c1f0800f04b0a604413ee899260ec43df74209b2af998e9bc94260bb589d885"),
+    "B3": ("[[2,-1,0],[-1,2,-1],[0,-2,2]]",
+           "8182a32f06a793098bf04df9269054177cce725f3887dd8593ae0c89bd9b4a21"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIDER_DIGESTS))
+def test_wider_report_matches_recorded_digest(label):
+    algebra, want = WIDER_DIGESTS[label]
+    report = verifier.run_suite(verifier.SuiteConfig(algebra=algebra, seed=2024,
+                                                     enable_g2=True))
+    assert report.counts["fail"] == 0
+    assert BENCH.report_digest(report.as_dict()) == want

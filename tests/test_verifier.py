@@ -13,7 +13,8 @@ from mfhess.symplectic import NotStronglyRegular
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
                              check_commutativity, check_gradient_rank,
-                             check_hamiltonian_frame, check_omega_well_defined,
+                             check_graded_dimensions, check_hamiltonian_frame,
+                             check_leading_term, check_omega_well_defined,
                              check_polarization, check_principal_shift_span,
                              check_shifted_gradient_span, check_slice_infinitesimal,
                              check_span_and_chain,
@@ -212,14 +213,21 @@ def _x0x1(sc):
     return Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
 
 
-def test_tampered_family_cache_is_a_build_failure(tmp_path):
-    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
+def _tampered_family_cache(cache_dir):
+    """The A2 seed-5 config whose cache dir holds a family file with x0*x1
+    added to entry 2."""
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(cache_dir))
     sc = build_context(cfg)
-    path = next(tmp_path.glob("family_*.json"))
+    path = next(cache_dir.glob("family_*.json"))
     data = json.loads(path.read_text())
     poly = Poly.from_payload(sc.L.dim, data["entries"][2]["poly"]) + _x0x1(sc)
     data["entries"][2]["poly"] = poly.to_payload()
     path.write_text(json.dumps(data))
+    return cfg
+
+
+def test_tampered_family_cache_is_a_build_failure(tmp_path):
+    cfg = _tampered_family_cache(tmp_path)
     rep = run_suite(cfg)
     build = rep.checks[0]
     assert (build.check_id, build.status) == ("build.algebra", "fail")
@@ -283,6 +291,55 @@ def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
     out = check_algebra_soundness(bad, cfg)
     assert out["ok"] is False
     assert out["witness"]["violations"]
+
+
+def test_gradient_rank_fails_on_planted_linear_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    polys = list(sc.inv.polys)
+    polys[0] = polys[0] + Poly.coordinate(sc.L.dim, sc.L.cartan_indices[0])
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    out = check_gradient_rank(bad, cfg)
+    assert out["ok"] is False
+    assert out["witness"]["kind"] == "gradient outside the centralizer center"
+    assert "point" in out["witness"]
+
+
+def test_gradient_rank_takes_no_kernel(a2_context, monkeypatch):
+    calls = []
+    original = linalg.kernel
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "kernel", counted)
+    assert check_gradient_rank(a2_context, SuiteConfig(algebra="A2", seed=5))["ok"]
+    assert calls == []
+
+
+def test_leading_term_fails_on_planted_derived_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_leading_term(sc, cfg) == {"ok": True, "witness": {"positions": 5}}
+    n = sc.L.dim
+    pos = sc.family.N_positions[1]
+    # x_{e[0,-1]} x_{e[0,1]} moves the derivative at e1 along e[0,-1] by e1[0]
+    low = sc.L.labels.index("e[0,-1]")
+    term = Poly.coordinate(n, low) * Poly.coordinate(n, 0)
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + term)
+    assert check_leading_term(bad, cfg) == {
+        "ok": False, "witness": {"position": pos + 1, "direction": "e[0,-1]"}}
+
+
+def test_graded_dimensions_fail_on_dropped_member(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_graded_dimensions(sc, cfg)["ok"]
+    F = sc.family
+    bad = replace(sc, family=replace(F, entries=F.entries[:-1]))
+    assert check_graded_dimensions(bad, cfg) == {
+        "ok": False, "witness": {"graded": {"1": 2, "2": 2}, "total": 4}}
 
 
 @pytest.mark.parametrize("check", [check_gradient_rank, check_shifted_gradient_span,
@@ -398,6 +455,20 @@ def test_span_and_chain_fails_on_planted_non_invariant_term(a2_context):
                                             "chain_error": "zeta(v_0) != v_1 for invariant 1"}}
 
 
+def test_span_and_chain_fails_on_planted_high_degree_term(a2_context):
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    n = sc.L.dim
+    polys = list(sc.inv.polys)
+    assert sc.inv.degrees[0] == 2
+    polys[0] = polys[0] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
+    bad = replace(sc, inv=replace(sc.inv, polys=polys))
+    out = check_span_and_chain(bad, cfg)
+    assert out == {"ok": False, "witness": {
+        "dim_at_e": 5, "dim_at_e1": 5,
+        "chain_error": "gradient expansion has unexpected high-order terms"}}
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -440,6 +511,15 @@ def test_cli_section_checks_values(monkeypatch, capsys):
     monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.e1)
     assert main(["section", "--type", "A1", "--values", "5,7"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["section", "--values", "1,2,3,4,5"], ["invariants"]])
+def test_cli_build_failure_names_stage(tmp_path, capsys, command):
+    _tampered_family_cache(tmp_path)
+    argv = command[:1] + ["--type", "A2", "--seed", "5", "--cache-dir", str(tmp_path)]
+    assert main(argv + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: build failed at stage chart: NotTriangular: ")
 
 
 def test_cli_invariants_cache(tmp_path, capsys):
