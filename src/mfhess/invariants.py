@@ -15,11 +15,19 @@ only prefixes that can still close to weight zero.  The action table of each
 simple root vector is scaled by the LCM of its denominators, so every
 equation has integer coefficients (scaling an equation leaves the kernel
 unchanged), and linalg.sparse_kernel solves them by fraction-free
-elimination.
+elimination.  Monomials are packed into one int each, and one derivation
+routine (_derivation) applies a simple root vector's table to them: it
+builds the solver's equations and the invariance test of
+meets_solver_conditions, which re-checks a cached family.
 
 New generators are the kernel vectors that survive modulo products of
-lower-degree generators, selected by deterministic row reduction over the
-canonical monomial order and normalized to primitive integer coefficients.
+lower-degree generators, in kernel order, normalized to primitive integer
+coefficients.  The products are taken on packed ints.  The kernel basis is
+canonical (a 1 on each free column, 0 on the others), so every vector of
+the kernel is the combination of the basis with its own free-column
+entries as coefficients.  Each product is certified exactly to be that
+combination; the greedy independence scan then runs on the vectors
+restricted to the free columns, len(kernel) entries each.
 
 For type A an independent oracle realizes the algebra as traceless matrices
 and pulls tr(x^k) back to Chevalley coordinates.
@@ -35,8 +43,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
-                       poisson_bracket)
+from .polyring import (CompiledPolys, GradientContext, Poly, _denominator_lcm, _mul_packed,
+                       _scaled, coefficient_rows)
 from .rational import R0, R1, rat
 from .rootdata import RootSystem, UnsupportedType
 
@@ -120,6 +128,47 @@ def _coordinate_brackets(L: LieAlgebra, ctx: GradientContext, z) -> list:
             for f in forms]
 
 
+def _packing(n: int, top: int) -> tuple:
+    """(unit, mask): the unit of each variable in one int holding an exponent
+    vector of total degree at most top, and the mask of one field.  Every
+    exponent is at most top, so once top fits in the field width no field
+    carries into the next (the width rule of polyring.poisson_bracket).
+    Variable 0 takes the most significant field, so packed ints sort as the
+    exponent tuples do."""
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    if top > mask:
+        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
+    return [1 << (width * (n - 1 - k)) for k in range(n)], mask
+
+
+def _pack(e, unit: list) -> tuple:
+    """(packed exponent, support): support lists (k, e_k) for e_k > 0."""
+    support = tuple((k, ek) for k, ek in enumerate(e) if ek)
+    return sum(ek * unit[k] for k, ek in support), support
+
+
+def _packed_action(action: list, unit: list) -> list:
+    """A table of _coordinate_brackets on packed exponents: for each k,
+    the pairs (unit_j - unit_k, c_j), so x^e / x_k * x_j packs to e plus the
+    first entry."""
+    return [None if lin is None else [(unit[j] - unit[k], cj) for j, cj in lin]
+            for k, lin in enumerate(action)]
+
+
+def _derivation(action: list, packed: int, support) -> list:
+    """The image of the monomial x^e under the derivation sum_k form_k d/dx_k
+    of one simple root vector (action from _packed_action): the unmerged
+    terms (packed target, e_k * c_j)."""
+    out = []
+    for k, ek in support:
+        lin = action[k]
+        if lin is not None:
+            for delta, cj in lin:
+                out.append((packed + delta, ek * cj))
+    return out
+
+
 def invariant_space_dimension(degrees, d: int) -> int:
     """Number of monomials in the generators of total degree d."""
     counts = [0] * (d + 1)
@@ -161,38 +210,33 @@ def invariant_generators(L: LieAlgebra, ctx: GradientContext) -> InvariantFamily
     for d in sorted(set(degrees)):
         mult = sum(1 for x in degrees if x == d)
         monos = _zero_weight_monomials(L, d)
+        unit, _ = _packing(L.dim, d)
+        packed = [_pack(m, unit) for m in monos]
 
-        rows: dict = {}
-        for g_idx, lintable in enumerate(action_tables):
-            for col, mono in enumerate(monos):
-                for k, p in enumerate(mono):
-                    if not p:
-                        continue
-                    lin = lintable[k]
-                    if lin is None:
-                        continue
-                    base = list(mono)
-                    base[k] -= 1
-                    for j, cj in lin:
-                        tgt = list(base)
-                        tgt[j] += 1
-                        key = (g_idx, tuple(tgt))
-                        row = rows.setdefault(key, {})
-                        row[col] = row.get(col, 0) + p * cj
-        kernel = linalg.sparse_kernel([rows[key] for key in sorted(rows)], len(monos))
+        # one equation per simple root vector and image monomial, in the
+        # order of (vector, image exponent)
+        equations = []
+        for action in action_tables:
+            action = _packed_action(action, unit)
+            rows: dict = {}
+            for col, (e, support) in enumerate(packed):
+                for tgt, c in _derivation(action, e, support):
+                    row = rows.setdefault(tgt, {})
+                    row[col] = row.get(col, 0) + c
+            equations.extend(rows[tgt] for tgt in sorted(rows))
+        kernel = linalg.sparse_kernel(equations, len(monos))
         expected = invariant_space_dimension(degrees, d)
         if len(kernel) != expected:
             raise WrongDimension(
                 f"degree {d}: invariant space has dimension {len(kernel)}, expected {expected}")
 
-        decomposables = coefficient_rows(
-            decomposable_products(generators, gen_degrees, d), monos)
-
-        # kernel vectors outside the span of the decomposables and of the
-        # kernel vectors before them, in kernel order
-        kept = linalg.independent_subset(decomposables + kernel)
-        chosen = [kernel[i - len(decomposables)] for i in kept
-                  if i >= len(decomposables)][:mult]
+        columns = {e: col for col, (e, _) in enumerate(packed)}
+        decomposables = []
+        for _, prod in _packed_products(generators, gen_degrees, d, unit):
+            if any(c and e not in columns for e, c in prod.items()):
+                raise WrongDimension(f"degree {d}: a product of generators has nonzero weight")
+            decomposables.append({columns[e]: c for e, c in prod.items() if c})
+        chosen = [kernel[i] for i in _new_kernel_vectors(kernel, decomposables, d)][:mult]
         if len(chosen) != mult:
             raise WrongDimension(
                 f"degree {d}: found {len(chosen)} new generators, expected {mult}")
@@ -208,6 +252,37 @@ def invariant_generators(L: LieAlgebra, ctx: GradientContext) -> InvariantFamily
     return InvariantFamily(polys=polys, degrees=degs, provenance="solver")
 
 
+def _new_kernel_vectors(kernel: list, decomposables: list, d: int) -> list:
+    """Indices of the kernel vectors outside the span of the decomposables
+    and of the kernel vectors before them, in kernel order.
+
+    kernel is the canonical basis of linalg.sparse_kernel, so each vector's
+    last nonzero entry is its free column; decomposables are sparse integer
+    rows {column: c}.  Each decomposable is first certified exactly to equal
+    sum_f dec[f] k_f over the free columns f; restriction to the free
+    columns is then injective on the span, and the greedy scan runs on
+    len(kernel)-long vectors instead of full coefficient vectors.
+    """
+    free = [max(c for c, v in enumerate(k) if v) for k in kernel]
+    # k_f times the LCM m of all kernel denominators, as sparse int pairs
+    m = math.lcm(*(v.denominator for k in kernel for v in k if v))
+    scaled = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
+              for k in kernel]
+    for dec in decomposables:
+        combo: dict = {}
+        for f, pairs in zip(free, scaled):
+            a = dec.get(f)
+            if a:
+                for c, v in pairs:
+                    combo[c] = combo.get(c, 0) + a * v
+        if {c: v for c, v in combo.items() if v} != {c: m * v for c, v in dec.items()}:
+            raise WrongDimension(f"degree {d}: a product of lower generators is not invariant")
+    restricted = ([[rat(dec.get(f, 0)) for f in free] for dec in decomposables]
+                  + [[k[f] for f in free] for k in kernel])
+    kept = linalg.independent_subset(restricted)
+    return [i - len(decomposables) for i in kept if i >= len(decomposables)]
+
+
 def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
                             fam: InvariantFamily) -> bool:
     """The conditions the solver imposes, checked on a given family.
@@ -215,16 +290,29 @@ def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
     The degrees are those of the root data, each polynomial is homogeneous of
     its degree and Poisson commutes with the linear functional of every
     simple root vector, and no polynomial lies in the span of the products
-    of the lower-degree ones.
+    of the lower-degree ones.  The Poisson condition is read off the
+    solver's own equations: {p, (z, .)} is, up to a nonzero factor, the
+    derivation of _coordinate_brackets applied to p, taken on the integer
+    multiple of p by the LCM of its denominators.
     """
     if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
         return False
     if any(not p.is_homogeneous() or p.degree() != d
            for p, d in zip(fam.polys, fam.degrees)):
         return False
-    lins = [ctx.linear_functional(z) for z in simple_root_vectors(L)]
-    if any(not poisson_bracket(ctx, p, lin).is_zero() for p in fam.polys for lin in lins):
-        return False
+    action_tables = [_coordinate_brackets(L, ctx, z) for z in simple_root_vectors(L)]
+    for p, d in zip(fam.polys, fam.degrees):
+        unit, _ = _packing(L.dim, d)
+        scale = _denominator_lcm(p.terms.values())
+        terms = [(_pack(e, unit), _scaled(c, scale)) for e, c in p.terms.items()]
+        for action in action_tables:
+            action = _packed_action(action, unit)
+            image: dict = {}
+            for (e, support), c in terms:
+                for tgt, v in _derivation(action, e, support):
+                    image[tgt] = image.get(tgt, 0) + c * v
+            if any(image.values()):
+                return False
     for d in sorted(set(fam.degrees)):
         dec = decomposable_products(fam.polys, fam.degrees, d)
         new = [p for p, dd in zip(fam.polys, fam.degrees) if dd == d]
@@ -237,13 +325,34 @@ def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
 def decomposable_products(polys: list, degrees, d: int) -> list:
     """All products of two or more of the polys (of degrees below d) with
     total degree d."""
-    lower = [p for p, dd in zip(polys, degrees) if dd < d]
+    if not polys:
+        return []
+    n = polys[0].n
+    unit, mask = _packing(n, d)
+    shifts = [u.bit_length() - 1 for u in unit]
+    return [Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
+                     for e, c in prod.items() if c})
+            for scale, prod in _packed_products(polys, degrees, d, unit)]
+
+
+def _packed_products(polys: list, degrees, d: int, unit: list) -> list:
+    """decomposable_products on packed ints: each product as (scale, terms),
+    terms mapping packed exponent -> int and the product being terms over
+    scale.  Each factor is scaled once by the LCM of its denominators."""
+    lower = []
+    for p, dd in zip(polys, degrees):
+        if dd < d:
+            scale = _denominator_lcm(p.terms.values())
+            lower.append((scale, {_pack(e, unit)[0]: _scaled(c, scale)
+                                  for e, c in p.terms.items()}))
     out = []
     for combo in _degree_combinations([dd for dd in degrees if dd < d], d):
-        prod = lower[combo[0]]
+        scale, prod = lower[combo[0]]
         for gi in combo[1:]:
-            prod = prod * lower[gi]
-        out.append(prod)
+            s, terms = lower[gi]
+            scale *= s
+            prod = _mul_packed(prod, terms)
+        out.append((scale, prod))
     return out
 
 
@@ -400,7 +509,9 @@ def write_json_atomic(path: str, payload: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            # json.dumps runs the C encoder; json.dump streams through the
+            # pure-Python iterencode, with the same bytes
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed before the rename

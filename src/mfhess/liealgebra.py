@@ -17,6 +17,7 @@ which cross-validates the structure constants.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -347,16 +348,28 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
 
 
 def _killing_matrix(L: LieAlgebra) -> list:
-    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    """tr(ad e_i ad e_j) for every pair i <= j, from the structure-constant
+    table held as sparse integer columns: cols[i][c] maps r to the
+    coefficient of e_r in [e_i, e_c], so the trace is the sum over c and r of
+    cols[j][c][r] * cols[i][r][c].  The table is scaled by the LCM of its
+    denominators, and each trace is divided by its square at the end."""
+    den = math.lcm(*(int(v.denominator) for row in L.table.values() for v in row.values()))
+    cols: list = [{} for _ in range(L.dim)]
+    for (a, b), row in L.table.items():
+        ints = {k: int(v.numerator) * (den // int(v.denominator)) for k, v in row.items()}
+        cols[a][b] = ints
+        cols[b][a] = {k: -v for k, v in ints.items()}
     out = [[R0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
+        ci = cols[i]
         for j in range(i, L.dim):
-            tr = R0
-            a, b = ads[i], ads[j]
-            for r in range(L.dim):
-                tr = tr + linalg.dot(a[r], [b[c][r] for c in range(L.dim)])
-            out[i][j] = tr
-            out[j][i] = tr
+            tr = 0
+            for c, col in cols[j].items():
+                for r, v in col.items():
+                    back = ci.get(r)    # [e_i, e_r]
+                    if back and c in back:
+                        tr += v * back[c]
+            out[i][j] = out[j][i] = rat(tr, den * den)
     return out
 
 

@@ -187,7 +187,15 @@ class Poly:
 
     @classmethod
     def from_payload(cls, n: int, payload) -> "Poly":
-        return cls(n, {tuple(int(x) for x in e): to_rat(c) for e, c in payload})
+        """The inverse of to_payload; ValueError unless every exponent vector
+        holds n nonnegative ints."""
+        terms = {}
+        for e, c in payload:
+            e = tuple(int(x) for x in e)
+            if len(e) != n or min(e) < 0:
+                raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
+            terms[e] = to_rat(c)
+        return cls(n, terms)
 
 
 def coefficient_rows(polys, columns=None) -> list:

@@ -5,9 +5,9 @@ import pytest
 from mfhess import linalg
 from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
-from mfhess.polyring import GradientContext, Poly
+from mfhess.polyring import GradientContext, Poly, coefficient_rows
 from mfhess.rational import R0, R1
-from mfhess.invariants import invariant_generators
+from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
 
@@ -42,6 +42,31 @@ def get_bundle(label):
 @pytest.fixture(scope="session")
 def bundles():
     return get_bundle
+
+
+# rank-3 and rank-4 types that have no label, as inline Cartan matrices
+INLINE_CARTAN = {
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+_ALGEBRAS = {}
+
+
+def algebra_for(label):
+    """The Chevalley algebra of a label or of an INLINE_CARTAN type, built
+    once per session; nothing else (no invariant solve)."""
+    if label not in _ALGEBRAS:
+        rows = INLINE_CARTAN.get(label) or cartan_matrix_for_label(label)
+        _ALGEBRAS[label] = chevalley_algebra(build_root_system(CartanMatrix.from_rows(rows)))
+    return _ALGEBRAS[label]
+
+
+@pytest.fixture(scope="session")
+def algebras():
+    return algebra_for
 
 
 def reference_poisson_bracket(ctx, p, q):
@@ -239,6 +264,59 @@ def reference_sparse_kernel(rows, ncols):
 @pytest.fixture(scope="session")
 def reference_kernel():
     return reference_sparse_kernel
+
+
+def reference_killing_matrix(L):
+    """tr(ad e_i ad e_j) for every pair, by dense dot products of the
+    Fraction adjoint matrices."""
+    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    out = [[R0] * L.dim for _ in range(L.dim)]
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            tr = R0
+            a, b = ads[i], ads[j]
+            for r in range(L.dim):
+                tr = tr + linalg.dot(a[r], [b[c][r] for c in range(L.dim)])
+            out[i][j] = tr
+            out[j][i] = tr
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_killing():
+    return reference_killing_matrix
+
+
+def reference_decomposable_products(polys, degrees, d):
+    """The products of two or more of the polys of degree below d with total
+    degree d, multiplied with Poly.__mul__."""
+    lower = [p for p, dd in zip(polys, degrees) if dd < d]
+    out = []
+    for combo in _degree_combinations([dd for dd in degrees if dd < d], d):
+        prod = lower[combo[0]]
+        for gi in combo[1:]:
+            prod = prod * lower[gi]
+        out.append(prod)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_products():
+    return reference_decomposable_products
+
+
+def reference_selection(kernel, polys, degrees, d, monos):
+    """The new generators' kernel indices by one greedy independence scan of
+    the full coefficient vectors: the products of the lower generators, then
+    the kernel vectors; kept kernel vectors in kernel order."""
+    rows = coefficient_rows(reference_decomposable_products(polys, degrees, d), monos)
+    kept = linalg.independent_subset(rows + kernel)
+    return [i - len(rows) for i in kept if i >= len(rows)]
+
+
+@pytest.fixture(scope="session")
+def reference_select():
+    return reference_selection
 
 
 @pytest.fixture

@@ -1,27 +1,20 @@
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
-from mfhess import linalg
-from mfhess.invariants import (InvariantFamily, invariant_generators,
-                               invariant_space_dimension, load_family,
+from mfhess import invariants, linalg
+from mfhess.invariants import (InvariantFamily, WrongDimension, decomposable_products,
+                               invariant_generators, invariant_space_dimension, load_family,
                                matrix_images_type_A, meets_solver_conditions, save_family,
                                trace_oracle_type_A, _zero_weight_monomials,
                                _degree_combinations)
-from mfhess.liealgebra import chevalley_algebra, is_regular
+from mfhess.liealgebra import is_regular
 from mfhess.polyring import GradientContext, Poly, gradient, poisson_bracket
 from mfhess.rational import rat
-from mfhess.rootdata import (CartanMatrix, FLAGGED_LABELS, SUPPORTED_LABELS, UnsupportedType,
-                             build_root_system, cartan_matrix_for_label)
-
-INLINE_TYPES = {
-    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
-    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-}
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS, UnsupportedType
 
 # sha256 of the compact JSON of Poly.to_payload() of each solved generator:
 # the generators fix the family and every report byte, so a change to the
@@ -37,12 +30,11 @@ INVARIANT_DIGESTS = {
            "fe8ec1a1561a566086c135c2db96aeb878ea12518d9975c9e8b6f8ace429e119",
            "d9bc15b6ecaa136a4aaf08e78d3f356e391feb24d186f3a330ca9b73ef7103da",
            "0415aba48b857ec44fb1247e539cffd91d8671b94acb71ebc183c88aa62adf1a"],
+    "D4": ["ada4ee99efabb91057324eb3371eebfa4ef2d3da29f08d5c2f1766b923331837",
+           "465623dea6e91b61f33ed4c2a5a03169bdf049ee13e5e0a95d450b152bde46f8",
+           "6bdff3276ae59cf761db2f58f9a5f2eda3656a93a112a1f41b121f77bf2da565",
+           "a533d66eaee69cde9de3017dbf61c56311251017d9b7e04a89e36457ad0664c7"],
 }
-
-
-def algebra(label):
-    rows = INLINE_TYPES.get(label) or cartan_matrix_for_label(label)
-    return chevalley_algebra(build_root_system(CartanMatrix.from_rows(rows)))
 
 
 def coeff_rows(polys, L, d):
@@ -61,15 +53,16 @@ def coeff_rows(polys, L, d):
                          [pytest.param(label, None, id=label) for label in
                           SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")]
                          + [pytest.param("D4", (2, 4), id="D4")])
-def test_zero_weight_enumeration_matches_filter(reference_zero_weight, label, degrees):
-    L = algebra(label)
+def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight, label,
+                                                degrees):
+    L = algebras(label)
     for d in degrees or (0, 1) + tuple(sorted(set(L.rs.degrees))):
         assert _zero_weight_monomials(L, d) == reference_zero_weight(L, d), d
 
 
 @pytest.mark.parametrize("label", sorted(INVARIANT_DIGESTS))
-def test_rank_three_and_four_invariants_are_pinned(label):
-    L = algebra(label)
+def test_rank_three_and_four_invariants_are_pinned(algebras, label):
+    L = algebras(label)
     fam = invariant_generators(L, GradientContext(L))
     digests = [hashlib.sha256(json.dumps(p.to_payload(), separators=(",", ":")).encode())
                .hexdigest() for p in fam.polys]
@@ -218,3 +211,102 @@ def test_solver_conditions_reject_altered_families(bundles):
 def test_cache_miss_on_missing_file(tmp_path, bundles):
     B = bundles("A1")
     assert load_family(str(tmp_path), "A1", B.L, B.ctx) is None
+
+
+SELECTION_LABELS = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")
+
+
+@pytest.mark.parametrize("label", SELECTION_LABELS)
+def test_selection_matches_full_vector_scan(algebras, reference_select, monkeypatch, label):
+    L = algebras(label)
+    calls = []
+    original = invariants._new_kernel_vectors
+
+    def recorded(kernel, decomposables, d):
+        out = original(kernel, decomposables, d)
+        calls.append((kernel, d, out))
+        return out
+
+    monkeypatch.setattr(invariants, "_new_kernel_vectors", recorded)
+    fam = invariant_generators(L, GradientContext(L))
+    assert [d for _, d, _ in calls] == sorted(set(L.rs.degrees))
+    for kernel, d, kept in calls:
+        assert kept == reference_select(kernel, fam.polys, fam.degrees, d,
+                                        _zero_weight_monomials(L, d)), d
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A2", "B2", "A3", "G2"])
+def test_packed_products_equal_poly_products(bundles, reference_products, label):
+    fam = bundles(label).inv
+    for d in range(2, max(fam.degrees) + 3):
+        assert (decomposable_products(fam.polys, fam.degrees, d)
+                == reference_products(fam.polys, fam.degrees, d)), d
+
+
+def test_products_of_scaled_generators_keep_their_coefficients(bundles):
+    quad, quartic = bundles("B2").inv.polys
+    a, b = quad.scale(rat(2, 3)), quartic.scale(rat(-5, 7))
+    assert decomposable_products([a, b], (2, 4), 6) == [a * a * a, a * b]
+
+
+def _plant_in_quadratic(monkeypatch, term):
+    original = invariants._normalize_generator
+
+    def planted(vec, monos, nvars):
+        p = original(vec, monos, nvars)
+        return p + term if p.degree() == 2 else p
+
+    monkeypatch.setattr(invariants, "_normalize_generator", planted)
+
+
+def test_certificate_rejects_non_invariant_lower_generator(algebras, monkeypatch):
+    L = algebras("B2")
+    h = Poly.coordinate(L.dim, L.cartan_indices[0])
+    # h^2 has weight zero, so the products land in the degree-4 columns
+    _plant_in_quadratic(monkeypatch, h * h)
+    with pytest.raises(WrongDimension, match="not invariant"):
+        invariant_generators(L, GradientContext(L))
+
+
+def test_certificate_rejects_lower_generator_of_nonzero_weight(algebras, monkeypatch):
+    L = algebras("B2")
+    _plant_in_quadratic(monkeypatch, Poly.coordinate(L.dim, 0) * Poly.coordinate(L.dim, 1))
+    with pytest.raises(WrongDimension, match="nonzero weight"):
+        invariant_generators(L, GradientContext(L))
+
+
+def test_solver_conditions_reject_fractional_non_invariant_term(bundles):
+    B = bundles("B2")
+    quad, quartic = B.inv.polys
+    n = B.L.dim
+    h = Poly.coordinate(n, B.L.cartan_indices[0])
+    scaled = InvariantFamily([quad.scale(rat(1, 3)), quartic.scale(rat(-2, 7))], (2, 4))
+    assert meets_solver_conditions(B.L, B.ctx, scaled)
+    for term in ((h * h).scale(rat(1, 3)), (Poly.coordinate(n, 0) * h).scale(rat(-5, 2))):
+        fam = InvariantFamily([quad.scale(rat(1, 3)) + term, quartic], (2, 4))
+        assert not meets_solver_conditions(B.L, B.ctx, fam), term
+
+
+@pytest.mark.parametrize("exps", [[-1, 0, 0, 0, 0, 0, 0, 3], [2]],
+                         ids=["negative", "short"])
+def test_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles, exps):
+    B = bundles("A2")
+    path = save_family(str(tmp_path), "A2", B.L, B.inv)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["polys"][0].append([exps, "1"])
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert load_family(str(tmp_path), "A2", B.L, B.ctx) is None
+
+
+def test_cache_file_bytes_are_compact_sorted_json(tmp_path, bundles):
+    B = bundles("B2")
+    path = save_family(str(tmp_path), "B2", B.L, B.inv)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    payload = json.loads(written)
+    assert written == json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    streamed = io.StringIO()
+    json.dump(payload, streamed, sort_keys=True, separators=(",", ":"))
+    assert written == streamed.getvalue().encode()

@@ -4,6 +4,7 @@ from mfhess import linalg
 from mfhess.argshift import gradient_span
 from mfhess.liealgebra import DimensionMismatch, is_regular, ut_action, validate_algebra
 from mfhess.rational import rat, factorial_rat
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 EXPECTED_DIMS = {"A1": 3, "A2": 8, "A1xA1": 6, "B2": 10, "A3": 15}
 EXPECTED_MODULES = {"A1": [3], "A2": [3, 5], "A1xA1": [3, 3], "B2": [3, 7],
@@ -153,3 +154,9 @@ def test_vandermonde_span_a1_two_points(bundles):
     B = bundles("A1")
     dim, _ = gradient_span(B.ctx, B.inv.polys, line_points(B, [0, 1]))
     assert dim == 2 == B.rs.b
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
+def test_killing_matrix_equals_dense_trace(algebras, reference_killing, label):
+    L = algebras(label)
+    assert L.killing == reference_killing(L)

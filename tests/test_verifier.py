@@ -318,6 +318,26 @@ def test_gradient_rank_takes_no_kernel(a2_context, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch):
+    cfg = SuiteConfig(algebra=label, seed=2024)
+    sc = build_context(cfg)
+    calls = []
+    original = linalg.sparse_kernel
+
+    def recorded(rows, ncols):
+        out = original(rows, ncols)
+        calls.append((rows, ncols, out))
+        return out
+
+    monkeypatch.setattr(linalg, "sparse_kernel", recorded)
+    assert check_omega_well_defined(sc, cfg)["ok"]
+    assert len(calls) == 3
+    for rows, ncols, basis in calls:
+        dense = [[row[j] for j in range(ncols)] for row in rows]
+        assert basis == linalg.kernel(dense, ncols)
+
+
 def test_leading_term_fails_on_planted_derived_term(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
