@@ -15,6 +15,12 @@ end-to-end metric, the median and the quartiles of each side
 (statistics.quantiles, n=4) and the number of pairs in which the change is
 lower.  With --held-out-seed, one more pair of the first workload runs at that
 seed.
+
+A run is incorrect when its result has `correct: false` or `failed > 0`
+(perfbench/run.py still exits 0 then).  Each workload records the number of
+incorrect runs per side, and a workload with any incorrect run gets no
+summary.  The file is written with every run either way, and the script then
+exits 1, naming each incorrect run on stderr.
 """
 
 import argparse
@@ -46,6 +52,10 @@ def pair(args, workload: str, seed: int, change_first: bool) -> tuple:
     return out["parent"], out["change"]
 
 
+def incorrect(result: dict) -> bool:
+    return result.get("correct") is not True or result.get("failed", 0) > 0
+
+
 def summary(parents: list, changes: list) -> dict:
     out = {}
     for name in METRICS:
@@ -73,14 +83,20 @@ def main() -> int:
     args = ap.parse_args()
 
     workloads = {}
+    bad = []
     for workload in args.workloads:
         parents, changes = [], []
         for i in range(args.pairs):
             p, c = pair(args, workload, args.seed, change_first=bool(i % 2))
             parents.append(p)
             changes.append(c)
-        workloads[workload] = {"pairs": args.pairs, "summary": summary(parents, changes),
-                               "parent": parents, "change": changes}
+            bad += [f"{workload} seed {args.seed} pair {i} {side}"
+                    for side, r in (("parent", p), ("change", c)) if incorrect(r)]
+        counts = {"parent": sum(map(incorrect, parents)), "change": sum(map(incorrect, changes))}
+        workloads[workload] = {
+            "pairs": args.pairs, "incorrect_runs": counts,
+            "summary": None if any(counts.values()) else summary(parents, changes),
+            "parent": parents, "change": changes}
     result = {
         "description": "perfbench/run.py result lines, parent commit and change, "
                        "alternating pairs (odd pairs run the change first); "
@@ -95,10 +111,14 @@ def main() -> int:
         p, c = pair(args, workload, args.held_out_seed, change_first=False)
         result["held_out"] = {"seed": args.held_out_seed, "workload": workload,
                               "parent": p, "change": c}
+        bad += [f"{workload} seed {args.held_out_seed} held-out {side}"
+                for side, r in (("parent", p), ("change", c)) if incorrect(r)]
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    return 0
+    for name in bad:
+        print(f"incorrect run: {name}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import (CompiledPolys, GradientContext, Poly, _denominator_lcm, _mul_packed,
-                       _scaled, coefficient_rows)
-from .rational import R0, R1, rat
+from .polyring import CompiledPolys, GradientContext, Poly, _mul_packed, coefficient_rows
+from .rational import R0, R1, denominator_lcm, rat, scaled
 from .rootdata import RootSystem, UnsupportedType
 
 
@@ -266,11 +265,11 @@ def _new_kernel_vectors(kernel: list, decomposables: list, d: int) -> list:
     free = [max(c for c, v in enumerate(k) if v) for k in kernel]
     # k_f times the LCM m of all kernel denominators, as sparse int pairs
     m = math.lcm(*(v.denominator for k in kernel for v in k if v))
-    scaled = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
-              for k in kernel]
+    ints = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
+            for k in kernel]
     for dec in decomposables:
         combo: dict = {}
-        for f, pairs in zip(free, scaled):
+        for f, pairs in zip(free, ints):
             a = dec.get(f)
             if a:
                 for c, v in pairs:
@@ -303,8 +302,8 @@ def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
     action_tables = [_coordinate_brackets(L, ctx, z) for z in simple_root_vectors(L)]
     for p, d in zip(fam.polys, fam.degrees):
         unit, _ = _packing(L.dim, d)
-        scale = _denominator_lcm(p.terms.values())
-        terms = [(_pack(e, unit), _scaled(c, scale)) for e, c in p.terms.items()]
+        scale = denominator_lcm(p.terms.values())
+        terms = [(_pack(e, unit), scaled(c, scale)) for e, c in p.terms.items()]
         for action in action_tables:
             action = _packed_action(action, unit)
             image: dict = {}
@@ -342,8 +341,8 @@ def _packed_products(polys: list, degrees, d: int, unit: list) -> list:
     lower = []
     for p, dd in zip(polys, degrees):
         if dd < d:
-            scale = _denominator_lcm(p.terms.values())
-            lower.append((scale, {_pack(e, unit)[0]: _scaled(c, scale)
+            scale = denominator_lcm(p.terms.values())
+            lower.append((scale, {_pack(e, unit)[0]: scaled(c, scale)
                                   for e, c in p.terms.items()}))
     out = []
     for combo in _degree_combinations([dd for dd in degrees if dd < d], d):

@@ -12,16 +12,25 @@ relation N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0, and the Jacobi identity.
 
 The Killing form is computed as the trace form of the adjoint representation,
 which cross-validates the structure constants.
+
+The Lie layer runs on integers.  The algebra holds its structure table and
+its Killing rows scaled by the LCM of their denominators (built in
+__post_init__, so dataclasses.replace rebuilds them).  bracket, ad and
+killing_pair clear each argument's nonzero coordinates to integer numerators
+over one common denominator (no LCM when they are all integers), accumulate
+in ints and build one rational per nonzero output entry.  bracket and ad read
+the same integer table, so ad x . z = [x, z] for every table, and check 2
+(validate_algebra) reads that table and the integer Killing rows directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import linalg
-from .rational import R0, R1, rat, to_rat, rat_str, factorial_rat
+from .rational import R0, R1, denominator_lcm, factorial_rat, rat, rat_str, scaled, to_rat
 from .rootdata import RootSystem
 
 
@@ -51,7 +60,8 @@ class LieAlgebra:
     pos_indices: tuple
     cartan_indices: tuple
     neg_indices: tuple
-    # sparse table: (a, b) with a < b -> {c: integer coefficient}
+    # sparse table: (a, b) -> {c: coefficient} gives [e_a, e_b]; the chevalley
+    # build stores a < b only, and [e_b, e_a] is then -[e_a, e_b]
     table: dict = field(repr=False)
     killing: list = field(repr=False)
     # killing_rows[i]: the nonzero entries (j, killing[i][j]) of row i
@@ -60,36 +70,55 @@ class LieAlgebra:
     layers: tuple = ()          # ad-w eigenvalue / 2 for each basis vector
     weights: tuple = ()         # root-lattice weight of each basis vector
     labels: tuple = ()
+    # integer images of table and killing_rows, rebuilt by __post_init__ and
+    # so by dataclasses.replace.  int_table = (scale, cols): cols[a][b] lists
+    # the pairs (c, scale times the coefficient of e_c in [e_a, e_b]), every
+    # stored key as stored and its reverse by antisymmetry unless that is
+    # stored too.  int_killing = (scale, rows): rows[i] lists the pairs
+    # (j, scale * killing[i][j]) of killing_rows[i].  Rows are tuples, not
+    # dicts, and equal rows share one tuple: the integer table then takes
+    # about half the memory of the rational one.
+    int_table: tuple = field(init=False, repr=False)
+    int_killing: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        scale = denominator_lcm(v for row in self.table.values() for v in row.values())
+        cols: list = [{} for _ in range(self.dim)]
+        shared: dict = {}   # one tuple per distinct row
+        for (a, b), row in self.table.items():
+            ints = tuple((k, scaled(v, scale)) for k, v in row.items() if v)
+            cols[a][b] = shared.setdefault(ints, ints)
+        for (a, b) in self.table:
+            if a != b and a not in cols[b]:
+                ints = tuple((k, -v) for k, v in cols[a][b])
+                cols[b][a] = shared.setdefault(ints, ints)
+        self.int_table = (scale, cols)
+        scale = denominator_lcm(c for row in self.killing_rows for _, c in row)
+        self.int_killing = (scale, [tuple((j, scaled(c, scale)) for j, c in row)
+                                    for row in self.killing_rows])
 
     def check_vector(self, x) -> None:
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
 
     def bracket(self, x, y) -> list:
-        """Exact bracket of two coordinate vectors."""
+        """Exact bracket of two coordinate vectors, accumulated on the
+        integer table with each argument cleared once."""
         self.check_vector(x)
         self.check_vector(y)
-        out = [R0] * self.dim
-        nx = [(i, v) for i, v in enumerate(x) if v]
-        ny = [(j, v) for j, v in enumerate(y) if v]
-        table = self.table
+        nx, dx = _cleared(x)
+        ny, dy = _cleared(y)
+        scale, cols = self.int_table
+        acc = [0] * self.dim
         for i, xi in nx:
+            ci = cols[i]
             for j, yj in ny:
-                if i == j:
-                    continue
-                if i < j:
-                    row = table.get((i, j))
-                    sign = 1
-                else:
-                    row = table.get((j, i))
-                    sign = -1
+                row = ci.get(j)
                 if row:
                     c = xi * yj
-                    if sign < 0:
-                        c = -c
-                    for k, v in row.items():
-                        out[k] = out[k] + c * v
-        return out
+                    for k, v in row:
+                        acc[k] += c * v
+        return _over(acc, dx * dy * scale)
 
     def basis_vector(self, i: int) -> list:
         v = [R0] * self.dim
@@ -97,31 +126,31 @@ class LieAlgebra:
         return v
 
     def ad(self, x) -> list:
-        """Dense matrix of ad x (columns are [x, basis_j]), in one pass over
-        the table: [e_a, e_b] = row puts x_a row in column b, -x_b row in a."""
+        """Dense matrix of ad x, whose column j is [x, e_j], in one pass over
+        the integer table."""
         self.check_vector(x)
-        m = [[R0] * self.dim for _ in range(self.dim)]
-        for (a, b), row in self.table.items():
-            xa, xb = x[a], x[b]
-            if xa or xb:
-                for k, v in row.items():
-                    if xa:
-                        m[k][b] += xa * v
-                    if xb:
-                        m[k][a] -= xb * v
-        return m
+        nx, dx = _cleared(x)
+        scale, cols = self.int_table
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in nx:
+            for j, row in cols[i].items():
+                for k, v in row:
+                    acc[k][j] += xi * v
+        return [_over(row, dx * scale) for row in acc]
 
     def killing_pair(self, x, y):
+        """(x, y) on the integer Killing rows.  Only the coordinates that meet
+        a nonzero Killing entry are cleared, x_i and y_j for each (i, j)."""
         self.check_vector(x)
         self.check_vector(y)
-        total = R0
-        for i, xi in enumerate(x):
-            if xi:
-                for j, kij in self.killing_rows[i]:
-                    yj = y[j]
-                    if yj:
-                        total = total + xi * yj * kij
-        return total
+        scale, rows = self.int_killing
+        terms = [(xi, kij, y[j]) for i, xi in enumerate(x) if xi
+                 for j, kij in rows[i] if y[j]]
+        dx = math.lcm(*(a.denominator for a, _, _ in terms))
+        dy = math.lcm(*(b.denominator for _, _, b in terms))
+        total = sum(a.numerator * (dx // a.denominator) * k * b.numerator * (dy // b.denominator)
+                    for a, k, b in terms)
+        return rat(total, dx * dy * scale)
 
     def centralizer_dim(self, x) -> int:
         return self.dim - linalg.rank(self.ad(x))
@@ -147,6 +176,27 @@ class LieAlgebra:
     @property
     def n_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay > 0)
+
+
+def _cleared(x) -> tuple:
+    """The nonzero coordinates of x as (index, integer numerator) pairs over
+    one common denominator, and that denominator.  Coordinates that are all
+    integers (basis vectors, e, f) are taken as they are, with no LCM."""
+    nz = [(i, v) for i, v in enumerate(x) if v]
+    den = 1
+    for _, v in nz:
+        if v.denominator != 1:
+            den = math.lcm(den, v.denominator)
+    if den == 1:
+        return [(i, v.numerator) for i, v in nz], 1
+    return [(i, v.numerator * (den // v.denominator)) for i, v in nz], den
+
+
+def _over(ints: list, den: int) -> list:
+    """The rationals v / den for a list of ints; den == 1 needs no gcd."""
+    if den == 1:
+        return [rat(v) if v else R0 for v in ints]
+    return [rat(v, den) if v else R0 for v in ints]
 
 
 def _roots_with_negatives(rs: RootSystem):
@@ -342,30 +392,23 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         table=table, killing=[],
         layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
-    L.killing = _killing_matrix(L)
-    L.killing_rows = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in L.killing)
-    return L
+    killing = _killing_matrix(L)
+    return replace(L, killing=killing, killing_rows=tuple(
+        tuple((j, c) for j, c in enumerate(row) if c) for row in killing))
 
 
 def _killing_matrix(L: LieAlgebra) -> list:
-    """tr(ad e_i ad e_j) for every pair i <= j, from the structure-constant
-    table held as sparse integer columns: cols[i][c] maps r to the
-    coefficient of e_r in [e_i, e_c], so the trace is the sum over c and r of
-    cols[j][c][r] * cols[i][r][c].  The table is scaled by the LCM of its
-    denominators, and each trace is divided by its square at the end."""
-    den = math.lcm(*(int(v.denominator) for row in L.table.values() for v in row.values()))
-    cols: list = [{} for _ in range(L.dim)]
-    for (a, b), row in L.table.items():
-        ints = {k: int(v.numerator) * (den // int(v.denominator)) for k, v in row.items()}
-        cols[a][b] = ints
-        cols[b][a] = {k: -v for k, v in ints.items()}
+    """tr(ad e_i ad e_j) for every pair i <= j, from the integer table: the
+    trace is the sum over c and r of cols[j][c][r] * cols[i][r][c], and each
+    trace is divided by the square of the table's scale at the end."""
+    den, cols = L.int_table
     out = [[R0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
-        ci = cols[i]
+        ci = {r: dict(row) for r, row in cols[i].items()}
         for j in range(i, L.dim):
             tr = 0
             for c, col in cols[j].items():
-                for r, v in col.items():
+                for r, v in col:
                     back = ci.get(r)    # [e_i, e_r]
                     if back and c in back:
                         tr += v * back[c]
@@ -374,38 +417,61 @@ def _killing_matrix(L: LieAlgebra) -> list:
 
 
 def validate_algebra(L: LieAlgebra) -> list:
-    """Exhaustive antisymmetry / Jacobi / Killing invariance on basis triples."""
+    """Exhaustive antisymmetry / Jacobi / Killing invariance on basis triples.
+
+    Everything is read from the integer table and the integer Killing rows:
+    [e_i, e_j] is the sparse column cols[i][j], so a key stored against the
+    table's a < b convention is seen (as [e_i, e_i] != 0 or as an
+    antisymmetry failure).  Each identity is a sum over one common
+    denominator, tested for zero on its integer numerator.
+    """
     errs = []
-    basis = [L.basis_vector(i) for i in range(L.dim)]
+    _, cols = L.int_table
+    _, krows = L.int_killing
     for i in range(L.dim):
-        if any(L.bracket(basis[i], basis[i])):
+        if cols[i].get(i):
             errs.append(f"[b{i}, b{i}] != 0")
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            xy = L.bracket(basis[i], basis[j])
-            yx = L.bracket(basis[j], basis[i])
-            if any(a + b for a, b in zip(xy, yx)):
+            total = dict(cols[i].get(j, ()))
+            for k, v in cols[j].get(i, ()):
+                total[k] = total.get(k, 0) + v
+            if any(total.values()):
                 errs.append(f"antisymmetry fails on ({i},{j})")
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            bij = L.bracket(basis[i], basis[j])
             for k in range(j + 1, L.dim):
-                term = L.bracket(bij, basis[k])
-                term = linalg.vec_add(term, L.bracket(L.bracket(basis[j], basis[k]), basis[i]))
-                term = linalg.vec_add(term, L.bracket(L.bracket(basis[k], basis[i]), basis[j]))
-                if any(term):
+                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                term: dict = {}
+                for u, t in ((cols[i].get(j, ()), k), (cols[j].get(k, ()), i),
+                             (cols[k].get(i, ()), j)):
+                    for r, c in u:
+                        for s, v in cols[r].get(t, ()):
+                            term[s] = term.get(s, 0) + c * v
+                if any(term.values()):
                     errs.append(f"Jacobi fails on ({i},{j},{k})")
                     if len(errs) > 3:
                         return errs
     for i in range(L.dim):
+        ci = cols[i]
+        # into[r]: the pairs (k, coefficient of e_r in [e_i, e_k])
+        into: dict = {}
+        for k, col in ci.items():
+            for r, c in col:
+                into.setdefault(r, []).append((k, c))
         for j in range(L.dim):
-            bij = L.bracket(basis[i], basis[j])
-            for k in range(L.dim):
-                lhs = L.killing_pair(bij, basis[k]) + L.killing_pair(basis[j], L.bracket(basis[i], basis[k]))
-                if lhs:
-                    errs.append(f"Killing invariance fails on ({i},{j},{k})")
-                    if len(errs) > 3:
-                        return errs
+            # over k: ([e_i, e_j], e_k) + (e_j, [e_i, e_k])
+            lhs: dict = {}
+            for r, c in ci.get(j, ()):
+                for k, v in krows[r]:
+                    lhs[k] = lhs.get(k, 0) + c * v
+            for r, v in krows[j]:
+                for k, c in into.get(r, ()):
+                    lhs[k] = lhs.get(k, 0) + v * c
+            for k in sorted(k for k, v in lhs.items() if v):
+                errs.append(f"Killing invariance fails on ({i},{j},{k})")
+                if len(errs) > 3:
+                    return errs
     if linalg.rank(L.killing) != L.dim:
         errs.append("Killing form is degenerate")
     return errs

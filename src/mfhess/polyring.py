@@ -27,11 +27,10 @@ rational per output coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .rational import R0, R1, rat, to_rat, rat_str
+from .rational import R0, R1, denominator_lcm, rat, rat_str, scaled, to_rat
 
 
 class Poly:
@@ -232,8 +231,8 @@ class GradientContext:
         if linalg.mat_mul(self.gram, self.gram_inv) != linalg.identity(self.L.dim):
             raise ValueError("Gram inverse validation failed")
         # (g, rows): g * gram_inv on integers, row i listing its nonzero (k, entry)
-        g = _denominator_lcm(c for row in self.gram_inv for c in row)
-        self.gram_inv_int = (g, [tuple((k, _scaled(c, g)) for k, c in enumerate(row) if c)
+        g = denominator_lcm(c for row in self.gram_inv for c in row)
+        self.gram_inv_int = (g, [tuple((k, scaled(c, g)) for k, c in enumerate(row) if c)
                                  for row in self.gram_inv])
 
     @property
@@ -264,26 +263,14 @@ class GradientContext:
                     if any(v):
                         lins[(i, j)] = [(k, c) for k, c in
                                         enumerate(linalg.mat_vec(self.gram, v)) if c]
-            scale = _denominator_lcm(c for lin in lins.values() for _, c in lin)
+            scale = denominator_lcm(c for lin in lins.values() for _, c in lin)
             rows = [[] for _ in range(self.nvars)]
             for (i, j), lin in lins.items():
-                ints = [(k, _scaled(c, scale)) for k, c in lin]
+                ints = [(k, scaled(c, scale)) for k, c in lin]
                 rows[i].append((j, tuple(ints)))
                 rows[j].append((i, tuple((k, -c) for k, c in ints)))
             self._pair_table = (scale, rows)
         return self._pair_table
-
-
-def _denominator_lcm(coeffs) -> int:
-    out = 1
-    for c in coeffs:
-        out = math.lcm(out, int(c.denominator))
-    return out
-
-
-def _scaled(c, scale: int) -> int:
-    """The integer c * scale, for a scale that c's denominator divides."""
-    return int(c.numerator) * (scale // int(c.denominator))
 
 
 def _power_table(base: int, top: int) -> list:
@@ -315,10 +302,10 @@ class CompiledPolys:
         for p in polys:
             if p.n != self.n:
                 raise ValueError(f"variable count mismatch: {p.n} != {self.n}")
-            scale = _denominator_lcm(p.terms.values())
+            scale = denominator_lcm(p.terms.values())
             deg = p.degree()
             terms = tuple(
-                (_scaled(c, scale), deg - sum(e),
+                (scaled(c, scale), deg - sum(e),
                  tuple((k, ek) for k, ek in enumerate(e) if ek))
                 for e, c in p.terms.items())
             self.polys.append((scale, deg, terms))
@@ -330,8 +317,8 @@ class CompiledPolys:
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
         x = [to_rat(c) for c in x]
-        den = _denominator_lcm(x)
-        return ([_power_table(_scaled(c, den), self.top) for c in x],
+        den = denominator_lcm(x)
+        return ([_power_table(scaled(c, den), self.top) for c in x],
                 _power_table(den, self.top))
 
     def values(self, x) -> list:
@@ -397,10 +384,10 @@ def gradient(ctx: GradientContext, p: Poly, x) -> list:
 def _int_partials(f: Poly, unit: list) -> tuple:
     """(scale, partials): partials[k] maps packed exponent -> integer
     coefficient of scale * df/dx_k, scale being the LCM of f's denominators."""
-    scale = _denominator_lcm(f.terms.values())
+    scale = denominator_lcm(f.terms.values())
     out = [{} for _ in unit]
     for e, c in f.terms.items():
-        c = _scaled(c, scale)
+        c = scaled(c, scale)
         packed = sum(ek * unit[k] for k, ek in enumerate(e) if ek)
         for k, ek in enumerate(e):
             if ek:
@@ -505,13 +492,13 @@ def restrict_affine(polys, base, directions) -> list:
     if top > mask:
         raise OverflowError(f"degree {top} does not fit {width} exponent bits")
     unit = [1 << (width * g) for g in range(m)]
-    den = _denominator_lcm(c for vec in [base] + directions for c in vec)
+    den = denominator_lcm(c for vec in [base] + directions for c in vec)
     forms = []
     for k in range(n):
-        form = {0: _scaled(base[k], den)} if base[k] else {}
+        form = {0: scaled(base[k], den)} if base[k] else {}
         for u, d in zip(unit, directions):
             if d[k]:
-                form[u] = _scaled(d[k], den)
+                form[u] = scaled(d[k], den)
         forms.append(form)
     # powers[k][e] = A_k^e, extended on demand
     powers = [[{0: 1}, form] for form in forms]
@@ -519,12 +506,12 @@ def restrict_affine(polys, base, directions) -> list:
     shifts = [width * g for g in range(m)]
     out = []
     for p in polys:
-        scale = _denominator_lcm(p.terms.values())
+        scale = denominator_lcm(p.terms.values())
         deg = p.degree()
         acc: dict = {}
         get = acc.get
         for e, c in p.terms.items():
-            term = {0: _scaled(c, scale) * dpow[deg - sum(e)]}
+            term = {0: scaled(c, scale) * dpow[deg - sum(e)]}
             for k, ek in enumerate(e):
                 if not ek:
                     continue

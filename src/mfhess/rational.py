@@ -7,6 +7,7 @@ drop-in fallback.  Floats are rejected everywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -53,6 +54,19 @@ def to_rat(x):
 def rat_str(x) -> str:
     """Canonical "p/q" (or "p") rendering, stable across backends."""
     return str(x)
+
+
+def denominator_lcm(values) -> int:
+    """The LCM of the denominators of rationals (or ints)."""
+    out = 1
+    for c in values:
+        out = math.lcm(out, int(c.denominator))
+    return out
+
+
+def scaled(c, scale: int) -> int:
+    """The integer c * scale, for a scale that c's denominator divides."""
+    return int(c.numerator) * (scale // int(c.denominator))
 
 
 def factorial_rat(k: int):

@@ -4,14 +4,14 @@ Every tangent vector to an adjoint orbit at x is [x, z] for some bracket
 preimage z, and the orbit form evaluates on preimages:
 omega_x([x, z1], [x, z2]) = (x, [z2, z1]).  By the invariance of the trace
 form that value is also ([x, z2], z1), one Killing pairing of a preimage
-with a tangent.  So each visited point builds ad x once (LieAlgebra.ad) and
-reads every pointwise quantity from that matrix: the tangent of a preimage z
-is ad x . z = [x, z], the slice tangents are the n_- columns of ad x, the
-orbit dimension is rank(ad x), and omega_x(z1, z2) = (ad x . z2, z1), so no
-two preimages are ever bracketed.  The definitional omega below is the
-reference for that identity and the subject of the well-definedness check
-(the value only depends on the tangent vectors: shifting a preimage by a
-centralizer element leaves it unchanged).
+with a tangent.  So each visited point builds ad x once (LieAlgebra.ad): the
+slice tangents are the n_- columns of ad x and the orbit dimension is
+rank(ad x).  The tangent of a preimage z is [x, z] = ad x . z, one
+LieAlgebra.bracket on the same integer table, and omega_x(z1, z2) =
+([x, z2], z1), so no two preimages are ever bracketed.  The definitional
+omega below is the reference for that identity and the subject of the
+well-definedness check (the value only depends on the tangent vectors:
+shifting a preimage by a centralizer element leaves it unchanged).
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -92,7 +92,7 @@ def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     L = F.L
     adx = L.ad(x)
     preimages = [rows[i] for i in F.N_positions]
-    tangents = [linalg.mat_vec(adx, g) for g in preimages]
+    tangents = [L.bracket(x, g) for g in preimages]
     if linalg.rank(tangents) != L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
     return TangentFrame(ad=adx, preimages=preimages, tangents=tangents, dim=L.n,

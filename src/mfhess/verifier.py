@@ -492,7 +492,7 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig) -> dict:
                                              "pair": [wit[0], wit[1]],
                                              "value": rat_str(wit[2])}}
         for pos in F.I_positions:
-            if any(linalg.mat_vec(frame.ad, frame.gradients[pos])):
+            if any(L.bracket(x, frame.gradients[pos])):
                 return {"ok": False,
                         "witness": {"point": _vec_str(x),
                                     "kind": "invariant with nonzero Hamiltonian vector"}}

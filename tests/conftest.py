@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,10 +267,119 @@ def reference_kernel():
     return reference_sparse_kernel
 
 
+def reference_lie_bracket(L, x, y):
+    """The Fraction bracket: for each pair of nonzero coordinates i != j the
+    table row of (i, j) when i < j, or minus that of (j, i), reading only
+    the keys a < b of L.table."""
+    L.check_vector(x)
+    L.check_vector(y)
+    out = [R0] * L.dim
+    nx = [(i, v) for i, v in enumerate(x) if v]
+    ny = [(j, v) for j, v in enumerate(y) if v]
+    for i, xi in nx:
+        for j, yj in ny:
+            if i == j:
+                continue
+            if i < j:
+                row = L.table.get((i, j))
+                sign = 1
+            else:
+                row = L.table.get((j, i))
+                sign = -1
+            if row:
+                c = xi * yj
+                if sign < 0:
+                    c = -c
+                for k, v in row.items():
+                    out[k] = out[k] + c * v
+    return out
+
+
+def reference_ad(L, x):
+    """Dense Fraction matrix of ad x in one pass over L.table: [e_a, e_b] =
+    row puts x_a row in column b and -x_b row in column a."""
+    L.check_vector(x)
+    m = [[R0] * L.dim for _ in range(L.dim)]
+    for (a, b), row in L.table.items():
+        xa, xb = x[a], x[b]
+        if xa or xb:
+            for k, v in row.items():
+                if xa:
+                    m[k][b] += xa * v
+                if xb:
+                    m[k][a] -= xb * v
+    return m
+
+
+def reference_killing_pair(L, x, y):
+    """(x, y) summed in Fractions over the rows of L.killing_rows."""
+    L.check_vector(x)
+    L.check_vector(y)
+    total = R0
+    for i, xi in enumerate(x):
+        if xi:
+            for j, kij in L.killing_rows[i]:
+                yj = y[j]
+                if yj:
+                    total = total + xi * yj * kij
+    return total
+
+
+def reference_validate_algebra(L):
+    """Antisymmetry, Jacobi and Killing invariance on basis triples by dense
+    Fraction brackets and pairings of basis vectors."""
+    errs = []
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    for i in range(L.dim):
+        if any(reference_lie_bracket(L, basis[i], basis[i])):
+            errs.append(f"[b{i}, b{i}] != 0")
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            xy = reference_lie_bracket(L, basis[i], basis[j])
+            yx = reference_lie_bracket(L, basis[j], basis[i])
+            if any(a + b for a, b in zip(xy, yx)):
+                errs.append(f"antisymmetry fails on ({i},{j})")
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            bij = reference_lie_bracket(L, basis[i], basis[j])
+            for k in range(j + 1, L.dim):
+                term = reference_lie_bracket(L, bij, basis[k])
+                term = linalg.vec_add(term, reference_lie_bracket(
+                    L, reference_lie_bracket(L, basis[j], basis[k]), basis[i]))
+                term = linalg.vec_add(term, reference_lie_bracket(
+                    L, reference_lie_bracket(L, basis[k], basis[i]), basis[j]))
+                if any(term):
+                    errs.append(f"Jacobi fails on ({i},{j},{k})")
+                    if len(errs) > 3:
+                        return errs
+    for i in range(L.dim):
+        for j in range(L.dim):
+            bij = reference_lie_bracket(L, basis[i], basis[j])
+            for k in range(L.dim):
+                lhs = (reference_killing_pair(L, bij, basis[k])
+                       + reference_killing_pair(L, basis[j],
+                                                reference_lie_bracket(L, basis[i], basis[k])))
+                if lhs:
+                    errs.append(f"Killing invariance fails on ({i},{j},{k})")
+                    if len(errs) > 3:
+                        return errs
+    if linalg.rank(L.killing) != L.dim:
+        errs.append("Killing form is degenerate")
+    return errs
+
+
+@pytest.fixture(scope="session")
+def reference_lie():
+    """The Fraction Lie layer: bracket, ad, killing_pair and check 2."""
+    return SimpleNamespace(bracket=reference_lie_bracket, ad=reference_ad,
+                           killing_pair=reference_killing_pair,
+                           validate=reference_validate_algebra)
+
+
 def reference_killing_matrix(L):
     """tr(ad e_i ad e_j) for every pair, by dense dot products of the
     Fraction adjoint matrices."""
-    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    ads = [reference_ad(L, L.basis_vector(i)) for i in range(L.dim)]
     out = [[R0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
         for j in range(i, L.dim):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.argshift import gradient_span
-from mfhess.liealgebra import DimensionMismatch, is_regular, ut_action, validate_algebra
+from mfhess.liealgebra import (DimensionMismatch, is_regular, principal_triple, ut_action,
+                               validate_algebra)
 from mfhess.rational import rat, factorial_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -160,3 +164,76 @@ def test_vandermonde_span_a1_two_points(bundles):
 def test_killing_matrix_equals_dense_trace(algebras, reference_killing, label):
     L = algebras(label)
     assert L.killing == reference_killing(L)
+
+
+def _special_vectors(L):
+    tri = principal_triple(L)
+    return [L.zero()] + [L.basis_vector(i) for i in range(L.dim)] + [tri.e, tri.f, tri.e1]
+
+
+@st.composite
+def _lie_vectors(draw, L, specials):
+    """A basis vector, zero, e, f or e1, or a vector mixing zeros, ints and
+    fractions with denominators up to 10^6."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(specials))
+    entry = st.one_of(st.just(rat(0)), st.integers(-4, 4),
+                      st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    return draw(st.lists(entry, min_size=L.dim, max_size=L.dim))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_integer_lie_layer_matches_fraction_reference(algebras, reference_lie, label):
+    L = algebras(label)
+    specials = _special_vectors(L)
+    exact = type(rat(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_lie_vectors(L, specials), y=_lie_vectors(L, specials))
+    def check(x, y):
+        br = L.bracket(x, y)
+        assert br == reference_lie.bracket(L, x, y)
+        adx = L.ad(x)
+        assert adx == reference_lie.ad(L, x)
+        kp = L.killing_pair(x, y)
+        assert kp == reference_lie.killing_pair(L, x, y)
+        assert all(type(c) is exact for c in br + [c for row in adx for c in row] + [kp])
+
+    check()
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
+def test_validate_algebra_matches_reference(algebras, reference_lie, label):
+    L = algebras(label)
+    assert validate_algebra(L) == reference_lie.validate(L) == []
+
+
+def _planted(L, kind):
+    """L with one entry changed through dataclasses.replace: in the table a
+    positive pair's sign flipped, a Cartan-root entry dropped or [e_a, e_-a]
+    doubled; in the Killing rows a Cartan diagonal entry doubled, or the
+    entry (e_a, e_-a) of e_a's row doubled."""
+    table, rows = dict(L.table), list(L.killing_rows)
+    if kind == "flipped":
+        key = min(k for k in table if k[0] in L.pos_indices and k[1] in L.pos_indices)
+        table[key] = {c: -v for c, v in table[key].items()}
+    elif kind == "dropped":
+        del table[min(k for k in table if k[0] in L.cartan_indices)]
+    elif kind == "doubled":
+        key = (L.pos_indices[0], L.neg_indices[0])
+        table[key] = {c: 2 * v for c, v in table[key].items()}
+    else:
+        i, j = ((L.cartan_indices[0],) * 2 if kind == "killing_diagonal"
+                else (L.pos_indices[0], L.neg_indices[0]))
+        rows[i] = tuple((k, 2 * v if k == j else v) for k, v in rows[i])
+    return replace(L, table=table, killing_rows=tuple(rows))
+
+
+@pytest.mark.parametrize("kind", ["flipped", "dropped", "doubled", "killing_diagonal",
+                                  "killing_root_pair"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_validate_algebra_matches_reference_on_planted_tables(algebras, reference_lie,
+                                                              label, kind):
+    bad = _planted(algebras(label), kind)
+    got = validate_algebra(bad)
+    assert got and got == reference_lie.validate(bad)

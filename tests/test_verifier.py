@@ -293,6 +293,43 @@ def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
     assert out["witness"]["violations"]
 
 
+@pytest.mark.parametrize("key, violation", [((1, 0), "antisymmetry fails on (0,1)"),
+                                             ((2, 2), "[b2, b2] != 0")])
+def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, violation):
+    """The table stores [e_a, e_b] for a < b.  A key (1, 0) or (2, 2) holding
+    the row of (0, 1) is read by bracket and ad alike, and check 2 names it."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    table = dict(sc.L.table)
+    table[key] = dict(table[(0, 1)])
+    L = replace(sc.L, table=table)
+    out = check_algebra_soundness(replace(sc, L=L), cfg)
+    assert out["ok"] is False
+    assert violation in out["witness"]["violations"]
+    x = sample_points(sc, 5, "hess", 1)[0]
+    adx = L.ad(x)
+    for z in [L.basis_vector(i) for i in range(L.dim)] + [x]:
+        assert linalg.mat_vec(adx, z) == L.bracket(x, z)
+
+
+def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context):
+    """One diagonal Cartan entry of the Killing rows doubled through
+    dataclasses.replace: the orbit form is no longer well defined and check 2
+    reports Killing invariance."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    c = sc.L.cartan_indices[0]
+    rows = list(sc.L.killing_rows)
+    rows[c] = tuple((j, 2 * v if j == c else v) for j, v in rows[c])
+    bad = replace(sc, L=replace(sc.L, killing_rows=tuple(rows)))
+    h = sc.L.basis_vector(c)
+    assert bad.L.killing_pair(h, h) == 2 * sc.L.killing_pair(h, h)
+    out = check_omega_well_defined(bad, cfg)
+    assert out["ok"] is False and "point" in out["witness"]
+    violations = check_algebra_soundness(bad, cfg)["witness"]["violations"]
+    assert violations and all(v.startswith("Killing invariance fails on") for v in violations)
+
+
 def test_gradient_rank_fails_on_planted_linear_term(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
