@@ -18,7 +18,9 @@ gradient span b.
 
 A family compiles its members once (polyring.CompiledPolys) when it is
 built; gradients and values at points are read from that integer form, and
-no partial derivatives are cached.
+no partial derivatives are cached.  gradient_rows returns the gradient
+matrix as integer numerators over one denominator, which the rank tests and
+the tangent frames read as they are.
 """
 
 from __future__ import annotations
@@ -140,8 +142,10 @@ class ShiftFamily:
     def degrees(self) -> tuple:
         return tuple(e.m for e in self.entries)
 
-    def gradient_rows(self, x) -> list:
-        return self.compiled.gradients(self.ctx, x)
+    def gradient_rows(self, x) -> tuple:
+        """The b gradients at x as integer rows over one positive
+        denominator: (rows, den)."""
+        return self.compiled.int_gradients(self.ctx, x)
 
     def graded_dims(self) -> dict:
         """Exact dimension of the degree-m slice of the family's span."""
@@ -214,7 +218,7 @@ def phi(F: ShiftFamily, x) -> list:
 
 def is_strongly_regular(F: ShiftFamily, x) -> bool:
     """True when the b gradients at x are linearly independent."""
-    return linalg.rank(F.gradient_rows(x)) == F.b
+    return linalg.rank(F.gradient_rows(x)[0]) == F.b
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:
@@ -348,6 +352,6 @@ def mv_membership(ctx: GradientContext, triple: PrincipalTriple, inv: InvariantF
                                rng.randint(1, 3)) for _ in range(L.dim)])
     compiled = CompiledPolys(members)
     for x in candidates:
-        if linalg.rank(compiled.gradients(ctx, x)) == b:
+        if linalg.rank(compiled.int_gradients(ctx, x)[0]) == b:
             return True, x
     return False, None

@@ -29,7 +29,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import R0, R1, rat, to_rat
+from .rational import R0, R1, over, rat, to_rat
 from .rootdata import RootSystem
 
 
@@ -123,7 +123,8 @@ def build_chart(F: ShiftFamily) -> HessChart:
     """
     L = F.L
     triple = F.triple
-    zvecs = F.gradient_rows(triple.e1)
+    rows, den = F.gradient_rows(triple.e1)
+    zvecs = [over(row, den) for row in rows]
     for e, z in zip(F.entries, zvecs):
         if not L.supported_in(z, L.layer_indices(e.m - 1)):
             raise NotTriangular(

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
 from .polyring import CompiledPolys, GradientContext, Poly, _mul_packed, coefficient_rows
-from .rational import R0, R1, denominator_lcm, rat, scaled
+from .rational import R1, denominator_lcm, rat, scaled
 from .rootdata import RootSystem, UnsupportedType
 
 
@@ -386,44 +386,42 @@ def _is_type_a(rs: RootSystem) -> bool:
     return rs.cartan.entries == _type_a_rows(rs.rank)
 
 
-def _mat_zero(n):
-    return [[R0] * n for _ in range(n)]
-
-
-def _mat_bracket(a, b):
-    n = len(a)
-    ab = [[sum((a[i][k] * b[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
-    ba = [[sum((b[i][k] * a[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+def _sparse_bracket(a: dict, b: dict) -> dict:
+    """ab - ba for matrices held as dicts (i, j) -> nonzero entry."""
+    out: dict = {}
+    for (i, k), u in a.items():
+        for (k2, j), v in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + u * v
+    for (i, k), u in b.items():
+        for (k2, j), v in a.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) - u * v
+    return {key: v for key, v in out.items() if v}
 
 
 def matrix_images_type_A(L: LieAlgebra) -> list:
-    """Trace-zero matrix image of every basis vector.
+    """Trace-zero matrix image of every basis vector, as a sparse dict
+    (i, j) -> entry: one entry for a root vector, two for a Cartan element.
 
     Simple generators go to the elementary matrices; the image of every other
-    root vector is forced by the brackets already stored in the table.
+    root vector is forced by the brackets already stored in the table.  The
+    homomorphism check covers every basis pair: scale * [M_a, M_b] equals
+    the sum of the integer table's entries times the images.
     """
     rs = L.rs
     if not _is_type_a(rs):
         raise UnsupportedType("matrix realization provided for type A only")
     ell = rs.rank
-    size = ell + 1
     images: list = [None] * L.dim
     pos_of = {r: i for i, r in enumerate(rs.positive_roots)}
     for i, r in enumerate(rs.positive_roots):
         if sum(r) == 1:
             k = r.index(1)
-            ep = _mat_zero(size)
-            ep[k][k + 1] = R1
-            em = _mat_zero(size)
-            em[k + 1][k] = R1
-            images[L.pos_indices[i]] = ep
-            images[L.neg_indices[i]] = em
+            images[L.pos_indices[i]] = {(k, k + 1): R1}
+            images[L.neg_indices[i]] = {(k + 1, k): R1}
     for k in range(ell):
-        h = _mat_zero(size)
-        h[k][k] = R1
-        h[k + 1][k + 1] = -R1
-        images[L.cartan_indices[k]] = h
+        images[L.cartan_indices[k]] = {(k, k): R1, (k + 1, k + 1): -R1}
     for i, r in enumerate(sorted(rs.positive_roots, key=lambda c: (sum(c), c))):
         if sum(r) == 1:
             continue
@@ -431,66 +429,70 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
         si = next(k for k, c in enumerate(r) if c and
                   tuple(c2 - (1 if k2 == k else 0) for k2, c2 in enumerate(r)) in pos_of)
         rest = tuple(c2 - (1 if k2 == si else 0) for k2, c2 in enumerate(r))
-        a_idx = L.pos_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]]
-        b_idx = L.pos_indices[pos_of[rest]]
-        coeff = L.bracket(L.basis_vector(a_idx), L.basis_vector(b_idx))[L.pos_indices[ridx]]
-        images[L.pos_indices[ridx]] = [
-            [v / coeff for v in row] for row in _mat_bracket(images[a_idx], images[b_idx])]
-        na, nb = L.neg_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]], \
-            L.neg_indices[pos_of[rest]]
-        ncoeff = L.bracket(L.basis_vector(na), L.basis_vector(nb))[L.neg_indices[ridx]]
-        images[L.neg_indices[ridx]] = [
-            [v / ncoeff for v in row] for row in _mat_bracket(images[na], images[nb])]
+        simple = pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]
+        for block in (L.pos_indices, L.neg_indices):
+            a_idx, b_idx = block[simple], block[pos_of[rest]]
+            coeff = L.bracket(L.basis_vector(a_idx), L.basis_vector(b_idx))[block[ridx]]
+            images[block[ridx]] = {key: v / coeff for key, v in
+                                   _sparse_bracket(images[a_idx], images[b_idx]).items()}
     # homomorphism check over all basis pairs
+    scale, cols = L.int_table
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            br = L.bracket(L.basis_vector(i), L.basis_vector(j))
-            want = _mat_zero(size)
-            for c, v in enumerate(br):
-                if v:
-                    want = [[w + v * m for w, m in zip(wr, mr)]
-                            for wr, mr in zip(want, images[c])]
-            got = _mat_bracket(images[i], images[j])
-            if got != want:
+            want: dict = {}
+            for c, v in cols[i].get(j, ()):
+                for key, m in images[c].items():
+                    want[key] = want.get(key, 0) + v * m
+            got = {key: scale * v for key, v in _sparse_bracket(images[i], images[j]).items()}
+            if got != {key: v for key, v in want.items() if v}:
                 raise UnsupportedType("matrix realization failed the bracket check")
     return images
 
 
 def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
-    """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra."""
+    """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra.
+
+    The matrix x = sum_c x_c M_c is held sparse, each entry a linear form
+    with packed exponents and integer coefficients over the LCM of the image
+    entries (the width rule of poisson_bracket).  Its powers are sparse
+    products of those forms, and each trace becomes one Poly at the end.
+    """
     images = matrix_images_type_A(L)
     rank = L.rank
-    size = rank + 1
-    entries = [[Poly.zero(L.dim) for _ in range(size)] for _ in range(size)]
-    for c in range(L.dim):
-        img = images[c]
-        xc = Poly.coordinate(L.dim, c)
-        for i in range(size):
-            for j in range(size):
-                if img[i][j]:
-                    entries[i][j] = entries[i][j] + xc.scale(img[i][j])
+    top = rank + 1
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * c for c in range(L.dim)]
+    scale = denominator_lcm(v for img in images for v in img.values())
+    entries: dict = {}    # (i, j) -> packed exponent -> int
+    for c, img in enumerate(images):
+        for key, v in img.items():
+            entries.setdefault(key, {})[1 << shifts[c]] = scaled(v, scale)
     polys = []
     power = entries
-    for k in range(2, rank + 2):
-        power = _poly_mat_mul(power, entries)
-        tr = Poly.zero(L.dim)
-        for i in range(size):
-            tr = tr + power[i][i]
-        polys.append(tr)
-    return InvariantFamily(polys=polys, degrees=tuple(range(2, rank + 2)),
+    for k in range(2, top + 1):
+        power = _form_mat_mul(power, entries)
+        tr: dict = {}
+        for i in range(top):
+            for e, c in power.get((i, i), {}).items():
+                tr[e] = tr.get(e, 0) + c
+        polys.append(Poly(L.dim, {tuple((e >> s) & mask for s in shifts): rat(c, scale ** k)
+                                  for e, c in tr.items() if c}))
+    return InvariantFamily(polys=polys, degrees=tuple(range(2, top + 1)),
                            provenance="trace-oracle")
 
 
-def _poly_mat_mul(a, b):
-    n = len(a)
-    out = [[Poly.zero(a[0][0].n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Poly.zero(a[0][0].n)
-            for k in range(n):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+def _form_mat_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices of packed polynomials, (i, j) -> form."""
+    rows: dict = {}
+    for (k, j), g in b.items():
+        rows.setdefault(k, []).append((j, g))
+    out: dict = {}
+    for (i, k), f in a.items():
+        for j, g in rows.get(k, ()):
+            acc = out.setdefault((i, j), {})
+            for e, c in _mul_packed(f, g).items():
+                acc[e] = acc.get(e, 0) + c
     return out
 
 

@@ -15,22 +15,25 @@ which cross-validates the structure constants.
 
 The Lie layer runs on integers.  The algebra holds its structure table and
 its Killing rows scaled by the LCM of their denominators (built in
-__post_init__, so dataclasses.replace rebuilds them).  bracket, ad and
-killing_pair clear each argument's nonzero coordinates to integer numerators
-over one common denominator (no LCM when they are all integers), accumulate
-in ints and build one rational per nonzero output entry.  bracket and ad read
-the same integer table, so ad x . z = [x, z] for every table, and check 2
+__post_init__ from table and killing, so dataclasses.replace rebuilds them).
+Each of bracket, ad and killing_pair has one integer core (int_bracket,
+int_ad, int_killing_pair) that takes cleared vectors, integer numerators
+over one positive denominator (rational.clear), accumulates in ints and
+returns integer numerators and one positive denominator; the rational
+method divides that back (rational.over).  Pointwise checks call the cores
+on cleared points and never form the rationals.  bracket and ad read the
+same integer table, so ad x . z = [x, z] for every table, and check 2
 (validate_algebra) reads that table and the integer Killing rows directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 
 from . import linalg
-from .rational import R0, R1, denominator_lcm, factorial_rat, rat, rat_str, scaled, to_rat
+from .rational import (R0, R1, clear, denominator_lcm, factorial_rat, over, rat, rat_str,
+                       scaled, to_rat)
 from .rootdata import RootSystem
 
 
@@ -64,20 +67,20 @@ class LieAlgebra:
     # build stores a < b only, and [e_b, e_a] is then -[e_a, e_b]
     table: dict = field(repr=False)
     killing: list = field(repr=False)
-    # killing_rows[i]: the nonzero entries (j, killing[i][j]) of row i
-    killing_rows: tuple = field(default=(), repr=False)
     # per-basis-index data
     layers: tuple = ()          # ad-w eigenvalue / 2 for each basis vector
     weights: tuple = ()         # root-lattice weight of each basis vector
     labels: tuple = ()
-    # integer images of table and killing_rows, rebuilt by __post_init__ and
-    # so by dataclasses.replace.  int_table = (scale, cols): cols[a][b] lists
-    # the pairs (c, scale times the coefficient of e_c in [e_a, e_b]), every
-    # stored key as stored and its reverse by antisymmetry unless that is
-    # stored too.  int_killing = (scale, rows): rows[i] lists the pairs
+    # Read from table and killing by __post_init__, and so rebuilt by
+    # dataclasses.replace.  killing_rows[i] holds the nonzero entries
+    # (j, killing[i][j]) of row i.  int_table = (scale, cols): cols[a][b]
+    # lists the pairs (c, scale times the coefficient of e_c in [e_a, e_b]),
+    # every stored key as stored and its reverse by antisymmetry unless that
+    # is stored too.  int_killing = (scale, rows): rows[i] lists the pairs
     # (j, scale * killing[i][j]) of killing_rows[i].  Rows are tuples, not
     # dicts, and equal rows share one tuple: the integer table then takes
     # about half the memory of the rational one.
+    killing_rows: tuple = field(init=False, repr=False)
     int_table: tuple = field(init=False, repr=False)
     int_killing: tuple = field(init=False, repr=False)
 
@@ -93,6 +96,8 @@ class LieAlgebra:
                 ints = tuple((k, -v) for k, v in cols[a][b])
                 cols[b][a] = shared.setdefault(ints, ints)
         self.int_table = (scale, cols)
+        self.killing_rows = tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                                  for row in self.killing)
         scale = denominator_lcm(c for row in self.killing_rows for _, c in row)
         self.int_killing = (scale, [tuple((j, scaled(c, scale)) for j, c in row)
                                     for row in self.killing_rows])
@@ -101,24 +106,63 @@ class LieAlgebra:
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
 
-    def bracket(self, x, y) -> list:
-        """Exact bracket of two coordinate vectors, accumulated on the
-        integer table with each argument cleared once."""
-        self.check_vector(x)
-        self.check_vector(y)
-        nx, dx = _cleared(x)
-        ny, dy = _cleared(y)
+    # -- integer cores: cleared vectors (numerators, den) in, integer
+    # numerators and one positive denominator out; the rational methods
+    # divide them back
+
+    def int_bracket(self, x, y) -> tuple:
+        """[x, y] of cleared vectors x = (numerators, dx) and y = (..., dy),
+        accumulated on the integer table, over dx * dy * (table scale)."""
+        (nx, dx), (ny, dy) = x, y
+        self.check_vector(nx)
+        self.check_vector(ny)
         scale, cols = self.int_table
+        nzy = [(j, v) for j, v in enumerate(ny) if v]
         acc = [0] * self.dim
-        for i, xi in nx:
-            ci = cols[i]
-            for j, yj in ny:
-                row = ci.get(j)
-                if row:
-                    c = xi * yj
+        for i, xi in enumerate(nx):
+            if xi:
+                ci = cols[i]
+                for j, yj in nzy:
+                    row = ci.get(j)
+                    if row:
+                        c = xi * yj
+                        for k, v in row:
+                            acc[k] += c * v
+        return acc, dx * dy * scale
+
+    def int_ad(self, x) -> tuple:
+        """The matrix of ad x for a cleared vector x = (numerators, dx),
+        column j being [x, e_j], in one pass over the integer table: integer
+        rows over dx * (table scale)."""
+        nx, dx = x
+        self.check_vector(nx)
+        scale, cols = self.int_table
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(nx):
+            if xi:
+                for j, row in cols[i].items():
                     for k, v in row:
-                        acc[k] += c * v
-        return _over(acc, dx * dy * scale)
+                        acc[k][j] += xi * v
+        return acc, dx * scale
+
+    def int_killing_pair(self, x, y) -> tuple:
+        """(x, y) of cleared vectors x = (numerators, dx) and y = (..., dy) on
+        the integer Killing rows, over dx * dy * (Killing scale)."""
+        (nx, dx), (ny, dy) = x, y
+        self.check_vector(nx)
+        self.check_vector(ny)
+        scale, rows = self.int_killing
+        total = 0
+        for i, xi in enumerate(nx):
+            if xi:
+                for j, k in rows[i]:
+                    if ny[j]:
+                        total += xi * k * ny[j]
+        return total, dx * dy * scale
+
+    def bracket(self, x, y) -> list:
+        """Exact bracket of two coordinate vectors."""
+        return over(*self.int_bracket(clear(x), clear(y)))
 
     def basis_vector(self, i: int) -> list:
         v = [R0] * self.dim
@@ -126,34 +170,16 @@ class LieAlgebra:
         return v
 
     def ad(self, x) -> list:
-        """Dense matrix of ad x, whose column j is [x, e_j], in one pass over
-        the integer table."""
-        self.check_vector(x)
-        nx, dx = _cleared(x)
-        scale, cols = self.int_table
-        acc = [[0] * self.dim for _ in range(self.dim)]
-        for i, xi in nx:
-            for j, row in cols[i].items():
-                for k, v in row:
-                    acc[k][j] += xi * v
-        return [_over(row, dx * scale) for row in acc]
+        """Dense matrix of ad x, whose column j is [x, e_j]."""
+        rows, den = self.int_ad(clear(x))
+        return [over(row, den) for row in rows]
 
     def killing_pair(self, x, y):
-        """(x, y) on the integer Killing rows.  Only the coordinates that meet
-        a nonzero Killing entry are cleared, x_i and y_j for each (i, j)."""
-        self.check_vector(x)
-        self.check_vector(y)
-        scale, rows = self.int_killing
-        terms = [(xi, kij, y[j]) for i, xi in enumerate(x) if xi
-                 for j, kij in rows[i] if y[j]]
-        dx = math.lcm(*(a.denominator for a, _, _ in terms))
-        dy = math.lcm(*(b.denominator for _, _, b in terms))
-        total = sum(a.numerator * (dx // a.denominator) * k * b.numerator * (dy // b.denominator)
-                    for a, k, b in terms)
-        return rat(total, dx * dy * scale)
+        """Exact Killing pairing of two coordinate vectors."""
+        return rat(*self.int_killing_pair(clear(x), clear(y)))
 
     def centralizer_dim(self, x) -> int:
-        return self.dim - linalg.rank(self.ad(x))
+        return self.dim - linalg.rank(self.int_ad(clear(x))[0])
 
     def zero(self) -> list:
         return [R0] * self.dim
@@ -176,27 +202,6 @@ class LieAlgebra:
     @property
     def n_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay > 0)
-
-
-def _cleared(x) -> tuple:
-    """The nonzero coordinates of x as (index, integer numerator) pairs over
-    one common denominator, and that denominator.  Coordinates that are all
-    integers (basis vectors, e, f) are taken as they are, with no LCM."""
-    nz = [(i, v) for i, v in enumerate(x) if v]
-    den = 1
-    for _, v in nz:
-        if v.denominator != 1:
-            den = math.lcm(den, v.denominator)
-    if den == 1:
-        return [(i, v.numerator) for i, v in nz], 1
-    return [(i, v.numerator * (den // v.denominator)) for i, v in nz], den
-
-
-def _over(ints: list, den: int) -> list:
-    """The rationals v / den for a list of ints; den == 1 needs no gcd."""
-    if den == 1:
-        return [rat(v) if v else R0 for v in ints]
-    return [rat(v, den) if v else R0 for v in ints]
 
 
 def _roots_with_negatives(rs: RootSystem):
@@ -392,9 +397,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         table=table, killing=[],
         layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
-    killing = _killing_matrix(L)
-    return replace(L, killing=killing, killing_rows=tuple(
-        tuple((j, c) for j, c in enumerate(row) if c) for row in killing))
+    return replace(L, killing=_killing_matrix(L))
 
 
 def _killing_matrix(L: LieAlgebra) -> list:

@@ -8,12 +8,13 @@ column index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
 
-rank and sparse_kernel work on integers: each row is scaled by the LCM of
-its denominators and eliminated without fractions (integer row operations,
-each result divided by its content).  sparse_kernel forms one rational per
-kernel entry at the end and returns the canonical basis that rational
-elimination returns.  The dense routines that return a
-basis (rref, kernel, span_basis, independent_subset, solve, inverse) stay
+rank, det and sparse_kernel work on integers: each row is scaled by the LCM
+of its denominators (rank and det take a row of ints as it is) and
+eliminated without fractions (integer row operations, each result divided by
+its content; det by Bareiss's exact divisions).  sparse_kernel forms one
+rational per kernel entry at the end and returns the canonical basis that
+rational elimination returns.  The dense routines that return a basis
+(rref, kernel, span_basis, independent_subset, solve, inverse) stay
 rational, because the basis they return is the canonical reduced one.
 """
 
@@ -101,21 +102,27 @@ def rref(mat: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def _integer_row(row) -> list:
-    """The row times the LCM of its denominators."""
+def _integer_row(row) -> tuple:
+    """(ints, den): the row times den, the LCM of its denominators; a row of
+    ints as it is, with den 1."""
+    if all(type(c) is int for c in row):
+        return row, 1
     den = math.lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row]
+    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 def rank(mat: list) -> int:
-    """Exact rank by fraction-free elimination on the integer-scaled rows.
+    """Exact rank by fraction-free elimination.
 
-    Each step takes the last remaining row as pivot row, at its first nonzero
-    column c, and replaces every other row r with a nonzero at c by
-    (p/g) r - (r_c/g) pivot, g = gcd(p, r_c), divided by its content.  These
-    operations keep the row space over Q, so the number of steps is the rank.
+    Rows of ints (the numerators the integer cores return) are taken as they
+    are; a rational row is scaled by the LCM of its denominators.  A positive
+    scale of a row leaves the rank unchanged.  Each step takes the last
+    remaining row as pivot row, at its first nonzero column c, and replaces
+    every other row r with a nonzero at c by (p/g) r - (r_c/g) pivot,
+    g = gcd(p, r_c), divided by its content.  These operations keep the row
+    space over Q, so the number of steps is the rank.
     """
-    rows = [row for row in map(_integer_row, mat) if any(row)]
+    rows = [row for row, _ in map(_integer_row, mat) if any(row)]
     out = 0
     while rows:
         piv = rows.pop()
@@ -168,29 +175,37 @@ def inverse(mat: list) -> list:
 
 
 def det(mat: list):
+    """Exact determinant by fraction-free elimination (Bareiss 1968) on the
+    integer-scaled rows, divided back by the product of the row scales.
+
+    Step k replaces each entry below and right of the pivot by
+    (p a_ij - a_ik a_kj) / p_prev, an exact integer division; the last
+    pivot is the determinant of the integer matrix.  A row swap flips the
+    sign.
+    """
     n = len(mat)
-    rows = [list(r) for r in mat]
-    sign = R1
-    out = R1
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            return R0
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
+    if not n:
+        return R1
+    rows, scale = [], 1
+    for row in mat:
+        ints, den = _integer_row(row)
+        rows.append(list(ints))
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            sel = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if sel is None:
+                return R0
+            rows[k], rows[sel] = rows[sel], rows[k]
             sign = -sign
-        piv = rows[c][c]
-        out = out * piv
-        inv = R1 / piv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out * sign
+        p = rows[k][k]
+        for i in range(k + 1, n):
+            a = rows[i][k]
+            rows[i] = [0] * (k + 1) + [(p * rows[i][j] - a * rows[k][j]) // prev
+                                       for j in range(k + 1, n)]
+        prev = p
+    return rat(sign * rows[n - 1][n - 1], scale)
 
 
 def solve(mat: list, rhs: list) -> list:
@@ -274,7 +289,7 @@ def sparse_kernel(rows: list, ncols: int) -> list:
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
     """
-    work = [{j: c for j, c in zip(r, _integer_row(r.values())) if c} for r in rows]
+    work = [{j: c for j, c in zip(r, _integer_row(r.values())[0]) if c} for r in rows]
     order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
     pivots: dict[int, dict] = {}
     holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there

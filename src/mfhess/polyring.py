@@ -13,9 +13,12 @@ functions themselves.
 
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation clears the point's
-denominators, accumulates in ints and builds one rational per entry.  No
-partial derivatives are stored, and gradients are never formed as
-polynomials.
+denominators and accumulates in ints.  Its integer core, int_gradients,
+returns the gradient matrix as integer numerators over one positive
+denominator, which pointwise checks read as it is (a rank or a vanishing
+test does not change under a positive scale); gradients divides it back to
+rationals.  No partial derivatives are stored, and gradients are never
+formed as polynomials.
 
 Restriction to an affine subspace s -> base + sum_g s_g directions[g] (Hess,
 in the chart's dual frame or in the Chevalley frame) is also taken on integers:
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .rational import R0, R1, denominator_lcm, rat, rat_str, scaled, to_rat
+from .rational import R0, R1, clear, denominator_lcm, over, rat, rat_str, scaled, to_rat
 
 
 class Poly:
@@ -283,71 +286,67 @@ def _power_table(base: int, top: int) -> list:
 class CompiledPolys:
     """Integer form of a list of polynomials, compiled once for evaluation.
 
-    Each polynomial p is kept as (scale, deg, terms): scale is the LCM of its
-    coefficient denominators, deg its total degree, and each term is
-    (c, lift, support) with c = scale * coefficient (an int), lift =
-    deg - |e| and support the pairs (k, e_k) with e_k > 0.  At a point x with
-    common denominator D and integer numerators N = D x, every term of p
-    over the common denominator D^deg is c N^e D^lift; the lift keeps
-    non-homogeneous polynomials exact.  Values and partials are accumulated
-    in ints and each entry becomes one rational at the end.
+    scale is the LCM of the coefficient denominators of all the polynomials
+    and top their largest total degree.  Each polynomial is kept as its terms
+    (c, lift, support): c = scale * coefficient (an int), lift = top - |e|
+    and support the pairs (k, e_k) with e_k > 0.  At a point x with common
+    denominator D and integer numerators N = D x, every term of every
+    polynomial over the one denominator scale * D^top is c N^e D^lift; the
+    lift keeps non-homogeneous polynomials exact.  Values and partials are
+    accumulated in ints; int_gradients returns them as integer numerators
+    over one denominator and the rational methods divide at the end.
     """
 
-    __slots__ = ("n", "polys", "top")
+    __slots__ = ("n", "polys", "scale", "top")
 
     def __init__(self, polys):
         polys = list(polys)
         self.n = polys[0].n if polys else 0
-        self.polys = []
         for p in polys:
             if p.n != self.n:
                 raise ValueError(f"variable count mismatch: {p.n} != {self.n}")
-            scale = denominator_lcm(p.terms.values())
-            deg = p.degree()
-            terms = tuple(
-                (scaled(c, scale), deg - sum(e),
-                 tuple((k, ek) for k, ek in enumerate(e) if ek))
-                for e, c in p.terms.items())
-            self.polys.append((scale, deg, terms))
-        self.top = max([0] + [deg for _, deg, _ in self.polys])
+        self.scale = scale = denominator_lcm(c for p in polys for c in p.terms.values())
+        self.top = top = max([0] + [p.degree() for p in polys])
+        self.polys = [tuple((scaled(c, scale), top - sum(e),
+                             tuple((k, ek) for k, ek in enumerate(e) if ek))
+                            for e, c in p.terms.items())
+                      for p in polys]
 
     def _clear(self, x) -> tuple:
         """Power tables of the numerators N = D x and of D, the common
         denominator of the point x, up to the top degree."""
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        x = [to_rat(c) for c in x]
-        den = denominator_lcm(x)
-        return ([_power_table(scaled(c, den), self.top) for c in x],
+        nums, den = clear([to_rat(c) for c in x])
+        return ([_power_table(c, self.top) for c in nums],
                 _power_table(den, self.top))
 
     def values(self, x) -> list:
         """p(x) for each compiled p."""
         pw, dp = self._clear(x)
+        whole = self.scale * dp[self.top]
         out = []
-        for scale, deg, terms in self.polys:
+        for terms in self.polys:
             acc = 0
             for c, lift, support in terms:
                 t = c * dp[lift] if lift else c
                 for k, ek in support:
                     t *= pw[k][ek]
                 acc += t
-            out.append(rat(acc, scale * dp[deg]) if acc else R0)
+            out.append(rat(acc, whole) if acc else R0)
         return out
 
-    def gradients(self, ctx: "GradientContext", x) -> list:
-        """dp(x) for each compiled p: the inverse Gram matrix applied to the
-        coordinate partials, all on integers until the last division."""
+    def int_gradients(self, ctx: "GradientContext", x) -> tuple:
+        """dp(x) for each compiled p, the inverse Gram matrix applied to the
+        coordinate partials, on integers: (rows, den), row p holding the
+        numerators of dp(x) over the one positive denominator den."""
         pw, dp = self._clear(x)
         # dpw[k][e] = e * N_k^(e - 1), the derivative of N_k^e
         dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
         ginv_scale, ginv_rows = ctx.gram_inv_int
         n = self.n
         out = []
-        for scale, deg, terms in self.polys:
-            if deg < 1:
-                out.append([R0] * n)
-                continue
+        for terms in self.polys:
             part = [0] * n
             for c, lift, support in terms:
                 base = c * dp[lift] if lift else c
@@ -364,16 +363,20 @@ class CompiledPolys:
                     k, ek = support[i]
                     part[k] += pre[i] * suf * dpw[k][ek]
                     suf *= pw[k][ek]
-            den = ginv_scale * scale * dp[deg - 1]
             row = []
             for grow in ginv_rows:
                 num = 0
                 for k, g in grow:
                     if part[k]:
                         num += g * part[k]
-                row.append(rat(num, den) if num else R0)
+                row.append(num)
             out.append(row)
-        return out
+        return out, ginv_scale * self.scale * dp[max(self.top - 1, 0)]
+
+    def gradients(self, ctx: "GradientContext", x) -> list:
+        """dp(x) for each compiled p."""
+        rows, den = self.int_gradients(ctx, x)
+        return [over(row, den) for row in rows]
 
 
 def gradient(ctx: GradientContext, p: Poly, x) -> list:

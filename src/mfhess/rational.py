@@ -69,6 +69,28 @@ def scaled(c, scale: int) -> int:
     return int(c.numerator) * (scale // int(c.denominator))
 
 
+def clear(vec) -> tuple:
+    """A vector of rationals or ints as (numerators, den): den the LCM of its
+    denominators (1 when every entry is an integer, with no LCM taken) and
+    numerators the ints den * vec."""
+    den = 1
+    for c in vec:
+        if c:
+            d = c.denominator
+            if d != 1:
+                den = math.lcm(den, d)
+    if den == 1:
+        return [c.numerator for c in vec], 1
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def over(nums, den: int) -> list:
+    """The rationals nums[i] / den; den == 1 needs no gcd."""
+    if den == 1:
+        return [rat(v) if v else R0 for v in nums]
+    return [rat(v, den) if v else R0 for v in nums]
+
+
 def factorial_rat(k: int):
     out = R1
     for i in range(2, k + 1):

@@ -4,14 +4,22 @@ Every tangent vector to an adjoint orbit at x is [x, z] for some bracket
 preimage z, and the orbit form evaluates on preimages:
 omega_x([x, z1], [x, z2]) = (x, [z2, z1]).  By the invariance of the trace
 form that value is also ([x, z2], z1), one Killing pairing of a preimage
-with a tangent.  So each visited point builds ad x once (LieAlgebra.ad): the
-slice tangents are the n_- columns of ad x and the orbit dimension is
-rank(ad x).  The tangent of a preimage z is [x, z] = ad x . z, one
-LieAlgebra.bracket on the same integer table, and omega_x(z1, z2) =
-([x, z2], z1), so no two preimages are ever bracketed.  The definitional
+with a tangent, so no two preimages are ever bracketed.  The definitional
 omega below is the reference for that identity and the subject of the
 well-definedness check (the value only depends on the tangent vectors:
 shifting a preimage by a centralizer element leaves it unchanged).
+
+Every verdict here is a rank or a vanishing test, and neither changes when
+a vector is scaled by a positive integer.  So a visited point is cleared
+once to integer numerators over one denominator (rational.clear) and stays
+on integers from its gradients to its verdict.  A TangentFrame holds integer
+preimages and integer tangents, each list over one positive denominator.
+The Hamiltonian tangents are LieAlgebra.int_bracket(x, z) and the pairings
+LieAlgebra.int_killing_pair.  ad x (LieAlgebra.int_ad) is built only where
+its columns are read, once per point: the slice tangents are its n_-
+columns and the orbit dimension is its rank.  A value that enters a report
+(an isotropy witness, the pairing determinant) is divided back to the exact
+rational.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -32,7 +40,7 @@ from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
                          slice_sample)
-from .rational import R0, to_rat
+from .rational import R0, clear, rat, to_rat
 
 
 class NotStronglyRegular(Exception):
@@ -41,79 +49,94 @@ class NotStronglyRegular(Exception):
 
 def omega(L: LieAlgebra, x, z1, z2):
     """Orbit form on tangents [x, z1], [x, z2], by its definition (x, [z2, z1])."""
-    return L.killing_pair(x, L.bracket(z2, z1))
+    return rat(*L.int_killing_pair(clear(x), L.int_bracket(clear(z2), clear(z1))))
 
 
 @dataclass
 class TangentFrame:
-    ad: list           # ad x, the one adjoint matrix built for this visit
-    preimages: list
-    tangents: list     # [x, z] = ad x . z for each preimage z
+    preimages: list    # integer numerators of the preimages z, over pden
+    pden: int
+    tangents: list     # integer numerators of [x, z] for each preimage z, over tden
+    tden: int
     dim: int
-    gradients: list | None = None   # zx_frame: all b family gradients at point
+    gradients: list | None = None   # zx_frame: all b family gradients at x, over pden
+    point: tuple | None = None      # zx_frame: x, cleared
 
 
 def _columns(adx, indices) -> list:
     return [[row[j] for row in adx] for j in indices]
 
 
+def _units(L: LieAlgebra, indices) -> list:
+    out = []
+    for i in indices:
+        v = [0] * L.dim
+        v[i] = 1
+        out.append(v)
+    return out
+
+
 def orbit_frame(L: LieAlgebra, adx) -> TangentFrame:
     """Spanning frame of the orbit tangent space at x: the independent
-    columns of ad x, with basis preimages.
+    columns of ad x = (integer rows, den), with basis preimages.
 
     Its dimension always equals rank(ad x), dim g minus the centralizer
     dimension.
     """
-    images = _columns(adx, range(L.dim))
+    rows, den = adx
+    images = _columns(rows, range(L.dim))
     kept = linalg.independent_subset(images)
-    return TangentFrame(ad=adx, preimages=[L.basis_vector(i) for i in kept],
-                        tangents=[images[i] for i in kept], dim=len(kept))
+    return TangentFrame(preimages=_units(L, kept), pden=1,
+                        tangents=[images[i] for i in kept], tden=den, dim=len(kept))
 
 
 def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
     """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
-    columns of ad x.  The dimension is their rank."""
-    tangents = _columns(adx, L.nminus_indices)
-    return TangentFrame(ad=adx, preimages=[L.basis_vector(i) for i in L.nminus_indices],
-                        tangents=tangents, dim=linalg.rank(tangents))
+    columns of ad x = (integer rows, den).  The dimension is their rank."""
+    rows, den = adx
+    tangents = _columns(rows, L.nminus_indices)
+    return TangentFrame(preimages=_units(L, L.nminus_indices), pden=1,
+                        tangents=tangents, tden=den, dim=linalg.rank(tangents))
 
 
 def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     """Hamiltonian tangent frame of the non-invariant generators at x.
 
-    Requires strong regularity; the n tangents are verified independent.
-    The frame carries all b gradients and ad x, the only ones built for this
-    visit.
+    Requires strong regularity; the n tangents [x, g] are verified
+    independent.  The frame carries all b gradients, the only ones built for
+    this visit, and the cleared point; it builds no ad x.
     """
     x = [to_rat(c) for c in x]
-    rows = F.gradient_rows(x)
+    rows, den = F.gradient_rows(x)
     if linalg.rank(rows) != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
     L = F.L
-    adx = L.ad(x)
+    xc = clear(x)
     preimages = [rows[i] for i in F.N_positions]
-    tangents = [L.bracket(x, g) for g in preimages]
+    brackets = [L.int_bracket(xc, (g, den)) for g in preimages]
+    tangents = [t for t, _ in brackets]
     if linalg.rank(tangents) != L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
-    return TangentFrame(ad=adx, preimages=preimages, tangents=tangents, dim=L.n,
-                        gradients=rows)
+    return TangentFrame(preimages=preimages, pden=den, tangents=tangents,
+                        tden=brackets[0][1], dim=L.n, gradients=rows, point=xc)
 
 
 def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
-    """First pair i < j with omega_x(z_i, z_j) = (z_i, [x, z_j]) nonzero, or
-    None if the frame is isotropic."""
+    """First pair i < j with omega_x(z_i, z_j) = (z_i, [x, z_j]) nonzero, as
+    (i, j, exact value), or None if the frame is isotropic."""
     z, t = frame.preimages, frame.tangents
     for i in range(len(z)):
+        zi = (z[i], frame.pden)
         for j in range(i + 1, len(z)):
-            val = L.killing_pair(z[i], t[j])
-            if val:
-                return (i, j, val)
+            num, den = L.int_killing_pair(zi, (t[j], frame.tden))
+            if num:
+                return (i, j, rat(num, den))
     return None
 
 
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
     """At v: the lower-nilradical tangents have dimension n and are isotropic."""
-    sl = slice_frame(L, L.ad([to_rat(c) for c in v]))
+    sl = slice_frame(L, L.int_ad(clear([to_rat(c) for c in v])))
     return sl.dim == L.n and isotropy_witness(L, sl) is None
 
 
@@ -136,19 +159,26 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
 
     The pairing omega_x(g, e_i) = (g, [x, e_i]) of a derived generator's
     gradient g with a slice preimage is that generator's row of the Jacobian
-    of the family along the slice tangents.
+    of the family along the slice tangents.  ad x is built here, once, for
+    the slice tangents and the orbit dimension; the pairing determinant is
+    the fraction-free determinant of the integer pairing over its
+    denominator, exactly.
     """
     L = F.L
     x = [to_rat(c) for c in x]
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
     zx = zx_frame(F, x)
-    sl = slice_frame(L, zx.ad)
-    orbit_dim = linalg.rank(zx.ad)
+    adx = L.int_ad(zx.point)
+    sl = slice_frame(L, adx)
+    orbit_dim = linalg.rank(adx[0])
     combined = linalg.rank(zx.tangents + sl.tangents)
-    jac = [[L.killing_pair(g, t) for t in sl.tangents] for g in zx.gradients]
+    # every entry is over the one denominator pden * tden * (Killing scale)
+    jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
+           for g in zx.gradients]
+    den = zx.pden * sl.tden * L.int_killing[0]
     pairing = [jac[i] for i in F.N_positions]
-    pdet = linalg.det(pairing) if sl.dim == L.n else R0
+    pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
     jrank = linalg.rank(jac)
     passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n

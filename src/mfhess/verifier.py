@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, asdict, field
 
 from . import linalg
-from .rational import R0, R1, rat, rat_str
+from .rational import R0, R1, clear, rat, rat_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -318,15 +318,16 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     pts = _sample_regular(sc, config.seed, config.regular_points, config.coeff_bound)
     bad = None
     for x in pts:
-        grads = inv.compiled.gradients(ctx, x)
+        grads, den = inv.compiled.int_gradients(ctx, x)
         if linalg.rank(grads) != L.rank:
             bad = {"kind": "rank at regular point", "point": _vec_str(x)}
             break
         # x is regular, so z(x) has dimension rank, and the rank independent
         # gradients span it once each commutes with x.  As x lies in z(x), the
         # gradients centralize z(x) exactly when each commutes with x and with
-        # every other gradient.
-        if any(any(L.bracket(a, g)) for i, g in enumerate(grads) for a in [x] + grads[:i]):
+        # every other gradient.  Each bracket is tested on its numerators.
+        xc, vecs = clear(x), [(g, den) for g in grads]
+        if any(any(L.int_bracket(a, g)[0]) for i, g in enumerate(vecs) for a in [xc] + vecs[:i]):
             bad = {"kind": "gradient outside the centralizer center", "point": _vec_str(x)}
             break
     singular = [L.zero()]
@@ -340,7 +341,7 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     singular_ranks = []
     if bad is None:
         for x in singular:
-            r = linalg.rank(inv.compiled.gradients(ctx, x))
+            r = linalg.rank(inv.compiled.int_gradients(ctx, x)[0])
             singular_ranks.append(r)
             if r >= L.rank:
                 bad = {"kind": "full rank at a singular point", "point": _vec_str(x)}
@@ -384,8 +385,8 @@ def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
          "normalization) is the full upper Borel dimension, and the chain map "
          "relations between expansion coefficients hold exactly", 7)
 def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
-    de = linalg.rank(sc.family.gradient_rows(sc.triple.e))
-    de1 = linalg.rank(sc.family.gradient_rows(sc.triple.e1))
+    de = linalg.rank(sc.family.gradient_rows(sc.triple.e)[0])
+    de1 = linalg.rank(sc.family.gradient_rows(sc.triple.e1)[0])
     ok = de == sc.family.b and de1 == sc.family.b
     witness = {"dim_at_e": de, "dim_at_e1": de1}
     try:
@@ -492,7 +493,7 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig) -> dict:
                                              "pair": [wit[0], wit[1]],
                                              "value": rat_str(wit[2])}}
         for pos in F.I_positions:
-            if any(L.bracket(x, frame.gradients[pos])):
+            if any(L.int_bracket(frame.point, (frame.gradients[pos], frame.pden))[0]):
                 return {"ok": False,
                         "witness": {"point": _vec_str(x),
                                     "kind": "invariant with nonzero Hamiltonian vector"}}
@@ -539,7 +540,7 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
     pts = [base] + sample_points(sc, config.seed + 4, "slice",
                                  config.slice_points, config.coeff_bound, v0=base)
     for v in pts:
-        if slice_frame(L, L.ad(v)).dim != L.n:
+        if slice_frame(L, L.int_ad(clear(v))).dim != L.n:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "nontrivial isotropy"}}
         if not point_in_hess(L, sc.triple, v):
@@ -599,8 +600,8 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
     rng = random.Random(f"{config.seed}:omega")
     pts = sample_points(sc, config.seed + 5, "hess", 3, config.coeff_bound)
-    ads = [L.ad(x) for x in pts]
-    for x, adx in zip(pts, ads):
+    ads = [L.int_ad(clear(x)) for x in pts]
+    for x, (adx, _) in zip(pts, ads):
         cent = linalg.sparse_kernel([dict(enumerate(row)) for row in adx], L.dim)
         z1 = [_rand_rat(rng, 3) for _ in range(L.dim)]
         z2 = [_rand_rat(rng, 3) for _ in range(L.dim)]
@@ -612,7 +613,7 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
         if omega(L, x, z1, z1):
             return {"ok": False, "witness": {"kind": "form not alternating"}}
     fr = orbit_frame(L, ads[0])
-    expected = linalg.rank(ads[0])
+    expected = linalg.rank(ads[0][0])
     if fr.dim != expected:
         return {"ok": False, "witness": {"kind": "orbit tangent dimension",
                                          "dim": fr.dim, "expected": expected}}

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import pytest
 
 from mfhess import linalg
-from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
+from mfhess.rootdata import (CartanMatrix, UnsupportedType, build_root_system,
+                             cartan_matrix_for_label)
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
 from mfhess.polyring import GradientContext, Poly, coefficient_rows
-from mfhess.rational import R0, R1
+from mfhess.rational import R0, R1, rat_str
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
@@ -441,3 +442,133 @@ def gradient_rows_calls(monkeypatch):
 
     monkeypatch.setattr(ShiftFamily, "gradient_rows", counted)
     return calls
+
+
+def _dense_zero(n):
+    return [[R0] * n for _ in range(n)]
+
+
+def _dense_bracket(a, b):
+    n = len(a)
+    ab = [[sum((a[i][k] * b[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
+    ba = [[sum((b[i][k] * a[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
+    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+
+
+def reference_matrix_images_type_A(L):
+    """Dense Fraction matrix image of every basis vector, with dense
+    products for every basis pair of the homomorphism check.
+
+    Simple generators go to the elementary matrices; the image of every other
+    root vector is forced by the brackets already stored in the table.
+    """
+    rs = L.rs
+    ell = rs.rank
+    size = ell + 1
+    images: list = [None] * L.dim
+    pos_of = {r: i for i, r in enumerate(rs.positive_roots)}
+    for i, r in enumerate(rs.positive_roots):
+        if sum(r) == 1:
+            k = r.index(1)
+            ep = _dense_zero(size)
+            ep[k][k + 1] = R1
+            em = _dense_zero(size)
+            em[k + 1][k] = R1
+            images[L.pos_indices[i]] = ep
+            images[L.neg_indices[i]] = em
+    for k in range(ell):
+        h = _dense_zero(size)
+        h[k][k] = R1
+        h[k + 1][k + 1] = -R1
+        images[L.cartan_indices[k]] = h
+    for i, r in enumerate(sorted(rs.positive_roots, key=lambda c: (sum(c), c))):
+        if sum(r) == 1:
+            continue
+        ridx = pos_of[r]
+        si = next(k for k, c in enumerate(r) if c and
+                  tuple(c2 - (1 if k2 == k else 0) for k2, c2 in enumerate(r)) in pos_of)
+        rest = tuple(c2 - (1 if k2 == si else 0) for k2, c2 in enumerate(r))
+        a_idx = L.pos_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]]
+        b_idx = L.pos_indices[pos_of[rest]]
+        coeff = L.bracket(L.basis_vector(a_idx), L.basis_vector(b_idx))[L.pos_indices[ridx]]
+        images[L.pos_indices[ridx]] = [
+            [v / coeff for v in row] for row in _dense_bracket(images[a_idx], images[b_idx])]
+        na, nb = L.neg_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]], \
+            L.neg_indices[pos_of[rest]]
+        ncoeff = L.bracket(L.basis_vector(na), L.basis_vector(nb))[L.neg_indices[ridx]]
+        images[L.neg_indices[ridx]] = [
+            [v / ncoeff for v in row] for row in _dense_bracket(images[na], images[nb])]
+    # homomorphism check over all basis pairs
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            br = L.bracket(L.basis_vector(i), L.basis_vector(j))
+            want = _dense_zero(size)
+            for c, v in enumerate(br):
+                if v:
+                    want = [[w + v * m for w, m in zip(wr, mr)]
+                            for wr, mr in zip(want, images[c])]
+            got = _dense_bracket(images[i], images[j])
+            if got != want:
+                raise UnsupportedType("matrix realization failed the bracket check")
+    return images
+
+
+@pytest.fixture(scope="session")
+def reference_images():
+    return reference_matrix_images_type_A
+
+
+def reference_det(mat):
+    """Determinant by rational Gaussian elimination."""
+    n = len(mat)
+    rows = [list(r) for r in mat]
+    sign = R1
+    out = R1
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c]), None)
+        if sel is None:
+            return R0
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            sign = -sign
+        piv = rows[c][c]
+        out = out * piv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / piv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out * sign
+
+
+def reference_isotropy_value(F, x):
+    """Check 13's witness at x in Fractions: gradients by Poly.evaluate,
+    tangents [x, g] and pairings (z_i, [x, z_j]) summed in Fractions; the
+    first nonzero pair as (i, j, value string), or None."""
+    L = F.L
+    rows = reference_gradients_from_polys(F.ctx, F.qs, x)
+    z = [rows[i] for i in F.N_positions]
+    t = [reference_lie_bracket(L, x, g) for g in z]
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            val = reference_killing_pair(L, z[i], t[j])
+            if val:
+                return (i, j, rat_str(val))
+    return None
+
+
+def reference_pairing_det(F, x):
+    """Check 15's witness at x in Fractions: the determinant of the pairings
+    (g, [x, e_i]) of the derived generators' gradients with the slice
+    tangents, by rational Gaussian elimination."""
+    L = F.L
+    rows = reference_gradients_from_polys(F.ctx, F.qs, x)
+    tangents = [reference_lie_bracket(L, x, L.basis_vector(i)) for i in L.nminus_indices]
+    return rat_str(reference_det([[reference_killing_pair(L, rows[i], t) for t in tangents]
+                                  for i in F.N_positions]))
+
+
+@pytest.fixture(scope="session")
+def reference_witness():
+    """The Fraction computations of check 13's value and check 15's det."""
+    return SimpleNamespace(isotropy=reference_isotropy_value, pairing_det=reference_pairing_det,
+                           det=reference_det)

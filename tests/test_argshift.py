@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
@@ -10,7 +11,7 @@ from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
                              zeta_apply, zeta_chain)
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
 from mfhess.polyring import Poly, restrict_affine
-from mfhess.rational import rat
+from mfhess.rational import over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
@@ -222,3 +223,31 @@ def test_membership_search(bundles):
     assert ok3
     ok0, wit0 = mv_membership(B.ctx, B.triple, B.inv, B.L.zero(), 3, 42, 5)
     assert not ok0 and wit0 is None
+
+
+wide = st.one_of(st.just(0), st.integers(-4, 4),
+                 st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, label):
+    """gradient_rows over its denominator equals the Poly.evaluate gradients,
+    and the rank of the integer rows equals the rank of the Fraction rows, at
+    special points (zero, e, w, e1, a root vector) and at points with
+    denominators up to 10^6."""
+    B = bundles(label)
+    L, F = B.L, B.family
+    specials = [L.zero(), B.triple.e, B.triple.w, B.triple.e1,
+                L.basis_vector(L.pos_indices[0])]
+
+    @settings(max_examples=8 if label == "G2" else 20, deadline=None)
+    @given(st.one_of(st.sampled_from(specials),
+                     st.lists(wide, min_size=L.dim, max_size=L.dim)))
+    def check(x):
+        x = [to_rat(c) for c in x]
+        rows, den = F.gradient_rows(x)
+        ref = reference_gradients(F.ctx, F.qs, x)
+        assert den > 0 and [over(row, den) for row in rows] == ref
+        assert linalg.rank(rows) == linalg.rank(ref) == len(linalg.span_basis(ref))
+
+    check()

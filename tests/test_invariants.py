@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -170,7 +171,7 @@ def test_trace_vanishes_identically(bundles):
     n = B.L.dim
     tr = Poly.zero(n)
     for c in range(n):
-        diag = sum((images[c][i][i] for i in range(3)), rat(0))
+        diag = sum((images[c].get((i, i), 0) for i in range(3)), rat(0))
         if diag:
             tr = tr + Poly.coordinate(n, c).scale(diag)
     assert tr.is_zero()
@@ -310,3 +311,27 @@ def test_cache_file_bytes_are_compact_sorted_json(tmp_path, bundles):
     streamed = io.StringIO()
     json.dump(payload, streamed, sort_keys=True, separators=(",", ":"))
     assert written == streamed.getvalue().encode()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_sparse_images_match_dense_reference(algebras, reference_images, label):
+    """Each sparse image holds exactly the nonzero entries of the dense
+    image: one for a root vector, two for a Cartan element."""
+    L = algebras(label)
+    size = L.rank + 1
+    dense = reference_images(L)
+    sparse = matrix_images_type_A(L)
+    for c, (s, d) in enumerate(zip(sparse, dense)):
+        assert s == {(i, j): d[i][j] for i in range(size) for j in range(size) if d[i][j]}
+        assert len(s) == (2 if c in L.cartan_indices else 1)
+
+
+def test_sparse_images_check_every_basis_pair(algebras):
+    """A doubled [h_1, e] entry is not used to build any image, so only the
+    homomorphism check over every basis pair can see it."""
+    L = algebras("A3")
+    table = dict(L.table)
+    key = max(k for k in table if k[0] == L.cartan_indices[0])
+    table[key] = {c: 2 * v for c, v in table[key].items()}
+    with pytest.raises(UnsupportedType, match="bracket check"):
+        matrix_images_type_A(replace(L, table=table))

@@ -7,7 +7,7 @@ from mfhess import linalg
 from mfhess.argshift import gradient_span
 from mfhess.liealgebra import (DimensionMismatch, is_regular, principal_triple, ut_action,
                                validate_algebra)
-from mfhess.rational import rat, factorial_rat
+from mfhess.rational import clear, factorial_rat, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 EXPECTED_DIMS = {"A1": 3, "A2": 8, "A1xA1": 6, "B2": 10, "A3": 15}
@@ -202,6 +202,31 @@ def test_integer_lie_layer_matches_fraction_reference(algebras, reference_lie, l
     check()
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_integer_cores_match_fraction_reference(algebras, reference_lie, label):
+    """int_bracket, int_ad and int_killing_pair on cleared vectors, divided
+    back, equal the Fraction reference, over positive denominators; a cleared
+    input that is not reduced (numerators and denominator times k) gives the
+    same rationals."""
+    L = algebras(label)
+    specials = _special_vectors(L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_lie_vectors(L, specials), y=_lie_vectors(L, specials),
+           k=st.integers(1, 10 ** 6))
+    def check(x, y, k):
+        xc, yc = clear(x), clear(y)
+        for a in (xc, ([k * v for v in xc[0]], k * xc[1])):
+            nums, den = L.int_bracket(a, yc)
+            assert den > 0 and over(nums, den) == reference_lie.bracket(L, x, y)
+            rows, den = L.int_ad(a)
+            assert den > 0 and [over(r, den) for r in rows] == reference_lie.ad(L, x)
+            num, den = L.int_killing_pair(a, yc)
+            assert den > 0 and rat(num, den) == reference_lie.killing_pair(L, x, y)
+
+    check()
+
+
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
 def test_validate_algebra_matches_reference(algebras, reference_lie, label):
     L = algebras(label)
@@ -211,9 +236,9 @@ def test_validate_algebra_matches_reference(algebras, reference_lie, label):
 def _planted(L, kind):
     """L with one entry changed through dataclasses.replace: in the table a
     positive pair's sign flipped, a Cartan-root entry dropped or [e_a, e_-a]
-    doubled; in the Killing rows a Cartan diagonal entry doubled, or the
+    doubled; in the Killing form a Cartan diagonal entry doubled, or the
     entry (e_a, e_-a) of e_a's row doubled."""
-    table, rows = dict(L.table), list(L.killing_rows)
+    table, killing = dict(L.table), [list(row) for row in L.killing]
     if kind == "flipped":
         key = min(k for k in table if k[0] in L.pos_indices and k[1] in L.pos_indices)
         table[key] = {c: -v for c, v in table[key].items()}
@@ -225,8 +250,8 @@ def _planted(L, kind):
     else:
         i, j = ((L.cartan_indices[0],) * 2 if kind == "killing_diagonal"
                 else (L.pos_indices[0], L.neg_indices[0]))
-        rows[i] = tuple((k, 2 * v if k == j else v) for k, v in rows[i])
-    return replace(L, table=table, killing_rows=tuple(rows))
+        killing[i][j] *= 2
+    return replace(L, table=table, killing=killing)
 
 
 @pytest.mark.parametrize("kind", ["flipped", "dropped", "doubled", "killing_diagonal",

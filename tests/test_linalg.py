@@ -196,3 +196,44 @@ def test_integer_rank_edge_cases():
     assert linalg.rank(mat([["-1/999999", "1/1000000", 0]])) == 1
     big = rat(10 ** 6 - 1, 10 ** 6)
     assert linalg.rank([[big, rat(1)], [big * 3, rat(3)]]) == 1
+
+
+@st.composite
+def scaled_integer_rows(draw):
+    """Integer rows and one positive scale per row, up to 10^6."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                         min_size=0, max_size=6))
+    dens = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(rows), max_size=len(rows)))
+    return rows, dens
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_integer_rows())
+@example(([[0, 0], [0, 0]], [1, 7]))
+@example(([[2, 4], [1, 2], [3, 7]], [5, 10 ** 6, 3]))
+def test_rank_takes_integer_rows_as_they_are(case):
+    """The rank of integer rows equals the rank of the same rows over
+    positive denominators and the RREF pivot count; a row that mixes ints
+    and rationals is scaled like a rational row."""
+    rows, dens = case
+    fractions = [[rat(v, d) for v in row] for row, d in zip(rows, dens)]
+    want = len(linalg.span_basis(fractions))
+    assert linalg.rank(rows) == linalg.rank(fractions) == want
+    mixed = [[rat(v, d) if j % 2 else v for j, v in enumerate(row)]
+             for row, d in zip(rows, dens)]
+    assert linalg.rank(mixed) == len(linalg.span_basis(mat(mixed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(wide_frac, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [1, 0]])
+def test_det_matches_rational_elimination(reference_witness, rows):
+    """The fraction-free determinant equals Gaussian elimination in Fractions,
+    on rational rows and on their integer numerators."""
+    m = mat(rows)
+    assert linalg.det(m) == reference_witness.det(m)
+    ints = [[int(v * 10 ** 6) for v in row] for row in m]
+    assert linalg.det(ints) == reference_witness.det(mat(ints))

@@ -12,7 +12,7 @@ from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_l
 from mfhess.symplectic import (NotStronglyRegular, hess_lagrangian_check,
                                isotropy_witness, omega, orbit_frame, slice_frame,
                                polarization_report, transversality_check, zx_frame)
-from mfhess.rational import rat
+from mfhess.rational import clear, over, rat
 
 
 def rand_point(rng, n, bound=3):
@@ -53,14 +53,14 @@ def test_orbit_frame_dimension(bundles):
     L = B.L
     rng = random.Random("frame")
     x = hess_point(B, rng)
-    fr = orbit_frame(L, L.ad(x))
+    fr = orbit_frame(L, L.int_ad(clear(x)))
     assert fr.dim == L.dim - L.centralizer_dim(x) == 2 * L.n
     for z, t in zip(fr.preimages, fr.tangents):
-        assert t == linalg.vec_scale(L.bracket(z, x), rat(-1))
+        assert over(t, fr.tden) == linalg.vec_scale(L.bracket(over(z, fr.pden), x), rat(-1))
     # a singular point has a smaller orbit
     sing = L.basis_vector(L.pos_indices[0])
     assert not is_regular(L, sing)
-    assert orbit_frame(L, L.ad(sing)).dim < 2 * L.n
+    assert orbit_frame(L, L.int_ad(clear(sing))).dim < 2 * L.n
 
 
 def test_zx_frame_lagrangian(bundles):
@@ -73,11 +73,12 @@ def test_zx_frame_lagrangian(bundles):
             fr = zx_frame(B.family, x)
             assert fr.dim == L.n
             assert isotropy_witness(L, fr) is None
-            assert fr.tangents == [L.bracket(x, g) for g in fr.preimages]
+            assert ([over(t, fr.tden) for t in fr.tangents]
+                    == [L.bracket(x, over(g, fr.pden)) for g in fr.preimages])
             # Hamiltonian vectors of the underived invariants vanish
-            rows = B.family.gradient_rows(x)
+            rows, den = B.family.gradient_rows(x)
             for pos in B.family.I_positions:
-                assert not any(L.bracket(rows[pos], x))
+                assert not any(L.bracket(over(rows[pos], den), x))
 
 
 def test_zx_frame_requires_strong_regularity(bundles):
@@ -92,9 +93,10 @@ def test_hess_lagrangian_check(bundles):
     for _ in range(5):
         v = hess_point(B, rng)
         assert hess_lagrangian_check(B.L, v)
-        sl = slice_frame(B.L, B.L.ad(v))
+        sl = slice_frame(B.L, B.L.int_ad(clear(v)))
         assert sl.dim == B.L.n
-        assert sl.tangents == [B.L.bracket(v, z) for z in sl.preimages]
+        assert ([over(t, sl.tden) for t in sl.tangents]
+                == [B.L.bracket(v, over(z, sl.pden)) for z in sl.preimages])
 
 
 def test_transversality(bundles):
@@ -124,7 +126,7 @@ def test_transversality_builds_one_gradient_matrix(bundles, gradient_rows_calls)
     res = transversality_check(B.family, B.chart, x)
     assert res.passed
     assert len(gradient_rows_calls) == 1
-    assert res.frame.gradients == B.family.gradient_rows(x)
+    assert (res.frame.gradients, res.frame.pden) == B.family.gradient_rows(x)
 
 
 def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_rows_calls):

@@ -9,13 +9,15 @@ from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.liealgebra import LieAlgebra
 from mfhess.polyring import Poly
-from mfhess.symplectic import NotStronglyRegular
+from mfhess.rational import rat, rat_str, to_rat
+from mfhess.symplectic import NotStronglyRegular, transversality_check
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
-                             check_commutativity, check_gradient_rank,
+                             check_commutativity, check_degree_duality, check_gradient_rank,
                              check_graded_dimensions, check_hamiltonian_frame,
                              check_leading_term, check_omega_well_defined,
-                             check_polarization, check_principal_shift_span,
+                             check_poincare, check_polarization,
+                             check_principal_decomposition, check_principal_shift_span,
                              check_shifted_gradient_span, check_slice_infinitesimal,
                              check_span_and_chain,
                              check_slice_lagrangian, check_strong_regularity,
@@ -319,9 +321,9 @@ def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     c = sc.L.cartan_indices[0]
-    rows = list(sc.L.killing_rows)
-    rows[c] = tuple((j, 2 * v if j == c else v) for j, v in rows[c])
-    bad = replace(sc, L=replace(sc.L, killing_rows=tuple(rows)))
+    killing = [list(row) for row in sc.L.killing]
+    killing[c][c] *= 2
+    bad = replace(sc, L=replace(sc.L, killing=killing))
     h = sc.L.basis_vector(c)
     assert bad.L.killing_pair(h, h) == 2 * sc.L.killing_pair(h, h)
     out = check_omega_well_defined(bad, cfg)
@@ -443,18 +445,20 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
 
 
 def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
+    """Checks 14 to 16, omega_well_defined and polarization build ad x once
+    per visited point through the integer core; check 13 reads no ad x."""
     sc = a2_context
     cfg = SuiteConfig(algebra="A2", seed=5, hess_points=3, lagrangian_points=2,
                       transversality_points=4, slice_points=3)
     calls = []
-    original = LieAlgebra.ad
+    original = LieAlgebra.int_ad
 
     def counted(self, x):
         calls.append(x)
         return original(self, x)
 
-    monkeypatch.setattr(LieAlgebra, "ad", counted)
-    visits = [(check_hamiltonian_frame, 3), (check_slice_lagrangian, 2),
+    monkeypatch.setattr(LieAlgebra, "int_ad", counted)
+    visits = [(check_hamiltonian_frame, 0), (check_slice_lagrangian, 2),
               (check_transversality, 4), (check_slice_infinitesimal, 1 + 3),
               (check_omega_well_defined, 3), (check_polarization, 2 * 3)]
     for check, points in visits:
@@ -593,3 +597,60 @@ def test_cli_env_cache(tmp_path, monkeypatch, capsys):
     assert code == 0
     names = os.listdir(tmp_path)
     assert any(n.startswith("invariants_A1_") for n in names)
+
+
+@pytest.mark.parametrize("scale", [rat(1), rat(3, 7)])
+def test_hamiltonian_frame_witness_value_is_exact(a2_context, reference_witness, scale):
+    """Check 13's witness on a planted derived term: the pair and the value
+    equal the Fraction computation at the witness point."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    pos = sc.family.N_positions[0]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc).scale(scale))
+    wit = check_hamiltonian_frame(bad, cfg)["witness"]
+    x = [to_rat(c) for c in wit["point"]]
+    assert (wit["pair"][0], wit["pair"][1], wit["value"]) == \
+        reference_witness.isotropy(bad.family, x)
+
+
+@pytest.mark.parametrize("scale", [rat(1), rat(-5, 3)])
+def test_transversality_det_is_exact(a2_context, reference_witness, scale):
+    """The pairing determinant, check 15's witness, equals the Fraction
+    computation: at sampled points with a Cartan square planted in a derived
+    member (the check still passes, with a changed nonzero determinant), and
+    as the reported witness once a coordinate function planted as a derived
+    member makes the check fail."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    pos = sc.family.N_positions[0]
+    square = Poly.coordinate(sc.L.dim, sc.L.cartan_indices[0]) ** 2
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + square.scale(scale))
+    for x in sample_points(sc, 7, "hess", 3):
+        res = transversality_check(bad.family, sc.chart, x)
+        assert res.passed
+        assert rat_str(res.pairing_det) == reference_witness.pairing_det(bad.family, x)
+        assert res.pairing_det != transversality_check(sc.family, sc.chart, x).pairing_det
+    coordinate = Poly.coordinate(sc.L.dim, sc.L.pos_indices[0]).scale(scale)
+    bad = _with_member(sc, pos, coordinate)
+    out = check_transversality(bad, cfg)
+    assert out["ok"] is False
+    x = [to_rat(c) for c in out["witness"]["point"]]
+    assert out["witness"]["det"] == reference_witness.pairing_det(bad.family, x)
+
+
+@pytest.mark.parametrize("check, field, value, witness", [
+    (check_degree_duality, "degrees", (1, 4), {"degrees": [1, 4]}),
+    (check_principal_decomposition, "exponents", (1, 3), {"exponents": [1, 2]}),
+    (check_poincare, "degrees", (2, 4),
+     {"error": "the two series factorizations disagree"}),
+])
+def test_root_data_checks_fail_on_planted_root_system(a2_context, check, field, value,
+                                                      witness):
+    """Criteria 1, 3 and 11 on a copy of the A2 context whose root system
+    reports wrong degrees or exponents: a fail with a witness."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check(sc, cfg)["ok"] is True
+    out = check(replace(sc, rs=replace(sc.rs, **{field: value})), cfg)
+    assert out["ok"] is False
+    assert witness.items() <= out["witness"].items()
