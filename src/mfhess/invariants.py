@@ -1,24 +1,32 @@
 """Generators of the invariant polynomial algebra.
 
 For each target degree d (known from the root data) the solver finds the
-polynomials killed by the bracket action of the 2l simple root vectors.
-Those generators suffice: annihilation by them propagates to the whole
-algebra through the bracket, so the joint kernel is exactly the space of
-fully invariant polynomials, and any solution is supported on monomials of
-total root-lattice weight zero.  The kernel is therefore computed inside
-the zero-weight subspace of S^d, which keeps the linear systems small.
+zero-weight polynomials of degree d killed by the l raising operators
+e_{alpha_i}, the root vectors of the simple roots.  Those suffice.  S^d(g*)
+is a finite-dimensional g-module, so it is completely reducible (Weyl's
+theorem), and a vector that every raising operator kills is a highest-weight
+vector; with weight zero it spans a trivial summand (the theorem of the
+highest weight).  The kernel inside the zero-weight subspace of S^d is
+therefore exactly the space of invariants of degree d, and the linear
+systems stay small: one equation per raising operator and image monomial.
+
+The action of z on polynomials is the derivation sum_k (ad z . x)_k d/dx_k,
+the rows of ad z read from the algebra's integer table (LieAlgebra.int_ad).
+By invariance of the Killing form, {(z, .), x_k}(x) = ([x, z])_k =
+-(ad z . x)_k, so p is killed by the derivation exactly when it Poisson
+commutes with the linear functional of z.
 
 The solve is weight-directed and runs on integers.  The zero-weight
 monomials are generated directly, never filtered out of all of S^d: a
 suffix table of reachable (degree, weight) pairs lets the enumeration enter
-only prefixes that can still close to weight zero.  The action table of each
-simple root vector is scaled by the LCM of its denominators, so every
-equation has integer coefficients (scaling an equation leaves the kernel
-unchanged), and linalg.sparse_kernel solves them by fraction-free
-elimination.  Monomials are packed into one int each, and one derivation
-routine (_derivation) applies a simple root vector's table to them: it
-builds the solver's equations and the invariance test of
-meets_solver_conditions, which re-checks a cached family.
+only prefixes that can still close to weight zero.  The rows of ad z have
+integer entries over one positive denominator, so every equation has integer
+coefficients (scaling an equation leaves the kernel unchanged), and
+linalg.sparse_kernel solves them by fraction-free elimination.  Monomials
+are packed into one int each, and one derivation routine (_derivation)
+applies a raising operator's table to them: it builds the solver's
+equations and the invariance test of meets_solver_conditions, which
+re-checks a cached family.
 
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, in kernel order, normalized to primitive integer
@@ -43,8 +51,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import CompiledPolys, GradientContext, Poly, _mul_packed, coefficient_rows
-from .rational import R1, denominator_lcm, rat, scaled
+from .polyring import CompiledPolys, Poly, _mul_packed
+from .rational import R1, clear, denominator_lcm, rat, scaled
 from .rootdata import RootSystem, UnsupportedType
 
 
@@ -80,8 +88,7 @@ def _zero_weight_monomials(L: LieAlgebra, d: int):
     prefix only when the negated prefix weight is reachable after it.
     """
     n = L.dim
-    radix = 2 * d * max(abs(c) for w in L.weights for c in w) + 1
-    codes = [sum(c * radix ** i for i, c in enumerate(w)) for w in L.weights]
+    codes = _weight_codes(L, d)
     reach = [None] * (n + 1)
     reach[n] = [{0}] + [set() for _ in range(d)]
     for k in range(n - 1, -1, -1):
@@ -94,6 +101,15 @@ def _zero_weight_monomials(L: LieAlgebra, d: int):
     if 0 in reach[0][d]:
         _append_zero_weight(out, codes, reach, [0] * n, 0, d, 0)
     return out
+
+
+def _weight_codes(L: LieAlgebra, d: int) -> list:
+    """The root-lattice weight of each variable packed into one int, in a
+    balanced radix wide enough for any sum of d weights: packing is then
+    additive and injective, so a monomial of degree d has weight zero
+    exactly when its exponents times these codes sum to 0."""
+    radix = 2 * d * max(abs(c) for w in L.weights for c in w) + 1
+    return [sum(c * radix ** i for i, c in enumerate(w)) for w in L.weights]
 
 
 def _append_zero_weight(out: list, codes: list, reach: list, exps: list, k: int,
@@ -112,19 +128,17 @@ def _append_zero_weight(out: list, codes: list, reach: list, exps: list, k: int,
     exps[k] = 0
 
 
-def _coordinate_brackets(L: LieAlgebra, ctx: GradientContext, z) -> list:
-    """For a fixed z, the linear forms {(z, .), x_k} as sparse integer rows
-    [(j, c_j), ...] (None when zero), all scaled by the LCM of their
-    denominators: the equations of one z then share one positive factor,
-    which leaves their kernel unchanged."""
-    forms = []
-    for k in range(L.dim):
-        v = L.bracket(z, ctx.dual_vector(k))
-        forms.append(linalg.mat_vec(ctx.gram, v) if any(v) else None)
-    den = math.lcm(*(c.denominator for f in forms if f for c in f))
-    return [None if f is None else
-            [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
-            for f in forms]
+def _action_tables(L: LieAlgebra) -> list:
+    """For each raising operator z (simple_root_vectors), the rows of ad z as
+    the linear forms of the derivation: for each k the sparse integer row
+    [(j, c_j), ...] of (ad z . x)_k, or None when it is zero.  The rows come
+    from LieAlgebra.int_ad, all over one positive denominator, which leaves
+    the kernel of the equations unchanged."""
+    tables = []
+    for z in simple_root_vectors(L):
+        rows, _ = L.int_ad(clear(z))
+        tables.append([[(j, c) for j, c in enumerate(row) if c] or None for row in rows])
+    return tables
 
 
 def _packing(n: int, top: int) -> tuple:
@@ -148,7 +162,7 @@ def _pack(e, unit: list) -> tuple:
 
 
 def _packed_action(action: list, unit: list) -> list:
-    """A table of _coordinate_brackets on packed exponents: for each k,
+    """A table of _action_tables on packed exponents: for each k,
     the pairs (unit_j - unit_k, c_j), so x^e / x_k * x_j packs to e plus the
     first entry."""
     return [None if lin is None else [(unit[j] - unit[k], cj) for j, cj in lin]
@@ -157,7 +171,7 @@ def _packed_action(action: list, unit: list) -> list:
 
 def _derivation(action: list, packed: int, support) -> list:
     """The image of the monomial x^e under the derivation sum_k form_k d/dx_k
-    of one simple root vector (action from _packed_action): the unmerged
+    of one raising operator (action from _packed_action): the unmerged
     terms (packed target, e_k * c_j)."""
     out = []
     for k, ek in support:
@@ -192,37 +206,40 @@ def _normalize_generator(vec: list, monos: list, nvars: int) -> Poly:
 
 
 def simple_root_vectors(L: LieAlgebra) -> list:
-    """The 2l root vectors of the simple roots and of their negatives."""
-    simple_idx = [i for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
-    return ([L.basis_vector(L.pos_indices[i]) for i in simple_idx]
-            + [L.basis_vector(L.neg_indices[i]) for i in simple_idx])
+    """The l raising operators: the root vectors of the simple roots."""
+    return [L.basis_vector(L.pos_indices[i])
+            for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
 
 
-def invariant_generators(L: LieAlgebra, ctx: GradientContext) -> InvariantFamily:
+def _equations(tables: list, packed: list, unit: list) -> list:
+    """The solver's equations on the packed monomials (pairs from _pack, one
+    column each): one sparse integer row {column: c} per raising operator
+    and image monomial, in the order of (operator, image exponent)."""
+    equations = []
+    for action in tables:
+        action = _packed_action(action, unit)
+        rows: dict = {}
+        for col, (e, support) in enumerate(packed):
+            for tgt, c in _derivation(action, e, support):
+                row = rows.setdefault(tgt, {})
+                row[col] = row.get(col, 0) + c
+        equations.extend(rows[tgt] for tgt in sorted(rows))
+    return equations
+
+
+def invariant_generators(L: LieAlgebra) -> InvariantFamily:
     """Solve for the invariant generators degree by degree."""
     degrees = L.rs.degrees
     generators: list[Poly] = []
     gen_degrees: list[int] = []
-
-    action_tables = [_coordinate_brackets(L, ctx, z) for z in simple_root_vectors(L)]
+    tables = _action_tables(L)
 
     for d in sorted(set(degrees)):
         mult = sum(1 for x in degrees if x == d)
         monos = _zero_weight_monomials(L, d)
         unit, _ = _packing(L.dim, d)
         packed = [_pack(m, unit) for m in monos]
-
-        # one equation per simple root vector and image monomial, in the
-        # order of (vector, image exponent)
-        equations = []
-        for action in action_tables:
-            action = _packed_action(action, unit)
-            rows: dict = {}
-            for col, (e, support) in enumerate(packed):
-                for tgt, c in _derivation(action, e, support):
-                    row = rows.setdefault(tgt, {})
-                    row[col] = row.get(col, 0) + c
-            equations.extend(rows[tgt] for tgt in sorted(rows))
+        equations = _equations(tables, packed, unit)
         kernel = linalg.sparse_kernel(equations, len(monos))
         expected = invariant_space_dimension(degrees, d)
         if len(kernel) != expected:
@@ -282,29 +299,39 @@ def _new_kernel_vectors(kernel: list, decomposables: list, d: int) -> list:
     return [i - len(decomposables) for i in kept if i >= len(decomposables)]
 
 
-def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
-                            fam: InvariantFamily) -> bool:
+def meets_solver_conditions(L: LieAlgebra, fam: InvariantFamily) -> bool:
     """The conditions the solver imposes, checked on a given family.
 
-    The degrees are those of the root data, each polynomial is homogeneous of
-    its degree and Poisson commutes with the linear functional of every
-    simple root vector, and no polynomial lies in the span of the products
-    of the lower-degree ones.  The Poisson condition is read off the
-    solver's own equations: {p, (z, .)} is, up to a nonzero factor, the
-    derivation of _coordinate_brackets applied to p, taken on the integer
-    multiple of p by the LCM of its denominators.
+    The degrees are those of the root data; each polynomial is homogeneous
+    of its degree, has root-lattice weight zero and is killed by the l
+    raising operators; and no polynomial lies in the span of the products of
+    the lower-degree ones.  Weight zero and the raising operators together
+    make a polynomial invariant (a zero-weight highest-weight vector spans a
+    trivial summand of the completely reducible S^d), while the raising
+    operators alone do not: x_k^2 for the lowest root vector's coordinate is
+    killed by all of them.  The weight test reads the packed weight codes of
+    the solver's enumeration (_weight_codes).  The raising-operator test
+    applies the solver's own derivation (_action_tables, the rows of ad z;
+    by invariance of the Killing form {(z, .), x_k} = -(ad z . x)_k) to the
+    integer multiple of p by the LCM of its denominators.  The independence
+    test ranks the integer rows of the packed products and polynomials.
     """
     if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
         return False
     if any(not p.is_homogeneous() or p.degree() != d
            for p, d in zip(fam.polys, fam.degrees)):
         return False
-    action_tables = [_coordinate_brackets(L, ctx, z) for z in simple_root_vectors(L)]
+    tables = _action_tables(L)
+    packed = []     # each polynomial's terms, scaled and packed at its degree
     for p, d in zip(fam.polys, fam.degrees):
+        codes = _weight_codes(L, d)
         unit, _ = _packing(L.dim, d)
         scale = denominator_lcm(p.terms.values())
         terms = [(_pack(e, unit), scaled(c, scale)) for e, c in p.terms.items()]
-        for action in action_tables:
+        packed.append({e: c for (e, _), c in terms})
+        if any(sum(ek * codes[k] for k, ek in support) for (_, support), _ in terms):
+            return False
+        for action in tables:
             action = _packed_action(action, unit)
             image: dict = {}
             for (e, support), c in terms:
@@ -313,10 +340,13 @@ def meets_solver_conditions(L: LieAlgebra, ctx: GradientContext,
             if any(image.values()):
                 return False
     for d in sorted(set(fam.degrees)):
-        dec = decomposable_products(fam.polys, fam.degrees, d)
-        new = [p for p, dd in zip(fam.polys, fam.degrees) if dd == d]
-        rows = coefficient_rows(dec + new)
-        if linalg.rank(rows) != linalg.rank(rows[:len(dec)]) + len(new):
+        unit, _ = _packing(L.dim, d)
+        rows = [prod for _, prod in _packed_products(fam.polys, fam.degrees, d, unit)]
+        ndec = len(rows)
+        rows += [terms for terms, dd in zip(packed, fam.degrees) if dd == d]
+        cols = sorted({e for row in rows for e in row})
+        mat = [[row.get(e, 0) for e in cols] for row in rows]
+        if linalg.rank(mat) != linalg.rank(mat[:ndec]) + len(rows) - ndec:
             return False
     return True
 
@@ -543,8 +573,7 @@ def save_family(cache_dir: str, label: str, L: LieAlgebra, fam: InvariantFamily)
     return path
 
 
-def load_family(cache_dir: str, label: str, L: LieAlgebra,
-                ctx: GradientContext) -> InvariantFamily | None:
+def load_family(cache_dir: str, label: str, L: LieAlgebra) -> InvariantFamily | None:
     """The cached generators, or None when the file is missing, corrupt or
     holds a family that fails the solver's conditions."""
     payload = read_json(cache_path(cache_dir, label, L))
@@ -559,4 +588,4 @@ def load_family(cache_dir: str, label: str, L: LieAlgebra,
         return None
     fam = InvariantFamily(polys=polys, degrees=degrees,
                           provenance=payload.get("provenance", "solver"))
-    return fam if meets_solver_conditions(L, ctx, fam) else None
+    return fam if meets_solver_conditions(L, fam) else None

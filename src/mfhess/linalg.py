@@ -275,22 +275,24 @@ def sparse_kernel(rows: list, ncols: int) -> list:
     zeros on the other free columns.
 
     Fraction-free elimination on the integer-scaled rows.  Rows are taken
-    sparsest first, then in input order.  Each is reduced against the pivot
-    rows at the pivot columns it holds; its lowest column c0 becomes a pivot
-    and is cleared from the earlier pivot rows that hold it, found through a
-    column index rather than a scan.  So every pivot row is zero at every
-    other pivot column.  Each reduction is one integer row operation and a
-    division by the content (_reduce_at): every row stays primitive and
-    proportional to the row that rational elimination holds at the same
-    step.  The only rationals formed are the kernel entries -q[free] / q[pc]
-    of each pivot row q.
+    with the highest lowest column first, then sparsest first, then in input
+    order: a new pivot then mostly sits below the columns of the earlier
+    pivot rows, so few of them need clearing.  Each row is reduced against
+    the pivot rows at the pivot columns it holds; its lowest column c0
+    becomes a pivot and is cleared from the earlier pivot rows that hold it,
+    found through a column index rather than a scan.  So every pivot row is
+    zero at every other pivot column.  Each reduction is one integer row
+    operation and a division by the content (_reduce_at): every row stays
+    primitive and proportional to the row that rational elimination holds
+    at the same step.  The only rationals formed are the kernel entries
+    -q[free] / q[pc] of each pivot row q.
 
     The row order sets only the cost.  A reduced row is zero at every pivot
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
     """
     work = [{j: c for j, c in zip(r, _integer_row(r.values())[0]) if c} for r in rows]
-    order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
+    order = sorted(range(len(work)), key=lambda i: (-min(work[i], default=0), len(work[i]), i))
     pivots: dict[int, dict] = {}
     holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there
     for idx in order:

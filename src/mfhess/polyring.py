@@ -230,9 +230,7 @@ class GradientContext:
 
     def __post_init__(self):
         self.gram = self.L.killing
-        self.gram_inv = linalg.inverse(self.gram)
-        if linalg.mat_mul(self.gram, self.gram_inv) != linalg.identity(self.L.dim):
-            raise ValueError("Gram inverse validation failed")
+        self.gram_inv = _block_inverse(self.gram)
         # (g, rows): g * gram_inv on integers, row i listing its nonzero (k, entry)
         g = denominator_lcm(c for row in self.gram_inv for c in row)
         self.gram_inv_int = (g, [tuple((k, scaled(c, g)) for k, c in enumerate(row) if c)
@@ -274,6 +272,54 @@ class GradientContext:
                 rows[j].append((i, tuple((k, -c) for k, c in ints)))
             self._pair_table = (scale, rows)
         return self._pair_table
+
+
+def _block_inverse(mat: list) -> list:
+    """The exact inverse of a square matrix, block by block, validated by a
+    sparse product.
+
+    The blocks are the connected parts of the graph linking i and j when
+    entry (i, j) or (j, i) is nonzero, so the matrix is block diagonal up to
+    a permutation and its inverse is the inverse of each block put back in
+    place.  A Killing matrix splits into the Cartan block and one pairing of
+    e_a with f_a per positive root.  The product of the sparse rows of mat
+    with the inverse must be the identity.
+    """
+    n = len(mat)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
+    linked = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            linked[i].add(j)
+            linked[j].add(i)
+    inv = [[R0] * n for _ in range(n)]
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in linked[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        block.sort()
+        sub = linalg.inverse([[mat[i][j] for j in block] for i in block])
+        for i, sub_row in zip(block, sub):
+            for j, c in zip(block, sub_row):
+                inv[i][j] = c
+    inv_rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
+    for i, row in enumerate(rows):
+        acc: dict = {}
+        for j, g in row:
+            for k, c in inv_rows[j]:
+                acc[k] = acc.get(k, 0) + g * c
+        if {k: c for k, c in acc.items() if c} != {i: 1}:
+            raise ValueError("Gram inverse validation failed")
+    return inv
 
 
 def _power_table(base: int, top: int) -> list:

@@ -183,9 +183,9 @@ def build_context(config: SuiteConfig) -> SuiteContext:
         stage = "invariants"
         inv = None
         if config.cache_dir:
-            inv = invmod.load_family(config.cache_dir, label, L, ctx)
+            inv = invmod.load_family(config.cache_dir, label, L)
         if inv is None:
-            inv = invariant_generators(L, ctx)
+            inv = invariant_generators(L)
             if config.cache_dir:
                 invmod.save_family(config.cache_dir, label, L, inv)
         stage = "family"

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,7 @@ class Bundle:
         self.ctx = GradientContext(self.L)
         self.triple = principal_triple(self.L)
         self.decomp = principal_decomposition(self.L, self.triple)
-        self.inv = invariant_generators(self.L, self.ctx)
+        self.inv = invariant_generators(self.L)
         self.y = choose_regular_y(self.L, SEED)
         self.family = shift_family(self.L, self.inv, self.y, self.ctx, self.triple)
         self.chart = build_chart(self.family)
@@ -266,6 +267,60 @@ def reference_sparse_kernel(rows, ncols):
 @pytest.fixture(scope="session")
 def reference_kernel():
     return reference_sparse_kernel
+
+
+def reference_coordinate_brackets(L, ctx, z):
+    """For a fixed z, the linear forms {(z, .), x_k} as sparse integer rows
+    [(j, c_j), ...] (None when zero): the rational bracket of z with the dual
+    vector u_k, paired through the dense Gram matrix, all scaled by the LCM
+    of their denominators."""
+    forms = []
+    for k in range(L.dim):
+        v = L.bracket(z, ctx.dual_vector(k))
+        forms.append(linalg.mat_vec(ctx.gram, v) if any(v) else None)
+    den = math.lcm(*(c.denominator for f in forms if f for c in f))
+    return [None if f is None else
+            [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
+            for f in forms]
+
+
+def reference_two_sided_vectors(L):
+    """The 2l root vectors of the simple roots and of their negatives."""
+    simple = [i for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
+    return ([L.basis_vector(L.pos_indices[i]) for i in simple]
+            + [L.basis_vector(L.neg_indices[i]) for i in simple])
+
+
+def reference_invariant_equations(L, ctx, monos):
+    """Invariance under all 2l simple root vectors, on exponent tuples: one
+    row {column: c} per vector and image monomial, the derivation
+    sum_k {(z, .), x_k} d/dx_k of each vector applied to each monomial."""
+    col = {e: i for i, e in enumerate(monos)}
+    equations = []
+    for z in reference_two_sided_vectors(L):
+        forms = reference_coordinate_brackets(L, ctx, z)
+        rows = {}
+        for e in monos:
+            for k, ek in enumerate(e):
+                if not ek or forms[k] is None:
+                    continue
+                for j, c in forms[k]:
+                    tgt = list(e)
+                    tgt[k] -= 1
+                    tgt[j] += 1
+                    row = rows.setdefault(tuple(tgt), {})
+                    row[col[e]] = row.get(col[e], 0) + ek * c
+        equations.extend(rows[t] for t in sorted(rows))
+    return equations
+
+
+@pytest.fixture(scope="session")
+def reference_equations():
+    """The invariance equations under the 2l simple root vectors, and the
+    action forms they are built from."""
+    return SimpleNamespace(equations=reference_invariant_equations,
+                           forms=reference_coordinate_brackets,
+                           vectors=reference_two_sided_vectors)
 
 
 def reference_lie_bracket(L, x, y):

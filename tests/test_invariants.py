@@ -50,10 +50,13 @@ def coeff_rows(polys, L, d):
     return rows
 
 
-@pytest.mark.parametrize("label, degrees",
-                         [pytest.param(label, None, id=label) for label in
-                          SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")]
-                         + [pytest.param("D4", (2, 4), id="D4")])
+# every label and G2, B3, C3 and A4 at all their degrees; D4 at degrees 2 and 4
+DEGREE_CASES = ([pytest.param(label, None, id=label) for label in
+                 SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")]
+                + [pytest.param("D4", (2, 4), id="D4")])
+
+
+@pytest.mark.parametrize("label, degrees", DEGREE_CASES)
 def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight, label,
                                                 degrees):
     L = algebras(label)
@@ -61,10 +64,57 @@ def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight,
         assert _zero_weight_monomials(L, d) == reference_zero_weight(L, d), d
 
 
+@pytest.mark.parametrize("label, degrees", DEGREE_CASES)
+def test_raising_equations_have_the_two_sided_kernel(algebras, reference_equations, label,
+                                                     degrees):
+    """The l raising operators' equations and the 2l simple root vectors'
+    equations have the same canonical kernel basis at every invariant
+    degree."""
+    L = algebras(label)
+    ctx = GradientContext(L)
+    tables = invariants._action_tables(L)
+    for d in degrees or sorted(set(L.rs.degrees)):
+        monos = _zero_weight_monomials(L, d)
+        unit, _ = invariants._packing(L.dim, d)
+        packed = [invariants._pack(m, unit) for m in monos]
+        ours = invariants._equations(tables, packed, unit)
+        theirs = reference_equations.equations(L, ctx, monos)
+        assert len(theirs) == 2 * len(ours), d
+        assert (linalg.sparse_kernel(ours, len(monos))
+                == linalg.sparse_kernel(theirs, len(monos))), d
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
+def test_action_tables_are_negated_coordinate_brackets(algebras, reference_equations, label):
+    """Row k of ad z is -{(z, .), x_k} for every raising operator z: the
+    integer rows of int_ad equal the negated reference forms entry for
+    entry."""
+    L = algebras(label)
+    ctx = GradientContext(L)
+    vectors = invariants.simple_root_vectors(L)
+    assert vectors == reference_equations.vectors(L)[:L.rank]
+    for z, table in zip(vectors, invariants._action_tables(L)):
+        ref = reference_equations.forms(L, ctx, z)
+        assert table == [None if f is None else [(j, -c) for j, c in f] for f in ref]
+
+
+def test_solver_conditions_reject_raising_killed_term_of_nonzero_weight(bundles):
+    """x_9 of B2 is the coordinate of the lowest root vector, of weight
+    (-1, -2): every raising operator kills x_9^2, so only the zero-weight
+    test rejects a quadratic generator with x_9^2 added."""
+    B = bundles("B2")
+    quad, quartic = B.inv.polys
+    x9 = Poly.coordinate(B.L.dim, 9)
+    assert B.L.weights[9] == (-1, -2)
+    tables = invariants._action_tables(B.L)
+    assert all(table[9] is None for table in tables)
+    assert not meets_solver_conditions(B.L, InvariantFamily([quad + x9 * x9, quartic], (2, 4)))
+
+
 @pytest.mark.parametrize("label", sorted(INVARIANT_DIGESTS))
 def test_rank_three_and_four_invariants_are_pinned(algebras, label):
     L = algebras(label)
-    fam = invariant_generators(L, GradientContext(L))
+    fam = invariant_generators(L)
     digests = [hashlib.sha256(json.dumps(p.to_payload(), separators=(",", ":")).encode())
                .hexdigest() for p in fam.polys]
     assert digests == INVARIANT_DIGESTS[label]
@@ -186,7 +236,7 @@ def test_trace_oracle_rejects_non_type_a(bundles):
 def test_cache_round_trip(tmp_path, bundles):
     B = bundles("A2")
     path = save_family(str(tmp_path), "A2", B.L, B.inv)
-    loaded = load_family(str(tmp_path), "A2", B.L, B.ctx)
+    loaded = load_family(str(tmp_path), "A2", B.L)
     assert loaded is not None
     assert loaded.degrees == B.inv.degrees
     assert loaded.polys == B.inv.polys
@@ -198,7 +248,7 @@ def test_solver_conditions_reject_altered_families(bundles):
     quad, quartic = B.inv.polys
     n = B.L.dim
     x0x1 = Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
-    assert meets_solver_conditions(B.L, B.ctx, B.inv)
+    assert meets_solver_conditions(B.L, B.inv)
     altered = {
         "wrong degrees": InvariantFamily([quad, quartic], (2, 2)),
         "inhomogeneous": InvariantFamily([quad + Poly.coordinate(n, 0), quartic], (2, 4)),
@@ -206,12 +256,12 @@ def test_solver_conditions_reject_altered_families(bundles):
         "decomposable": InvariantFamily([quad, quad * quad], (2, 4)),
     }
     for name, fam in altered.items():
-        assert not meets_solver_conditions(B.L, B.ctx, fam), name
+        assert not meets_solver_conditions(B.L, fam), name
 
 
 def test_cache_miss_on_missing_file(tmp_path, bundles):
     B = bundles("A1")
-    assert load_family(str(tmp_path), "A1", B.L, B.ctx) is None
+    assert load_family(str(tmp_path), "A1", B.L) is None
 
 
 SELECTION_LABELS = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4")
@@ -229,7 +279,7 @@ def test_selection_matches_full_vector_scan(algebras, reference_select, monkeypa
         return out
 
     monkeypatch.setattr(invariants, "_new_kernel_vectors", recorded)
-    fam = invariant_generators(L, GradientContext(L))
+    fam = invariant_generators(L)
     assert [d for _, d, _ in calls] == sorted(set(L.rs.degrees))
     for kernel, d, kept in calls:
         assert kept == reference_select(kernel, fam.polys, fam.degrees, d,
@@ -266,14 +316,14 @@ def test_certificate_rejects_non_invariant_lower_generator(algebras, monkeypatch
     # h^2 has weight zero, so the products land in the degree-4 columns
     _plant_in_quadratic(monkeypatch, h * h)
     with pytest.raises(WrongDimension, match="not invariant"):
-        invariant_generators(L, GradientContext(L))
+        invariant_generators(L)
 
 
 def test_certificate_rejects_lower_generator_of_nonzero_weight(algebras, monkeypatch):
     L = algebras("B2")
     _plant_in_quadratic(monkeypatch, Poly.coordinate(L.dim, 0) * Poly.coordinate(L.dim, 1))
     with pytest.raises(WrongDimension, match="nonzero weight"):
-        invariant_generators(L, GradientContext(L))
+        invariant_generators(L)
 
 
 def test_solver_conditions_reject_fractional_non_invariant_term(bundles):
@@ -282,10 +332,10 @@ def test_solver_conditions_reject_fractional_non_invariant_term(bundles):
     n = B.L.dim
     h = Poly.coordinate(n, B.L.cartan_indices[0])
     scaled = InvariantFamily([quad.scale(rat(1, 3)), quartic.scale(rat(-2, 7))], (2, 4))
-    assert meets_solver_conditions(B.L, B.ctx, scaled)
+    assert meets_solver_conditions(B.L, scaled)
     for term in ((h * h).scale(rat(1, 3)), (Poly.coordinate(n, 0) * h).scale(rat(-5, 2))):
         fam = InvariantFamily([quad.scale(rat(1, 3)) + term, quartic], (2, 4))
-        assert not meets_solver_conditions(B.L, B.ctx, fam), term
+        assert not meets_solver_conditions(B.L, fam), term
 
 
 @pytest.mark.parametrize("exps", [[-1, 0, 0, 0, 0, 0, 0, 3], [2]],
@@ -298,7 +348,7 @@ def test_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles, exps):
     payload["polys"][0].append([exps, "1"])
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    assert load_family(str(tmp_path), "A2", B.L, B.ctx) is None
+    assert load_family(str(tmp_path), "A2", B.L) is None
 
 
 def test_cache_file_bytes_are_compact_sorted_json(tmp_path, bundles):

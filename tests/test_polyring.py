@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.polyring import (CompiledPolys, Poly, coefficient_rows, gradient,
-                             poisson_bracket, restrict_affine)
+from mfhess.polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
+                             gradient, poisson_bracket, restrict_affine)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -345,3 +346,39 @@ def test_restrict_affine_rejects_mismatched_dimensions():
         restrict_affine([Poly.const(2, 1)], [rat(0)] * 3, [])
     with pytest.raises(ValueError):
         restrict_affine([Poly.const(2, 1)], [rat(0)] * 2, [[rat(1)]])
+
+
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "G2", "B3", "D4"])
+def test_gram_inverse_by_blocks_is_the_dense_inverse(algebras, label):
+    L = algebras(label)
+    ctx = GradientContext(L)
+    assert ctx.gram is L.killing
+    assert ctx.gram_inv == linalg.inverse(L.killing)
+    assert linalg.mat_mul(ctx.gram, ctx.gram_inv) == linalg.identity(L.dim)
+    g, rows = ctx.gram_inv_int
+    assert [dict(row) for row in rows] == [
+        {k: g * c for k, c in enumerate(row) if c} for row in ctx.gram_inv]
+
+
+def test_gram_inverse_validation_sees_a_wrong_block(algebras, monkeypatch):
+    """The sparse product catches a Cartan block whose inverse is doubled
+    (rank 3, so the 2 x 2 root-pair blocks stay as they are)."""
+    L = algebras("A3")
+    original = linalg.inverse
+
+    def doubled_cartan_block(mat):
+        out = original(mat)
+        return [[2 * c for c in row] for row in out] if len(mat) == L.rank else out
+
+    monkeypatch.setattr(linalg, "inverse", doubled_cartan_block)
+    with pytest.raises(ValueError, match="validation failed"):
+        GradientContext(L)
+
+
+def test_gram_inverse_rejects_a_singular_block(algebras):
+    L = algebras("A2")
+    h = L.cartan_indices[0]
+    killing = [[0 if h in (i, j) else c for j, c in enumerate(row)]
+               for i, row in enumerate(L.killing)]
+    with pytest.raises(ValueError, match="singular"):
+        GradientContext(replace(L, killing=killing))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from mfhess import cli, linalg
+from mfhess import argshift, cli, linalg
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.liealgebra import LieAlgebra
@@ -15,7 +15,7 @@ from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, buil
                              check_algebra_soundness, check_chart_section,
                              check_commutativity, check_degree_duality, check_gradient_rank,
                              check_graded_dimensions, check_hamiltonian_frame,
-                             check_leading_term, check_omega_well_defined,
+                             check_leading_term, check_membership, check_omega_well_defined,
                              check_poincare, check_polarization,
                              check_principal_decomposition, check_principal_shift_span,
                              check_shifted_gradient_span, check_slice_infinitesimal,
@@ -654,3 +654,16 @@ def test_root_data_checks_fail_on_planted_root_system(a2_context, check, field, 
     out = check(replace(sc, rs=replace(sc.rs, **{field: value})), cfg)
     assert out["ok"] is False
     assert witness.items() <= out["witness"].items()
+
+
+def test_membership_fails_when_every_direction_shifts_along_y(a2_context, monkeypatch):
+    """family.membership_samples with argshift.shifted_invariants shifting
+    along y whatever direction it is given: the zero direction then reaches
+    full span too, so the check fails with that witness instead of raising."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    assert check_membership(sc, cfg)["ok"] is True
+    original = argshift.shifted_invariants
+    monkeypatch.setattr(argshift, "shifted_invariants", lambda inv, u: original(inv, sc.y))
+    assert check_membership(sc, cfg) == {"ok": False,
+                                         "witness": {"kind": "zero direction certified"}}
