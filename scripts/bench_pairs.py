@@ -16,6 +16,12 @@ end-to-end metric, the median and the quartiles of each side
 lower.  With --held-out-seed, one more pair of the first workload runs at that
 seed.
 
+After each run the script reads the audit record that perfbench/run.py
+writes in that checkout (perfbench/out/<workload>-seed<S>-trace0.json) and
+stores the median adjusted_s of each unit kind with the run's result, under
+"unit_medians"; the summary gives each side's median of those per unit kind.
+A unit kind can move while wall_s, a sum over all kinds, hides it.
+
 A run is incorrect when its result has `correct: false` or `failed > 0`
 (perfbench/run.py still exits 0 then).  Each workload records the number of
 incorrect runs per side, and a workload with any incorrect run gets no
@@ -25,11 +31,22 @@ exits 1, naming each incorrect run on stderr.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+
+
+def unit_medians(audit_path: str) -> dict:
+    """The median adjusted_s of each unit kind in a perfbench audit record,
+    set-up and pass units pooled, in order of first appearance."""
+    with open(audit_path) as fh:
+        units = json.load(fh)["units"]
+    kinds = dict.fromkeys(u["kind"] for u in units)
+    return {k: statistics.median(u["adjusted_s"] for u in units if u["kind"] == k)
+            for k in kinds}
 
 
 def run(tree: str, workload: str, seed: int) -> dict:
@@ -39,7 +56,10 @@ def run(tree: str, workload: str, seed: int) -> dict:
     if proc.returncode or not lines:
         raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["unit_medians"] = unit_medians(
+        os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json"))
+    return result
 
 
 def pair(args, workload: str, seed: int, change_first: bool) -> tuple:
@@ -66,7 +86,17 @@ def summary(parents: list, changes: list) -> dict:
                    "quartiles": [round(q, 4) for q in statistics.quantiles(v, n=4)[::2]]}
             for side, v in (("parent", p), ("change", c))}
         out[name]["change_lower_in_pairs"] = sum(b < a for a, b in zip(p, c))
+    out["unit_medians"] = {"parent": kind_medians(parents), "change": kind_medians(changes)}
     return out
+
+
+def kind_medians(runs: list) -> dict:
+    """The median over runs of each unit kind's median."""
+    per_kind: dict = {}
+    for r in runs:
+        for kind, v in r["unit_medians"].items():
+            per_kind.setdefault(kind, []).append(v)
+    return {kind: round(statistics.median(v), 4) for kind, v in per_kind.items()}
 
 
 def main() -> int:

@@ -16,6 +16,12 @@ regular Cartan element and the nilpositive element of a principal triple
 a sampled membership test for directions whose family reaches the maximal
 gradient span b.
 
+The pieces come from one integer Taylor pass over the terms of each I_j.
+Pairwise commutativity (criterion 6) is decided exactly, with each member's
+partials and Hamiltonian folds {x_i, q} computed once for the whole sweep;
+a member whose folds vanish is a Casimir (an underived invariant) and its
+pairs need no product.
+
 A family compiles its members once (polyring.CompiledPolys) when it is
 built; gradients and values at points are read from that integer form, and
 no partial derivatives are cached.  gradient_rows returns the gradient
@@ -28,12 +34,14 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
-from .polyring import CompiledPolys, GradientContext, Poly, coefficient_rows, poisson_bracket
-from .rational import R0, R1, rat, to_rat, factorial_rat
+from .polyring import (CompiledPolys, GradientContext, Poly, _int_folds, _int_partials,
+                       _int_product, _packing, _unpack, coefficient_rows)
+from .rational import R0, clear, denominator_lcm, rat, scaled, to_rat
 
 
 class DependentFamily(Exception):
@@ -88,15 +96,48 @@ def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> list:
 
 
 def shifted_invariants(inv: InvariantFamily, u) -> list:
-    """All pieces (j, k, I_{j,u,k}) with 0 <= k <= m_j, k-th derivative over k!."""
-    u = [to_rat(c) for c in u]
+    """All pieces (j, k, I_{j,u,k}) with 0 <= k <= m_j: the coefficient of
+    t^k in I_j(x + t u), which is the k-th derivative along u over k!.
+
+    The pieces come from one Taylor pass on integers.  u is cleared once to
+    numerators U over one denominator D.  Each term c x^e of I_j, scaled by
+    the LCM of I_j's denominators, expands the product over k in supp(u) of
+    (x_k + t U_k / D)^(e_k) with binomial coefficients on ints, packed
+    exponents (the width rule of polyring.poisson_bracket) and orders below
+    deg I_j only; the coefficient of t^k is then piece k over scale * D^k.
+    """
+    nums, den = clear([to_rat(c) for c in u])
+    support = [(k, U) for k, U in enumerate(nums) if U]
     out = []
     for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
-        cur = p
         out.append((j, 0, p))
+        top = p.degree()
+        unit, width = _packing(p.n, top)
+        # steps[k][e] lists (a, packed x_k^a, C(e, a) U_k^a) for 0 < a <= e, a < d
+        steps = {k: [[(a, a * unit[k], comb(e, a) * U ** a)
+                      for a in range(1, min(e, d - 1) + 1)] for e in range(top + 1)]
+                 for k, U in support}
+        scale = denominator_lcm(p.terms.values())
+        acc = [{} for _ in range(d)]
+        for e, c in p.terms.items():
+            touched = [steps[k][e[k]] for k, _ in support if e[k]]
+            if not touched:
+                continue
+            branches = [(0, sum(ek * unit[k] for k, ek in enumerate(e) if ek), scaled(c, scale))]
+            for step in touched:
+                grown = list(branches)
+                for order, pe, coef in branches:
+                    for a, ua, w in step:
+                        if order + a >= d:
+                            break
+                        grown.append((order + a, pe - ua, coef * w))
+                branches = grown
+            for order, pe, coef in branches:
+                if order:
+                    row = acc[order]
+                    row[pe] = row.get(pe, 0) + coef
         for k in range(1, d):
-            cur = cur.directional(u)
-            out.append((j, k, cur.scale(R1 / factorial_rat(k))))
+            out.append((j, k, _unpack(p.n, width, acc[k], scale * den ** k)))
     return out
 
 
@@ -198,17 +239,60 @@ def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
 def pairwise_commute(F: ShiftFamily) -> tuple:
     """Exact symbolic check that all pairs of generators Poisson commute.
 
-    Returns (True, number of pairs) or (False, (i, j, nonzero bracket)).
+    Returns (True, number of pairs) or (False, (i, j, nonzero bracket)), the
+    pair being the first nonzero one in the sweep i < j with i outer and its
+    bracket the one poisson_bracket gives.
+
+    The brackets are poisson_bracket's three integer steps, each run once per
+    member instead of once per pair, on one exponent packing wide enough for
+    every pair (2 * max degree - 1).  Member j's partials are taken once, and
+    so are its folds {x_i, q_j}, as the second argument of its pairs; only
+    one member's folds are alive at a time, so the sweep runs with j outer.
+    Each pair's product is dropped once tested, and the last product of a
+    member releases each fold as it reads it.  A member whose folds all
+    vanish is a Casimir (here, an underived invariant): {p, q_j} =
+    sum_i dp/dx_i {x_i, q_j} is zero for every p, and so is {q_j, p} =
+    -{p, q_j}, so its pairs are zero with no product.  Once a nonzero pair
+    (i0, j0) is found, a later j can only precede it in i-outer order through
+    some i < i0, and only those are tested.
     """
     qs = F.qs
-    count = 0
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            br = poisson_bracket(F.ctx, qs[i], qs[j])
+    b = len(qs)
+    n = F.ctx.nvars
+    unit, width = _packing(n, 2 * max(q.degree() for q in qs) - 1)
+    st, rows = F.ctx.pair_table()
+    everywhere = [True] * n
+    partials = []           # None for a Casimir, never needed again
+    first = None
+    for j in range(b):
+        limit = j if first is None else first[0]
+        if first is not None and not limit:
+            break
+        folds = None            # the last member's, before the next folds
+        sq, dq = _int_partials(qs[j], unit)
+        folds = list(_int_folds(rows, dq, unit, everywhere))
+        if not any(folds):
+            partials.append(None)
+            continue
+        partials.append((sq, dq))
+        firsts = [i for i in range(limit) if partials[i] is not None]
+        for i in firsts:
+            sp, dp = partials[i]
+            src = _released(folds) if i == firsts[-1] else folds
+            br = _unpack(n, width, _int_product(dp, src), sp * sq * st)
             if not br.is_zero():
-                return False, (i, j, br)
-            count += 1
-    return True, count
+                first = (i, j, br)
+                break
+    if first is not None:
+        return False, first
+    return True, b * (b - 1) // 2
+
+
+def _released(items: list):
+    """Yield the items of a list, putting None in each place once read."""
+    for k in range(len(items)):
+        item, items[k] = items[k], None
+        yield item
 
 
 def phi(F: ShiftFamily, x) -> list:

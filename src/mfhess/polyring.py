@@ -9,7 +9,10 @@ makes dp(x) the inverse Gram matrix applied to the coordinate partials.
 
 The Poisson bracket of p and q is the function x -> (x, [dp(x), dq(x)]),
 computed symbolically through the precomputed brackets of the coordinate
-functions themselves.
+functions themselves, in three integer steps: the partials of p and q, the
+folds {x_i, q} = sum_j dq/dx_j {x_i, x_j} (the Hamiltonian vector field of
+q) and the product sum_i dp/dx_i {x_i, q}.  poisson_bracket runs them for
+one pair; argshift.pairwise_commute runs each of them once per family member.
 
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation clears the point's
@@ -162,13 +165,6 @@ class Poly:
                 out[tuple(e2)] = c * e[k]
         return Poly(self.n, out)
 
-    def directional(self, y) -> "Poly":
-        out = Poly(self.n)
-        for k, yk in enumerate(y):
-            if yk:
-                out = out + self.partial(k).scale(yk)
-        return out
-
     def evaluate(self, point):
         if len(point) != self.n:
             raise ValueError("point has wrong dimension")
@@ -190,13 +186,21 @@ class Poly:
     @classmethod
     def from_payload(cls, n: int, payload) -> "Poly":
         """The inverse of to_payload; ValueError unless every exponent vector
-        holds n nonnegative ints."""
+        holds n nonnegative ints (of type int: no bool, float or string is
+        coerced).  Each distinct coefficient string is parsed once."""
         terms = {}
+        parsed: dict = {}
         for e, c in payload:
-            e = tuple(int(x) for x in e)
-            if len(e) != n or min(e) < 0:
+            e = tuple(e)
+            if len(e) != n or not all(type(x) is int and x >= 0 for x in e):
                 raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
-            terms[e] = to_rat(c)
+            if type(c) is str:
+                r = parsed.get(c)
+                if r is None:
+                    r = parsed[c] = to_rat(c)
+            else:
+                r = to_rat(c)
+            terms[e] = r
         return cls(n, terms)
 
 
@@ -444,6 +448,59 @@ def _int_partials(f: Poly, unit: list) -> tuple:
     return scale, out
 
 
+def _packing(n: int, top: int) -> tuple:
+    """(unit, width) for packing exponent vectors of n variables into one int
+    with width = top.bit_length() bits per variable: unit[k] = 1 << (width k).
+    Once every exponent of a term is at most top, no field carries into the
+    next, so a monomial product is an int addition."""
+    width = top.bit_length()
+    return [1 << (width * k) for k in range(n)], width
+
+
+def _int_folds(rows: list, dq: list, unit: list, wanted):
+    """Yield, for each row i of the integer pair table, the fold
+    {x_i, q} = sum_j dq/dx_j {x_i, x_j} as packed exponent -> integer
+    coefficient, from the integer partials dq of q.  A row with wanted[i]
+    false is empty, and so is a row whose coefficients all cancel: an empty
+    fold is a vanishing one.  Zeros may remain in the other rows."""
+    for row, want in zip(rows, wanted):
+        m: dict = {}
+        if want:
+            mget = m.get
+            for j, lin in row:
+                dqj = dq[j]
+                for k, c in lin:
+                    u = unit[k]
+                    for e, d in dqj.items():
+                        e += u
+                        m[e] = mget(e, 0) + c * d
+        yield m if any(m.values()) else {}
+
+
+def _int_product(dp: list, folds) -> dict:
+    """sum_i dp/dx_i * {x_i, q} on packed ints, from the integer partials of
+    p and the folds of q (any iterable of them, read once in row order);
+    zero coefficients may remain."""
+    acc: dict = {}
+    get = acc.get
+    for dpi, m in zip(dp, folds):
+        if dpi:
+            for e2, c2 in m.items():
+                if c2:
+                    for e1, c1 in dpi.items():
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _unpack(n: int, width: int, acc: dict, scale: int) -> Poly:
+    """The Poly of packed exponent -> integer coefficient over scale."""
+    mask = (1 << width) - 1
+    shifts = [width * k for k in range(n)]
+    return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
+                    for e, c in acc.items() if c})
+
+
 def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     """Exact symbolic bracket {p, q} = sum_ij dp/dx_i dq/dx_j {x_i, x_j}.
 
@@ -452,9 +509,13 @@ def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     coefficients vanish, and the result is divided by the product of the
     three scales at the end.  Exponent vectors are packed into one int with a
     fixed number of bits per variable (Monagan and Pearce, CASC 2007), so a
-    monomial product is an int addition.  Row i of the table is first folded
-    into M_i = sum_j dq/dx_j {x_i, x_j}, so that each dp/dx_i is multiplied
-    once, and every product term is accumulated into one dict in place.
+    monomial product is an int addition.  The bracket runs in three steps:
+    the integer partials of p and q (_int_partials), the folds
+    {x_i, q} = sum_j dq/dx_j {x_i, x_j} (_int_folds), taken only for the rows
+    where dp/dx_i != 0, and the product sum_i dp/dx_i {x_i, q}
+    (_int_product), each dp/dx_i multiplied once.  Each fold is multiplied
+    as it is made, so one is alive at a time.  pairwise_commute runs the
+    same steps once per family member instead of once per pair.
     """
     n = ctx.nvars
     if p.n != n or q.n != n:
@@ -464,37 +525,12 @@ def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     top = p.degree() + q.degree() - 1
     if top < 1:
         return Poly.zero(n)
-    width = top.bit_length()
-    mask = (1 << width) - 1
-    if top > mask:
-        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
-    unit = [1 << (width * k) for k in range(n)]
+    unit, width = _packing(n, top)
     sp, dp = _int_partials(p, unit)
     sq, dq = _int_partials(q, unit)
     st, rows = ctx.pair_table()
-    acc: dict = {}
-    get = acc.get
-    for dpi, row in zip(dp, rows):
-        if not dpi:
-            continue
-        m: dict = {}
-        mget = m.get
-        for j, lin in row:
-            dqj = dq[j]
-            for k, c in lin:
-                u = unit[k]
-                for e, d in dqj.items():
-                    e += u
-                    m[e] = mget(e, 0) + c * d
-        for e2, c2 in m.items():
-            if c2:
-                for e1, c1 in dpi.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
-    scale = sp * sq * st
-    shifts = [width * k for k in range(n)]
-    return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
-                    for e, c in acc.items() if c})
+    acc = _int_product(dp, _int_folds(rows, dq, unit, dp))
+    return _unpack(n, width, acc, sp * sq * st)
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
@@ -536,11 +572,7 @@ def restrict_affine(polys, base, directions) -> list:
     # Every exponent of an output term is at most its total degree, which is
     # at most top; once top fits in width bits, no field carries into the next.
     top = max([0] + [p.degree() for p in polys])
-    width = top.bit_length()
-    mask = (1 << width) - 1
-    if top > mask:
-        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
-    unit = [1 << (width * g) for g in range(m)]
+    unit, width = _packing(m, top)
     den = denominator_lcm(c for vec in [base] + directions for c in vec)
     forms = []
     for k in range(n):
@@ -552,7 +584,6 @@ def restrict_affine(polys, base, directions) -> list:
     # powers[k][e] = A_k^e, extended on demand
     powers = [[{0: 1}, form] for form in forms]
     dpow = _power_table(den, top)
-    shifts = [width * g for g in range(m)]
     out = []
     for p in polys:
         scale = denominator_lcm(p.terms.values())
@@ -573,7 +604,5 @@ def restrict_affine(polys, base, directions) -> list:
             else:
                 for te, tc in term.items():
                     acc[te] = get(te, 0) + tc
-        whole = scale * dpow[deg] if deg >= 0 else 1
-        out.append(Poly(m, {tuple((e >> s) & mask for s in shifts): rat(c, whole)
-                            for e, c in acc.items() if c}))
+        out.append(_unpack(m, width, acc, scale * dpow[deg] if deg >= 0 else 1))
     return out

@@ -9,7 +9,7 @@ from mfhess.rootdata import (CartanMatrix, UnsupportedType, build_root_system,
                              cartan_matrix_for_label)
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
 from mfhess.polyring import GradientContext, Poly, coefficient_rows
-from mfhess.rational import R0, R1, rat_str
+from mfhess.rational import R0, R1, factorial_rat, rat_str, to_rat
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart
@@ -91,9 +91,81 @@ def reference_poisson_bracket(ctx, p, q):
     return out
 
 
+# exponent defects for a Poly payload: a term appended with a bad vector,
+# or every exponent of one term (all 0 or 1) given as another JSON type
+MALFORMED_EXPONENTS = ([-1, 0, 0, 0, 0, 0, 0, 3], [2], float, bool, str)
+MALFORMED_IDS = ("negative", "short", "float", "bool", "string")
+
+
+def malform_exponents(payload, defect):
+    """Plant one of MALFORMED_EXPONENTS in a Poly payload, in place."""
+    if isinstance(defect, list):
+        payload.append([defect, "1"])
+    else:
+        term = next(t for t in payload if max(t[0]) <= 1)
+        term[0] = [defect(x) for x in term[0]]
+
+
+@pytest.fixture(params=MALFORMED_EXPONENTS, ids=MALFORMED_IDS)
+def malformed_exponents(request):
+    """A function planting this parameter's exponent defect in a Poly payload."""
+    return lambda payload: malform_exponents(payload, request.param)
+
+
 @pytest.fixture(scope="session")
 def reference_bracket():
     return reference_poisson_bracket
+
+
+def reference_pairwise_sweep(F, bracket=reference_poisson_bracket):
+    """The sweep over all pairs i < j with i outer, one bracket(ctx, q_i, q_j)
+    call per pair: (True, number of pairs) or (False, (i, j, bracket)) for
+    the first nonzero pair."""
+    qs = F.qs
+    count = 0
+    for i in range(len(qs)):
+        for j in range(i + 1, len(qs)):
+            br = bracket(F.ctx, qs[i], qs[j])
+            if not br.is_zero():
+                return False, (i, j, br)
+            count += 1
+    return True, count
+
+
+@pytest.fixture(scope="session")
+def reference_pairwise():
+    return reference_pairwise_sweep
+
+
+def reference_directional_derivative(p, y):
+    """d_y p = sum_k y_k dp/dx_k, by Poly partials, scale and addition."""
+    out = Poly.zero(p.n)
+    for k, yk in enumerate(y):
+        if yk:
+            out = out + p.partial(k).scale(yk)
+    return out
+
+
+def reference_shifted_pieces(inv, u):
+    """All pieces (j, k, (1/k!) d_u^k I_j) for 0 <= k < d_j, by iterated
+    Poly directional derivatives."""
+    u = [to_rat(c) for c in u]
+    out = []
+    for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
+        cur = p
+        out.append((j, 0, p))
+        for k in range(1, d):
+            cur = reference_directional_derivative(cur, u)
+            out.append((j, k, cur.scale(R1 / factorial_rat(k))))
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_shift():
+    """The Poly route to the shifted pieces: the directional derivative and
+    the pieces it iterates into."""
+    return SimpleNamespace(directional=reference_directional_derivative,
+                           pieces=reference_shifted_pieces)
 
 
 def reference_compose_poly(p, subs):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from mfhess import linalg
 from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
                              choose_regular_y, gradient_span, is_regular_cartan,
-                             is_strongly_regular, mv_membership, pairwise_commute,
+                             is_strongly_regular, load_family_cache, mv_membership,
+                             pairwise_commute, save_family_cache,
                              phi, root_values, shift_family, shifted_invariants,
                              zeta_apply, zeta_chain)
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
-from mfhess.polyring import Poly, restrict_affine
+from mfhess.polyring import Poly, poisson_bracket, restrict_affine
 from mfhess.rational import over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
+C3 = "[[2,-1,0],[-1,2,-2],[0,-1,2]]"
+A4 = "[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]"
 
 
 def test_choose_regular_y_deterministic(bundles):
@@ -96,11 +100,49 @@ def test_invalid_direction_rejected(bundles):
 
 @pytest.mark.parametrize("label,pairs", [
     ("A1", 1), ("A2", 10),
-    pytest.param("[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]", 91, id="A4inline-91"),
+    pytest.param(A4, 91, id="A4inline-91"),
 ])
 def test_pairwise_commutativity(bundles, label, pairs):
     ok, count = pairwise_commute(bundles(label).family)
     assert ok and count == pairs
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (A4,),
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("A4",))
+def test_pairwise_commute_matches_reference_sweep(bundles, reference_pairwise,
+                                                  reference_bracket, label):
+    """The fold-once sweep returns the (ok, count) of the per-pair sweep.  The
+    labels sweep over the Poly-product bracket; G2 and A4 sweep over
+    poisson_bracket (the Poly-product sweep takes about 35 s on each), whose
+    agreement with that bracket is tested in test_polyring."""
+    F = bundles(label).family
+    bracket = poisson_bracket if label in FLAGGED_LABELS + (A4,) else reference_bracket
+    want = reference_pairwise(F, bracket)
+    assert pairwise_commute(F) == want == (True, F.b * (F.b - 1) // 2)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3, C3, A4),
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4"))
+def test_shifted_invariants_match_poly_route(bundles, reference_shift, label):
+    """The integer Taylor pass gives the pieces of the iterated Poly
+    directional derivatives, along y, f, 2f and 0."""
+    B = bundles(label)
+    L = B.L
+    for u in (B.y, B.triple.f, linalg.vec_scale(B.triple.f, rat(2)), L.zero()):
+        assert shifted_invariants(B.inv, u) == reference_shift.pieces(B.inv, u)
+
+
+def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
+                                                        malformed_exponents):
+    B = bundles("A2")
+    path = save_family_cache(str(tmp_path), "A2", 42, B.family)
+    assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple).qs == B.family.qs
+    with open(path) as fh:
+        payload = json.load(fh)
+    malformed_exponents(payload["entries"][-1]["poly"])
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple) is None
 
 
 def test_phi_basics(bundles):

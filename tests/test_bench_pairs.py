@@ -22,7 +22,8 @@ def bench_pairs():
 def _result(wall, correct=True, failed=0):
     metrics = {name: {"value": wall, "unit": "s"} for name in ("wall_s", "setup_s")}
     metrics["peak_rss_mb"] = {"value": 20.0, "unit": "MB"}
-    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics,
+            "unit_medians": {"build.X": wall / 4, "control": wall / 2}}
 
 
 def _run(bench_pairs, monkeypatch, tmp_path, results):
@@ -48,6 +49,39 @@ def test_correct_runs_are_summarized(bench_pairs, monkeypatch, tmp_path):
     assert code == 0
     assert suite["incorrect_runs"] == {"parent": 0, "change": 0}
     assert suite["summary"]["wall_s"]["change_lower_in_pairs"] == 2
+    assert suite["summary"]["unit_medians"] == {
+        "parent": {"build.X": 0.5125, "control": 1.025},
+        "change": {"build.X": 0.2625, "control": 0.525}}
+
+
+def _write_tree(root, units):
+    """A checkout whose perfbench/run.py prints a result line and writes
+    an audit record holding the given units, as perfbench/run.py does."""
+    bench = root / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(
+        "import json, os, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "os.makedirs('perfbench/out', exist_ok=True)\n"
+        "stem = f\"perfbench/out/{args['--workload']}-seed{args['--seed']}-trace0.json\"\n"
+        "with open(stem, 'w') as fh:\n"
+        f"    json.dump({{'units': {units!r}}}, fh)\n"
+        "print('progress line')\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+
+
+def test_run_reads_unit_medians_from_the_audit_record(bench_pairs, tmp_path):
+    units = [{"kind": "build.G2", "phase": "setup", "adjusted_s": 0.07},
+             {"kind": "build.G2", "phase": "setup", "adjusted_s": 0.06},
+             {"kind": "commute.pairwise", "phase": "pass", "adjusted_s": 0.05},
+             {"kind": "build.G2", "phase": "pass", "adjusted_s": 0.09},
+             {"kind": "commute.pairwise", "phase": "pass", "adjusted_s": 0.03},
+             {"kind": "commute.pairwise", "phase": "pass", "adjusted_s": 0.04}]
+    _write_tree(tmp_path, units)
+    result = bench_pairs.run(str(tmp_path), "commute", 7)
+    assert result["correct"] is True
+    assert result["unit_medians"] == {"build.G2": 0.07, "commute.pairwise": 0.04}
+    assert list(result["unit_medians"]) == ["build.G2", "commute.pairwise"]
 
 
 @pytest.mark.parametrize("bad", [{"correct": False}, {"failed": 3}])

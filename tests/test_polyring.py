@@ -49,19 +49,35 @@ def test_serialization_round_trip(p):
     assert Poly.from_payload(4, p.to_payload()) == p
 
 
-def test_directional_derivative_basics(bundles):
+def test_from_payload_takes_exact_types_only():
+    """Exponents must be ints (no float, bool or string is coerced);
+    a coefficient is an int, a "p/q" string or an exact rational, and the
+    memo of parsed strings never serves a bool for the string "1"."""
+    for bad in ([1.9, 0, 0], [True, 0, 0], ["1", 0, 0], [1, 0], [1, 0, -1]):
+        with pytest.raises(ValueError):
+            Poly.from_payload(3, [[bad, "1"]])
+    with pytest.raises(TypeError):
+        Poly.from_payload(3, [[[1, 0, 0], "1"], [[0, 1, 0], True]])
+    p = Poly.from_payload(3, [[[1, 0, 0], "1"], [[0, 1, 0], "-3/6"], [[0, 0, 1], "1"],
+                              [[2, 0, 0], 1], [[0, 2, 0], rat(5, 2)]])
+    assert p.terms == {(1, 0, 0): 1, (0, 1, 0): rat(-1, 2), (0, 0, 1): 1,
+                       (2, 0, 0): 1, (0, 2, 0): rat(5, 2)}
+
+
+def test_directional_derivative_basics(bundles, reference_shift):
+    directional = reference_shift.directional
     B = bundles("A1")
     n = B.L.dim
     y = [rat(1), rat(2), rat(-1)]
-    assert Poly.const(n, 5).directional(y).is_zero()
+    assert directional(Poly.const(n, 5), y).is_zero()
     z = [rat(3), rat(0), rat(1)]
     lz = B.ctx.linear_functional(z)
-    dy = lz.directional(y)
+    dy = directional(lz, y)
     assert dy == Poly.const(n, B.L.killing_pair(y, z))
 
 
 @pytest.mark.parametrize("label", ["A1", "A2"])
-def test_taylor_coefficients_match_iterated_derivatives(bundles, label):
+def test_taylor_coefficients_match_iterated_derivatives(bundles, reference_shift, label):
     """t-expansion of p(x + t y) against directional derivatives over factorials."""
     B = bundles(label)
     n = B.L.dim
@@ -78,7 +94,7 @@ def test_taylor_coefficients_match_iterated_derivatives(bundles, label):
         for k in range(p.degree() + 1):
             want = cur.evaluate(x) / factorial_rat(k)
             assert expanded.terms.get((k,), rat(0)) == want
-            cur = cur.directional(y)
+            cur = reference_shift.directional(cur, y)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2"])

@@ -254,6 +254,36 @@ def test_commutativity_fails_on_planted_term(a2_context, reference_bracket):
     assert out["witness"]["bracket_terms"] == len(ref.terms) > 0
 
 
+def test_commutativity_fails_on_planted_invariant_term(a2_context, reference_pairwise):
+    """x0*x1 added to an underived invariant: its Hamiltonian rows no longer
+    vanish, so its pairs are multiplied out, and the witness is the first
+    nonzero pair of the per-pair sweep."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    pos = sc.family.I_positions[-1]
+    bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
+    out = check_commutativity(bad, cfg)
+    assert out["ok"] is False
+    ok, (i, j, br) = reference_pairwise(bad.family)
+    assert not ok and pos in (i, j)
+    assert out["witness"]["pair"] == [i + 1, j + 1]
+    assert out["witness"]["bracket_terms"] == len(br.terms) > 0
+
+
+@pytest.mark.parametrize("where", ["derived", "invariant"])
+def test_pairwise_commute_matches_reference_on_planted_terms(a2_context, reference_pairwise,
+                                                              where):
+    """On both planted defects the fold-once sweep returns the per-pair
+    sweep's first nonzero pair and its exact bracket."""
+    sc = a2_context
+    F = sc.family
+    pos = F.N_positions[0] if where == "derived" else F.I_positions[-1]
+    bad = _with_member(sc, pos, F.entries[pos].poly + _x0x1(sc)).family
+    ok, (i, j, br) = argshift.pairwise_commute(bad)
+    assert (ok, (i, j, br)) == reference_pairwise(bad)
+    assert not ok and not br.is_zero()
+
+
 def test_pointwise_checks_fail_on_dependent_member(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
