@@ -49,7 +49,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from . import linalg
+from . import linalg, polyring
 from .liealgebra import LieAlgebra, signature_hash
 from .polyring import CompiledPolys, Poly, _mul_packed
 from .rational import R1, clear, denominator_lcm, rat, scaled
@@ -483,21 +483,18 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
     """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra.
 
     The matrix x = sum_c x_c M_c is held sparse, each entry a linear form
-    with packed exponents and integer coefficients over the LCM of the image
-    entries (the width rule of poisson_bracket).  Its powers are sparse
-    products of those forms, and each trace becomes one Poly at the end.
+    with exponents packed by polyring._packing and integer coefficients over
+    the LCM of the image entries.  Its powers are sparse products of those
+    forms, and each trace becomes one Poly at the end.
     """
     images = matrix_images_type_A(L)
-    rank = L.rank
-    top = rank + 1
-    width = top.bit_length()
-    mask = (1 << width) - 1
-    shifts = [width * c for c in range(L.dim)]
+    top = L.rank + 1
+    unit, width = polyring._packing(L.dim, top)
     scale = denominator_lcm(v for img in images for v in img.values())
     entries: dict = {}    # (i, j) -> packed exponent -> int
     for c, img in enumerate(images):
         for key, v in img.items():
-            entries.setdefault(key, {})[1 << shifts[c]] = scaled(v, scale)
+            entries.setdefault(key, {})[unit[c]] = scaled(v, scale)
     polys = []
     power = entries
     for k in range(2, top + 1):
@@ -506,8 +503,7 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
         for i in range(top):
             for e, c in power.get((i, i), {}).items():
                 tr[e] = tr.get(e, 0) + c
-        polys.append(Poly(L.dim, {tuple((e >> s) & mask for s in shifts): rat(c, scale ** k)
-                                  for e, c in tr.items() if c}))
+        polys.append(polyring._unpack(L.dim, width, tr, scale ** k))
     return InvariantFamily(polys=polys, degrees=tuple(range(2, top + 1)),
                            provenance="trace-oracle")
 

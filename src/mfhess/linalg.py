@@ -8,21 +8,21 @@ column index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
 
-rank, det and sparse_kernel work on integers: each row is scaled by the LCM
-of its denominators (rank and det take a row of ints as it is) and
-eliminated without fractions (integer row operations, each result divided by
-its content; det by Bareiss's exact divisions).  sparse_kernel forms one
-rational per kernel entry at the end and returns the canonical basis that
-rational elimination returns.  The dense routines that return a basis
-(rref, kernel, span_basis, independent_subset, solve, inverse) stay
-rational, because the basis they return is the canonical reduced one.
+Every elimination runs on integers: each row is scaled by the LCM of its
+denominators (a row of ints is taken as it is) and eliminated without
+fractions (integer row operations, each result divided by its content; det
+by Bareiss's exact divisions).  The routines that return a basis (kernel,
+sparse_kernel, span_basis, independent_subset, solve, inverse) read one
+fraction-free reduced echelon form (_echelon) and form a rational only for
+each entry they return, so each returns the canonical basis that rational
+elimination returns.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rational import R0, R1, rat, to_rat
+from .rational import R0, R1, rat
 
 
 def zeros(n: int) -> list:
@@ -39,10 +39,6 @@ def vec_sub(u: list, v: list) -> list:
 
 def vec_scale(u: list, c) -> list:
     return [c * a for a in u]
-
-
-def vec_is_zero(u: list) -> bool:
-    return all(not a for a in u)
 
 
 def dot(u: list, v: list):
@@ -68,38 +64,6 @@ def transpose(m: list) -> list:
 
 def identity(n: int) -> list:
     return [[R1 if i == j else R0 for j in range(n)] for i in range(n)]
-
-
-def rref(mat: list) -> tuple[list, list]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    Pivot rule: leftmost column, first row with a nonzero entry.
-    """
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = R1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def _integer_row(row) -> tuple:
@@ -147,31 +111,20 @@ def rank(mat: list) -> int:
 
 
 def kernel(mat: list, ncols: int | None = None) -> list:
-    """Basis of the right kernel of mat (rows = equations)."""
-    if not mat:
-        return [[R1 if i == j else R0 for j in range(ncols)] for i in range(ncols)] if ncols else []
-    n = ncols if ncols is not None else len(mat[0])
-    rows, pivots = rref(mat)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = zeros(n)
-        v[free] = R1
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][free]
-        basis.append(v)
-    return basis
+    """Basis of the right kernel of mat (rows = equations), as sparse_kernel
+    returns it; ncols defaults to the length of the first row."""
+    n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
+    return sparse_kernel([dict(enumerate(row)) for row in mat], n)
 
 
 def inverse(mat: list) -> list:
+    """The inverse, read from the reduced echelon form of [mat | I]."""
     n = len(mat)
-    aug = [list(row) + [R1 if i == j else R0 for j in range(n)] for i, row in enumerate(mat)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
+    pivots = _dense_echelon([list(row) + [R1 if i == j else R0 for j in range(n)]
+                             for i, row in enumerate(mat)])
+    if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [_unit_row(pivots[pc], pc, range(n, 2 * n)) for pc in range(n)]
 
 
 def det(mat: list):
@@ -209,70 +162,74 @@ def det(mat: list):
 
 
 def solve(mat: list, rhs: list) -> list:
-    """One exact solution of mat*x = rhs; raises ValueError if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    """One exact solution of mat*x = rhs, 0 on the free variables; raises
+    ValueError if inconsistent."""
     n = len(mat[0])
-    rows, pivots = rref(aug)
-    for row in rows:
-        if not any(row[:n]) and row[n]:
-            raise ValueError("inconsistent linear system")
+    pivots = _dense_echelon([list(row) + [b] for row, b in zip(mat, rhs)])
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
     x = zeros(n)
-    for r, p in enumerate(pivots):
-        if p < n:
-            x[p] = rows[r][n]
+    for pc, q in pivots.items():
+        if n in q:
+            x[pc] = rat(q[n], q[pc])
     return x
 
 
 def span_basis(vectors: list) -> list:
-    """Canonical (RREF) basis of the span of the given vectors."""
+    """Canonical (RREF) basis of the span of the given vectors: each pivot
+    row divided by its pivot, in ascending pivot order."""
     if not vectors:
         return []
-    rows, pivots = rref(vectors)
-    return rows[: len(pivots)]
+    cols = range(len(vectors[0]))
+    pivots = _dense_echelon(vectors)
+    return [_unit_row(pivots[pc], pc, cols) for pc in sorted(pivots)]
 
 
 def independent_subset(vectors: list) -> list:
     """Indices of the vectors kept by a left-to-right greedy independence scan.
 
     Vector i is kept exactly when it is outside the span of vectors 0..i-1,
-    which makes the kept indices the pivot columns of one RREF of the matrix
-    whose columns are the vectors.
+    which makes the kept indices the pivot columns of the reduced echelon
+    form of the matrix whose columns are the vectors.
     """
-    return rref(transpose(vectors))[1]
-
-
-def in_span(v: list, basis: list) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not basis:
-        return False
-    return rank(basis) == rank(basis + [v])
+    return sorted(_dense_echelon(transpose(vectors)))
 
 
 def same_span(a: list, b: list) -> bool:
     return span_basis(a) == span_basis(b)
 
 
-def vandermonde_solve(nodes: list, values: list) -> list:
-    """Coefficient vectors c_k with sum_k c_k t^k = value(t) at each node.
+def _dense_echelon(mat: list) -> dict:
+    return _echelon([dict(enumerate(row)) for row in mat])
 
-    values[i] is the vector observed at nodes[i]; returns len(nodes)
-    coefficient vectors (degree < number of nodes).
-    """
-    k = len(nodes)
-    vmat = [[to_rat(t) ** j for j in range(k)] for t in nodes]
-    vinv = inverse(vmat)
-    dimv = len(values[0])
-    coeffs = []
-    for j in range(k):
-        coeffs.append([dot(vinv[j], [values[i][c] for i in range(k)]) for c in range(dimv)])
-    return coeffs
+
+def _unit_row(q: dict, pc: int, cols) -> list:
+    """The entries of pivot row q at cols, divided by its pivot q[pc]."""
+    p = q[pc]
+    return [rat(q[j], p) if j in q else R0 for j in cols]
 
 
 def sparse_kernel(rows: list, ncols: int) -> list:
     """Right kernel of sparse rows (dicts col -> int or rational; zero
     entries are ignored): the canonical basis, a 1 on each free column and
-    zeros on the other free columns.
+    zeros on the other free columns.  The only rationals formed are the
+    kernel entries -q[free] / q[pc] of each pivot row q of _echelon."""
+    pivots = _echelon(rows)
+    basis = {free: zeros(ncols) for free in range(ncols) if free not in pivots}
+    for free, v in basis.items():
+        v[free] = R1
+    for pc, q in pivots.items():
+        for j, c in q.items():
+            if j in basis:
+                basis[j][pc] = rat(-c, q[pc])
+    return list(basis.values())
+
+
+def _echelon(rows: list) -> dict:
+    """The reduced echelon form of sparse rows (dicts col -> int or
+    rational; zero entries are ignored), as {pivot column: pivot row}: each
+    pivot row a primitive integer row, zero at every other pivot column and
+    proportional to the row of the rational reduced echelon form.
 
     Fraction-free elimination on the integer-scaled rows.  Rows are taken
     with the highest lowest column first, then sparsest first, then in input
@@ -284,8 +241,7 @@ def sparse_kernel(rows: list, ncols: int) -> list:
     zero at every other pivot column.  Each reduction is one integer row
     operation and a division by the content (_reduce_at): every row stays
     primitive and proportional to the row that rational elimination holds
-    at the same step.  The only rationals formed are the kernel entries
-    -q[free] / q[pc] of each pivot row q.
+    at the same step.
 
     The row order sets only the cost.  A reduced row is zero at every pivot
     column, so its lowest column is a new leading column of the row space;
@@ -315,16 +271,7 @@ def sparse_kernel(rows: list, ncols: int) -> list:
         pivots[c0] = row
         for j in row:
             holders.setdefault(j, set()).add(c0)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = zeros(ncols)
-        v[free] = R1
-        for pc in holders.get(free, ()):
-            v[pc] = rat(-pivots[pc][free], pivots[pc][pc])
-        basis.append(v)
-    return basis
+    return pivots
 
 
 def _reduce_at(row: dict, piv: dict, c: int) -> None:

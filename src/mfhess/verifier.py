@@ -602,7 +602,7 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
     pts = sample_points(sc, config.seed + 5, "hess", 3, config.coeff_bound)
     ads = [L.int_ad(clear(x)) for x in pts]
     for x, (adx, _) in zip(pts, ads):
-        cent = linalg.sparse_kernel([dict(enumerate(row)) for row in adx], L.dim)
+        cent = linalg.kernel(adx, L.dim)
         z1 = [_rand_rat(rng, 3) for _ in range(L.dim)]
         z2 = [_rand_rat(rng, 3) for _ in range(L.dim)]
         base = omega(L, x, z1, z2)

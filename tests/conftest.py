@@ -341,6 +341,38 @@ def reference_kernel():
     return reference_sparse_kernel
 
 
+def reference_rref(mat):
+    """Reduced row echelon form by rational Gaussian elimination; returns
+    (rows, pivot column indices).  Pivot rule: leftmost column, first row
+    with a nonzero entry."""
+    rows = [[to_rat(v) for v in r] for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = R1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@pytest.fixture(scope="session")
+def reference_echelon():
+    return reference_rref
+
+
 def reference_coordinate_brackets(L, ctx, z):
     """For a fixed z, the linear forms {(z, .), x_k} as sparse integer rows
     [(j, c_j), ...] (None when zero): the rational bracket of z with the dual

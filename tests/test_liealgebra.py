@@ -111,7 +111,8 @@ def test_lowering_expansion_interpolated(bundles, label):
         m = dec.exponents[j]
         z = dec.cartan_reps[j]
         values = [ut_action(L, tri, t, z) for t in nodes]
-        coeffs = linalg.vandermonde_solve(nodes, values)
+        vmat = [[rat(t) ** k for k in range(len(nodes))] for t in nodes]
+        coeffs = linalg.mat_mul(linalg.inverse(vmat), values)
         for k in range(h + 1):
             if k <= m:
                 want = [c / factorial_rat(k) for c in chain[k]]

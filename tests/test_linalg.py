@@ -1,7 +1,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.rational import rat, to_rat
+from mfhess.rational import R0, R1, clear, rat, to_rat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # entries with denominators up to 10^6, zero about a third of the time
@@ -65,8 +65,8 @@ def test_span_helpers():
     v1 = [rat(1), rat(0), rat(1)]
     v2 = [rat(0), rat(1), rat(0)]
     assert linalg.rank([v1, v2, linalg.vec_add(v1, v2)]) == 2
-    assert linalg.in_span(linalg.vec_add(v1, v2), [v1, v2])
-    assert not linalg.in_span([rat(0), rat(0), rat(1)], [v1, v2])
+    assert linalg.rank([v1, v2]) == linalg.rank([v1, v2, linalg.vec_add(v1, v2)])
+    assert linalg.rank([v1, v2]) != linalg.rank([v1, v2, [rat(0), rat(0), rat(1)]])
     assert linalg.same_span([v1, v2], [linalg.vec_add(v1, v2), v2])
 
 
@@ -133,7 +133,8 @@ def test_vandermonde_solve():
     # values of 1 + 2t + 3t^2 componentwise
     nodes = [0, 1, 2]
     values = [[to_rat(1 + 2 * t + 3 * t * t)] for t in nodes]
-    coeffs = linalg.vandermonde_solve(nodes, values)
+    vmat = [[rat(t) ** k for k in range(len(nodes))] for t in nodes]
+    coeffs = linalg.mat_mul(linalg.inverse(vmat), values)
     assert [c[0] for c in coeffs] == [rat(1), rat(2), rat(3)]
 
 
@@ -184,9 +185,98 @@ def rank_matrices(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(rank_matrices())
-def test_integer_rank_matches_rref(m):
-    assert linalg.rank(m) == len(linalg.rref(m)[1])
-    assert linalg.rank(linalg.transpose(m)) == len(linalg.rref(m)[1])
+def test_integer_rank_matches_rref(reference_echelon, m):
+    assert linalg.rank(m) == len(reference_echelon(m)[1])
+    assert linalg.rank(linalg.transpose(m)) == len(reference_echelon(m)[1])
+
+
+def rref_kernel(rref, m, ncols):
+    """The kernel read from the RREF: one vector per free column, minus the
+    pivot rows' entries there."""
+    rows, pivots = rref(m)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [R1 if j == free else R0 for j in range(ncols)]
+            for r, p in enumerate(pivots):
+                v[p] = -rows[r][free]
+            basis.append(v)
+    return basis
+
+
+def rref_span(rref, m):
+    rows, pivots = rref(m)
+    return rows[:len(pivots)]
+
+
+def rref_solve(rref, m, rhs):
+    """The solution read from the RREF of [m | rhs], 0 on the free
+    variables, or ValueError for a pivot in the last column."""
+    n = len(m[0])
+    rows, pivots = rref([list(row) + [b] for row, b in zip(m, rhs)])
+    if n in pivots:
+        return ValueError
+    x = [R0] * n
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][n]
+    return x
+
+
+def rref_inverse(rref, m):
+    """The right half of the RREF of [m | I], or ValueError unless the
+    pivots are 0..n-1."""
+    n = len(m)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        return ValueError
+    return [row[n:] for row in rows]
+
+
+def raised(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def as_kind(m, kind):
+    """m as drawn (rational), as integer rows (each row times the LCM of its
+    denominators), or as integer rows with every odd column over j + 1."""
+    if kind == "rational":
+        return m
+    ints = [clear(row)[0] for row in m]
+    if kind == "integer":
+        return ints
+    return [[rat(v, j + 1) if j % 2 else v for j, v in enumerate(row)] for row in ints]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rank_matrices().map(lambda m: (m, len(m[0]))),
+       st.sampled_from(["rational", "integer", "mixed"]))
+@example(([], 3), "rational")
+@example((mat([[1, 2], [2, 4]]), 2), "integer")
+@example((mat([[1, 1], [1, 1]]), 2), "rational")
+@example((mat([[2, 1], [1, 3]]), 2), "mixed")
+def test_basis_routines_match_rref(reference_echelon, case, kind):
+    """Every routine that returns a basis equals its answer read from the
+    rational RREF: the empty system has the identity kernel, and no span
+    basis or independent vector; [[1, 2], [2, 4]] has no inverse, and
+    [[1, 1], [1, 1]] x = (1, 0) no solution."""
+    m, ncols = case
+    m = as_kind(m, kind)
+    rref = reference_echelon
+    assert linalg.kernel(m, ncols) == rref_kernel(rref, m, ncols)
+    assert linalg.span_basis(m) == rref_span(rref, m)
+    assert linalg.independent_subset(m) == rref(linalg.transpose(m))[1]
+    for other in (m[::-1], m[1:]):
+        assert linalg.same_span(m, other) == (rref_span(rref, m) == rref_span(rref, other))
+    if not m:
+        return
+    for rhs in ([sum(row) for row in m], [int(i == 0) for i in range(len(m))]):
+        assert raised(linalg.solve, m, rhs) == rref_solve(rref, m, rhs)
+    k = min(len(m), ncols)
+    block = [row[:k] for row in m[:k]]
+    assert raised(linalg.inverse, block) == rref_inverse(rref, block)
 
 
 def test_integer_rank_edge_cases():
@@ -212,17 +302,17 @@ def scaled_integer_rows(draw):
 @given(scaled_integer_rows())
 @example(([[0, 0], [0, 0]], [1, 7]))
 @example(([[2, 4], [1, 2], [3, 7]], [5, 10 ** 6, 3]))
-def test_rank_takes_integer_rows_as_they_are(case):
+def test_rank_takes_integer_rows_as_they_are(reference_echelon, case):
     """The rank of integer rows equals the rank of the same rows over
     positive denominators and the RREF pivot count; a row that mixes ints
     and rationals is scaled like a rational row."""
     rows, dens = case
     fractions = [[rat(v, d) for v in row] for row, d in zip(rows, dens)]
-    want = len(linalg.span_basis(fractions))
+    want = len(reference_echelon(fractions)[1])
     assert linalg.rank(rows) == linalg.rank(fractions) == want
     mixed = [[rat(v, d) if j % 2 else v for j, v in enumerate(row)]
              for row, d in zip(rows, dens)]
-    assert linalg.rank(mixed) == len(linalg.span_basis(mat(mixed)))
+    assert linalg.rank(mixed) == len(reference_echelon(mat(mixed))[1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -388,23 +388,23 @@ def test_gradient_rank_takes_no_kernel(a2_context, monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
-def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch):
+def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch, reference_kernel):
     cfg = SuiteConfig(algebra=label, seed=2024)
     sc = build_context(cfg)
     calls = []
-    original = linalg.sparse_kernel
+    original = linalg.kernel
 
-    def recorded(rows, ncols):
-        out = original(rows, ncols)
-        calls.append((rows, ncols, out))
+    def recorded(mat, ncols=None):
+        out = original(mat, ncols)
+        calls.append((mat, ncols, out))
         return out
 
-    monkeypatch.setattr(linalg, "sparse_kernel", recorded)
+    monkeypatch.setattr(linalg, "kernel", recorded)
     assert check_omega_well_defined(sc, cfg)["ok"]
     assert len(calls) == 3
-    for rows, ncols, basis in calls:
-        dense = [[row[j] for j in range(ncols)] for row in rows]
-        assert basis == linalg.kernel(dense, ncols)
+    for mat, ncols, basis in calls:
+        rows = [{j: c for j, c in enumerate(row) if c} for row in mat]
+        assert basis == reference_kernel(rows, ncols)
 
 
 def test_leading_term_fails_on_planted_derived_term(a2_context):
