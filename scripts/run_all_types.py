@@ -29,8 +29,7 @@ def main() -> int:
     for label in labels:
         t0 = time.time()
         cfg = SuiteConfig(algebra=label, seed=args.seed, enable_g2=args.g2,
-                          determinism_trials=args.determinism_trials,
-                          output_format="json")
+                          determinism_trials=args.determinism_trials)
         report = run_suite(cfg)
         path = os.path.join(args.out_dir, f"report_{label}_{args.seed}.json")
         with open(path, "w") as fh:

@@ -12,11 +12,13 @@ Also here: exact strong-regularity tests (the b gradients are independent),
 gradient spans over points (the span of the gradients of a list of
 polynomials at every point of a list), the chain map zeta built from a
 regular Cartan element and the nilpositive element of a principal triple
-(its chains are the gradients of the shifted pieces at that element), and
-a sampled membership test for directions whose family reaches the maximal
-gradient span b.
+(its chains are the family's own gradient rows at that element), and a
+sampled membership test: do given compiled members of a shifted family
+reach the maximal gradient span b at some sampled point?
 
-The pieces come from one integer Taylor pass over the terms of each I_j.
+The pieces come from one integer Taylor pass over the terms of each I_j,
+with polyring's packed exponents; a family holds them, so the chain map and
+the membership test along y read the family instead of shifting again.
 Pairwise commutativity (criterion 6) is decided exactly, with each member's
 partials and Hamiltonian folds {x_i, q} computed once for the whole sweep;
 a member whose folds vanish is a Casimir (an underived invariant) and its
@@ -41,7 +43,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
 from .polyring import (CompiledPolys, GradientContext, Poly, _int_folds, _int_partials,
                        _int_product, _packing, _unpack, coefficient_rows)
-from .rational import R0, clear, denominator_lcm, rat, scaled, to_rat
+from .rational import R0, clear, denominator_lcm, over, rat, scaled, to_rat
 
 
 class DependentFamily(Exception):
@@ -179,9 +181,6 @@ class ShiftFamily:
     @property
     def b(self) -> int:
         return len(self.entries)
-
-    def degrees(self) -> tuple:
-        return tuple(e.m for e in self.entries)
 
     def gradient_rows(self, x) -> tuple:
         """The b gradients at x as integer rows over one positive
@@ -362,41 +361,28 @@ def zeta_apply(L: LieAlgebra, triple: PrincipalTriple, y, v) -> list:
     return out
 
 
-@dataclass
-class ZetaChain:
-    y: list
-    chains: list      # chains[j][i] = v_i(I_j), i = 0..d_j-1
-    degrees: tuple
-
-    def vector(self, j: int, i: int, dim: int) -> list:
-        if i >= self.degrees[j]:
-            return [R0] * dim
-        return self.chains[j][i]
-
-
-def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
-               inv: InvariantFamily, ctx: GradientContext) -> ZetaChain:
-    """Extract the chains v_i(I_j) from the t-expansion of dI_j(e + t y).
+def zeta_chain(F: ShiftFamily) -> list:
+    """The chains v_i(I_j), i = 0..d_j-1, from the t-expansion of
+    dI_j(e + t y), as chains[j][i].
 
     v_i is the coefficient of t^{d_j - 1 - i}, and the coefficient of t^k is
-    the gradient at e of the shifted piece (1/k!) (d_y)^k I_j, so every chain
-    vector comes from one gradient evaluation of all pieces at e.  The
-    chains satisfy [y, v_0] = 0, [e, v_{d_j-1}] = 0 and zeta(v_i) = v_{i+1},
-    with v_i homogeneous of adjoint weight 2i.  All relations are verified
-    exactly.
+    the gradient at e of the shifted piece (1/k!) (d_y)^k I_j, the family's
+    member (j, k), so every chain vector comes from the family's gradient
+    rows at e.  The chains satisfy [y, v_0] = 0, [e, v_{d_j-1}] = 0 and
+    zeta(v_i) = v_{i+1}, with v_i homogeneous of adjoint weight 2i.  All
+    relations are verified exactly.
     """
-    y = [to_rat(c) for c in y]
-    vals = root_values(L, y)
-    if not all(vals):
+    L, triple, y = F.L, F.triple, F.y
+    if not all(root_values(L, y)):
         raise NotInvertible("ad y is singular on the nilradical")
-    pieces = shifted_invariants(inv, y)
-    grads = CompiledPolys(p for _, _, p in pieces).gradients(ctx, triple.e)
-    coeff = {(j, k): g for (j, k, _), g in zip(pieces, grads)}
+    rows, den = F.gradient_rows(triple.e)
+    coeff = {(q.j, q.k): over(row, den) for q, row in zip(F.entries, rows)}
     chains = []
-    for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
+    for q in sorted((q for q in F.entries if q.k == 0), key=lambda q: q.j):
+        j, d = q.j, q.m
         # dI_j(e + t y) has t-degree below deg I_j: for deg I_j <= d the
-        # pieces with k < d carry all of it
-        if p.degree() > d:
+        # members with k < d carry all of it
+        if q.poly.degree() > d:
             raise ValueError("gradient expansion has unexpected high-order terms")
         vecs = [coeff[(j, d - 1 - i)] for i in range(d)]
         # chain relations
@@ -412,21 +398,21 @@ def zeta_chain(L: LieAlgebra, triple: PrincipalTriple, y,
             if nxt != want:
                 raise ValueError(f"zeta(v_{i}) != v_{i + 1} for invariant {j}")
         chains.append(vecs)
-    return ZetaChain(y=y, chains=chains, degrees=tuple(inv.degrees))
+    return chains
 
 
 # -- sampled membership in the maximal-span locus ---------------------------
 
 
-def mv_membership(ctx: GradientContext, triple: PrincipalTriple, inv: InvariantFamily, u,
+def mv_membership(ctx: GradientContext, triple: PrincipalTriple, members: CompiledPolys,
                   sample_count: int, seed: int, coeff_bound: int) -> tuple:
-    """Search for a point where the family shifted along u has full span b.
+    """Search for a point where the compiled members of a shifted family
+    have full gradient span b.
 
     Returns (True, witness point) when found; (False, None) is inconclusive,
     never a refutation.
     """
     L = ctx.L
-    members = [p for _, _, p in shifted_invariants(inv, u)]
     b = L.rank + L.n
     rng = random.Random(f"{seed}:mv-membership")
     candidates = [triple.w, triple.e, triple.e1,
@@ -434,8 +420,7 @@ def mv_membership(ctx: GradientContext, triple: PrincipalTriple, inv: InvariantF
     for _ in range(sample_count):
         candidates.append([rat(rng.randint(-coeff_bound, coeff_bound),
                                rng.randint(1, 3)) for _ in range(L.dim)])
-    compiled = CompiledPolys(members)
     for x in candidates:
-        if linalg.rank(compiled.int_gradients(ctx, x)[0]) == b:
+        if linalg.rank(members.int_gradients(ctx, x)[0]) == b:
             return True, x
     return False, None

@@ -87,11 +87,11 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _error(str(exc))
     report = run_suite(config)
-    text = report.to_json() if config.output_format == "json" else report.to_text()
+    text = report.to_json() if args.output_format == "json" else report.to_text()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-            if config.output_format == "text":
+            if args.output_format == "text":
                 fh.write("\n")
     else:
         print(text)

@@ -90,7 +90,6 @@ class HessChart:
     zvecs: list            # z_beta = dq_beta(e1), a basis of the upper Borel
     frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta
     restricted: list       # restrictions of the generators, in frame coordinates
-    ms: tuple              # degrees m(beta)
     # each restricted generator compiled alone: the section evaluates one per step
     compiled: list = field(init=False, repr=False, compare=False)
     # the nonzero (index, value) pairs of each frame vector
@@ -137,16 +136,15 @@ def build_chart(F: ShiftFamily) -> HessChart:
     frame = []
     for g in range(F.b):
         vec = L.zero()
-        for mu in range(F.b):
-            if pinv[mu][g]:
-                vec = linalg.vec_add(vec, linalg.vec_scale(bminus[mu], pinv[mu][g]))
+        for mu, idx in enumerate(L.bminus_indices):
+            vec[idx] = pinv[mu][g]
         frame.append(vec)
     restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
     violation = _unitriangular_violation(restricted)
     if violation:
         raise NotTriangular(violation)
     return HessChart(L=L, triple=triple, family=F, zvecs=zvecs, frame=frame,
-                     restricted=restricted, ms=tuple(e.m for e in F.entries))
+                     restricted=restricted)
 
 
 def hess_section(chart: HessChart, cvals) -> list:

@@ -23,10 +23,11 @@ only prefixes that can still close to weight zero.  The rows of ad z have
 integer entries over one positive denominator, so every equation has integer
 coefficients (scaling an equation leaves the kernel unchanged), and
 linalg.sparse_kernel solves them by fraction-free elimination.  Monomials
-are packed into one int each, and one derivation routine (_derivation)
-applies a raising operator's table to them: it builds the solver's
-equations and the invariance test of meets_solver_conditions, which
-re-checks a cached family.
+are packed into one int each by polyring's packing rule, whose packed ints
+sort as the exponent tuples do (the order of the equation rows), and one
+derivation routine (_derivation) applies a raising operator's table to
+them: it builds the solver's equations and the invariance test of
+meets_solver_conditions, which re-checks a cached family.
 
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, in kernel order, normalized to primitive integer
@@ -49,9 +50,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from . import linalg, polyring
+from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import CompiledPolys, Poly, _mul_packed
+from .polyring import CompiledPolys, Poly, _mul_packed, _pack, _packing, _unpack
 from .rational import R1, clear, denominator_lcm, rat, scaled
 from .rootdata import RootSystem, UnsupportedType
 
@@ -69,12 +70,6 @@ class InvariantFamily:
 
     def __post_init__(self):
         self.compiled = CompiledPolys(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.polys)
 
 
 def _zero_weight_monomials(L: LieAlgebra, d: int):
@@ -139,26 +134,6 @@ def _action_tables(L: LieAlgebra) -> list:
         rows, _ = L.int_ad(clear(z))
         tables.append([[(j, c) for j, c in enumerate(row) if c] or None for row in rows])
     return tables
-
-
-def _packing(n: int, top: int) -> tuple:
-    """(unit, mask): the unit of each variable in one int holding an exponent
-    vector of total degree at most top, and the mask of one field.  Every
-    exponent is at most top, so once top fits in the field width no field
-    carries into the next (the width rule of polyring.poisson_bracket).
-    Variable 0 takes the most significant field, so packed ints sort as the
-    exponent tuples do."""
-    width = top.bit_length()
-    mask = (1 << width) - 1
-    if top > mask:
-        raise OverflowError(f"degree {top} does not fit {width} exponent bits")
-    return [1 << (width * (n - 1 - k)) for k in range(n)], mask
-
-
-def _pack(e, unit: list) -> tuple:
-    """(packed exponent, support): support lists (k, e_k) for e_k > 0."""
-    support = tuple((k, ek) for k, ek in enumerate(e) if ek)
-    return sum(ek * unit[k] for k, ek in support), support
 
 
 def _packed_action(action: list, unit: list) -> list:
@@ -357,10 +332,8 @@ def decomposable_products(polys: list, degrees, d: int) -> list:
     if not polys:
         return []
     n = polys[0].n
-    unit, mask = _packing(n, d)
-    shifts = [u.bit_length() - 1 for u in unit]
-    return [Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
-                     for e, c in prod.items() if c})
+    unit, width = _packing(n, d)
+    return [_unpack(n, width, prod, scale)
             for scale, prod in _packed_products(polys, degrees, d, unit)]
 
 
@@ -489,7 +462,7 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
     """
     images = matrix_images_type_A(L)
     top = L.rank + 1
-    unit, width = polyring._packing(L.dim, top)
+    unit, width = _packing(L.dim, top)
     scale = denominator_lcm(v for img in images for v in img.values())
     entries: dict = {}    # (i, j) -> packed exponent -> int
     for c, img in enumerate(images):
@@ -503,7 +476,7 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
         for i in range(top):
             for e, c in power.get((i, i), {}).items():
                 tr[e] = tr.get(e, 0) + c
-        polys.append(polyring._unpack(L.dim, width, tr, scale ** k))
+        polys.append(_unpack(L.dim, width, tr, scale ** k))
     return InvariantFamily(polys=polys, degrees=tuple(range(2, top + 1)),
                            provenance="trace-oracle")
 

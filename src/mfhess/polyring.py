@@ -29,6 +29,14 @@ restrict_affine clears the common denominator of the substitution, expands
 every term of a whole list of polynomials over shared power tables of the
 coordinates' integer affine forms, with packed exponents, and builds one
 rational per output coefficient.
+
+This module alone knows how exponents are packed (Monagan and Pearce, CASC
+2007).  An exponent vector becomes one int with top.bit_length() bits per
+variable, variable 0 in the most significant field (_packing, _pack,
+_unpack), so a monomial product is an int addition and packed ints sort as
+the exponent tuples do.  The bracket, restrict_affine, the shift expansion
+of argshift and the invariant solve and trace oracle of invariants all pack
+by this rule.
 """
 
 from __future__ import annotations
@@ -434,6 +442,23 @@ def gradient(ctx: GradientContext, p: Poly, x) -> list:
     return CompiledPolys([p]).gradients(ctx, x)[0]
 
 
+def _packing(n: int, top: int) -> tuple:
+    """(unit, width) for packing exponent vectors of n variables into one int
+    with width = top.bit_length() bits per variable.  Once every exponent of
+    a term is at most top, no field carries into the next, so a monomial
+    product is an int addition.  Variable 0 takes the most significant
+    field, unit[k] = 1 << (width (n - 1 - k)), so packed ints sort as the
+    exponent tuples do."""
+    width = top.bit_length()
+    return [1 << (width * (n - 1 - k)) for k in range(n)], width
+
+
+def _pack(e, unit: list) -> tuple:
+    """(packed exponent, support): support lists (k, e_k) for e_k > 0."""
+    support = tuple((k, ek) for k, ek in enumerate(e) if ek)
+    return sum(ek * unit[k] for k, ek in support), support
+
+
 def _int_partials(f: Poly, unit: list) -> tuple:
     """(scale, partials): partials[k] maps packed exponent -> integer
     coefficient of scale * df/dx_k, scale being the LCM of f's denominators."""
@@ -446,15 +471,6 @@ def _int_partials(f: Poly, unit: list) -> tuple:
             if ek:
                 out[k][packed - unit[k]] = c * ek
     return scale, out
-
-
-def _packing(n: int, top: int) -> tuple:
-    """(unit, width) for packing exponent vectors of n variables into one int
-    with width = top.bit_length() bits per variable: unit[k] = 1 << (width k).
-    Once every exponent of a term is at most top, no field carries into the
-    next, so a monomial product is an int addition."""
-    width = top.bit_length()
-    return [1 << (width * k) for k in range(n)], width
 
 
 def _int_folds(rows: list, dq: list, unit: list, wanted):
@@ -496,7 +512,7 @@ def _int_product(dp: list, folds) -> dict:
 def _unpack(n: int, width: int, acc: dict, scale: int) -> Poly:
     """The Poly of packed exponent -> integer coefficient over scale."""
     mask = (1 << width) - 1
-    shifts = [width * k for k in range(n)]
+    shifts = [width * (n - 1 - k) for k in range(n)]
     return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
                     for e, c in acc.items() if c})
 

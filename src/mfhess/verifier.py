@@ -22,7 +22,7 @@ from .rootdata import (CartanMatrix, UnsupportedType,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
 from .liealgebra import (chevalley_algebra, principal_triple, principal_decomposition,
                          is_regular, signature_hash, validate_algebra)
-from .polyring import GradientContext, coefficient_rows
+from .polyring import CompiledPolys, GradientContext, coefficient_rows
 from . import invariants as invmod
 from .invariants import invariant_generators, trace_oracle_type_A
 from .argshift import (choose_regular_y, shift_family, shifted_invariants,
@@ -40,7 +40,7 @@ class RegionExhausted(Exception):
     """Sampling did not produce a point satisfying a region predicate."""
 
 
-SCHEMA = "report_v2"
+SCHEMA = "report_v3"
 GENERATOR_ORDER_RULE = "degree-major, source-invariant ascending within a degree"
 SIGN_RULE = "extraspecial pairs positive, positive roots ordered by height then coordinates"
 
@@ -60,7 +60,6 @@ class SuiteConfig:
     coeff_bound: int = 5
     series_order: int = 0          # 0 means twice the Coxeter number
     enable_g2: bool = False
-    output_format: str = "text"    # "text" | "json"
     cache_dir: str | None = None
 
     def validate(self) -> None:
@@ -73,8 +72,6 @@ class SuiteConfig:
             raise ValueError("coefficient bound must be >= 1")
         if self.series_order < 0:
             raise ValueError("series order must be >= 0")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("output format must be text or json")
 
 
 @dataclass
@@ -390,7 +387,7 @@ def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
     ok = de == sc.family.b and de1 == sc.family.b
     witness = {"dim_at_e": de, "dim_at_e1": de1}
     try:
-        zeta_chain(sc.L, sc.triple, sc.y, sc.inv, sc.ctx)
+        zeta_chain(sc.family)
         witness["chain"] = "verified"
     except Exception as exc:
         ok = False
@@ -577,14 +574,17 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
          "nilpotent and the chosen Cartan direction certify, scaling preserves "
          "certification, and the zero direction never certifies")
 def check_membership(sc: SuiteContext, config: SuiteConfig) -> dict:
-    def member(u):
-        return mv_membership(sc.ctx, sc.triple, sc.inv, u, config.membership_samples,
+    def member(members):
+        return mv_membership(sc.ctx, sc.triple, members, config.membership_samples,
                              config.seed, config.coeff_bound)
 
-    ok_f, wit_f = member(sc.triple.f)
-    ok_2f, _ = member(linalg.vec_scale(sc.triple.f, rat(2)))
-    ok_y, _ = member(sc.y)
-    ok_0, _ = member(sc.L.zero())
+    def shifted(u):
+        return CompiledPolys(p for _, _, p in shifted_invariants(sc.inv, u))
+
+    ok_f, wit_f = member(shifted(sc.triple.f))
+    ok_2f, _ = member(shifted(linalg.vec_scale(sc.triple.f, rat(2))))
+    ok_y, _ = member(sc.family.compiled)   # the family is the shift along y
+    ok_0, _ = member(shifted(sc.L.zero()))
     if not (ok_f and ok_2f and ok_y):
         # a miss is inconclusive, not a refutation
         return {"ok": None, "witness": {"f": ok_f, "2f": ok_2f, "y": ok_y}}

@@ -1,18 +1,19 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.argshift import (NotInvertible, ZetaChain, cartan_from_root_values,
+from mfhess.argshift import (NotInvertible, cartan_from_root_values,
                              choose_regular_y, gradient_span, is_regular_cartan,
                              is_strongly_regular, load_family_cache, mv_membership,
                              pairwise_commute, save_family_cache,
                              phi, root_values, shift_family, shifted_invariants,
                              zeta_apply, zeta_chain)
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
-from mfhess.polyring import Poly, poisson_bracket, restrict_affine
+from mfhess.polyring import CompiledPolys, Poly, poisson_bracket, restrict_affine
 from mfhess.rational import over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -211,17 +212,16 @@ def test_shift_along_f_spans_lower_borel(bundles):
 
 def test_zeta_chain_structure(bundles):
     B = bundles("A2")
-    zc = zeta_chain(B.L, B.triple, B.y, B.inv, B.ctx)
-    assert isinstance(zc, ZetaChain)
+    chains = zeta_chain(B.family)
+    assert len(chains) == len(B.inv.degrees)
     for j, d in enumerate(B.inv.degrees):
-        assert len(zc.chains[j]) == d
-        v0 = zc.chains[j][0]
+        assert len(chains[j]) == d
+        v0 = chains[j][0]
         assert B.L.supported_in(v0, B.L.cartan_indices)
-        # zero extension beyond the degree
-        assert zc.vector(j, d, B.L.dim) == [rat(0)] * B.L.dim
-        # forward map reproduces the chain
+        # forward map reproduces the chain and ends in zero
         for i in range(d - 1):
-            assert zeta_apply(B.L, B.triple, B.y, zc.chains[j][i]) == zc.chains[j][i + 1]
+            assert zeta_apply(B.L, B.triple, B.y, chains[j][i]) == chains[j][i + 1]
+        assert zeta_apply(B.L, B.triple, B.y, chains[j][d - 1]) == [rat(0)] * B.L.dim
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
@@ -231,39 +231,45 @@ def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gra
     """Chains from the pieces' gradients at e against the t-expansion of the
     gradient polynomials of each invariant along e + t y."""
     B = bundles(label)
-    zc = zeta_chain(B.L, B.triple, B.y, B.inv, B.ctx)
+    chains = zeta_chain(B.family)
     for j, (p, d) in enumerate(zip(B.inv.polys, B.inv.degrees)):
         comps = restrict_affine(reference_gradient_polys(B.ctx, p), B.triple.e, [B.y])
         assert all(a < d for comp in comps for (a,) in comp.terms)
         want = [[comp.terms.get((d - 1 - i,), rat(0)) for comp in comps] for i in range(d)]
-        assert zc.chains[j] == want
+        assert chains[j] == want
 
 
 def test_zeta_chain_a1_length(bundles):
     B = bundles("A1")
-    zc = zeta_chain(B.L, B.triple, B.y, B.inv, B.ctx)
-    assert len(zc.chains[0]) == 2 == B.inv.degrees[0]
+    chains = zeta_chain(B.family)
+    assert len(chains[0]) == 2 == B.inv.degrees[0]
 
 
 def test_zeta_requires_regular_direction(bundles):
     B = bundles("A1xA1")
     bad = B.L.basis_vector(B.L.cartan_indices[0])
     with pytest.raises(NotInvertible):
-        zeta_chain(B.L, B.triple, bad, B.inv, B.ctx)
+        zeta_chain(replace(B.family, y=bad))
     with pytest.raises(NotInvertible):
         zeta_apply(B.L, B.triple, B.L.zero(), B.L.basis_vector(B.L.cartan_indices[0]))
 
 
 def test_membership_search(bundles):
     B = bundles("A2")
-    ok, wit = mv_membership(B.ctx, B.triple, B.inv, B.triple.f, 3, 42, 5)
+
+    def member(u):
+        members = CompiledPolys(p for _, _, p in shifted_invariants(B.inv, u))
+        return mv_membership(B.ctx, B.triple, members, 3, 42, 5)
+
+    ok, wit = member(B.triple.f)
     assert ok and wit == B.triple.w
-    ok2, _ = mv_membership(B.ctx, B.triple, B.inv, linalg.vec_scale(B.triple.f, rat(2)),
-                           3, 42, 5)
+    ok2, _ = member(linalg.vec_scale(B.triple.f, rat(2)))
     assert ok2  # scaling preserves certification
-    ok3, _ = mv_membership(B.ctx, B.triple, B.inv, B.y, 3, 42, 5)
+    ok3, wit3 = member(B.y)
     assert ok3
-    ok0, wit0 = mv_membership(B.ctx, B.triple, B.inv, B.L.zero(), 3, 42, 5)
+    # the family is the shift along y, in another order
+    assert mv_membership(B.ctx, B.triple, B.family.compiled, 3, 42, 5) == (ok3, wit3)
+    ok0, wit0 = member(B.L.zero())
     assert not ok0 and wit0 is None
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from mfhess import invariants, linalg
+from mfhess import invariants, linalg, polyring
 from mfhess.invariants import (InvariantFamily, WrongDimension, decomposable_products,
                                invariant_generators, invariant_space_dimension, load_family,
                                matrix_images_type_A, meets_solver_conditions, save_family,
@@ -75,8 +75,8 @@ def test_raising_equations_have_the_two_sided_kernel(algebras, reference_equatio
     tables = invariants._action_tables(L)
     for d in degrees or sorted(set(L.rs.degrees)):
         monos = _zero_weight_monomials(L, d)
-        unit, _ = invariants._packing(L.dim, d)
-        packed = [invariants._pack(m, unit) for m in monos]
+        unit, _ = polyring._packing(L.dim, d)
+        packed = [polyring._pack(m, unit) for m in monos]
         ours = invariants._equations(tables, packed, unit)
         theirs = reference_equations.equations(L, ctx, monos)
         assert len(theirs) == 2 * len(ours), d

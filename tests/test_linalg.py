@@ -70,15 +70,6 @@ def test_span_helpers():
     assert linalg.same_span([v1, v2], [linalg.vec_add(v1, v2), v2])
 
 
-def test_sparse_kernel_matches_dense():
-    rows = [[1, 0, 2, 0], [0, 1, 0, 3], [1, 1, 2, 3]]
-    dense = linalg.kernel(mat(rows), 4)
-    sparse_rows = [{j: to_rat(v) for j, v in enumerate(r) if v} for r in rows]
-    sparse = linalg.sparse_kernel(sparse_rows, 4)
-    assert linalg.same_span(dense, sparse)
-    assert len(sparse) == len(dense)
-
-
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(bool)
 nonzero_wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                             max_denominator=10 ** 6).filter(bool).map(to_rat)
@@ -124,6 +115,9 @@ def sparse_systems(draw):
 @example(([{0: 1, 3: 1}, {0: 1, 1: 1}, {3: 1, 4: 2}], 5))
 @example(([{0: -2, 1: 4}, {0: 1, 1: -2}, {0: rat(-3, 7), 1: rat(6, 7)}], 3))
 @example(([{0: rat(1, 999999), 1: rat(-1, 10 ** 6)}, {0: 3, 2: rat(7, 10 ** 6)}], 3))
+# rational rows, the third the sum of the first two
+@example(([{0: rat(1), 2: rat(2)}, {1: rat(1), 3: rat(3)},
+           {0: rat(1), 1: rat(1), 2: rat(2), 3: rat(3)}], 4))
 def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
     rows, ncols = system
     assert linalg.sparse_kernel(rows, ncols) == reference_kernel(rows, ncols)

@@ -2,11 +2,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.polyring import (CompiledPolys, GradientContext, Poly, coefficient_rows,
-                             gradient, poisson_bracket, restrict_affine)
+from mfhess.polyring import (CompiledPolys, GradientContext, Poly, _pack, _packing, _unpack,
+                             coefficient_rows, gradient, poisson_bracket, restrict_affine)
 from mfhess.rational import rat, to_rat, factorial_rat
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -208,6 +208,44 @@ def test_poisson_bracket_at_packing_width(bundles, reference_bracket, k):
     br = poisson_bracket(ctx, p, q)
     assert br == reference_bracket(ctx, p, q)
     assert br.terms[(2 * k - 1, 0, 0)] == rat(k, 12)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """(top, a, b): two exponent tuples of one length, every entry at most
+    top; top is often at a field-width edge, 2^k - 1 (a full field) or 2^k
+    (one bit wider than the degree below)."""
+    edges = st.integers(min_value=0, max_value=7).flatmap(
+        lambda k: st.sampled_from([2 ** k - 1, 2 ** k]))
+    top = draw(st.one_of(edges, st.integers(min_value=0, max_value=300)))
+    n = draw(st.integers(min_value=1, max_value=6))
+    exps = st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)),
+                    min_size=n, max_size=n).map(tuple)
+    return top, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_pairs())
+@example((7, (7, 0, 7), (0, 7, 0)))
+@example((8, (8, 8, 8), (8, 8, 7)))
+@example((1, (1, 0), (0, 1)))
+@example((0, (0, 0), (0, 0)))
+def test_packing_inverts_and_keeps_tuple_order(case):
+    """_unpack inverts _pack, packed ints order as the exponent tuples do
+    (the invariant solver sorts its equation rows by them), and a sum of
+    exponents that stays within top packs to the sum of the packed ints."""
+    top, a, b = case
+    n = len(a)
+    unit, width = _packing(n, top)
+    pa, support = _pack(a, unit)
+    pb, _ = _pack(b, unit)
+    assert support == tuple((k, ek) for k, ek in enumerate(a) if ek)
+    assert _unpack(n, width, {pa: 3}, 2) == Poly(n, {a: rat(3, 2)})
+    assert _unpack(n, width, {pb: -1}, 1) == Poly(n, {b: rat(-1)})
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    s = tuple(x + y for x, y in zip(a, b))
+    if max(s) <= top:
+        assert _pack(s, unit)[0] == pa + pb
 
 
 def hamiltonian(B, p, x):

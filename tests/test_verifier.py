@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from mfhess import argshift, cli, linalg
+from mfhess import argshift, cli, linalg, verifier
+from mfhess.argshift import shift_family
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.liealgebra import LieAlgebra
@@ -46,7 +47,7 @@ def test_reports_are_byte_identical():
 
 def test_report_schema(a1_report):
     data = json.loads(a1_report.to_json())
-    assert data["schema"] == "report_v2"
+    assert data["schema"] == "report_v3"
     assert set(data) == {"schema", "config", "convention", "summary", "checks"}
     assert data["convention"]["hash"]
     for check in data["checks"]:
@@ -74,8 +75,6 @@ def test_g2_gated_behind_flag():
 def test_config_validation(capsys):
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(algebra="A1", hess_points=0))
-    with pytest.raises(ValueError):
-        run_suite(SuiteConfig(algebra="A1", output_format="xml"))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(algebra="A1", coeff_bound=0))
     with pytest.raises(ValueError):
@@ -534,14 +533,15 @@ def test_trace_oracle_fails_on_planted_cartan_cube(a2_context):
 
 
 def test_span_and_chain_fails_on_planted_non_invariant_term(a2_context):
+    """A family shifted from an invariant plus a Cartan cube."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     assert check_span_and_chain(sc, cfg)["witness"]["chain"] == "verified"
     n = sc.L.dim
     polys = list(sc.inv.polys)
     polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
-    bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    out = check_span_and_chain(bad, cfg)
+    family = shift_family(sc.L, replace(sc.inv, polys=polys), sc.y, sc.ctx, sc.triple)
+    out = check_span_and_chain(replace(sc, family=family), cfg)
     assert out == {"ok": False, "witness": {"dim_at_e": 5, "dim_at_e1": 5,
                                             "chain_error": "zeta(v_0) != v_1 for invariant 1"}}
 
@@ -550,11 +550,12 @@ def test_span_and_chain_fails_on_planted_high_degree_term(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     n = sc.L.dim
-    polys = list(sc.inv.polys)
+    cube = Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
     assert sc.inv.degrees[0] == 2
-    polys[0] = polys[0] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
-    bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    out = check_span_and_chain(bad, cfg)
+    # the cube joins the underived member of invariant 0 only
+    entries = [replace(q, poly=q.poly + cube) if (q.j, q.k) == (0, 0) else q
+               for q in sc.family.entries]
+    out = check_span_and_chain(replace(sc, family=replace(sc.family, entries=entries)), cfg)
     assert out == {"ok": False, "witness": {
         "dim_at_e": 5, "dim_at_e1": 5,
         "chain_error": "gradient expansion has unexpected high-order terms"}}
@@ -569,7 +570,7 @@ def test_cli_verify_json(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == "report_v2"
+    assert data["schema"] == "report_v3"
     assert data["summary"]["fail"] == 0
 
 
@@ -687,13 +688,14 @@ def test_root_data_checks_fail_on_planted_root_system(a2_context, check, field, 
 
 
 def test_membership_fails_when_every_direction_shifts_along_y(a2_context, monkeypatch):
-    """family.membership_samples with argshift.shifted_invariants shifting
-    along y whatever direction it is given: the zero direction then reaches
-    full span too, so the check fails with that witness instead of raising."""
+    """family.membership_samples with the verifier's shifted_invariants
+    shifting along y whatever direction it is given: the zero direction then
+    reaches full span too, so the check fails with that witness instead of
+    raising."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     assert check_membership(sc, cfg)["ok"] is True
     original = argshift.shifted_invariants
-    monkeypatch.setattr(argshift, "shifted_invariants", lambda inv, u: original(inv, sc.y))
+    monkeypatch.setattr(verifier, "shifted_invariants", lambda inv, u: original(inv, sc.y))
     assert check_membership(sc, cfg) == {"ok": False,
                                          "witness": {"kind": "zero direction certified"}}
