@@ -28,7 +28,8 @@ A family compiles its members once (polyring.CompiledPolys) when it is
 built; gradients and values at points are read from that integer form, and
 no partial derivatives are cached.  gradient_rows returns the gradient
 matrix as integer numerators over one denominator, which the rank tests and
-the tangent frames read as they are.
+the tangent frames read as they are; gradient_visit adds the cleared point
+and the rank, so a point visited by several readers is ranked once.
 """
 
 from __future__ import annotations
@@ -299,9 +300,28 @@ def phi(F: ShiftFamily, x) -> list:
     return F.compiled.values(x)
 
 
+@dataclass
+class GradientVisit:
+    """One visit to a point: the point cleared to (numerators, den), the b
+    family gradients there as integer rows over the positive denominator
+    den, and their rank, which is b exactly at a strongly regular point.
+    Every reader of the visit takes the matrix and its rank from here."""
+    point: tuple
+    rows: list
+    den: int
+    rank: int
+
+
+def gradient_visit(F: ShiftFamily, x) -> GradientVisit:
+    """Build the gradient matrix at x and its rank, once."""
+    x = [to_rat(c) for c in x]
+    rows, den = F.gradient_rows(x)
+    return GradientVisit(point=clear(x), rows=rows, den=den, rank=linalg.rank(rows))
+
+
 def is_strongly_regular(F: ShiftFamily, x) -> bool:
     """True when the b gradients at x are linearly independent."""
-    return linalg.rank(F.gradient_rows(x)[0]) == F.b
+    return gradient_visit(F, x).rank == F.b
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:

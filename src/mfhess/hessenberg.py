@@ -29,7 +29,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import R0, R1, over, rat, to_rat
+from .rational import R0, R1, clear, over, rat, to_rat
 from .rootdata import RootSystem
 
 
@@ -92,25 +92,39 @@ class HessChart:
     restricted: list       # restrictions of the generators, in frame coordinates
     # each restricted generator compiled alone: the section evaluates one per step
     compiled: list = field(init=False, repr=False, compare=False)
-    # the nonzero (index, value) pairs of each frame vector
-    frame_support: list = field(init=False, repr=False, compare=False)
+    # (supports, den): the frame as integer numerators over one denominator,
+    # supports[g] the nonzero (index, numerator) pairs of frame vector g
+    frame_int: tuple = field(init=False, repr=False, compare=False)
+    # e1 as (integer numerators, den)
+    e1_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.compiled = [CompiledPolys([rp]) for rp in self.restricted]
-        self.frame_support = [[(i, c) for i, c in enumerate(vec) if c] for vec in self.frame]
+        dim = len(self.triple.e1)
+        nums, den = clear([c for vec in self.frame for c in vec])
+        self.frame_int = ([[(i, c) for i, c in enumerate(nums[g * dim:(g + 1) * dim]) if c]
+                           for g in range(len(self.frame))], den)
+        self.e1_int = clear(self.triple.e1)
 
     @property
     def b(self) -> int:
         return len(self.zvecs)
 
     def point_from_s(self, svals) -> list:
-        """The point e1 + sum_g s_g frame_g of Hess."""
-        v = list(self.triple.e1)
-        for s, support in zip(svals, self.frame_support):
+        """The point e1 + sum_g s_g frame_g of Hess, summed on integers.
+
+        With s = S / ds, the frame Fr / df and e1 = E / de, coordinate i is
+        (E_i ds df + de sum_g S_g Fr_gi) / (de ds df): one rational per
+        coordinate."""
+        snums, sden = clear(svals)
+        (supports, fden), (enums, eden) = self.frame_int, self.e1_int
+        acc = [0] * len(enums)
+        for s, support in zip(snums, supports):
             if s:
                 for i, c in support:
-                    v[i] += s * c
-        return v
+                    acc[i] += s * c
+        scale = sden * fden
+        return over([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
 
 
 def build_chart(F: ShiftFamily) -> HessChart:

@@ -16,7 +16,12 @@ one pair; argshift.pairwise_commute runs each of them once per family member.
 
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation clears the point's
-denominators and accumulates in ints.  Its integer core, int_gradients,
+denominators and accumulates in ints.  Each term forms its coordinate
+product P once; its partial along k is e_k (P // N_k), an exact division,
+and a term with a zero coordinate adds only to that coordinate's partial,
+and only when it is its sole zero with exponent 1 (values drop such a term
+at its first zero).  Points of Hess are zero on most of the upper
+nilradical, so most terms stop early.  The integer core, int_gradients,
 returns the gradient matrix as integer numerators over one positive
 denominator, which pointwise checks read as it is (a rank or a vanishing
 test does not change under a positive scale); gradients divides it back to
@@ -351,8 +356,10 @@ class CompiledPolys:
     denominator D and integer numerators N = D x, every term of every
     polynomial over the one denominator scale * D^top is c N^e D^lift; the
     lift keeps non-homogeneous polynomials exact.  Values and partials are
-    accumulated in ints; int_gradients returns them as integer numerators
-    over one denominator and the rational methods divide at the end.
+    accumulated in ints, each term's product formed once (int_gradients
+    says how a partial is read from it); int_gradients returns them as
+    integer numerators over one denominator and the rational methods divide
+    at the end.
     """
 
     __slots__ = ("n", "polys", "scale", "top")
@@ -371,17 +378,19 @@ class CompiledPolys:
                       for p in polys]
 
     def _clear(self, x) -> tuple:
-        """Power tables of the numerators N = D x and of D, the common
-        denominator of the point x, up to the top degree."""
+        """The numerators N = D x of the point x over its common denominator
+        D, with power tables of each nonzero N_k and of D up to the top
+        degree (None for a zero coordinate, whose powers are never read)."""
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
         nums, den = clear([to_rat(c) for c in x])
-        return ([_power_table(c, self.top) for c in nums],
+        return (nums, [_power_table(c, self.top) if c else None for c in nums],
                 _power_table(den, self.top))
 
     def values(self, x) -> list:
-        """p(x) for each compiled p."""
-        pw, dp = self._clear(x)
+        """p(x) for each compiled p; a term is dropped at its first zero
+        coordinate."""
+        nums, pw, dp = self._clear(x)
         whole = self.scale * dp[self.top]
         out = []
         for terms in self.polys:
@@ -389,38 +398,49 @@ class CompiledPolys:
             for c, lift, support in terms:
                 t = c * dp[lift] if lift else c
                 for k, ek in support:
+                    if not nums[k]:
+                        break
                     t *= pw[k][ek]
-                acc += t
+                else:
+                    acc += t
             out.append(rat(acc, whole) if acc else R0)
         return out
 
     def int_gradients(self, ctx: "GradientContext", x) -> tuple:
         """dp(x) for each compiled p, the inverse Gram matrix applied to the
         coordinate partials, on integers: (rows, den), row p holding the
-        numerators of dp(x) over the one positive denominator den."""
-        pw, dp = self._clear(x)
-        # dpw[k][e] = e * N_k^(e - 1), the derivative of N_k^e
-        dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
+        numerators of dp(x) over the one positive denominator den.
+
+        Each term forms its product P = c N^e D^lift once, and its partial
+        along a coordinate k of its support is e_k (P // N_k), an exact
+        division.  A zero coordinate N_k = 0 is never divided by: when it is
+        the term's only zero and e_k = 1, the term adds the product of its
+        other factors to the partial along k alone; otherwise every partial
+        of the term vanishes and it adds nothing.  Points of Hess are zero on
+        most of the upper nilradical, so most terms stop at a zero.
+        """
+        nums, pw, dp = self._clear(x)
         ginv_scale, ginv_rows = ctx.gram_inv_int
         n = self.n
         out = []
         for terms in self.polys:
             part = [0] * n
             for c, lift, support in terms:
-                base = c * dp[lift] if lift else c
-                if len(support) == 1:
-                    k, ek = support[0]
-                    part[k] += base * dpw[k][ek]
-                    continue
-                # prefix products from the left, a running suffix from the right
-                pre = [base]
+                prod = c * dp[lift] if lift else c
+                zero = None
                 for k, ek in support:
-                    pre.append(pre[-1] * pw[k][ek])
-                suf = 1
-                for i in range(len(support) - 1, -1, -1):
-                    k, ek = support[i]
-                    part[k] += pre[i] * suf * dpw[k][ek]
-                    suf *= pw[k][ek]
+                    if nums[k]:
+                        prod *= pw[k][ek]
+                    elif ek == 1 and zero is None:
+                        zero = k
+                    else:
+                        break
+                else:
+                    if zero is not None:
+                        part[zero] += prod
+                    else:
+                        for k, ek in support:
+                            part[k] += ek * (prod // nums[k])
             row = []
             for grow in ginv_rows:
                 num = 0

@@ -15,11 +15,16 @@ once to integer numerators over one denominator (rational.clear) and stays
 on integers from its gradients to its verdict.  A TangentFrame holds integer
 preimages and integer tangents, each list over one positive denominator.
 The Hamiltonian tangents are LieAlgebra.int_bracket(x, z) and the pairings
-LieAlgebra.int_killing_pair.  ad x (LieAlgebra.int_ad) is built only where
-its columns are read, once per point: the slice tangents are its n_-
-columns and the orbit dimension is its rank.  A value that enters a report
-(an isotropy witness, the pairing determinant) is divided back to the exact
-rational.
+LieAlgebra.int_killing_pair.  A point's gradient matrix and its rank come
+from one argshift.gradient_visit, which zx_frame builds or is handed (check
+13 reads the visits check 12 built).  ad x (LieAlgebra.int_ad) is built
+only where its columns are read, once per point: the slice tangents are its
+n_- columns.  Transversality reads the orbit dimension and the Jacobian
+rank from certificates already in hand (the combined tangents' rank with
+the Casimir gradients' commuting with x, and a nonzero pairing
+determinant) and eliminates ad x or the Jacobian only when one fails.  A
+value that enters a report (an isotropy witness, the pairing determinant)
+is divided back to the exact rational.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
-from .argshift import ShiftFamily
+from .argshift import GradientVisit, ShiftFamily, gradient_visit
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
                          slice_sample)
 from .rational import R0, clear, rat, to_rat
@@ -99,19 +104,22 @@ def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
                         tangents=tangents, tden=den, dim=linalg.rank(tangents))
 
 
-def zx_frame(F: ShiftFamily, x) -> TangentFrame:
+def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFrame:
     """Hamiltonian tangent frame of the non-invariant generators at x.
 
-    Requires strong regularity; the n tangents [x, g] are verified
-    independent.  The frame carries all b gradients, the only ones built for
-    this visit, and the cleared point; it builds no ad x.
+    Requires strong regularity, read from the rank of the visit's gradient
+    matrix; the n tangents [x, g] are verified independent.  visit is the
+    gradient_visit of x when one was already built (check 12 builds it for
+    check 13), else it is built here.  The frame carries all b gradients,
+    the only ones built for this visit, and the cleared point; it builds no
+    ad x.
     """
-    x = [to_rat(c) for c in x]
-    rows, den = F.gradient_rows(x)
-    if linalg.rank(rows) != F.b:
+    if visit is None:
+        visit = gradient_visit(F, x)
+    if visit.rank != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
     L = F.L
-    xc = clear(x)
+    xc, rows, den = visit.point, visit.rows, visit.den
     preimages = [rows[i] for i in F.N_positions]
     brackets = [L.int_bracket(xc, (g, den)) for g in preimages]
     tangents = [t for t, _ in brackets]
@@ -160,9 +168,17 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     The pairing omega_x(g, e_i) = (g, [x, e_i]) of a derived generator's
     gradient g with a slice preimage is that generator's row of the Jacobian
     of the family along the slice tangents.  ad x is built here, once, for
-    the slice tangents and the orbit dimension; the pairing determinant is
-    the fraction-free determinant of the integer pairing over its
-    denominator, exactly.
+    the slice tangents; the pairing determinant is the fraction-free
+    determinant of the integer pairing over its denominator, exactly.
+
+    Two ranks are read from certificates already in hand and eliminated
+    only when a certificate fails:
+    - orbit_dim = rank(ad x) is 2n when the combined tangents have rank 2n
+      (they lie in the image of ad x, so rank(ad x) >= 2n) and the l
+      underived invariants' gradients commute with x (they are independent,
+      x being strongly regular, so dim z(x) >= l and rank(ad x) <= 2n);
+    - jacobian_rank is n when the pairing determinant is nonzero: its n rows
+      are rows of the Jacobian, which has n columns.
     """
     L = F.L
     x = [to_rat(c) for c in x]
@@ -171,7 +187,6 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     zx = zx_frame(F, x)
     adx = L.int_ad(zx.point)
     sl = slice_frame(L, adx)
-    orbit_dim = linalg.rank(adx[0])
     combined = linalg.rank(zx.tangents + sl.tangents)
     # every entry is over the one denominator pden * tden * (Killing scale)
     jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
@@ -179,7 +194,13 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     den = zx.pden * sl.tden * L.int_killing[0]
     pairing = [jac[i] for i in F.N_positions]
     pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
-    jrank = linalg.rank(jac)
+    if combined == 2 * L.n and not any(
+            any(L.int_bracket(zx.point, (zx.gradients[i], zx.pden))[0])
+            for i in F.I_positions):
+        orbit_dim = 2 * L.n
+    else:
+        orbit_dim = linalg.rank(adx[0])
+    jrank = L.n if pdet else linalg.rank(jac)
     passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n
               and bool(pdet) and jrank == L.n)

@@ -7,6 +7,10 @@ witness.  Sampling-based existence searches that find nothing report
 configuration: all sampling is driven by per-check seeded generators and the
 serialized form contains no timing or environment data, so two runs with an
 identical configuration produce identical bytes.
+
+What several checks of one pass read is computed once per pass and held
+by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
+gradient visit each, and the shift of the invariants along f.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, asdict, field
+from functools import cached_property
 
 from . import linalg
 from .rational import R0, R1, clear, rat, rat_str
@@ -25,8 +30,8 @@ from .liealgebra import (chevalley_algebra, principal_triple, principal_decompos
 from .polyring import CompiledPolys, GradientContext, coefficient_rows
 from . import invariants as invmod
 from .invariants import invariant_generators, trace_oracle_type_A
-from .argshift import (choose_regular_y, shift_family, shifted_invariants,
-                       pairwise_commute, phi, is_strongly_regular, gradient_span,
+from .argshift import (GradientVisit, choose_regular_y, shift_family, shifted_invariants,
+                       pairwise_commute, phi, gradient_visit, gradient_span,
                        zeta_chain, mv_membership, cartan_from_root_values,
                        load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, orbit_slice, slice_membership,
@@ -252,6 +257,33 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
     return out
 
 
+class SuiteRun:
+    """What one suite pass shares between checks, each built when first read:
+    the Hess points of checks 12 and 13 with their gradient visits (check 12
+    reads the ranks, check 13 hands each visit to zx_frame), and the shift
+    of the invariants along f that checks 8 and membership read.  A run
+    belongs to one _suite_payload pass, never to the context, family or
+    chart; a check called alone makes its own."""
+
+    def __init__(self, sc: SuiteContext, config: SuiteConfig):
+        self.sc, self.config = sc, config
+        self._visits = {}
+
+    @cached_property
+    def hess_points(self) -> list:
+        return sample_points(self.sc, self.config.seed, "hess", self.config.hess_points,
+                             self.config.coeff_bound)
+
+    def hess_visit(self, i: int) -> GradientVisit:
+        if i not in self._visits:
+            self._visits[i] = gradient_visit(self.sc.family, self.hess_points[i])
+        return self._visits[i]
+
+    @cached_property
+    def along_f(self) -> list:
+        return [p for _, _, p in shifted_invariants(self.sc.inv, self.sc.triple.f)]
+
+
 def _vec_str(v) -> list:
     return [rat_str(c) for c in v]
 
@@ -259,11 +291,14 @@ def _vec_str(v) -> list:
 # -- individual checks -------------------------------------------------------
 
 
-def _record(check_id, claim, criterion=None):
+def _record(check_id, claim, criterion=None, reads_run=False):
+    """Name a check.  A check with reads_run takes the pass's SuiteRun as a
+    third argument, and makes its own when called without one."""
     def wrap(fn):
         fn.check_id = check_id
         fn.claim = claim
         fn.criterion = criterion
+        fn.reads_run = reads_run
         return fn
     return wrap
 
@@ -397,11 +432,12 @@ def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
 
 @_record("family.principal_shift_span",
          "shifting along the principal nilpotent f and taking gradients at w "
-         "spans exactly the lower Borel", 8)
-def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig) -> dict:
+         "spans exactly the lower Borel", 8, reads_run=True)
+def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig,
+                               run: SuiteRun | None = None) -> dict:
     L = sc.L
-    members = [p for _, _, p in shifted_invariants(sc.inv, sc.triple.f)]
-    dim, basis = gradient_span(sc.ctx, members, [sc.triple.w])
+    run = run or SuiteRun(sc, config)
+    dim, basis = gradient_span(sc.ctx, run.along_f, [sc.triple.w])
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     ok = dim == sc.family.b and linalg.same_span(basis, bminus)
     return {"ok": ok, "witness": {"dim": dim}}
@@ -460,12 +496,13 @@ def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
 
 @_record("hess.strong_regularity",
          "random points of the affine slice are strongly regular (independent "
-         "generator gradients), hence regular", 12)
-def check_strong_regularity(sc: SuiteContext, config: SuiteConfig) -> dict:
-    pts = sample_points(sc, config.seed, "hess", config.hess_points,
-                        config.coeff_bound)
-    for x in pts:
-        if not is_strongly_regular(sc.family, x):
+         "generator gradients), hence regular", 12, reads_run=True)
+def check_strong_regularity(sc: SuiteContext, config: SuiteConfig,
+                            run: SuiteRun | None = None) -> dict:
+    run = run or SuiteRun(sc, config)
+    pts = run.hess_points
+    for i, x in enumerate(pts):
+        if run.hess_visit(i).rank != sc.family.b:
             return {"ok": False, "witness": {"point": _vec_str(x)}}
         if not is_regular(sc.L, x):
             return {"ok": False,
@@ -476,14 +513,15 @@ def check_strong_regularity(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("symplectic.hamiltonian_frame",
          "at sampled slice points the Hamiltonian vectors of the derived "
          "generators span an isotropic space of dimension n while the "
-         "underived generators have vanishing Hamiltonian vectors", 13)
-def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig) -> dict:
+         "underived generators have vanishing Hamiltonian vectors", 13, reads_run=True)
+def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
+                            run: SuiteRun | None = None) -> dict:
     L = sc.L
     F = sc.family
-    pts = sample_points(sc, config.seed, "hess", config.hess_points,
-                        config.coeff_bound)
-    for x in pts:
-        frame = zx_frame(F, x)
+    run = run or SuiteRun(sc, config)
+    pts = run.hess_points
+    for i, x in enumerate(pts):
+        frame = zx_frame(F, x, run.hess_visit(i))
         wit = isotropy_witness(L, frame)
         if wit is not None:
             return {"ok": False, "witness": {"point": _vec_str(x),
@@ -572,8 +610,11 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("family.membership_samples",
          "sampled certification of maximal gradient span: the principal "
          "nilpotent and the chosen Cartan direction certify, scaling preserves "
-         "certification, and the zero direction never certifies")
-def check_membership(sc: SuiteContext, config: SuiteConfig) -> dict:
+         "certification, and the zero direction never certifies", reads_run=True)
+def check_membership(sc: SuiteContext, config: SuiteConfig,
+                     run: SuiteRun | None = None) -> dict:
+    run = run or SuiteRun(sc, config)
+
     def member(members):
         return mv_membership(sc.ctx, sc.triple, members, config.membership_samples,
                              config.seed, config.coeff_bound)
@@ -581,7 +622,7 @@ def check_membership(sc: SuiteContext, config: SuiteConfig) -> dict:
     def shifted(u):
         return CompiledPolys(p for _, _, p in shifted_invariants(sc.inv, u))
 
-    ok_f, wit_f = member(shifted(sc.triple.f))
+    ok_f, wit_f = member(CompiledPolys(run.along_f))
     ok_2f, _ = member(shifted(linalg.vec_scale(sc.triple.f, rat(2))))
     ok_y, _ = member(sc.family.compiled)   # the family is the shift along y
     ok_0, _ = member(shifted(sc.L.zero()))
@@ -712,9 +753,10 @@ def _suite_payload(config: SuiteConfig) -> tuple:
                                        witness={"reason": "algebra build failed"}))
         return {"hash": "unavailable"}, records
     records = []
+    run = SuiteRun(sc, config)
     for fn in ALL_CHECKS:
         try:
-            out = fn(sc, config)
+            out = fn(sc, config, run) if fn.reads_run else fn(sc, config)
             if out["ok"] is None:
                 status = "inconclusive" if "note" not in out["witness"] else "skipped"
             else:

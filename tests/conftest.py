@@ -9,10 +9,11 @@ from mfhess.rootdata import (CartanMatrix, UnsupportedType, build_root_system,
                              cartan_matrix_for_label)
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
 from mfhess.polyring import GradientContext, Poly, coefficient_rows
-from mfhess.rational import R0, R1, factorial_rat, rat_str, to_rat
+from mfhess.rational import R0, R1, clear, factorial_rat, rat, rat_str, to_rat
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
-from mfhess.hessenberg import build_chart
+from mfhess.hessenberg import build_chart, point_in_hess
+from mfhess.symplectic import TransversalityResult, slice_frame, zx_frame
 
 SEED = 42
 
@@ -228,6 +229,71 @@ def reference_gradients_from_polys(ctx, polys, x):
 @pytest.fixture(scope="session")
 def reference_gradients():
     return reference_gradients_from_polys
+
+
+def _reference_powers(compiled, x):
+    """Power tables, up to the top degree of compiled, of the numerators N of
+    the point x over its common denominator D and of D itself."""
+    if len(x) != compiled.n:
+        raise ValueError("point has wrong dimension")
+    nums, den = clear([to_rat(c) for c in x])
+    tables = []
+    for base in nums + [den]:
+        row = [1]
+        for _ in range(compiled.top):
+            row.append(row[-1] * base)
+        tables.append(row)
+    return tables[:-1], tables[-1]
+
+
+def reference_compiled_values(compiled, x):
+    """p(x) for each polynomial of a CompiledPolys, every factor of every
+    term multiplied in, zeros included."""
+    pw, dp = _reference_powers(compiled, x)
+    whole = compiled.scale * dp[compiled.top]
+    out = []
+    for terms in compiled.polys:
+        acc = 0
+        for c, lift, support in terms:
+            t = c * dp[lift] if lift else c
+            for k, ek in support:
+                t *= pw[k][ek]
+            acc += t
+        out.append(rat(acc, whole) if acc else R0)
+    return out
+
+
+def reference_compiled_int_gradients(compiled, ctx, x):
+    """The (rows, den) of CompiledPolys.int_gradients by prefix and suffix
+    products: each term's partial along its i-th support coordinate is the
+    product of the factors before it, those after it, and the derivative
+    e N^(e - 1) of its own power, with no division."""
+    pw, dp = _reference_powers(compiled, x)
+    dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
+    ginv_scale, ginv_rows = ctx.gram_inv_int
+    out = []
+    for terms in compiled.polys:
+        part = [0] * compiled.n
+        for c, lift, support in terms:
+            base = c * dp[lift] if lift else c
+            pre = [base]
+            for k, ek in support:
+                pre.append(pre[-1] * pw[k][ek])
+            suf = 1
+            for i in range(len(support) - 1, -1, -1):
+                k, ek = support[i]
+                part[k] += pre[i] * suf * dpw[k][ek]
+                suf *= pw[k][ek]
+        out.append([sum(g * part[k] for k, g in grow) for grow in ginv_rows])
+    return out, ginv_scale * compiled.scale * dp[max(compiled.top - 1, 0)]
+
+
+@pytest.fixture(scope="session")
+def reference_compiled():
+    """The compiled kernel before the product-once rewrite: values with every
+    factor multiplied in, gradients by prefix and suffix products."""
+    return SimpleNamespace(values=reference_compiled_values,
+                           int_gradients=reference_compiled_int_gradients)
 
 
 def reference_gradient_polynomials(ctx, p):
@@ -731,3 +797,35 @@ def reference_witness():
     """The Fraction computations of check 13's value and check 15's det."""
     return SimpleNamespace(isotropy=reference_isotropy_value, pairing_det=reference_pairing_det,
                            det=reference_det)
+
+
+def reference_transversality_check(F, chart, x):
+    """Check 15 at x with both ranks eliminated: orbit_dim is rank(ad x) and
+    jacobian_rank is rank(jac), whatever the other results are."""
+    L = F.L
+    x = [to_rat(c) for c in x]
+    if not point_in_hess(L, chart.triple, x):
+        raise ValueError("transversality is checked at points of the affine slice")
+    zx = zx_frame(F, x)
+    adx = L.int_ad(zx.point)
+    sl = slice_frame(L, adx)
+    orbit_dim = linalg.rank(adx[0])
+    combined = linalg.rank(zx.tangents + sl.tangents)
+    jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
+           for g in zx.gradients]
+    den = zx.pden * sl.tden * L.int_killing[0]
+    pairing = [jac[i] for i in F.N_positions]
+    pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
+    jrank = linalg.rank(jac)
+    passed = (zx.dim == L.n and sl.dim == L.n
+              and combined == 2 * L.n and orbit_dim == 2 * L.n
+              and bool(pdet) and jrank == L.n)
+    return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
+                                combined_dim=combined, orbit_dim=orbit_dim,
+                                pairing_det=pdet, jacobian_rank=jrank, passed=passed,
+                                frame=zx, slice=sl)
+
+
+@pytest.fixture(scope="session")
+def reference_transversality():
+    return reference_transversality_check

@@ -8,6 +8,7 @@ from mfhess import linalg
 from mfhess.polyring import (CompiledPolys, GradientContext, Poly, _pack, _packing, _unpack,
                              coefficient_rows, gradient, poisson_bracket, restrict_affine)
 from mfhess.rational import rat, to_rat, factorial_rat
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 mixed = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -343,6 +344,64 @@ def test_compiled_evaluation_matches_reference(bundles, reference_gradients, dat
             assert compiled.values(x) == [p.evaluate(x) for p in polys]
             if ctx is not None:
                 assert compiled.gradients(ctx, x) == reference_gradients(ctx, polys, x)
+
+
+B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
+KERNEL_LABELS = SUPPORTED_LABELS + FLAGGED_LABELS + (B3,)
+nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def _zero_cases(compiled):
+    """Coordinates to zero at a point with no other zero: each k that some
+    term of a compiled polynomial holds with exponent 1 beside another
+    factor, each k that some term holds with exponent at least 2, and each
+    pair k, k' that one term holds both with exponent 1."""
+    ones, twos, pairs = set(), set(), set()
+    for terms in compiled.polys:
+        for _, _, support in terms:
+            linear = [k for k, ek in support if ek == 1]
+            twos.update(k for k, ek in support if ek >= 2)
+            if len(support) >= 2:
+                ones.update(linear)
+            pairs.update((a, b) for a in linear for b in linear if a < b)
+    return sorted(ones), sorted(twos), sorted(pairs)
+
+
+@pytest.mark.parametrize("label", KERNEL_LABELS, ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",))
+def test_compiled_kernel_matches_prefix_suffix_reference(bundles, reference_compiled, label):
+    """The product-once kernel (values drop a term at its first zero,
+    partials divide the term's product by N_k) gives the integer outputs of
+    the prefix/suffix kernel, for the family and the invariants: at e, e1
+    and w, at sampled Hess points, and at points whose only zeros are one
+    coordinate held with exponent 1, one held with exponent at least 2, or
+    two coordinates held by one term with exponent 1."""
+    B = bundles(label)
+    ctx, n = B.ctx, B.L.dim
+    cases = [(compiled, _zero_cases(compiled)) for compiled in (B.family.compiled,
+                                                                B.inv.compiled)]
+
+    def agree(x):
+        for compiled, _ in cases:
+            assert compiled.int_gradients(ctx, x) == \
+                reference_compiled.int_gradients(compiled, ctx, x)
+            assert compiled.values(x) == reference_compiled.values(compiled, x)
+
+    for x in (B.triple.e, B.triple.e1, B.triple.w):
+        agree(x)
+
+    @settings(max_examples=4 if label in ("G2", B3) else 10, deadline=None)
+    @given(st.data())
+    def check(data):
+        svals = data.draw(st.lists(nonzero, min_size=B.family.b, max_size=B.family.b))
+        agree(B.chart.point_from_s([to_rat(c) for c in svals]))
+        dense = [to_rat(c) for c in data.draw(st.lists(nonzero, min_size=n, max_size=n))]
+        for _, (ones, twos, pairs) in cases:
+            for zeros in ([data.draw(st.sampled_from(ones))],
+                          [data.draw(st.sampled_from(twos))],
+                          list(data.draw(st.sampled_from(pairs)))):
+                agree([rat(0) if k in zeros else c for k, c in enumerate(dense)])
+
+    check()
 
 
 def test_compiled_rejects_wrong_dimension(bundles):

@@ -1,17 +1,23 @@
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfhess import linalg
+from mfhess import linalg, symplectic, verifier
 from mfhess.liealgebra import (chevalley_algebra, exp_ad_nilpotent, is_regular,
                                principal_triple)
 from mfhess.argshift import phi
-from mfhess.rootdata import CartanMatrix, build_root_system, cartan_matrix_for_label
-from mfhess.symplectic import (NotStronglyRegular, hess_lagrangian_check,
-                               isotropy_witness, omega, orbit_frame, slice_frame,
-                               polarization_report, transversality_check, zx_frame)
+from mfhess.polyring import Poly
+from mfhess.rootdata import (FLAGGED_LABELS, SUPPORTED_LABELS, CartanMatrix,
+                             build_root_system, cartan_matrix_for_label)
+from mfhess.symplectic import (NotStronglyRegular, TransversalityResult,
+                               hess_lagrangian_check, isotropy_witness, omega, orbit_frame,
+                               slice_frame, polarization_report, transversality_check,
+                               zx_frame)
+from mfhess.verifier import (SuiteConfig, SuiteContext, check_polarization,
+                             check_transversality)
 from mfhess.rational import clear, over, rat
 
 
@@ -136,6 +142,106 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
         rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
         assert rep.all_pass
         assert len(gradient_rows_calls) == count
+
+
+CERT_LABELS = SUPPORTED_LABELS + FLAGGED_LABELS + ("[[2,-1,0],[-1,2,-1],[0,-2,2]]",)
+CERT_IDS = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",)
+
+
+@pytest.fixture
+def rank_shapes(monkeypatch):
+    """The (rows, columns) of every linalg.rank call during one test."""
+    shapes = []
+    original = linalg.rank
+
+    def counted(mat):
+        shapes.append((len(mat), len(mat[0]) if mat else 0))
+        return original(mat)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    return shapes
+
+
+def _eliminated(B, shapes) -> tuple:
+    """Whether ad x (dim x dim) and the Jacobian (b x n) were ranked."""
+    return ((B.L.dim, B.L.dim) in shapes, (B.family.b, B.L.n) in shapes)
+
+
+@pytest.mark.parametrize("label", CERT_LABELS, ids=CERT_IDS)
+def test_transversality_certificates_match_eliminations(bundles, reference_transversality,
+                                                        rank_shapes, label):
+    """At sampled Hess points every field of the result equals the route
+    that ranks ad x and the Jacobian, and neither is ranked."""
+    B = bundles(label)
+    rng = random.Random(f"certificate:{label}")
+    for _ in range(3):
+        x = hess_point(B, rng)
+        rank_shapes.clear()
+        res = transversality_check(B.family, B.chart, x)
+        assert res.passed and _eliminated(B, rank_shapes) == (False, False)
+        assert res == reference_transversality(B.family, B.chart, x)
+
+
+def _planted_family(B, defect):
+    """x0*x1 added to an underived member, a derived member replaced by
+    twice another member, or a coordinate function as a derived member."""
+    F = B.family
+    n = B.L.dim
+    if defect == "invariant term":
+        pos = F.I_positions[0]
+        poly = F.entries[pos].poly + Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
+    elif defect == "dependent":
+        pos = F.N_positions[0]
+        poly = F.entries[next(i for i in range(F.b) if i != pos)].poly.scale(2)
+    else:
+        pos = F.N_positions[0]
+        poly = Poly.coordinate(n, B.L.pos_indices[0])
+    return replace(F, entries=[replace(e, poly=poly) if i == pos else e
+                               for i, e in enumerate(F.entries)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("defect", ["invariant term", "dependent", "coordinate"])
+@pytest.mark.parametrize("label", CERT_LABELS, ids=CERT_IDS)
+def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transversality,
+                                                       rank_shapes, monkeypatch, label,
+                                                       defect):
+    """A planted defect breaks a certificate: an underived member that no
+    longer commutes with x makes transversality rank ad x, a dependent
+    member raises NotStronglyRegular, a zero pairing determinant makes it
+    rank the Jacobian.  Each result or exception equals the reference
+    route's, and so do the outputs of check 15 and polarization."""
+    B = bundles(label)
+    bad = _planted_family(B, defect)
+    rng = random.Random(f"fallback:{label}")
+    forced = []
+    for _ in range(3):
+        x = hess_point(B, rng)
+        rank_shapes.clear()
+        got = _outcome(transversality_check, bad, B.chart, x)
+        if isinstance(got, TransversalityResult):
+            forced.append(_eliminated(B, rank_shapes))
+        assert got == _outcome(reference_transversality, bad, B.chart, x)
+    if defect == "invariant term":
+        assert forced and all(orbit for orbit, _ in forced)
+    elif defect == "dependent":
+        assert forced == []
+    else:
+        assert any(jac for _, jac in forced)
+    sc = SuiteContext(label=label, rs=B.rs, L=B.L, ctx=B.ctx, triple=B.triple, inv=B.inv,
+                      y=B.y, family=bad, chart=B.chart)
+    cfg = SuiteConfig(algebra=label, seed=5, transversality_points=3, slice_points=3)
+    checks = (check_transversality, check_polarization)
+    outs = [_outcome(check, sc, cfg) for check in checks]
+    monkeypatch.setattr(symplectic, "transversality_check", reference_transversality)
+    monkeypatch.setattr(verifier, "transversality_check", reference_transversality)
+    assert outs == [_outcome(check, sc, cfg) for check in checks]
 
 
 def test_polarization_requires_hess_base_point(bundles):

@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 import os
 from dataclasses import replace
@@ -24,6 +26,8 @@ from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, buil
                              check_slice_lagrangian, check_strong_regularity,
                              check_trace_oracle, check_transversality, run_suite,
                              sample_points)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +465,77 @@ def test_hamiltonian_frame_builds_one_gradient_matrix_per_point(a2_context,
     cfg = SuiteConfig(algebra="A2", seed=5, hess_points=k)
     assert check_hamiltonian_frame(a2_context, cfg)["ok"]
     assert len(gradient_rows_calls) == k
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_strong_regularity_builds_one_gradient_matrix_per_point(a2_context,
+                                                                gradient_rows_calls, k):
+    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=k)
+    assert check_strong_regularity(a2_context, cfg)["ok"]
+    assert len(gradient_rows_calls) == k
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_full_run_builds_each_hess_gradient_matrix_once(gradient_rows_calls, monkeypatch, k):
+    """In a full run checks 12 and 13 share their k Hess points: check 12
+    builds each point's gradient matrix and check 13 reads it."""
+    per_check = {}
+
+    def counting(fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            before = len(gradient_rows_calls)
+            try:
+                return fn(*args)
+            finally:
+                per_check[fn.check_id] = len(gradient_rows_calls) - before
+        return wrapper
+
+    monkeypatch.setattr(verifier, "ALL_CHECKS", [counting(fn) for fn in verifier.ALL_CHECKS])
+    assert not run_suite(SuiteConfig(algebra="A2", seed=5, hess_points=k)).failed
+    assert per_check["hess.strong_regularity"] == k
+    assert per_check["symplectic.hamiltonian_frame"] == 0
+
+
+@pytest.mark.parametrize("algebra", ["A3", "G2", "[[2,-1,0],[-1,2,-1],[0,-2,2]]"],
+                         ids=["A3", "G2", "B3"])
+def test_one_expansion_per_shift_direction_per_run(monkeypatch, algebra):
+    """A run shifts the invariants along y (the family), f (checks 8 and
+    membership share it), 2f and 0: four expansions, one per direction."""
+    calls = []
+    original = argshift.shifted_invariants
+
+    def counted(inv, u):
+        calls.append(tuple(u))
+        return original(inv, u)
+
+    monkeypatch.setattr(argshift, "shifted_invariants", counted)
+    monkeypatch.setattr(verifier, "shifted_invariants", counted)
+    rep = run_suite(SuiteConfig(algebra=algebra, seed=2024, enable_g2=True))
+    assert rep.counts["fail"] == 0
+    assert len(calls) == len(set(calls)) == 4
+
+
+def test_no_visit_survives_a_run(a2_context, reference_witness):
+    """Visits and the shift along f belong to one run: two full runs at
+    different seeds give their recorded digests, and after a full run on
+    the module's configuration the planted-defect tests of the pointwise
+    checks still see their defects on copies of its context."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with open(os.path.join(ROOT, "perfbench", "expected.json")) as fh:
+        digests = json.load(fh)["digests"]
+    for seed in ("2024", "7"):
+        report = run_suite(SuiteConfig(algebra="A2", seed=int(seed)))
+        assert bench.report_digest(report.as_dict()) == digests[seed]["A2"]
+    assert not run_suite(SuiteConfig(algebra="A2", seed=5)).failed
+    test_pointwise_checks_fail_on_dependent_member(a2_context)
+    test_pointwise_checks_fail_on_planted_derived_term(a2_context)
+    test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context)
+    for scale in (rat(1), rat(3, 7)):
+        test_hamiltonian_frame_witness_value_is_exact(a2_context, reference_witness, scale)
 
 
 def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
