@@ -326,9 +326,11 @@ def is_strongly_regular(F: ShiftFamily, x) -> bool:
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:
     """(dimension, canonical basis) of the span of dp(x) over the given
-    polys p and points x.  The polynomials are compiled once."""
+    polys p and points x.  The polynomials are compiled once, and the
+    integer gradient rows are spanned as they are: a positive scale of a
+    row leaves the span, and so its canonical basis, unchanged."""
     compiled = CompiledPolys(polys)
-    rows = [g for x in points for g in compiled.gradients(ctx, x)]
+    rows = [g for x in points for g in compiled.int_gradients(ctx, x)[0]]
     basis = linalg.span_basis(rows)
     return len(basis), basis
 

@@ -29,7 +29,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import R0, R1, clear, over, rat, to_rat
+from .rational import R0, R1, clear, clear_rows, over, rat, to_rat
 from .rootdata import RootSystem
 
 
@@ -92,18 +92,16 @@ class HessChart:
     restricted: list       # restrictions of the generators, in frame coordinates
     # each restricted generator compiled alone: the section evaluates one per step
     compiled: list = field(init=False, repr=False, compare=False)
-    # (supports, den): the frame as integer numerators over one denominator,
-    # supports[g] the nonzero (index, numerator) pairs of frame vector g
+    # (den, supports) = rational.clear_rows(frame): the frame as integer
+    # numerators over one denominator, supports[g] the nonzero
+    # (index, numerator) pairs of frame vector g
     frame_int: tuple = field(init=False, repr=False, compare=False)
     # e1 as (integer numerators, den)
     e1_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.compiled = [CompiledPolys([rp]) for rp in self.restricted]
-        dim = len(self.triple.e1)
-        nums, den = clear([c for vec in self.frame for c in vec])
-        self.frame_int = ([[(i, c) for i, c in enumerate(nums[g * dim:(g + 1) * dim]) if c]
-                           for g in range(len(self.frame))], den)
+        self.frame_int = clear_rows(self.frame)
         self.e1_int = clear(self.triple.e1)
 
     @property
@@ -117,7 +115,7 @@ class HessChart:
         (E_i ds df + de sum_g S_g Fr_gi) / (de ds df): one rational per
         coordinate."""
         snums, sden = clear(svals)
-        (supports, fden), (enums, eden) = self.frame_int, self.e1_int
+        (fden, supports), (enums, eden) = self.frame_int, self.e1_int
         acc = [0] * len(enums)
         for s, support in zip(snums, supports):
             if s:
@@ -172,9 +170,9 @@ def hess_section(chart: HessChart, cvals) -> list:
         raise ValueError(f"expected {chart.b} values, got {len(cvals)}")
     svals = [R0] * chart.b
     for bi in range(chart.b):
-        probe = list(svals)
-        probe[bi] = R0
-        rest = chart.compiled[bi].values(probe)[0]
+        # svals[bi] and every later coordinate are still 0 here, so this is
+        # generator bi without its diagonal term s_bi
+        rest = chart.compiled[bi].values(svals)[0]
         svals[bi] = cvals[bi] - rest
     return chart.point_from_s(svals)
 

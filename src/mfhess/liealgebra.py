@@ -14,8 +14,9 @@ The Killing form is computed as the trace form of the adjoint representation,
 which cross-validates the structure constants.
 
 The Lie layer runs on integers.  The algebra holds its structure table and
-its Killing rows scaled by the LCM of their denominators (built in
-__post_init__ from table and killing, so dataclasses.replace rebuilds them).
+its Killing rows, each scaled by the LCM of its denominators (the Killing
+rows by rational.clear_rows; both built in __post_init__ from table and
+killing, so dataclasses.replace rebuilds them).
 Each of bracket, ad and killing_pair has one integer core (int_bracket,
 int_ad, int_killing_pair) that takes cleared vectors, integer numerators
 over one positive denominator (rational.clear), accumulates in ints and
@@ -32,8 +33,8 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from . import linalg
-from .rational import (R0, R1, clear, denominator_lcm, factorial_rat, over, rat, rat_str,
-                       scaled, to_rat)
+from .rational import (R0, R1, clear, clear_rows, denominator_lcm, factorial_rat, over, rat,
+                       rat_str, scaled, to_rat)
 from .rootdata import RootSystem
 
 
@@ -72,15 +73,14 @@ class LieAlgebra:
     weights: tuple = ()         # root-lattice weight of each basis vector
     labels: tuple = ()
     # Read from table and killing by __post_init__, and so rebuilt by
-    # dataclasses.replace.  killing_rows[i] holds the nonzero entries
-    # (j, killing[i][j]) of row i.  int_table = (scale, cols): cols[a][b]
-    # lists the pairs (c, scale times the coefficient of e_c in [e_a, e_b]),
-    # every stored key as stored and its reverse by antisymmetry unless that
-    # is stored too.  int_killing = (scale, rows): rows[i] lists the pairs
-    # (j, scale * killing[i][j]) of killing_rows[i].  Rows are tuples, not
-    # dicts, and equal rows share one tuple: the integer table then takes
-    # about half the memory of the rational one.
-    killing_rows: tuple = field(init=False, repr=False)
+    # dataclasses.replace.  int_table = (scale, cols): cols[a][b] lists the
+    # pairs (c, scale times the coefficient of e_c in [e_a, e_b]), every
+    # stored key as stored and its reverse by antisymmetry unless that is
+    # stored too.  Rows are tuples, not dicts, and equal rows share one
+    # tuple: the integer table then takes about half the memory of the
+    # rational one.  int_killing = rational.clear_rows(killing): (scale,
+    # rows), rows[i] the pairs (j, scale * killing[i][j]) with a nonzero
+    # entry.
     int_table: tuple = field(init=False, repr=False)
     int_killing: tuple = field(init=False, repr=False)
 
@@ -96,11 +96,7 @@ class LieAlgebra:
                 ints = tuple((k, -v) for k, v in cols[a][b])
                 cols[b][a] = shared.setdefault(ints, ints)
         self.int_table = (scale, cols)
-        self.killing_rows = tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                                  for row in self.killing)
-        scale = denominator_lcm(c for row in self.killing_rows for _, c in row)
-        self.int_killing = (scale, [tuple((j, scaled(c, scale)) for j, c in row)
-                                    for row in self.killing_rows])
+        self.int_killing = clear_rows(self.killing)
 
     def check_vector(self, x) -> None:
         if len(x) != self.dim:

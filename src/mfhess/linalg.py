@@ -9,20 +9,22 @@ column index to coefficient.
 Pivot choices are deterministic so that every derived basis is reproducible.
 
 Every elimination runs on integers: each row is scaled by the LCM of its
-denominators (a row of ints is taken as it is) and eliminated without
-fractions (integer row operations, each result divided by its content; det
-by Bareiss's exact divisions).  The routines that return a basis (kernel,
-sparse_kernel, span_basis, independent_subset, solve, inverse) read one
-fraction-free reduced echelon form (_echelon) and form a rational only for
-each entry they return, so each returns the canonical basis that rational
-elimination returns.
+denominators (rational.clear; a row of ints is taken as it is) and
+eliminated without fractions (integer row operations, each result divided
+by its content; det by Bareiss's exact divisions).  The routines that
+return a basis (kernel, sparse_kernel, span_basis, independent_subset,
+solve, inverse) read one fraction-free reduced echelon form (_echelon) and
+form a rational only for each entry they return, so each returns the
+canonical basis that rational elimination returns.  inverse is the only
+matrix inverse in the package: the Gram inverse of polyring and the chart
+frame of hessenberg both take it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rational import R0, R1, rat
+from .rational import R0, R1, clear, rat
 
 
 def zeros(n: int) -> list:
@@ -66,15 +68,6 @@ def identity(n: int) -> list:
     return [[R1 if i == j else R0 for j in range(n)] for i in range(n)]
 
 
-def _integer_row(row) -> tuple:
-    """(ints, den): the row times den, the LCM of its denominators; a row of
-    ints as it is, with den 1."""
-    if all(type(c) is int for c in row):
-        return row, 1
-    den = math.lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row], den
-
-
 def rank(mat: list) -> int:
     """Exact rank by fraction-free elimination.
 
@@ -86,7 +79,7 @@ def rank(mat: list) -> int:
     g = gcd(p, r_c), divided by its content.  These operations keep the row
     space over Q, so the number of steps is the rank.
     """
-    rows = [row for row, _ in map(_integer_row, mat) if any(row)]
+    rows = [row for row, _ in map(clear, mat) if any(row)]
     out = 0
     while rows:
         piv = rows.pop()
@@ -141,7 +134,7 @@ def det(mat: list):
         return R1
     rows, scale = [], 1
     for row in mat:
-        ints, den = _integer_row(row)
+        ints, den = clear(row)
         rows.append(list(ints))
         scale *= den
     sign, prev = 1, 1
@@ -247,7 +240,7 @@ def _echelon(rows: list) -> dict:
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
     """
-    work = [{j: c for j, c in zip(r, _integer_row(r.values())[0]) if c} for r in rows]
+    work = [{j: c for j, c in zip(r, clear(r.values())[0]) if c} for r in rows]
     order = sorted(range(len(work)), key=lambda i: (-min(work[i], default=0), len(work[i]), i))
     pivots: dict[int, dict] = {}
     holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there

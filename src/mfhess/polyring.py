@@ -24,9 +24,11 @@ at its first zero).  Points of Hess are zero on most of the upper
 nilradical, so most terms stop early.  The integer core, int_gradients,
 returns the gradient matrix as integer numerators over one positive
 denominator, which pointwise checks read as it is (a rank or a vanishing
-test does not change under a positive scale); gradients divides it back to
-rationals.  No partial derivatives are stored, and gradients are never
-formed as polynomials.
+test does not change under a positive scale, nor does a span), and it is
+the only gradient kernel: gradient divides its one row back to rationals.
+No partial derivatives are stored, and gradients are never formed as
+polynomials.  The inverse Gram matrix it applies is linalg.inverse of the
+Killing matrix, held as sparse integer rows (GradientContext).
 
 Restriction to an affine subspace s -> base + sum_g s_g directions[g] (Hess,
 in the chart's dual frame or in the Chevalley frame) is also taken on integers:
@@ -49,7 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .rational import R0, R1, clear, denominator_lcm, over, rat, rat_str, scaled, to_rat
+from .rational import (R0, R1, clear, clear_rows, denominator_lcm, over, rat, rat_str, scaled,
+                       to_rat)
 
 
 class Poly:
@@ -237,7 +240,14 @@ def coefficient_rows(polys, columns=None) -> list:
 
 @dataclass
 class GradientContext:
-    """Killing Gram matrix and its exact inverse for one algebra."""
+    """Killing Gram matrix and its exact inverse for one algebra.
+
+    gram_inv is linalg.inverse of the Gram matrix and gram_inv_int its
+    rational.clear_rows form (g, rows), row i listing its nonzero
+    (k, g * entry).  The inverse is validated on integers: the sparse
+    product of the algebra's integer Killing rows (scale s) with
+    gram_inv_int must be s * g times the identity.
+    """
 
     L: object
     gram: list = field(repr=False, init=False)
@@ -247,11 +257,16 @@ class GradientContext:
 
     def __post_init__(self):
         self.gram = self.L.killing
-        self.gram_inv = _block_inverse(self.gram)
-        # (g, rows): g * gram_inv on integers, row i listing its nonzero (k, entry)
-        g = denominator_lcm(c for row in self.gram_inv for c in row)
-        self.gram_inv_int = (g, [tuple((k, scaled(c, g)) for k, c in enumerate(row) if c)
-                                 for row in self.gram_inv])
+        self.gram_inv = linalg.inverse(self.gram)
+        self.gram_inv_int = clear_rows(self.gram_inv)
+        (g, inv_rows), (s, rows) = self.gram_inv_int, self.L.int_killing
+        for i, row in enumerate(rows):
+            acc: dict = {}
+            for j, a in row:
+                for k, c in inv_rows[j]:
+                    acc[k] = acc.get(k, 0) + a * c
+            if {k: c for k, c in acc.items() if c} != {i: s * g}:
+                raise ValueError("Gram inverse validation failed")
 
     @property
     def nvars(self) -> int:
@@ -274,69 +289,20 @@ class GradientContext:
         """
         if self._pair_table is None:
             duals = [self.dual_vector(k) for k in range(self.nvars)]
-            lins = {}
+            pairs, lins = [], []
             for i in range(self.nvars):
                 for j in range(i + 1, self.nvars):
                     v = self.L.bracket(duals[i], duals[j])
                     if any(v):
-                        lins[(i, j)] = [(k, c) for k, c in
-                                        enumerate(linalg.mat_vec(self.gram, v)) if c]
-            scale = denominator_lcm(c for lin in lins.values() for _, c in lin)
+                        pairs.append((i, j))
+                        lins.append(linalg.mat_vec(self.gram, v))
+            scale, ints = clear_rows(lins)
             rows = [[] for _ in range(self.nvars)]
-            for (i, j), lin in lins.items():
-                ints = [(k, scaled(c, scale)) for k, c in lin]
-                rows[i].append((j, tuple(ints)))
-                rows[j].append((i, tuple((k, -c) for k, c in ints)))
+            for (i, j), lin in zip(pairs, ints):
+                rows[i].append((j, lin))
+                rows[j].append((i, tuple((k, -c) for k, c in lin)))
             self._pair_table = (scale, rows)
         return self._pair_table
-
-
-def _block_inverse(mat: list) -> list:
-    """The exact inverse of a square matrix, block by block, validated by a
-    sparse product.
-
-    The blocks are the connected parts of the graph linking i and j when
-    entry (i, j) or (j, i) is nonzero, so the matrix is block diagonal up to
-    a permutation and its inverse is the inverse of each block put back in
-    place.  A Killing matrix splits into the Cartan block and one pairing of
-    e_a with f_a per positive root.  The product of the sparse rows of mat
-    with the inverse must be the identity.
-    """
-    n = len(mat)
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
-    linked = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, _ in row:
-            linked[i].add(j)
-            linked[j].add(i)
-    inv = [[R0] * n for _ in range(n)]
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in linked[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        block.sort()
-        sub = linalg.inverse([[mat[i][j] for j in block] for i in block])
-        for i, sub_row in zip(block, sub):
-            for j, c in zip(block, sub_row):
-                inv[i][j] = c
-    inv_rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
-    for i, row in enumerate(rows):
-        acc: dict = {}
-        for j, g in row:
-            for k, c in inv_rows[j]:
-                acc[k] = acc.get(k, 0) + g * c
-        if {k: c for k, c in acc.items() if c} != {i: 1}:
-            raise ValueError("Gram inverse validation failed")
-    return inv
 
 
 def _power_table(base: int, top: int) -> list:
@@ -357,9 +323,8 @@ class CompiledPolys:
     polynomial over the one denominator scale * D^top is c N^e D^lift; the
     lift keeps non-homogeneous polynomials exact.  Values and partials are
     accumulated in ints, each term's product formed once (int_gradients
-    says how a partial is read from it); int_gradients returns them as
-    integer numerators over one denominator and the rational methods divide
-    at the end.
+    says how a partial is read from it); values divides at the end, and
+    int_gradients returns integer numerators over one denominator.
     """
 
     __slots__ = ("n", "polys", "scale", "top")
@@ -451,15 +416,11 @@ class CompiledPolys:
             out.append(row)
         return out, ginv_scale * self.scale * dp[max(self.top - 1, 0)]
 
-    def gradients(self, ctx: "GradientContext", x) -> list:
-        """dp(x) for each compiled p."""
-        rows, den = self.int_gradients(ctx, x)
-        return [over(row, den) for row in rows]
-
 
 def gradient(ctx: GradientContext, p: Poly, x) -> list:
     """dp(x): the vector whose Killing pairing with z differentiates p along z."""
-    return CompiledPolys([p]).gradients(ctx, x)[0]
+    rows, den = CompiledPolys([p]).int_gradients(ctx, x)
+    return over(rows[0], den)
 
 
 def _packing(n: int, top: int) -> tuple:
@@ -584,7 +545,8 @@ def restrict_affine(polys, base, directions) -> list:
     """Each p restricted to s -> base + sum_g s_g directions[g], exactly.
 
     The results are polynomials in len(directions) variables s_g.  With D
-    the common denominator of base and the directions, coordinate k becomes
+    the common denominator of base and the directions (rational.clear_rows
+    of the matrix with rows base and the directions), coordinate k becomes
     the integer affine form A_k(s) = D base_k + sum_g D directions[g]_k s_g
     over D, held with packed exponents (the width rule of poisson_bracket).
     The powers of every A_k are tabulated once per call and shared by all
@@ -609,14 +571,13 @@ def restrict_affine(polys, base, directions) -> list:
     # at most top; once top fits in width bits, no field carries into the next.
     top = max([0] + [p.degree() for p in polys])
     unit, width = _packing(m, top)
-    den = denominator_lcm(c for vec in [base] + directions for c in vec)
-    forms = []
-    for k in range(n):
-        form = {0: scaled(base[k], den)} if base[k] else {}
-        for u, d in zip(unit, directions):
-            if d[k]:
-                form[u] = scaled(d[k], den)
-        forms.append(form)
+    den, (brow, *drows) = clear_rows([base] + directions)
+    forms = [{} for _ in range(n)]
+    for k, c in brow:
+        forms[k][0] = c
+    for u, drow in zip(unit, drows):
+        for k, c in drow:
+            forms[k][u] = c
     # powers[k][e] = A_k^e, extended on demand
     powers = [[{0: 1}, form] for form in forms]
     dpow = _power_table(den, top)

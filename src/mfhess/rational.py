@@ -3,6 +3,11 @@
 All arithmetic in this package is exact.  When gmpy2 is available its mpq
 type is used (much faster than fractions.Fraction); otherwise Fraction is a
 drop-in fallback.  Floats are rejected everywhere.
+
+This module alone turns rationals into integers over one scale: clear for a
+vector (a point, or a row that an exact elimination reads), clear_rows for a
+fixed matrix held as sparse integer rows (the Killing rows, the Gram inverse
+and the bracket's pair table, the chart frame), and over for the way back.
 """
 
 from __future__ import annotations
@@ -71,8 +76,10 @@ def scaled(c, scale: int) -> int:
 
 def clear(vec) -> tuple:
     """A vector of rationals or ints as (numerators, den): den the LCM of its
-    denominators (1 when every entry is an integer, with no LCM taken) and
-    numerators the ints den * vec."""
+    denominators and numerators the ints den * vec.  A vector of ints is
+    returned as it is, with den 1 and no LCM taken."""
+    if all(type(c) is int for c in vec):
+        return vec, 1
     den = 1
     for c in vec:
         if c:
@@ -82,6 +89,15 @@ def clear(vec) -> tuple:
     if den == 1:
         return [c.numerator for c in vec], 1
     return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def clear_rows(mat) -> tuple:
+    """A matrix of rationals as (scale, rows): scale the LCM of all its
+    denominators and rows[i] the tuple of pairs (j, scale * mat[i][j]) over
+    the nonzero entries of row i."""
+    scale = denominator_lcm(c for row in mat for c in row)
+    return scale, [tuple((j, scaled(c, scale)) for j, c in enumerate(row) if c)
+                   for row in mat]
 
 
 def over(nums, den: int) -> list:

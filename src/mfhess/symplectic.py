@@ -68,40 +68,15 @@ class TangentFrame:
     point: tuple | None = None      # zx_frame: x, cleared
 
 
-def _columns(adx, indices) -> list:
-    return [[row[j] for row in adx] for j in indices]
-
-
-def _units(L: LieAlgebra, indices) -> list:
-    out = []
-    for i in indices:
-        v = [0] * L.dim
-        v[i] = 1
-        out.append(v)
-    return out
-
-
-def orbit_frame(L: LieAlgebra, adx) -> TangentFrame:
-    """Spanning frame of the orbit tangent space at x: the independent
-    columns of ad x = (integer rows, den), with basis preimages.
-
-    Its dimension always equals rank(ad x), dim g minus the centralizer
-    dimension.
-    """
-    rows, den = adx
-    images = _columns(rows, range(L.dim))
-    kept = linalg.independent_subset(images)
-    return TangentFrame(preimages=_units(L, kept), pden=1,
-                        tangents=[images[i] for i in kept], tden=den, dim=len(kept))
-
-
 def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
     """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
     columns of ad x = (integer rows, den).  The dimension is their rank."""
     rows, den = adx
-    tangents = _columns(rows, L.nminus_indices)
-    return TangentFrame(preimages=_units(L, L.nminus_indices), pden=1,
-                        tangents=tangents, tden=den, dim=linalg.rank(tangents))
+    idx = L.nminus_indices
+    tangents = [[row[j] for row in rows] for j in idx]
+    units = [[int(i == j) for j in range(L.dim)] for i in idx]
+    return TangentFrame(preimages=units, pden=1, tangents=tangents, tden=den,
+                        dim=linalg.rank(tangents))
 
 
 def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFrame:
@@ -127,6 +102,15 @@ def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFr
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
     return TangentFrame(preimages=preimages, pden=den, tangents=tangents,
                         tden=brackets[0][1], dim=L.n, gradients=rows, point=xc)
+
+
+def casimirs_commute(F: ShiftFamily, frame: TangentFrame) -> bool:
+    """Whether the gradient of every underived family member commutes with x,
+    read from a zx_frame at x: the Hamiltonian vectors of the invariants
+    vanish."""
+    L = F.L
+    return not any(any(L.int_bracket(frame.point, (frame.gradients[i], frame.pden))[0])
+                   for i in F.I_positions)
 
 
 def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
@@ -194,9 +178,7 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     den = zx.pden * sl.tden * L.int_killing[0]
     pairing = [jac[i] for i in F.N_positions]
     pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
-    if combined == 2 * L.n and not any(
-            any(L.int_bracket(zx.point, (zx.gradients[i], zx.pden))[0])
-            for i in F.I_positions):
+    if combined == 2 * L.n and casimirs_commute(F, zx):
         orbit_dim = 2 * L.n
     else:
         orbit_dim = linalg.rank(adx[0])

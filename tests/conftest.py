@@ -538,15 +538,15 @@ def reference_ad(L, x):
 
 
 def reference_killing_pair(L, x, y):
-    """(x, y) summed in Fractions over the rows of L.killing_rows."""
+    """(x, y) summed in Fractions over the rows of L.killing."""
     L.check_vector(x)
     L.check_vector(y)
     total = R0
     for i, xi in enumerate(x):
         if xi:
-            for j, kij in L.killing_rows[i]:
+            for j, kij in enumerate(L.killing[i]):
                 yj = y[j]
-                if yj:
+                if yj and kij:
                     total = total + xi * yj * kij
     return total
 

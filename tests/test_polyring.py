@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mfhess import linalg
 from mfhess.polyring import (CompiledPolys, GradientContext, Poly, _pack, _packing, _unpack,
                              coefficient_rows, gradient, poisson_bracket, restrict_affine)
-from mfhess.rational import rat, to_rat, factorial_rat
+from mfhess.rational import factorial_rat, over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -343,7 +343,8 @@ def test_compiled_evaluation_matches_reference(bundles, reference_gradients, dat
                                                          max_size=n))]):
             assert compiled.values(x) == [p.evaluate(x) for p in polys]
             if ctx is not None:
-                assert compiled.gradients(ctx, x) == reference_gradients(ctx, polys, x)
+                rows, den = compiled.int_gradients(ctx, x)
+                assert [over(row, den) for row in rows] == reference_gradients(ctx, polys, x)
 
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
@@ -464,6 +465,9 @@ def test_restrict_affine_rejects_mismatched_dimensions():
 
 @pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "G2", "B3", "D4"])
 def test_gram_inverse_by_blocks_is_the_dense_inverse(algebras, label):
+    """The Gram inverse is linalg.inverse of the whole Killing matrix, and
+    gram_inv_int its integer rows over one scale.  The name predates the
+    whole-matrix inverse and is kept so that the test ids stay stable."""
     L = algebras(label)
     ctx = GradientContext(L)
     assert ctx.gram is L.killing
@@ -475,16 +479,18 @@ def test_gram_inverse_by_blocks_is_the_dense_inverse(algebras, label):
 
 
 def test_gram_inverse_validation_sees_a_wrong_block(algebras, monkeypatch):
-    """The sparse product catches a Cartan block whose inverse is doubled
-    (rank 3, so the 2 x 2 root-pair blocks stay as they are)."""
+    """The sparse integer product with the Killing rows catches an inverse
+    whose first Cartan diagonal entry is doubled."""
     L = algebras("A3")
     original = linalg.inverse
+    h = L.cartan_indices[0]
 
-    def doubled_cartan_block(mat):
-        out = original(mat)
-        return [[2 * c for c in row] for row in out] if len(mat) == L.rank else out
+    def doubled_cartan_entry(mat):
+        out = [list(row) for row in original(mat)]
+        out[h][h] *= 2
+        return out
 
-    monkeypatch.setattr(linalg, "inverse", doubled_cartan_block)
+    monkeypatch.setattr(linalg, "inverse", doubled_cartan_entry)
     with pytest.raises(ValueError, match="validation failed"):
         GradientContext(L)
 

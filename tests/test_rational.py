@@ -1,8 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mfhess.rational import R1, rat, to_rat
+from mfhess.rational import R1, clear, clear_rows, rat, to_rat
+
+ints = st.integers(-10 ** 6, 10 ** 6)
+fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
 
 def test_to_rat_coercions():
@@ -16,3 +21,39 @@ def test_to_rat_coercions():
     for bad in (True, False, 1.5, 2.0):
         with pytest.raises(TypeError):
             to_rat(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(ints, fracs), max_size=8))
+@example([])
+@example([0, 3, -2])
+@example([Fraction(0), Fraction(4)])
+@example([1, Fraction(1, 6), Fraction(-3, 4)])
+def test_clear_scales_by_the_lcm_of_denominators(row):
+    """An int row comes back as the same object with den 1; any other row
+    (Fractions, or ints mixed with Fractions) as the ints den * row over the
+    LCM of its denominators."""
+    nums, den = clear(row)
+    if all(type(c) is int for c in row):
+        assert nums is row and den == 1
+        return
+    assert den == math.lcm(1, *(Fraction(c).denominator for c in row))
+    assert all(type(v) is int for v in nums)
+    assert nums == [Fraction(c) * den for c in row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda ncols: st.lists(st.lists(fracs, min_size=ncols, max_size=ncols), max_size=5)))
+@example([])
+@example([[Fraction(0), Fraction(0)]])
+@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]])
+def test_clear_rows_matches_fraction_reference(mat):
+    """clear_rows against Fractions: the scale is the LCM of every
+    denominator and row i lists (j, scale * mat[i][j]) for the nonzero
+    entries, in column order."""
+    scale, rows = clear_rows([[rat(c.numerator, c.denominator) for c in row] for row in mat])
+    assert scale == math.lcm(1, *(c.denominator for row in mat for c in row))
+    assert rows == [tuple((j, int(c * scale)) for j, c in enumerate(row) if c)
+                    for row in mat]
+    assert all(type(v) is int for row in rows for _, v in row)

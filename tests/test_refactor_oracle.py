@@ -1,7 +1,7 @@
 """The refactor oracle: every suite report keeps the digest the benchmark
 recorded in perfbench/expected.json, computed by the benchmark's own code.
-G2 and inline B3 and D4, outside the benchmark's suite workload, keep
-digests recorded below with the same code."""
+G2 and inline B3, C3, A4 and D4, outside the benchmark's suite workload,
+keep digests recorded below with the same code."""
 
 import importlib.util
 import json
@@ -40,13 +40,19 @@ def test_suite_report_matches_recorded_digest(seed, label):
 # (algebra, report_digest) of the seed-2024 report of each type: G2 and B3
 # recorded before the checks of criteria 4 and 7 and the leading-term check
 # were rewritten, D4 before the product-once gradient kernel and the shared
-# Hess visits of checks 12 and 13
+# Hess visits of checks 12 and 13, C3 and A4 (the types of the benchmark's
+# build workload) before the Gram inverse was taken whole and the Killing
+# rows, Gram inverse and chart frame were cleared by rational.clear_rows
 WIDER_DIGESTS = {
     "G2": ("G2", "8c1f0800f04b0a604413ee899260ec43df74209b2af998e9bc94260bb589d885"),
     "B3": ("[[2,-1,0],[-1,2,-1],[0,-2,2]]",
            "8182a32f06a793098bf04df9269054177cce725f3887dd8593ae0c89bd9b4a21"),
     "D4": ("[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]",
            "79e5570bdcc7348b9c260353bd2fdb46aa8ac8f654cd6162b2a30a27c9948b41"),
+    "C3": ("[[2,-1,0],[-1,2,-2],[0,-1,2]]",
+           "bb985216da6befbbe6ecf7a638d332ac72abeadde5ebaa6fa5d533f884697dd9"),
+    "A4": ("[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]",
+           "4b16ecaf51096d99e9df661d485ce229f1d0a0dcdb4922864e156e28a1cf4e78"),
 }
 
 
