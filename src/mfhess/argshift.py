@@ -38,6 +38,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
@@ -126,7 +127,7 @@ def shifted_invariants(inv: InvariantFamily, u) -> list:
             touched = [steps[k][e[k]] for k, _ in support if e[k]]
             if not touched:
                 continue
-            branches = [(0, sum(ek * unit[k] for k, ek in enumerate(e) if ek), scaled(c, scale))]
+            branches = [(0, sum(map(mul, e, unit)), scaled(c, scale))]
             for step in touched:
                 grown = list(branches)
                 for order, pe, coef in branches:
@@ -208,7 +209,11 @@ class ShiftFamily:
 
 def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
                  triple: PrincipalTriple) -> ShiftFamily:
-    """Build the ordered generator family for a regular Cartan direction y."""
+    """Build the ordered generator family for a regular Cartan direction y.
+
+    Each member must be homogeneous of its degree m, and the members must be
+    linearly independent, certified as the sum of the per-degree ranks of
+    graded_dims; a violation raises DependentFamily."""
     y = [to_rat(c) for c in y]
     if not is_regular_cartan(L, y):
         raise NotInvertible("shift direction must be a regular Cartan element")
@@ -224,16 +229,18 @@ def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
             if 0 <= k <= d - 1:
                 beta += 1
                 p = by_key[(j, k)]
-                if p.degree() != m:
-                    raise DependentFamily(
-                        f"piece ({j},{k}) has degree {p.degree()}, expected {m}")
+                if not p.is_homogeneous() or p.degree() != m:
+                    raise DependentFamily(f"piece ({j},{k}) is not homogeneous of degree {m}")
                 entries.append(QEntry(beta=beta, m=m, j=j, k=k, i=ell - j, poly=p))
     b = L.rank + L.n
     if len(entries) != b:
         raise DependentFamily(f"family has {len(entries)} members, expected {b}")
-    if linalg.rank(coefficient_rows([e.poly for e in entries])) != b:
+    family = ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries)
+    # members of distinct degrees share no monomial, so the rank of the
+    # family is the sum of the ranks of its degree slices
+    if sum(family.graded_dims().values()) != b:
         raise DependentFamily("shifted family members are linearly dependent")
-    return ShiftFamily(L=L, ctx=ctx, triple=triple, y=y, entries=entries)
+    return family
 
 
 def pairwise_commute(F: ShiftFamily) -> tuple:

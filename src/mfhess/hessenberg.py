@@ -6,7 +6,9 @@ of polynomial functions to Hess is substitution of the affine
 parametrization s -> e1 + sum_g s_g frame_g, done for the whole family in
 one integer pass (polyring.restrict_affine); the frame is dual (under the
 Killing pairing of the upper and lower Borel) to the gradient frame
-z_beta = dq_beta(e1) of an ordered shift family.
+z_beta = dq_beta(e1) of an ordered shift family, and is read from the
+inverse of the integer pairing of the gradient rows with the integer
+Killing rows.
 
 In these coordinates the restricted generators are unitriangular: the
 restriction of q_beta is s_beta plus a polynomial in the strictly earlier
@@ -38,8 +40,11 @@ class NotTriangular(Exception):
 
 
 def point_in_hess(L: LieAlgebra, triple: PrincipalTriple, v) -> bool:
-    diff = linalg.vec_sub([to_rat(c) for c in v], triple.e1)
-    return L.supported_in(diff, L.bminus_indices)
+    """True when v lies on e1 + b_-: v agrees with e1 on the upper
+    nilradical.  A vector of the wrong length raises DimensionMismatch."""
+    L.check_vector(v)
+    e1 = triple.e1
+    return all(v[i] == e1[i] for i in L.n_indices)
 
 
 def restrict_to_hess(L: LieAlgebra, triple: PrincipalTriple, polys,
@@ -130,33 +135,47 @@ def build_chart(F: ShiftFamily) -> HessChart:
 
     Verifies exactly that the frame is a basis of the upper Borel supported
     layer by layer, and that the restricted generators are unitriangular;
-    a violation raises NotTriangular.
+    a violation raises NotTriangular.  The gradients at e1 stay the integer
+    rows of gradient_rows (over den): they are paired with the lower Borel
+    basis on the integer Killing rows (scale s), the integer pairing matrix
+    is inverted, and its inverse times den * s is the dual frame.
     """
     L = F.L
     triple = F.triple
     rows, den = F.gradient_rows(triple.e1)
-    zvecs = [over(row, den) for row in rows]
-    for e, z in zip(F.entries, zvecs):
-        if not L.supported_in(z, L.layer_indices(e.m - 1)):
+    for e, row in zip(F.entries, rows):
+        if not L.supported_in(row, L.layer_indices(e.m - 1)):
             raise NotTriangular(
                 f"frame vector for position {e.beta} is not in layer {e.m - 1}")
-    if linalg.rank(zvecs) != F.b:
+    if linalg.rank(rows) != F.b:
         raise NotTriangular("gradient frame at e1 is not a basis of the upper Borel")
-    bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    pairing = [[L.killing_pair(z, wv) for wv in bminus] for z in zvecs]
+    # (z_beta, e_mu) = pairing[beta][mu] / (den s) on the integer Killing rows
+    s, krows = L.int_killing
+    column = {idx: mu for mu, idx in enumerate(L.bminus_indices)}
+    pairing = []
+    for row in rows:
+        acc = [0] * len(column)
+        for i, zi in enumerate(row):
+            if zi:
+                for j, k in krows[i]:
+                    mu = column.get(j)
+                    if mu is not None:
+                        acc[mu] += zi * k
+        pairing.append(acc)
     pinv = linalg.inverse(pairing)
+    scale = den * s
     frame = []
     for g in range(F.b):
         vec = L.zero()
         for mu, idx in enumerate(L.bminus_indices):
-            vec[idx] = pinv[mu][g]
+            vec[idx] = pinv[mu][g] * scale
         frame.append(vec)
     restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
     violation = _unitriangular_violation(restricted)
     if violation:
         raise NotTriangular(violation)
-    return HessChart(L=L, triple=triple, family=F, zvecs=zvecs, frame=frame,
-                     restricted=restricted)
+    return HessChart(L=L, triple=triple, family=F, zvecs=[over(row, den) for row in rows],
+                     frame=frame, restricted=restricted)
 
 
 def hess_section(chart: HessChart, cvals) -> list:

@@ -16,27 +16,32 @@ By invariance of the Killing form, {(z, .), x_k}(x) = ([x, z])_k =
 -(ad z . x)_k, so p is killed by the derivation exactly when it Poisson
 commutes with the linear functional of z.
 
-The solve is weight-directed and runs on integers.  The zero-weight
-monomials are generated directly, never filtered out of all of S^d: a
-suffix table of reachable (degree, weight) pairs lets the enumeration enter
-only prefixes that can still close to weight zero.  The rows of ad z have
-integer entries over one positive denominator, so every equation has integer
-coefficients (scaling an equation leaves the kernel unchanged), and
-linalg.sparse_kernel solves them by fraction-free elimination.  Monomials
-are packed into one int each by polyring's packing rule, whose packed ints
-sort as the exponent tuples do (the order of the equation rows), and one
-derivation routine (_derivation) applies a raising operator's table to
-them: it builds the solver's equations and the invariance test of
-meets_solver_conditions, which re-checks a cached family.
+The solve is weight-directed and runs on integers, and its stages pass
+integers to each other.  The zero-weight monomials are generated directly,
+never filtered out of all of S^d: a suffix table of reachable (degree,
+weight) pairs lets the enumeration enter only prefixes that can still close
+to weight zero.  The enumeration packs each monomial as it goes, into one
+int by polyring's packing rule (whose packed ints sort as the exponent
+tuples do, the order of the equation rows) with its support beside it; no
+exponent tuple is formed until a generator is unpacked.  The rows of ad z
+have integer entries over one positive denominator, so every equation has
+integer coefficients (scaling an equation leaves the kernel unchanged), and
+linalg.sparse_kernel solves them by fraction-free elimination, taking over
+the fresh rows, and returns the kernel as integer numerators over one
+denominator.  One derivation routine (_derivation) applies a raising
+operator's table to packed monomials: it builds the solver's equations and
+the invariance test of meets_solver_conditions, which re-checks a cached
+family.
 
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, in kernel order, normalized to primitive integer
-coefficients.  The products are taken on packed ints.  The kernel basis is
-canonical (a 1 on each free column, 0 on the others), so every vector of
-the kernel is the combination of the basis with its own free-column
-entries as coefficients.  Each product is certified exactly to be that
-combination; the greedy independence scan then runs on the vectors
-restricted to the free columns, len(kernel) entries each.
+coefficients by a gcd and a sign.  The products are taken on packed ints.
+The kernel basis is canonical (a 1 on each free column, 0 on the others),
+so every vector of the kernel is the combination of the basis with its own
+free-column entries as coefficients.  Each product is certified exactly,
+on integers, to be that combination; the greedy independence scan then
+runs on the vectors restricted to the free columns, len(kernel) entries
+each, where the basis is the identity.
 
 For type A an independent oracle realizes the algebra as traceless matrices
 and pulls tr(x^k) back to Chevalley coordinates.
@@ -53,7 +58,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
 from .polyring import CompiledPolys, Poly, _mul_packed, _pack, _packing, _unpack
-from .rational import R1, clear, denominator_lcm, rat, scaled
+from .rational import R1, clear, denominator_lcm, scaled
 from .rootdata import RootSystem, UnsupportedType
 
 
@@ -72,9 +77,11 @@ class InvariantFamily:
         self.compiled = CompiledPolys(self.polys)
 
 
-def _zero_weight_monomials(L: LieAlgebra, d: int):
-    """Exponent tuples of total degree d and root-lattice weight zero, in
-    ascending lexicographic order.
+def _zero_weight_monomials(L: LieAlgebra, d: int) -> list:
+    """The monomials of total degree d and root-lattice weight zero, as
+    (packed exponent, support) pairs (polyring's packing at top d, support
+    the pairs (k, e_k) with e_k > 0), in ascending order of the packed ints,
+    which is the lexicographic order of the exponent tuples.
 
     Only zero-weight monomials are generated.  Each weight is packed into one
     int in a balanced radix wide enough for any sum of d weights, so packing
@@ -84,6 +91,7 @@ def _zero_weight_monomials(L: LieAlgebra, d: int):
     """
     n = L.dim
     codes = _weight_codes(L, d)
+    unit, _ = _packing(n, d)
     reach = [None] * (n + 1)
     reach[n] = [{0}] + [set() for _ in range(d)]
     for k in range(n - 1, -1, -1):
@@ -94,7 +102,19 @@ def _zero_weight_monomials(L: LieAlgebra, d: int):
         reach[k] = row
     out = []
     if 0 in reach[0][d]:
-        _append_zero_weight(out, codes, reach, [0] * n, 0, d, 0)
+        _append_zero_weight(out, codes, unit, reach, [], 0, d, 0, 0)
+    return out
+
+
+def zero_weight_exponents(L: LieAlgebra, d: int) -> list:
+    """The exponent tuples of _zero_weight_monomials(L, d), in its order: the
+    columns of a coefficient matrix of invariants of degree d."""
+    out = []
+    for _, support in _zero_weight_monomials(L, d):
+        e = [0] * L.dim
+        for k, ek in support:
+            e[k] = ek
+        out.append(tuple(e))
     return out
 
 
@@ -107,20 +127,28 @@ def _weight_codes(L: LieAlgebra, d: int) -> list:
     return [sum(c * radix ** i for i, c in enumerate(w)) for w in L.weights]
 
 
-def _append_zero_weight(out: list, codes: list, reach: list, exps: list, k: int,
-                        remaining: int, weight: int) -> None:
+def _append_zero_weight(out: list, codes: list, unit: list, reach: list, support: list,
+                        k: int, remaining: int, weight: int, packed: int) -> None:
     # a module-level recursion: a nested function that calls itself is a
     # reference cycle, which keeps out alive until the cyclic collector runs
-    if k == len(exps):
-        out.append(tuple(exps))
+    if not remaining:
+        # reach[k][0] is {0}, so the prefix has weight zero and every later
+        # exponent is 0
+        out.append((packed, tuple(support)))
         return
     after = reach[k + 1]
+    code = codes[k]
     for e in range(remaining + 1):
-        w = weight + e * codes[k]
+        w = weight + e * code
         if -w in after[remaining - e]:
-            exps[k] = e
-            _append_zero_weight(out, codes, reach, exps, k + 1, remaining - e, w)
-    exps[k] = 0
+            if e:
+                support.append((k, e))
+                _append_zero_weight(out, codes, unit, reach, support, k + 1, remaining - e, w,
+                                    packed + e * unit[k])
+                support.pop()
+            else:
+                _append_zero_weight(out, codes, unit, reach, support, k + 1, remaining, w,
+                                    packed)
 
 
 def _action_tables(L: LieAlgebra) -> list:
@@ -167,17 +195,14 @@ def invariant_space_dimension(degrees, d: int) -> int:
     return counts[d]
 
 
-def _normalize_generator(vec: list, monos: list, nvars: int) -> Poly:
-    """The primitive integer multiple of vec whose first nonzero entry is
-    positive, as a polynomial over monos."""
-    denom = math.lcm(*(c.denominator for c in vec if c))
-    ints = [int(c * denom) for c in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
-    if next((c for c in ints if c), 0) < 0:
-        ints = [-c for c in ints]
-    return Poly(nvars, {m: rat(c) for m, c in zip(monos, ints) if c})
+def _normalize_generator(nums: list, monos: list, nvars: int, width: int) -> Poly:
+    """The primitive integer multiple of the integer vector nums whose first
+    nonzero entry is positive, as a polynomial over monos (the packed pairs
+    of _zero_weight_monomials, packed with the given width)."""
+    g = math.gcd(*nums)
+    if next(c for c in nums if c) < 0:
+        g = -g
+    return _unpack(nvars, width, {e: c // g for (e, _), c in zip(monos, nums) if c}, 1)
 
 
 def simple_root_vectors(L: LieAlgebra) -> list:
@@ -186,15 +211,16 @@ def simple_root_vectors(L: LieAlgebra) -> list:
             for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
 
 
-def _equations(tables: list, packed: list, unit: list) -> list:
-    """The solver's equations on the packed monomials (pairs from _pack, one
-    column each): one sparse integer row {column: c} per raising operator
-    and image monomial, in the order of (operator, image exponent)."""
+def _equations(tables: list, monos: list, unit: list) -> list:
+    """The solver's equations on the packed monomials (the pairs of
+    _zero_weight_monomials, one column each): one fresh sparse integer row
+    {column: c} per raising operator and image monomial, in the order of
+    (operator, image exponent)."""
     equations = []
     for action in tables:
         action = _packed_action(action, unit)
         rows: dict = {}
-        for col, (e, support) in enumerate(packed):
+        for col, (e, support) in enumerate(monos):
             for tgt, c in _derivation(action, e, support):
                 row = rows.setdefault(tgt, {})
                 row[col] = row.get(col, 0) + c
@@ -212,27 +238,25 @@ def invariant_generators(L: LieAlgebra) -> InvariantFamily:
     for d in sorted(set(degrees)):
         mult = sum(1 for x in degrees if x == d)
         monos = _zero_weight_monomials(L, d)
-        unit, _ = _packing(L.dim, d)
-        packed = [_pack(m, unit) for m in monos]
-        equations = _equations(tables, packed, unit)
-        kernel = linalg.sparse_kernel(equations, len(monos))
+        unit, width = _packing(L.dim, d)
+        kernel = linalg.sparse_kernel(_equations(tables, monos, unit), len(monos))
         expected = invariant_space_dimension(degrees, d)
-        if len(kernel) != expected:
+        if len(kernel[0]) != expected:
             raise WrongDimension(
-                f"degree {d}: invariant space has dimension {len(kernel)}, expected {expected}")
+                f"degree {d}: invariant space has dimension {len(kernel[0])}, expected {expected}")
 
-        columns = {e: col for col, (e, _) in enumerate(packed)}
+        columns = {e: col for col, (e, _) in enumerate(monos)}
         decomposables = []
         for _, prod in _packed_products(generators, gen_degrees, d, unit):
             if any(c and e not in columns for e, c in prod.items()):
                 raise WrongDimension(f"degree {d}: a product of generators has nonzero weight")
             decomposables.append({columns[e]: c for e, c in prod.items() if c})
-        chosen = [kernel[i] for i in _new_kernel_vectors(kernel, decomposables, d)][:mult]
+        chosen = [kernel[0][i] for i in _new_kernel_vectors(kernel, decomposables, d)][:mult]
         if len(chosen) != mult:
             raise WrongDimension(
                 f"degree {d}: found {len(chosen)} new generators, expected {mult}")
-        for vec in chosen:
-            generators.append(_normalize_generator(vec, monos, L.dim))
+        for nums in chosen:
+            generators.append(_normalize_generator(nums, monos, L.dim, width))
             gen_degrees.append(d)
 
     order = sorted(range(len(generators)), key=lambda i: gen_degrees[i])
@@ -243,33 +267,33 @@ def invariant_generators(L: LieAlgebra) -> InvariantFamily:
     return InvariantFamily(polys=polys, degrees=degs, provenance="solver")
 
 
-def _new_kernel_vectors(kernel: list, decomposables: list, d: int) -> list:
+def _new_kernel_vectors(kernel: tuple, decomposables: list, d: int) -> list:
     """Indices of the kernel vectors outside the span of the decomposables
     and of the kernel vectors before them, in kernel order.
 
-    kernel is the canonical basis of linalg.sparse_kernel, so each vector's
-    last nonzero entry is its free column; decomposables are sparse integer
-    rows {column: c}.  Each decomposable is first certified exactly to equal
-    sum_f dec[f] k_f over the free columns f; restriction to the free
-    columns is then injective on the span, and the greedy scan runs on
-    len(kernel)-long vectors instead of full coefficient vectors.
+    kernel is the (basis, den) of linalg.sparse_kernel: the canonical basis
+    k_f as integer rows den * k_f, so each row's last nonzero entry is its
+    free column f; decomposables are sparse integer rows {column: c}.  Each
+    decomposable is first certified exactly to equal sum_f dec[f] k_f over
+    the free columns f; restriction to the free columns is then injective on
+    the span, and the greedy scan runs on len(basis)-long vectors instead of
+    full coefficient vectors.  Restricted to the free columns, the canonical
+    basis is the identity.
     """
-    free = [max(c for c, v in enumerate(k) if v) for k in kernel]
-    # k_f times the LCM m of all kernel denominators, as sparse int pairs
-    m = math.lcm(*(v.denominator for k in kernel for v in k if v))
-    ints = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
-            for k in kernel]
+    basis, den = kernel
+    free = [max(c for c, v in enumerate(k) if v) for k in basis]
+    pairs = [[(c, v) for c, v in enumerate(k) if v] for k in basis]
     for dec in decomposables:
         combo: dict = {}
-        for f, pairs in zip(free, ints):
+        for f, row in zip(free, pairs):
             a = dec.get(f)
             if a:
-                for c, v in pairs:
+                for c, v in row:
                     combo[c] = combo.get(c, 0) + a * v
-        if {c: v for c, v in combo.items() if v} != {c: m * v for c, v in dec.items()}:
+        if {c: v for c, v in combo.items() if v} != {c: den * v for c, v in dec.items()}:
             raise WrongDimension(f"degree {d}: a product of lower generators is not invariant")
-    restricted = ([[rat(dec.get(f, 0)) for f in free] for dec in decomposables]
-                  + [[k[f] for f in free] for k in kernel])
+    restricted = ([[dec.get(f, 0) for f in free] for dec in decomposables]
+                  + [[int(g == f) for g in free] for f in free])
     kept = linalg.independent_subset(restricted)
     return [i - len(decomposables) for i in kept if i >= len(decomposables)]
 

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from math import factorial
 
 from . import linalg
-from .rational import (R0, R1, clear, clear_rows, denominator_lcm, factorial_rat, over, rat,
+from .rational import (R0, R1, clear, clear_rows, denominator_lcm, over, rat,
                        rat_str, scaled, to_rat)
 from .rootdata import RootSystem
 
@@ -633,19 +634,37 @@ def is_regular(L: LieAlgebra, x) -> bool:
 
 
 def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
-    """exp(ad z) applied to v for nilpotent ad z (the series terminates)."""
-    out = list(v)
-    cur = list(v)
+    """exp(ad z) applied to v for nilpotent ad z (the series terminates).
+
+    The series is summed on integers.  With z and v cleared to numerators
+    over dz and dv and s the table's scale, the k-th bracket (ad z)^k v from
+    int_bracket is over dv (dz s)^k; the sum up to the last nonzero term K
+    is taken over K! dv (dz s)^K and divided back once."""
+    zc, term = clear(z), clear(v)
+    terms = [term[0]]
     k = 0
     while True:
         k += 1
-        cur = L.bracket(z, cur)
-        if not any(cur):
-            return out
+        term = L.int_bracket(zc, term)
+        if not any(term[0]):
+            break
         if k > L.dim + 1:
             raise ValueError("exp(ad z) series did not terminate; z is not ad-nilpotent")
-        scale = R1 / factorial_rat(k)
-        out = [o + scale * c for o, c in zip(out, cur)]
+        terms.append(term[0])
+    top = len(terms) - 1
+    if not top:
+        return list(v)
+    # term j is over dv (dz s)^j; over the common denominator it gains
+    # K! / j! (dz s)^(K - j)
+    step = zc[1] * L.int_table[0]
+    out = [0] * L.dim
+    weight = 1
+    for j in range(top, -1, -1):
+        for i, c in enumerate(terms[j]):
+            if c:
+                out[i] += weight * c
+        weight *= j * step
+    return over(out, term[1] // step * factorial(top))
 
 
 def ut_action(L: LieAlgebra, triple: PrincipalTriple, t, v) -> list:

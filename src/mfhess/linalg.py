@@ -13,9 +13,12 @@ denominators (rational.clear; a row of ints is taken as it is) and
 eliminated without fractions (integer row operations, each result divided
 by its content; det by Bareiss's exact divisions).  The routines that
 return a basis (kernel, sparse_kernel, span_basis, independent_subset,
-solve, inverse) read one fraction-free reduced echelon form (_echelon) and
-form a rational only for each entry they return, so each returns the
-canonical basis that rational elimination returns.  inverse is the only
+solve, inverse) read one fraction-free reduced echelon form (_echelon), so
+each returns the canonical basis that rational elimination returns.
+sparse_kernel is the integer core of kernel, as LieAlgebra.int_bracket is
+of bracket: it returns the basis as integer numerators over one positive
+denominator, and kernel divides them back; the other routines form a
+rational only for each entry they return.  inverse is the only
 matrix inverse in the package: the Gram inverse of polyring and the chart
 frame of hessenberg both take it.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import R0, R1, clear, rat
+from .rational import R0, R1, clear, over, rat
 
 
 def zeros(n: int) -> list:
@@ -104,16 +107,18 @@ def rank(mat: list) -> int:
 
 
 def kernel(mat: list, ncols: int | None = None) -> list:
-    """Basis of the right kernel of mat (rows = equations), as sparse_kernel
-    returns it; ncols defaults to the length of the first row."""
+    """The canonical basis of the right kernel of mat (rows = equations): the
+    integer rows of sparse_kernel divided back by its denominator; ncols
+    defaults to the length of the first row."""
     n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
-    return sparse_kernel([dict(enumerate(row)) for row in mat], n)
+    rows, den = sparse_kernel([dict(enumerate(row)) for row in mat], n)
+    return [over(row, den) for row in rows]
 
 
 def inverse(mat: list) -> list:
     """The inverse, read from the reduced echelon form of [mat | I]."""
     n = len(mat)
-    pivots = _dense_echelon([list(row) + [R1 if i == j else R0 for j in range(n)]
+    pivots = _dense_echelon([list(row) + [int(i == j) for j in range(n)]
                              for i, row in enumerate(mat)])
     if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
@@ -202,20 +207,27 @@ def _unit_row(q: dict, pc: int, cols) -> list:
     return [rat(q[j], p) if j in q else R0 for j in cols]
 
 
-def sparse_kernel(rows: list, ncols: int) -> list:
+def sparse_kernel(rows: list, ncols: int) -> tuple:
     """Right kernel of sparse rows (dicts col -> int or rational; zero
-    entries are ignored): the canonical basis, a 1 on each free column and
-    zeros on the other free columns.  The only rationals formed are the
-    kernel entries -q[free] / q[pc] of each pivot row q of _echelon."""
+    entries are ignored), on integers: (basis, den), basis[i] holding the
+    integer numerators over the one positive denominator den of the i-th
+    vector of the canonical basis, which has a 1 on its free column, zeros
+    on the other free columns and -q[free] / q[pc] on the pivot column pc of
+    each pivot row q of _echelon.  den is the LCM of the pivots |q[pc]|.
+    The rows are taken over, not copied: _echelon reduces them in place."""
     pivots = _echelon(rows)
-    basis = {free: zeros(ncols) for free in range(ncols) if free not in pivots}
-    for free, v in basis.items():
-        v[free] = R1
+    den = 1
     for pc, q in pivots.items():
+        den = math.lcm(den, q[pc])
+    basis = {free: [0] * ncols for free in range(ncols) if free not in pivots}
+    for free, v in basis.items():
+        v[free] = den
+    for pc, q in pivots.items():
+        m = den // q[pc]
         for j, c in q.items():
             if j in basis:
-                basis[j][pc] = rat(-c, q[pc])
-    return list(basis.values())
+                basis[j][pc] = -c * m
+    return list(basis.values()), den
 
 
 def _echelon(rows: list) -> dict:
@@ -239,16 +251,31 @@ def _echelon(rows: list) -> dict:
     The row order sets only the cost.  A reduced row is zero at every pivot
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
+
+    The rows are the caller's fresh dicts, taken over and reduced in place:
+    a row of ints is used as it is, a rational row is overwritten with its
+    cleared numerators (rational.clear), and zero entries are deleted.
     """
-    work = [{j: c for j, c in zip(r, clear(r.values())[0]) if c} for r in rows]
-    order = sorted(range(len(work)), key=lambda i: (-min(work[i], default=0), len(work[i]), i))
+    order = []
+    for idx, row in enumerate(rows):
+        vals = row.values()
+        ints, _ = clear(vals)
+        if ints is not vals:    # a rational row: its cleared numerators
+            row.update(zip(list(row), ints))
+        if 0 in vals:
+            for j in [j for j, c in row.items() if not c]:
+                del row[j]
+        if row:
+            order.append((-min(row), len(row), idx))
+    order.sort()
     pivots: dict[int, dict] = {}
     holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there
-    for idx in order:
-        row = work[idx]
-        for c in sorted(row):
-            if c in pivots and c in row:
-                _reduce_at(row, pivots[c], c)
+    for _, _, idx in order:
+        row = rows[idx]
+        # a reduction adds only columns of a pivot row, which hold no other
+        # pivot, so the pivot columns of the row are those it starts with
+        for c in sorted(row.keys() & pivots.keys()):
+            _reduce_at(row, pivots[c], c)
         if not row:
             continue
         c0 = min(row)

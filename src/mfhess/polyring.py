@@ -32,10 +32,11 @@ Killing matrix, held as sparse integer rows (GradientContext).
 
 Restriction to an affine subspace s -> base + sum_g s_g directions[g] (Hess,
 in the chart's dual frame or in the Chevalley frame) is also taken on integers:
-restrict_affine clears the common denominator of the substitution, expands
-every term of a whole list of polynomials over shared power tables of the
-coordinates' integer affine forms, with packed exponents, and builds one
-rational per output coefficient.
+restrict_affine clears the common denominator of the substitution, folds the
+coordinates whose integer affine forms are constant into the coefficients,
+expands each distinct monomial in the other coordinates once for a whole
+list of polynomials, over shared power tables of their forms, with packed
+exponents, and builds one rational per output coefficient.
 
 This module alone knows how exponents are packed (Monagan and Pearce, CASC
 2007).  An exponent vector becomes one int with top.bit_length() bits per
@@ -49,10 +50,15 @@ by this rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 
 from . import linalg
 from .rational import (R0, R1, clear, clear_rows, denominator_lcm, over, rat, rat_str, scaled,
                        to_rat)
+
+
+_INT = {int}
 
 
 class Poly:
@@ -208,7 +214,7 @@ class Poly:
         parsed: dict = {}
         for e, c in payload:
             e = tuple(e)
-            if len(e) != n or not all(type(x) is int and x >= 0 for x in e):
+            if len(e) != n or not {*map(type, e)} <= _INT or min(e, default=0) < 0:
                 raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
             if type(c) is str:
                 r = parsed.get(c)
@@ -338,7 +344,7 @@ class CompiledPolys:
         self.scale = scale = denominator_lcm(c for p in polys for c in p.terms.values())
         self.top = top = max([0] + [p.degree() for p in polys])
         self.polys = [tuple((scaled(c, scale), top - sum(e),
-                             tuple((k, ek) for k, ek in enumerate(e) if ek))
+                             tuple(compress(enumerate(e), e)))
                             for e, c in p.terms.items())
                       for p in polys]
 
@@ -436,8 +442,7 @@ def _packing(n: int, top: int) -> tuple:
 
 def _pack(e, unit: list) -> tuple:
     """(packed exponent, support): support lists (k, e_k) for e_k > 0."""
-    support = tuple((k, ek) for k, ek in enumerate(e) if ek)
-    return sum(ek * unit[k] for k, ek in support), support
+    return sum(map(mul, e, unit)), tuple(compress(enumerate(e), e))
 
 
 def _int_partials(f: Poly, unit: list) -> tuple:
@@ -447,7 +452,7 @@ def _int_partials(f: Poly, unit: list) -> tuple:
     out = [{} for _ in unit]
     for e, c in f.terms.items():
         c = scaled(c, scale)
-        packed = sum(ek * unit[k] for k, ek in enumerate(e) if ek)
+        packed = sum(map(mul, e, unit))
         for k, ek in enumerate(e):
             if ek:
                 out[k][packed - unit[k]] = c * ek
@@ -494,7 +499,7 @@ def _unpack(n: int, width: int, acc: dict, scale: int) -> Poly:
     """The Poly of packed exponent -> integer coefficient over scale."""
     mask = (1 << width) - 1
     shifts = [width * (n - 1 - k) for k in range(n)]
-    return Poly(n, {tuple((e >> s) & mask for s in shifts): rat(c, scale)
+    return Poly(n, {tuple([(e >> s) & mask for s in shifts]): rat(c, scale)
                     for e, c in acc.items() if c})
 
 
@@ -549,12 +554,18 @@ def restrict_affine(polys, base, directions) -> list:
     of the matrix with rows base and the directions), coordinate k becomes
     the integer affine form A_k(s) = D base_k + sum_g D directions[g]_k s_g
     over D, held with packed exponents (the width rule of poisson_bracket).
-    The powers of every A_k are tabulated once per call and shared by all
-    polynomials; a term touching a coordinate whose form is zero is skipped.
     As in CompiledPolys, a term c x^e of p (scale the LCM of p's
     denominators, deg its total degree) contributes scale c A^e D^(deg - |e|)
     over scale D^deg, and each output coefficient becomes one rational at
     the end.
+
+    A coordinate whose form is a constant (on Hess, those of the upper
+    nilradical: e1's coordinates and zeros) folds into the term's integer
+    coefficient, and a term touching a zero form is skipped.  What remains
+    of the term is a monomial in the free coordinates, those with
+    non-constant forms; the terms of p are summed per such monomial, and
+    each distinct monomial is expanded once for the whole list of
+    polynomials, over power tables of the forms extended on demand.
     """
     polys = list(polys)
     n = len(base)
@@ -567,39 +578,70 @@ def restrict_affine(polys, base, directions) -> list:
         if p.n != n:
             raise ValueError(f"variable count mismatch: {p.n} != {n}")
     m = len(directions)
+    den, (brow, *drows) = clear_rows([base] + directions)
+    # the constant of each constant form (0 for a zero form); None otherwise
+    consts = [0] * n
+    for k, c in brow:
+        consts[k] = c
+    for drow in drows:
+        for k, _ in drow:
+            consts[k] = None
+    zero = [const == 0 for const in consts]
+    # the terms of each p that touch no zero form, with their total degrees
+    kept = [[(e, c, sum(e)) for e, c in p.terms.items() if not any(compress(e, zero))]
+            for p in polys]
     # Every exponent of an output term is at most its total degree, which is
     # at most top; once top fits in width bits, no field carries into the next.
-    top = max([0] + [p.degree() for p in polys])
+    top = max([0] + [size for terms in kept for _, _, size in terms])
     unit, width = _packing(m, top)
-    den, (brow, *drows) = clear_rows([base] + directions)
     forms = [{} for _ in range(n)]
     for k, c in brow:
         forms[k][0] = c
     for u, drow in zip(unit, drows):
         for k, c in drow:
             forms[k][u] = c
+    free = [const is None for const in consts]
+    free_ks = [k for k in range(n) if free[k]]
+    scalars = [(k, const) for k, const in enumerate(consts) if const]
     # powers[k][e] = A_k^e, extended on demand
     powers = [[{0: 1}, form] for form in forms]
     dpow = _power_table(den, top)
+    # exponents at free_ks -> the expansion of that monomial, packed
+    expansions: dict = {(0,) * len(free_ks): {0: 1}}
     out = []
-    for p in polys:
-        scale = denominator_lcm(p.terms.values())
-        deg = p.degree()
+    for terms in kept:
+        scale = denominator_lcm(c for _, c, _ in terms)
+        deg = max([size for _, _, size in terms], default=-1)
+        grouped: dict = {}   # exponents at free_ks -> integer coefficient
+        for e, c, size in terms:
+            coef = scaled(c, scale) * dpow[deg - size]
+            for k, const in scalars:
+                if e[k]:
+                    coef *= const ** e[k]
+            mono = tuple(compress(e, free))
+            grouped[mono] = grouped.get(mono, 0) + coef
         acc: dict = {}
         get = acc.get
-        for e, c in p.terms.items():
-            term = {0: scaled(c, scale) * dpow[deg - sum(e)]}
-            for k, ek in enumerate(e):
-                if not ek:
-                    continue
-                if not forms[k]:
-                    break
-                pk = powers[k]
-                while len(pk) <= ek:
-                    pk.append(_mul_packed(pk[-1], forms[k]))
-                term = _mul_packed(term, pk[ek])
-            else:
-                for te, tc in term.items():
-                    acc[te] = get(te, 0) + tc
+        for mono, coef in grouped.items():
+            if not coef:
+                continue
+            expansion = expansions.get(mono)
+            if expansion is None:
+                # one product per prefix of mono, each prefix kept for reuse
+                prefix = [0] * len(mono)
+                expansion = expansions[tuple(prefix)]
+                for i, ek in enumerate(mono):
+                    if ek:
+                        prefix[i] = ek
+                        key = tuple(prefix)
+                        nxt = expansions.get(key)
+                        if nxt is None:
+                            pk = powers[free_ks[i]]
+                            while len(pk) <= ek:
+                                pk.append(_mul_packed(pk[-1], pk[1]))
+                            nxt = expansions[key] = _mul_packed(expansion, pk[ek])
+                        expansion = nxt
+            for te, tc in expansion.items():
+                acc[te] = get(te, 0) + coef * tc
         out.append(_unpack(m, width, acc, scale * dpow[deg] if deg >= 0 else 1))
     return out

@@ -596,7 +596,7 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
     oracle = trace_oracle_type_A(sc.L)
     fam = sc.inv
     for d in sorted(set(fam.degrees)):
-        monos = invmod._zero_weight_monomials(sc.L, d)
+        monos = invmod.zero_weight_exponents(sc.L, d)
         dec = invmod.decomposable_products(fam.polys, fam.degrees, d)
         sol = [p for p, dd in zip(fam.polys, fam.degrees) if dd == d]
         orc = [p for p, dd in zip(oracle.polys, oracle.degrees) if dd == d]

@@ -8,8 +8,11 @@ from mfhess import linalg
 from mfhess.rootdata import (CartanMatrix, UnsupportedType, build_root_system,
                              cartan_matrix_for_label)
 from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
-from mfhess.polyring import GradientContext, Poly, coefficient_rows
-from mfhess.rational import R0, R1, clear, factorial_rat, rat, rat_str, to_rat
+from mfhess import invariants
+from mfhess.polyring import (GradientContext, Poly, _mul_packed, _pack, _packing, _power_table,
+                             _unpack, coefficient_rows)
+from mfhess.rational import (R0, R1, clear, clear_rows, denominator_lcm, factorial_rat, rat,
+                             rat_str, scaled, to_rat)
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
 from mfhess.hessenberg import build_chart, point_in_hess
@@ -219,6 +222,78 @@ def affine_subs():
     return affine_substitution
 
 
+def reference_restrict_affine(polys, base, directions):
+    """restrict_affine before constant forms were folded in and monomials
+    shared: every term of every polynomial multiplied out over the packed
+    power tables of all of its coordinates' integer affine forms, a term
+    touching a zero form skipped."""
+    polys = list(polys)
+    n = len(base)
+    base = [to_rat(c) for c in base]
+    directions = [[to_rat(c) for c in d] for d in directions]
+    m = len(directions)
+    top = max([0] + [p.degree() for p in polys])
+    unit, width = _packing(m, top)
+    den, (brow, *drows) = clear_rows([base] + directions)
+    forms = [{} for _ in range(n)]
+    for k, c in brow:
+        forms[k][0] = c
+    for u, drow in zip(unit, drows):
+        for k, c in drow:
+            forms[k][u] = c
+    powers = [[{0: 1}, form] for form in forms]
+    dpow = _power_table(den, top)
+    out = []
+    for p in polys:
+        scale = denominator_lcm(p.terms.values())
+        deg = p.degree()
+        acc = {}
+        for e, c in p.terms.items():
+            term = {0: scaled(c, scale) * dpow[deg - sum(e)]}
+            for k, ek in enumerate(e):
+                if not ek:
+                    continue
+                if not forms[k]:
+                    break
+                pk = powers[k]
+                while len(pk) <= ek:
+                    pk.append(_mul_packed(pk[-1], forms[k]))
+                term = _mul_packed(term, pk[ek])
+            else:
+                for te, tc in term.items():
+                    acc[te] = acc.get(te, 0) + tc
+        out.append(_unpack(m, width, acc, scale * dpow[deg] if deg >= 0 else 1))
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_restrict():
+    return reference_restrict_affine
+
+
+def reference_chart_frame(F):
+    """The chart's dual frame by the rational route: the gradients at e1
+    divided back to rationals, paired with the lower Borel basis by
+    LieAlgebra.killing_pair, and the rational pairing matrix inverted."""
+    L = F.L
+    rows, den = F.gradient_rows(F.triple.e1)
+    zvecs = [[rat(v, den) for v in row] for row in rows]
+    bminus = [L.basis_vector(i) for i in L.bminus_indices]
+    pinv = linalg.inverse([[L.killing_pair(z, w) for w in bminus] for z in zvecs])
+    frame = []
+    for g in range(F.b):
+        vec = L.zero()
+        for mu, idx in enumerate(L.bminus_indices):
+            vec[idx] = pinv[mu][g]
+        frame.append(vec)
+    return frame
+
+
+@pytest.fixture(scope="session")
+def reference_frame():
+    return reference_chart_frame
+
+
 def reference_gradients_from_polys(ctx, polys, x):
     """dp(x) for each polynomial p through its Poly partials and
     Poly.evaluate: the inverse Gram matrix applied to the partials' values."""
@@ -346,6 +421,50 @@ def reference_zero_weight_monomials(L, d):
 @pytest.fixture(scope="session")
 def reference_zero_weight():
     return reference_zero_weight_monomials
+
+
+def _append_tuple_zero_weight(out, codes, reach, exps, k, remaining, weight):
+    if k == len(exps):
+        out.append(tuple(exps))
+        return
+    after = reach[k + 1]
+    for e in range(remaining + 1):
+        w = weight + e * codes[k]
+        if -w in after[remaining - e]:
+            exps[k] = e
+            _append_tuple_zero_weight(out, codes, reach, exps, k + 1, remaining - e, w)
+    exps[k] = 0
+
+
+def reference_tuple_zero_weight(L, d):
+    """The zero-weight exponent tuples of degree d, in ascending order, from
+    the weight-directed recursion over every variable (the reach table of
+    invariants._zero_weight_monomials)."""
+    n = L.dim
+    codes = invariants._weight_codes(L, d)
+    reach = [None] * (n + 1)
+    reach[n] = [{0}] + [set() for _ in range(d)]
+    for k in range(n - 1, -1, -1):
+        row = [reach[k + 1][0]]
+        for r in range(1, d + 1):
+            row.append(reach[k + 1][r] | {w + codes[k] for w in row[r - 1]})
+        reach[k] = row
+    out = []
+    if 0 in reach[0][d]:
+        _append_tuple_zero_weight(out, codes, reach, [0] * n, 0, d, 0)
+    return out
+
+
+def reference_packed_zero_weight(L, d):
+    """The enumeration before it packed as it went: the exponent tuples of
+    reference_tuple_zero_weight, each then packed by polyring._pack."""
+    unit, _ = _packing(L.dim, d)
+    return [_pack(e, unit) for e in reference_tuple_zero_weight(L, d)]
+
+
+@pytest.fixture(scope="session")
+def reference_packed_enumeration():
+    return reference_packed_zero_weight
 
 
 def reference_sparse_kernel(rows, ncols):
@@ -594,12 +713,31 @@ def reference_validate_algebra(L):
     return errs
 
 
+def reference_exp_ad_nilpotent(L, z, v):
+    """exp(ad z) v summed in Fractions: each term (ad z)^k v / k! by the
+    Fraction bracket, added to the sum as it is made."""
+    out = list(v)
+    cur = list(v)
+    k = 0
+    while True:
+        k += 1
+        cur = reference_lie_bracket(L, z, cur)
+        if not any(cur):
+            return out
+        if k > L.dim + 1:
+            raise ValueError("exp(ad z) series did not terminate; z is not ad-nilpotent")
+        scale = R1 / factorial_rat(k)
+        out = [o + scale * c for o, c in zip(out, cur)]
+
+
 @pytest.fixture(scope="session")
 def reference_lie():
-    """The Fraction Lie layer: bracket, ad, killing_pair and check 2."""
+    """The Fraction Lie layer: bracket, ad, killing_pair, check 2 and the
+    exponential series."""
     return SimpleNamespace(bracket=reference_lie_bracket, ad=reference_ad,
                            killing_pair=reference_killing_pair,
-                           validate=reference_validate_algebra)
+                           validate=reference_validate_algebra,
+                           exp=reference_exp_ad_nilpotent)
 
 
 def reference_killing_matrix(L):
@@ -653,6 +791,93 @@ def reference_selection(kernel, polys, degrees, d, monos):
 @pytest.fixture(scope="session")
 def reference_select():
     return reference_selection
+
+
+def reference_fraction_kernel(rows, ncols):
+    """sparse_kernel before its integer core: the canonical basis as
+    rationals, -q[free] / q[pc] formed from each pivot row q of
+    linalg._echelon (which takes the rows over)."""
+    pivots = linalg._echelon(rows)
+    basis = {free: linalg.zeros(ncols) for free in range(ncols) if free not in pivots}
+    for free, v in basis.items():
+        v[free] = R1
+    for pc, q in pivots.items():
+        for j, c in q.items():
+            if j in basis:
+                basis[j][pc] = rat(-c, q[pc])
+    return list(basis.values())
+
+
+def reference_fraction_selection(kernel, decomposables, d):
+    """_new_kernel_vectors on rational kernel vectors: each kernel vector
+    scaled by the LCM of all kernel denominators for the certificate, and
+    the greedy scan run on the rational vectors restricted to the free
+    columns."""
+    free = [max(c for c, v in enumerate(k) if v) for k in kernel]
+    m = math.lcm(*(v.denominator for k in kernel for v in k if v))
+    ints = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
+            for k in kernel]
+    for dec in decomposables:
+        combo = {}
+        for f, pairs in zip(free, ints):
+            a = dec.get(f)
+            if a:
+                for c, v in pairs:
+                    combo[c] = combo.get(c, 0) + a * v
+        if {c: v for c, v in combo.items() if v} != {c: m * v for c, v in dec.items()}:
+            raise invariants.WrongDimension(
+                f"degree {d}: a product of lower generators is not invariant")
+    restricted = ([[rat(dec.get(f, 0)) for f in free] for dec in decomposables]
+                  + [[k[f] for f in free] for k in kernel])
+    kept = linalg.independent_subset(restricted)
+    return [i - len(decomposables) for i in kept if i >= len(decomposables)]
+
+
+def reference_fraction_normalize(vec, monos, nvars):
+    """The primitive integer multiple of a rational vector with a positive
+    first nonzero entry, by the LCM of its denominators, as a polynomial
+    over exponent tuples."""
+    denom = math.lcm(*(c.denominator for c in vec if c))
+    ints = [int(c * denom) for c in vec]
+    g = math.gcd(*ints)
+    if g:
+        ints = [c // g for c in ints]
+    if next((c for c in ints if c), 0) < 0:
+        ints = [-c for c in ints]
+    return Poly(nvars, {m: rat(c) for m, c in zip(monos, ints) if c})
+
+
+def reference_generator_route(L):
+    """The invariant solve's generators by the rational route it took before
+    it passed integers along: tuple enumeration then packing, the rational
+    kernel, the rational selection and normalization by LCM."""
+    degrees = L.rs.degrees
+    tables = invariants._action_tables(L)
+    generators, gen_degrees = [], []
+    for d in sorted(set(degrees)):
+        mult = sum(1 for x in degrees if x == d)
+        monos = reference_tuple_zero_weight(L, d)
+        unit, _ = _packing(L.dim, d)
+        packed = [_pack(e, unit) for e in monos]
+        kernel = reference_fraction_kernel(invariants._equations(tables, packed, unit),
+                                           len(packed))
+        columns = {e: col for col, (e, _) in enumerate(packed)}
+        decomposables = [{columns[e]: c for e, c in prod.items() if c} for _, prod in
+                         invariants._packed_products(generators, gen_degrees, d, unit)]
+        for i in reference_fraction_selection(kernel, decomposables, d)[:mult]:
+            generators.append(reference_fraction_normalize(kernel[i], monos, L.dim))
+            gen_degrees.append(d)
+    return generators
+
+
+@pytest.fixture(scope="session")
+def reference_generators():
+    """The rational kernel, selection and normalization of the invariant
+    solve, and the whole solve along them."""
+    return SimpleNamespace(kernel=reference_fraction_kernel,
+                           select=reference_fraction_selection,
+                           normalize=reference_fraction_normalize,
+                           solve=reference_generator_route)
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfhess import linalg
-from mfhess.argshift import (NotInvertible, cartan_from_root_values,
+from mfhess import argshift, linalg
+from mfhess.argshift import (DependentFamily, NotInvertible, cartan_from_root_values,
                              choose_regular_y, gradient_span, is_regular_cartan,
                              is_strongly_regular, load_family_cache, mv_membership,
                              pairwise_commute, save_family_cache,
@@ -90,6 +90,44 @@ def test_family_ordering_and_index_split(bundles):
             assert e.k == 0 and e.poly == B.inv.polys[e.j]
             assert e.m == B.inv.degrees[e.j]
             assert e.i == B.L.rank - e.j
+
+
+def _plant_in_pieces(monkeypatch, key, replace_piece):
+    """Make shifted_invariants return replace_piece(piece) for the piece key."""
+    original = argshift.shifted_invariants
+
+    def planted(inv, u):
+        return [(j, k, replace_piece(p) if (j, k) == key else p)
+                for j, k, p in original(inv, u)]
+
+    monkeypatch.setattr(argshift, "shifted_invariants", planted)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_family_rejects_multiple_of_a_member_of_its_degree(bundles, monkeypatch, label):
+    """A member replaced by 3 times another member of its degree leaves that
+    degree's rank, and so the sum of the per-degree ranks, one short."""
+    B = bundles(label)
+    by_m = {}
+    for e in B.family.entries:
+        by_m.setdefault(e.m, []).append(e)
+    first, second = next(es for es in by_m.values() if len(es) > 1)[:2]
+    _plant_in_pieces(monkeypatch, (second.j, second.k), lambda p: first.poly.scale(3))
+    with pytest.raises(DependentFamily, match="linearly dependent"):
+        shift_family(B.L, B.inv, B.y, B.ctx, B.triple)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_family_rejects_a_member_with_a_term_of_another_degree(bundles, monkeypatch, label):
+    """A coordinate added to a derived member of degree at least 2 keeps its
+    degree and the family's independence, but not its homogeneity, on which
+    the per-degree certificate rests."""
+    B = bundles(label)
+    e = next(e for e in B.family.entries if e.m >= 2 and e.k)
+    x0 = Poly.coordinate(B.L.dim, 0)
+    _plant_in_pieces(monkeypatch, (e.j, e.k), lambda p: p + x0)
+    with pytest.raises(DependentFamily, match=f"not homogeneous of degree {e.m}"):
+        shift_family(B.L, B.inv, B.y, B.ctx, B.triple)
 
 
 def test_invalid_direction_rejected(bundles):

@@ -9,8 +9,8 @@ from mfhess import linalg
 from mfhess.hessenberg import (NotTriangular, build_chart, hess_section, orbit_slice,
                                point_in_hess, poincare_series, restrict_to_hess,
                                slice_membership, slice_sample)
-from mfhess.liealgebra import exp_ad_nilpotent
-from mfhess.polyring import Poly
+from mfhess.liealgebra import DimensionMismatch, exp_ad_nilpotent
+from mfhess.polyring import Poly, restrict_affine
 from mfhess.argshift import phi
 from mfhess.rational import clear, rat, R0, R1
 from mfhess.symplectic import slice_frame
@@ -56,6 +56,43 @@ def test_chart_frame_properties(bundles):
         for i, z in enumerate(chart.zvecs):
             for j, w in enumerate(chart.frame):
                 assert B.L.killing_pair(z, w) == (R1 if i == j else R0)
+
+
+B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A1xA1", "B2", "C2", "A3", "G2", B3])
+def test_integer_pairing_gives_the_rational_frame(bundles, reference_frame, label):
+    """The frame from the integer pairing of the gradient rows with the lower
+    Borel basis equals the frame of the rational pairing."""
+    B = bundles(label)
+    assert B.chart.frame == reference_frame(B.family)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", B3])
+def test_restrict_affine_matches_reference_on_chart_frames(bundles, reference_restrict,
+                                                           label):
+    """On Hess in the chart's dual frame and in the Chevalley frame of the
+    lower Borel, where e1's coordinates fold in as constants, the shared
+    expansion gives the restriction of every member term by term."""
+    B = bundles(label)
+    qs = B.family.qs
+    chevalley = [B.L.basis_vector(i) for i in B.L.bminus_indices]
+    for frame in (B.chart.frame, chevalley):
+        assert (restrict_affine(qs, B.triple.e1, frame)
+                == reference_restrict(qs, B.triple.e1, frame))
+
+
+def test_point_in_hess_rejects_wrong_length(bundles):
+    B = bundles("A2")
+    e1 = B.triple.e1
+    assert point_in_hess(B.L, B.triple, e1)
+    for v in (e1[:-1], e1 + [rat(5)]):
+        with pytest.raises(DimensionMismatch):
+            point_in_hess(B.L, B.triple, v)
+    off = list(e1)
+    off[B.L.n_indices[-1]] = rat(1, 7)
+    assert not point_in_hess(B.L, B.triple, off)
 
 
 def test_chart_unitriangular_jacobian(bundles):

@@ -10,11 +10,11 @@ from mfhess import invariants, linalg, polyring
 from mfhess.invariants import (InvariantFamily, WrongDimension, decomposable_products,
                                invariant_generators, invariant_space_dimension, load_family,
                                matrix_images_type_A, meets_solver_conditions, save_family,
-                               trace_oracle_type_A, _zero_weight_monomials,
-                               _degree_combinations)
+                               trace_oracle_type_A, zero_weight_exponents,
+                               _zero_weight_monomials, _degree_combinations)
 from mfhess.liealgebra import is_regular
 from mfhess.polyring import GradientContext, Poly, gradient, poisson_bracket
-from mfhess.rational import rat
+from mfhess.rational import over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS, UnsupportedType
 
 # sha256 of the compact JSON of Poly.to_payload() of each solved generator:
@@ -39,7 +39,7 @@ INVARIANT_DIGESTS = {
 
 
 def coeff_rows(polys, L, d):
-    monos = _zero_weight_monomials(L, d)
+    monos = zero_weight_exponents(L, d)
     col = {m: i for i, m in enumerate(monos)}
     rows = []
     for p in polys:
@@ -61,7 +61,23 @@ def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight,
                                                 degrees):
     L = algebras(label)
     for d in degrees or (0, 1) + tuple(sorted(set(L.rs.degrees))):
-        assert _zero_weight_monomials(L, d) == reference_zero_weight(L, d), d
+        assert zero_weight_exponents(L, d) == reference_zero_weight(L, d), d
+
+
+@pytest.mark.parametrize("label, degrees", DEGREE_CASES)
+def test_packed_enumeration_matches_tuple_route(algebras, reference_packed_enumeration,
+                                                label, degrees):
+    """The (packed, support) pairs enumerated directly equal the exponent
+    tuples of the recursion over every variable, packed afterwards, in the
+    same order."""
+    L = algebras(label)
+    for d in degrees or (0, 1) + tuple(sorted(set(L.rs.degrees))):
+        assert _zero_weight_monomials(L, d) == reference_packed_enumeration(L, d), d
+
+
+def _rational(kernel):
+    basis, den = kernel
+    return [over(row, den) for row in basis]
 
 
 @pytest.mark.parametrize("label, degrees", DEGREE_CASES)
@@ -74,14 +90,13 @@ def test_raising_equations_have_the_two_sided_kernel(algebras, reference_equatio
     ctx = GradientContext(L)
     tables = invariants._action_tables(L)
     for d in degrees or sorted(set(L.rs.degrees)):
-        monos = _zero_weight_monomials(L, d)
+        monos = zero_weight_exponents(L, d)
         unit, _ = polyring._packing(L.dim, d)
-        packed = [polyring._pack(m, unit) for m in monos]
-        ours = invariants._equations(tables, packed, unit)
+        ours = invariants._equations(tables, _zero_weight_monomials(L, d), unit)
         theirs = reference_equations.equations(L, ctx, monos)
         assert len(theirs) == 2 * len(ours), d
-        assert (linalg.sparse_kernel(ours, len(monos))
-                == linalg.sparse_kernel(theirs, len(monos))), d
+        assert (_rational(linalg.sparse_kernel(ours, len(monos)))
+                == _rational(linalg.sparse_kernel(theirs, len(monos)))), d
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
@@ -275,7 +290,7 @@ def test_selection_matches_full_vector_scan(algebras, reference_select, monkeypa
 
     def recorded(kernel, decomposables, d):
         out = original(kernel, decomposables, d)
-        calls.append((kernel, d, out))
+        calls.append((_rational(kernel), d, out))
         return out
 
     monkeypatch.setattr(invariants, "_new_kernel_vectors", recorded)
@@ -283,7 +298,38 @@ def test_selection_matches_full_vector_scan(algebras, reference_select, monkeypa
     assert [d for _, d, _ in calls] == sorted(set(L.rs.degrees))
     for kernel, d, kept in calls:
         assert kept == reference_select(kernel, fam.polys, fam.degrees, d,
-                                        _zero_weight_monomials(L, d)), d
+                                        zero_weight_exponents(L, d)), d
+
+
+@pytest.mark.parametrize("label", SELECTION_LABELS)
+def test_integer_solve_matches_rational_route(algebras, reference_generators, label):
+    """The integer kernel, selection and normalization give the generators
+    of the rational route, and at each degree the integer kernel divides
+    back to the rational kernel and selects the same vectors."""
+    L = algebras(label)
+    fam = invariant_generators(L)
+    assert fam.polys == reference_generators.solve(L)
+    tables = invariants._action_tables(L)
+    for d in sorted(set(L.rs.degrees)):
+        monos = _zero_weight_monomials(L, d)
+        unit, width = polyring._packing(L.dim, d)
+        kernel = linalg.sparse_kernel(invariants._equations(tables, monos, unit), len(monos))
+        basis, den = kernel
+        assert den > 0 and all(type(v) is int for row in basis for v in row)
+        rational = reference_generators.kernel(invariants._equations(tables, monos, unit),
+                                               len(monos))
+        assert _rational(kernel) == rational, d
+        lower = [(p, dd) for p, dd in zip(fam.polys, fam.degrees) if dd < d]
+        columns = {e: col for col, (e, _) in enumerate(monos)}
+        decomposables = [{columns[e]: c for e, c in prod.items() if c} for _, prod in
+                         invariants._packed_products([p for p, _ in lower],
+                                                     [dd for _, dd in lower], d, unit)]
+        kept = invariants._new_kernel_vectors(kernel, decomposables, d)
+        assert kept == reference_generators.select(rational, decomposables, d), d
+        tuples = zero_weight_exponents(L, d)
+        for i in kept:
+            assert (invariants._normalize_generator(basis[i], monos, L.dim, width)
+                    == reference_generators.normalize(rational[i], tuples, L.dim)), (d, i)
 
 
 @pytest.mark.parametrize("label", ["A1xA1", "A2", "B2", "A3", "G2"])
@@ -303,8 +349,8 @@ def test_products_of_scaled_generators_keep_their_coefficients(bundles):
 def _plant_in_quadratic(monkeypatch, term):
     original = invariants._normalize_generator
 
-    def planted(vec, monos, nvars):
-        p = original(vec, monos, nvars)
+    def planted(*args):
+        p = original(*args)
         return p + term if p.degree() == 2 else p
 
     monkeypatch.setattr(invariants, "_normalize_generator", planted)

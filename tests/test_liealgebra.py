@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.argshift import gradient_span
-from mfhess.liealgebra import (DimensionMismatch, is_regular, principal_triple, ut_action,
-                               validate_algebra)
+from mfhess.liealgebra import (DimensionMismatch, exp_ad_nilpotent, is_regular,
+                               principal_triple, ut_action, validate_algebra)
 from mfhess.rational import clear, factorial_rat, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -226,6 +227,33 @@ def test_integer_cores_match_fraction_reference(algebras, reference_lie, label):
             assert den > 0 and rat(num, den) == reference_lie.killing_pair(L, x, y)
 
     check()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "B3"])
+def test_exp_ad_nilpotent_matches_fraction_series(algebras, reference_lie, label):
+    """The integer series equals the Fraction series for z in the lower and
+    in the upper nilradical, as exact rationals; a zero z returns v as it
+    is, and a z that is not ad-nilpotent raises."""
+    L = algebras(label)
+    rng = random.Random(f"exp:{label}")
+    exact = type(rat(0))
+    for block in (L.nminus_indices, L.n_indices):
+        for _ in range(4):
+            z = L.zero()
+            for i in block:
+                z[i] = rat(rng.randint(-3, 3), rng.randint(1, 2))
+            v = [rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(L.dim)]
+            got = exp_ad_nilpotent(L, z, v)
+            assert got == reference_lie.exp(L, z, v)
+            assert all(type(c) is exact for c in got)
+    v = [rat(k + 1, 2) for k in range(L.dim)]
+    assert exp_ad_nilpotent(L, L.zero(), v) == v
+    h = L.basis_vector(L.cartan_indices[0])
+    # a root vector on which h acts by a nonzero scalar: the series never ends
+    e = next(L.basis_vector(i) for i in L.pos_indices if any(L.bracket(h, L.basis_vector(i))))
+    for exp in (exp_ad_nilpotent, reference_lie.exp):
+        with pytest.raises(ValueError, match="did not terminate"):
+            exp(L, h, e)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))

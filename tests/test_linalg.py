@@ -1,7 +1,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.rational import R0, R1, clear, rat, to_rat
+from mfhess.rational import R0, R1, clear, over, rat, to_rat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # entries with denominators up to 10^6, zero about a third of the time
@@ -119,8 +119,15 @@ def sparse_systems(draw):
 @example(([{0: rat(1), 2: rat(2)}, {1: rat(1), 3: rat(3)},
            {0: rat(1), 1: rat(1), 2: rat(2), 3: rat(3)}], 4))
 def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
+    """The integer rows of sparse_kernel over its positive denominator divide
+    back to the rational kernel; sparse_kernel takes its rows over, so it
+    gets copies."""
     rows, ncols = system
-    assert linalg.sparse_kernel(rows, ncols) == reference_kernel(rows, ncols)
+    basis, den = linalg.sparse_kernel([dict(r) for r in rows], ncols)
+    assert den > 0 and all(type(v) is int for row in basis for v in row)
+    assert [over(row, den) for row in basis] == reference_kernel(rows, ncols)
+    assert linalg.kernel([[r.get(j, 0) for j in range(ncols)] for r in rows],
+                         ncols) == reference_kernel(rows, ncols)
 
 
 def test_vandermonde_solve():
