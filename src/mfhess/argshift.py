@@ -44,8 +44,8 @@ from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
 from .polyring import (CompiledPolys, GradientContext, Poly, _int_folds, _int_partials,
-                       _int_product, _packing, _unpack, coefficient_rows)
-from .rational import R0, clear, denominator_lcm, over, rat, scaled, to_rat
+                       _int_product, _packing, _unpack)
+from .rational import R0, clear, over, rat, to_rat
 
 
 class DependentFamily(Exception):
@@ -104,11 +104,11 @@ def shifted_invariants(inv: InvariantFamily, u) -> list:
     t^k in I_j(x + t u), which is the k-th derivative along u over k!.
 
     The pieces come from one Taylor pass on integers.  u is cleared once to
-    numerators U over one denominator D.  Each term c x^e of I_j, scaled by
-    the LCM of I_j's denominators, expands the product over k in supp(u) of
-    (x_k + t U_k / D)^(e_k) with binomial coefficients on ints, packed
-    exponents (the width rule of polyring.poisson_bracket) and orders below
-    deg I_j only; the coefficient of t^k is then piece k over scale * D^k.
+    numerators U over one denominator D.  Each term c x^e of I_j's integer
+    numerators (over its denominator s) expands the product over k in
+    supp(u) of (x_k + t U_k / D)^(e_k) with binomial coefficients on ints,
+    packed exponents (the width rule of polyring.poisson_bracket) and orders
+    below deg I_j only; the coefficient of t^k is then piece k over s D^k.
     """
     nums, den = clear([to_rat(c) for c in u])
     support = [(k, U) for k, U in enumerate(nums) if U]
@@ -121,13 +121,12 @@ def shifted_invariants(inv: InvariantFamily, u) -> list:
         steps = {k: [[(a, a * unit[k], comb(e, a) * U ** a)
                       for a in range(1, min(e, d - 1) + 1)] for e in range(top + 1)]
                  for k, U in support}
-        scale = denominator_lcm(p.terms.values())
         acc = [{} for _ in range(d)]
-        for e, c in p.terms.items():
+        for e, c in p.nums.items():
             touched = [steps[k][e[k]] for k, _ in support if e[k]]
             if not touched:
                 continue
-            branches = [(0, sum(map(mul, e, unit)), scaled(c, scale))]
+            branches = [(0, sum(map(mul, e, unit)), c)]
             for step in touched:
                 grown = list(branches)
                 for order, pe, coef in branches:
@@ -141,7 +140,7 @@ def shifted_invariants(inv: InvariantFamily, u) -> list:
                     row = acc[order]
                     row[pe] = row.get(pe, 0) + coef
         for k in range(1, d):
-            out.append((j, k, _unpack(p.n, width, acc[k], scale * den ** k)))
+            out.append((j, k, _unpack(p.n, width, acc[k], p.den * den ** k)))
     return out
 
 
@@ -163,6 +162,8 @@ class ShiftFamily:
     y: list
     entries: list
     compiled: CompiledPolys = field(init=False, repr=False, compare=False)
+    # the ranks of graded_dims, taken on its first call
+    _graded: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.compiled = CompiledPolys(e.poly for e in self.entries)
@@ -190,11 +191,19 @@ class ShiftFamily:
         return self.compiled.int_gradients(self.ctx, x)
 
     def graded_dims(self) -> dict:
-        """Exact dimension of the degree-m slice of the family's span."""
-        by_m: dict[int, list] = {}
-        for e in self.entries:
-            by_m.setdefault(e.m, []).append(e.poly)
-        return {m: linalg.rank(coefficient_rows(polys)) for m, polys in sorted(by_m.items())}
+        """Exact dimension of the degree-m slice of the family's span, ranked
+        once on the members' integer numerators (a positive scale of a row
+        leaves the rank unchanged); shift_family takes it to certify
+        independence, and later calls read it."""
+        if self._graded is None:
+            by_m: dict[int, list] = {}
+            for e in self.entries:
+                by_m.setdefault(e.m, []).append(e.poly.nums)
+            self._graded = {}
+            for m, rows in sorted(by_m.items()):
+                cols = sorted({e for row in rows for e in row})
+                self._graded[m] = linalg.rank([[row.get(e, 0) for e in cols] for row in rows])
+        return self._graded
 
     def to_payload(self) -> dict:
         return {

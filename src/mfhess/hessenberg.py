@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
@@ -70,9 +71,9 @@ def _unitriangular_violation(restricted: list) -> str | None:
     for bi, rp in enumerate(restricted):
         diagonal = False
         later = None
-        for e, c in rp.terms.items():
+        for e, c in rp.nums.items():
             if e[bi]:
-                if c != R1 or sum(e) != 1:
+                if c != rp.den or sum(e) != 1:
                     return f"diagonal derivative of restricted generator {bi + 1} is not 1"
                 diagonal = True
             for gi in range(bi + 1, len(e)):
@@ -114,12 +115,16 @@ class HessChart:
         return len(self.zvecs)
 
     def point_from_s(self, svals) -> list:
-        """The point e1 + sum_g s_g frame_g of Hess, summed on integers.
+        """The point e1 + sum_g s_g frame_g of Hess."""
+        return self.point_from_cleared(*clear(svals))
 
-        With s = S / ds, the frame Fr / df and e1 = E / de, coordinate i is
-        (E_i ds df + de sum_g S_g Fr_gi) / (de ds df): one rational per
-        coordinate."""
-        snums, sden = clear(svals)
+    def point_from_cleared(self, snums: list, sden: int) -> list:
+        """The point e1 + sum_g s_g frame_g of Hess for s = snums / sden,
+        summed on integers.
+
+        With the frame Fr / df and e1 = E / de, coordinate i is
+        (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df): one rational
+        per coordinate."""
         (fden, supports), (enums, eden) = self.frame_int, self.e1_int
         acc = [0] * len(enums)
         for s, support in zip(snums, supports):
@@ -182,18 +187,30 @@ def hess_section(chart: HessChart, cvals) -> list:
     """The point of Hess whose generator values are cvals, solved ascending.
 
     Each step is linear in the next coordinate with unit coefficient, so the
-    solve is division free and exact for every input tuple.
+    solve is division free and exact for every input tuple.  The solved
+    coordinates are held as integer numerators over their common
+    denominator, which grows only when a new coordinate's reduced
+    denominator does not divide it.
     """
     cvals = [to_rat(c) for c in cvals]
     if len(cvals) != chart.b:
         raise ValueError(f"expected {chart.b} values, got {len(cvals)}")
-    svals = [R0] * chart.b
-    for bi in range(chart.b):
-        # svals[bi] and every later coordinate are still 0 here, so this is
+    snums, sden = [0] * chart.b, 1
+    for bi, c in enumerate(cvals):
+        # snums[bi] and every later coordinate are still 0 here, so this is
         # generator bi without its diagonal term s_bi
-        rest = chart.compiled[bi].values(svals)[0]
-        svals[bi] = cvals[bi] - rest
-    return chart.point_from_s(svals)
+        (rest,), whole = chart.compiled[bi].int_values(snums, sden)
+        # s_bi = c - rest / whole
+        num = c.numerator * whole - c.denominator * rest
+        den = c.denominator * whole
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if sden % den:
+            grow = den // gcd(sden, den)
+            snums = [v * grow for v in snums]
+            sden *= grow
+        snums[bi] = num * (sden // den)
+    return chart.point_from_cleared(snums, sden)
 
 
 # -- orbit slices ------------------------------------------------------------

@@ -54,6 +54,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
@@ -312,8 +313,8 @@ def meets_solver_conditions(L: LieAlgebra, fam: InvariantFamily) -> bool:
     the solver's enumeration (_weight_codes).  The raising-operator test
     applies the solver's own derivation (_action_tables, the rows of ad z;
     by invariance of the Killing form {(z, .), x_k} = -(ad z . x)_k) to the
-    integer multiple of p by the LCM of its denominators.  The independence
-    test ranks the integer rows of the packed products and polynomials.
+    integer numerators of p.  The independence test ranks the integer rows
+    of the packed products and polynomials.
     """
     if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
         return False
@@ -321,12 +322,11 @@ def meets_solver_conditions(L: LieAlgebra, fam: InvariantFamily) -> bool:
            for p, d in zip(fam.polys, fam.degrees)):
         return False
     tables = _action_tables(L)
-    packed = []     # each polynomial's terms, scaled and packed at its degree
+    packed = []     # each polynomial's numerators, packed at its degree
     for p, d in zip(fam.polys, fam.degrees):
         codes = _weight_codes(L, d)
         unit, _ = _packing(L.dim, d)
-        scale = denominator_lcm(p.terms.values())
-        terms = [(_pack(e, unit), scaled(c, scale)) for e, c in p.terms.items()]
+        terms = [(_pack(e, unit), c) for e, c in p.nums.items()]
         packed.append({e: c for (e, _), c in terms})
         if any(sum(ek * codes[k] for k, ek in support) for (_, support), _ in terms):
             return False
@@ -364,13 +364,12 @@ def decomposable_products(polys: list, degrees, d: int) -> list:
 def _packed_products(polys: list, degrees, d: int, unit: list) -> list:
     """decomposable_products on packed ints: each product as (scale, terms),
     terms mapping packed exponent -> int and the product being terms over
-    scale.  Each factor is scaled once by the LCM of its denominators."""
+    scale.  Each factor is read as its integer numerators over its
+    denominator."""
     lower = []
     for p, dd in zip(polys, degrees):
         if dd < d:
-            scale = denominator_lcm(p.terms.values())
-            lower.append((scale, {_pack(e, unit)[0]: scaled(c, scale)
-                                  for e, c in p.terms.items()}))
+            lower.append((p.den, {sum(map(mul, e, unit)): c for e, c in p.nums.items()}))
     out = []
     for combo in _degree_combinations([dd for dd in degrees if dd < d], d):
         scale, prod = lower[combo[0]]

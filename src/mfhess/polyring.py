@@ -1,5 +1,14 @@
 """Sparse multivariate polynomials over exact rationals.
 
+A Poly holds integer numerators over one positive denominator: nums maps
+an exponent tuple to a nonzero int, and den is coprime to them all, so each
+polynomial has exactly one form.  Every kernel below reads that form as it
+is, and every kernel result is built from integers by one gcd
+(Poly.from_ints); rationals appear only at the edges: Poly(n, terms) clears
+its coefficients once through rational.clear, and the terms view, the
+payload strings and the rational arithmetic that the tests use as a
+reference build them on demand.
+
 A polynomial function on the algebra is written in the coordinates of the
 Chevalley basis: a point *is* its coordinate vector, and a vector z gives the
 linear functional x -> (z, x) through the Killing pairing.  Gradients are
@@ -36,7 +45,7 @@ restrict_affine clears the common denominator of the substitution, folds the
 coordinates whose integer affine forms are constant into the coefficients,
 expands each distinct monomial in the other coordinates once for a whole
 list of polynomials, over shared power tables of their forms, with packed
-exponents, and builds one rational per output coefficient.
+exponents, and divides each result by one gcd.
 
 This module alone knows how exponents are packed (Monagan and Pearce, CASC
 2007).  An exponent vector becomes one int with top.bit_length() bits per
@@ -51,24 +60,55 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .rational import (R0, R1, clear, clear_rows, denominator_lcm, over, rat, rat_str, scaled,
-                       to_rat)
+from .rational import R0, R1, clear, clear_rows, over, rat, rat_str, to_rat
 
 
 _INT = {int}
+_EXACT = {int, type(R0)}
 
 
 class Poly:
-    """Immutable sparse polynomial: exponent tuple -> nonzero rational."""
+    """Immutable sparse polynomial: exponent tuple -> nonzero int numerator
+    (nums) over one denominator den >= 1, with gcd(den, *nums.values()) == 1
+    and den 1 for the zero polynomial, so equal polynomials have equal
+    fields.  Poly(n, terms) takes int or rational coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: dict | None = None):
+        terms = terms or {}
+        nums, den = clear([c if type(c) in _EXACT else to_rat(c) for c in terms.values()])
         self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.den = den
+        self.nums = {e: c for e, c in zip(terms, nums) if c}
+
+    @classmethod
+    def from_ints(cls, n: int, nums: dict, den: int = 1) -> "Poly":
+        """The polynomial nums over den, for integer numerators and a nonzero
+        int den: zeros are dropped and one gcd brings it to canonical form."""
+        nums = {e: c for e, c in nums.items() if c}
+        if den < 0:
+            den, nums = -den, {e: -c for e, c in nums.items()}
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        p = cls.__new__(cls)
+        p.n, p.den, p.nums = n, den, nums
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """exponent tuple -> nonzero rational coefficient, built on each read."""
+        den = self.den
+        return {e: rat(c, den) for e, c in self.nums.items()}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -99,24 +139,25 @@ class Poly:
 
     # -- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.nums}
         return len(degs) <= 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+        return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, self.den, tuple(sorted(self.nums.items()))))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
@@ -131,7 +172,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms
         for e, c in other.terms.items():
             s = out.get(e, R0) + c
             if s:
@@ -155,8 +196,9 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         out: dict = {}
+        other_terms = other.terms
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in other_terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, R0) + c1 * c2
                 if s:
@@ -202,14 +244,23 @@ class Poly:
 
     # -- serialization ---------------------------------------------------
     def to_payload(self) -> list:
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return [[list(e), rat_str(c)] for e, c in items]
+        """[exponent list, coefficient string] per term, in (degree,
+        exponent) order; each string is the rat_str of the coefficient,
+        num/den reduced by one gcd."""
+        den = self.den
+        out = []
+        for e in sorted(self.nums, key=lambda e: (sum(e), e)):
+            c = self.nums[e]
+            g = gcd(c, den)
+            out.append([list(e), str(c // g) if g == den else f"{c // g}/{den // g}"])
+        return out
 
     @classmethod
     def from_payload(cls, n: int, payload) -> "Poly":
         """The inverse of to_payload; ValueError unless every exponent vector
         holds n nonnegative ints (of type int: no bool, float or string is
-        coerced).  Each distinct coefficient string is parsed once."""
+        coerced).  Each distinct coefficient string is parsed once, to its
+        numerator and denominator."""
         terms = {}
         parsed: dict = {}
         for e, c in payload:
@@ -219,11 +270,17 @@ class Poly:
             if type(c) is str:
                 r = parsed.get(c)
                 if r is None:
-                    r = parsed[c] = to_rat(c)
+                    r = to_rat(c)
+                    r = parsed[c] = (int(r.numerator), int(r.denominator))
             else:
                 r = to_rat(c)
+                r = (int(r.numerator), int(r.denominator))
             terms[e] = r
-        return cls(n, terms)
+        den = 1
+        for _, d in terms.values():
+            if d != 1:
+                den = lcm(den, d)
+        return cls.from_ints(n, {e: c * (den // d) for e, (c, d) in terms.items()}, den)
 
 
 def coefficient_rows(polys, columns=None) -> list:
@@ -233,7 +290,7 @@ def coefficient_rows(polys, columns=None) -> list:
     term outside a given column list raises KeyError.
     """
     if columns is None:
-        columns = sorted({e for p in polys for e in p.terms})
+        columns = sorted({e for p in polys for e in p.nums})
     col = {e: i for i, e in enumerate(columns)}
     rows = []
     for p in polys:
@@ -292,22 +349,41 @@ class GradientContext:
         rows[i] lists (j, ((k, c), ...)) for every j with a nonzero bracket,
         meaning {x_i, x_j} = sum of c * x_k over scale; the table is
         antisymmetric in i and j and scale is the LCM of all its denominators.
+
+        {x_i, x_j} is the linear function of the Killing lowering of
+        [u_i, u_j], u_k the dual vector with (u_k, x) = x_k.  The inverse of
+        the symmetric Gram matrix is symmetric, so u_k is row k of
+        gram_inv_int (over g); the brackets are taken on the algebra's
+        integer table (L.int_bracket, over g^2 t) and lowered on its integer
+        Killing rows (over s).  Every entry is then over s g^2 t, and one gcd
+        of that scale and all entries leaves the LCM of the denominators.
         """
         if self._pair_table is None:
-            duals = [self.dual_vector(k) for k in range(self.nvars)]
+            n = self.nvars
+            g, inv_rows = self.gram_inv_int
+            s, krows = self.L.int_killing
+            scale = s * g * g * self.L.int_table[0]
+            duals = []
+            for row in inv_rows:
+                dense = [0] * n
+                for k, c in row:
+                    dense[k] = c
+                duals.append((dense, g))
             pairs, lins = [], []
-            for i in range(self.nvars):
-                for j in range(i + 1, self.nvars):
-                    v = self.L.bracket(duals[i], duals[j])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v, _ = self.L.int_bracket(duals[i], duals[j])
                     if any(v):
                         pairs.append((i, j))
-                        lins.append(linalg.mat_vec(self.gram, v))
-            scale, ints = clear_rows(lins)
-            rows = [[] for _ in range(self.nvars)]
-            for (i, j), lin in zip(pairs, ints):
-                rows[i].append((j, lin))
-                rows[j].append((i, tuple((k, -c) for k, c in lin)))
-            self._pair_table = (scale, rows)
+                        lin = [(k, sum(c * v[m] for m, c in krow))
+                               for k, krow in enumerate(krows)]
+                        lins.append([(k, c) for k, c in lin if c])
+            common = gcd(scale, *(c for lin in lins for _, c in lin))
+            rows = [[] for _ in range(n)]
+            for (i, j), lin in zip(pairs, lins):
+                rows[i].append((j, tuple((k, c // common) for k, c in lin)))
+                rows[j].append((i, tuple((k, -c // common) for k, c in lin)))
+            self._pair_table = (scale // common, rows)
         return self._pair_table
 
 
@@ -341,28 +417,37 @@ class CompiledPolys:
         for p in polys:
             if p.n != self.n:
                 raise ValueError(f"variable count mismatch: {p.n} != {self.n}")
-        self.scale = scale = denominator_lcm(c for p in polys for c in p.terms.values())
+        self.scale = scale = lcm(*(p.den for p in polys))
         self.top = top = max([0] + [p.degree() for p in polys])
-        self.polys = [tuple((scaled(c, scale), top - sum(e),
-                             tuple(compress(enumerate(e), e)))
-                            for e, c in p.terms.items())
-                      for p in polys]
+        self.polys = []
+        for p in polys:
+            lift = scale // p.den
+            self.polys.append(tuple((c * lift, top - sum(e), tuple(compress(enumerate(e), e)))
+                                    for e, c in p.nums.items()))
+
+    def _tables(self, nums: list, den: int) -> tuple:
+        """Power tables, up to the top degree, of each nonzero numerator N_k of
+        a point (None for a zero coordinate, whose powers are never read) and
+        of its denominator D."""
+        return ([_power_table(c, self.top) if c else None for c in nums],
+                _power_table(den, self.top))
 
     def _clear(self, x) -> tuple:
         """The numerators N = D x of the point x over its common denominator
-        D, with power tables of each nonzero N_k and of D up to the top
-        degree (None for a zero coordinate, whose powers are never read)."""
+        D, with the power tables of _tables."""
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
         nums, den = clear([to_rat(c) for c in x])
-        return (nums, [_power_table(c, self.top) if c else None for c in nums],
-                _power_table(den, self.top))
+        return (nums, *self._tables(nums, den))
 
-    def values(self, x) -> list:
-        """p(x) for each compiled p; a term is dropped at its first zero
-        coordinate."""
-        nums, pw, dp = self._clear(x)
-        whole = self.scale * dp[self.top]
+    def int_values(self, nums: list, den: int) -> tuple:
+        """p(x) for each compiled p at the point x = nums / den (integer
+        numerators over a positive den), on integers: (numerators, whole),
+        each value being its numerator over whole.  A term is dropped at its
+        first zero coordinate."""
+        if len(nums) != self.n:
+            raise ValueError("point has wrong dimension")
+        pw, dp = self._tables(nums, den)
         out = []
         for terms in self.polys:
             acc = 0
@@ -374,8 +459,13 @@ class CompiledPolys:
                     t *= pw[k][ek]
                 else:
                     acc += t
-            out.append(rat(acc, whole) if acc else R0)
-        return out
+            out.append(acc)
+        return out, self.scale * dp[self.top]
+
+    def values(self, x) -> list:
+        """p(x) for each compiled p, as rationals."""
+        accs, whole = self.int_values(*clear([to_rat(c) for c in x]))
+        return [rat(acc, whole) if acc else R0 for acc in accs]
 
     def int_gradients(self, ctx: "GradientContext", x) -> tuple:
         """dp(x) for each compiled p, the inverse Gram matrix applied to the
@@ -447,16 +537,13 @@ def _pack(e, unit: list) -> tuple:
 
 def _int_partials(f: Poly, unit: list) -> tuple:
     """(scale, partials): partials[k] maps packed exponent -> integer
-    coefficient of scale * df/dx_k, scale being the LCM of f's denominators."""
-    scale = denominator_lcm(f.terms.values())
+    coefficient of scale * df/dx_k, scale being f's denominator."""
     out = [{} for _ in unit]
-    for e, c in f.terms.items():
-        c = scaled(c, scale)
+    for e, c in f.nums.items():
         packed = sum(map(mul, e, unit))
-        for k, ek in enumerate(e):
-            if ek:
-                out[k][packed - unit[k]] = c * ek
-    return scale, out
+        for k, ek in compress(enumerate(e), e):
+            out[k][packed - unit[k]] = c * ek
+    return f.den, out
 
 
 def _int_folds(rows: list, dq: list, unit: list, wanted):
@@ -499,23 +586,23 @@ def _unpack(n: int, width: int, acc: dict, scale: int) -> Poly:
     """The Poly of packed exponent -> integer coefficient over scale."""
     mask = (1 << width) - 1
     shifts = [width * (n - 1 - k) for k in range(n)]
-    return Poly(n, {tuple([(e >> s) & mask for s in shifts]): rat(c, scale)
-                    for e, c in acc.items() if c})
+    return Poly.from_ints(n, {tuple([(e >> s) & mask for s in shifts]): c
+                              for e, c in acc.items() if c}, scale)
 
 
 def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     """Exact symbolic bracket {p, q} = sum_ij dp/dx_i dq/dx_j {x_i, x_j}.
 
-    The sum runs on integers.  p, q and the pair table are each scaled by the
-    LCM of their denominators; a nonzero integer scale cannot change which
-    coefficients vanish, and the result is divided by the product of the
-    three scales at the end.  Exponent vectors are packed into one int with a
-    fixed number of bits per variable (Monagan and Pearce, CASC 2007), so a
-    monomial product is an int addition.  The bracket runs in three steps:
-    the integer partials of p and q (_int_partials), the folds
-    {x_i, q} = sum_j dq/dx_j {x_i, x_j} (_int_folds), taken only for the rows
-    where dp/dx_i != 0, and the product sum_i dp/dx_i {x_i, q}
-    (_int_product), each dp/dx_i multiplied once.  Each fold is multiplied
+    The sum runs on integers.  p, q and the pair table are each read as
+    integer numerators over one denominator, and the result is divided by
+    the product of the three denominators at the end.  Exponent vectors are
+    packed into one int with a fixed number of bits per variable (Monagan
+    and Pearce, CASC 2007), so a monomial product is an int addition.  The
+    bracket runs in three steps: the integer partials of p and q
+    (_int_partials), the folds {x_i, q} = sum_j dq/dx_j {x_i, x_j}
+    (_int_folds), taken only for the rows where dp/dx_i != 0, and the
+    product sum_i dp/dx_i {x_i, q} (_int_product), each dp/dx_i multiplied
+    once.  Each fold is multiplied
     as it is made, so one is alive at a time.  pairwise_commute runs the
     same steps once per family member instead of once per pair.
     """
@@ -554,9 +641,9 @@ def restrict_affine(polys, base, directions) -> list:
     of the matrix with rows base and the directions), coordinate k becomes
     the integer affine form A_k(s) = D base_k + sum_g D directions[g]_k s_g
     over D, held with packed exponents (the width rule of poisson_bracket).
-    As in CompiledPolys, a term c x^e of p (scale the LCM of p's
-    denominators, deg its total degree) contributes scale c A^e D^(deg - |e|)
-    over scale D^deg, and each output coefficient becomes one rational at
+    As in CompiledPolys, a term c x^e of p (c its integer numerator over
+    p.den, deg p's total degree) contributes c A^e D^(deg - |e|) over
+    p.den D^deg, and each result is brought to canonical form by one gcd at
     the end.
 
     A coordinate whose form is a constant (on Hess, those of the upper
@@ -588,7 +675,7 @@ def restrict_affine(polys, base, directions) -> list:
             consts[k] = None
     zero = [const == 0 for const in consts]
     # the terms of each p that touch no zero form, with their total degrees
-    kept = [[(e, c, sum(e)) for e, c in p.terms.items() if not any(compress(e, zero))]
+    kept = [[(e, c, sum(e)) for e, c in p.nums.items() if not any(compress(e, zero))]
             for p in polys]
     # Every exponent of an output term is at most its total degree, which is
     # at most top; once top fits in width bits, no field carries into the next.
@@ -609,12 +696,11 @@ def restrict_affine(polys, base, directions) -> list:
     # exponents at free_ks -> the expansion of that monomial, packed
     expansions: dict = {(0,) * len(free_ks): {0: 1}}
     out = []
-    for terms in kept:
-        scale = denominator_lcm(c for _, c, _ in terms)
+    for p, terms in zip(polys, kept):
         deg = max([size for _, _, size in terms], default=-1)
         grouped: dict = {}   # exponents at free_ks -> integer coefficient
         for e, c, size in terms:
-            coef = scaled(c, scale) * dpow[deg - size]
+            coef = c * dpow[deg - size]
             for k, const in scalars:
                 if e[k]:
                     coef *= const ** e[k]
@@ -643,5 +729,5 @@ def restrict_affine(polys, base, directions) -> list:
                         expansion = nxt
             for te, tc in expansion.items():
                 acc[te] = get(te, 0) + coef * tc
-        out.append(_unpack(m, width, acc, scale * dpow[deg] if deg >= 0 else 1))
+        out.append(_unpack(m, width, acc, p.den * dpow[deg] if deg >= 0 else 1))
     return out

@@ -5,9 +5,11 @@ type is used (much faster than fractions.Fraction); otherwise Fraction is a
 drop-in fallback.  Floats are rejected everywhere.
 
 This module alone turns rationals into integers over one scale: clear for a
-vector (a point, or a row that an exact elimination reads), clear_rows for a
-fixed matrix held as sparse integer rows (the Killing rows, the Gram inverse
-and the bracket's pair table, the chart frame), and over for the way back.
+vector (a point, a row that an exact elimination reads, or the coefficients
+of a polynomial, which polyring.Poly then holds as integer numerators over
+one denominator), clear_rows for a fixed matrix held as sparse integer rows
+(the Killing rows, the Gram inverse, the chart frame), and over for the way
+back.
 """
 
 from __future__ import annotations

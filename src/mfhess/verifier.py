@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict, field
 from functools import cached_property
 
 from . import linalg
-from .rational import R0, R1, clear, rat, rat_str
+from .rational import R1, clear, rat, rat_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -409,7 +409,7 @@ def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
         return {"ok": True, "witness": {"pairs": data}}
     i, j, br = data
     return {"ok": False, "witness": {"pair": [i + 1, j + 1],
-                                     "bracket_terms": len(br.terms)}}
+                                     "bracket_terms": len(br.nums)}}
 
 
 @_record("family.nilpotent_span_and_chain",
@@ -665,7 +665,7 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
     units = [tuple(int(h == g) for h in range(sc.family.b)) for g in range(sc.family.b)]
     for entry, z, rp in zip(sc.family.entries, sc.chart.zvecs, restricted):
         for unit, i in zip(units, L.bminus_indices):
-            if rp.terms.get(unit, R0) != L.killing_pair(z, L.basis_vector(i)):
+            if rp.nums.get(unit, 0) != rp.den * L.killing_pair(z, L.basis_vector(i)):
                 return {"ok": False,
                         "witness": {"position": entry.beta, "direction": L.labels[i]}}
     return {"ok": True, "witness": {"positions": sc.family.b}}

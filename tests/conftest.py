@@ -95,6 +95,95 @@ def reference_poisson_bracket(ctx, p, q):
     return out
 
 
+def assert_canonical_poly(p):
+    """p holds integer numerators over one positive denominator, in the one
+    canonical form: nonzero int numerators, den >= 1, gcd(den, *nums) == 1,
+    and den 1 for the zero polynomial."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert all(len(e) == p.n for e in p.nums)
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+
+
+@pytest.fixture(scope="session")
+def canonical():
+    return assert_canonical_poly
+
+
+def reference_terms(terms):
+    """A coefficient dict as the Fraction route held it: every coefficient
+    made a rational by to_rat and the zeros dropped."""
+    return {e: to_rat(c) for e, c in terms.items() if c}
+
+
+def reference_unpack(n, width, acc, scale):
+    """_unpack before the integer form: packed exponent -> int over scale,
+    one rational per nonzero term."""
+    mask = (1 << width) - 1
+    shifts = [width * (n - 1 - k) for k in range(n)]
+    return {tuple((e >> s) & mask for s in shifts): rat(c, scale)
+            for e, c in acc.items() if c}
+
+
+def reference_payload(p):
+    """Poly.to_payload before the integer form: the rat_str of every
+    rational coefficient, in (degree, exponent) order."""
+    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    return [[list(e), rat_str(c)] for e, c in items]
+
+
+@pytest.fixture(scope="session")
+def reference_poly():
+    """The Fraction route of the Poly representation: its terms, _unpack and
+    to_payload."""
+    return SimpleNamespace(terms=reference_terms, unpack=reference_unpack,
+                           payload=reference_payload)
+
+
+def reference_pair_table(ctx):
+    """GradientContext.pair_table before it ran on integers: the duals as
+    columns of the rational Gram inverse, their brackets by
+    LieAlgebra.bracket, lowered by the rational Killing matrix and cleared
+    by rational.clear_rows."""
+    duals = [ctx.dual_vector(k) for k in range(ctx.nvars)]
+    pairs, lins = [], []
+    for i in range(ctx.nvars):
+        for j in range(i + 1, ctx.nvars):
+            v = ctx.L.bracket(duals[i], duals[j])
+            if any(v):
+                pairs.append((i, j))
+                lins.append(linalg.mat_vec(ctx.gram, v))
+    scale, ints = clear_rows(lins)
+    rows = [[] for _ in range(ctx.nvars)]
+    for (i, j), lin in zip(pairs, ints):
+        rows[i].append((j, lin))
+        rows[j].append((i, tuple((k, -c) for k, c in lin)))
+    return scale, rows
+
+
+@pytest.fixture(scope="session")
+def reference_pairs():
+    return reference_pair_table
+
+
+def reference_hess_section(chart, cvals):
+    """hess_section before it ran on integers: each step evaluates the
+    restricted generator at the rational coordinates solved so far
+    (CompiledPolys.values) and subtracts in rationals."""
+    cvals = [to_rat(c) for c in cvals]
+    svals = [R0] * chart.b
+    for bi in range(chart.b):
+        rest = chart.compiled[bi].values(svals)[0]
+        svals[bi] = cvals[bi] - rest
+    return chart.point_from_s(svals)
+
+
+@pytest.fixture(scope="session")
+def reference_section():
+    return reference_hess_section
+
+
 # exponent defects for a Poly payload: a term appended with a bad vector,
 # or every exponent of one term (all 0 or 1) given as another JSON type
 MALFORMED_EXPONENTS = ([-1, 0, 0, 0, 0, 0, 0, 3], [2], float, bool, str)

@@ -13,7 +13,8 @@ from mfhess.argshift import (DependentFamily, NotInvertible, cartan_from_root_va
                              phi, root_values, shift_family, shifted_invariants,
                              zeta_apply, zeta_chain)
 from mfhess.liealgebra import exp_ad_nilpotent, is_regular
-from mfhess.polyring import CompiledPolys, Poly, poisson_bracket, restrict_affine
+from mfhess.invariants import load_family, save_family
+from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
 from mfhess.rational import over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -182,6 +183,47 @@ def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
     with open(path, "w") as fh:
         json.dump(payload, fh)
     assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple) is None
+
+
+@pytest.mark.parametrize("label", [B3, C3, A4, "G2"])
+def test_cache_files_match_the_fraction_reference_bytes(tmp_path, bundles, reference_poly,
+                                                       label):
+    """The invariants_v1 and family_v1 files hold the bytes that the Fraction
+    route's to_payload gives, and load back to the same polynomials."""
+    B = bundles(label)
+    path = save_family(str(tmp_path), "T", B.L, B.inv)
+    payload = json.loads(open(path).read())
+    payload["polys"] = [reference_poly.payload(p) for p in B.inv.polys]
+    assert open(path).read() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert load_family(str(tmp_path), "T", B.L).polys == B.inv.polys
+    path = save_family_cache(str(tmp_path), "T", 42, B.family)
+    payload = json.loads(open(path).read())
+    for entry, q in zip(payload["entries"], B.family.qs):
+        entry["poly"] = reference_poly.payload(q)
+    assert open(path).read() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    loaded = load_family_cache(str(tmp_path), "T", 42, B.L, B.ctx, B.triple)
+    assert loaded.qs == B.family.qs
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", B3])
+def test_graded_dims_are_ranked_once(bundles, monkeypatch, tmp_path, label):
+    """shift_family's certificate ranks the degree slices; later reads, and
+    check 9, take those ranks.  A family loaded from the cache ranks on its
+    first read, and agrees with the rank of the Fraction coefficient rows."""
+    B = bundles(label)
+    want = {}
+    for e in B.family.entries:
+        want.setdefault(e.m, []).append(e.poly)
+    want = {m: linalg.rank(coefficient_rows(polys)) for m, polys in sorted(want.items())}
+    F = shift_family(B.L, B.inv, B.y, B.ctx, B.triple)
+    save_family_cache(str(tmp_path), "T", 42, F)
+    calls = []
+    original = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda mat: calls.append(1) or original(mat))
+    assert F.graded_dims() == want and not calls
+    loaded = load_family_cache(str(tmp_path), "T", 42, B.L, B.ctx, B.triple)
+    assert loaded.graded_dims() == want and len(calls) == len(want)
+    assert loaded.graded_dims() == want and len(calls) == len(want)
 
 
 def test_phi_basics(bundles):

@@ -6,9 +6,9 @@ from dataclasses import replace
 import pytest
 
 from mfhess import linalg
-from mfhess.hessenberg import (NotTriangular, build_chart, hess_section, orbit_slice,
-                               point_in_hess, poincare_series, restrict_to_hess,
-                               slice_membership, slice_sample)
+from mfhess.hessenberg import (NotTriangular, _unitriangular_violation, build_chart,
+                               hess_section, orbit_slice, point_in_hess, poincare_series,
+                               restrict_to_hess, slice_membership, slice_sample)
 from mfhess.liealgebra import DimensionMismatch, exp_ad_nilpotent
 from mfhess.polyring import Poly, restrict_affine
 from mfhess.argshift import phi
@@ -145,6 +145,17 @@ def test_build_chart_rejects_non_triangular_restriction(bundles, pos, betas, mes
     assert str(err.value) == message
 
 
+def test_unit_diagonal_is_read_as_numerator_equal_to_denominator():
+    """A diagonal coefficient is 1 exactly when its numerator equals the
+    polynomial's denominator; 2 s_1, or s_1 / 2, is not a unit diagonal."""
+    s2 = Poly.coordinate(2, 1)
+    ok = Poly(2, {(1, 0): rat(1), (0, 0): rat(1, 2)})
+    assert ok.den == 2 and _unitriangular_violation([ok, s2]) is None
+    for bad in (Poly(2, {(1, 0): rat(2)}), Poly(2, {(1, 0): rat(1, 2), (0, 0): rat(1)})):
+        assert _unitriangular_violation([bad, s2]) == \
+            "diagonal derivative of restricted generator 1 is not 1"
+
+
 # sha256 of the compact JSON of [p.to_payload() for p in chart.restricted],
 # recorded with the Poly.compose restriction (family built at seed 42)
 RESTRICTED_DIGESTS = {
@@ -206,6 +217,22 @@ def test_section_round_trips(bundles):
             w = hess_section(chart, c)
             assert phi(F, w) == c and point_in_hess(B.L, B.triple, w)
         assert hess_section(chart, phi(F, B.triple.e1)) == B.triple.e1
+
+
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "G2", B3])
+def test_section_on_integers_matches_the_rational_steps(bundles, reference_section, label):
+    """hess_section against its rational-step reference, on random values
+    (denominators that do and do not divide the common one), on the values
+    of random points of Hess, on zeros and at e1."""
+    B = bundles(label)
+    chart, F = B.chart, B.family
+    rng = random.Random(f"section:{label}")
+    inputs = [[rat(0)] * F.b, phi(F, B.triple.e1)]
+    for _ in range(6):
+        inputs.append(rand_svals(rng, F.b, bound=9))
+        inputs.append(phi(F, chart.point_from_s(rand_svals(rng, F.b))))
+    for cvals in inputs:
+        assert hess_section(chart, cvals) == reference_section(chart, cvals)
 
 
 def test_point_from_s_matches_dense_sum(bundles):

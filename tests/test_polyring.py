@@ -44,10 +44,15 @@ def test_evaluation_is_a_homomorphism(p, q):
     assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
 
-@settings(max_examples=25, deadline=None)
-@given(poly_strategy(4, max_deg=4))
-def test_serialization_round_trip(p):
-    assert Poly.from_payload(4, p.to_payload()) == p
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(4, max_deg=4, max_terms=6, coeffs=mixed))
+def test_serialization_round_trip(canonical, reference_poly, p):
+    """to_payload writes the strings of the Fraction route, and from_payload
+    reads them back to the same canonical form."""
+    assert p.to_payload() == reference_poly.payload(p)
+    q = Poly.from_payload(4, p.to_payload())
+    canonical(q)
+    assert q == p and q.terms == p.terms
 
 
 def test_from_payload_takes_exact_types_only():
@@ -63,6 +68,54 @@ def test_from_payload_takes_exact_types_only():
                               [[2, 0, 0], 1], [[0, 2, 0], rat(5, 2)]])
     assert p.terms == {(1, 0, 0): 1, (0, 1, 0): rat(-1, 2), (0, 0, 1): 1,
                        (2, 0, 0): 1, (0, 2, 0): rat(5, 2)}
+
+
+# -- the integer form -------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          st.one_of(st.integers(-20, 20), mixed, mixed.map(to_rat))),
+                max_size=6))
+def test_poly_is_canonical_and_terms_are_the_fraction_dict(canonical, reference_poly, items):
+    """Poly(n, terms) takes int, Fraction and zero coefficients, keeps one
+    canonical integer form, and terms gives back the Fraction dict."""
+    terms = dict(items)
+    p = Poly(2, terms)
+    canonical(p)
+    assert p.terms == reference_poly.terms(terms)
+    assert all(type(c) is type(rat(1)) for c in p.terms.values())
+    assert p == Poly.from_ints(2, {e: c * 6 for e, c in p.nums.items()}, 6 * p.den)
+    assert hash(p) == hash(Poly(2, p.terms))
+
+
+def test_from_ints_divides_one_gcd_and_moves_the_sign(canonical):
+    p = Poly.from_ints(2, {(1, 0): 6, (0, 1): -4, (1, 1): 0}, -10)
+    canonical(p)
+    assert (p.den, p.nums) == (5, {(1, 0): -3, (0, 1): 2})
+    assert p == Poly(2, {(1, 0): rat(-3, 5), (0, 1): rat(2, 5)})
+    zero = Poly.from_ints(2, {(1, 0): 0}, 7)
+    canonical(zero)
+    assert zero == Poly.zero(2) and zero.den == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, 2.0, True, False])
+def test_poly_rejects_float_and_bool_coefficients(bad):
+    """As rational.to_rat does, and before any zero is dropped."""
+    with pytest.raises(TypeError, match="exact rational required"):
+        Poly(2, {(1, 0): bad})
+    with pytest.raises(TypeError):
+        Poly(2, {(0, 0): rat(1, 2), (1, 0): bad})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 2 ** 12 - 1), st.integers(-50, 50), max_size=8),
+       st.integers(1, 36))
+def test_unpack_is_canonical_and_matches_the_fraction_reference(canonical, reference_poly,
+                                                                acc, scale):
+    p = _unpack(3, 4, acc, scale)
+    canonical(p)
+    assert p.terms == reference_poly.unpack(3, 4, acc, scale)
 
 
 def test_directional_derivative_basics(bundles, reference_shift):
@@ -209,6 +262,26 @@ def test_poisson_bracket_at_packing_width(bundles, reference_bracket, k):
     br = poisson_bracket(ctx, p, q)
     assert br == reference_bracket(ctx, p, q)
     assert br.terms[(2 * k - 1, 0, 0)] == rat(k, 12)
+
+
+@pytest.mark.parametrize("label", list(SUPPORTED_LABELS) + list(FLAGGED_LABELS)
+                         + ["B3", "C3", "A4", "D4"])
+def test_integer_pair_table_equals_the_fraction_route(algebras, reference_pairs, label):
+    ctx = GradientContext(algebras(label))
+    assert ctx.pair_table() == reference_pairs(ctx)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_brackets_shifts_and_restrictions_are_canonical(bundles, canonical, label):
+    B = bundles(label)
+    qs = B.family.qs
+    for p in qs + B.inv.polys + B.chart.restricted:
+        canonical(p)
+    for q in qs[:4]:
+        canonical(poisson_bracket(B.ctx, q, qs[-1]))
+        canonical(poisson_bracket(B.ctx, Poly.coordinate(B.L.dim, 0), q))
+    for p in restrict_affine(qs, B.triple.e1, [B.y]):
+        canonical(p)
 
 
 @st.composite

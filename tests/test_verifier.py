@@ -424,6 +424,15 @@ def test_leading_term_fails_on_planted_derived_term(a2_context):
         "ok": False, "witness": {"position": pos + 1, "direction": "e[0,-1]"}}
 
 
+def test_graded_dimensions_read_the_family_ranks(a2_context, monkeypatch):
+    """Check 9 takes the ranks that shift_family certified, with no rank of
+    its own."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    a2_context.family.graded_dims()
+    monkeypatch.setattr(linalg, "rank", lambda mat: pytest.fail("check 9 ranked again"))
+    assert check_graded_dimensions(a2_context, cfg)["ok"]
+
+
 def test_graded_dimensions_fail_on_dropped_member(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
