@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from . import linalg
@@ -96,8 +97,6 @@ class HessChart:
     zvecs: list            # z_beta = dq_beta(e1), a basis of the upper Borel
     frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta
     restricted: list       # restrictions of the generators, in frame coordinates
-    # each restricted generator compiled alone: the section evaluates one per step
-    compiled: list = field(init=False, repr=False, compare=False)
     # (den, supports) = rational.clear_rows(frame): the frame as integer
     # numerators over one denominator, supports[g] the nonzero
     # (index, numerator) pairs of frame vector g
@@ -106,9 +105,14 @@ class HessChart:
     e1_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.compiled = [CompiledPolys([rp]) for rp in self.restricted]
         self.frame_int = clear_rows(self.frame)
         self.e1_int = clear(self.triple.e1)
+
+    # each restricted generator compiled alone, on first read: the section
+    # evaluates one per step, and no build stage reads them
+    @cached_property
+    def compiled(self) -> list:
+        return [CompiledPolys([rp]) for rp in self.restricted]
 
     @property
     def b(self) -> int:

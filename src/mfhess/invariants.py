@@ -18,20 +18,21 @@ commutes with the linear functional of z.
 
 The solve is weight-directed and runs on integers, and its stages pass
 integers to each other.  The zero-weight monomials are generated directly,
-never filtered out of all of S^d: a suffix table of reachable (degree,
-weight) pairs lets the enumeration enter only prefixes that can still close
-to weight zero.  The enumeration packs each monomial as it goes, into one
-int by polyring's packing rule (whose packed ints sort as the exponent
-tuples do, the order of the equation rows) with its support beside it; no
-exponent tuple is formed until a generator is unpacked.  The rows of ad z
-have integer entries over one positive denominator, so every equation has
-integer coefficients (scaling an equation leaves the kernel unchanged), and
-linalg.sparse_kernel solves them by fraction-free elimination, taking over
-the fresh rows, and returns the kernel as integer numerators over one
-denominator.  One derivation routine (_derivation) applies a raising
-operator's table to packed monomials: it builds the solver's equations and
-the invariance test of meets_solver_conditions, which re-checks a cached
-family.
+never filtered out of all of S^d: each is a multiset of positive roots of
+some weight, a Cartan monomial, and the mirror of another positive multiset
+of the same weight, so the positive multisets that can close are built once
+per weight and joined with the Cartan monomials and with their own mirrors.
+Each monomial is one int by polyring's packing rule (whose packed ints sort
+as the exponent tuples do, the order of the equation rows) with its support
+beside it; no exponent tuple is formed until a generator is unpacked.  The
+rows of ad z have integer entries over one positive denominator, so every
+equation has integer coefficients (scaling an equation leaves the kernel
+unchanged), and linalg.sparse_kernel solves them by fraction-free
+elimination, taking over the fresh rows, and returns the kernel as integer
+numerators over one denominator.  One derivation routine (_derivation)
+applies a raising operator's table to packed monomials: it builds the
+solver's equations and the invariance test of meets_solver_conditions,
+which re-checks a cached family.
 
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, in kernel order, normalized to primitive integer
@@ -53,7 +54,10 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
@@ -72,10 +76,16 @@ class InvariantFamily:
     polys: list
     degrees: tuple
     provenance: str = "solver"
-    compiled: CompiledPolys = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.compiled = CompiledPolys(self.polys)
+    # built on first read: no build stage evaluates the invariants
+    @cached_property
+    def compiled(self) -> CompiledPolys:
+        return CompiledPolys(self.polys)
+
+
+class UnpairedRoots(Exception):
+    """The algebra's basis is not the positive root vectors, then the Cartan
+    basis, then their mirrors: the zero-weight enumeration cannot run."""
 
 
 def _zero_weight_monomials(L: LieAlgebra, d: int) -> list:
@@ -84,27 +94,100 @@ def _zero_weight_monomials(L: LieAlgebra, d: int) -> list:
     the pairs (k, e_k) with e_k > 0), in ascending order of the packed ints,
     which is the lexicographic order of the exponent tuples.
 
-    Only zero-weight monomials are generated.  Each weight is packed into one
-    int in a balanced radix wide enough for any sum of d weights, so packing
-    is additive and injective.  reach[k][r] holds the packed weights that
-    variables k.. reach with total degree r, and the recursion enters a
-    prefix only when the negated prefix weight is reachable after it.
+    A zero-weight monomial factors as a multiset of a positive roots of some
+    weight lam, times a Cartan monomial of degree c, times the mirror of a
+    multiset of b positive roots of the same weight lam, with a + b + c = d:
+    the structure behind Kostant's partition function.  The positive
+    multisets are built once (_positive_multisets); the negative factor is
+    read as the mirror of a positive one (x_pos[i] -> x_neg[i], a shift of
+    the packed int past the positive and Cartan fields); and the factors are
+    joined per weight: the packed ints add and the supports, each in index
+    order, concatenate.  One sort then gives the packed order.
     """
-    n = L.dim
-    codes = _weight_codes(L, d)
-    unit, _ = _packing(n, d)
-    reach = [None] * (n + 1)
-    reach[n] = [{0}] + [set() for _ in range(d)]
-    for k in range(n - 1, -1, -1):
-        # degree r from variables k..: none of x_k, or one x_k times degree r - 1
-        row = [reach[k + 1][0]]
-        for r in range(1, d + 1):
-            row.append(reach[k + 1][r] | {w + codes[k] for w in row[r - 1]})
-        reach[k] = row
+    _check_root_pairs(L)
+    unit, width = _packing(L.dim, d)
+    offset = L.n + L.rank
+    cartan = [[(sum(unit[k] for k in combo), tuple(Counter(combo).items()))
+               for combo in combinations_with_replacement(L.cartan_indices, c)]
+              for c in range(d + 1)]
     out = []
-    if 0 in reach[0][d]:
-        _append_zero_weight(out, codes, unit, reach, [], 0, d, 0, 0)
+    for by_size in _positive_multisets(L, d, unit).values():
+        mirrors = {b: [(p >> width * offset, tuple([(k + offset, e) for k, e in s]))
+                       for p, s in pos] for b, pos in by_size.items()}
+        for a, pos in by_size.items():
+            for b, neg in mirrors.items():
+                if a + b <= d:
+                    for p, s in pos:
+                        for h, hs in cartan[d - a - b]:
+                            base, head = p + h, s + hs
+                            out += [(base + q, head + t) for q, t in neg]
+    out.sort()
     return out
+
+
+def _check_root_pairs(L: LieAlgebra) -> None:
+    """Raise UnpairedRoots unless the structure that _zero_weight_monomials
+    joins on holds: the indices are ordered positive < Cartan < negative,
+    the Cartan weights are 0, each positive weight is nonzero with no
+    negative coordinate, and weights[neg[i]] == -weights[pos[i]]."""
+    n, ell = L.n, L.rank
+    if (L.pos_indices != tuple(range(n)) or L.cartan_indices != tuple(range(n, n + ell))
+            or L.neg_indices != tuple(range(n + ell, L.dim))):
+        raise UnpairedRoots("basis indices are not ordered positive < Cartan < negative")
+    zero = (0,) * ell
+    if any(L.weights[k] != zero for k in L.cartan_indices):
+        raise UnpairedRoots("a Cartan basis vector has nonzero weight")
+    for p, q in zip(L.pos_indices, L.neg_indices):
+        w = L.weights[p]
+        if w == zero or min(w) < 0:
+            raise UnpairedRoots(f"basis vector {p} has weight {w}, not a positive root's")
+        if L.weights[q] != tuple(-c for c in w):
+            raise UnpairedRoots(f"basis vector {q} has weight {L.weights[q]}, not -{w}")
+
+
+def _positive_multisets(L: LieAlgebra, d: int, unit: list) -> dict:
+    """The multisets of positive roots that can close to a zero-weight
+    monomial of degree d, as {weight: {size a: [(packed, support)]}}.
+
+    A multiset of a roots and weight lam closes only with the mirror of
+    another of weight lam, which has at least m(lam) roots, m(lam) being the
+    fewest positive roots that sum to lam; so an entry is kept only when
+    a + m(lam) <= d.  m is counted first, on the weights alone, up to d // 2
+    (since a >= m(lam) as well).  The multisets grow one root at a time in
+    index order, and a branch is cut once a + max_j ceil(lam_j / theta_j)
+    exceeds d, theta_j being the largest coordinate j of a positive root:
+    that bound is at most m(lam), and never falls as roots are added.
+    """
+    roots = L.weights[:L.n]
+    fewest = {(0,) * L.rank: 0}
+    frontier = list(fewest)
+    for k in range(1, d // 2 + 1):
+        grown = []
+        for lam in frontier:
+            for r in roots:
+                mu = tuple([x + y for x, y in zip(lam, r)])
+                if mu not in fewest:
+                    fewest[mu] = k
+                    grown.append(mu)
+        frontier = grown
+    theta = [max(col) for col in zip(*roots)]
+    table: dict = {}
+    stack = [(0, 0, (0,) * L.rank, 0, ())]
+    while stack:
+        start, size, lam, packed, support = stack.pop()
+        m = fewest.get(lam)
+        if m is not None and size + m <= d:
+            table.setdefault(lam, {}).setdefault(size, []).append((packed, support))
+        for j in range(start, L.n):
+            mu = tuple([x + y for x, y in zip(lam, roots[j])])
+            if size + 1 + max([-(-x // t) for x, t in zip(mu, theta)]) > d:
+                continue
+            if support and support[-1][0] == j:
+                longer = support[:-1] + ((j, support[-1][1] + 1),)
+            else:
+                longer = support + ((j, 1),)
+            stack.append((j, size + 1, mu, packed + unit[j], longer))
+    return table
 
 
 def zero_weight_exponents(L: LieAlgebra, d: int) -> list:
@@ -126,30 +209,6 @@ def _weight_codes(L: LieAlgebra, d: int) -> list:
     exactly when its exponents times these codes sum to 0."""
     radix = 2 * d * max(abs(c) for w in L.weights for c in w) + 1
     return [sum(c * radix ** i for i, c in enumerate(w)) for w in L.weights]
-
-
-def _append_zero_weight(out: list, codes: list, unit: list, reach: list, support: list,
-                        k: int, remaining: int, weight: int, packed: int) -> None:
-    # a module-level recursion: a nested function that calls itself is a
-    # reference cycle, which keeps out alive until the cyclic collector runs
-    if not remaining:
-        # reach[k][0] is {0}, so the prefix has weight zero and every later
-        # exponent is 0
-        out.append((packed, tuple(support)))
-        return
-    after = reach[k + 1]
-    code = codes[k]
-    for e in range(remaining + 1):
-        w = weight + e * code
-        if -w in after[remaining - e]:
-            if e:
-                support.append((k, e))
-                _append_zero_weight(out, codes, unit, reach, support, k + 1, remaining - e, w,
-                                    packed + e * unit[k])
-                support.pop()
-            else:
-                _append_zero_weight(out, codes, unit, reach, support, k + 1, remaining, w,
-                                    packed)
 
 
 def _action_tables(L: LieAlgebra) -> list:

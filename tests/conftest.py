@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -527,8 +529,8 @@ def _append_tuple_zero_weight(out, codes, reach, exps, k, remaining, weight):
 
 def reference_tuple_zero_weight(L, d):
     """The zero-weight exponent tuples of degree d, in ascending order, from
-    the weight-directed recursion over every variable (the reach table of
-    invariants._zero_weight_monomials)."""
+    the weight-directed recursion over every variable: the reach table that
+    invariants._zero_weight_monomials walked before the root-pair join."""
     n = L.dim
     codes = invariants._weight_codes(L, d)
     reach = [None] * (n + 1)
@@ -554,6 +556,31 @@ def reference_packed_zero_weight(L, d):
 @pytest.fixture(scope="session")
 def reference_packed_enumeration():
     return reference_packed_zero_weight
+
+
+def reference_closing_multisets(L, d):
+    """The positive-root multisets that close to a zero-weight monomial of
+    degree d, by brute force: every multiset of at most d positive roots,
+    kept when its size plus the fewest roots of any multiset of its weight
+    is at most d.  As {(weight, size): sorted supports}."""
+    by_weight = {}
+    for size in range(d + 1):
+        for combo in combinations_with_replacement(range(L.n), size):
+            weight = tuple(sum(L.weights[k][j] for k in combo) for j in range(L.rank))
+            by_weight.setdefault(weight, []).append(combo)
+    out = {}
+    for weight, combos in by_weight.items():
+        fewest = min(len(c) for c in combos)
+        for combo in combos:
+            if len(combo) + fewest <= d:
+                out.setdefault((weight, len(combo)), []).append(
+                    tuple(Counter(combo).items()))
+    return {key: sorted(v) for key, v in out.items()}
+
+
+@pytest.fixture(scope="session")
+def reference_multisets():
+    return reference_closing_multisets
 
 
 def reference_sparse_kernel(rows, ncols):

@@ -67,12 +67,65 @@ def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight,
 @pytest.mark.parametrize("label, degrees", DEGREE_CASES)
 def test_packed_enumeration_matches_tuple_route(algebras, reference_packed_enumeration,
                                                 label, degrees):
-    """The (packed, support) pairs enumerated directly equal the exponent
-    tuples of the recursion over every variable, packed afterwards, in the
-    same order."""
+    """The (packed, support) pairs of the root-pair join equal the exponent
+    tuples of the reach-table recursion over every variable, packed
+    afterwards, in the same order, at every degree up to the top one."""
     L = algebras(label)
-    for d in degrees or (0, 1) + tuple(sorted(set(L.rs.degrees))):
+    for d in degrees or range(max(L.rs.degrees) + 1):
         assert _zero_weight_monomials(L, d) == reference_packed_enumeration(L, d), d
+
+
+@pytest.mark.parametrize("label, degrees", DEGREE_CASES)
+def test_positive_multisets_are_exactly_those_that_close(algebras, reference_multisets, label,
+                                                         degrees):
+    """The table keeps a multiset of a roots and weight lam exactly when
+    a + m(lam) <= d, and each entry's packed int, size and weight are its
+    support's."""
+    L = algebras(label)
+    for d in degrees or range(max(L.rs.degrees) + 1):
+        unit, _ = polyring._packing(L.dim, d)
+        got: dict = {}
+        for weight, by_size in invariants._positive_multisets(L, d, unit).items():
+            for size, entries in by_size.items():
+                for packed, support in entries:
+                    assert sum(e for _, e in support) == size
+                    assert packed == sum(e * unit[k] for k, e in support)
+                    assert weight == tuple(sum(e * L.weights[k][j] for k, e in support)
+                                           for j in range(L.rank))
+                    got.setdefault((weight, size), []).append(support)
+        assert {key: sorted(v) for key, v in got.items()} == reference_multisets(L, d), d
+
+
+def _planted_weights(L, defect):
+    weights = list(L.weights)
+    if defect == "mirror":
+        # two negative root vectors trade weights
+        a, b = L.neg_indices[0], L.neg_indices[1]
+        weights[a], weights[b] = weights[b], weights[a]
+    elif defect == "cartan":
+        weights[L.cartan_indices[0]] = L.weights[L.pos_indices[0]]
+    elif defect == "positive":
+        p, q = L.pos_indices[0], L.neg_indices[0]
+        weights[p], weights[q] = weights[q], weights[p]
+    return replace(L, weights=tuple(weights))
+
+
+@pytest.mark.parametrize("defect", ["mirror", "cartan", "positive", "order"])
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_enumeration_rejects_unpaired_roots(algebras, label, defect):
+    """An algebra whose basis does not split into positive roots, Cartan and
+    their mirrors raises UnpairedRoots instead of enumerating, and so does
+    the solve that reads it."""
+    L = algebras(label)
+    if defect == "order":
+        bad = replace(L, pos_indices=L.pos_indices[::-1], neg_indices=L.neg_indices[::-1])
+    else:
+        bad = _planted_weights(L, defect)
+    for d in (0, 2):
+        with pytest.raises(invariants.UnpairedRoots):
+            _zero_weight_monomials(bad, d)
+    with pytest.raises(invariants.UnpairedRoots):
+        invariant_generators(bad)
 
 
 def _rational(kernel):

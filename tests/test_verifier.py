@@ -2,6 +2,8 @@ import functools
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -189,6 +191,26 @@ def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
         assert sorted(tmp_path.iterdir()) == paths, name
         assert [p.read_text() for p in paths] == good, name
         assert sc1.family.to_payload() == sc2.family.to_payload(), name
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_compiled_forms_are_built_on_first_read(tmp_path, cached):
+    """No build stage compiles the invariants or the restricted generators,
+    cold or warm; the first read compiles each once and keeps it."""
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path) if cached else None)
+    if cached:
+        build_context(cfg)
+    sc = build_context(cfg)
+    assert "compiled" not in vars(sc.inv) and "compiled" not in vars(sc.chart)
+    compiled = sc.inv.compiled
+    assert compiled is sc.inv.compiled
+    x = [rat(k + 1, 3) for k in range(sc.L.dim)]
+    assert compiled.values(x) == [p.evaluate(x) for p in sc.inv.polys]
+    section = sc.chart.compiled
+    assert section is sc.chart.compiled
+    assert len(section) == len(sc.chart.restricted)
+    s = [rat(k - 2) for k in range(sc.chart.b)]
+    assert [c.values(s)[0] for c in section] == [rp.evaluate(s) for rp in sc.chart.restricted]
 
 
 def test_tampered_invariants_cache_is_a_miss_and_rewritten(tmp_path):
@@ -656,6 +678,24 @@ def test_cli_verify_json(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["schema"] == "report_v3"
     assert data["summary"]["fail"] == 0
+
+
+def test_python_m_mfhess_runs_the_cli(tmp_path):
+    """python -m mfhess from a checkout, with src on the path, writes the
+    same report as main()."""
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "mfhess", "verify", "--type", "A1",
+                           "--format", "json", "--out", str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["schema"] == "report_v3"
+    assert data["summary"]["fail"] == 0
+    assert main(["verify", "--type", "A1", "--format", "json",
+                 "--out", str(tmp_path / "direct.json")]) == 0
+    assert (tmp_path / "direct.json").read_text() == out.read_text()
 
 
 def test_cli_verify_fail_exit_code(tmp_path):
