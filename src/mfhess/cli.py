@@ -7,7 +7,8 @@
 The --type argument accepts a series label (A1, A2, A3, B2, C2, A1xA1, and
 G2 behind --g2) or an inline JSON integer matrix.  MFHESS_CACHE sets the
 default cache directory.  verify exits 0 exactly when no check failed;
-section and invariants exit 2 when the algebra does not build.
+section and invariants exit 2 when the algebra does not build, and every
+command exits 2 when stdout is closed before its output is written.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def cmd_section(args) -> int:
     config = _config_from_args(args)
     try:
         values = [to_rat(v) for v in args.values.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return _error(f"--values takes comma-separated integers or p/q rationals ({exc})")
     sc = build_context(config)
     if len(values) != sc.family.b:
@@ -137,20 +138,26 @@ def cmd_invariants(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"verify": cmd_verify, "section": cmd_section,
+               "invariants": cmd_invariants}[args.command]
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "section":
-            return cmd_section(args)
-        if args.command == "invariants":
-            return cmd_invariants(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed stdout then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (mfhess verify | head -1): point stdout
+        # at devnull, so that the flush at exit has somewhere to go
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass    # a stdout with no file descriptor
+        return _error("stdout was closed before the output was written")
     except Exception as exc:
         if not hasattr(exc, "build_stage"):
             raise
         # build_context failed; verify records that in its report instead
         return _error(f"build failed at stage {exc.build_stage}: "
                       f"{type(exc).__name__}: {exc}")
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

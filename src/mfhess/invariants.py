@@ -30,9 +30,13 @@ equation has integer coefficients (scaling an equation leaves the kernel
 unchanged), and linalg.sparse_kernel solves them by fraction-free
 elimination, taking over the fresh rows, and returns the kernel as integer
 numerators over one denominator.  One derivation routine (_derivation)
-applies a raising operator's table to packed monomials: it builds the
-solver's equations and the invariance test of meets_solver_conditions,
-which re-checks a cached family.
+applies a raising operator's packed table to a whole list of packed
+monomials in one loop, writing straight into the target rows {image
+monomial: {column: c}}.  Those rows are the solver's equations.  On a
+polynomial's own monomials, with each multiplicity scaled by its numerator,
+each row sums to one coefficient of the image that the invariance test of
+meets_solver_conditions (the re-check of a cached family) requires to
+vanish.
 
 New generators are the kernel vectors that survive modulo products of
 lower-degree generators, in kernel order, normalized to primitive integer
@@ -57,12 +61,12 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, repeat
 from operator import mul
 
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
-from .polyring import CompiledPolys, Poly, _mul_packed, _pack, _packing, _unpack
+from .polyring import CompiledPolys, Poly, _mul_packed, _packing, _unpack
 from .rational import R1, clear, denominator_lcm, scaled
 from .rootdata import RootSystem, UnsupportedType
 
@@ -232,17 +236,25 @@ def _packed_action(action: list, unit: list) -> list:
             for k, lin in enumerate(action)]
 
 
-def _derivation(action: list, packed: int, support) -> list:
-    """The image of the monomial x^e under the derivation sum_k form_k d/dx_k
-    of one raising operator (action from _packed_action): the unmerged
-    terms (packed target, e_k * c_j)."""
-    out = []
-    for k, ek in support:
-        lin = action[k]
-        if lin is not None:
-            for delta, cj in lin:
-                out.append((packed + delta, ek * cj))
-    return out
+def _derivation(action: list, monos: list) -> dict:
+    """The derivation sum_k form_k d/dx_k of one raising operator (action
+    from _packed_action) applied to each packed monomial of monos (pairs
+    (packed, support), as _zero_weight_monomials gives them), in one loop:
+    {image monomial: {i: c}}, c the coefficient of that image monomial in
+    the image of monos[i], each row's keys ascending.  Each multiplicity e_k
+    of a support enters only as a factor of the coefficients it gives."""
+    rows: dict = {}
+    for col, (e, support) in enumerate(monos):
+        for k, ek in support:
+            lin = action[k]
+            if lin is not None:
+                for delta, cj in lin:
+                    row = rows.get(e + delta)
+                    if row is None:
+                        rows[e + delta] = {col: ek * cj}
+                    else:
+                        row[col] = row.get(col, 0) + ek * cj
+    return rows
 
 
 def invariant_space_dimension(degrees, d: int) -> int:
@@ -274,17 +286,13 @@ def simple_root_vectors(L: LieAlgebra) -> list:
 def _equations(tables: list, monos: list, unit: list) -> list:
     """The solver's equations on the packed monomials (the pairs of
     _zero_weight_monomials, one column each): one fresh sparse integer row
-    {column: c} per raising operator and image monomial, in the order of
-    (operator, image exponent)."""
+    {column: c} per raising operator and image monomial (_derivation), in
+    the order of (operator, image exponent)."""
     equations = []
     for action in tables:
-        action = _packed_action(action, unit)
-        rows: dict = {}
-        for col, (e, support) in enumerate(monos):
-            for tgt, c in _derivation(action, e, support):
-                row = rows.setdefault(tgt, {})
-                row[col] = row.get(col, 0) + c
+        rows = _derivation(_packed_action(action, unit), monos)
         equations.extend(rows[tgt] for tgt in sorted(rows))
+        del rows    # freed before the next operator's rows are built
     return equations
 
 
@@ -370,10 +378,12 @@ def meets_solver_conditions(L: LieAlgebra, fam: InvariantFamily) -> bool:
     operators alone do not: x_k^2 for the lowest root vector's coordinate is
     killed by all of them.  The weight test reads the packed weight codes of
     the solver's enumeration (_weight_codes).  The raising-operator test
-    applies the solver's own derivation (_action_tables, the rows of ad z;
-    by invariance of the Killing form {(z, .), x_k} = -(ad z . x)_k) to the
-    integer numerators of p.  The independence test ranks the integer rows
-    of the packed products and polynomials.
+    applies the solver's own derivation (_derivation on the rows of ad z,
+    _action_tables; by invariance of the Killing form {(z, .), x_k} =
+    -(ad z . x)_k) to the monomials of p with their multiplicities scaled
+    by the integer numerators of p, so that each row sums to one image
+    coefficient.  The independence test ranks the integer rows of the
+    packed products and polynomials.
     """
     if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
         return False
@@ -385,26 +395,29 @@ def meets_solver_conditions(L: LieAlgebra, fam: InvariantFamily) -> bool:
     for p, d in zip(fam.polys, fam.degrees):
         codes = _weight_codes(L, d)
         unit, _ = _packing(L.dim, d)
-        terms = [(_pack(e, unit), c) for e, c in p.nums.items()]
-        packed.append({e: c for (e, _), c in terms})
-        if any(sum(ek * codes[k] for k, ek in support) for (_, support), _ in terms):
+        if any(sum(map(mul, e, codes)) for e in p.nums):
             return False
+        terms = p.nums.items()
+        packed.append({sum(map(mul, e, unit)): c for e, c in terms})
+        # _derivation reads each e_k only as a factor: with the supports
+        # scaled by the numerators, each row sums to one image coefficient
+        monos = [(q, tuple([(k, c * ek) for k, ek in compress(enumerate(e), e)]))
+                 for q, (e, c) in zip(packed[-1], terms)]
         for action in tables:
-            action = _packed_action(action, unit)
-            image: dict = {}
-            for (e, support), c in terms:
-                for tgt, v in _derivation(action, e, support):
-                    image[tgt] = image.get(tgt, 0) + c * v
-            if any(image.values()):
+            image = _derivation(_packed_action(action, unit), monos)
+            if any(map(sum, map(dict.values, image.values()))):
                 return False
     for d in sorted(set(fam.degrees)):
         unit, _ = _packing(L.dim, d)
         rows = [prod for _, prod in _packed_products(fam.polys, fam.degrees, d, unit)]
         ndec = len(rows)
         rows += [terms for terms, dd in zip(packed, fam.degrees) if dd == d]
-        cols = sorted({e for row in rows for e in row})
-        mat = [[row.get(e, 0) for e in cols] for row in rows]
-        if linalg.rank(mat) != linalg.rank(mat[:ndec]) + len(rows) - ndec:
+        cols = set().union(*rows)   # any column order gives the same rank
+        mat = [[*map(row.get, cols, repeat(0))] for row in rows]
+        # rank(mat) <= rank(mat[:ndec]) + len(rows) - ndec <= len(rows), so a
+        # full rank needs no second rank
+        full = linalg.rank(mat)
+        if full != len(rows) and full != linalg.rank(mat[:ndec]) + len(rows) - ndec:
             return False
     return True
 

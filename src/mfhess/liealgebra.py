@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import factorial
 
 from . import linalg
@@ -98,6 +99,17 @@ class LieAlgebra:
                 cols[b][a] = shared.setdefault(ints, ints)
         self.int_table = (scale, cols)
         self.int_killing = clear_rows(self.killing)
+
+    @cached_property
+    def signature(self) -> str:
+        """The hash of signature_hash, on first read: the cache paths and
+        convention checks of one build read it several times."""
+        items = [repr(self.rs.cartan.entries), repr(self.rs.positive_roots)]
+        for key in sorted(self.table):
+            row = self.table[key]
+            items.append(f"{key}:" + ",".join(f"{c}={rat_str(v)}"
+                                              for c, v in sorted(row.items())))
+        return hashlib.sha256("|".join(items).encode()).hexdigest()[:16]
 
     def check_vector(self, x) -> None:
         if len(x) != self.dim:
@@ -478,15 +490,9 @@ def validate_algebra(L: LieAlgebra) -> list:
 
 
 def signature_hash(L: LieAlgebra) -> str:
-    """Hash of the sign/ordering conventions baked into the structure constants."""
-    items = []
-    items.append(repr(L.rs.cartan.entries))
-    items.append(repr(L.rs.positive_roots))
-    for key in sorted(L.table):
-        row = L.table[key]
-        items.append(f"{key}:" + ",".join(f"{c}={rat_str(v)}" for c, v in sorted(row.items())))
-    blob = "|".join(items).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Hash of the sign/ordering conventions baked into the structure
+    constants: LieAlgebra.signature, computed once per algebra."""
+    return L.signature
 
 
 @dataclass

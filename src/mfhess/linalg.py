@@ -26,8 +26,9 @@ frame of hessenberg both take it.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
-from .rational import R0, R1, clear, over, rat
+from .rational import R0, R1, all_ints, clear, over, rat
 
 
 def zeros(n: int) -> list:
@@ -244,30 +245,36 @@ def _echelon(rows: list) -> dict:
     becomes a pivot and is cleared from the earlier pivot rows that hold it,
     found through a column index rather than a scan.  So every pivot row is
     zero at every other pivot column.  Each reduction is one integer row
-    operation and a division by the content (_reduce_at): every row stays
-    primitive and proportional to the row that rational elimination holds
-    at the same step.
+    operation (_reduce_at), and the content is divided out (_primitive) only
+    where a row becomes a pivot and where a pivot row is reduced: every
+    pivot row is primitive and proportional to the row that rational
+    elimination holds at the same step, so it is fixed up to sign by the
+    row space, and sparse_kernel's (basis, den) by the rows in any order.
 
     The row order sets only the cost.  A reduced row is zero at every pivot
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
 
-    The rows are the caller's fresh dicts, taken over and reduced in place:
-    a row of ints is used as it is, a rational row is overwritten with its
-    cleared numerators (rational.clear), and zero entries are deleted.
+    The rows are the caller's fresh dicts, taken over and reduced in place.
+    A system of nonzero ints, as the invariant solve's equations are, is
+    used as it is after one C-level pass over its entries; otherwise a
+    rational row is overwritten with its cleared numerators (rational.clear)
+    and zero entries are deleted.  A row that reduces to zero is released
+    (set to None in the list), so the elimination holds only the rows still
+    to come and the pivot rows.
     """
-    order = []
-    for idx, row in enumerate(rows):
-        vals = row.values()
-        ints, _ = clear(vals)
-        if ints is not vals:    # a rational row: its cleared numerators
-            row.update(zip(list(row), ints))
-        if 0 in vals:
-            for j in [j for j, c in row.items() if not c]:
-                del row[j]
-        if row:
-            order.append((-min(row), len(row), idx))
-    order.sort()
+    values = [*chain.from_iterable(map(dict.values, rows))]
+    if not all_ints(values) or 0 in values:     # one pass over a system of nonzero ints
+        for row in rows:
+            vals = row.values()
+            ints, _ = clear(vals)
+            if ints is not vals:    # a rational row: its cleared numerators
+                row.update(zip(list(row), ints))
+            if 0 in vals:
+                for j in [j for j, c in row.items() if not c]:
+                    del row[j]
+    del values      # not held through the elimination
+    order = sorted((-min(row), len(row), idx) for idx, row in enumerate(rows) if row)
     pivots: dict[int, dict] = {}
     holders: dict[int, set] = {}    # column -> pivots whose rows are nonzero there
     for _, _, idx in order:
@@ -277,11 +284,14 @@ def _echelon(rows: list) -> dict:
         for c in sorted(row.keys() & pivots.keys()):
             _reduce_at(row, pivots[c], c)
         if not row:
+            rows[idx] = None    # released: most rows of a graded system end here
             continue
+        _primitive(row)     # the content is divided out once, as the row becomes a pivot
         c0 = min(row)
         for pc in holders.pop(c0, ()):
             prow = pivots[pc]
             _reduce_at(prow, row, c0)
+            _primitive(prow)
             # the reduction changes prow only at the columns of row
             for j in row:
                 if j in prow:
@@ -295,21 +305,32 @@ def _echelon(rows: list) -> dict:
 
 
 def _reduce_at(row: dict, piv: dict, c: int) -> None:
-    """In place, row := ((p/g) row - (a/g) piv) / content, a = row[c],
-    p = piv[c], g = gcd(a, p): zero at c, and proportional to
-    row - (a/p) piv."""
+    """In place, row := (p/g) row - (a/g) piv, a = row[c], p = piv[c],
+    g = gcd(a, p): zero at c, and (p/g) (row - (a/p) piv).  A pivot entry
+    of 1 needs neither g nor the scaling.  The content stays: a row that
+    reduces to zero never needs it divided out, and _echelon divides it out
+    of a row that becomes or stays a pivot (_primitive).  Divided out
+    later, it leaves the same primitive row, since every later step scales
+    the result by a positive factor only."""
     a, p = row[c], piv[c]
-    g = math.gcd(a, p)
-    s, t = p // g, a // g
-    if s != 1:
-        for j in row:
-            row[j] *= s
+    if p == 1:
+        t = a
+    else:
+        g = math.gcd(a, p)
+        s, t = p // g, a // g
+        if s != 1:
+            for j in row:
+                row[j] *= s
     for j, v in piv.items():
         nv = row.get(j, 0) - t * v
         if nv:
             row[j] = nv
         else:
             del row[j]
+
+
+def _primitive(row: dict) -> None:
+    """In place, row := row / content."""
     g = math.gcd(*row.values())
     if g > 1:
         for j in row:

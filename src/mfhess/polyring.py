@@ -59,15 +59,16 @@ by this rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .rational import R0, R1, clear, clear_rows, over, rat, rat_str, to_rat
+from .rational import (R0, R1, all_ints, clear, clear_rows, over, parse_ratio, rat, rat_str,
+                       to_rat)
 
 
-_INT = {int}
+_STR_INT = {str, int}
 _EXACT = {int, type(R0)}
 
 
@@ -143,11 +144,10 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.nums), default=-1)
+        return max(map(sum, self.nums), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.nums}
-        return len(degs) <= 1
+        return len({*map(sum, self.nums)}) <= 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
@@ -245,12 +245,19 @@ class Poly:
     # -- serialization ---------------------------------------------------
     def to_payload(self) -> list:
         """[exponent list, coefficient string] per term, in (degree,
-        exponent) order; each string is the rat_str of the coefficient,
-        num/den reduced by one gcd."""
-        den = self.den
+        exponent) order, which is exponent order for a homogeneous
+        polynomial; each string is the rat_str of the coefficient, num/den
+        reduced by one gcd (none when den is 1)."""
+        nums, den = self.nums, self.den
+        if self.is_homogeneous():
+            keys = sorted(nums)
+        else:
+            keys = sorted(nums, key=lambda e: (sum(e), e))
+        if den == 1:
+            return [[list(e), str(nums[e])] for e in keys]
         out = []
-        for e in sorted(self.nums, key=lambda e: (sum(e), e)):
-            c = self.nums[e]
+        for e in keys:
+            c = nums[e]
             g = gcd(c, den)
             out.append([list(e), str(c // g) if g == den else f"{c // g}/{den // g}"])
         return out
@@ -259,28 +266,25 @@ class Poly:
     def from_payload(cls, n: int, payload) -> "Poly":
         """The inverse of to_payload; ValueError unless every exponent vector
         holds n nonnegative ints (of type int: no bool, float or string is
-        coerced).  Each distinct coefficient string is parsed once, to its
-        numerator and denominator."""
-        terms = {}
-        parsed: dict = {}
-        for e, c in payload:
-            e = tuple(e)
-            if len(e) != n or not {*map(type, e)} <= _INT or min(e, default=0) < 0:
-                raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
-            if type(c) is str:
-                r = parsed.get(c)
-                if r is None:
-                    r = to_rat(c)
-                    r = parsed[c] = (int(r.numerator), int(r.denominator))
-            else:
-                r = to_rat(c)
-                r = (int(r.numerator), int(r.denominator))
-            terms[e] = r
-        den = 1
-        for _, d in terms.values():
-            if d != 1:
-                den = lcm(den, d)
-        return cls.from_ints(n, {e: c * (den // d) for e, (c, d) in terms.items()}, den)
+        coerced) and every coefficient string is "p" or "p/q" with q != 0.
+        The checks run over the whole payload at once, and each distinct
+        coefficient string or int is read once, straight to its numerator
+        and denominator (rational.parse_ratio); an exact rational goes
+        through to_rat, which refuses a bool or a float."""
+        exps = [tuple(e) for e, _ in payload]
+        if ({*map(len, exps)} - {n} or not all_ints(chain.from_iterable(exps))
+                or min(chain.from_iterable(exps), default=0) < 0):
+            bad = next(e for e in exps
+                       if len(e) != n or not all_ints(e) or min(e, default=0) < 0)
+            raise ValueError(f"exponent vector {list(bad)} is not {n} nonnegative ints")
+        coeffs = [c for _, c in payload]
+        if {*map(type, coeffs)} <= _STR_INT:     # no bool can meet an equal int here
+            memo = {c: parse_ratio(c) if type(c) is str else (c, 1) for c in {*coeffs}}
+            ratios = [*map(memo.__getitem__, coeffs)]
+        else:
+            ratios = [(int(r.numerator), int(r.denominator)) for r in map(to_rat, coeffs)]
+        den = lcm(*{d for _, d in ratios})
+        return cls.from_ints(n, dict(zip(exps, [c * (den // d) for c, d in ratios])), den)
 
 
 def coefficient_rows(polys, columns=None) -> list:

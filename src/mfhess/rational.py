@@ -33,6 +33,7 @@ except ImportError:
 R0 = rat(0)
 R1 = rat(1)
 _RAT = type(R0)
+_INT = {int}
 
 
 def to_rat(x):
@@ -48,14 +49,22 @@ def to_rat(x):
     if isinstance(x, int):
         return rat(x)
     if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return rat(int(num), int(den))
-        return rat(int(s))
+        return rat(*parse_ratio(x))
     if isinstance(x, Fraction):
         return rat(x.numerator, x.denominator)
     return rat(x)
+
+
+def parse_ratio(s: str) -> tuple:
+    """A "p" or "p/q" string as the ints (p, q), q > 0 and 1 for "p", not
+    reduced; ValueError for any other string, a zero q among them."""
+    num, slash, den = s.partition("/")
+    if not slash:
+        return int(s), 1
+    num, den = int(num), int(den)
+    if not den:
+        raise ValueError(f"zero denominator in {s!r}")
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def rat_str(x) -> str:
@@ -76,11 +85,17 @@ def scaled(c, scale: int) -> int:
     return int(c.numerator) * (scale // int(c.denominator))
 
 
+def all_ints(vec) -> bool:
+    """Whether every element is of type int (no bool), read at C level, not
+    by a Python generator."""
+    return {*map(type, vec)} <= _INT
+
+
 def clear(vec) -> tuple:
     """A vector of rationals or ints as (numerators, den): den the LCM of its
-    denominators and numerators the ints den * vec.  A vector of ints is
-    returned as it is, with den 1 and no LCM taken."""
-    if all(type(c) is int for c in vec):
+    denominators and numerators the ints den * vec.  A vector of ints
+    (all_ints) is returned as it is, with den 1 and no LCM taken."""
+    if all_ints(vec):
         return vec, 1
     den = 1
     for c in vec:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -135,12 +136,50 @@ def reference_payload(p):
     return [[list(e), rat_str(c)] for e, c in items]
 
 
+def reference_int_payload(p):
+    """Poly.to_payload before its fast paths: every polynomial sorted by
+    (degree, exponent), and a gcd taken per term whatever den is."""
+    out = []
+    for e in sorted(p.nums, key=lambda e: (sum(e), e)):
+        c = p.nums[e]
+        g = math.gcd(c, p.den)
+        out.append([list(e), str(c // g) if g == p.den else f"{c // g}/{p.den // g}"])
+    return out
+
+
+def reference_from_payload(n, payload):
+    """Poly.from_payload before it parsed strings itself: each exponent
+    vector checked on its own, and each distinct coefficient string made a
+    rational by to_rat."""
+    terms = {}
+    parsed = {}
+    for e, c in payload:
+        e = tuple(e)
+        if len(e) != n or not {*map(type, e)} <= {int} or min(e, default=0) < 0:
+            raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
+        if type(c) is str:
+            r = parsed.get(c)
+            if r is None:
+                r = to_rat(c)
+                r = parsed[c] = (int(r.numerator), int(r.denominator))
+        else:
+            r = to_rat(c)
+            r = (int(r.numerator), int(r.denominator))
+        terms[e] = r
+    den = 1
+    for _, d in terms.values():
+        if d != 1:
+            den = math.lcm(den, d)
+    return Poly.from_ints(n, {e: c * (den // d) for e, (c, d) in terms.items()}, den)
+
+
 @pytest.fixture(scope="session")
 def reference_poly():
-    """The Fraction route of the Poly representation: its terms, _unpack and
-    to_payload."""
+    """The Fraction route of the Poly representation (its terms, _unpack and
+    to_payload), and the integer payload routes before their fast paths."""
     return SimpleNamespace(terms=reference_terms, unpack=reference_unpack,
-                           payload=reference_payload)
+                           payload=reference_payload, int_payload=reference_int_payload,
+                           from_payload=reference_from_payload)
 
 
 def reference_pair_table(ctx):
@@ -719,6 +758,81 @@ def reference_invariant_equations(L, ctx, monos):
     return equations
 
 
+def reference_monomial_derivation(action, packed, support):
+    """invariants._derivation before it took a whole monomial list: the
+    image of one packed monomial, as the unmerged terms (packed target,
+    e_k * c_j)."""
+    out = []
+    for k, ek in support:
+        lin = action[k]
+        if lin is not None:
+            for delta, cj in lin:
+                out.append((packed + delta, ek * cj))
+    return out
+
+
+def reference_packed_equations(tables, monos, unit):
+    """invariants._equations with one derivation list per monomial, merged
+    into the target rows."""
+    equations = []
+    for action in tables:
+        action = invariants._packed_action(action, unit)
+        rows = {}
+        for col, (e, support) in enumerate(monos):
+            for tgt, c in reference_monomial_derivation(action, e, support):
+                row = rows.setdefault(tgt, {})
+                row[col] = row.get(col, 0) + c
+        equations.extend(rows[tgt] for tgt in sorted(rows))
+    return equations
+
+
+def reference_solver_conditions(L, fam):
+    """meets_solver_conditions with the image loop it had: each term's
+    derivation list accumulated into one image per raising operator, the
+    weight summed over the support, and two dense ranks over the sorted
+    columns at every degree."""
+    if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
+        return False
+    if any(not p.is_homogeneous() or p.degree() != d
+           for p, d in zip(fam.polys, fam.degrees)):
+        return False
+    tables = invariants._action_tables(L)
+    packed = []
+    for p, d in zip(fam.polys, fam.degrees):
+        codes = invariants._weight_codes(L, d)
+        unit, _ = _packing(L.dim, d)
+        terms = [(_pack(e, unit), c) for e, c in p.nums.items()]
+        packed.append({e: c for (e, _), c in terms})
+        if any(sum(ek * codes[k] for k, ek in support) for (_, support), _ in terms):
+            return False
+        for action in tables:
+            action = invariants._packed_action(action, unit)
+            image = {}
+            for (e, support), c in terms:
+                for tgt, v in reference_monomial_derivation(action, e, support):
+                    image[tgt] = image.get(tgt, 0) + c * v
+            if any(image.values()):
+                return False
+    for d in sorted(set(fam.degrees)):
+        unit, _ = _packing(L.dim, d)
+        rows = [prod for _, prod in invariants._packed_products(fam.polys, fam.degrees, d, unit)]
+        ndec = len(rows)
+        rows += [terms for terms, dd in zip(packed, fam.degrees) if dd == d]
+        cols = sorted({e for row in rows for e in row})
+        mat = [[row.get(e, 0) for e in cols] for row in rows]
+        if linalg.rank(mat) != linalg.rank(mat[:ndec]) + len(rows) - ndec:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def reference_derivation():
+    """The per-monomial derivation route: the solver's equations and the
+    cache re-check built on it."""
+    return SimpleNamespace(equations=reference_packed_equations,
+                           conditions=reference_solver_conditions)
+
+
 @pytest.fixture(scope="session")
 def reference_equations():
     """The invariance equations under the 2l simple root vectors, and the
@@ -846,14 +960,24 @@ def reference_exp_ad_nilpotent(L, z, v):
         out = [o + scale * c for o, c in zip(out, cur)]
 
 
+def reference_signature_hash(L):
+    """liealgebra.signature_hash as it was computed on every call."""
+    items = [repr(L.rs.cartan.entries), repr(L.rs.positive_roots)]
+    for key in sorted(L.table):
+        row = L.table[key]
+        items.append(f"{key}:" + ",".join(f"{c}={rat_str(v)}" for c, v in sorted(row.items())))
+    return hashlib.sha256("|".join(items).encode()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="session")
 def reference_lie():
     """The Fraction Lie layer: bracket, ad, killing_pair, check 2 and the
-    exponential series."""
+    exponential series; and the convention hash computed on each call."""
     return SimpleNamespace(bracket=reference_lie_bracket, ad=reference_ad,
                            killing_pair=reference_killing_pair,
                            validate=reference_validate_algebra,
-                           exp=reference_exp_ad_nilpotent)
+                           exp=reference_exp_ad_nilpotent,
+                           signature=reference_signature_hash)
 
 
 def reference_killing_matrix(L):

@@ -185,6 +185,21 @@ def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
     assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple) is None
 
 
+@pytest.mark.parametrize("field", ["coefficient", "y"])
+def test_family_cache_with_a_zero_denominator_is_a_miss(tmp_path, bundles, field):
+    B = bundles("A2")
+    path = save_family_cache(str(tmp_path), "A2", 42, B.family)
+    with open(path) as fh:
+        payload = json.load(fh)
+    if field == "y":
+        payload["y"][0] = "1/0"
+    else:
+        payload["entries"][-1]["poly"][0][1] = "1/0"
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple) is None
+
+
 @pytest.mark.parametrize("label", [B3, C3, A4, "G2"])
 def test_cache_files_match_the_fraction_reference_bytes(tmp_path, bundles, reference_poly,
                                                        label):

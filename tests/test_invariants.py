@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -164,6 +165,80 @@ def test_action_tables_are_negated_coordinate_brackets(algebras, reference_equat
     for z, table in zip(vectors, invariants._action_tables(L)):
         ref = reference_equations.forms(L, ctx, z)
         assert table == [None if f is None else [(j, -c) for j, c in f] for f in ref]
+
+
+EQUATION_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4")
+
+
+@pytest.mark.parametrize("label", EQUATION_TYPES)
+def test_equations_match_the_per_monomial_route(algebras, reference_derivation, label):
+    """_derivation on the whole monomial list writes the rows that one
+    derivation list per monomial merges into, operator by operator, at
+    every invariant degree, each row with its columns ascending."""
+    L = algebras(label)
+    tables = invariants._action_tables(L)
+    for d in sorted(set(L.rs.degrees)):
+        monos = _zero_weight_monomials(L, d)
+        unit, _ = polyring._packing(L.dim, d)
+        for i, table in enumerate(tables):
+            ours = invariants._equations([table], monos, unit)
+            assert ours == reference_derivation.equations([table], monos, unit), (d, i)
+            assert all(list(row) == sorted(row) for row in ours), (d, i)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "A4"])
+def test_invariant_systems_have_primitive_pivot_rows(algebras, label):
+    """Each type's degree-2 system has a fresh row that no pivot reduces and
+    that has content ({0: 2, 14: -2} on B3 and C3); every pivot row of
+    _echelon is primitive, that one included, at every degree."""
+    L = algebras(label)
+    tables = invariants._action_tables(L)
+    for d in sorted(set(L.rs.degrees)):
+        monos = _zero_weight_monomials(L, d)
+        unit, _ = polyring._packing(L.dim, d)
+        pivots = linalg._echelon(invariants._equations(tables, monos, unit))
+        assert all(math.gcd(*q.values()) == 1 for q in pivots.values()), d
+
+
+def _planted_families(L, fam):
+    """The solved family, a rescaled copy, and copies planted with a defect
+    that each condition of meets_solver_conditions must see."""
+    n = L.dim
+    polys, degrees = list(fam.polys), fam.degrees
+    x0x1 = Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
+    h = Poly.coordinate(n, L.cartan_indices[0])
+    heights = [sum(r) for r in L.rs.positive_roots]
+    lowest = Poly.coordinate(n, L.neg_indices[heights.index(max(heights))])
+    out = {
+        "solved": fam,
+        "rescaled": InvariantFamily([p.scale(rat(-2, 3)) for p in polys], degrees),
+        "x0*x1 on the quadratic": InvariantFamily([polys[0] + x0x1] + polys[1:], degrees),
+        "lowest root squared": InvariantFamily([polys[0] + lowest * lowest] + polys[1:],
+                                               degrees),
+        "Cartan power on the top": InvariantFamily(polys[:-1] + [polys[-1] + h ** degrees[-1]],
+                                                   degrees),
+        "wrong degrees": InvariantFamily(polys, degrees[:-1] + (degrees[-1] + 1,)),
+        "inhomogeneous": InvariantFamily([polys[0] + h] + polys[1:], degrees),
+    }
+    if degrees[-1] % 2 == 0 and degrees[-1] > 2:
+        out["decomposable top"] = InvariantFamily(
+            polys[:-1] + [polys[0] ** (degrees[-1] // 2)], degrees)
+    return out
+
+
+@pytest.mark.parametrize("label", EQUATION_TYPES)
+def test_solver_conditions_match_the_image_route(algebras, reference_derivation, label):
+    """meets_solver_conditions gives the verdict of the per-term image loop
+    on the solved family and on every planted family, the tampered A2 cache
+    family (x0*x1 on the quadratic) among them."""
+    L = algebras(label)
+    fam = invariant_generators(L)
+    verdicts = {name: meets_solver_conditions(L, f)
+                for name, f in _planted_families(L, fam).items()}
+    assert verdicts == {name: reference_derivation.conditions(L, f)
+                        for name, f in _planted_families(L, fam).items()}
+    assert verdicts["solved"] and verdicts["rescaled"]
+    assert not any(v for name, v in verdicts.items() if name not in ("solved", "rescaled"))
 
 
 def test_solver_conditions_reject_raising_killed_term_of_nonzero_weight(bundles):
@@ -443,6 +518,18 @@ def test_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles, malformed_e
     with open(path) as fh:
         payload = json.load(fh)
     malformed_exponents(payload["polys"][0])
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert load_family(str(tmp_path), "A2", B.L) is None
+
+
+@pytest.mark.parametrize("coefficient", ["1/0", "-3/0", "0/0"])
+def test_cache_with_a_zero_denominator_is_a_miss(tmp_path, bundles, coefficient):
+    B = bundles("A2")
+    path = save_family(str(tmp_path), "A2", B.L, B.inv)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["polys"][1][-1][1] = coefficient
     with open(path, "w") as fh:
         json.dump(payload, fh)
     assert load_family(str(tmp_path), "A2", B.L) is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mfhess import linalg
 from mfhess.argshift import gradient_span
 from mfhess.liealgebra import (DimensionMismatch, exp_ad_nilpotent, is_regular,
-                               principal_triple, ut_action, validate_algebra)
+                               principal_triple, signature_hash, ut_action, validate_algebra)
 from mfhess.rational import clear, factorial_rat, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -291,3 +292,25 @@ def test_validate_algebra_matches_reference_on_planted_tables(algebras, referenc
     bad = _planted(algebras(label), kind)
     got = validate_algebra(bad)
     assert got and got == reference_lie.validate(bad)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
+def test_signature_hash_is_computed_once_per_algebra(algebras, reference_lie, monkeypatch,
+                                                     label):
+    """signature_hash gives the hash it gave when computed on every call,
+    and hashes once per algebra; a copy with a changed table hashes anew."""
+    L = algebras(label)
+    want = reference_lie.signature(L)
+    key = min(L.table)
+    table = dict(L.table)
+    table[key] = {c: 2 * v for c, v in table[key].items()}
+    planted = replace(L, table=table)
+    want_planted = reference_lie.signature(planted)
+    fresh = replace(L)
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda blob: calls.append(blob) or sha256(blob))
+    assert [signature_hash(fresh) for _ in range(3)] == [want] * 3
+    assert len(calls) == 1
+    assert signature_hash(planted) == want_planted != want
+    assert len(calls) == 2

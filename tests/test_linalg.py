@@ -1,3 +1,6 @@
+import math
+import random
+
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
@@ -128,6 +131,43 @@ def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
     assert [over(row, den) for row in basis] == reference_kernel(rows, ncols)
     assert linalg.kernel([[r.get(j, 0) for j in range(ncols)] for r in rows],
                          ncols) == reference_kernel(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.randoms(use_true_random=False))
+@example(([{0: 2, 1: -2}], 2), random.Random(0))
+@example(([{0: 1, 1: 1}, {0: 2, 1: 6}], 3), random.Random(1))
+@example(([{1: 4, 2: -6}, {0: 3, 1: 2}], 3), random.Random(2))
+def test_pivot_rows_are_primitive_and_the_kernel_ignores_row_order(system, rnd):
+    """Every pivot row of _echelon is primitive, a fresh row that no pivot
+    reduced included, so sparse_kernel returns the same (basis, den) for
+    every permutation of its rows."""
+    rows, ncols = system
+    pivots = linalg._echelon([dict(r) for r in rows])
+    assert all(math.gcd(*q.values()) == 1 for q in pivots.values())
+    want = linalg.sparse_kernel([dict(r) for r in rows], ncols)
+    shuffled = [dict(r) for r in rows]
+    rnd.shuffle(shuffled)
+    assert linalg.sparse_kernel(shuffled, ncols) == want
+
+
+def test_a_fresh_pivot_row_loses_its_content():
+    assert linalg._echelon([{0: 2, 14: -2}]) == {0: {0: 1, 14: -1}}
+    assert linalg.sparse_kernel([{0: 2, 1: -2}], 2) == ([[1, 1]], 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_rows_that_vanish_are_released(system):
+    """_echelon sets each row that reduces to zero to None in its list;
+    every other row is a pivot row or was empty from the start."""
+    rows, ncols = system
+    work = [dict(r) for r in rows]
+    pivots = linalg._echelon(work)
+    held = {id(q) for q in pivots.values()}
+    assert all(r is None or id(r) in held or not r for r in work)
+    nonzero = sum(1 for r in rows if any(r.values()))
+    assert sum(r is None for r in work) == nonzero - len(pivots)
 
 
 def test_vandermonde_solve():

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -575,3 +576,77 @@ def test_gram_inverse_rejects_a_singular_block(algebras):
                for i, row in enumerate(L.killing)]
     with pytest.raises(ValueError, match="singular"):
         GradientContext(replace(L, killing=killing))
+
+
+# every label and G2, and inline B3, C3, A4 and D4
+PAYLOAD_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + (
+    B3, "[[2,-1,0],[-1,2,-2],[0,-1,2]]", "[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]",
+    "[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]")
+
+
+@pytest.mark.parametrize("label", PAYLOAD_TYPES)
+def test_payloads_match_the_route_before_the_fast_paths(bundles, reference_poly, label):
+    """For every invariant and family member, to_payload writes the bytes of
+    the (degree, exponent) sort with a gcd per term, and from_payload reads
+    them back to the polynomial that the to_rat route reads."""
+    B = bundles(label)
+    for p in list(B.inv.polys) + B.family.qs:
+        text = json.dumps(p.to_payload())
+        assert text == json.dumps(reference_poly.int_payload(p))
+        payload = json.loads(text)
+        assert Poly.from_payload(p.n, payload) == reference_poly.from_payload(p.n, payload) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_strategy(4, max_deg=4, max_terms=6, coeffs=mixed))
+@example(Poly(4, {(1, 0, 0, 0): rat(1, 2), (0, 2, 0, 0): rat(-1, 3), (0, 0, 0, 0): rat(5)}))
+@example(Poly(4, {(0, 1, 1, 0): rat(3, 4), (2, 0, 0, 0): rat(1, 6)}))
+def test_payload_fast_paths_match_on_any_poly(reference_poly, p):
+    """The same on polynomials that are not homogeneous or have den > 1."""
+    payload = p.to_payload()
+    assert payload == reference_poly.int_payload(p)
+    assert Poly.from_payload(4, payload) == reference_poly.from_payload(4, payload) == p
+
+
+@pytest.mark.parametrize("payload", [
+    [[[1, 0], "2/4"], [[0, 1], "1/-2"], [[1, 0], "-3"]],
+    [[[0, 2], 6], [[1, 1], "6/9"], [[2, 0], " -5/10 "]],
+    [[[0, 0], "0"], [[1, 0], "0/7"]],
+    [[[1, 0], rat(3, 9)], [[0, 1], "1/3"]],
+    [],
+])
+def test_from_payload_reads_what_the_to_rat_route_reads(reference_poly, payload):
+    """Unreduced strings, a negative denominator, a repeated exponent (the
+    last term wins), ints, zeros and exact rationals."""
+    p = Poly.from_payload(2, payload)
+    canonical_form = reference_poly.from_payload(2, payload)
+    assert (p.nums, p.den) == (canonical_form.nums, canonical_form.den)
+
+
+def test_from_payload_rejects_the_malformed_exponents_of_the_reference(
+        bundles, reference_poly, malformed_exponents):
+    """A bool, float or string exponent, a wrong length and a negative
+    exponent: both routes raise the same ValueError."""
+    payload = bundles("A2").inv.polys[0].to_payload()
+    malformed_exponents(payload)
+    with pytest.raises(ValueError) as ours:
+        Poly.from_payload(8, payload)
+    with pytest.raises(ValueError) as theirs:
+        reference_poly.from_payload(8, payload)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("coeff", [True, 1.5, None, [1], "1/0", "-4/0", "0/0", "x", "1/2/3",
+                                   "", "1.5", "/2", "1/"])
+def test_from_payload_rejects_the_malformed_coefficients_of_the_reference(reference_poly,
+                                                                          coeff):
+    """Each malformed coefficient raises the exception type that to_rat
+    raises; a zero denominator is a ValueError, not a ZeroDivisionError."""
+    payload = [[[1, 0, 0], "1/2"], [[0, 1, 0], coeff]]
+    with pytest.raises((ValueError, TypeError)) as ours:
+        Poly.from_payload(3, payload)
+    with pytest.raises((ValueError, TypeError)) as theirs:
+        reference_poly.from_payload(3, payload)
+    assert ours.type is theirs.type
+    if isinstance(coeff, str) and coeff.endswith("/0"):
+        assert ours.type is ValueError

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mfhess.rational import R1, clear, clear_rows, rat, to_rat
+from mfhess.rational import R1, clear, clear_rows, parse_ratio, rat, to_rat
 
 ints = st.integers(-10 ** 6, 10 ** 6)
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -20,6 +20,28 @@ def test_to_rat_coercions():
     assert to_rat(R1) is R1
     for bad in (True, False, 1.5, 2.0):
         with pytest.raises(TypeError):
+            to_rat(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fracs)
+def test_parse_ratio_reads_rat_str(f):
+    num, den = parse_ratio(str(f))
+    assert den > 0 and Fraction(num, den) == f
+
+
+def test_parse_ratio_keeps_the_to_rat_syntax():
+    """"p" and "p/q" with the spaces and signs that int() reads, not
+    reduced, the sign moved to the numerator; a zero denominator, like any
+    other malformed string, is a ValueError in parse_ratio and in to_rat."""
+    assert parse_ratio("7") == (7, 1)
+    assert parse_ratio(" -3/6 ") == (-3, 6)
+    assert parse_ratio("1/-2") == (-1, 2)
+    assert parse_ratio("-4/-6") == (4, 6)
+    for bad in ("1/0", "-5/0", "0/0", "x", "1/2/3", "", "/2", "1/", "1.5"):
+        with pytest.raises(ValueError):
+            parse_ratio(bad)
+        with pytest.raises(ValueError):
             to_rat(bad)
 
 

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -225,6 +226,32 @@ def test_tampered_invariants_cache_is_a_miss_and_rewritten(tmp_path):
     sc2 = build_context(cfg)
     assert sc2.inv.polys == sc1.inv.polys
     assert path.read_text() == good
+
+
+def _zero_denominator(name, text):
+    """A cache file with its first coefficient string made "1/0"."""
+    data = json.loads(text)
+    poly = data["polys"][0] if name.startswith("invariants_") else data["entries"][0]["poly"]
+    poly[0][1] = "1/0"
+    return json.dumps(data)
+
+
+def test_zero_denominator_in_a_cache_is_a_miss_and_rewritten(tmp_path):
+    """A "1/0" coefficient in either cache file is a miss: the build and
+    mfhess invariants succeed and rewrite the file."""
+    cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
+    build_context(cfg)
+    paths = sorted(tmp_path.iterdir())
+    good = [p.read_text() for p in paths]
+    for path, text in zip(paths, good):
+        path.write_text(_zero_denominator(path.name, text))
+        rep = run_suite(cfg)
+        assert rep.checks[0].status != "fail", path.name
+        assert [p.read_text() for p in paths] == good, path.name
+        path.write_text(_zero_denominator(path.name, text))
+        assert main(["invariants", "--type", "A2", "--seed", "5",
+                     "--cache-dir", str(tmp_path)]) == 0, path.name
+        assert [p.read_text() for p in paths] == good, path.name
 
 
 def _with_member(sc, pos, poly):
@@ -696,6 +723,40 @@ def test_python_m_mfhess_runs_the_cli(tmp_path):
     assert main(["verify", "--type", "A1", "--format", "json",
                  "--out", str(tmp_path / "direct.json")]) == 0
     assert (tmp_path / "direct.json").read_text() == out.read_text()
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under mfhess verify | head -1."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+def test_closed_stdout_is_one_error_line_and_exit_2(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main([command, "--type", "A1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: stdout was closed before the output was written\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+def test_python_m_mfhess_with_closed_stdout_exits_2(tmp_path, command):
+    """Through a real pipe with no reader: one stderr line, no traceback,
+    exit 2, also for the invariants output, which fits in the stdout buffer
+    and so fails only when flushed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)   # stdout buffered, as in a plain shell
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mfhess", command, "--type", "A1"],
+                              cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_cli_verify_fail_exit_code(tmp_path):
