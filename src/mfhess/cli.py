@@ -6,9 +6,13 @@
 
 The --type argument accepts a series label (A1, A2, A3, B2, C2, A1xA1, and
 G2 behind --g2) or an inline JSON integer matrix.  MFHESS_CACHE sets the
-default cache directory.  verify exits 0 exactly when no check failed;
-section and invariants exit 2 when the algebra does not build, and every
-command exits 2 when stdout is closed before its output is written.
+default cache directory.  Beyond the common options verify takes only
+--format, --out and --determinism-trials: how many points each check
+samples is a constant of mfhess.verifier (HESS_POINTS and its neighbours),
+and the JSON report is schema report_v4.  verify exits 0 exactly when no
+check failed; section and invariants exit 2 when the algebra does not
+build, and every command exits 2 when stdout is closed before its output
+is written.
 """
 
 from __future__ import annotations
@@ -47,16 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", dest="output_format", choices=("text", "json"),
                    default="text")
     v.add_argument("--out", default=None, help="write the report to this file")
-    v.add_argument("--hess-points", type=int, default=20)
-    v.add_argument("--lagrangian-points", type=int, default=10)
-    v.add_argument("--transversality-points", type=int, default=10)
-    v.add_argument("--regular-points", type=int, default=10)
-    v.add_argument("--roundtrip-points", type=int, default=20)
-    v.add_argument("--slice-points", type=int, default=5)
-    v.add_argument("--membership-samples", type=int, default=8)
     v.add_argument("--determinism-trials", type=int, default=1)
-    v.add_argument("--coeff-bound", type=int, default=5)
-    v.add_argument("--series-order", type=int, default=0)
 
     s = sub.add_parser("section", help="invert the generator value map on the slice")
     _add_common(s)

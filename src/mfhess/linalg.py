@@ -39,10 +39,6 @@ def vec_add(u: list, v: list) -> list:
     return [a + b for a, b in zip(u, v)]
 
 
-def vec_sub(u: list, v: list) -> list:
-    return [a - b for a, b in zip(u, v)]
-
-
 def vec_scale(u: list, c) -> list:
     return [c * a for a in u]
 

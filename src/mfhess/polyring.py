@@ -266,7 +266,8 @@ class Poly:
     def from_payload(cls, n: int, payload) -> "Poly":
         """The inverse of to_payload; ValueError unless every exponent vector
         holds n nonnegative ints (of type int: no bool, float or string is
-        coerced) and every coefficient string is "p" or "p/q" with q != 0.
+        coerced), no exponent vector is named twice, and every coefficient
+        string is "p" or "p/q" with q != 0.
         The checks run over the whole payload at once, and each distinct
         coefficient string or int is read once, straight to its numerator
         and denominator (rational.parse_ratio); an exact rational goes
@@ -284,7 +285,10 @@ class Poly:
         else:
             ratios = [(int(r.numerator), int(r.denominator)) for r in map(to_rat, coeffs)]
         den = lcm(*{d for _, d in ratios})
-        return cls.from_ints(n, dict(zip(exps, [c * (den // d) for c, d in ratios])), den)
+        nums = dict(zip(exps, [c * (den // d) for c, d in ratios]))
+        if len(nums) != len(exps):
+            raise ValueError("the payload names an exponent vector twice")
+        return cls.from_ints(n, nums, den)
 
 
 def coefficient_rows(polys, columns=None) -> list:

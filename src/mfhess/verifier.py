@@ -45,38 +45,34 @@ class RegionExhausted(Exception):
     """Sampling did not produce a point satisfying a region predicate."""
 
 
-SCHEMA = "report_v3"
+SCHEMA = "report_v4"
 GENERATOR_ORDER_RULE = "degree-major, source-invariant ascending within a degree"
 SIGN_RULE = "extraspecial pairs positive, positive roots ordered by height then coordinates"
+
+
+# How many points each sampled check visits and how large the sampled
+# coefficients are; check 11 expands its series to twice the Coxeter number.
+HESS_POINTS = 20            # checks 12 and 13
+LAGRANGIAN_POINTS = 10      # check 14
+TRANSVERSALITY_POINTS = 10  # check 15
+REGULAR_POINTS = 10         # check 4
+ROUNDTRIP_POINTS = 20       # check 10, two round trips each
+SLICE_POINTS = 5            # check 16 and each slice of polarization
+MEMBERSHIP_SAMPLES = 8      # family.membership_samples, per direction
+COEFF_BOUND = 5
 
 
 @dataclass
 class SuiteConfig:
     algebra: str = "A2"
     seed: int = 42
-    hess_points: int = 20
-    lagrangian_points: int = 10
-    transversality_points: int = 10
-    regular_points: int = 10
-    roundtrip_points: int = 20
-    slice_points: int = 5
-    membership_samples: int = 8
     determinism_trials: int = 1
-    coeff_bound: int = 5
-    series_order: int = 0          # 0 means twice the Coxeter number
     enable_g2: bool = False
     cache_dir: str | None = None
 
     def validate(self) -> None:
-        counts = (self.hess_points, self.lagrangian_points, self.transversality_points,
-                  self.regular_points, self.roundtrip_points, self.slice_points,
-                  self.membership_samples, self.determinism_trials)
-        if any(c < 1 for c in counts):
-            raise ValueError("sample counts must be >= 1")
-        if self.coeff_bound < 1:
-            raise ValueError("coefficient bound must be >= 1")
-        if self.series_order < 0:
-            raise ValueError("series order must be >= 0")
+        if self.determinism_trials < 1:
+            raise ValueError("determinism trials must be >= 1")
 
 
 @dataclass
@@ -191,7 +187,7 @@ def build_context(config: SuiteConfig) -> SuiteContext:
             if config.cache_dir:
                 invmod.save_family(config.cache_dir, label, L, inv)
         stage = "family"
-        y = choose_regular_y(L, config.seed, bound=config.coeff_bound)
+        y = choose_regular_y(L, config.seed)
         family = None
         if config.cache_dir:
             family = load_family_cache(config.cache_dir, label, config.seed, L, ctx, triple)
@@ -218,7 +214,7 @@ def _rand_rat(rng: random.Random, bound: int):
 
 
 def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
-                  coeff_bound: int = 5, v0=None) -> list:
+                  v0=None) -> list:
     """Deterministic rational points of "hess" or of the "slice" through v0.
 
     Hess points are re-verified to lie on the slice plane.  Slice points
@@ -230,7 +226,7 @@ def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
     if region == "hess":
         out = []
         for _ in range(count):
-            v = sc.chart.point_from_s([_rand_rat(rng, coeff_bound) for _ in range(sc.family.b)])
+            v = sc.chart.point_from_s([_rand_rat(rng, COEFF_BOUND) for _ in range(sc.family.b)])
             if not point_in_hess(L, sc.triple, v):
                 raise RegionExhausted("the chart produced a point off the slice")
             out.append(v)
@@ -238,7 +234,7 @@ def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
     if region == "slice":
         if v0 is None:
             raise ValueError("slice region needs a base point")
-        return slice_sample(L, v0, count, rng, coeff_bound=min(coeff_bound, 3))
+        return slice_sample(L, v0, count, rng)
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -271,8 +267,7 @@ class SuiteRun:
 
     @cached_property
     def hess_points(self) -> list:
-        return sample_points(self.sc, self.config.seed, "hess", self.config.hess_points,
-                             self.config.coeff_bound)
+        return sample_points(self.sc, self.config.seed, "hess", HESS_POINTS)
 
     def hess_visit(self, i: int) -> GradientVisit:
         if i not in self._visits:
@@ -347,7 +342,7 @@ def check_principal_decomposition(sc: SuiteContext, config: SuiteConfig) -> dict
          "centralizer of the point", 4)
 def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     L, ctx, inv = sc.L, sc.ctx, sc.inv
-    pts = _sample_regular(sc, config.seed, config.regular_points, config.coeff_bound)
+    pts = _sample_regular(sc, config.seed, REGULAR_POINTS, COEFF_BOUND)
     bad = None
     for x in pts:
         grads, den = inv.compiled.int_gradients(ctx, x)
@@ -463,13 +458,13 @@ def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
     F = sc.family
     rng = random.Random(f"{config.seed}:roundtrip")
     bad = None
-    for _ in range(config.roundtrip_points):
-        svals = [_rand_rat(rng, config.coeff_bound) for _ in range(F.b)]
+    for _ in range(ROUNDTRIP_POINTS):
+        svals = [_rand_rat(rng, COEFF_BOUND) for _ in range(F.b)]
         v = chart.point_from_s(svals)
         if hess_section(chart, phi(F, v)) != v:
             bad = {"kind": "section after values", "s": _vec_str(svals)}
             break
-        cvals = [_rand_rat(rng, config.coeff_bound) for _ in range(F.b)]
+        cvals = [_rand_rat(rng, COEFF_BOUND) for _ in range(F.b)]
         w = hess_section(chart, cvals)
         if phi(F, w) != cvals or not point_in_hess(sc.L, sc.triple, w):
             bad = {"kind": "values after section", "c": _vec_str(cvals)}
@@ -477,14 +472,14 @@ def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
     if bad is None and hess_section(chart, phi(F, sc.triple.e1)) != sc.triple.e1:
         bad = {"kind": "base point is not fixed"}
     return {"ok": bad is None,
-            "witness": bad or {"round_trips": 2 * config.roundtrip_points}}
+            "witness": bad or {"round_trips": 2 * ROUNDTRIP_POINTS}}
 
 
 @_record("chart.poincare_series",
          "the degree-wise and layer-wise product forms of the graded series "
          "agree coefficientwise to the truncation order", 11)
 def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
-    order = config.series_order or 2 * sc.rs.coxeter_number
+    order = 2 * sc.rs.coxeter_number
     try:
         ser = poincare_series(sc.rs, order)
     except ValueError as exc:
@@ -538,8 +533,7 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
          "at sampled slice points the lower-nilradical tangents have dimension "
          "n and the orbit form vanishes on them", 14)
 def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig) -> dict:
-    pts = sample_points(sc, config.seed + 1, "hess", config.lagrangian_points,
-                        config.coeff_bound)
+    pts = sample_points(sc, config.seed + 1, "hess", LAGRANGIAN_POINTS)
     for v in pts:
         if not hess_lagrangian_check(sc.L, v):
             return {"ok": False, "witness": {"point": _vec_str(v)}}
@@ -550,8 +544,7 @@ def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig) -> dict:
          "at sampled slice points the Hamiltonian frame and the slice tangents "
          "decompose the orbit tangent space and pair nonsingularly", 15)
 def check_transversality(sc: SuiteContext, config: SuiteConfig) -> dict:
-    pts = sample_points(sc, config.seed + 2, "hess", config.transversality_points,
-                        config.coeff_bound)
+    pts = sample_points(sc, config.seed + 2, "hess", TRANSVERSALITY_POINTS)
     for x in pts:
         res = transversality_check(sc.family, sc.chart, x)
         if not res.passed:
@@ -569,10 +562,9 @@ def check_transversality(sc: SuiteContext, config: SuiteConfig) -> dict:
          "exponential orbit stays in the slice with unchanged invariant values", 16)
 def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
-    base = sample_points(sc, config.seed + 3, "hess", 1, config.coeff_bound)[0]
+    base = sample_points(sc, config.seed + 3, "hess", 1)[0]
     s = orbit_slice(sc.inv, base)
-    pts = [base] + sample_points(sc, config.seed + 4, "slice",
-                                 config.slice_points, config.coeff_bound, v0=base)
+    pts = [base] + sample_points(sc, config.seed + 4, "slice", SLICE_POINTS, v0=base)
     for v in pts:
         if slice_frame(L, L.int_ad(clear(v))).dim != L.n:
             return {"ok": False, "witness": {"point": _vec_str(v),
@@ -615,8 +607,8 @@ def check_membership(sc: SuiteContext, config: SuiteConfig,
     run = run or SuiteRun(sc, config)
 
     def member(members):
-        return mv_membership(sc.ctx, sc.triple, members, config.membership_samples,
-                             config.seed, config.coeff_bound)
+        return mv_membership(sc.ctx, sc.triple, members, MEMBERSHIP_SAMPLES,
+                             config.seed, COEFF_BOUND)
 
     def shifted(u):
         return CompiledPolys(p for _, _, p in shifted_invariants(sc.inv, u))
@@ -639,7 +631,7 @@ def check_membership(sc: SuiteContext, config: SuiteConfig,
 def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
     rng = random.Random(f"{config.seed}:omega")
-    pts = sample_points(sc, config.seed + 5, "hess", 3, config.coeff_bound)
+    pts = sample_points(sc, config.seed + 5, "hess", 3)
     for x in pts:
         cent = linalg.kernel(L.int_ad(clear(x))[0], L.dim)
         z1 = [_rand_rat(rng, 3) for _ in range(L.dim)]
@@ -677,11 +669,11 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
          "transversal pairing on a full 2n-dimensional orbit")
 def check_polarization(sc: SuiteContext, config: SuiteConfig) -> dict:
     bases = [sc.triple.e1]
-    bases += sample_points(sc, config.seed + 6, "hess", 1, config.coeff_bound)
+    bases += sample_points(sc, config.seed + 6, "hess", 1)
     total = 0
     for v0 in bases:
         rep = polarization_report(sc.family, sc.chart, sc.inv, v0,
-                                  config.slice_points, config.seed)
+                                  SLICE_POINTS, config.seed)
         total += len(rep.verdicts)
         if not rep.all_pass:
             idx = next(i for i, v in enumerate(rep.verdicts) if not v.all_ok)

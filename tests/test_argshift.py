@@ -185,14 +185,19 @@ def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
     assert load_family_cache(str(tmp_path), "A2", 42, B.L, B.ctx, B.triple) is None
 
 
-@pytest.mark.parametrize("field", ["coefficient", "y"])
+@pytest.mark.parametrize("field", ["coefficient", "y", "repeated term"])
 def test_family_cache_with_a_zero_denominator_is_a_miss(tmp_path, bundles, field):
+    """A zero denominator in a coefficient or in y, or a term written twice
+    with its own coefficient (a file that would otherwise load as the same
+    family)."""
     B = bundles("A2")
     path = save_family_cache(str(tmp_path), "A2", 42, B.family)
     with open(path) as fh:
         payload = json.load(fh)
     if field == "y":
         payload["y"][0] = "1/0"
+    elif field == "repeated term":
+        payload["entries"][-1]["poly"].append(payload["entries"][-1]["poly"][0])
     else:
         payload["entries"][-1]["poly"][0][1] = "1/0"
     with open(path, "w") as fh:

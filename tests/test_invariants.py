@@ -523,13 +523,18 @@ def test_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles, malformed_e
     assert load_family(str(tmp_path), "A2", B.L) is None
 
 
-@pytest.mark.parametrize("coefficient", ["1/0", "-3/0", "0/0"])
-def test_cache_with_a_zero_denominator_is_a_miss(tmp_path, bundles, coefficient):
+@pytest.mark.parametrize("corruption", ["1/0", "-3/0", "0/0", "repeated term"])
+def test_cache_with_a_zero_denominator_is_a_miss(tmp_path, bundles, corruption):
+    """A zero denominator, or a term written twice with its own coefficient
+    (a file that would otherwise load as the same polynomials)."""
     B = bundles("A2")
     path = save_family(str(tmp_path), "A2", B.L, B.inv)
     with open(path) as fh:
         payload = json.load(fh)
-    payload["polys"][1][-1][1] = coefficient
+    if corruption == "repeated term":
+        payload["polys"][1].append(payload["polys"][1][0])
+    else:
+        payload["polys"][1][-1][1] = corruption
     with open(path, "w") as fh:
         json.dump(payload, fh)
     assert load_family(str(tmp_path), "A2", B.L) is None

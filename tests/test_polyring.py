@@ -609,18 +609,31 @@ def test_payload_fast_paths_match_on_any_poly(reference_poly, p):
 
 
 @pytest.mark.parametrize("payload", [
-    [[[1, 0], "2/4"], [[0, 1], "1/-2"], [[1, 0], "-3"]],
+    [[[1, 0], "2/4"], [[0, 1], "1/-2"], [[2, 0], "-3"]],
     [[[0, 2], 6], [[1, 1], "6/9"], [[2, 0], " -5/10 "]],
     [[[0, 0], "0"], [[1, 0], "0/7"]],
     [[[1, 0], rat(3, 9)], [[0, 1], "1/3"]],
     [],
 ])
 def test_from_payload_reads_what_the_to_rat_route_reads(reference_poly, payload):
-    """Unreduced strings, a negative denominator, a repeated exponent (the
-    last term wins), ints, zeros and exact rationals."""
+    """Unreduced strings, a negative denominator, ints, zeros and exact
+    rationals."""
     p = Poly.from_payload(2, payload)
     canonical_form = reference_poly.from_payload(2, payload)
     assert (p.nums, p.den) == (canonical_form.nums, canonical_form.den)
+
+
+@pytest.mark.parametrize("payload", [
+    [[[1, 0], "2/4"], [[0, 1], "1/-2"], [[1, 0], "-3"]],
+    [[[1, 0], "2/4"], [[0, 1], "1/-2"], [[1, 0], "2/4"]],
+    [[[0, 0], 0], [[0, 0], 0]],
+])
+def test_from_payload_rejects_a_repeated_exponent(payload):
+    """to_payload names each exponent vector once, so a payload that names
+    one twice is corrupt, whatever its coefficients: a ValueError, not the
+    polynomial of its last term."""
+    with pytest.raises(ValueError, match="twice"):
+        Poly.from_payload(2, payload)
 
 
 def test_from_payload_rejects_the_malformed_exponents_of_the_reference(

@@ -239,7 +239,9 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
         assert any(jac for _, jac in forced)
     sc = SuiteContext(label=label, rs=B.rs, L=B.L, ctx=B.ctx, triple=B.triple, inv=B.inv,
                       y=B.y, family=bad, chart=B.chart)
-    cfg = SuiteConfig(algebra=label, seed=5, transversality_points=3, slice_points=3)
+    monkeypatch.setattr(verifier, "TRANSVERSALITY_POINTS", 3)
+    monkeypatch.setattr(verifier, "SLICE_POINTS", 3)
+    cfg = SuiteConfig(algebra=label, seed=5)
     checks = (check_transversality, check_polarization)
     outs = [_outcome(check, sc, cfg) for check in checks]
     monkeypatch.setattr(symplectic, "transversality_check", reference_transversality)

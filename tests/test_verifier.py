@@ -3,9 +3,10 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_reports_are_byte_identical():
 
 def test_report_schema(a1_report):
     data = json.loads(a1_report.to_json())
-    assert data["schema"] == "report_v3"
+    assert data["schema"] == "report_v4"
     assert set(data) == {"schema", "config", "convention", "summary", "checks"}
     assert data["convention"]["hash"]
     for check in data["checks"]:
@@ -81,14 +82,52 @@ def test_g2_gated_behind_flag():
 
 def test_config_validation(capsys):
     with pytest.raises(ValueError):
-        run_suite(SuiteConfig(algebra="A1", hess_points=0))
-    with pytest.raises(ValueError):
-        run_suite(SuiteConfig(algebra="A1", coeff_bound=0))
-    with pytest.raises(ValueError):
-        run_suite(SuiteConfig(algebra="A1", series_order=-1))
-    for flag in ("--hess-points", "--coeff-bound"):
-        assert main(["verify", "--type", "A1", flag, "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+        run_suite(SuiteConfig(algebra="A1", determinism_trials=0))
+    assert main(["verify", "--type", "A1", "--determinism-trials", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+SAMPLED = {"REGULAR_POINTS": 2, "ROUNDTRIP_POINTS": 3, "HESS_POINTS": 4,
+           "LAGRANGIAN_POINTS": 5, "TRANSVERSALITY_POINTS": 6, "SLICE_POINTS": 7}
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["defaults", "patched"])
+def test_sample_counts_are_constants_of_their_checks(monkeypatch, patched):
+    """SuiteConfig and the report's config block hold five fields, and on A2
+    each sampled check's witness counts what its verifier constant says,
+    at the defaults and with every constant changed."""
+    names = ["algebra", "seed", "determinism_trials", "enable_g2", "cache_dir"]
+    assert [f.name for f in fields(SuiteConfig)] == names
+    if patched:
+        for name, count in SAMPLED.items():
+            monkeypatch.setattr(verifier, name, count)
+    rep = run_suite(SuiteConfig(algebra="A2", seed=5))
+    assert sorted(rep.as_dict()["config"]) == sorted(names)
+    assert not rep.failed
+    witness = {c.check_id: c.witness for c in rep.checks}
+    assert witness["invariants.gradient_rank_criterion"]["regular_points"] \
+        == verifier.REGULAR_POINTS
+    assert witness["chart.unitriangular_and_section"]["round_trips"] \
+        == 2 * verifier.ROUNDTRIP_POINTS
+    assert witness["chart.poincare_series"]["order"] == 2 * 3   # the Coxeter number of A2
+    for check_id, count in (("hess.strong_regularity", verifier.HESS_POINTS),
+                            ("symplectic.hamiltonian_frame", verifier.HESS_POINTS),
+                            ("symplectic.slice_lagrangian", verifier.LAGRANGIAN_POINTS),
+                            ("symplectic.transversality", verifier.TRANSVERSALITY_POINTS),
+                            ("hess.slice_infinitesimal", verifier.SLICE_POINTS + 1)):
+        assert witness[check_id]["points"] == count, check_id
+
+
+def test_verify_takes_no_sample_count_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == {
+        "--help", "--type", "--seed", "--cache-dir", "--g2", "--format", "--out",
+        "--determinism-trials"}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "A1", "--hess-points", "3"])
+    assert exc.value.code == 2
 
 
 BAD_INLINE_TYPES = ["[[2,-1],", "[[2,-1.5],[-1,2]]", "[[2,1],[1,2]]", "[]"]
@@ -228,30 +267,42 @@ def test_tampered_invariants_cache_is_a_miss_and_rewritten(tmp_path):
     assert path.read_text() == good
 
 
+def _first_poly(name, data):
+    return data["polys"][0] if name.startswith("invariants_") else data["entries"][0]["poly"]
+
+
 def _zero_denominator(name, text):
     """A cache file with its first coefficient string made "1/0"."""
     data = json.loads(text)
-    poly = data["polys"][0] if name.startswith("invariants_") else data["entries"][0]["poly"]
-    poly[0][1] = "1/0"
+    _first_poly(name, data)[0][1] = "1/0"
+    return json.dumps(data)
+
+
+def _repeated_term(name, text):
+    """A cache file whose first polynomial names its first term twice."""
+    data = json.loads(text)
+    poly = _first_poly(name, data)
+    poly.append(poly[0])
     return json.dumps(data)
 
 
 def test_zero_denominator_in_a_cache_is_a_miss_and_rewritten(tmp_path):
-    """A "1/0" coefficient in either cache file is a miss: the build and
-    mfhess invariants succeed and rewrite the file."""
+    """A "1/0" coefficient or a repeated term in either cache file is a
+    miss: the build and mfhess invariants succeed and rewrite the file."""
     cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path))
     build_context(cfg)
     paths = sorted(tmp_path.iterdir())
     good = [p.read_text() for p in paths]
-    for path, text in zip(paths, good):
-        path.write_text(_zero_denominator(path.name, text))
-        rep = run_suite(cfg)
-        assert rep.checks[0].status != "fail", path.name
-        assert [p.read_text() for p in paths] == good, path.name
-        path.write_text(_zero_denominator(path.name, text))
-        assert main(["invariants", "--type", "A2", "--seed", "5",
-                     "--cache-dir", str(tmp_path)]) == 0, path.name
-        assert [p.read_text() for p in paths] == good, path.name
+    for corrupt in (_zero_denominator, _repeated_term):
+        for path, text in zip(paths, good):
+            path.write_text(corrupt(path.name, text))
+            rep = run_suite(cfg)
+            assert rep.checks[0].status != "fail", path.name
+            assert [p.read_text() for p in paths] == good, path.name
+            path.write_text(corrupt(path.name, text))
+            assert main(["invariants", "--type", "A2", "--seed", "5",
+                         "--cache-dir", str(tmp_path)]) == 0, path.name
+            assert [p.read_text() for p in paths] == good, path.name
 
 
 def _with_member(sc, pos, poly):
@@ -518,17 +569,19 @@ def test_chart_section_fails_on_planted_member_term(a2_context):
 
 
 @pytest.mark.parametrize("k", [1, 4])
-def test_hamiltonian_frame_builds_one_gradient_matrix_per_point(a2_context,
+def test_hamiltonian_frame_builds_one_gradient_matrix_per_point(a2_context, monkeypatch,
                                                                 gradient_rows_calls, k):
-    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=k)
+    monkeypatch.setattr(verifier, "HESS_POINTS", k)
+    cfg = SuiteConfig(algebra="A2", seed=5)
     assert check_hamiltonian_frame(a2_context, cfg)["ok"]
     assert len(gradient_rows_calls) == k
 
 
 @pytest.mark.parametrize("k", [1, 4])
-def test_strong_regularity_builds_one_gradient_matrix_per_point(a2_context,
+def test_strong_regularity_builds_one_gradient_matrix_per_point(a2_context, monkeypatch,
                                                                 gradient_rows_calls, k):
-    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=k)
+    monkeypatch.setattr(verifier, "HESS_POINTS", k)
+    cfg = SuiteConfig(algebra="A2", seed=5)
     assert check_strong_regularity(a2_context, cfg)["ok"]
     assert len(gradient_rows_calls) == k
 
@@ -550,7 +603,8 @@ def test_full_run_builds_each_hess_gradient_matrix_once(gradient_rows_calls, mon
         return wrapper
 
     monkeypatch.setattr(verifier, "ALL_CHECKS", [counting(fn) for fn in verifier.ALL_CHECKS])
-    assert not run_suite(SuiteConfig(algebra="A2", seed=5, hess_points=k)).failed
+    monkeypatch.setattr(verifier, "HESS_POINTS", k)
+    assert not run_suite(SuiteConfig(algebra="A2", seed=5)).failed
     assert per_check["hess.strong_regularity"] == k
     assert per_check["symplectic.hamiltonian_frame"] == 0
 
@@ -610,8 +664,10 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
     """Checks 14 to 16, omega_well_defined and polarization build ad x once
     per visited point through the integer core; check 13 reads no ad x."""
     sc = a2_context
-    cfg = SuiteConfig(algebra="A2", seed=5, hess_points=3, lagrangian_points=2,
-                      transversality_points=4, slice_points=3)
+    for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
+                        ("TRANSVERSALITY_POINTS", 4), ("SLICE_POINTS", 3)):
+        monkeypatch.setattr(verifier, name, count)
+    cfg = SuiteConfig(algebra="A2", seed=5)
     calls = []
     original = LieAlgebra.int_ad
 
@@ -703,7 +759,7 @@ def test_cli_verify_json(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == "report_v3"
+    assert data["schema"] == "report_v4"
     assert data["summary"]["fail"] == 0
 
 
@@ -718,7 +774,7 @@ def test_python_m_mfhess_runs_the_cli(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
-    assert data["schema"] == "report_v3"
+    assert data["schema"] == "report_v4"
     assert data["summary"]["fail"] == 0
     assert main(["verify", "--type", "A1", "--format", "json",
                  "--out", str(tmp_path / "direct.json")]) == 0
