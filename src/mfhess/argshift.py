@@ -24,9 +24,11 @@ partials and Hamiltonian folds {x_i, q} computed once for the whole sweep;
 a member whose folds vanish is a Casimir (an underived invariant) and its
 pairs need no product.
 
-A family compiles its members once (polyring.CompiledPolys) when it is
-built; gradients and values at points are read from that integer form, and
-no partial derivatives are cached.  gradient_rows returns the gradient
+A family compiles its members (polyring.CompiledPolys) once, on the first
+pointwise read, not when it is built: no build stage evaluates the whole
+family (the chart reads its frame at e1 from the terms that reach it).
+Gradients and values at points are read from that integer form, and no
+partial derivatives are cached.  gradient_rows returns the gradient
 matrix as integer numerators over one denominator, which the rank tests and
 the tangent frames read as they are; gradient_visit adds the cleared point
 and the rank, so a point visited by several readers is ranked once.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from operator import mul
 
@@ -156,17 +159,21 @@ class QEntry:
 
 @dataclass
 class ShiftFamily:
+    """The ordered members q_1..q_b, with what their gradients need.  Built
+    by shift_family or read from a cache payload; neither compiles the
+    members, which the first pointwise read (gradient_rows, phi) does."""
     L: LieAlgebra
     ctx: GradientContext
     triple: PrincipalTriple
     y: list
     entries: list
-    compiled: CompiledPolys = field(init=False, repr=False, compare=False)
     # the ranks of graded_dims, taken on its first call
     _graded: dict = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        self.compiled = CompiledPolys(e.poly for e in self.entries)
+    # built on first read: no build stage evaluates the whole family
+    @cached_property
+    def compiled(self) -> CompiledPolys:
+        return CompiledPolys(e.poly for e in self.entries)
 
     @property
     def I_positions(self) -> tuple:

@@ -139,19 +139,30 @@ class HessChart:
         return over([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
 
 
+def frame_rows(F: ShiftFamily) -> tuple:
+    """The b gradients at e1 as integer rows over one positive denominator,
+    (rows, den), equal to F.gradient_rows(e1), compiled from only the family
+    terms whose gradient at e1 can be nonzero (CompiledPolys grad_at): e1 is
+    zero off the simple root vectors, so most terms drop out.  The family's
+    own compiled form is left unbuilt."""
+    e1 = F.triple.e1
+    return CompiledPolys(F.qs, grad_at=e1).int_gradients(F.ctx, e1)
+
+
 def build_chart(F: ShiftFamily) -> HessChart:
     """Gradient frame at e1, its dual coordinates, restricted generators.
 
     Verifies exactly that the frame is a basis of the upper Borel supported
     layer by layer, and that the restricted generators are unitriangular;
-    a violation raises NotTriangular.  The gradients at e1 stay the integer
-    rows of gradient_rows (over den): they are paired with the lower Borel
-    basis on the integer Killing rows (scale s), the integer pairing matrix
-    is inverted, and its inverse times den * s is the dual frame.
+    a violation raises NotTriangular.  The gradients at e1 are the integer
+    rows of frame_rows (over den), read from the terms that reach e1 and
+    not from the family's compiled form: they are paired with the lower
+    Borel basis on the integer Killing rows (scale s), the integer pairing
+    matrix is inverted, and its inverse times den * s is the dual frame.
     """
     L = F.L
     triple = F.triple
-    rows, den = F.gradient_rows(triple.e1)
+    rows, den = frame_rows(F)
     for e, row in zip(F.entries, rows):
         if not L.supported_in(row, L.layer_indices(e.m - 1)):
             raise NotTriangular(

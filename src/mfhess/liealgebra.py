@@ -13,10 +13,12 @@ relation N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0, and the Jacobi identity.
 The Killing form is computed as the trace form of the adjoint representation,
 which cross-validates the structure constants.
 
-The Lie layer runs on integers.  The algebra holds its structure table and
-its Killing rows, each scaled by the LCM of its denominators (the Killing
-rows by rational.clear_rows; both built in __post_init__ from table and
-killing, so dataclasses.replace rebuilds them).
+The Lie layer runs on integers.  chevalley_algebra stores the structure
+constants and the Killing matrix as the ints they are, and builds the
+integer table once and the sparse integer Killing rows once, on its one
+instance.  A table or Killing matrix planted through dataclasses.replace
+may hold rationals: __post_init__ then rebuilds both, each scaled by the
+LCM of its denominators (the Killing rows by rational.clear_rows).
 Each of bracket, ad and killing_pair has one integer core (int_bracket,
 int_ad, int_killing_pair) that takes cleared vectors, integer numerators
 over one positive denominator (rational.clear), accumulates in ints and
@@ -30,7 +32,7 @@ same integer table, so ad x . z = [x, z] for every table, and check 2
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
@@ -75,14 +77,15 @@ class LieAlgebra:
     weights: tuple = ()         # root-lattice weight of each basis vector
     labels: tuple = ()
     # Read from table and killing by __post_init__, and so rebuilt by
-    # dataclasses.replace.  int_table = (scale, cols): cols[a][b] lists the
-    # pairs (c, scale times the coefficient of e_c in [e_a, e_b]), every
-    # stored key as stored and its reverse by antisymmetry unless that is
-    # stored too.  Rows are tuples, not dicts, and equal rows share one
-    # tuple: the integer table then takes about half the memory of the
-    # rational one.  int_killing = rational.clear_rows(killing): (scale,
-    # rows), rows[i] the pairs (j, scale * killing[i][j]) with a nonzero
-    # entry.
+    # dataclasses.replace (chevalley_algebra, whose Killing matrix is read
+    # from int_table, sets killing and int_killing after it).
+    # int_table = (scale, cols): cols[a][b] lists the pairs (c, scale times
+    # the coefficient of e_c in [e_a, e_b]), every stored key as stored and
+    # its reverse by antisymmetry unless that is stored too.  Rows are
+    # tuples, not dicts, and equal rows share one tuple: the integer table
+    # then takes about half the memory of table.  int_killing =
+    # rational.clear_rows(killing): (scale, rows), rows[i] the pairs
+    # (j, scale * killing[i][j]) with a nonzero entry.
     int_table: tuple = field(init=False, repr=False)
     int_killing: tuple = field(init=False, repr=False)
 
@@ -361,7 +364,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         for r, ri in allroots:
             val = rs.pairing(r, i) if sum(r) > 0 else -rs.pairing(tuple(-c for c in r), i)
             if val:
-                put(hi, ri, {ri: rat(val)})
+                put(hi, ri, {ri: val})
 
     # [e_phi, e_psi]
     for r in rootidx:
@@ -375,7 +378,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
                 prim = r if sum(r) > 0 else s
                 co = _coroot_coordinates(rs, prim)
                 sign = 1 if sum(r) > 0 else -1
-                put(ri, si, {n + k: rat(sign * c) for k, c in enumerate(co)})
+                put(ri, si, {n + k: sign * c for k, c in enumerate(co)})
             elif tsum in rootidx:
                 c = resolver.n(r, s)
                 if c.denominator != 1:
@@ -384,7 +387,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
                 if abs(int(c)) != p + 1:
                     raise ConstructionFailure(
                         f"constant {c} for pair {r},{s} violates |N| = p+1 = {p + 1}")
-                put(ri, si, {rootidx[tsum]: c})
+                put(ri, si, {rootidx[tsum]: int(c)})
 
     layers = [0] * dim
     weights = [None] * dim
@@ -406,15 +409,19 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         table=table, killing=[],
         layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
-    return replace(L, killing=_killing_matrix(L))
+    # set on this instance, not through replace, which would run
+    # __post_init__ again and rebuild the integer table
+    L.killing = _killing_matrix(L)
+    L.int_killing = clear_rows(L.killing)
+    return L
 
 
 def _killing_matrix(L: LieAlgebra) -> list:
-    """tr(ad e_i ad e_j) for every pair i <= j, from the integer table: the
-    trace is the sum over c and r of cols[j][c][r] * cols[i][r][c], and each
-    trace is divided by the square of the table's scale at the end."""
-    den, cols = L.int_table
-    out = [[R0] * L.dim for _ in range(L.dim)]
+    """tr(ad e_i ad e_j) for every pair i <= j, as ints, from the integer
+    table of integer structure constants (scale 1): the trace is the sum
+    over c and r of cols[j][c][r] * cols[i][r][c]."""
+    _, cols = L.int_table
+    out = [[0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
         ci = {r: dict(row) for r, row in cols[i].items()}
         for j in range(i, L.dim):
@@ -424,7 +431,7 @@ def _killing_matrix(L: LieAlgebra) -> list:
                     back = ci.get(r)    # [e_i, e_r]
                     if back and c in back:
                         tr += v * back[c]
-            out[i][j] = out[j][i] = rat(tr, den * den)
+            out[i][j] = out[j][i] = tr
     return out
 
 

@@ -415,11 +415,17 @@ class CompiledPolys:
     accumulated in ints, each term's product formed once (int_gradients
     says how a partial is read from it); values divides at the end, and
     int_gradients returns integer numerators over one denominator.
+
+    With grad_at, a point, only the terms whose gradient there can be
+    nonzero are kept: those with at most one exponent unit on its zero
+    coordinates, since int_gradients adds nothing for any other term.
+    scale and top stay those of all the terms, so at that point, and only
+    there, int_gradients gives what the whole form gives.
     """
 
     __slots__ = ("n", "polys", "scale", "top")
 
-    def __init__(self, polys):
+    def __init__(self, polys, grad_at=None):
         polys = list(polys)
         self.n = polys[0].n if polys else 0
         for p in polys:
@@ -427,11 +433,15 @@ class CompiledPolys:
                 raise ValueError(f"variable count mismatch: {p.n} != {self.n}")
         self.scale = scale = lcm(*(p.den for p in polys))
         self.top = top = max([0] + [p.degree() for p in polys])
+        zeros = None if grad_at is None else [not c for c in grad_at]
         self.polys = []
         for p in polys:
             lift = scale // p.den
+            items = p.nums.items()
+            if zeros is not None:
+                items = [(e, c) for e, c in items if sum(compress(e, zeros)) <= 1]
             self.polys.append(tuple((c * lift, top - sum(e), tuple(compress(enumerate(e), e)))
-                                    for e, c in p.nums.items()))
+                                    for e, c in items))
 
     def _tables(self, nums: list, den: int) -> tuple:
         """Power tables, up to the top degree, of each nonzero numerator N_k of

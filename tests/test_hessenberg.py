@@ -7,12 +7,14 @@ import pytest
 
 from mfhess import linalg
 from mfhess.hessenberg import (NotTriangular, _unitriangular_violation, build_chart,
-                               hess_section, orbit_slice, point_in_hess, poincare_series,
-                               restrict_to_hess, slice_membership, slice_sample)
+                               frame_rows, hess_section, orbit_slice, point_in_hess,
+                               poincare_series, restrict_to_hess, slice_membership,
+                               slice_sample)
 from mfhess.liealgebra import DimensionMismatch, exp_ad_nilpotent
-from mfhess.polyring import Poly, restrict_affine
+from mfhess.polyring import CompiledPolys, Poly, restrict_affine
 from mfhess.argshift import phi
-from mfhess.rational import clear, rat, R0, R1
+from mfhess.rational import clear, over, rat, R0, R1
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 from mfhess.symplectic import slice_frame
 
 
@@ -320,3 +322,30 @@ def test_poincare_series_a2_order_10(bundles):
 def test_poincare_rejects_bad_order(bundles):
     with pytest.raises(ValueError):
         poincare_series(bundles("A1").rs, 0)
+
+
+# every label and G2, and inline B3, C3, A4 and D4
+FRAME_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + tuple(INLINE_TYPES.values()) + (
+    "[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]",)
+
+
+@pytest.mark.parametrize("label", FRAME_TYPES)
+def test_frame_rows_are_the_whole_family_gradients_at_e1(bundles, label):
+    """build_chart reads (rows, den) at e1 from the family terms that reach
+    e1 alone; they equal the whole family's compiled gradients there, and
+    the chart's zvecs are those rows.  The trimmed form keeps the whole
+    family's scale and top and holds fewer terms; at other points with
+    zero coordinates (e, f, w and a Hess point) it agrees too."""
+    B = bundles(label)
+    F, tri = B.family, B.triple
+    whole = CompiledPolys(F.qs)
+    rows, den = frame_rows(F)
+    assert (rows, den) == whole.int_gradients(F.ctx, tri.e1)
+    assert B.chart.zvecs == [over(row, den) for row in rows]
+    hess = B.chart.point_from_s([rat(k % 3 - 1, 2) for k in range(F.b)])
+    for x in (tri.e1, tri.e, tri.f, tri.w, hess):
+        trimmed = CompiledPolys(F.qs, grad_at=x)
+        assert (trimmed.scale, trimmed.top) == (whole.scale, whole.top)
+        assert trimmed.int_gradients(F.ctx, x) == whole.int_gradients(F.ctx, x)
+    trimmed = CompiledPolys(F.qs, grad_at=tri.e1)
+    assert sum(map(len, trimmed.polys)) < sum(map(len, whole.polys))

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from mfhess import linalg
 from mfhess.argshift import gradient_span
-from mfhess.liealgebra import (DimensionMismatch, exp_ad_nilpotent, is_regular,
-                               principal_triple, signature_hash, ut_action, validate_algebra)
+from mfhess.liealgebra import (DimensionMismatch, LieAlgebra, chevalley_algebra,
+                               exp_ad_nilpotent, is_regular, principal_triple, signature_hash,
+                               ut_action, validate_algebra)
 from mfhess.rational import clear, factorial_rat, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
@@ -314,3 +315,59 @@ def test_signature_hash_is_computed_once_per_algebra(algebras, reference_lie, mo
     assert len(calls) == 1
     assert signature_hash(planted) == want_planted != want
     assert len(calls) == 2
+
+
+ALL_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4")
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_chevalley_algebra_stores_ints_and_builds_each_table_once(algebras, monkeypatch,
+                                                                  label):
+    """The structure constants and the Killing entries are ints, __post_init__
+    runs once per build, and the tables built once equal those that the
+    rational path of __post_init__ rebuilds."""
+    rs = algebras(label).rs
+    calls = []
+    original = LieAlgebra.__post_init__
+    monkeypatch.setattr(LieAlgebra, "__post_init__",
+                        lambda self: calls.append(self) or original(self))
+    L = chevalley_algebra(rs)
+    assert len(calls) == 1 and calls[0] is L
+    assert {type(v) for row in L.table.values() for v in row.values()} == {int}
+    assert {type(c) for row in L.killing for c in row} == {int}
+    rebuilt = replace(L)
+    assert len(calls) == 2
+    assert (rebuilt.int_table, rebuilt.int_killing) == (L.int_table, L.int_killing)
+    assert L.int_table[0] == 1 and L.int_killing[0] == 1
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_planted_fraction_entries_rebuild_the_integer_tables(algebras, label):
+    """A Fraction planted through dataclasses.replace, in the table or in the
+    Killing matrix, is scaled into the integer table or Killing rows by the
+    LCM of the denominators, and check 2 reports it; the planted defects of
+    _planted still fail check 2."""
+    L = algebras(label)
+    p = 10007        # a prime that divides no entry
+    key = min(L.table)
+    table = dict(L.table)
+    table[key] = {c: rat(v, p) for c, v in table[key].items()}
+    planted = replace(L, table=table)
+    scale, cols = planted.int_table
+    assert scale == p
+    assert {k: {c: rat(v, scale) for c, v in cols[k[0]][k[1]]} for k in table} == table
+    assert validate_algebra(planted)
+    killing = [list(row) for row in L.killing]
+    i = L.cartan_indices[0]
+    killing[i][i] = rat(killing[i][i], p)
+    planted = replace(L, killing=killing)
+    assert planted.int_table == L.int_table
+    assert planted.int_killing[0] == p
+    assert planted.int_killing[1][i] == tuple((j, c if j == i else p * c)
+                                              for j, c in L.int_killing[1][i])
+    assert validate_algebra(planted)
+    kinds = ["dropped", "doubled", "killing_diagonal", "killing_root_pair"]
+    if any(a in L.pos_indices and b in L.pos_indices for a, b in L.table):
+        kinds.append("flipped")     # A1 and A1xA1 bracket no two positive roots
+    for kind in kinds:
+        assert validate_algebra(_planted(L, kind)), kind

@@ -235,13 +235,19 @@ def test_corrupt_cache_is_a_miss_and_rewritten(tmp_path):
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_compiled_forms_are_built_on_first_read(tmp_path, cached):
-    """No build stage compiles the invariants or the restricted generators,
-    cold or warm; the first read compiles each once and keeps it."""
+    """No build stage compiles the invariants, the family or the restricted
+    generators, cold or warm; the first read compiles each once and keeps
+    it."""
     cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(tmp_path) if cached else None)
     if cached:
-        build_context(cfg)
+        cold = build_context(cfg)
+        assert "compiled" not in vars(cold.family)
     sc = build_context(cfg)
     assert "compiled" not in vars(sc.inv) and "compiled" not in vars(sc.chart)
+    assert "compiled" not in vars(sc.family)
+    family = sc.family.compiled
+    assert family is sc.family.compiled
+    assert sc.family.gradient_rows(sc.triple.e1) == family.int_gradients(sc.ctx, sc.triple.e1)
     compiled = sc.inv.compiled
     assert compiled is sc.inv.compiled
     x = [rat(k + 1, 3) for k in range(sc.L.dim)]
@@ -251,6 +257,24 @@ def test_compiled_forms_are_built_on_first_read(tmp_path, cached):
     assert len(section) == len(sc.chart.restricted)
     s = [rat(k - 2) for k in range(sc.chart.b)]
     assert [c.values(s)[0] for c in section] == [rp.evaluate(s) for rp in sc.chart.restricted]
+
+
+@pytest.mark.parametrize("algebra", ["A2", "G2", "[[2,-1,0],[-1,2,-1],[0,-2,2]]"],
+                         ids=["A2", "G2", "B3"])
+def test_warm_build_gives_the_cold_chart(tmp_path, monkeypatch, algebra):
+    """A warm build, its family read from the cache, gives the chart of the
+    cold build: the same frame, zvecs and restricted generators."""
+    cfg = SuiteConfig(algebra=algebra, seed=5, enable_g2=True, cache_dir=str(tmp_path))
+    cold = build_context(cfg)
+
+    def cache_miss(*args):
+        raise AssertionError("the warm build shifted the invariants again")
+
+    monkeypatch.setattr(verifier, "shift_family", cache_miss)
+    warm = build_context(cfg)
+    assert warm.family.qs == cold.family.qs
+    for name in ("frame", "zvecs", "restricted"):
+        assert getattr(warm.chart, name) == getattr(cold.chart, name), name
 
 
 def test_tampered_invariants_cache_is_a_miss_and_rewritten(tmp_path):
