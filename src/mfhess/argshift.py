@@ -75,18 +75,6 @@ def is_regular_cartan(L: LieAlgebra, y) -> bool:
     return all(v for v in root_values(L, y))
 
 
-def cartan_from_root_values(L: LieAlgebra, values) -> list:
-    """The Cartan element whose simple-root values are the given numbers."""
-    rs = L.rs
-    a = rs.cartan.entries
-    mat = [[rat(a[j][i]) for j in range(L.rank)] for i in range(L.rank)]
-    coeffs = linalg.solve(mat, [to_rat(v) for v in values])
-    y = L.zero()
-    for j, c in enumerate(coeffs):
-        y[L.cartan_indices[j]] = c
-    return y
-
-
 def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> list:
     """Deterministic small-integer regular Cartan element."""
     rng = random.Random(f"{seed}:regular-y")

@@ -157,8 +157,8 @@ def build_chart(F: ShiftFamily) -> HessChart:
     a violation raises NotTriangular.  The gradients at e1 are the integer
     rows of frame_rows (over den), read from the terms that reach e1 and
     not from the family's compiled form: they are paired with the lower
-    Borel basis on the integer Killing rows (scale s), the integer pairing
-    matrix is inverted, and its inverse times den * s is the dual frame.
+    Borel basis on the integer Killing rows, the integer pairing matrix is
+    inverted, and its inverse times den is the dual frame.
     """
     L = F.L
     triple = F.triple
@@ -169,8 +169,8 @@ def build_chart(F: ShiftFamily) -> HessChart:
                 f"frame vector for position {e.beta} is not in layer {e.m - 1}")
     if linalg.rank(rows) != F.b:
         raise NotTriangular("gradient frame at e1 is not a basis of the upper Borel")
-    # (z_beta, e_mu) = pairing[beta][mu] / (den s) on the integer Killing rows
-    s, krows = L.int_killing
+    # (z_beta, e_mu) = pairing[beta][mu] / den on the integer Killing rows
+    krows = L.int_killing
     column = {idx: mu for mu, idx in enumerate(L.bminus_indices)}
     pairing = []
     for row in rows:
@@ -183,12 +183,11 @@ def build_chart(F: ShiftFamily) -> HessChart:
                         acc[mu] += zi * k
         pairing.append(acc)
     pinv = linalg.inverse(pairing)
-    scale = den * s
     frame = []
     for g in range(F.b):
         vec = L.zero()
         for mu, idx in enumerate(L.bminus_indices):
-            vec[idx] = pinv[mu][g] * scale
+            vec[idx] = pinv[mu][g] * den
         frame.append(vec)
     restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
     violation = _unitriangular_violation(restricted)

@@ -534,15 +534,14 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
             images[block[ridx]] = {key: v / coeff for key, v in
                                    _sparse_bracket(images[a_idx], images[b_idx]).items()}
     # homomorphism check over all basis pairs
-    scale, cols = L.int_table
+    cols = L.int_table
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             want: dict = {}
             for c, v in cols[i].get(j, ()):
                 for key, m in images[c].items():
                     want[key] = want.get(key, 0) + v * m
-            got = {key: scale * v for key, v in _sparse_bracket(images[i], images[j]).items()}
-            if got != {key: v for key, v in want.items() if v}:
+            if _sparse_bracket(images[i], images[j]) != {key: v for key, v in want.items() if v}:
                 raise UnsupportedType("matrix realization failed the bracket check")
     return images
 

@@ -13,12 +13,12 @@ relation N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0, and the Jacobi identity.
 The Killing form is computed as the trace form of the adjoint representation,
 which cross-validates the structure constants.
 
-The Lie layer runs on integers.  chevalley_algebra stores the structure
-constants and the Killing matrix as the ints they are, and builds the
-integer table once and the sparse integer Killing rows once, on its one
-instance.  A table or Killing matrix planted through dataclasses.replace
-may hold rationals: __post_init__ then rebuilds both, each scaled by the
-LCM of its denominators (the Killing rows by rational.clear_rows).
+The Lie layer runs on integers.  A LieAlgebra holds its structure
+constants and its Killing matrix as ints, with no scale, and refuses any
+other entry (a Fraction or a float planted through dataclasses.replace
+among them) with ConstructionFailure.  __post_init__ builds the integer
+table once and the sparse integer Killing rows once, and the Killing
+matrix itself from the integer table when none is given.
 Each of bracket, ad and killing_pair has one integer core (int_bracket,
 int_ad, int_killing_pair) that takes cleared vectors, integer numerators
 over one positive denominator (rational.clear), accumulates in ints and
@@ -37,8 +37,7 @@ from functools import cached_property
 from math import factorial
 
 from . import linalg
-from .rational import (R0, R1, clear, clear_rows, denominator_lcm, over, rat,
-                       rat_str, scaled, to_rat)
+from .rational import R0, R1, all_ints, clear, over, rat, rat_str, to_rat
 from .rootdata import RootSystem
 
 
@@ -68,40 +67,45 @@ class LieAlgebra:
     pos_indices: tuple
     cartan_indices: tuple
     neg_indices: tuple
-    # sparse table: (a, b) -> {c: coefficient} gives [e_a, e_b]; the chevalley
-    # build stores a < b only, and [e_b, e_a] is then -[e_a, e_b]
+    # sparse table: (a, b) -> {c: int coefficient} gives [e_a, e_b]; the
+    # chevalley build stores a < b only, and [e_b, e_a] is then -[e_a, e_b]
     table: dict = field(repr=False)
-    killing: list = field(repr=False)
+    # the int matrix tr(ad e_i ad e_j); built from int_table when not given
+    killing: list = field(default=None, repr=False)
     # per-basis-index data
     layers: tuple = ()          # ad-w eigenvalue / 2 for each basis vector
     weights: tuple = ()         # root-lattice weight of each basis vector
     labels: tuple = ()
     # Read from table and killing by __post_init__, and so rebuilt by
-    # dataclasses.replace (chevalley_algebra, whose Killing matrix is read
-    # from int_table, sets killing and int_killing after it).
-    # int_table = (scale, cols): cols[a][b] lists the pairs (c, scale times
-    # the coefficient of e_c in [e_a, e_b]), every stored key as stored and
-    # its reverse by antisymmetry unless that is stored too.  Rows are
-    # tuples, not dicts, and equal rows share one tuple: the integer table
-    # then takes about half the memory of table.  int_killing =
-    # rational.clear_rows(killing): (scale, rows), rows[i] the pairs
-    # (j, scale * killing[i][j]) with a nonzero entry.
-    int_table: tuple = field(init=False, repr=False)
-    int_killing: tuple = field(init=False, repr=False)
+    # dataclasses.replace; both hold ints with no scale, and a table or
+    # Killing matrix with any other entry is refused.  int_table[a][b] lists
+    # the pairs (c, coefficient of e_c in [e_a, e_b]), every stored key as
+    # stored and its reverse by antisymmetry unless that is stored too.  Rows
+    # are tuples, not dicts, and equal rows share one tuple: the integer
+    # table then takes about half the memory of table.  int_killing[i] lists
+    # the pairs (j, killing[i][j]) with a nonzero entry.
+    int_table: list = field(init=False, repr=False)
+    int_killing: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        scale = denominator_lcm(v for row in self.table.values() for v in row.values())
+        if not all_ints([v for row in self.table.values() for v in row.values()]):
+            raise ConstructionFailure("table: structure constants must be ints")
         cols: list = [{} for _ in range(self.dim)]
         shared: dict = {}   # one tuple per distinct row
         for (a, b), row in self.table.items():
-            ints = tuple((k, scaled(v, scale)) for k, v in row.items() if v)
+            ints = tuple((k, v) for k, v in row.items() if v)
             cols[a][b] = shared.setdefault(ints, ints)
         for (a, b) in self.table:
             if a != b and a not in cols[b]:
                 ints = tuple((k, -v) for k, v in cols[a][b])
                 cols[b][a] = shared.setdefault(ints, ints)
-        self.int_table = (scale, cols)
-        self.int_killing = clear_rows(self.killing)
+        self.int_table = cols
+        if self.killing is None:
+            self.killing = _killing_matrix(self)
+        elif not all_ints([c for row in self.killing for c in row]):
+            raise ConstructionFailure("killing: Killing matrix entries must be ints")
+        self.int_killing = [tuple((j, c) for j, c in enumerate(row) if c)
+                            for row in self.killing]
 
     @cached_property
     def signature(self) -> str:
@@ -124,11 +128,11 @@ class LieAlgebra:
 
     def int_bracket(self, x, y) -> tuple:
         """[x, y] of cleared vectors x = (numerators, dx) and y = (..., dy),
-        accumulated on the integer table, over dx * dy * (table scale)."""
+        accumulated on the integer table, over dx * dy."""
         (nx, dx), (ny, dy) = x, y
         self.check_vector(nx)
         self.check_vector(ny)
-        scale, cols = self.int_table
+        cols = self.int_table
         nzy = [(j, v) for j, v in enumerate(ny) if v]
         acc = [0] * self.dim
         for i, xi in enumerate(nx):
@@ -140,37 +144,37 @@ class LieAlgebra:
                         c = xi * yj
                         for k, v in row:
                             acc[k] += c * v
-        return acc, dx * dy * scale
+        return acc, dx * dy
 
     def int_ad(self, x) -> tuple:
         """The matrix of ad x for a cleared vector x = (numerators, dx),
         column j being [x, e_j], in one pass over the integer table: integer
-        rows over dx * (table scale)."""
+        rows over dx."""
         nx, dx = x
         self.check_vector(nx)
-        scale, cols = self.int_table
+        cols = self.int_table
         acc = [[0] * self.dim for _ in range(self.dim)]
         for i, xi in enumerate(nx):
             if xi:
                 for j, row in cols[i].items():
                     for k, v in row:
                         acc[k][j] += xi * v
-        return acc, dx * scale
+        return acc, dx
 
     def int_killing_pair(self, x, y) -> tuple:
         """(x, y) of cleared vectors x = (numerators, dx) and y = (..., dy) on
-        the integer Killing rows, over dx * dy * (Killing scale)."""
+        the integer Killing rows, over dx * dy."""
         (nx, dx), (ny, dy) = x, y
         self.check_vector(nx)
         self.check_vector(ny)
-        scale, rows = self.int_killing
+        rows = self.int_killing
         total = 0
         for i, xi in enumerate(nx):
             if xi:
                 for j, k in rows[i]:
                     if ny[j]:
                         total += xi * k * ny[j]
-        return total, dx * dy * scale
+        return total, dx * dy
 
     def bracket(self, x, y) -> list:
         """Exact bracket of two coordinate vectors."""
@@ -403,24 +407,17 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         weights[n + k] = tuple(0 for _ in range(ell))
         labels[n + k] = f"h[{k + 1}]"
 
-    L = LieAlgebra(
+    return LieAlgebra(
         rs=rs, dim=dim, rank=ell, n=n,
         pos_indices=pos_indices, cartan_indices=cartan_indices, neg_indices=neg_indices,
-        table=table, killing=[],
-        layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
+        table=table, layers=tuple(layers), weights=tuple(weights), labels=tuple(labels),
     )
-    # set on this instance, not through replace, which would run
-    # __post_init__ again and rebuild the integer table
-    L.killing = _killing_matrix(L)
-    L.int_killing = clear_rows(L.killing)
-    return L
 
 
 def _killing_matrix(L: LieAlgebra) -> list:
     """tr(ad e_i ad e_j) for every pair i <= j, as ints, from the integer
-    table of integer structure constants (scale 1): the trace is the sum
-    over c and r of cols[j][c][r] * cols[i][r][c]."""
-    _, cols = L.int_table
+    table: the trace is the sum over c and r of cols[j][c][r] * cols[i][r][c]."""
+    cols = L.int_table
     out = [[0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
         ci = {r: dict(row) for r, row in cols[i].items()}
@@ -445,8 +442,7 @@ def validate_algebra(L: LieAlgebra) -> list:
     denominator, tested for zero on its integer numerator.
     """
     errs = []
-    _, cols = L.int_table
-    _, krows = L.int_killing
+    cols, krows = L.int_table, L.int_killing
     for i in range(L.dim):
         if cols[i].get(i):
             errs.append(f"[b{i}, b{i}] != 0")
@@ -518,21 +514,26 @@ class PrincipalDecomposition:
     chains: list           # chains z_{j k} = (ad f / 2)^k z_j, k = 0..m_j
 
 
+def cartan_from_root_values(L: LieAlgebra, values) -> list:
+    """The Cartan element whose simple-root values are the given numbers:
+    alpha_i(w) = sum_j c_j A[j][i] solved for the coefficients c_j."""
+    a = L.rs.cartan.entries
+    at = [[rat(a[j][i]) for j in range(L.rank)] for i in range(L.rank)]
+    try:
+        coeffs = linalg.solve(at, [to_rat(v) for v in values])
+    except ValueError as exc:
+        raise SingularSystem(str(exc))
+    w = L.zero()
+    for j, c in enumerate(coeffs):
+        w[L.cartan_indices[j]] = c
+    return w
+
+
 def principal_triple(L: LieAlgebra) -> PrincipalTriple:
     """The S-triple {w, e, f}: w in the Cartan with every simple root value 2,
     f the sum of the negative simple root vectors, e solved from [e, f] = w."""
     rs = L.rs
-    ell = L.rank
-    a = rs.cartan.entries
-    # alpha_i(w) = sum_j c_j A[j][i] = 2
-    at = [[rat(a[j][i]) for j in range(ell)] for i in range(ell)]
-    try:
-        cw = linalg.solve(at, [rat(2)] * ell)
-    except ValueError as exc:
-        raise SingularSystem(str(exc))
-    w = L.zero()
-    for j, c in enumerate(cw):
-        w[L.cartan_indices[j]] = c
+    w = cartan_from_root_values(L, [2] * L.rank)
 
     f = L.zero()
     simple_neg = []
@@ -650,9 +651,9 @@ def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
     """exp(ad z) applied to v for nilpotent ad z (the series terminates).
 
     The series is summed on integers.  With z and v cleared to numerators
-    over dz and dv and s the table's scale, the k-th bracket (ad z)^k v from
-    int_bracket is over dv (dz s)^k; the sum up to the last nonzero term K
-    is taken over K! dv (dz s)^K and divided back once."""
+    over dz and dv, the k-th bracket (ad z)^k v from int_bracket is over
+    dv dz^k; the sum up to the last nonzero term K is taken over
+    K! dv dz^K and divided back once."""
     zc, term = clear(z), clear(v)
     terms = [term[0]]
     k = 0
@@ -667,17 +668,17 @@ def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
     top = len(terms) - 1
     if not top:
         return list(v)
-    # term j is over dv (dz s)^j; over the common denominator it gains
-    # K! / j! (dz s)^(K - j)
-    step = zc[1] * L.int_table[0]
+    # term j is over dv dz^j; over the common denominator it gains
+    # K! / j! dz^(K - j)
+    dz = zc[1]
     out = [0] * L.dim
     weight = 1
     for j in range(top, -1, -1):
         for i, c in enumerate(terms[j]):
             if c:
                 out[i] += weight * c
-        weight *= j * step
-    return over(out, term[1] // step * factorial(top))
+        weight *= j * dz
+    return over(out, term[1] // dz * factorial(top))
 
 
 def ut_action(L: LieAlgebra, triple: PrincipalTriple, t, v) -> list:

@@ -316,8 +316,8 @@ class GradientContext:
     gram_inv is linalg.inverse of the Gram matrix and gram_inv_int its
     rational.clear_rows form (g, rows), row i listing its nonzero
     (k, g * entry).  The inverse is validated on integers: the sparse
-    product of the algebra's integer Killing rows (scale s) with
-    gram_inv_int must be s * g times the identity.
+    product of the algebra's integer Killing rows with gram_inv_int must be
+    g times the identity.
     """
 
     L: object
@@ -330,13 +330,13 @@ class GradientContext:
         self.gram = self.L.killing
         self.gram_inv = linalg.inverse(self.gram)
         self.gram_inv_int = clear_rows(self.gram_inv)
-        (g, inv_rows), (s, rows) = self.gram_inv_int, self.L.int_killing
-        for i, row in enumerate(rows):
+        g, inv_rows = self.gram_inv_int
+        for i, row in enumerate(self.L.int_killing):
             acc: dict = {}
             for j, a in row:
                 for k, c in inv_rows[j]:
                     acc[k] = acc.get(k, 0) + a * c
-            if {k: c for k, c in acc.items() if c} != {i: s * g}:
+            if {k: c for k, c in acc.items() if c} != {i: g}:
                 raise ValueError("Gram inverse validation failed")
 
     @property
@@ -362,15 +362,15 @@ class GradientContext:
         [u_i, u_j], u_k the dual vector with (u_k, x) = x_k.  The inverse of
         the symmetric Gram matrix is symmetric, so u_k is row k of
         gram_inv_int (over g); the brackets are taken on the algebra's
-        integer table (L.int_bracket, over g^2 t) and lowered on its integer
-        Killing rows (over s).  Every entry is then over s g^2 t, and one gcd
-        of that scale and all entries leaves the LCM of the denominators.
+        integer table (L.int_bracket, over g^2) and lowered on its integer
+        Killing rows.  Every entry is then over g^2, and one gcd of that
+        scale and all entries leaves the LCM of the denominators.
         """
         if self._pair_table is None:
             n = self.nvars
             g, inv_rows = self.gram_inv_int
-            s, krows = self.L.int_killing
-            scale = s * g * g * self.L.int_table[0]
+            krows = self.L.int_killing
+            scale = g * g
             duals = []
             for row in inv_rows:
                 dense = [0] * n

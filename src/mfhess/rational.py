@@ -1,15 +1,13 @@
 """Exact rational scalars.
 
-All arithmetic in this package is exact.  When gmpy2 is available its mpq
-type is used (much faster than fractions.Fraction); otherwise Fraction is a
-drop-in fallback.  Floats are rejected everywhere.
+All arithmetic in this package is exact, and its one rational type is
+fractions.Fraction.  Floats are rejected everywhere.
 
 This module alone turns rationals into integers over one scale: clear for a
 vector (a point, a row that an exact elimination reads, or the coefficients
 of a polynomial, which polyring.Poly then holds as integer numerators over
 one denominator), clear_rows for a fixed matrix held as sparse integer rows
-(the Killing rows, the Gram inverse, the chart frame), and over for the way
-back.
+(the Gram inverse, the chart frame), and over for the way back.
 """
 
 from __future__ import annotations
@@ -17,32 +15,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
+BACKEND = "fractions"   # the rational type, named in perfbench's run metadata
 
-    def rat(a=0, b=1):
-        return _mpq(a, b)
 
-    BACKEND = "gmpy2"
-except ImportError:
-    def rat(a=0, b=1):
-        return Fraction(a, b)
+def rat(a=0, b=1):
+    return Fraction(a, b)
 
-    BACKEND = "fractions"
 
 R0 = rat(0)
 R1 = rat(1)
-_RAT = type(R0)
 _INT = {int}
 
 
 def to_rat(x):
-    """Coerce an int, "p/q" string, Fraction, or backend rational.
+    """Coerce an int, "p/q" string or Fraction to a Fraction.
 
-    A value of exactly the backend's rational type is immutable and returned
-    as is: this is the common case, and rebuilding it would cost a gcd.
+    A Fraction is immutable and returned as is: this is the common case, and
+    rebuilding it would cost a gcd.
     """
-    if type(x) is _RAT:
+    if type(x) is Fraction:
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact rational required, got {type(x).__name__}")
@@ -50,8 +41,6 @@ def to_rat(x):
         return rat(x)
     if isinstance(x, str):
         return rat(*parse_ratio(x))
-    if isinstance(x, Fraction):
-        return rat(x.numerator, x.denominator)
     return rat(x)
 
 
@@ -68,7 +57,7 @@ def parse_ratio(s: str) -> tuple:
 
 
 def rat_str(x) -> str:
-    """Canonical "p/q" (or "p") rendering, stable across backends."""
+    """Canonical "p/q" (or "p") rendering."""
     return str(x)
 
 

@@ -172,10 +172,10 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     adx = L.int_ad(zx.point)
     sl = slice_frame(L, adx)
     combined = linalg.rank(zx.tangents + sl.tangents)
-    # every entry is over the one denominator pden * tden * (Killing scale)
+    # every entry is over the one denominator pden * tden
     jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
            for g in zx.gradients]
-    den = zx.pden * sl.tden * L.int_killing[0]
+    den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
     pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
     if combined == 2 * L.n and casimirs_commute(F, zx):

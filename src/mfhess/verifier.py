@@ -26,14 +26,13 @@ from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
 from .liealgebra import (chevalley_algebra, principal_triple, principal_decomposition,
-                         is_regular, signature_hash, validate_algebra)
+                         is_regular, signature_hash, validate_algebra, cartan_from_root_values)
 from .polyring import CompiledPolys, GradientContext, coefficient_rows
 from . import invariants as invmod
 from .invariants import invariant_generators, trace_oracle_type_A
 from .argshift import (GradientVisit, choose_regular_y, shift_family, shifted_invariants,
                        pairwise_commute, phi, gradient_visit, gradient_span,
-                       zeta_chain, mv_membership, cartan_from_root_values,
-                       load_family_cache, save_family_cache)
+                       zeta_chain, mv_membership, load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, orbit_slice, slice_membership,
                          point_in_hess, poincare_series, restrict_to_hess, slice_sample)
 from .symplectic import (omega, zx_frame, isotropy_witness, hess_lagrangian_check,

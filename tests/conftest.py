@@ -980,6 +980,25 @@ def reference_lie():
                            signature=reference_signature_hash)
 
 
+def reference_integer_tables(L):
+    """LieAlgebra.int_table and int_killing as dicts: (a, b) -> {c: coefficient}
+    for every a != b with a nonzero Fraction bracket [e_a, e_b], and row i
+    -> {j: entry} over the nonzero entries of row i of L.killing."""
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    table = {}
+    for a in range(L.dim):
+        for b in range(L.dim):
+            row = {c: v for c, v in enumerate(reference_lie_bracket(L, basis[a], basis[b])) if v}
+            if row:
+                table[(a, b)] = row
+    return table, [{j: c for j, c in enumerate(row) if c} for row in L.killing]
+
+
+@pytest.fixture(scope="session")
+def reference_int_tables():
+    return reference_integer_tables
+
+
 def reference_killing_matrix(L):
     """tr(ad e_i ad e_j) for every pair, by dense dot products of the
     Fraction adjoint matrices."""
@@ -1278,7 +1297,7 @@ def reference_transversality_check(F, chart, x):
     combined = linalg.rank(zx.tangents + sl.tangents)
     jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
            for g in zx.gradients]
-    den = zx.pden * sl.tden * L.int_killing[0]
+    den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
     pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
     jrank = linalg.rank(jac)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import argshift, linalg
-from mfhess.argshift import (DependentFamily, NotInvertible, cartan_from_root_values,
-                             choose_regular_y, gradient_span, is_regular_cartan,
-                             is_strongly_regular, load_family_cache, mv_membership,
-                             pairwise_commute, save_family_cache,
-                             phi, root_values, shift_family, shifted_invariants,
-                             zeta_apply, zeta_chain)
-from mfhess.liealgebra import exp_ad_nilpotent, is_regular
+from mfhess.argshift import (DependentFamily, NotInvertible, choose_regular_y,
+                             gradient_span, is_regular_cartan, is_strongly_regular,
+                             load_family_cache, mv_membership, pairwise_commute,
+                             save_family_cache, phi, root_values, shift_family,
+                             shifted_invariants, zeta_apply, zeta_chain)
+from mfhess.liealgebra import cartan_from_root_values, exp_ad_nilpotent, is_regular
 from mfhess.invariants import load_family, save_family
 from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
 from mfhess.rational import over, rat, to_rat

@@ -5,9 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfhess import linalg
+from mfhess import linalg, liealgebra
 from mfhess.argshift import gradient_span
-from mfhess.liealgebra import (DimensionMismatch, LieAlgebra, chevalley_algebra,
+from mfhess.liealgebra import (ConstructionFailure, DimensionMismatch, LieAlgebra,
+                               SingularSystem, cartan_from_root_values, chevalley_algebra,
                                exp_ad_nilpotent, is_regular, principal_triple, signature_hash,
                                ut_action, validate_algebra)
 from mfhess.rational import clear, factorial_rat, over, rat
@@ -73,6 +74,24 @@ def test_principal_triple_relations(bundles, label):
     for r, v in zip(B.rs.positive_roots, vals):
         if sum(r) == 1:
             assert v == rat(2)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "D4"])
+def test_principal_w_is_the_cartan_element_with_root_values_two(algebras, monkeypatch,
+                                                                 label):
+    """principal_triple takes w from cartan_from_root_values, which turns a
+    failed solve into SingularSystem."""
+    L = algebras(label)
+    assert principal_triple(L).w == cartan_from_root_values(L, [2] * L.rank)
+
+    def singular(*args):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="singular"):
+        cartan_from_root_values(L, [1] * L.rank)
+    with pytest.raises(SingularSystem):
+        principal_triple(L)
 
 
 @pytest.mark.parametrize("label", list(EXPECTED_MODULES))
@@ -324,48 +343,57 @@ ALL_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4")
 def test_chevalley_algebra_stores_ints_and_builds_each_table_once(algebras, monkeypatch,
                                                                   label):
     """The structure constants and the Killing entries are ints, __post_init__
-    runs once per build, and the tables built once equal those that the
-    rational path of __post_init__ rebuilds."""
+    runs once per build and builds the Killing matrix then, and the tables
+    built once equal those that __post_init__ rebuilds through
+    dataclasses.replace, which keeps the Killing matrix it is given."""
     rs = algebras(label).rs
-    calls = []
-    original = LieAlgebra.__post_init__
+    calls, traces = [], []
+    original, killing_matrix = LieAlgebra.__post_init__, liealgebra._killing_matrix
     monkeypatch.setattr(LieAlgebra, "__post_init__",
                         lambda self: calls.append(self) or original(self))
+    monkeypatch.setattr(liealgebra, "_killing_matrix",
+                        lambda L: traces.append(L) or killing_matrix(L))
     L = chevalley_algebra(rs)
-    assert len(calls) == 1 and calls[0] is L
+    assert len(calls) == 1 and calls[0] is L and traces == [L]
     assert {type(v) for row in L.table.values() for v in row.values()} == {int}
     assert {type(c) for row in L.killing for c in row} == {int}
     rebuilt = replace(L)
-    assert len(calls) == 2
+    assert len(calls) == 2 and traces == [L]
     assert (rebuilt.int_table, rebuilt.int_killing) == (L.int_table, L.int_killing)
-    assert L.int_table[0] == 1 and L.int_killing[0] == 1
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
-def test_planted_fraction_entries_rebuild_the_integer_tables(algebras, label):
-    """A Fraction planted through dataclasses.replace, in the table or in the
-    Killing matrix, is scaled into the integer table or Killing rows by the
-    LCM of the denominators, and check 2 reports it; the planted defects of
-    _planted still fail check 2."""
+def test_integer_tables_match_reference(algebras, reference_int_tables, label):
+    """int_table[a][b] lists [e_a, e_b] for every pair with a nonzero bracket
+    and int_killing[i] the nonzero entries of Killing row i, as ints over no
+    scale."""
     L = algebras(label)
-    p = 10007        # a prime that divides no entry
+    table, killing = reference_int_tables(L)
+    assert {(a, b): dict(row) for a, col in enumerate(L.int_table)
+            for b, row in col.items()} == table
+    assert [dict(row) for row in L.int_killing] == killing
+    assert {type(v) for col in L.int_table for row in col.values() for _, v in row} == {int}
+    assert {type(c) for row in L.int_killing for _, c in row} == {int}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_non_integer_entries_are_refused(algebras, label):
+    """A Fraction, even a whole one, a float or a bool planted through
+    dataclasses.replace in the table or in the Killing matrix raises
+    ConstructionFailure naming which one; the integer defects of _planted
+    build and still fail check 2."""
+    L = algebras(label)
     key = min(L.table)
-    table = dict(L.table)
-    table[key] = {c: rat(v, p) for c, v in table[key].items()}
-    planted = replace(L, table=table)
-    scale, cols = planted.int_table
-    assert scale == p
-    assert {k: {c: rat(v, scale) for c, v in cols[k[0]][k[1]]} for k in table} == table
-    assert validate_algebra(planted)
-    killing = [list(row) for row in L.killing]
     i = L.cartan_indices[0]
-    killing[i][i] = rat(killing[i][i], p)
-    planted = replace(L, killing=killing)
-    assert planted.int_table == L.int_table
-    assert planted.int_killing[0] == p
-    assert planted.int_killing[1][i] == tuple((j, c if j == i else p * c)
-                                              for j, c in L.int_killing[1][i])
-    assert validate_algebra(planted)
+    for plant in (rat, lambda v: rat(v, 10007), float, bool):
+        table = dict(L.table)
+        table[key] = {c: plant(v) for c, v in table[key].items()}
+        with pytest.raises(ConstructionFailure, match="^table"):
+            replace(L, table=table)
+        killing = [list(row) for row in L.killing]
+        killing[i][i] = plant(killing[i][i])
+        with pytest.raises(ConstructionFailure, match="^killing"):
+            replace(L, killing=killing)
     kinds = ["dropped", "doubled", "killing_diagonal", "killing_root_pair"]
     if any(a in L.pos_indices and b in L.pos_indices for a, b in L.table):
         kinds.append("flipped")     # A1 and A1xA1 bracket no two positive roots

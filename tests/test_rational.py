@@ -4,10 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mfhess import rational
 from mfhess.rational import R1, clear, clear_rows, parse_ratio, rat, to_rat
 
 ints = st.integers(-10 ** 6, 10 ** 6)
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def test_fraction_is_the_one_rational_type():
+    assert type(rat(1, 2)) is Fraction and rat(1, 2) == Fraction(1, 2)
+    assert type(to_rat("1/2")) is Fraction and type(to_rat(3)) is Fraction
+    assert rational.BACKEND == "fractions"
 
 
 def test_to_rat_coercions():

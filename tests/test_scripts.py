@@ -26,8 +26,3 @@ def test_run_all_types_writes_passing_reports(tmp_path):
         assert data["schema"] == "report_v4", path.name
         assert all(c["status"] != "fail" for c in data["checks"]), path.name
 
-
-def test_section_demo_round_trips(tmp_path):
-    proc = _run_script("section_demo.py", "--type", "A1", "--count", "2", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "all round trips exact"
