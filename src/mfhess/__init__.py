@@ -4,8 +4,7 @@ families, the affine Hessenberg slice with its triangular coordinates, and
 pointwise symplectic verdicts.  All arithmetic is exact rational."""
 
 from .rootdata import (CartanMatrix, RootSystem, build_root_system,
-                       degrees_and_layers, cartan_matrix_for_label,
-                       NonFiniteType, UnsupportedType)
+                       cartan_matrix_for_label, NonFiniteType, UnsupportedType)
 from .liealgebra import (LieAlgebra, chevalley_algebra, principal_triple,
                          principal_decomposition, is_regular, PrincipalTriple,
                          PrincipalDecomposition)
@@ -13,7 +12,7 @@ from .polyring import Poly, GradientContext, gradient, poisson_bracket
 from .invariants import (InvariantFamily, invariant_generators, trace_oracle_type_A,
                          WrongDimension)
 from .argshift import (ShiftFamily, choose_regular_y, shift_family, pairwise_commute,
-                       phi, is_strongly_regular, gradient_span, zeta_chain,
+                       phi, gradient_visit, gradient_span, zeta_chain,
                        mv_membership, DependentFamily, NotInvertible)
 from .hessenberg import (HessChart, build_chart, restrict_to_hess, hess_section,
                          orbit_slice, slice_membership, poincare_series, NotTriangular)

@@ -8,13 +8,14 @@ independent; regraded by degree and ordered degree-major they give the
 generator list q_1..q_b.  The positions carrying the underived invariants
 (k = 0) form the index set I, the rest form N.
 
-Also here: exact strong-regularity tests (the b gradients are independent),
-gradient spans over points (the span of the gradients of a list of
-polynomials at every point of a list), the chain map zeta built from a
-regular Cartan element and the nilpositive element of a principal triple
-(its chains are the family's own gradient rows at that element), and a
-sampled membership test: do given compiled members of a shifted family
-reach the maximal gradient span b at some sampled point?
+Also here: gradient visits, which rank the b gradients at a point (b
+exactly at a strongly regular point), gradient spans over points (the span
+of the gradients of a list of polynomials at every point of a list), the
+chain map zeta built from a regular Cartan element and the nilpositive
+element of a principal triple (its chains are the family's own gradient
+rows at that element, its relations tested on integers), and a sampled
+membership test: do given compiled members of a shifted family reach the
+maximal gradient span b at some sampled point?
 
 The pieces come from one integer Taylor pass over the terms of each I_j,
 with polyring's packed exponents; a family holds them, so the chain map and
@@ -28,10 +29,12 @@ A family compiles its members (polyring.CompiledPolys) once, on the first
 pointwise read, not when it is built: no build stage evaluates the whole
 family (the chart reads its frame at e1 from the terms that reach it).
 Gradients and values at points are read from that integer form, and no
-partial derivatives are cached.  gradient_rows returns the gradient
-matrix as integer numerators over one denominator, which the rank tests and
-the tangent frames read as they are; gradient_visit adds the cleared point
-and the rank, so a point visited by several readers is ranked once.
+partial derivatives are cached.  Every point read here is a canonical
+cleared vector (rational.canonical), and phi returns the values in that form
+too.  gradient_rows returns the gradient matrix as integer numerators over
+one denominator, which the rank tests and the tangent frames read as they
+are; gradient_visit adds the point and the rank, so a point visited by
+several readers is ranked once.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import comb
 from operator import mul
 
@@ -48,7 +52,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
 from .polyring import (CompiledPolys, GradientContext, Poly, _int_folds, _int_partials,
                        _int_product, _packing, _unpack)
-from .rational import R0, clear, over, rat, to_rat
+from .rational import clear, combine, draw, rat, to_rat
 
 
 class DependentFamily(Exception):
@@ -60,12 +64,14 @@ class NotInvertible(Exception):
 
 
 def root_values(L: LieAlgebra, y) -> list:
-    """Values of every positive root on a Cartan element given by coordinates."""
+    """Values of every positive root on a Cartan element given by coordinates
+    (rationals, or the integer numerators of a cleared one, which give the
+    values times its denominator)."""
     rs = L.rs
     coeffs = [y[i] for i in L.cartan_indices]
     out = []
     for r in rs.positive_roots:
-        out.append(sum((coeffs[j] * rs.pairing(r, j) for j in range(L.rank)), R0))
+        out.append(sum(coeffs[j] * rs.pairing(r, j) for j in range(L.rank)))
     return out
 
 
@@ -181,8 +187,8 @@ class ShiftFamily:
         return len(self.entries)
 
     def gradient_rows(self, x) -> tuple:
-        """The b gradients at x as integer rows over one positive
-        denominator: (rows, den)."""
+        """The b gradients at the cleared point x as integer rows over one
+        positive denominator: (rows, den)."""
         return self.compiled.int_gradients(self.ctx, x)
 
     def graded_dims(self) -> dict:
@@ -306,17 +312,18 @@ def _released(items: list):
         yield item
 
 
-def phi(F: ShiftFamily, x) -> list:
-    """The b generator values at a point."""
+def phi(F: ShiftFamily, x) -> tuple:
+    """The b generator values at a cleared point, as a canonical cleared
+    vector."""
     return F.compiled.values(x)
 
 
 @dataclass
 class GradientVisit:
-    """One visit to a point: the point cleared to (numerators, den), the b
-    family gradients there as integer rows over the positive denominator
-    den, and their rank, which is b exactly at a strongly regular point.
-    Every reader of the visit takes the matrix and its rank from here."""
+    """One visit to a cleared point: the point, the b family gradients there
+    as integer rows over the positive denominator den, and their rank,
+    which is b exactly at a strongly regular point.  Every reader of the
+    visit takes the matrix and its rank from here."""
     point: tuple
     rows: list
     den: int
@@ -324,20 +331,14 @@ class GradientVisit:
 
 
 def gradient_visit(F: ShiftFamily, x) -> GradientVisit:
-    """Build the gradient matrix at x and its rank, once."""
-    x = [to_rat(c) for c in x]
+    """Build the gradient matrix at the cleared point x and its rank, once."""
     rows, den = F.gradient_rows(x)
-    return GradientVisit(point=clear(x), rows=rows, den=den, rank=linalg.rank(rows))
-
-
-def is_strongly_regular(F: ShiftFamily, x) -> bool:
-    """True when the b gradients at x are linearly independent."""
-    return gradient_visit(F, x).rank == F.b
+    return GradientVisit(point=x, rows=rows, den=den, rank=linalg.rank(rows))
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:
     """(dimension, canonical basis) of the span of dp(x) over the given
-    polys p and points x.  The polynomials are compiled once, and the
+    polys p and cleared points x.  The polynomials are compiled once, and the
     integer gradient rows are spanned as they are: a positive scale of a
     row leaves the span, and so its canonical basis, unchanged."""
     compiled = CompiledPolys(polys)
@@ -379,37 +380,31 @@ def load_family_cache(cache_dir: str, label: str, seed: int, L: LieAlgebra,
 # -- the chain map zeta ------------------------------------------------------
 
 
-def zeta_apply(L: LieAlgebra, triple: PrincipalTriple, y, v) -> list:
-    """zeta(v) = -(ad y)^{-1} [e, v] for v in the upper Borel subalgebra."""
-    vals = root_values(L, y)
-    if not all(vals):
-        raise NotInvertible("ad y is singular on the nilradical")
-    img = L.bracket(triple.e, v)
-    if not L.supported_in(img, L.n_indices):
-        raise ValueError("zeta is defined on the upper Borel subalgebra only")
-    out = L.zero()
-    for i_pos, idx in enumerate(L.pos_indices):
-        if img[idx]:
-            out[idx] = -img[idx] / vals[i_pos]
-    return out
-
-
-def zeta_chain(F: ShiftFamily) -> list:
+def zeta_chain(F: ShiftFamily) -> tuple:
     """The chains v_i(I_j), i = 0..d_j-1, from the t-expansion of
-    dI_j(e + t y), as chains[j][i].
+    dI_j(e + t y), as (chains, den): chains[j][i] the integer numerators of
+    v_i(I_j) over the one positive denominator den.
 
     v_i is the coefficient of t^{d_j - 1 - i}, and the coefficient of t^k is
     the gradient at e of the shifted piece (1/k!) (d_y)^k I_j, the family's
-    member (j, k), so every chain vector comes from the family's gradient
+    member (j, k), so every chain vector is a row of the family's gradient
     rows at e.  The chains satisfy [y, v_0] = 0, [e, v_{d_j-1}] = 0 and
-    zeta(v_i) = v_{i+1}, with v_i homogeneous of adjoint weight 2i.  All
-    relations are verified exactly.
+    zeta(v_i) = v_{i+1}, zeta(v) = -(ad y)^{-1} [e, v], with v_i homogeneous
+    of adjoint weight 2i.  All relations are verified exactly, on integers:
+    with y = Y / dy, e = E / de and alpha(Y) = dy alpha(y), the relation
+    zeta(v_i) = v_{i+1} holds when [E, v_i] lies in the upper nilradical,
+    -[E, v_i]_alpha dy = alpha(Y) de v_{i+1, alpha} at every positive root
+    alpha, and v_{i+1} vanishes off the positive roots.
     """
-    L, triple, y = F.L, F.triple, F.y
-    if not all(root_values(L, y)):
+    L, triple = F.L, F.triple
+    yc = clear(F.y)
+    vals = root_values(L, yc[0])
+    if not all(vals):
         raise NotInvertible("ad y is singular on the nilradical")
-    rows, den = F.gradient_rows(triple.e)
-    coeff = {(q.j, q.k): over(row, den) for q, row in zip(F.entries, rows)}
+    ec = triple.cleared("e")
+    rows, den = F.gradient_rows(ec)
+    coeff = {(q.j, q.k): row for q, row in zip(F.entries, rows)}
+    off = [i for i in range(L.dim) if i not in L.pos_indices]
     chains = []
     for q in sorted((q for q in F.entries if q.k == 0), key=lambda q: q.j):
         j, d = q.j, q.m
@@ -419,19 +414,23 @@ def zeta_chain(F: ShiftFamily) -> list:
             raise ValueError("gradient expansion has unexpected high-order terms")
         vecs = [coeff[(j, d - 1 - i)] for i in range(d)]
         # chain relations
-        if any(L.bracket(y, vecs[0])):
+        if any(L.int_bracket(yc, (vecs[0], den))[0]):
             raise ValueError(f"[y, v_0] != 0 for invariant {j}")
-        if any(L.bracket(triple.e, vecs[d - 1])):
+        if any(L.int_bracket(ec, (vecs[d - 1], den))[0]):
             raise ValueError(f"[e, v_(d-1)] != 0 for invariant {j}")
         for i in range(d):
             if not L.supported_in(vecs[i], L.layer_indices(i)):
                 raise ValueError(f"v_{i}(I_{j}) is not homogeneous of weight 2*{i}")
-            nxt = zeta_apply(L, triple, y, vecs[i])
-            want = vecs[i + 1] if i + 1 < d else [R0] * L.dim
-            if nxt != want:
+            img = L.int_bracket(ec, (vecs[i], den))[0]
+            if not L.supported_in(img, L.n_indices):
+                raise ValueError("zeta is defined on the upper Borel subalgebra only")
+            nxt = vecs[i + 1] if i + 1 < d else [0] * L.dim
+            if any(nxt[k] for k in off) or any(
+                    -img[idx] * yc[1] != v * ec[1] * nxt[idx]
+                    for idx, v in zip(L.pos_indices, vals)):
                 raise ValueError(f"zeta(v_{i}) != v_{i + 1} for invariant {j}")
         chains.append(vecs)
-    return chains
+    return chains, den
 
 
 # -- sampled membership in the maximal-span locus ---------------------------
@@ -440,20 +439,19 @@ def zeta_chain(F: ShiftFamily) -> list:
 def mv_membership(ctx: GradientContext, triple: PrincipalTriple, members: CompiledPolys,
                   sample_count: int, seed: int, coeff_bound: int) -> tuple:
     """Search for a point where the compiled members of a shifted family
-    have full gradient span b.
+    have full gradient span b: w, e, e1 and w + f first, then sample_count
+    random points, each drawn only once every earlier candidate has missed.
 
-    Returns (True, witness point) when found; (False, None) is inconclusive,
-    never a refutation.
+    Returns (True, witness point), the point cleared, when found; (False,
+    None) is inconclusive, never a refutation.
     """
     L = ctx.L
     b = L.rank + L.n
     rng = random.Random(f"{seed}:mv-membership")
-    candidates = [triple.w, triple.e, triple.e1,
-                  linalg.vec_add(triple.w, triple.f)]
-    for _ in range(sample_count):
-        candidates.append([rat(rng.randint(-coeff_bound, coeff_bound),
-                               rng.randint(1, 3)) for _ in range(L.dim)])
-    for x in candidates:
+    w = triple.cleared("w")
+    fixed = [w, triple.cleared("e"), triple.cleared("e1"), combine(w, triple.cleared("f"))]
+    drawn = (draw(rng, L.dim, coeff_bound, 3) for _ in range(sample_count))
+    for x in chain(fixed, drawn):
         if linalg.rank(members.int_gradients(ctx, x)[0]) == b:
             return True, x
     return False, None

@@ -10,21 +10,22 @@ default cache directory.  Beyond the common options verify takes only
 --format, --out and --determinism-trials: how many points each check
 samples is a constant of mfhess.verifier (HESS_POINTS and its neighbours),
 and the JSON report is schema report_v4.  verify exits 0 exactly when no
-check failed; section and invariants exit 2 when the algebra does not
-build, and every command exits 2 when stdout is closed before its output
-is written.
+check failed, and 2 before any check runs when --out cannot be opened for
+writing; section and invariants exit 2 when the algebra does not build, and
+every command exits 2 when stdout is closed before its output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 
 from . import invariants as invmod
-from .rational import rat_str, to_rat
+from .rational import cleared, over, rat_str, to_rat
 from .verifier import SuiteConfig, build_context, run_suite
 from .hessenberg import hess_section
 from .argshift import phi
@@ -80,34 +81,35 @@ def cmd_verify(args) -> int:
     config = _config_from_args(args)
     try:
         config.validate()
-    except ValueError as exc:
+        # opened before the suite runs, so that a bad path costs no run
+        fh = open(args.out, "w") if args.out else None
+    except (ValueError, OSError) as exc:
         return _error(str(exc))
-    report = run_suite(config)
-    text = report.to_json() if args.output_format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            if args.output_format == "text":
-                fh.write("\n")
-    else:
-        print(text)
+    with fh or contextlib.nullcontext():
+        report = run_suite(config)
+        text = report.to_json() if args.output_format == "json" else report.to_text()
+        if fh:
+            fh.write(text + ("\n" if args.output_format == "text" else ""))
+        else:
+            print(text)
     return 1 if report.failed else 0
 
 
 def cmd_section(args) -> int:
     config = _config_from_args(args)
     try:
-        values = [to_rat(v) for v in args.values.split(",")]
+        values = cleared([to_rat(v) for v in args.values.split(",")])
     except ValueError as exc:
         return _error(f"--values takes comma-separated integers or p/q rationals ({exc})")
     sc = build_context(config)
-    if len(values) != sc.family.b:
-        return _error(f"expected {sc.family.b} values for {sc.label}, got {len(values)}")
+    if len(values[0]) != sc.family.b:
+        return _error(f"expected {sc.family.b} values for {sc.label}, got {len(values[0])}")
     v = hess_section(sc.chart, values)
     if phi(sc.family, v) != values:
         print("error: the section point does not take the requested values",
               file=sys.stderr)
         return 1
+    v = over(*v)
     print(",".join(rat_str(c) for c in v))
     for i, c in enumerate(v):
         if c:

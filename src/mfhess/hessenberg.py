@@ -19,6 +19,11 @@ which is the exact section implemented here.
 Orbit slices of Hess are cut out by fixing the values of the underived
 invariants; their infinitesimal structure (tangents from the lower
 nilradical, trivial isotropy) is read from ad x by symplectic.slice_frame.
+
+Points, value vectors and chart coordinates s are canonical cleared vectors
+(rational.canonical), so equal vectors have equal pairs: the chart sums its
+points on integers, the section solves on them, slice points come from
+exp_ad_nilpotent on integers, and check 11's series are series of ints.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import R0, R1, clear, clear_rows, over, rat, to_rat
+from .rational import canonical, clear_rows, draw, over
 from .rootdata import RootSystem
 
 
@@ -42,11 +47,12 @@ class NotTriangular(Exception):
 
 
 def point_in_hess(L: LieAlgebra, triple: PrincipalTriple, v) -> bool:
-    """True when v lies on e1 + b_-: v agrees with e1 on the upper
-    nilradical.  A vector of the wrong length raises DimensionMismatch."""
-    L.check_vector(v)
-    e1 = triple.e1
-    return all(v[i] == e1[i] for i in L.n_indices)
+    """True when the cleared point v lies on e1 + b_-: v agrees with e1 on
+    the upper nilradical.  A vector of the wrong length raises
+    DimensionMismatch."""
+    (vn, vd), (en, ed) = v, triple.cleared("e1")
+    L.check_vector(vn)
+    return all(vn[i] * ed == en[i] * vd for i in L.n_indices)
 
 
 def restrict_to_hess(L: LieAlgebra, triple: PrincipalTriple, polys,
@@ -101,12 +107,12 @@ class HessChart:
     # numerators over one denominator, supports[g] the nonzero
     # (index, numerator) pairs of frame vector g
     frame_int: tuple = field(init=False, repr=False, compare=False)
-    # e1 as (integer numerators, den)
+    # e1 as a canonical point
     e1_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.frame_int = clear_rows(self.frame)
-        self.e1_int = clear(self.triple.e1)
+        self.e1_int = self.triple.cleared("e1")
 
     # each restricted generator compiled alone, on first read: the section
     # evaluates one per step, and no build stage reads them
@@ -118,17 +124,12 @@ class HessChart:
     def b(self) -> int:
         return len(self.zvecs)
 
-    def point_from_s(self, svals) -> list:
-        """The point e1 + sum_g s_g frame_g of Hess."""
-        return self.point_from_cleared(*clear(svals))
-
-    def point_from_cleared(self, snums: list, sden: int) -> list:
+    def point_from_cleared(self, snums, sden: int) -> tuple:
         """The point e1 + sum_g s_g frame_g of Hess for s = snums / sden,
-        summed on integers.
+        summed on integers, as a canonical point.
 
         With the frame Fr / df and e1 = E / de, coordinate i is
-        (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df): one rational
-        per coordinate."""
+        (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df)."""
         (fden, supports), (enums, eden) = self.frame_int, self.e1_int
         acc = [0] * len(enums)
         for s, support in zip(snums, supports):
@@ -136,7 +137,7 @@ class HessChart:
                 for i, c in support:
                     acc[i] += s * c
         scale = sden * fden
-        return over([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
+        return canonical([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
 
 
 def frame_rows(F: ShiftFamily) -> tuple:
@@ -145,8 +146,8 @@ def frame_rows(F: ShiftFamily) -> tuple:
     terms whose gradient at e1 can be nonzero (CompiledPolys grad_at): e1 is
     zero off the simple root vectors, so most terms drop out.  The family's
     own compiled form is left unbuilt."""
-    e1 = F.triple.e1
-    return CompiledPolys(F.qs, grad_at=e1).int_gradients(F.ctx, e1)
+    e1 = F.triple.cleared("e1")
+    return CompiledPolys(F.qs, grad_at=e1[0]).int_gradients(F.ctx, e1)
 
 
 def build_chart(F: ShiftFamily) -> HessChart:
@@ -197,8 +198,9 @@ def build_chart(F: ShiftFamily) -> HessChart:
                      frame=frame, restricted=restricted)
 
 
-def hess_section(chart: HessChart, cvals) -> list:
-    """The point of Hess whose generator values are cvals, solved ascending.
+def hess_section(chart: HessChart, cvals) -> tuple:
+    """The point of Hess whose generator values are the cleared vector
+    cvals, solved ascending, as a canonical point.
 
     Each step is linear in the next coordinate with unit coefficient, so the
     solve is division free and exact for every input tuple.  The solved
@@ -206,17 +208,17 @@ def hess_section(chart: HessChart, cvals) -> list:
     denominator, which grows only when a new coordinate's reduced
     denominator does not divide it.
     """
-    cvals = [to_rat(c) for c in cvals]
-    if len(cvals) != chart.b:
-        raise ValueError(f"expected {chart.b} values, got {len(cvals)}")
+    cnums, cden = cvals
+    if len(cnums) != chart.b:
+        raise ValueError(f"expected {chart.b} values, got {len(cnums)}")
     snums, sden = [0] * chart.b, 1
-    for bi, c in enumerate(cvals):
+    for bi, c in enumerate(cnums):
         # snums[bi] and every later coordinate are still 0 here, so this is
         # generator bi without its diagonal term s_bi
         (rest,), whole = chart.compiled[bi].int_values(snums, sden)
-        # s_bi = c - rest / whole
-        num = c.numerator * whole - c.denominator * rest
-        den = c.denominator * whole
+        # s_bi = c / cden - rest / whole
+        num = c * whole - cden * rest
+        den = cden * whole
         g = gcd(num, den)
         num, den = num // g, den // g
         if sden % den:
@@ -232,28 +234,30 @@ def hess_section(chart: HessChart, cvals) -> list:
 
 @dataclass
 class OrbitSlice:
-    base_point: list
-    values: tuple      # the invariant values that cut out the slice
+    base_point: tuple
+    values: tuple      # the invariant values that cut out the slice, cleared
 
 
 def orbit_slice(inv: InvariantFamily, v0) -> OrbitSlice:
-    v0 = [to_rat(c) for c in v0]
-    return OrbitSlice(base_point=v0, values=tuple(inv.compiled.values(v0)))
+    return OrbitSlice(base_point=v0, values=inv.compiled.values(v0))
 
 
 def slice_membership(s: OrbitSlice, inv: InvariantFamily, v) -> bool:
-    return tuple(inv.compiled.values(v)) == s.values
+    return inv.compiled.values(v) == s.values
 
 
 def slice_sample(L: LieAlgebra, v0, count: int, rng: random.Random,
                  coeff_bound: int = 3) -> list:
-    """Points exp(ad z) v0 for random z in the lower nilradical (exact)."""
+    """Points exp(ad z) v0 for random z in the lower nilradical (exact), its
+    coordinates drawn a / q with q in 1..2."""
     out = []
+    idx = L.nminus_indices
     for _ in range(count):
-        z = L.zero()
-        for i in L.nminus_indices:
-            z[i] = rat(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 2))
-        out.append(exp_ad_nilpotent(L, z, v0))
+        znums, zden = draw(rng, len(idx), coeff_bound, 2)
+        z = [0] * L.dim
+        for i, c in zip(idx, znums):
+            z[i] = c
+        out.append(exp_ad_nilpotent(L, (z, zden), v0))
     return out
 
 
@@ -261,7 +265,7 @@ def slice_sample(L: LieAlgebra, v0, count: int, rng: random.Random,
 
 
 def _series_mul(a: list, b: list, order: int) -> list:
-    out = [R0] * (order + 1)
+    out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -269,16 +273,17 @@ def _series_mul(a: list, b: list, order: int) -> list:
             if i + j > order:
                 break
             if bj:
-                out[i + j] = out[i + j] + ai * bj
+                out[i + j] += ai * bj
     return out
 
 
 def _geometric(k: int, order: int) -> list:
-    return [R1 if i % k == 0 else R0 for i in range(order + 1)]
+    return [int(i % k == 0) for i in range(order + 1)]
 
 
 def poincare_series(rs: RootSystem, order: int) -> list:
-    """Graded dimension series of the generator algebra, to the given order.
+    """Graded dimension series of the generator algebra, to the given order,
+    as ints.
 
     Computed in two ways: over the invariant degrees (for each j the factors
     1/(1-t^i), i = 1..d_j) and over the layer dimensions (factors
@@ -286,11 +291,11 @@ def poincare_series(rs: RootSystem, order: int) -> list:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    f1 = [R1] + [R0] * order
+    f1 = [1] + [0] * order
     for d in rs.degrees:
         for i in range(1, d + 1):
             f1 = _series_mul(f1, _geometric(i, order), order)
-    f2 = [R1] + [R0] * order
+    f2 = [1] + [0] * order
     for m, r in enumerate(rs.layer_dims, start=1):
         for _ in range(r):
             f2 = _series_mul(f2, _geometric(m, order), order)

@@ -23,8 +23,12 @@ Each of bracket, ad and killing_pair has one integer core (int_bracket,
 int_ad, int_killing_pair) that takes cleared vectors, integer numerators
 over one positive denominator (rational.clear), accumulates in ints and
 returns integer numerators and one positive denominator; the rational
-method divides that back (rational.over).  Pointwise checks call the cores
-on cleared points and never form the rationals.  bracket and ad read the
+method divides that back (rational.over), for the build stages, check 3
+and the trace oracle only.
+Pointwise checks call the cores on cleared points and never form the
+rationals: centralizer_dim (so is_regular) and exp_ad_nilpotent take
+canonical points (rational.canonical), and a PrincipalTriple gives its
+elements as such (PrincipalTriple.cleared).  bracket and ad read the
 same integer table, so ad x . z = [x, z] for every table, and check 2
 (validate_algebra) reads that table and the integer Killing rows directly.
 """
@@ -37,7 +41,7 @@ from functools import cached_property
 from math import factorial
 
 from . import linalg
-from .rational import R0, R1, all_ints, clear, over, rat, rat_str, to_rat
+from .rational import R0, R1, all_ints, canonical, clear, cleared, over, rat, rat_str, to_rat
 from .rootdata import RootSystem
 
 
@@ -195,7 +199,7 @@ class LieAlgebra:
         return rat(*self.int_killing_pair(clear(x), clear(y)))
 
     def centralizer_dim(self, x) -> int:
-        return self.dim - linalg.rank(self.int_ad(clear(x))[0])
+        return self.dim - linalg.rank(self.int_ad(x)[0])
 
     def zero(self) -> list:
         return [R0] * self.dim
@@ -505,6 +509,10 @@ class PrincipalTriple:
     f: list
     e1: list
 
+    def cleared(self, name: str) -> tuple:
+        """The element name ("w", "e", "f" or "e1") as a canonical point."""
+        return cleared(getattr(self, name))
+
 
 @dataclass
 class PrincipalDecomposition:
@@ -643,34 +651,32 @@ def principal_decomposition(L: LieAlgebra, triple: PrincipalTriple) -> Principal
 
 
 def is_regular(L: LieAlgebra, x) -> bool:
-    """True when the centralizer has the minimal possible dimension (the rank)."""
+    """True when the centralizer of the cleared point x has the minimal
+    possible dimension (the rank)."""
     return L.centralizer_dim(x) == L.rank
 
 
-def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
-    """exp(ad z) applied to v for nilpotent ad z (the series terminates).
+def exp_ad_nilpotent(L: LieAlgebra, z, v) -> tuple:
+    """exp(ad z) applied to v for nilpotent ad z (the series terminates), for
+    cleared z and v, as a canonical point.
 
-    The series is summed on integers.  With z and v cleared to numerators
-    over dz and dv, the k-th bracket (ad z)^k v from int_bracket is over
-    dv dz^k; the sum up to the last nonzero term K is taken over
-    K! dv dz^K and divided back once."""
-    zc, term = clear(z), clear(v)
+    The series is summed on integers.  With z and v numerators over dz and
+    dv, the k-th bracket (ad z)^k v from int_bracket is over dv dz^k; the
+    sum up to the last nonzero term K is taken over K! dv dz^K."""
+    term = v
     terms = [term[0]]
     k = 0
     while True:
         k += 1
-        term = L.int_bracket(zc, term)
+        term = L.int_bracket(z, term)
         if not any(term[0]):
             break
         if k > L.dim + 1:
             raise ValueError("exp(ad z) series did not terminate; z is not ad-nilpotent")
         terms.append(term[0])
-    top = len(terms) - 1
-    if not top:
-        return list(v)
     # term j is over dv dz^j; over the common denominator it gains
     # K! / j! dz^(K - j)
-    dz = zc[1]
+    top, dz = len(terms) - 1, z[1]
     out = [0] * L.dim
     weight = 1
     for j in range(top, -1, -1):
@@ -678,9 +684,4 @@ def exp_ad_nilpotent(L: LieAlgebra, z, v) -> list:
             if c:
                 out[i] += weight * c
         weight *= j * dz
-    return over(out, term[1] // dz * factorial(top))
-
-
-def ut_action(L: LieAlgebra, triple: PrincipalTriple, t, v) -> list:
-    """exp((t/2) ad f) applied to v."""
-    return exp_ad_nilpotent(L, linalg.vec_scale(triple.f, to_rat(t) / 2), v)
+    return canonical(out, term[1] // dz * factorial(top))

@@ -31,55 +31,29 @@ from itertools import chain
 from .rational import R0, R1, all_ints, clear, over, rat
 
 
-def zeros(n: int) -> list:
-    return [R0] * n
-
-
-def vec_add(u: list, v: list) -> list:
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_scale(u: list, c) -> list:
     return [c * a for a in u]
-
-
-def dot(u: list, v: list):
-    s = R0
-    for a, b in zip(u, v):
-        if a and b:
-            s = s + a * b
-    return s
-
-
-def mat_vec(m: list, v: list) -> list:
-    return [dot(row, v) for row in m]
-
-
-def mat_mul(a: list, b: list) -> list:
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
 
 
 def transpose(m: list) -> list:
     return [list(col) for col in zip(*m)]
 
 
-def identity(n: int) -> list:
-    return [[R1 if i == j else R0 for j in range(n)] for i in range(n)]
-
-
 def rank(mat: list) -> int:
     """Exact rank by fraction-free elimination.
 
-    Rows of ints (the numerators the integer cores return) are taken as they
-    are; a rational row is scaled by the LCM of its denominators.  A positive
+    A matrix of ints (the numerators the integer cores return) is taken as it
+    is, after one C-level type pass; otherwise a rational row is scaled by
+    the LCM of its denominators.  A positive
     scale of a row leaves the rank unchanged.  Each step takes the last
     remaining row as pivot row, at its first nonzero column c, and replaces
     every other row r with a nonzero at c by (p/g) r - (r_c/g) pivot,
     g = gcd(p, r_c), divided by its content.  These operations keep the row
     space over Q, so the number of steps is the rank.
     """
-    rows = [row for row, _ in map(clear, mat) if any(row)]
+    if not all_ints([*chain.from_iterable(mat)]):
+        mat = [row for row, _ in map(clear, mat)]
+    rows = [row for row in mat if any(row)]
     out = 0
     while rows:
         piv = rows.pop()
@@ -163,7 +137,7 @@ def solve(mat: list, rhs: list) -> list:
     pivots = _dense_echelon([list(row) + [b] for row, b in zip(mat, rhs)])
     if n in pivots:
         raise ValueError("inconsistent linear system")
-    x = zeros(n)
+    x = [R0] * n
     for pc, q in pivots.items():
         if n in q:
             x[pc] = rat(q[n], q[pc])
@@ -191,7 +165,16 @@ def independent_subset(vectors: list) -> list:
 
 
 def same_span(a: list, b: list) -> bool:
-    return span_basis(a) == span_basis(b)
+    """Whether a and b span the same space, on integers: each pivot row of
+    _echelon is primitive and fixed up to sign by the span, so the echelon
+    forms agree, once every pivot is made positive, exactly when the
+    canonical bases of span_basis do."""
+    return _signed_echelon(a) == _signed_echelon(b)
+
+
+def _signed_echelon(vectors: list) -> dict:
+    return {pc: q if q[pc] > 0 else {j: -c for j, c in q.items()}
+            for pc, q in _dense_echelon(vectors).items()}
 
 
 def _dense_echelon(mat: list) -> dict:

@@ -24,8 +24,9 @@ q) and the product sum_i dp/dx_i {x_i, q}.  poisson_bracket runs them for
 one pair; argshift.pairwise_commute runs each of them once per family member.
 
 Values and gradients at points are taken on integers: a list of polynomials
-is compiled once (CompiledPolys) and each evaluation clears the point's
-denominators and accumulates in ints.  Each term forms its coordinate
+is compiled once (CompiledPolys) and each evaluation reads a cleared point
+(integer numerators over one positive denominator, rational.canonical) and
+accumulates in ints.  Each term forms its coordinate
 product P once; its partial along k is e_k (P // N_k), an exact division,
 and a term with a zero coordinate adds only to that coordinate's partial,
 and only when it is its sole zero with exponent 1 (values drop such a term
@@ -35,6 +36,7 @@ returns the gradient matrix as integer numerators over one positive
 denominator, which pointwise checks read as it is (a rank or a vanishing
 test does not change under a positive scale, nor does a span), and it is
 the only gradient kernel: gradient divides its one row back to rationals.
+values returns the values as one canonical cleared vector.
 No partial derivatives are stored, and gradients are never formed as
 polynomials.  The inverse Gram matrix it applies is linalg.inverse of the
 Killing matrix, held as sparse integer rows (GradientContext).
@@ -64,8 +66,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .rational import (R0, R1, all_ints, clear, clear_rows, over, parse_ratio, rat, rat_str,
-                       to_rat)
+from .rational import (R0, R1, all_ints, canonical, clear, clear_rows, over, parse_ratio, rat,
+                       rat_str, to_rat)
 
 
 _STR_INT = {str, int}
@@ -343,14 +345,6 @@ class GradientContext:
     def nvars(self) -> int:
         return self.L.dim
 
-    def linear_functional(self, z) -> Poly:
-        """The polynomial x -> (z, x)."""
-        return Poly.linear(linalg.mat_vec(self.gram, [to_rat(c) for c in z]))
-
-    def dual_vector(self, k: int) -> list:
-        """u_k with (u_k, x) = x_k for every x."""
-        return [row[k] for row in self.gram_inv]
-
     def pair_table(self) -> tuple:
         """Brackets of the coordinate functions on integers: (scale, rows).
 
@@ -450,14 +444,6 @@ class CompiledPolys:
         return ([_power_table(c, self.top) if c else None for c in nums],
                 _power_table(den, self.top))
 
-    def _clear(self, x) -> tuple:
-        """The numerators N = D x of the point x over its common denominator
-        D, with the power tables of _tables."""
-        if len(x) != self.n:
-            raise ValueError("point has wrong dimension")
-        nums, den = clear([to_rat(c) for c in x])
-        return (nums, *self._tables(nums, den))
-
     def int_values(self, nums: list, den: int) -> tuple:
         """p(x) for each compiled p at the point x = nums / den (integer
         numerators over a positive den), on integers: (numerators, whole),
@@ -480,15 +466,16 @@ class CompiledPolys:
             out.append(acc)
         return out, self.scale * dp[self.top]
 
-    def values(self, x) -> list:
-        """p(x) for each compiled p, as rationals."""
-        accs, whole = self.int_values(*clear([to_rat(c) for c in x]))
-        return [rat(acc, whole) if acc else R0 for acc in accs]
+    def values(self, x) -> tuple:
+        """p(x) for each compiled p at the cleared point x, as one canonical
+        cleared vector."""
+        return canonical(*self.int_values(*x))
 
     def int_gradients(self, ctx: "GradientContext", x) -> tuple:
         """dp(x) for each compiled p, the inverse Gram matrix applied to the
-        coordinate partials, on integers: (rows, den), row p holding the
-        numerators of dp(x) over the one positive denominator den.
+        coordinate partials, at the cleared point x = (N, D), on integers:
+        (rows, den), row p holding the numerators of dp(x) over the one
+        positive denominator den.
 
         Each term forms its product P = c N^e D^lift once, and its partial
         along a coordinate k of its support is e_k (P // N_k), an exact
@@ -498,7 +485,10 @@ class CompiledPolys:
         of the term vanishes and it adds nothing.  Points of Hess are zero on
         most of the upper nilradical, so most terms stop at a zero.
         """
-        nums, pw, dp = self._clear(x)
+        nums, den = x
+        if len(nums) != self.n:
+            raise ValueError("point has wrong dimension")
+        pw, dp = self._tables(nums, den)
         ginv_scale, ginv_rows = ctx.gram_inv_int
         n = self.n
         out = []
@@ -533,7 +523,7 @@ class CompiledPolys:
 
 def gradient(ctx: GradientContext, p: Poly, x) -> list:
     """dp(x): the vector whose Killing pairing with z differentiates p along z."""
-    rows, den = CompiledPolys([p]).int_gradients(ctx, x)
+    rows, den = CompiledPolys([p]).int_gradients(ctx, clear(x))
     return over(rows[0], den)
 
 

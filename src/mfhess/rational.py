@@ -4,10 +4,17 @@ All arithmetic in this package is exact, and its one rational type is
 fractions.Fraction.  Floats are rejected everywhere.
 
 This module alone turns rationals into integers over one scale: clear for a
-vector (a point, a row that an exact elimination reads, or the coefficients
-of a polynomial, which polyring.Poly then holds as integer numerators over
-one denominator), clear_rows for a fixed matrix held as sparse integer rows
-(the Gram inverse, the chart frame), and over for the way back.
+vector (a row that an exact elimination reads, or the coefficients of a
+polynomial, which polyring.Poly then holds as integer numerators over one
+denominator), clear_rows for a fixed matrix held as sparse integer rows (the
+Gram inverse, the chart frame), and over for the way back.
+
+A point of the pointwise layer is a cleared vector in canonical form,
+(numerators, den) with the numerators a tuple, den > 0 and
+gcd(den, *numerators) == 1: exactly what clear returns for its rational
+form, so two points are equal exactly when their pairs are.  draw samples
+one, canonical reduces a cleared vector to that form, cleared gives a
+rational vector in it and combine adds two.
 """
 
 from __future__ import annotations
@@ -113,8 +120,28 @@ def over(nums, den: int) -> list:
     return [rat(v, den) if v else R0 for v in nums]
 
 
-def factorial_rat(k: int):
-    out = R1
-    for i in range(2, k + 1):
-        out = out * i
-    return out
+def canonical(nums, den: int) -> tuple:
+    """The cleared vector nums / den (den > 0) in canonical form: nums and
+    den divided by gcd(den, *nums), the numerators as a tuple."""
+    g = math.gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def cleared(vec) -> tuple:
+    """A vector of rationals or ints as its canonical cleared vector."""
+    return canonical(*clear(vec))
+
+
+def combine(u: tuple, v: tuple, t: int = 1) -> tuple:
+    """u + t v for cleared vectors u and v and an int t, canonical."""
+    (un, ud), (vn, vd) = u, v
+    return canonical([a * vd + t * b * ud for a, b in zip(un, vn)], ud * vd)
+
+
+def draw(rng, count: int, bound: int, top: int) -> tuple:
+    """count random rationals a / q, each drawn as a = rng.randint(-bound,
+    bound) and then q = rng.randint(1, top), as one canonical cleared
+    vector: den is the LCM of the reduced denominators q / gcd(a, q)."""
+    pairs = [(rng.randint(-bound, bound), rng.randint(1, top)) for _ in range(count)]
+    den = math.lcm(*(q // math.gcd(a, q) for a, q in pairs))
+    return tuple(a * den // q for a, q in pairs), den

@@ -229,11 +229,3 @@ def dual_partition(parts) -> tuple:
         return ()
     top = max(parts)
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, top + 1))
-
-
-def degrees_and_layers(rs: RootSystem) -> tuple:
-    """(degrees, exponents, layers) rederived from the stored root heights."""
-    layers = _layer_dims(rs.rank, rs.heights, rs.coxeter_number)
-    degrees = tuple(sorted(dual_partition(layers)))
-    exponents = tuple(d - 1 for d in degrees)
-    return degrees, exponents, layers

@@ -10,10 +10,12 @@ well-definedness check (the value only depends on the tangent vectors:
 shifting a preimage by a centralizer element leaves it unchanged).
 
 Every verdict here is a rank or a vanishing test, and neither changes when
-a vector is scaled by a positive integer.  So a visited point is cleared
-once to integer numerators over one denominator (rational.clear) and stays
-on integers from its gradients to its verdict.  A TangentFrame holds integer
-preimages and integer tangents, each list over one positive denominator.
+a vector is scaled by a positive integer.  So a visited point arrives as a
+canonical cleared vector (integer numerators over one denominator,
+rational.canonical), as the sampler and hessenberg.slice_sample draw it,
+and stays on integers from its gradients to its verdict; omega returns its
+value as a reduced integer pair.  A TangentFrame holds integer preimages
+and integer tangents, each list over one positive denominator.
 The Hamiltonian tangents are LieAlgebra.int_bracket(x, z) and the pairings
 LieAlgebra.int_killing_pair.  A point's gradient matrix and its rank come
 from one argshift.gradient_visit, which zx_frame builds or is handed (check
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import linalg
 from .liealgebra import LieAlgebra
@@ -45,16 +48,19 @@ from .invariants import InvariantFamily
 from .argshift import GradientVisit, ShiftFamily, gradient_visit
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
                          slice_sample)
-from .rational import R0, clear, rat, to_rat
+from .rational import R0, rat
 
 
 class NotStronglyRegular(Exception):
     """The point does not have independent generator gradients."""
 
 
-def omega(L: LieAlgebra, x, z1, z2):
-    """Orbit form on tangents [x, z1], [x, z2], by its definition (x, [z2, z1])."""
-    return rat(*L.int_killing_pair(clear(x), L.int_bracket(clear(z2), clear(z1))))
+def omega(L: LieAlgebra, x, z1, z2) -> tuple:
+    """Orbit form on tangents [x, z1], [x, z2] for cleared x, z1 and z2, by
+    its definition (x, [z2, z1]), as the reduced pair (numerator, den)."""
+    num, den = L.int_killing_pair(x, L.int_bracket(z2, z1))
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 @dataclass
@@ -127,8 +133,9 @@ def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
 
 
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
-    """At v: the lower-nilradical tangents have dimension n and are isotropic."""
-    sl = slice_frame(L, L.int_ad(clear([to_rat(c) for c in v])))
+    """At the cleared point v: the lower-nilradical tangents have dimension n
+    and are isotropic."""
+    sl = slice_frame(L, L.int_ad(v))
     return sl.dim == L.n and isotropy_witness(L, sl) is None
 
 
@@ -146,8 +153,9 @@ class TransversalityResult:
 
 
 def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityResult:
-    """At a point of Hess: the Hamiltonian frame and the slice tangents are
-    complementary Lagrangians of the orbit tangent space, nonsingularly paired.
+    """At a cleared point of Hess: the Hamiltonian frame and the slice
+    tangents are complementary Lagrangians of the orbit tangent space,
+    nonsingularly paired.
 
     The pairing omega_x(g, e_i) = (g, [x, e_i]) of a derived generator's
     gradient g with a slice preimage is that generator's row of the Jacobian
@@ -165,7 +173,6 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
       are rows of the Jacobian, which has n columns.
     """
     L = F.L
-    x = [to_rat(c) for c in x]
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
     zx = zx_frame(F, x)
@@ -211,8 +218,8 @@ class PointVerdict:
 
 @dataclass
 class PolarizationReport:
-    base_point: list
-    invariant_values: tuple
+    base_point: tuple
+    invariant_values: tuple     # cleared
     verdicts: list = field(default_factory=list)
 
     @property
@@ -224,14 +231,14 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
                         v0, count: int, seed: int) -> PolarizationReport:
     """Pointwise polarization data over a sampled orbit slice of Hess.
 
-    At each sampled point of the slice through v0: strong regularity, the
+    At each sampled point of the slice through the cleared point v0: strong
+    regularity, the
     Hamiltonian frame is Lagrangian, the slice tangents are Lagrangian, the
     two are transversal, and the orbit has full dimension 2n.  The slice
     exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.  Each point
     takes its dimensions, its frames and ad x from one transversality_check.
     """
     L = F.L
-    v0 = [to_rat(c) for c in v0]
     if not point_in_hess(L, chart.triple, v0):
         raise ValueError("polarization is checked on slices through points of Hess")
     s = orbit_slice(inv, v0)

@@ -11,6 +11,9 @@ identical configuration produce identical bytes.
 What several checks of one pass read is computed once per pass and held
 by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
 gradient visit each, and the shift of the invariants along f.
+
+Points are drawn as canonical cleared vectors (rational.draw) and stay so
+to the verdict; a rational is formed only for a witness (_vec_str).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, asdict, field
 from functools import cached_property
 
 from . import linalg
-from .rational import R1, clear, rat, rat_str
+from .rational import clear, cleared, combine, draw, over, rat, rat_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -208,13 +211,9 @@ def build_context(config: SuiteConfig) -> SuiteContext:
 # -- sampling ----------------------------------------------------------------
 
 
-def _rand_rat(rng: random.Random, bound: int):
-    return rat(rng.randint(-bound, bound), rng.randint(1, 3))
-
-
 def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
                   v0=None) -> list:
-    """Deterministic rational points of "hess" or of the "slice" through v0.
+    """Deterministic cleared points of "hess" or of the "slice" through v0.
 
     Hess points are re-verified to lie on the slice plane.  Slice points
     exp(ad z) v0 are not tested for unchanged invariant values: that is the
@@ -225,7 +224,7 @@ def sample_points(sc: SuiteContext, seed: int, region: str, count: int,
     if region == "hess":
         out = []
         for _ in range(count):
-            v = sc.chart.point_from_s([_rand_rat(rng, COEFF_BOUND) for _ in range(sc.family.b)])
+            v = sc.chart.point_from_cleared(*draw(rng, sc.family.b, COEFF_BOUND, 3))
             if not point_in_hess(L, sc.triple, v):
                 raise RegionExhausted("the chart produced a point off the slice")
             out.append(v)
@@ -246,7 +245,7 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
         tries += 1
         if tries > max_tries:
             raise RegionExhausted("no regular point found within the retry bound")
-        x = [_rand_rat(rng, bound) for _ in range(sc.L.dim)]
+        x = draw(rng, sc.L.dim, bound, 3)
         if is_regular(sc.L, x):
             out.append(x)
     return out
@@ -279,7 +278,7 @@ class SuiteRun:
 
 
 def _vec_str(v) -> list:
-    return [rat_str(c) for c in v]
+    return [rat_str(c) for c in over(*v)]
 
 
 # -- individual checks -------------------------------------------------------
@@ -352,18 +351,18 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
         # gradients span it once each commutes with x.  As x lies in z(x), the
         # gradients centralize z(x) exactly when each commutes with x and with
         # every other gradient.  Each bracket is tested on its numerators.
-        xc, vecs = clear(x), [(g, den) for g in grads]
-        if any(any(L.int_bracket(a, g)[0]) for i, g in enumerate(vecs) for a in [xc] + vecs[:i]):
+        vecs = [(g, den) for g in grads]
+        if any(any(L.int_bracket(a, g)[0]) for i, g in enumerate(vecs) for a in [x] + vecs[:i]):
             bad = {"kind": "gradient outside the centralizer center", "point": _vec_str(x)}
             break
-    singular = [L.zero()]
+    singular = [cleared(L.zero())]
     if L.rank >= 2:
         # a simple root vector, the highest root vector, and a Cartan element
         # on a root hyperplane are all singular in rank >= 2
         candidates = [L.basis_vector(L.pos_indices[0]),
                       L.basis_vector(L.pos_indices[-1]),
                       cartan_from_root_values(L, [0] + [1] * (L.rank - 1))]
-        singular += [c for c in candidates if not is_regular(L, c)]
+        singular += [c for c in map(cleared, candidates) if not is_regular(L, c)]
     singular_ranks = []
     if bad is None:
         for x in singular:
@@ -383,9 +382,8 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
          "number, and a proper subspace for a single point", 5)
 def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
-    w, f = sc.triple.w, sc.triple.f
-    line = [linalg.vec_add(w, linalg.vec_scale(f, rat(t)))
-            for t in range(sc.rs.coxeter_number)]
+    w, f = map(sc.triple.cleared, ("w", "f"))
+    line = [combine(w, f, t) for t in range(sc.rs.coxeter_number)]
     dim_full, basis = gradient_span(sc.ctx, sc.inv.polys, line)
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     ok = dim_full == sc.family.b and linalg.same_span(basis, bminus)
@@ -411,8 +409,7 @@ def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
          "normalization) is the full upper Borel dimension, and the chain map "
          "relations between expansion coefficients hold exactly", 7)
 def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
-    de = linalg.rank(sc.family.gradient_rows(sc.triple.e)[0])
-    de1 = linalg.rank(sc.family.gradient_rows(sc.triple.e1)[0])
+    de, de1 = (linalg.rank(sc.family.gradient_rows(sc.triple.cleared(k))[0]) for k in ("e", "e1"))
     ok = de == sc.family.b and de1 == sc.family.b
     witness = {"dim_at_e": de, "dim_at_e1": de1}
     try:
@@ -431,7 +428,7 @@ def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig,
                                run: SuiteRun | None = None) -> dict:
     L = sc.L
     run = run or SuiteRun(sc, config)
-    dim, basis = gradient_span(sc.ctx, run.along_f, [sc.triple.w])
+    dim, basis = gradient_span(sc.ctx, run.along_f, [sc.triple.cleared("w")])
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     ok = dim == sc.family.b and linalg.same_span(basis, bminus)
     return {"ok": ok, "witness": {"dim": dim}}
@@ -456,19 +453,19 @@ def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
     chart = sc.chart
     F = sc.family
     rng = random.Random(f"{config.seed}:roundtrip")
-    bad = None
+    e1, bad = sc.triple.cleared("e1"), None
     for _ in range(ROUNDTRIP_POINTS):
-        svals = [_rand_rat(rng, COEFF_BOUND) for _ in range(F.b)]
-        v = chart.point_from_s(svals)
+        svals = draw(rng, F.b, COEFF_BOUND, 3)
+        v = chart.point_from_cleared(*svals)
         if hess_section(chart, phi(F, v)) != v:
             bad = {"kind": "section after values", "s": _vec_str(svals)}
             break
-        cvals = [_rand_rat(rng, COEFF_BOUND) for _ in range(F.b)]
+        cvals = draw(rng, F.b, COEFF_BOUND, 3)
         w = hess_section(chart, cvals)
         if phi(F, w) != cvals or not point_in_hess(sc.L, sc.triple, w):
             bad = {"kind": "values after section", "c": _vec_str(cvals)}
             break
-    if bad is None and hess_section(chart, phi(F, sc.triple.e1)) != sc.triple.e1:
+    if bad is None and hess_section(chart, phi(F, e1)) != e1:
         bad = {"kind": "base point is not fixed"}
     return {"ok": bad is None,
             "witness": bad or {"round_trips": 2 * ROUNDTRIP_POINTS}}
@@ -483,7 +480,7 @@ def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
         ser = poincare_series(sc.rs, order)
     except ValueError as exc:
         return {"ok": False, "witness": {"error": str(exc)}}
-    ok = ser[0] == R1 and ser[1] == rat(sc.rs.rank)
+    ok = ser[0] == 1 and ser[1] == sc.rs.rank
     return {"ok": ok, "witness": {"order": order,
                                   "head": [rat_str(c) for c in ser[:5]]}}
 
@@ -565,7 +562,7 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
     s = orbit_slice(sc.inv, base)
     pts = [base] + sample_points(sc, config.seed + 4, "slice", SLICE_POINTS, v0=base)
     for v in pts:
-        if slice_frame(L, L.int_ad(clear(v))).dim != L.n:
+        if slice_frame(L, L.int_ad(v)).dim != L.n:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "nontrivial isotropy"}}
         if not point_in_hess(L, sc.triple, v):
@@ -575,7 +572,7 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "invariant values changed"}}
     return {"ok": True, "witness": {"points": len(pts),
-                                    "values": [rat_str(c) for c in s.values]}}
+                                    "values": _vec_str(s.values)}}
 
 
 @_record("invariants.trace_oracle_agreement",
@@ -632,15 +629,13 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
     rng = random.Random(f"{config.seed}:omega")
     pts = sample_points(sc, config.seed + 5, "hess", 3)
     for x in pts:
-        cent = linalg.kernel(L.int_ad(clear(x))[0], L.dim)
-        z1 = [_rand_rat(rng, 3) for _ in range(L.dim)]
-        z2 = [_rand_rat(rng, 3) for _ in range(L.dim)]
+        cent, kden = linalg.sparse_kernel([dict(enumerate(r)) for r in L.int_ad(x)[0]], L.dim)
+        z1, z2 = draw(rng, L.dim, 3, 3), draw(rng, L.dim, 3, 3)
         base = omega(L, x, z1, z2)
         for k in cent:
-            shifted = omega(L, x, linalg.vec_add(z1, k), z2)
-            if shifted != base:
+            if omega(L, x, combine(z1, (k, kden)), z2) != base:
                 return {"ok": False, "witness": {"point": _vec_str(x)}}
-        if omega(L, x, z1, z1):
+        if omega(L, x, z1, z1)[0]:
             return {"ok": False, "witness": {"kind": "form not alternating"}}
     return {"ok": True, "witness": {"points": len(pts)}}
 
@@ -655,8 +650,9 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
     restricted = restrict_to_hess(L, sc.triple, sc.family.qs)
     units = [tuple(int(h == g) for h in range(sc.family.b)) for g in range(sc.family.b)]
     for entry, z, rp in zip(sc.family.entries, sc.chart.zvecs, restricted):
+        zn, zd = clear(z)   # (z, e_i) is sum_j K[i][j] z_j / zd
         for unit, i in zip(units, L.bminus_indices):
-            if rp.nums.get(unit, 0) != rp.den * L.killing_pair(z, L.basis_vector(i)):
+            if rp.nums.get(unit, 0) * zd != rp.den * sum(k * zn[j] for j, k in L.int_killing[i]):
                 return {"ok": False,
                         "witness": {"position": entry.beta, "direction": L.labels[i]}}
     return {"ok": True, "witness": {"positions": sc.family.b}}
@@ -667,7 +663,7 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
          "Lagrangian Hamiltonian frame, Lagrangian slice tangents, and "
          "transversal pairing on a full 2n-dimensional orbit")
 def check_polarization(sc: SuiteContext, config: SuiteConfig) -> dict:
-    bases = [sc.triple.e1]
+    bases = [sc.triple.cleared("e1")]
     bases += sample_points(sc, config.seed + 6, "hess", 1)
     total = 0
     for v0 in bases:
@@ -710,13 +706,13 @@ DETERMINISM_CLAIM = ("rebuilding and rerunning the whole suite from the same "
 
 def _convention(sc: SuiteContext, config: SuiteConfig) -> dict:
     import hashlib
-    base = signature_hash(sc.L)
-    blob = "|".join([base, ",".join(rat_str(c) for c in sc.y), GENERATOR_ORDER_RULE])
+    base, y = signature_hash(sc.L), [rat_str(c) for c in sc.y]
+    blob = "|".join([base, ",".join(y), GENERATOR_ORDER_RULE])
     return {
         "hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "structure_constants": SIGN_RULE,
         "structure_constant_hash": base,
-        "shift_direction": _vec_str(sc.y),
+        "shift_direction": y,
         "generator_order": GENERATOR_ORDER_RULE,
     }
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -8,16 +9,18 @@ from types import SimpleNamespace
 import pytest
 
 from mfhess import linalg
-from mfhess.rootdata import (CartanMatrix, UnsupportedType, build_root_system,
-                             cartan_matrix_for_label)
-from mfhess.liealgebra import chevalley_algebra, principal_triple, principal_decomposition
+from mfhess.rootdata import (CartanMatrix, UnsupportedType, _layer_dims, build_root_system,
+                             cartan_matrix_for_label, dual_partition)
+from mfhess.liealgebra import (chevalley_algebra, exp_ad_nilpotent, principal_triple,
+                               principal_decomposition)
 from mfhess import invariants
 from mfhess.polyring import (GradientContext, Poly, _mul_packed, _pack, _packing, _power_table,
                              _unpack, coefficient_rows)
-from mfhess.rational import (R0, R1, clear, clear_rows, denominator_lcm, factorial_rat, rat,
+from mfhess.rational import (R0, R1, clear, clear_rows, cleared, denominator_lcm, over, rat,
                              rat_str, scaled, to_rat)
 from mfhess.invariants import _degree_combinations, invariant_generators
-from mfhess.argshift import ShiftFamily, choose_regular_y, shift_family
+from mfhess.argshift import (NotInvertible, ShiftFamily, choose_regular_y, root_values,
+                             shift_family)
 from mfhess.hessenberg import build_chart, point_in_hess
 from mfhess.symplectic import TransversalityResult, slice_frame, zx_frame
 
@@ -79,11 +82,92 @@ def algebras():
     return algebra_for
 
 
+# -- routes that no run of the package reaches, kept for the tests alone:
+# rational helpers that build inputs and references, and the rational
+# routes that the integer pointwise layer replaced
+
+
+def factorial_rat(k):
+    out = R1
+    for i in range(2, k + 1):
+        out = out * i
+    return out
+
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def dot(u, v):
+    s = R0
+    for a, b in zip(u, v):
+        if a and b:
+            s = s + a * b
+    return s
+
+
+def mat_vec(m, v):
+    return [dot(row, v) for row in m]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[dot(row, col) for col in bt] for row in a]
+
+
+def identity(n):
+    return [[R1 if i == j else R0 for j in range(n)] for i in range(n)]
+
+
+def degrees_and_layers(rs):
+    """(degrees, exponents, layers) rederived from the stored root heights."""
+    layers = _layer_dims(rs.rank, rs.heights, rs.coxeter_number)
+    degrees = tuple(sorted(dual_partition(layers)))
+    exponents = tuple(d - 1 for d in degrees)
+    return degrees, exponents, layers
+
+
+def ut_action(L, triple, t, v):
+    """exp((t/2) ad f) applied to the rational vector v, as rationals."""
+    z = linalg.vec_scale(triple.f, to_rat(t) / 2)
+    return over(*exp_ad_nilpotent(L, cleared(z), cleared(v)))
+
+
+def is_strongly_regular(F, x):
+    """True when the b gradients at the rational point x are independent."""
+    return linalg.rank(F.gradient_rows(cleared(x))[0]) == F.b
+
+
+def dual_vector(ctx, k):
+    """u_k with (u_k, x) = x_k for every x."""
+    return [row[k] for row in ctx.gram_inv]
+
+
+def linear_functional(ctx, z):
+    """The polynomial x -> (z, x)."""
+    return Poly.linear(mat_vec(ctx.gram, [to_rat(c) for c in z]))
+
+
+def point_from_s(chart, svals):
+    """The chart point e1 + sum_g s_g frame_g for rational s values, as the
+    canonical cleared point that the pointwise layer reads."""
+    return chart.point_from_cleared(*clear([to_rat(c) for c in svals]))
+
+
+@pytest.fixture(scope="session")
+def helpers():
+    return SimpleNamespace(factorial_rat=factorial_rat, vec_add=vec_add, dot=dot,
+                           mat_vec=mat_vec, mat_mul=mat_mul, identity=identity,
+                           degrees_and_layers=degrees_and_layers, ut_action=ut_action,
+                           is_strongly_regular=is_strongly_regular,
+                           linear_functional=linear_functional, point_from_s=point_from_s)
+
+
 def reference_poisson_bracket(ctx, p, q):
     """The Poly-product bracket: sum over i < j of (dp_i dq_j - dp_j dq_i)
     times the linear Poly {x_i, x_j}, with every product in Poly.__mul__."""
     n = ctx.nvars
-    duals = [ctx.dual_vector(k) for k in range(n)]
+    duals = [dual_vector(ctx, k) for k in range(n)]
     dp = [p.partial(k) for k in range(n)]
     dq = [q.partial(k) for k in range(n)]
     out = Poly.zero(n)
@@ -94,7 +178,7 @@ def reference_poisson_bracket(ctx, p, q):
                 continue
             a = dp[i] * dq[j] - dp[j] * dq[i]
             if not a.is_zero():
-                out = out + a * Poly.linear(linalg.mat_vec(ctx.gram, v))
+                out = out + a * Poly.linear(mat_vec(ctx.gram, v))
     return out
 
 
@@ -187,14 +271,14 @@ def reference_pair_table(ctx):
     columns of the rational Gram inverse, their brackets by
     LieAlgebra.bracket, lowered by the rational Killing matrix and cleared
     by rational.clear_rows."""
-    duals = [ctx.dual_vector(k) for k in range(ctx.nvars)]
+    duals = [dual_vector(ctx, k) for k in range(ctx.nvars)]
     pairs, lins = [], []
     for i in range(ctx.nvars):
         for j in range(i + 1, ctx.nvars):
             v = ctx.L.bracket(duals[i], duals[j])
             if any(v):
                 pairs.append((i, j))
-                lins.append(linalg.mat_vec(ctx.gram, v))
+                lins.append(mat_vec(ctx.gram, v))
     scale, ints = clear_rows(lins)
     rows = [[] for _ in range(ctx.nvars)]
     for (i, j), lin in zip(pairs, ints):
@@ -215,14 +299,116 @@ def reference_hess_section(chart, cvals):
     cvals = [to_rat(c) for c in cvals]
     svals = [R0] * chart.b
     for bi in range(chart.b):
-        rest = chart.compiled[bi].values(svals)[0]
+        rest = reference_compiled_values(chart.compiled[bi], svals)[0]
         svals[bi] = cvals[bi] - rest
-    return chart.point_from_s(svals)
+    return point_from_s(chart, svals)
 
 
 @pytest.fixture(scope="session")
 def reference_section():
     return reference_hess_section
+
+
+def reference_zeta_apply(L, triple, y, v):
+    """zeta(v) = -(ad y)^{-1} [e, v] for v in the upper Borel subalgebra, in
+    Fractions."""
+    vals = root_values(L, y)
+    if not all(vals):
+        raise NotInvertible("ad y is singular on the nilradical")
+    img = L.bracket(triple.e, v)
+    if not L.supported_in(img, L.n_indices):
+        raise ValueError("zeta is defined on the upper Borel subalgebra only")
+    out = L.zero()
+    for i_pos, idx in enumerate(L.pos_indices):
+        if img[idx]:
+            out[idx] = -img[idx] / vals[i_pos]
+    return out
+
+
+def reference_zeta_chain(F):
+    """zeta_chain before it ran on integers: the family's gradient rows at e
+    divided back to rationals, each relation tested by the Fraction bracket
+    and reference_zeta_apply; the chains as rational vectors."""
+    L, triple, y = F.L, F.triple, F.y
+    if not all(root_values(L, y)):
+        raise NotInvertible("ad y is singular on the nilradical")
+    rows, den = F.gradient_rows(triple.cleared("e"))
+    coeff = {(q.j, q.k): over(row, den) for q, row in zip(F.entries, rows)}
+    chains = []
+    for q in sorted((q for q in F.entries if q.k == 0), key=lambda q: q.j):
+        j, d = q.j, q.m
+        if q.poly.degree() > d:
+            raise ValueError("gradient expansion has unexpected high-order terms")
+        vecs = [coeff[(j, d - 1 - i)] for i in range(d)]
+        if any(L.bracket(y, vecs[0])):
+            raise ValueError(f"[y, v_0] != 0 for invariant {j}")
+        if any(L.bracket(triple.e, vecs[d - 1])):
+            raise ValueError(f"[e, v_(d-1)] != 0 for invariant {j}")
+        for i in range(d):
+            if not L.supported_in(vecs[i], L.layer_indices(i)):
+                raise ValueError(f"v_{i}(I_{j}) is not homogeneous of weight 2*{i}")
+            nxt = reference_zeta_apply(L, triple, y, vecs[i])
+            want = vecs[i + 1] if i + 1 < d else [R0] * L.dim
+            if nxt != want:
+                raise ValueError(f"zeta(v_{i}) != v_{i + 1} for invariant {j}")
+        chains.append(vecs)
+    return chains
+
+
+def reference_mv_membership(ctx, triple, members, sample_count, seed, coeff_bound):
+    """mv_membership before it drew its candidates lazily: all of them built
+    up front as rational vectors (w, e, e1, w + f, then the random ones),
+    then tested in turn; the witness as a rational vector."""
+    L = ctx.L
+    b = L.rank + L.n
+    rng = random.Random(f"{seed}:mv-membership")
+    candidates = [triple.w, triple.e, triple.e1, vec_add(triple.w, triple.f)]
+    for _ in range(sample_count):
+        candidates.append([rat(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
+                           for _ in range(L.dim)])
+    for x in candidates:
+        if linalg.rank(members.int_gradients(ctx, cleared(x))[0]) == b:
+            return True, x
+    return False, None
+
+
+def reference_poincare_series(rs, order):
+    """poincare_series before it ran on ints: both product forms multiplied
+    out as Fraction series, which must agree."""
+    def mul(a, b):
+        out = [R0] * (order + 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b[:order + 1 - i]):
+                out[i + j] = out[i + j] + ai * bj
+        return out
+
+    def geometric(k):
+        return [R1 if i % k == 0 else R0 for i in range(order + 1)]
+
+    f1 = f2 = [R1] + [R0] * order
+    for d in rs.degrees:
+        for i in range(1, d + 1):
+            f1 = mul(f1, geometric(i))
+    for m, r in enumerate(rs.layer_dims, start=1):
+        for _ in range(r):
+            f2 = mul(f2, geometric(m))
+    assert f1 == f2
+    return f1
+
+
+@pytest.fixture(scope="session")
+def reference_poincare():
+    return reference_poincare_series
+
+
+@pytest.fixture(scope="session")
+def reference_membership():
+    return reference_mv_membership
+
+
+@pytest.fixture(scope="session")
+def reference_zeta():
+    return SimpleNamespace(apply=reference_zeta_apply, chain=reference_zeta_chain)
 
 
 # exponent defects for a Poly payload: a term appended with a bad vector,
@@ -406,7 +592,7 @@ def reference_chart_frame(F):
     divided back to rationals, paired with the lower Borel basis by
     LieAlgebra.killing_pair, and the rational pairing matrix inverted."""
     L = F.L
-    rows, den = F.gradient_rows(F.triple.e1)
+    rows, den = F.gradient_rows(F.triple.cleared("e1"))
     zvecs = [[rat(v, den) for v in row] for row in rows]
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     pinv = linalg.inverse([[L.killing_pair(z, w) for w in bminus] for z in zvecs])
@@ -427,7 +613,7 @@ def reference_frame():
 def reference_gradients_from_polys(ctx, polys, x):
     """dp(x) for each polynomial p through its Poly partials and
     Poly.evaluate: the inverse Gram matrix applied to the partials' values."""
-    return [linalg.mat_vec(ctx.gram_inv, [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
+    return [mat_vec(ctx.gram_inv, [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
             for p in polys]
 
 
@@ -666,7 +852,7 @@ def reference_sparse_kernel(rows, ncols):
     for free in range(ncols):
         if free in pivcols:
             continue
-        v = linalg.zeros(ncols)
+        v = [R0] * ncols
         v[free] = R1
         for pc, prow in pivot_of_col.items():
             coeff = prow.get(free)
@@ -720,8 +906,8 @@ def reference_coordinate_brackets(L, ctx, z):
     of their denominators."""
     forms = []
     for k in range(L.dim):
-        v = L.bracket(z, ctx.dual_vector(k))
-        forms.append(linalg.mat_vec(ctx.gram, v) if any(v) else None)
+        v = L.bracket(z, dual_vector(ctx, k))
+        forms.append(mat_vec(ctx.gram, v) if any(v) else None)
     den = math.lcm(*(c.denominator for f in forms if f for c in f))
     return [None if f is None else
             [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
@@ -919,9 +1105,9 @@ def reference_validate_algebra(L):
             bij = reference_lie_bracket(L, basis[i], basis[j])
             for k in range(j + 1, L.dim):
                 term = reference_lie_bracket(L, bij, basis[k])
-                term = linalg.vec_add(term, reference_lie_bracket(
+                term = vec_add(term, reference_lie_bracket(
                     L, reference_lie_bracket(L, basis[j], basis[k]), basis[i]))
-                term = linalg.vec_add(term, reference_lie_bracket(
+                term = vec_add(term, reference_lie_bracket(
                     L, reference_lie_bracket(L, basis[k], basis[i]), basis[j]))
                 if any(term):
                     errs.append(f"Jacobi fails on ({i},{j},{k})")
@@ -1009,7 +1195,7 @@ def reference_killing_matrix(L):
             tr = R0
             a, b = ads[i], ads[j]
             for r in range(L.dim):
-                tr = tr + linalg.dot(a[r], [b[c][r] for c in range(L.dim)])
+                tr = tr + dot(a[r], [b[c][r] for c in range(L.dim)])
             out[i][j] = tr
             out[j][i] = tr
     return out
@@ -1057,7 +1243,7 @@ def reference_fraction_kernel(rows, ncols):
     rationals, -q[free] / q[pc] formed from each pivot row q of
     linalg._echelon (which takes the rows over)."""
     pivots = linalg._echelon(rows)
-    basis = {free: linalg.zeros(ncols) for free in range(ncols) if free not in pivots}
+    basis = {free: [R0] * ncols for free in range(ncols) if free not in pivots}
     for free, v in basis.items():
         v[free] = R1
     for pc, q in pivots.items():
@@ -1285,9 +1471,9 @@ def reference_witness():
 
 def reference_transversality_check(F, chart, x):
     """Check 15 at x with both ranks eliminated: orbit_dim is rank(ad x) and
-    jacobian_rank is rank(jac), whatever the other results are."""
+    jacobian_rank is rank(jac), whatever the other results are; x is a
+    cleared point."""
     L = F.L
-    x = [to_rat(c) for c in x]
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
     zx = zx_frame(F, x)

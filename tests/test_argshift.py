@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from mfhess import argshift, linalg
 from mfhess.argshift import (DependentFamily, NotInvertible, choose_regular_y,
-                             gradient_span, is_regular_cartan, is_strongly_regular,
+                             gradient_span, is_regular_cartan,
                              load_family_cache, mv_membership, pairwise_commute,
                              save_family_cache, phi, root_values, shift_family,
-                             shifted_invariants, zeta_apply, zeta_chain)
+                             shifted_invariants, zeta_chain)
 from mfhess.liealgebra import cartan_from_root_values, exp_ad_nilpotent, is_regular
 from mfhess.invariants import load_family, save_family
 from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
-from mfhess.rational import over, rat, to_rat
+from mfhess.rational import cleared, over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
@@ -245,73 +245,79 @@ def test_graded_dims_are_ranked_once(bundles, monkeypatch, tmp_path, label):
     assert loaded.graded_dims() == want and len(calls) == len(want)
 
 
-def test_phi_basics(bundles):
+def test_phi_basics(bundles, helpers):
     B = bundles("A2")
     F = B.family
-    assert phi(F, B.L.zero()) == [rat(0)] * F.b
+    assert phi(F, cleared(B.L.zero())) == ((0,) * F.b, 1)
     rng = random.Random("phi")
     # invariant components are constant along the exponential orbit
-    x = B.chart.point_from_s([rat(rng.randint(-2, 2)) for _ in range(F.b)])
+    x = helpers.point_from_s(B.chart, [rat(rng.randint(-2, 2)) for _ in range(F.b)])
     z = B.L.zero()
     for i in B.L.nminus_indices:
         z[i] = rat(rng.randint(-2, 2))
-    moved = exp_ad_nilpotent(B.L, z, x)
-    vx, vm = phi(F, x), phi(F, moved)
+    moved = exp_ad_nilpotent(B.L, cleared(z), x)
+    vx, vm = over(*phi(F, x)), over(*phi(F, moved))
     for pos in F.I_positions:
         assert vx[pos] == vm[pos]
     # distinct sampled slice points give distinct value tuples
-    pts = [B.chart.point_from_s([rat(rng.randint(-3, 3), rng.randint(1, 2))
-                                 for _ in range(F.b)]) for _ in range(6)]
-    tuples = [tuple(phi(F, p)) for p in pts]
+    pts = [helpers.point_from_s(B.chart, [rat(rng.randint(-3, 3), rng.randint(1, 2))
+                                          for _ in range(F.b)]) for _ in range(6)]
+    tuples = [phi(F, p) for p in pts]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] != pts[j]:
                 assert tuples[i] != tuples[j]
 
 
-def test_strong_regularity(bundles):
+def test_strong_regularity(bundles, helpers):
     B = bundles("A2")
     F = B.family
     rng = random.Random("sreg")
     for _ in range(5):
-        x = B.chart.point_from_s([rat(rng.randint(-3, 3), rng.randint(1, 2))
-                                  for _ in range(F.b)])
-        assert is_strongly_regular(F, x)
+        x = helpers.point_from_s(B.chart, [rat(rng.randint(-3, 3), rng.randint(1, 2))
+                                           for _ in range(F.b)])
+        assert helpers.is_strongly_regular(F, over(*x))
         assert is_regular(B.L, x)   # strong regularity implies regularity
-    assert not is_strongly_regular(F, B.L.zero())
+    assert not helpers.is_strongly_regular(F, B.L.zero())
 
 
 def test_gradient_span_bounds(bundles):
     B = bundles("A2")
     F = B.family
-    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.e])
+    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.cleared("e")])
     assert dim == 0
     rng = random.Random("bound")
     for _ in range(5):
         x = [rat(rng.randint(-3, 3)) for _ in range(B.L.dim)]
-        dim, _ = gradient_span(B.ctx, F.qs, [x])
+        dim, _ = gradient_span(B.ctx, F.qs, [cleared(x)])
         assert dim <= F.b
 
 
 def test_span_at_nilpotent_points(bundles):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
-        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e])
-        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e1])
+        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.cleared("e")])
+        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.cleared("e1")])
         assert de == de1 == B.family.b
 
 
 def test_shift_along_f_spans_lower_borel(bundles):
     B = bundles("A2")
     members = [p for _, _, p in shifted_invariants(B.inv, B.triple.f)]
-    dim, basis = gradient_span(B.ctx, members, [B.triple.w])
+    dim, basis = gradient_span(B.ctx, members, [B.triple.cleared("w")])
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     assert dim == B.family.b and linalg.same_span(basis, bminus)
 
 
-def test_zeta_chain_structure(bundles):
+def rational_chains(F):
+    chains, den = zeta_chain(F)
+    assert den > 0
+    return [[over(v, den) for v in chain] for chain in chains]
+
+
+def test_zeta_chain_structure(bundles, reference_zeta):
     B = bundles("A2")
-    chains = zeta_chain(B.family)
+    chains = rational_chains(B.family)
     assert len(chains) == len(B.inv.degrees)
     for j, d in enumerate(B.inv.degrees):
         assert len(chains[j]) == d
@@ -319,8 +325,8 @@ def test_zeta_chain_structure(bundles):
         assert B.L.supported_in(v0, B.L.cartan_indices)
         # forward map reproduces the chain and ends in zero
         for i in range(d - 1):
-            assert zeta_apply(B.L, B.triple, B.y, chains[j][i]) == chains[j][i + 1]
-        assert zeta_apply(B.L, B.triple, B.y, chains[j][d - 1]) == [rat(0)] * B.L.dim
+            assert reference_zeta.apply(B.L, B.triple, B.y, chains[j][i]) == chains[j][i + 1]
+        assert reference_zeta.apply(B.L, B.triple, B.y, chains[j][d - 1]) == [rat(0)] * B.L.dim
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
@@ -330,7 +336,7 @@ def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gra
     """Chains from the pieces' gradients at e against the t-expansion of the
     gradient polynomials of each invariant along e + t y."""
     B = bundles(label)
-    chains = zeta_chain(B.family)
+    chains = rational_chains(B.family)
     for j, (p, d) in enumerate(zip(B.inv.polys, B.inv.degrees)):
         comps = restrict_affine(reference_gradient_polys(B.ctx, p), B.triple.e, [B.y])
         assert all(a < d for comp in comps for (a,) in comp.terms)
@@ -340,17 +346,63 @@ def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gra
 
 def test_zeta_chain_a1_length(bundles):
     B = bundles("A1")
-    chains = zeta_chain(B.family)
+    chains, _ = zeta_chain(B.family)
     assert len(chains[0]) == 2 == B.inv.degrees[0]
 
 
-def test_zeta_requires_regular_direction(bundles):
+def test_zeta_requires_regular_direction(bundles, reference_zeta):
     B = bundles("A1xA1")
     bad = B.L.basis_vector(B.L.cartan_indices[0])
     with pytest.raises(NotInvertible):
         zeta_chain(replace(B.family, y=bad))
     with pytest.raises(NotInvertible):
-        zeta_apply(B.L, B.triple, B.L.zero(), B.L.basis_vector(B.L.cartan_indices[0]))
+        reference_zeta.apply(B.L, B.triple, B.L.zero(), B.L.basis_vector(B.L.cartan_indices[0]))
+
+
+def _zeta_outcome(route, F):
+    try:
+        return route(F)
+    except (ValueError, NotInvertible) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _zeta_defects(B):
+    """B's family, then the family with one defect planted: a Cartan power on
+    an invariant before the shift (zeta(v_0) != v_1), a Cartan cube on the
+    underived member of invariant 0 (a high-order term), a root coordinate's
+    power on that member (its top vector leaves the kernel of ad e), a
+    root coordinate on the degree-1 member that carries its v_0 ([y, v_0] !=
+    0), and a singular direction."""
+    F, L, n = B.family, B.L, B.L.dim
+    h = Poly.coordinate(n, L.cartan_indices[0])
+    polys = list(B.inv.polys)
+    polys[-1] = polys[-1] + h ** B.inv.degrees[-1]
+    top = next(i for i, q in enumerate(F.entries) if (q.j, q.k) == (0, 0))
+    yield F
+    yield shift_family(L, replace(B.inv, polys=polys), B.y, B.ctx, B.triple)
+    for i, extra in ((top, h ** 3), (top, Poly.coordinate(n, L.pos_indices[0]) ** F.entries[top].m),
+                     (0, Poly.coordinate(n, L.neg_indices[0]))):
+        yield replace(F, entries=[replace(q, poly=q.poly + extra) if k == i else q
+                                  for k, q in enumerate(F.entries)])
+    yield replace(F, y=L.basis_vector(L.cartan_indices[0]))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",))
+def test_zeta_chain_on_integers_matches_the_rational_route(bundles, reference_zeta, label):
+    """zeta_chain's integer relations give the chains, or the first failed
+    relation's message, of the Fraction route on the family and on planted
+    defects."""
+    B = bundles(label)
+    outcomes = []
+    for F in _zeta_defects(B):
+        got = _zeta_outcome(zeta_chain, F)
+        if isinstance(got, tuple) and isinstance(got[1], int):
+            got = [[over(v, got[1]) for v in chain] for chain in got[0]]
+        want = _zeta_outcome(reference_zeta.chain, F)
+        assert got == want
+        outcomes.append(want)
+    assert isinstance(outcomes[0], list) and all(isinstance(o, tuple) for o in outcomes[1:])
 
 
 def test_membership_search(bundles):
@@ -361,7 +413,7 @@ def test_membership_search(bundles):
         return mv_membership(B.ctx, B.triple, members, 3, 42, 5)
 
     ok, wit = member(B.triple.f)
-    assert ok and wit == B.triple.w
+    assert ok and wit == B.triple.cleared("w")
     ok2, _ = member(linalg.vec_scale(B.triple.f, rat(2)))
     assert ok2  # scaling preserves certification
     ok3, wit3 = member(B.y)
@@ -370,6 +422,39 @@ def test_membership_search(bundles):
     assert mv_membership(B.ctx, B.triple, B.family.compiled, 3, 42, 5) == (ok3, wit3)
     ok0, wit0 = member(B.L.zero())
     assert not ok0 and wit0 is None
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",))
+def test_lazy_membership_search_matches_the_eager_route(bundles, reference_membership,
+                                                        monkeypatch, label):
+    """mv_membership draws each random candidate only once every earlier
+    candidate has missed; its (ok, witness) equals the eager route's along
+    f, 2f, y and 0, and with a triple whose fixed candidates are all zero,
+    where a random candidate certifies."""
+    B = bundles(label)
+    draws = []
+    real = argshift.draw
+    monkeypatch.setattr(argshift, "draw", lambda *args: draws.append(1) or real(*args))
+    zero = B.L.zero()
+    blind = replace(B.triple, w=zero, e=zero, e1=zero, f=zero)
+
+    def along(u):
+        return CompiledPolys(p for _, _, p in shifted_invariants(B.inv, u))
+
+    cases = [(B.triple, along(u)) for u in (B.triple.f, linalg.vec_scale(B.triple.f, rat(2)),
+                                            B.y, zero)]
+    cases.append((blind, B.family.compiled))
+    outcomes = []
+    for triple, members in cases:
+        draws.clear()
+        ok, wit = mv_membership(B.ctx, triple, members, 8, 2024, 5)
+        outcomes.append((ok, len(draws)))
+        ref_ok, ref_wit = reference_membership(B.ctx, triple, members, 8, 2024, 5)
+        assert (ok, wit) == (ref_ok, ref_wit and cleared(ref_wit))
+    assert [ok for ok, _ in outcomes] == [True, True, True, False, True]
+    assert outcomes[0] == (True, 0) and outcomes[3] == (False, 8)
+    assert 1 <= outcomes[4][1] <= 8 and any(wit[0])
 
 
 wide = st.one_of(st.just(0), st.integers(-4, 4),
@@ -392,7 +477,7 @@ def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, la
                      st.lists(wide, min_size=L.dim, max_size=L.dim)))
     def check(x):
         x = [to_rat(c) for c in x]
-        rows, den = F.gradient_rows(x)
+        rows, den = F.gradient_rows(cleared(x))
         ref = reference_gradients(F.ctx, F.qs, x)
         assert den > 0 and [over(row, den) for row in rows] == ref
         assert linalg.rank(rows) == linalg.rank(ref) == len(linalg.span_basis(ref))

@@ -13,7 +13,7 @@ from mfhess.hessenberg import (NotTriangular, _unitriangular_violation, build_ch
 from mfhess.liealgebra import DimensionMismatch, exp_ad_nilpotent
 from mfhess.polyring import CompiledPolys, Poly, restrict_affine
 from mfhess.argshift import phi
-from mfhess.rational import clear, over, rat, R0, R1
+from mfhess.rational import clear, cleared, over, rat, rat_str, R0, R1
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 from mfhess.symplectic import slice_frame
 
@@ -22,10 +22,10 @@ def rand_svals(rng, b, bound=4):
     return [rat(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(b)]
 
 
-def test_restriction_of_f_functional_is_one(bundles):
+def test_restriction_of_f_functional_is_one(bundles, helpers):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
-        lf = B.ctx.linear_functional(B.triple.f)
+        lf = helpers.linear_functional(B.ctx, B.triple.f)
         assert restrict_to_hess(B.L, B.triple, [lf]) == [Poly.const(B.rs.b, 1)]
 
 
@@ -35,14 +35,14 @@ def test_restriction_of_constant(bundles):
     assert restrict_to_hess(B.L, B.triple, [p]) == [Poly.const(B.rs.b, rat(5, 3))]
 
 
-def test_restriction_of_upper_borel_linear_functionals(bundles):
+def test_restriction_of_upper_borel_linear_functionals(bundles, helpers):
     B = bundles("A2")
     # in the chart frame the functional of a frame vector is its coordinate
-    lzs = [B.ctx.linear_functional(z) for z in B.chart.zvecs]
+    lzs = [helpers.linear_functional(B.ctx, z) for z in B.chart.zvecs]
     assert restrict_to_hess(B.L, B.triple, lzs, B.chart.frame) == \
         [Poly.coordinate(B.family.b, beta) for beta in range(B.family.b)]
     # with the default frame a linear functional restricts to degree <= 1
-    lz = B.ctx.linear_functional(B.L.basis_vector(B.L.pos_indices[0]))
+    lz = helpers.linear_functional(B.ctx, B.L.basis_vector(B.L.pos_indices[0]))
     [r] = restrict_to_hess(B.L, B.triple, [lz])
     assert r.degree() <= 1
 
@@ -88,13 +88,13 @@ def test_restrict_affine_matches_reference_on_chart_frames(bundles, reference_re
 def test_point_in_hess_rejects_wrong_length(bundles):
     B = bundles("A2")
     e1 = B.triple.e1
-    assert point_in_hess(B.L, B.triple, e1)
+    assert point_in_hess(B.L, B.triple, cleared(e1))
     for v in (e1[:-1], e1 + [rat(5)]):
         with pytest.raises(DimensionMismatch):
-            point_in_hess(B.L, B.triple, v)
+            point_in_hess(B.L, B.triple, cleared(v))
     off = list(e1)
     off[B.L.n_indices[-1]] = rat(1, 7)
-    assert not point_in_hess(B.L, B.triple, off)
+    assert not point_in_hess(B.L, B.triple, cleared(off))
 
 
 def test_chart_unitriangular_jacobian(bundles):
@@ -115,7 +115,7 @@ def test_chart_unitriangular_jacobian(bundles):
                 assert chart.restricted[bi] == Poly.coordinate(b, bi)
 
 
-def _with_planted_squares(B, pos, betas):
+def _with_planted_squares(B, pos, betas, linear_functional):
     """B's family with (l_z - l_z(e1))^2 added to member pos for z the frame
     vector beta, for each beta in betas: the gradient at e1, hence the
     frame, is unchanged, and the restriction of member pos gains s_beta^2."""
@@ -123,7 +123,7 @@ def _with_planted_squares(B, pos, betas):
     poly = B.family.entries[pos].poly
     for beta in betas:
         z = B.chart.zvecs[beta]
-        lz = B.ctx.linear_functional(z) - Poly.const(n, B.L.killing_pair(z, B.triple.e1))
+        lz = linear_functional(B.ctx, z) - Poly.const(n, B.L.killing_pair(z, B.triple.e1))
         poly = poly + lz * lz
     F = B.family
     entries = [replace(e, poly=poly) if idx == pos else e for idx, e in enumerate(F.entries)]
@@ -139,9 +139,10 @@ def _with_planted_squares(B, pos, betas):
     (0, (2, 4), "restricted generator 1 depends on later coordinate 3"),
     (1, (4, 1), "diagonal derivative of restricted generator 2 is not 1"),
 ])
-def test_build_chart_rejects_non_triangular_restriction(bundles, pos, betas, message):
+def test_build_chart_rejects_non_triangular_restriction(bundles, helpers, pos, betas,
+                                                       message):
     B = bundles("A2")
-    bad = _with_planted_squares(B, pos, betas)
+    bad = _with_planted_squares(B, pos, betas, helpers.linear_functional)
     with pytest.raises(NotTriangular) as err:
         build_chart(bad)
     assert str(err.value) == message
@@ -187,7 +188,7 @@ def test_restricted_generators_are_pinned(bundles, label):
     assert digest == RESTRICTED_DIGESTS[label]
 
 
-def test_leading_term_against_interpolation(bundles):
+def test_leading_term_against_interpolation(bundles, helpers):
     """Frame vectors against an interpolated first derivative along the slice."""
     nodes = [0, 1, 2, 3, 4]   # members have degree at most 4 on these types
     vinv = linalg.inverse([[rat(t) ** k for k in range(len(nodes))] for t in nodes])
@@ -200,44 +201,48 @@ def test_leading_term_against_interpolation(bundles):
                 zdir = L.basis_vector(i)
                 vals = []
                 for t in nodes:
-                    pt = linalg.vec_add(e1, linalg.vec_scale(zdir, rat(t)))
+                    pt = helpers.vec_add(e1, linalg.vec_scale(zdir, rat(t)))
                     vals.append([e.poly.evaluate(pt)])
-                coeffs = linalg.mat_mul(vinv, vals)
+                coeffs = helpers.mat_mul(vinv, vals)
                 assert coeffs[1][0] == L.killing_pair(z, zdir), (label, e.beta, i)
 
 
-def test_section_round_trips(bundles):
+def test_section_round_trips(bundles, helpers):
     for label in ("A1", "A2", "A1xA1", "B2"):
         B = bundles(label)
         chart, F = B.chart, B.family
         rng = random.Random(f"rt:{label}")
         for _ in range(20):
-            v = chart.point_from_s(rand_svals(rng, F.b))
+            v = helpers.point_from_s(chart, rand_svals(rng, F.b))
             assert point_in_hess(B.L, B.triple, v)
             assert hess_section(chart, phi(F, v)) == v
-            c = rand_svals(rng, F.b)
+            c = cleared(rand_svals(rng, F.b))
             w = hess_section(chart, c)
             assert phi(F, w) == c and point_in_hess(B.L, B.triple, w)
-        assert hess_section(chart, phi(F, B.triple.e1)) == B.triple.e1
+        e1 = B.triple.cleared("e1")
+        assert hess_section(chart, phi(F, e1)) == e1
 
 
 @pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "G2", B3])
-def test_section_on_integers_matches_the_rational_steps(bundles, reference_section, label):
+def test_section_on_integers_matches_the_rational_steps(bundles, reference_section, helpers,
+                                                       label):
     """hess_section against its rational-step reference, on random values
     (denominators that do and do not divide the common one), on the values
     of random points of Hess, on zeros and at e1."""
     B = bundles(label)
     chart, F = B.chart, B.family
     rng = random.Random(f"section:{label}")
-    inputs = [[rat(0)] * F.b, phi(F, B.triple.e1)]
+    inputs = [[rat(0)] * F.b, over(*phi(F, B.triple.cleared("e1")))]
     for _ in range(6):
         inputs.append(rand_svals(rng, F.b, bound=9))
-        inputs.append(phi(F, chart.point_from_s(rand_svals(rng, F.b))))
+        inputs.append(over(*phi(F, helpers.point_from_s(chart, rand_svals(rng, F.b)))))
     for cvals in inputs:
-        assert hess_section(chart, cvals) == reference_section(chart, cvals)
+        assert hess_section(chart, cleared(cvals)) == reference_section(chart, cvals)
 
 
-def test_point_from_s_matches_dense_sum(bundles):
+def test_point_from_s_matches_dense_sum(bundles, helpers):
+    """point_from_cleared is the dense rational sum e1 + sum_g s_g frame_g,
+    cleared to canonical form."""
     for label in ("A1", "A2", "A1xA1", "B2"):
         B = bundles(label)
         chart = B.chart
@@ -246,37 +251,37 @@ def test_point_from_s_matches_dense_sum(bundles):
             svals = rand_svals(rng, B.family.b)
             want = list(B.triple.e1)
             for s, vec in zip(svals, chart.frame):
-                want = linalg.vec_add(want, linalg.vec_scale(vec, s))
-            assert chart.point_from_s(svals) == want
+                want = helpers.vec_add(want, linalg.vec_scale(vec, s))
+            assert chart.point_from_cleared(*clear(svals)) == cleared(want)
 
 
 def test_section_input_validation(bundles):
     B = bundles("A2")
     with pytest.raises(ValueError):
-        hess_section(B.chart, [rat(1)] * (B.family.b + 1))
+        hess_section(B.chart, cleared([rat(1)] * (B.family.b + 1)))
 
 
-def test_orbit_slice_membership_and_exponential(bundles):
+def test_orbit_slice_membership_and_exponential(bundles, helpers):
     B = bundles("A2")
     L = B.L
     rng = random.Random("slice")
-    v0 = B.chart.point_from_s(rand_svals(rng, B.family.b, 3))
+    v0 = helpers.point_from_s(B.chart, rand_svals(rng, B.family.b, 3))
     s = orbit_slice(B.inv, v0)
     assert slice_membership(s, B.inv, v0)
     for v in slice_sample(L, v0, 4, rng):
         assert point_in_hess(L, B.triple, v)
         assert slice_membership(s, B.inv, v)
-        assert slice_frame(L, L.int_ad(clear(v))).dim == L.n
+        assert slice_frame(L, L.int_ad(v)).dim == L.n
 
 
-def test_slice_partition_of_sampled_points(bundles):
+def test_slice_partition_of_sampled_points(bundles, helpers):
     B = bundles("A2")
     rng = random.Random("partition")
-    pts = [B.chart.point_from_s(rand_svals(rng, B.family.b, 2)) for _ in range(5)]
+    pts = [helpers.point_from_s(B.chart, rand_svals(rng, B.family.b, 2)) for _ in range(5)]
     for p in pts:
         sp = orbit_slice(B.inv, p)
         for q in pts:
-            same_values = tuple(f.evaluate(q) for f in B.inv.polys) == sp.values
+            same_values = cleared([f.evaluate(over(*q)) for f in B.inv.polys]) == sp.values
             assert slice_membership(sp, B.inv, q) == same_values
 
 
@@ -284,11 +289,11 @@ def test_exponential_preserves_slice_plane(bundles):
     B = bundles("B2")
     L = B.L
     rng = random.Random("plane")
-    v0 = B.triple.e1
+    v0 = B.triple.cleared("e1")
     z = L.zero()
     for i in L.nminus_indices:
         z[i] = rat(rng.randint(-2, 2))
-    v = exp_ad_nilpotent(L, z, v0)
+    v = exp_ad_nilpotent(L, cleared(z), v0)
     assert point_in_hess(L, B.triple, v)
 
 
@@ -314,6 +319,19 @@ def test_poincare_series_forms_agree(bundles, label):
     assert by_hand == ser
 
 
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS)
+def test_poincare_series_on_ints_matches_the_fraction_series(bundles, reference_poincare,
+                                                             label):
+    """Check 11's series, multiplied out on ints, equals the Fraction series
+    through order 2h, and its head prints as the Fraction head does."""
+    rs = bundles(label).rs
+    order = 2 * rs.coxeter_number
+    ser = poincare_series(rs, order)
+    ref = reference_poincare(rs, order)
+    assert ser == ref and all(type(c) is int for c in ser)
+    assert [rat_str(c) for c in ser[:5]] == [rat_str(c) for c in ref[:5]]
+
+
 def test_poincare_series_a2_order_10(bundles):
     ser = poincare_series(bundles("A2").rs, 10)
     assert len(ser) == 11
@@ -330,7 +348,7 @@ FRAME_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + tuple(INLINE_TYPES.values()) +
 
 
 @pytest.mark.parametrize("label", FRAME_TYPES)
-def test_frame_rows_are_the_whole_family_gradients_at_e1(bundles, label):
+def test_frame_rows_are_the_whole_family_gradients_at_e1(bundles, helpers, label):
     """build_chart reads (rows, den) at e1 from the family terms that reach
     e1 alone; they equal the whole family's compiled gradients there, and
     the chart's zvecs are those rows.  The trimmed form keeps the whole
@@ -340,11 +358,11 @@ def test_frame_rows_are_the_whole_family_gradients_at_e1(bundles, label):
     F, tri = B.family, B.triple
     whole = CompiledPolys(F.qs)
     rows, den = frame_rows(F)
-    assert (rows, den) == whole.int_gradients(F.ctx, tri.e1)
+    assert (rows, den) == whole.int_gradients(F.ctx, tri.cleared("e1"))
     assert B.chart.zvecs == [over(row, den) for row in rows]
-    hess = B.chart.point_from_s([rat(k % 3 - 1, 2) for k in range(F.b)])
-    for x in (tri.e1, tri.e, tri.f, tri.w, hess):
-        trimmed = CompiledPolys(F.qs, grad_at=x)
+    hess = helpers.point_from_s(B.chart, [rat(k % 3 - 1, 2) for k in range(F.b)])
+    for x in (*map(tri.cleared, ("e1", "e", "f", "w")), hess):
+        trimmed = CompiledPolys(F.qs, grad_at=x[0])
         assert (trimmed.scale, trimmed.top) == (whole.scale, whole.top)
         assert trimmed.int_gradients(F.ctx, x) == whole.int_gradients(F.ctx, x)
     trimmed = CompiledPolys(F.qs, grad_at=tri.e1)

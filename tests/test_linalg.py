@@ -17,21 +17,21 @@ def mat(rows):
     return [[to_rat(v) for v in row] for row in rows]
 
 
-def test_rref_rank_kernel():
+def test_rref_rank_kernel(helpers):
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(m) == 2
     ker = linalg.kernel(m, 3)
     assert len(ker) == 1
     for row in m:
-        assert linalg.dot(row, ker[0]) == 0
+        assert helpers.dot(row, ker[0]) == 0
 
 
-def test_solve_and_inverse():
+def test_solve_and_inverse(helpers):
     a = mat([[2, 1], [1, 3]])
     x = linalg.solve(a, [to_rat(1), to_rat(2)])
-    assert linalg.mat_vec(a, x) == [rat(1), rat(2)]
+    assert helpers.mat_vec(a, x) == [rat(1), rat(2)]
     ainv = linalg.inverse(a)
-    assert linalg.mat_mul(a, ainv) == linalg.identity(2)
+    assert helpers.mat_mul(a, ainv) == helpers.identity(2)
     assert linalg.det(a) == rat(5)
 
 
@@ -46,31 +46,31 @@ def test_solve_inconsistent():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_inverse_round_trip(rows):
+def test_inverse_round_trip(helpers, rows):
     m = mat(rows)
     if linalg.det(m) == 0:
         return
-    assert linalg.mat_mul(m, linalg.inverse(m)) == linalg.identity(3)
+    assert helpers.mat_mul(m, linalg.inverse(m)) == helpers.identity(3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(frac, min_size=4, max_size=4), min_size=2, max_size=4))
-def test_kernel_annihilates(rows):
+def test_kernel_annihilates(helpers, rows):
     m = mat(rows)
     ker = linalg.kernel(m, 4)
     assert len(ker) == 4 - linalg.rank(m)
     for v in ker:
         for row in m:
-            assert linalg.dot(row, v) == 0
+            assert helpers.dot(row, v) == 0
 
 
-def test_span_helpers():
+def test_span_helpers(helpers):
     v1 = [rat(1), rat(0), rat(1)]
     v2 = [rat(0), rat(1), rat(0)]
-    assert linalg.rank([v1, v2, linalg.vec_add(v1, v2)]) == 2
-    assert linalg.rank([v1, v2]) == linalg.rank([v1, v2, linalg.vec_add(v1, v2)])
+    assert linalg.rank([v1, v2, helpers.vec_add(v1, v2)]) == 2
+    assert linalg.rank([v1, v2]) == linalg.rank([v1, v2, helpers.vec_add(v1, v2)])
     assert linalg.rank([v1, v2]) != linalg.rank([v1, v2, [rat(0), rat(0), rat(1)]])
-    assert linalg.same_span([v1, v2], [linalg.vec_add(v1, v2), v2])
+    assert linalg.same_span([v1, v2], [helpers.vec_add(v1, v2), v2])
 
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(bool)
@@ -170,12 +170,12 @@ def test_rows_that_vanish_are_released(system):
     assert sum(r is None for r in work) == nonzero - len(pivots)
 
 
-def test_vandermonde_solve():
+def test_vandermonde_solve(helpers):
     # values of 1 + 2t + 3t^2 componentwise
     nodes = [0, 1, 2]
     values = [[to_rat(1 + 2 * t + 3 * t * t)] for t in nodes]
     vmat = [[rat(t) ** k for k in range(len(nodes))] for t in nodes]
-    coeffs = linalg.mat_mul(linalg.inverse(vmat), values)
+    coeffs = helpers.mat_mul(linalg.inverse(vmat), values)
     assert [c[0] for c in coeffs] == [rat(1), rat(2), rat(3)]
 
 

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess.rootdata import (CartanMatrix, NonFiniteType, UnsupportedType,
-                             build_root_system, cartan_matrix_for_label,
-                             degrees_and_layers, dual_partition)
+                             build_root_system, cartan_matrix_for_label, dual_partition)
 
 # Hand-enumerated positive root tables (coordinates over the simple roots).
 KNOWN_ROOTS = {
@@ -35,22 +34,22 @@ def test_a1_counts():
     assert rs.degrees == (2,) and rs.layer_dims == (1, 1)
 
 
-def test_a2_counts():
+def test_a2_counts(helpers):
     rs = build("A2")
     assert rs.num_positive == 3
     assert sorted(rs.heights) == [1, 1, 2]
     assert rs.coxeter_number == 3
-    d, m, r = degrees_and_layers(rs)
+    d, m, r = helpers.degrees_and_layers(rs)
     assert d == (2, 3) and r == (2, 2, 1) and sum(d) == 5 == rs.b
     assert m == (1, 2)
 
 
-def test_b2_counts():
+def test_b2_counts(helpers):
     rs = build("B2")
     assert rs.num_positive == 4
     assert sorted(rs.heights) == [1, 1, 2, 3]
     assert rs.coxeter_number == 4
-    d, _, r = degrees_and_layers(rs)
+    d, _, r = helpers.degrees_and_layers(rs)
     assert d == (2, 4) and sum(r) == 6 == rs.b
 
 

@@ -18,7 +18,7 @@ from mfhess.symplectic import (NotStronglyRegular, TransversalityResult,
                                transversality_check, zx_frame)
 from mfhess.verifier import (SuiteConfig, SuiteContext, check_polarization,
                              check_transversality)
-from mfhess.rational import clear, over, rat
+from mfhess.rational import clear, cleared, over, rat
 
 
 def rand_point(rng, n, bound=3):
@@ -26,22 +26,25 @@ def rand_point(rng, n, bound=3):
 
 
 def hess_point(B, rng, bound=3):
+    """A cleared point of Hess with random chart coordinates."""
     svals = [rat(rng.randint(-bound, bound), rng.randint(1, 2))
              for _ in range(B.family.b)]
-    return B.chart.point_from_s(svals)
+    return B.chart.point_from_cleared(*clear(svals))
 
 
-def test_omega_alternating_and_well_defined(bundles):
+def test_omega_alternating_and_well_defined(helpers, bundles):
     B = bundles("A2")
     L = B.L
     rng = random.Random("omega")
     x = hess_point(B, rng)
     z1, z2 = rand_point(rng, L.dim), rand_point(rng, L.dim)
-    assert omega(L, x, z1, z1) == 0
-    assert omega(L, x, z1, z2) == -omega(L, x, z2, z1)
-    for k in linalg.kernel(L.ad(x), L.dim):
-        assert omega(L, x, linalg.vec_add(z1, k), z2) == omega(L, x, z1, z2)
-        assert omega(L, x, z1, linalg.vec_add(z2, k)) == omega(L, x, z1, z2)
+    c1, c2 = cleared(z1), cleared(z2)
+    assert omega(L, x, c1, c1) == (0, 1)
+    num, den = omega(L, x, c1, c2)
+    assert omega(L, x, c2, c1) == (-num, den) and den > 0
+    for k in linalg.kernel(L.ad(over(*x)), L.dim):
+        assert omega(L, x, cleared(helpers.vec_add(z1, k)), c2) == (num, den)
+        assert omega(L, x, c1, cleared(helpers.vec_add(z2, k))) == (num, den)
 
 
 def test_omega_vanishes_on_lower_nilradical_pairs(bundles):
@@ -51,7 +54,7 @@ def test_omega_vanishes_on_lower_nilradical_pairs(bundles):
     v = hess_point(B, rng)
     for i in L.nminus_indices:
         for j in L.nminus_indices:
-            assert omega(L, v, L.basis_vector(i), L.basis_vector(j)) == 0
+            assert omega(L, v, cleared(L.basis_vector(i)), cleared(L.basis_vector(j))) == (0, 1)
 
 
 def test_orbit_frame_dimension(bundles):
@@ -62,7 +65,7 @@ def test_orbit_frame_dimension(bundles):
     assert L.dim - L.centralizer_dim(x) == 2 * L.n
     assert is_regular(L, x)
     # a singular point has a smaller orbit
-    sing = L.basis_vector(L.pos_indices[0])
+    sing = cleared(L.basis_vector(L.pos_indices[0]))
     assert not is_regular(L, sing)
     assert L.dim - L.centralizer_dim(sing) < 2 * L.n
 
@@ -78,11 +81,11 @@ def test_zx_frame_lagrangian(bundles):
             assert fr.dim == L.n
             assert isotropy_witness(L, fr) is None
             assert ([over(t, fr.tden) for t in fr.tangents]
-                    == [L.bracket(x, over(g, fr.pden)) for g in fr.preimages])
+                    == [L.bracket(over(*x), over(g, fr.pden)) for g in fr.preimages])
             # Hamiltonian vectors of the underived invariants vanish
             rows, den = B.family.gradient_rows(x)
             for pos in B.family.I_positions:
-                assert not any(L.bracket(over(rows[pos], den), x))
+                assert not any(L.bracket(over(rows[pos], den), over(*x)))
             assert casimirs_commute(B.family, fr)
             # a derived gradient in an invariant's place does not commute
             swapped = list(fr.gradients)
@@ -93,7 +96,7 @@ def test_zx_frame_lagrangian(bundles):
 def test_zx_frame_requires_strong_regularity(bundles):
     B = bundles("A2")
     with pytest.raises(NotStronglyRegular):
-        zx_frame(B.family, B.L.zero())
+        zx_frame(B.family, cleared(B.L.zero()))
 
 
 def test_hess_lagrangian_check(bundles):
@@ -102,10 +105,10 @@ def test_hess_lagrangian_check(bundles):
     for _ in range(5):
         v = hess_point(B, rng)
         assert hess_lagrangian_check(B.L, v)
-        sl = slice_frame(B.L, B.L.int_ad(clear(v)))
+        sl = slice_frame(B.L, B.L.int_ad(v))
         assert sl.dim == B.L.n
         assert ([over(t, sl.tden) for t in sl.tangents]
-                == [B.L.bracket(v, over(z, sl.pden)) for z in sl.preimages])
+                == [B.L.bracket(over(*v), over(z, sl.pden)) for z in sl.preimages])
 
 
 def test_transversality(bundles):
@@ -126,7 +129,7 @@ def test_transversality(bundles):
 def test_transversality_requires_slice_point(bundles):
     B = bundles("A2")
     with pytest.raises(ValueError):
-        transversality_check(B.family, B.chart, B.triple.w)
+        transversality_check(B.family, B.chart, B.triple.cleared("w"))
 
 
 def test_transversality_builds_one_gradient_matrix(bundles, gradient_rows_calls):
@@ -142,7 +145,8 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
     B = bundles("A2")
     for count in (1, 3):
         gradient_rows_calls.clear()
-        rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
+        rep = polarization_report(B.family, B.chart, B.inv, B.triple.cleared("e1"), count,
+                                  seed=11)
         assert rep.all_pass
         assert len(gradient_rows_calls) == count
 
@@ -252,26 +256,26 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
 def test_polarization_requires_hess_base_point(bundles):
     B = bundles("A2")
     with pytest.raises(ValueError):
-        polarization_report(B.family, B.chart, B.inv, B.L.zero(), 3, seed=11)
+        polarization_report(B.family, B.chart, B.inv, cleared(B.L.zero()), 3, seed=11)
 
 
 def test_polarization_report_nilpotent_slice(bundles):
     B = bundles("A1")
-    rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)
+    rep = polarization_report(B.family, B.chart, B.inv, B.triple.cleared("e1"), 5, seed=11)
     assert rep.all_pass
     assert len(rep.verdicts) == 5
     assert all(v.orbit_dim == 2 * B.L.n for v in rep.verdicts)
     # e1 is nilpotent: every invariant vanishes on its slice
-    assert all(val == 0 for val in rep.invariant_values)
+    assert rep.invariant_values == ((0,) * len(B.inv.polys), 1)
 
 
 def test_polarization_report_semisimple_slice(bundles):
     B = bundles("A2")
     # a slice through a point with generic invariant values
-    v0 = B.chart.point_from_s([rat(1), rat(2), rat(-1), rat(1, 2), rat(3)])
+    v0 = B.chart.point_from_cleared(*clear([rat(1), rat(2), rat(-1), rat(1, 2), rat(3)]))
     rep = polarization_report(B.family, B.chart, B.inv, v0, 4, seed=12)
     assert rep.all_pass
-    assert any(val != 0 for val in rep.invariant_values)
+    assert any(rep.invariant_values[0])
 
 
 def test_invariant_values_conserved_along_exponential(bundles):
@@ -282,8 +286,8 @@ def test_invariant_values_conserved_along_exponential(bundles):
     z = L.zero()
     for i in L.nminus_indices:
         z[i] = rat(rng.randint(-2, 2), rng.randint(1, 2))
-    moved = exp_ad_nilpotent(L, z, x)
-    vx, vm = phi(B.family, x), phi(B.family, moved)
+    moved = exp_ad_nilpotent(L, cleared(z), x)
+    vx, vm = over(*phi(B.family, x)), over(*phi(B.family, moved))
     for pos in B.family.I_positions:
         assert vx[pos] == vm[pos]
 
@@ -303,11 +307,12 @@ coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_ad_matrix_reads_tangents_and_orbit_form(label, at, data):
+def test_ad_matrix_reads_tangents_and_orbit_form(helpers, label, at, data):
     L, triple = _bare_algebra(label)
     vec = st.lists(coord, min_size=L.dim, max_size=L.dim)
     x = {"random": lambda: data.draw(vec), "zero": L.zero, "e": lambda: triple.e}[at]()
     z1, z2 = data.draw(vec), data.draw(vec)
     adx = L.ad(x)
-    assert linalg.mat_vec(adx, z1) == L.bracket(x, z1)
-    assert L.killing_pair(linalg.mat_vec(adx, z2), z1) == omega(L, x, z1, z2)
+    assert helpers.mat_vec(adx, z1) == L.bracket(x, z1)
+    value = L.killing_pair(helpers.mat_vec(adx, z2), z1)
+    assert (value.numerator, value.denominator) == omega(L, cleared(x), cleared(z1), cleared(z2))

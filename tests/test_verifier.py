@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.liealgebra import LieAlgebra
 from mfhess.polyring import Poly
-from mfhess.rational import rat, rat_str, to_rat
+from mfhess.rational import cleared, over, rat, rat_str, to_rat
 from mfhess.symplectic import NotStronglyRegular, transversality_check
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
@@ -176,9 +177,9 @@ def test_sampling_regions(a2_context):
         assert point_in_hess(sc.L, sc.triple, v)
     v0 = hess[0]
     slc = sample_points(sc, 5, "slice", 3, v0=v0)
-    vals = [p.evaluate(v0) for p in sc.inv.polys]
+    vals = [p.evaluate(over(*v0)) for p in sc.inv.polys]
     for v in slc:
-        assert [p.evaluate(v) for p in sc.inv.polys] == vals
+        assert [p.evaluate(over(*v)) for p in sc.inv.polys] == vals
     # determinism
     assert sample_points(sc, 5, "hess", 3) == hess
     with pytest.raises(ValueError):
@@ -192,7 +193,7 @@ def test_sampling_exhaustion(a2_context):
 
 def test_hess_sampling_rejects_point_off_slice(monkeypatch):
     sc = build_context(SuiteConfig(algebra="A1", seed=5))
-    monkeypatch.setattr(sc.chart, "point_from_s", lambda svals: sc.triple.w)
+    monkeypatch.setattr(sc.chart, "point_from_cleared", lambda *s: sc.triple.cleared("w"))
     with pytest.raises(RegionExhausted):
         sample_points(sc, 5, "hess", 1)
 
@@ -247,16 +248,18 @@ def test_compiled_forms_are_built_on_first_read(tmp_path, cached):
     assert "compiled" not in vars(sc.family)
     family = sc.family.compiled
     assert family is sc.family.compiled
-    assert sc.family.gradient_rows(sc.triple.e1) == family.int_gradients(sc.ctx, sc.triple.e1)
+    e1 = sc.triple.cleared("e1")
+    assert sc.family.gradient_rows(e1) == family.int_gradients(sc.ctx, e1)
     compiled = sc.inv.compiled
     assert compiled is sc.inv.compiled
     x = [rat(k + 1, 3) for k in range(sc.L.dim)]
-    assert compiled.values(x) == [p.evaluate(x) for p in sc.inv.polys]
+    assert compiled.values(cleared(x)) == cleared([p.evaluate(x) for p in sc.inv.polys])
     section = sc.chart.compiled
     assert section is sc.chart.compiled
     assert len(section) == len(sc.chart.restricted)
     s = [rat(k - 2) for k in range(sc.chart.b)]
-    assert [c.values(s)[0] for c in section] == [rp.evaluate(s) for rp in sc.chart.restricted]
+    assert ([over(*c.values(cleared(s)))[0] for c in section]
+            == [rp.evaluate(s) for rp in sc.chart.restricted])
 
 
 @pytest.mark.parametrize("algebra", ["A2", "G2", "[[2,-1,0],[-1,2,-1],[0,-2,2]]"],
@@ -454,7 +457,8 @@ def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
 
 @pytest.mark.parametrize("key, violation", [((1, 0), "antisymmetry fails on (0,1)"),
                                              ((2, 2), "[b2, b2] != 0")])
-def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, violation):
+def test_algebra_check_sees_keys_outside_the_table_convention(helpers, a2_context, key,
+                                                              violation):
     """The table stores [e_a, e_b] for a < b.  A key (1, 0) or (2, 2) holding
     the row of (0, 1) is read by bracket and ad alike, and check 2 names it."""
     cfg = SuiteConfig(algebra="A2", seed=5)
@@ -465,10 +469,10 @@ def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, v
     out = check_algebra_soundness(replace(sc, L=L), cfg)
     assert out["ok"] is False
     assert violation in out["witness"]["violations"]
-    x = sample_points(sc, 5, "hess", 1)[0]
+    x = over(*sample_points(sc, 5, "hess", 1)[0])
     adx = L.ad(x)
     for z in [L.basis_vector(i) for i in range(L.dim)] + [x]:
-        assert linalg.mat_vec(adx, z) == L.bracket(x, z)
+        assert helpers.mat_vec(adx, z) == L.bracket(x, z)
 
 
 def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context):
@@ -519,19 +523,19 @@ def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch, reference_
     cfg = SuiteConfig(algebra=label, seed=2024)
     sc = build_context(cfg)
     calls = []
-    original = linalg.kernel
+    original = linalg.sparse_kernel
 
-    def recorded(mat, ncols=None):
-        out = original(mat, ncols)
+    def recorded(rows, ncols):
+        mat = [{j: c for j, c in row.items() if c} for row in rows]   # reduced in place
+        out = original(rows, ncols)
         calls.append((mat, ncols, out))
         return out
 
-    monkeypatch.setattr(linalg, "kernel", recorded)
+    monkeypatch.setattr(linalg, "sparse_kernel", recorded)
     assert check_omega_well_defined(sc, cfg)["ok"]
     assert len(calls) == 3
-    for mat, ncols, basis in calls:
-        rows = [{j: c for j, c in enumerate(row) if c} for row in mat]
-        assert basis == reference_kernel(rows, ncols)
+    for rows, ncols, (basis, den) in calls:
+        assert [over(v, den) for v in basis] == reference_kernel(rows, ncols)
 
 
 def test_leading_term_fails_on_planted_derived_term(a2_context):
@@ -652,6 +656,31 @@ def test_one_expansion_per_shift_direction_per_run(monkeypatch, algebra):
     assert len(calls) == len(set(calls)) == 4
 
 
+# Fraction constructions in one run_suite pass at seed 2024, with the sampled
+# points carried cleared from draw to verdict: what is left is built by the
+# build stages, check 3, the type-A trace oracle, check 15's pairing
+# determinant and the witnesses
+FRACTIONS_PER_PASS = {"A2": 515, "B2": 494}
+
+
+@pytest.mark.parametrize("label", sorted(FRACTIONS_PER_PASS))
+def test_suite_pass_builds_few_fractions(monkeypatch, label):
+    """A rational put back on the pass path (a point, a value vector, a
+    series, a sampled coefficient) raises the count above its bound."""
+    count = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = run_suite(SuiteConfig(algebra=label, seed=2024))
+    monkeypatch.undo()
+    assert not report.failed
+    assert len(count) <= FRACTIONS_PER_PASS[label]
+
+
 def test_no_visit_survives_a_run(a2_context, reference_witness):
     """Visits and the shift along f belong to one run: two full runs at
     different seeds give their recorded digests, and after a full run on
@@ -709,12 +738,12 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
         assert len(calls) == points, check.check_id
 
 
-def test_slice_lagrangian_fails_on_moved_base_point(a2_context):
+def test_slice_lagrangian_fails_on_moved_base_point(helpers, a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     assert check_slice_lagrangian(sc, cfg)["ok"]
     highest = sc.L.basis_vector(sc.L.pos_indices[-1])
-    triple = replace(sc.triple, e1=linalg.vec_add(sc.triple.e1, highest))
+    triple = replace(sc.triple, e1=helpers.vec_add(sc.triple.e1, highest))
     bad = replace(sc, triple=triple, chart=replace(sc.chart, triple=triple))
     out = check_slice_lagrangian(bad, cfg)
     assert out["ok"] is False and set(out["witness"]) == {"point"}
@@ -845,6 +874,20 @@ def test_cli_verify_fail_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_cli_verify_unwritable_out_is_exit_2_before_the_run(tmp_path, monkeypatch, capsys,
+                                                             where):
+    """--out under a missing directory, or naming a directory, ends as exit 2
+    with an error line and no traceback, before any check runs."""
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda config: calls.append(config))
+    out = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    assert main(["verify", "--type", "A1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_cli_section_round_trip(capsys):
     code = main(["section", "--type", "A1", "--seed", "3", "--values", "1/2,-3"])
     assert code == 0
@@ -865,7 +908,7 @@ def test_cli_section_bad_values(values, capsys):
 
 
 def test_cli_section_checks_values(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.e1)
+    monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.cleared("e1"))
     assert main(["section", "--type", "A1", "--values", "5,7"]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -924,7 +967,7 @@ def test_transversality_det_is_exact(a2_context, reference_witness, scale):
     for x in sample_points(sc, 7, "hess", 3):
         res = transversality_check(bad.family, sc.chart, x)
         assert res.passed
-        assert rat_str(res.pairing_det) == reference_witness.pairing_det(bad.family, x)
+        assert rat_str(res.pairing_det) == reference_witness.pairing_det(bad.family, over(*x))
         assert res.pairing_det != transversality_check(sc.family, sc.chart, x).pairing_det
     coordinate = Poly.coordinate(sc.L.dim, sc.L.pos_indices[0]).scale(scale)
     bad = _with_member(sc, pos, coordinate)
