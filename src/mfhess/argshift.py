@@ -52,7 +52,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, signature_hash
 from .invariants import InvariantFamily, read_json, write_json_atomic
 from .polyring import (CompiledPolys, GradientContext, Poly, _int_folds, _int_partials,
                        _int_product, _packing, _unpack)
-from .rational import clear, combine, draw, rat, to_rat
+from .rational import canonical, cleared, combine, draw, ratio_str, to_rat
 
 
 class DependentFamily(Exception):
@@ -64,9 +64,8 @@ class NotInvertible(Exception):
 
 
 def root_values(L: LieAlgebra, y) -> list:
-    """Values of every positive root on a Cartan element given by coordinates
-    (rationals, or the integer numerators of a cleared one, which give the
-    values times its denominator)."""
+    """Values of every positive root on a Cartan element given by the integer
+    numerators of a cleared vector: the values times its denominator."""
     rs = L.rs
     coeffs = [y[i] for i in L.cartan_indices]
     out = []
@@ -76,13 +75,16 @@ def root_values(L: LieAlgebra, y) -> list:
 
 
 def is_regular_cartan(L: LieAlgebra, y) -> bool:
-    if not L.supported_in(y, L.cartan_indices):
+    """Whether the cleared vector y is a regular Cartan element."""
+    nums, _ = y
+    if not L.supported_in(nums, L.cartan_indices):
         return False
-    return all(v for v in root_values(L, y))
+    return all(v for v in root_values(L, nums))
 
 
-def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> list:
-    """Deterministic small-integer regular Cartan element."""
+def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> tuple:
+    """Deterministic small-integer regular Cartan element, as a canonical
+    point."""
     rng = random.Random(f"{seed}:regular-y")
     for _ in range(10000):
         coeffs = [rng.randint(-bound, bound) for _ in range(L.rank)]
@@ -90,9 +92,9 @@ def choose_regular_y(L: LieAlgebra, seed: int, bound: int = 5) -> list:
             continue
         y = L.zero()
         for j, c in enumerate(coeffs):
-            y[L.cartan_indices[j]] = rat(c)
-        if is_regular_cartan(L, y):
-            return y
+            y[L.cartan_indices[j]] = c
+        if is_regular_cartan(L, (y, 1)):
+            return canonical(y, 1)
     raise NotInvertible("could not draw a regular Cartan element")
 
 
@@ -100,14 +102,14 @@ def shifted_invariants(inv: InvariantFamily, u) -> list:
     """All pieces (j, k, I_{j,u,k}) with 0 <= k <= m_j: the coefficient of
     t^k in I_j(x + t u), which is the k-th derivative along u over k!.
 
-    The pieces come from one Taylor pass on integers.  u is cleared once to
-    numerators U over one denominator D.  Each term c x^e of I_j's integer
-    numerators (over its denominator s) expands the product over k in
+    The pieces come from one Taylor pass on integers.  u is a cleared
+    vector, numerators U over one denominator D.  Each term c x^e of I_j's
+    integer numerators (over its denominator s) expands the product over k in
     supp(u) of (x_k + t U_k / D)^(e_k) with binomial coefficients on ints,
     packed exponents (the width rule of polyring.poisson_bracket) and orders
     below deg I_j only; the coefficient of t^k is then piece k over s D^k.
     """
-    nums, den = clear([to_rat(c) for c in u])
+    nums, den = u
     support = [(k, U) for k, U in enumerate(nums) if U]
     out = []
     for j, (p, d) in enumerate(zip(inv.polys, inv.degrees)):
@@ -159,7 +161,7 @@ class ShiftFamily:
     L: LieAlgebra
     ctx: GradientContext
     triple: PrincipalTriple
-    y: list
+    y: tuple            # the shift direction, a canonical point
     entries: list
     # the ranks of graded_dims, taken on its first call
     _graded: dict = field(init=False, repr=False, compare=False, default=None)
@@ -209,7 +211,7 @@ class ShiftFamily:
     def to_payload(self) -> dict:
         return {
             "schema": "family_v1",
-            "y": [str(c) for c in self.y],
+            "y": [ratio_str(c, self.y[1]) for c in self.y[0]],
             "entries": [
                 {"beta": e.beta, "m": e.m, "j": e.j, "k": e.k, "i": e.i,
                  "poly": e.poly.to_payload()}
@@ -219,12 +221,12 @@ class ShiftFamily:
 
 def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
                  triple: PrincipalTriple) -> ShiftFamily:
-    """Build the ordered generator family for a regular Cartan direction y.
+    """Build the ordered generator family for a regular Cartan direction y,
+    a canonical point.
 
     Each member must be homogeneous of its degree m, and the members must be
     linearly independent, certified as the sum of the per-degree ranks of
     graded_dims; a violation raises DependentFamily."""
-    y = [to_rat(c) for c in y]
     if not is_regular_cartan(L, y):
         raise NotInvertible("shift direction must be a regular Cartan element")
     pieces = shifted_invariants(inv, y)
@@ -337,19 +339,18 @@ def gradient_visit(F: ShiftFamily, x) -> GradientVisit:
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:
-    """(dimension, canonical basis) of the span of dp(x) over the given
-    polys p and cleared points x.  The polynomials are compiled once, and the
-    integer gradient rows are spanned as they are: a positive scale of a
-    row leaves the span, and so its canonical basis, unchanged."""
+    """(dimension, rows) of the span of dp(x) over the given polys p and
+    cleared points x: rows the integer gradient rows themselves, which span
+    it, since a positive scale of a row leaves the span unchanged.  The
+    polynomials are compiled once."""
     compiled = CompiledPolys(polys)
     rows = [g for x in points for g in compiled.int_gradients(ctx, x)[0]]
-    basis = linalg.span_basis(rows)
-    return len(basis), basis
+    return linalg.rank(rows), rows
 
 
 def family_from_payload(L: LieAlgebra, ctx: GradientContext, triple: PrincipalTriple,
                         payload: dict) -> ShiftFamily:
-    y = [to_rat(c) for c in payload["y"]]
+    y = cleared([to_rat(c) for c in payload["y"]])
     entries = [QEntry(beta=e["beta"], m=e["m"], j=e["j"], k=e["k"], i=e["i"],
                       poly=Poly.from_payload(L.dim, e["poly"]))
                for e in payload["entries"]]
@@ -396,12 +397,10 @@ def zeta_chain(F: ShiftFamily) -> tuple:
     -[E, v_i]_alpha dy = alpha(Y) de v_{i+1, alpha} at every positive root
     alpha, and v_{i+1} vanishes off the positive roots.
     """
-    L, triple = F.L, F.triple
-    yc = clear(F.y)
+    L, yc, ec = F.L, F.y, F.triple.e
     vals = root_values(L, yc[0])
     if not all(vals):
         raise NotInvertible("ad y is singular on the nilradical")
-    ec = triple.cleared("e")
     rows, den = F.gradient_rows(ec)
     coeff = {(q.j, q.k): row for q, row in zip(F.entries, rows)}
     off = [i for i in range(L.dim) if i not in L.pos_indices]
@@ -448,8 +447,8 @@ def mv_membership(ctx: GradientContext, triple: PrincipalTriple, members: Compil
     L = ctx.L
     b = L.rank + L.n
     rng = random.Random(f"{seed}:mv-membership")
-    w = triple.cleared("w")
-    fixed = [w, triple.cleared("e"), triple.cleared("e1"), combine(w, triple.cleared("f"))]
+    w = triple.w
+    fixed = [w, triple.e, triple.e1, combine(w, triple.f)]
     drawn = (draw(rng, L.dim, coeff_bound, 3) for _ in range(sample_count))
     for x in chain(fixed, drawn):
         if linalg.rank(members.int_gradients(ctx, x)[0]) == b:

@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import invariants as invmod
-from .rational import cleared, over, rat_str, to_rat
+from .rational import cleared, ratio_str, to_rat
 from .verifier import SuiteConfig, build_context, run_suite
 from .hessenberg import hess_section
 from .argshift import phi
@@ -109,11 +109,11 @@ def cmd_section(args) -> int:
         print("error: the section point does not take the requested values",
               file=sys.stderr)
         return 1
-    v = over(*v)
-    print(",".join(rat_str(c) for c in v))
-    for i, c in enumerate(v):
+    nums, den = v
+    print(",".join(ratio_str(c, den) for c in nums))
+    for i, c in enumerate(nums):
         if c:
-            print(f"{sc.L.labels[i]}: {rat_str(c)}")
+            print(f"{sc.L.labels[i]}: {ratio_str(c, den)}")
     return 0
 
 

@@ -8,7 +8,7 @@ one integer pass (polyring.restrict_affine); the frame is dual (under the
 Killing pairing of the upper and lower Borel) to the gradient frame
 z_beta = dq_beta(e1) of an ordered shift family, and is read from the
 inverse of the integer pairing of the gradient rows with the integer
-Killing rows.
+Killing rows, taken on integers from a kernel (linalg.kernel).
 
 In these coordinates the restricted generators are unitriangular: the
 restriction of q_beta is s_beta plus a polynomial in the strictly earlier
@@ -20,10 +20,12 @@ Orbit slices of Hess are cut out by fixing the values of the underived
 invariants; their infinitesimal structure (tangents from the lower
 nilradical, trivial isotropy) is read from ad x by symplectic.slice_frame.
 
-Points, value vectors and chart coordinates s are canonical cleared vectors
-(rational.canonical), so equal vectors have equal pairs: the chart sums its
-points on integers, the section solves on them, slice points come from
-exp_ad_nilpotent on integers, and check 11's series are series of ints.
+Points, value vectors, chart coordinates s and the frame vectors are
+canonical cleared vectors (rational.canonical), so equal vectors have equal
+pairs, and the gradient frame is held as the integer rows of frame_rows:
+the chart sums its points on integers, the section solves on them, slice
+points come from exp_ad_nilpotent on integers, and check 11's series are
+series of ints.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
 from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import canonical, clear_rows, draw, over
+from .rational import canonical, common_rows, draw, reduced
 from .rootdata import RootSystem
 
 
@@ -50,7 +52,7 @@ def point_in_hess(L: LieAlgebra, triple: PrincipalTriple, v) -> bool:
     """True when the cleared point v lies on e1 + b_-: v agrees with e1 on
     the upper nilradical.  A vector of the wrong length raises
     DimensionMismatch."""
-    (vn, vd), (en, ed) = v, triple.cleared("e1")
+    (vn, vd), (en, ed) = v, triple.e1
     L.check_vector(vn)
     return all(vn[i] * ed == en[i] * vd for i in L.n_indices)
 
@@ -59,11 +61,11 @@ def restrict_to_hess(L: LieAlgebra, triple: PrincipalTriple, polys,
                      frame: list | None = None) -> list:
     """Restrictions of polys to Hess as polynomials in the frame coordinates.
 
-    frame defaults to the Chevalley basis of the lower Borel; a chart
-    substitutes its dual frame instead.
+    frame, a list of cleared vectors, defaults to the Chevalley basis of the
+    lower Borel; a chart substitutes its dual frame instead.
     """
     if frame is None:
-        frame = [L.basis_vector(i) for i in L.bminus_indices]
+        frame = [(L.basis_vector(i), 1) for i in L.bminus_indices]
     return restrict_affine(polys, triple.e1, frame)
 
 
@@ -100,19 +102,19 @@ class HessChart:
     L: LieAlgebra
     triple: PrincipalTriple
     family: ShiftFamily
-    zvecs: list            # z_beta = dq_beta(e1), a basis of the upper Borel
-    frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta
+    # frame_rows(F): z_beta = dq_beta(e1), a basis of the upper Borel, as
+    # integer rows over one positive denominator (rows, den)
+    zvecs: tuple
+    frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta,
+                           # canonical points
     restricted: list       # restrictions of the generators, in frame coordinates
-    # (den, supports) = rational.clear_rows(frame): the frame as integer
+    # (den, supports) = rational.common_rows(frame): the frame as integer
     # numerators over one denominator, supports[g] the nonzero
     # (index, numerator) pairs of frame vector g
     frame_int: tuple = field(init=False, repr=False, compare=False)
-    # e1 as a canonical point
-    e1_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.frame_int = clear_rows(self.frame)
-        self.e1_int = self.triple.cleared("e1")
+        self.frame_int = common_rows(self.frame)
 
     # each restricted generator compiled alone, on first read: the section
     # evaluates one per step, and no build stage reads them
@@ -122,7 +124,7 @@ class HessChart:
 
     @property
     def b(self) -> int:
-        return len(self.zvecs)
+        return len(self.zvecs[0])
 
     def point_from_cleared(self, snums, sden: int) -> tuple:
         """The point e1 + sum_g s_g frame_g of Hess for s = snums / sden,
@@ -130,7 +132,7 @@ class HessChart:
 
         With the frame Fr / df and e1 = E / de, coordinate i is
         (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df)."""
-        (fden, supports), (enums, eden) = self.frame_int, self.e1_int
+        (fden, supports), (enums, eden) = self.frame_int, self.triple.e1
         acc = [0] * len(enums)
         for s, support in zip(snums, supports):
             if s:
@@ -146,7 +148,7 @@ def frame_rows(F: ShiftFamily) -> tuple:
     terms whose gradient at e1 can be nonzero (CompiledPolys grad_at): e1 is
     zero off the simple root vectors, so most terms drop out.  The family's
     own compiled form is left unbuilt."""
-    e1 = F.triple.cleared("e1")
+    e1 = F.triple.e1
     return CompiledPolys(F.qs, grad_at=e1[0]).int_gradients(F.ctx, e1)
 
 
@@ -158,8 +160,11 @@ def build_chart(F: ShiftFamily) -> HessChart:
     a violation raises NotTriangular.  The gradients at e1 are the integer
     rows of frame_rows (over den), read from the terms that reach e1 and
     not from the family's compiled form: they are paired with the lower
-    Borel basis on the integer Killing rows, the integer pairing matrix is
-    inverted, and its inverse times den is the dual frame.
+    Borel basis on the integer Killing rows into the integer matrix P, and
+    the dual frame is P^-1 times den.  P^-1 is read from the kernel of
+    [P | I], the vectors (x, -P x): its canonical basis has the free
+    columns of I, with x = -P^-1 e_g on column g of I, exactly when P is
+    invertible.
     """
     L = F.L
     triple = F.triple
@@ -173,28 +178,31 @@ def build_chart(F: ShiftFamily) -> HessChart:
     # (z_beta, e_mu) = pairing[beta][mu] / den on the integer Killing rows
     krows = L.int_killing
     column = {idx: mu for mu, idx in enumerate(L.bminus_indices)}
-    pairing = []
-    for row in rows:
-        acc = [0] * len(column)
+    b = F.b
+    augmented = []
+    for beta, row in enumerate(rows):
+        acc = [0] * len(column) + [int(g == beta) for g in range(b)]
         for i, zi in enumerate(row):
             if zi:
                 for j, k in krows[i]:
                     mu = column.get(j)
                     if mu is not None:
                         acc[mu] += zi * k
-        pairing.append(acc)
-    pinv = linalg.inverse(pairing)
+        augmented.append(acc)
+    ker, kden = linalg.kernel(augmented)
+    if any(v[b:] != [kden * (g == h) for h in range(b)] for g, v in enumerate(ker)):
+        raise ValueError("matrix is singular")
     frame = []
-    for g in range(F.b):
+    for v in ker:
         vec = L.zero()
         for mu, idx in enumerate(L.bminus_indices):
-            vec[idx] = pinv[mu][g] * den
-        frame.append(vec)
+            vec[idx] = -den * v[mu]
+        frame.append(canonical(vec, kden))
     restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
     violation = _unitriangular_violation(restricted)
     if violation:
         raise NotTriangular(violation)
-    return HessChart(L=L, triple=triple, family=F, zvecs=[over(row, den) for row in rows],
+    return HessChart(L=L, triple=triple, family=F, zvecs=(rows, den),
                      frame=frame, restricted=restricted)
 
 
@@ -217,10 +225,7 @@ def hess_section(chart: HessChart, cvals) -> tuple:
         # generator bi without its diagonal term s_bi
         (rest,), whole = chart.compiled[bi].int_values(snums, sden)
         # s_bi = c / cden - rest / whole
-        num = c * whole - cden * rest
-        den = cden * whole
-        g = gcd(num, den)
-        num, den = num // g, den // g
+        num, den = reduced(c * whole - cden * rest, cden * whole)
         if sden % den:
             grow = den // gcd(sden, den)
             snums = [v * grow for v in snums]

@@ -530,7 +530,7 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
         simple = pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]
         for block in (L.pos_indices, L.neg_indices):
             a_idx, b_idx = block[simple], block[pos_of[rest]]
-            coeff = L.bracket(L.basis_vector(a_idx), L.basis_vector(b_idx))[block[ridx]]
+            coeff = dict(L.int_table[a_idx].get(b_idx, ())).get(block[ridx], 0)
             images[block[ridx]] = {key: v / coeff for key, v in
                                    _sparse_bracket(images[a_idx], images[b_idx]).items()}
     # homomorphism check over all basis pairs

@@ -19,18 +19,16 @@ other entry (a Fraction or a float planted through dataclasses.replace
 among them) with ConstructionFailure.  __post_init__ builds the integer
 table once and the sparse integer Killing rows once, and the Killing
 matrix itself from the integer table when none is given.
-Each of bracket, ad and killing_pair has one integer core (int_bracket,
-int_ad, int_killing_pair) that takes cleared vectors, integer numerators
-over one positive denominator (rational.clear), accumulates in ints and
-returns integer numerators and one positive denominator; the rational
-method divides that back (rational.over), for the build stages, check 3
-and the trace oracle only.
-Pointwise checks call the cores on cleared points and never form the
-rationals: centralizer_dim (so is_regular) and exp_ad_nilpotent take
-canonical points (rational.canonical), and a PrincipalTriple gives its
-elements as such (PrincipalTriple.cleared).  bracket and ad read the
-same integer table, so ad x . z = [x, z] for every table, and check 2
-(validate_algebra) reads that table and the integer Killing rows directly.
+Every vector this module takes or returns is a cleared vector, integer
+numerators over one positive denominator (rational.clear), and a vector
+that it hands on is canonical (rational.canonical); a basis vector or zero
+is a list of ints, its own numerators over 1.  int_bracket, int_ad and
+int_killing_pair accumulate in ints and return integer numerators over the
+product of the denominators; no rational method stands beside them.  The
+principal triple holds w, e, f and e1 in canonical form, solved and tested
+on integers, and check 3's decomposition takes the kernel of ad e and its
+lowering chains on the same numerators.  Check 2 (validate_algebra) reads
+the integer table and Killing rows directly.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from functools import cached_property
 from math import factorial
 
 from . import linalg
-from .rational import R0, R1, all_ints, canonical, clear, cleared, over, rat, rat_str, to_rat
+from .rational import R0, all_ints, canonical, rat, rat_str
 from .rootdata import RootSystem
 
 
@@ -126,9 +124,8 @@ class LieAlgebra:
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
 
-    # -- integer cores: cleared vectors (numerators, den) in, integer
-    # numerators and one positive denominator out; the rational methods
-    # divide them back
+    # -- cleared vectors (numerators, den) in, integer numerators and one
+    # positive denominator out
 
     def int_bracket(self, x, y) -> tuple:
         """[x, y] of cleared vectors x = (numerators, dx) and y = (..., dy),
@@ -180,29 +177,16 @@ class LieAlgebra:
                         total += xi * k * ny[j]
         return total, dx * dy
 
-    def bracket(self, x, y) -> list:
-        """Exact bracket of two coordinate vectors."""
-        return over(*self.int_bracket(clear(x), clear(y)))
-
     def basis_vector(self, i: int) -> list:
-        v = [R0] * self.dim
-        v[i] = R1
+        v = [0] * self.dim
+        v[i] = 1
         return v
-
-    def ad(self, x) -> list:
-        """Dense matrix of ad x, whose column j is [x, e_j]."""
-        rows, den = self.int_ad(clear(x))
-        return [over(row, den) for row in rows]
-
-    def killing_pair(self, x, y):
-        """Exact Killing pairing of two coordinate vectors."""
-        return rat(*self.int_killing_pair(clear(x), clear(y)))
 
     def centralizer_dim(self, x) -> int:
         return self.dim - linalg.rank(self.int_ad(x)[0])
 
     def zero(self) -> list:
-        return [R0] * self.dim
+        return [0] * self.dim
 
     def supported_in(self, x, indices) -> bool:
         allowed = set(indices)
@@ -504,150 +488,159 @@ def signature_hash(L: LieAlgebra) -> str:
 
 @dataclass
 class PrincipalTriple:
-    w: list
-    e: list
-    f: list
-    e1: list
-
-    def cleared(self, name: str) -> tuple:
-        """The element name ("w", "e", "f" or "e1") as a canonical point."""
-        return cleared(getattr(self, name))
+    """The S-triple {w, e, f} and e1 = e / (e, f), each a canonical point."""
+    w: tuple
+    e: tuple
+    f: tuple
+    e1: tuple
 
 
 @dataclass
 class PrincipalDecomposition:
-    modules: list          # one list of basis vectors per irreducible summand
+    modules: list          # one list of canonical vectors per irreducible summand
     exponents: tuple       # ad-w weight of each highest weight vector, halved
-    cartan_reps: list      # z_j, the Cartan representative of each summand
     chains: list           # chains z_{j k} = (ad f / 2)^k z_j, k = 0..m_j
 
+    @property
+    def cartan_reps(self) -> list:
+        """z_j, the Cartan representative of each summand."""
+        return [chain[0] for chain in self.chains]
 
-def cartan_from_root_values(L: LieAlgebra, values) -> list:
-    """The Cartan element whose simple-root values are the given numbers:
-    alpha_i(w) = sum_j c_j A[j][i] solved for the coefficients c_j."""
+
+def cartan_from_root_values(L: LieAlgebra, values) -> tuple:
+    """The Cartan element whose simple-root values are the given integers,
+    as a canonical point: alpha_i(w) = sum_j c_j A[j][i] solved on integers
+    for the coefficients c_j."""
     a = L.rs.cartan.entries
-    at = [[rat(a[j][i]) for j in range(L.rank)] for i in range(L.rank)]
+    at = [[a[j][i] for j in range(L.rank)] for i in range(L.rank)]
     try:
-        coeffs = linalg.solve(at, [to_rat(v) for v in values])
+        coeffs, den = linalg.solve(at, list(values))
     except ValueError as exc:
         raise SingularSystem(str(exc))
     w = L.zero()
     for j, c in enumerate(coeffs):
         w[L.cartan_indices[j]] = c
-    return w
+    return tuple(w), den
 
 
 def principal_triple(L: LieAlgebra) -> PrincipalTriple:
     """The S-triple {w, e, f}: w in the Cartan with every simple root value 2,
-    f the sum of the negative simple root vectors, e solved from [e, f] = w."""
-    rs = L.rs
+    f the sum of the negative simple root vectors, e solved from [e, f] = w;
+    and e1 = e / (e, f).  Each is solved and tested on integers."""
+    simple = [i for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
+    simple_pos = [L.pos_indices[i] for i in simple]
     w = cartan_from_root_values(L, [2] * L.rank)
+    fn = L.zero()
+    for i in simple:
+        fn[L.neg_indices[i]] = 1
+    f = (tuple(fn), 1)
 
-    f = L.zero()
-    simple_neg = []
-    simple_pos = []
-    for i, r in enumerate(rs.positive_roots):
-        if sum(r) == 1:
-            simple_pos.append(L.pos_indices[i])
-            simple_neg.append(L.neg_indices[i])
-    for idx in simple_neg:
-        f[idx] = R1
-
-    # solve [sum c_i e_{alpha_i}, f] = w for the c_i
-    cols = []
-    for idx in simple_pos:
-        cols.append(L.bracket(L.basis_vector(idx), f))
-    mat = [[cols[j][i] for j in range(len(simple_pos))] for i in range(L.dim)]
+    # solve [sum c_i e_{alpha_i}, f] = w for the c_i on the numerators of w
+    cols = [L.int_bracket((L.basis_vector(idx), 1), f)[0] for idx in simple_pos]
+    mat = [[col[k] for col in cols] for k in range(L.dim)]
     try:
-        ce = linalg.solve(mat, w)
+        ce, cden = linalg.solve(mat, w[0])
     except ValueError as exc:
         raise SingularSystem(f"no solution for the nilpositive element: {exc}")
-    if any(not c for c in ce):
+    if not all(ce):
         raise SingularSystem("nilpositive element has a vanishing simple coefficient")
-    e = L.zero()
-    for j, idx in enumerate(simple_pos):
-        e[idx] = ce[j]
+    en = L.zero()
+    for c, idx in zip(ce, simple_pos):
+        en[idx] = c
+    e = canonical(en, cden * w[1])
 
-    pairing = L.killing_pair(e, f)
-    e1 = linalg.vec_scale(e, R1 / pairing)
+    # e1 = e den / num for (e, f) = num / den
+    num, den = L.int_killing_pair(e, f)
+    if not num:
+        raise SingularSystem("(e, f) = 0")
+    sign = 1 if num > 0 else -1
+    e1 = canonical([sign * den * c for c in e[0]], sign * num * e[1])
 
-    for vec, target, name in ((f, -2, "f"), (e, 2, "e")):
-        got = L.bracket(w, vec)
-        want = linalg.vec_scale(vec, rat(target))
-        if got != want:
-            raise SingularSystem(f"[w, {name}] != {target} {name}")
-    if L.bracket(e, f) != w:
-        raise SingularSystem("[e, f] != w")
-    return PrincipalTriple(w=w, e=e, f=f, e1=e1)
+    triple = PrincipalTriple(w=w, e=e, f=f, e1=e1)
+    violation = _triple_violation(L, triple)
+    if violation:
+        raise SingularSystem(violation)
+    return triple
+
+
+def _triple_violation(L: LieAlgebra, triple: PrincipalTriple) -> str | None:
+    """The first S-triple relation that {w, e, f} breaks, tested on the
+    integer numerators, or None."""
+    w, e, f = triple.w, triple.e, triple.f
+    for (vn, vd), target, name in ((f, -2, "f"), (e, 2, "e")):
+        # [w, v] over w[1] vd is target v exactly when its numerators are
+        # target w[1] times those of v
+        got, _ = L.int_bracket(w, (vn, vd))
+        if any(g != target * w[1] * c for g, c in zip(got, vn)):
+            return f"[w, {name}] != {target} {name}"
+    if canonical(*L.int_bracket(e, f)) != w:
+        return "[e, f] != w"
+    return None
 
 
 def principal_decomposition(L: LieAlgebra, triple: PrincipalTriple) -> PrincipalDecomposition:
-    """Split the algebra into irreducible modules under the principal triple.
+    """Split the algebra into irreducible modules under the principal triple,
+    once its S-triple relations hold.
 
     Highest weight vectors are the kernel of ad e; ad w acts on them with
     even nonnegative eigenvalues 2*m_j; applying (ad f / 2)^{m_j} lands in
     the Cartan, giving the representative z_j; further lowering gives the
     triangular chains whose union is a basis of the lower Borel subalgebra.
+
+    Everything runs on integer numerators.  The highest weight vectors are
+    the reduced echelon basis of ker ad e, ordered by layer and then by
+    leading column: the kernel basis of the column-reversed system, read
+    back in order, has a unit on each vector's leading column and zeros on
+    the others', so it is that basis.  ad e raises the layer by one, so each
+    of its vectors lies in one layer.  Each lowering chain is a run of
+    int_bracket on one growing denominator, and every vector handed on is
+    canonical.
     """
-    ade = L.ad(triple.e)
-    ker = linalg.kernel(ade, L.dim)
+    violation = _triple_violation(L, triple)
+    if violation:
+        raise DecompositionFailure(violation)
+    rows, _ = L.int_ad(triple.e)    # a positive scale leaves the kernel
+    ker, kden = linalg.kernel([row[::-1] for row in rows])
     if len(ker) != L.rank:
         raise DecompositionFailure(
             f"kernel of ad e has dimension {len(ker)}, expected {L.rank}")
-    # split kernel vectors into ad-w homogeneous components (the kernel is
-    # ad-w stable, so each layer component stays in the kernel)
-    by_layer: dict[int, list] = {}
-    for v in ker:
-        layers_hit = sorted({L.layers[i] for i, c in enumerate(v) if c})
-        for m in layers_hit:
-            comp = [c if L.layers[i] == m else R0 for i, c in enumerate(v)]
-            if any(L.bracket(triple.e, comp)):
-                raise DecompositionFailure("kernel layer component escaped the kernel")
-            by_layer.setdefault(m, []).append(comp)
     hw = []
-    for m in sorted(by_layer):
-        for v in linalg.span_basis(by_layer[m]):
-            hw.append((m, v))
-    if len(hw) != L.rank:
-        raise DecompositionFailure("highest weight vector count mismatch")
-    exps = tuple(m for m, _ in hw)
+    for v in ker:
+        v = v[::-1]
+        hit = sorted({L.layers[i] for i, c in enumerate(v) if c})
+        if len(hit) != 1:
+            raise DecompositionFailure("a kernel vector of ad e is not ad-w homogeneous")
+        hw.append((hit[0], next(i for i, c in enumerate(v) if c), canonical(v, kden)))
+    hw.sort()
+    exps = tuple(m for m, _, _ in hw)
     if sorted(exps) != list(L.rs.exponents):
         raise DecompositionFailure(
             f"exponents from the decomposition {exps} != {L.rs.exponents}")
 
     modules = []
-    reps = []
     chains = []
-    half = rat(1, 2)
-    for m, v in hw:
+    for m, _, v in hw:
         mod = [v]
-        cur = v
         for _ in range(2 * m):
-            cur = L.bracket(triple.f, cur)
-            mod.append(cur)
-        if any(L.bracket(triple.f, cur)):
+            mod.append(L.int_bracket(triple.f, mod[-1]))
+        if any(L.int_bracket(triple.f, mod[-1])[0]):
             raise DecompositionFailure("lowering chain did not terminate at depth 2m+1")
-        modules.append(mod)
+        modules.append([canonical(*u) for u in mod])
         # z_j = (ad f / 2)^m applied to the highest weight vector
-        z = [c * half ** m for c in mod[m]]
-        if not L.supported_in(z, L.cartan_indices):
+        z = canonical(mod[m][0], mod[m][1] << m)
+        if not L.supported_in(z[0], L.cartan_indices):
             raise DecompositionFailure("Cartan representative is not in the Cartan")
-        reps.append(z)
         chain = [z]
-        cur = z
         for _ in range(m):
-            cur = linalg.vec_scale(L.bracket(triple.f, cur), half)
-            chain.append(cur)
+            nums, den = L.int_bracket(triple.f, chain[-1])
+            chain.append(canonical(nums, 2 * den))
         chains.append(chain)
 
-    allvecs = [v for mod in modules for v in mod]
-    if linalg.rank(allvecs) != L.dim:
+    if linalg.rank([u for mod in modules for u, _ in mod]) != L.dim:
         raise DecompositionFailure("module sum is not direct")
-    flat = [v for ch in chains for v in ch]
-    if linalg.rank(flat) != L.rank + L.n:
+    if linalg.rank([u for ch in chains for u, _ in ch]) != L.rank + L.n:
         raise DecompositionFailure("triangular chains do not span the lower Borel")
-    return PrincipalDecomposition(modules=modules, exponents=exps,
-                                  cartan_reps=reps, chains=chains)
+    return PrincipalDecomposition(modules=modules, exponents=exps, chains=chains)
 
 
 def is_regular(L: LieAlgebra, x) -> bool:

@@ -1,10 +1,10 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra on integers.
 
-Dense routines operate on lists of lists of rationals and are meant for
-matrices up to a few dozen rows (adjoint matrices, Gram matrices, gradient
-stacks).  The sparse kernel routine handles the larger graded systems that
-appear when solving for invariant polynomials; rows there are dicts mapping
-column index to coefficient.
+Dense routines operate on lists of rows and are meant for matrices up to
+a few dozen rows (adjoint matrices, Gram matrices, gradient stacks).  The
+sparse kernel routine handles the larger graded systems that appear when
+solving for invariant polynomials; rows there are dicts mapping column
+index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
 
@@ -12,15 +12,14 @@ Every elimination runs on integers: each row is scaled by the LCM of its
 denominators (rational.clear; a row of ints is taken as it is) and
 eliminated without fractions (integer row operations, each result divided
 by its content; det by Bareiss's exact divisions).  The routines that
-return a basis (kernel, sparse_kernel, span_basis, independent_subset,
+return a basis or a solution (kernel, sparse_kernel, independent_subset,
 solve, inverse) read one fraction-free reduced echelon form (_echelon), so
 each returns the canonical basis that rational elimination returns.
-sparse_kernel is the integer core of kernel, as LieAlgebra.int_bracket is
-of bracket: it returns the basis as integer numerators over one positive
-denominator, and kernel divides them back; the other routines form a
-rational only for each entry they return.  inverse is the only
-matrix inverse in the package: the Gram inverse of polyring and the chart
-frame of hessenberg both take it.
+kernel and sparse_kernel return it as integer numerators over one positive
+denominator, solve returns a canonical cleared vector (rational.canonical)
+and det the integer determinant of an integer matrix; only inverse forms
+rationals, one per entry.  inverse is the only matrix inverse in the
+package: the Gram inverse of polyring takes it.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .rational import R0, R1, all_ints, clear, over, rat
-
-
-def vec_scale(u: list, c) -> list:
-    return [c * a for a in u]
+from .rational import R0, all_ints, canonical, clear, rat
 
 
 def transpose(m: list) -> list:
@@ -77,13 +72,12 @@ def rank(mat: list) -> int:
     return out
 
 
-def kernel(mat: list, ncols: int | None = None) -> list:
-    """The canonical basis of the right kernel of mat (rows = equations): the
-    integer rows of sparse_kernel divided back by its denominator; ncols
-    defaults to the length of the first row."""
+def kernel(mat: list, ncols: int | None = None) -> tuple:
+    """The canonical basis of the right kernel of the dense mat (rows =
+    equations) as sparse_kernel returns it, (basis, den); ncols defaults to
+    the length of the first row."""
     n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
-    rows, den = sparse_kernel([dict(enumerate(row)) for row in mat], n)
-    return [over(row, den) for row in rows]
+    return sparse_kernel([dict(enumerate(row)) for row in mat], n)
 
 
 def inverse(mat: list) -> list:
@@ -93,32 +87,29 @@ def inverse(mat: list) -> list:
                              for i, row in enumerate(mat)])
     if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [_unit_row(pivots[pc], pc, range(n, 2 * n)) for pc in range(n)]
+    # row pc of the inverse is pivot row pc at the columns of I over its pivot
+    return [[rat(q[j], q[pc]) if j in q else R0 for j in range(n, 2 * n)]
+            for pc, q in sorted(pivots.items())]
 
 
-def det(mat: list):
-    """Exact determinant by fraction-free elimination (Bareiss 1968) on the
-    integer-scaled rows, divided back by the product of the row scales.
+def det(mat: list) -> int:
+    """The determinant of an integer matrix by fraction-free elimination
+    (Bareiss 1968).
 
     Step k replaces each entry below and right of the pivot by
     (p a_ij - a_ik a_kj) / p_prev, an exact integer division; the last
-    pivot is the determinant of the integer matrix.  A row swap flips the
-    sign.
+    pivot is the determinant.  A row swap flips the sign.
     """
     n = len(mat)
     if not n:
-        return R1
-    rows, scale = [], 1
-    for row in mat:
-        ints, den = clear(row)
-        rows.append(list(ints))
-        scale *= den
+        return 1
+    rows = [list(row) for row in mat]
     sign, prev = 1, 1
     for k in range(n - 1):
         if not rows[k][k]:
             sel = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if sel is None:
-                return R0
+                return 0
             rows[k], rows[sel] = rows[sel], rows[k]
             sign = -sign
         p = rows[k][k]
@@ -127,31 +118,24 @@ def det(mat: list):
             rows[i] = [0] * (k + 1) + [(p * rows[i][j] - a * rows[k][j]) // prev
                                        for j in range(k + 1, n)]
         prev = p
-    return rat(sign * rows[n - 1][n - 1], scale)
+    return sign * rows[n - 1][n - 1]
 
 
-def solve(mat: list, rhs: list) -> list:
-    """One exact solution of mat*x = rhs, 0 on the free variables; raises
-    ValueError if inconsistent."""
+def solve(mat: list, rhs: list) -> tuple:
+    """One exact solution of mat*x = rhs, 0 on the free variables, as a
+    canonical cleared vector: x[pc] = q[n] / q[pc] for each pivot row q of
+    the reduced echelon form of [mat | rhs], over the LCM of the pivots.
+    Raises ValueError if the system is inconsistent."""
     n = len(mat[0])
     pivots = _dense_echelon([list(row) + [b] for row, b in zip(mat, rhs)])
     if n in pivots:
         raise ValueError("inconsistent linear system")
-    x = [R0] * n
+    den = math.lcm(*(q[pc] for pc, q in pivots.items()))
+    x = [0] * n
     for pc, q in pivots.items():
         if n in q:
-            x[pc] = rat(q[n], q[pc])
-    return x
-
-
-def span_basis(vectors: list) -> list:
-    """Canonical (RREF) basis of the span of the given vectors: each pivot
-    row divided by its pivot, in ascending pivot order."""
-    if not vectors:
-        return []
-    cols = range(len(vectors[0]))
-    pivots = _dense_echelon(vectors)
-    return [_unit_row(pivots[pc], pc, cols) for pc in sorted(pivots)]
+            x[pc] = q[n] * (den // q[pc])
+    return canonical(x, den)
 
 
 def independent_subset(vectors: list) -> list:
@@ -168,7 +152,7 @@ def same_span(a: list, b: list) -> bool:
     """Whether a and b span the same space, on integers: each pivot row of
     _echelon is primitive and fixed up to sign by the span, so the echelon
     forms agree, once every pivot is made positive, exactly when the
-    canonical bases of span_basis do."""
+    reduced echelon bases of the two spans do."""
     return _signed_echelon(a) == _signed_echelon(b)
 
 
@@ -179,12 +163,6 @@ def _signed_echelon(vectors: list) -> dict:
 
 def _dense_echelon(mat: list) -> dict:
     return _echelon([dict(enumerate(row)) for row in mat])
-
-
-def _unit_row(q: dict, pc: int, cols) -> list:
-    """The entries of pivot row q at cols, divided by its pivot q[pc]."""
-    p = q[pc]
-    return [rat(q[j], p) if j in q else R0 for j in cols]
 
 
 def sparse_kernel(rows: list, ncols: int) -> tuple:

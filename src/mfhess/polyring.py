@@ -66,8 +66,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .rational import (R0, R1, all_ints, canonical, clear, clear_rows, over, parse_ratio, rat,
-                       rat_str, to_rat)
+from .rational import (R0, R1, all_ints, canonical, clear, clear_rows, common_rows, over,
+                       parse_ratio, rat, rat_str, to_rat)
 
 
 _STR_INT = {str, int}
@@ -642,13 +642,14 @@ def _mul_packed(a: dict, b: dict) -> dict:
 
 
 def restrict_affine(polys, base, directions) -> list:
-    """Each p restricted to s -> base + sum_g s_g directions[g], exactly.
+    """Each p restricted to s -> base + sum_g s_g directions[g], exactly,
+    for a cleared base and cleared directions.
 
     The results are polynomials in len(directions) variables s_g.  With D
-    the common denominator of base and the directions (rational.clear_rows
-    of the matrix with rows base and the directions), coordinate k becomes
-    the integer affine form A_k(s) = D base_k + sum_g D directions[g]_k s_g
-    over D, held with packed exponents (the width rule of poisson_bracket).
+    the common denominator of base and the directions (rational.common_rows
+    of the base and the directions), coordinate k becomes the integer affine
+    form A_k(s) = D base_k + sum_g D directions[g]_k s_g over D, held with
+    packed exponents (the width rule of poisson_bracket).
     As in CompiledPolys, a term c x^e of p (c its integer numerator over
     p.den, deg p's total degree) contributes c A^e D^(deg - |e|) over
     p.den D^deg, and each result is brought to canonical form by one gcd at
@@ -663,17 +664,15 @@ def restrict_affine(polys, base, directions) -> list:
     polynomials, over power tables of the forms extended on demand.
     """
     polys = list(polys)
-    n = len(base)
-    base = [to_rat(c) for c in base]
-    directions = [[to_rat(c) for c in d] for d in directions]
-    for d in directions:
+    n = len(base[0])
+    for d, _ in directions:
         if len(d) != n:
             raise ValueError(f"direction has wrong dimension: {len(d)} != {n}")
     for p in polys:
         if p.n != n:
             raise ValueError(f"variable count mismatch: {p.n} != {n}")
     m = len(directions)
-    den, (brow, *drows) = clear_rows([base] + directions)
+    den, (brow, *drows) = common_rows([base, *directions])
     # the constant of each constant form (0 for a zero form); None otherwise
     consts = [0] * n
     for k, c in brow:

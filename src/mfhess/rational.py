@@ -4,17 +4,19 @@ All arithmetic in this package is exact, and its one rational type is
 fractions.Fraction.  Floats are rejected everywhere.
 
 This module alone turns rationals into integers over one scale: clear for a
-vector (a row that an exact elimination reads, or the coefficients of a
-polynomial, which polyring.Poly then holds as integer numerators over one
-denominator), clear_rows for a fixed matrix held as sparse integer rows (the
-Gram inverse, the chart frame), and over for the way back.
+vector (an elimination row, or the coefficients that polyring.Poly holds
+as integer numerators over one denominator), clear_rows for a fixed matrix
+held as sparse integer rows (the Gram inverse), common_rows for cleared
+vectors over their common denominator (the chart frame), and over back.
 
-A point of the pointwise layer is a cleared vector in canonical form,
-(numerators, den) with the numerators a tuple, den > 0 and
-gcd(den, *numerators) == 1: exactly what clear returns for its rational
-form, so two points are equal exactly when their pairs are.  draw samples
-one, canonical reduces a cleared vector to that form, cleared gives a
-rational vector in it and combine adds two.
+Every vector handed between modules (a point, the principal triple, the
+shift direction) is a cleared vector in canonical form, (numerators, den)
+with the numerators a tuple, den > 0 and gcd(den, *numerators) == 1:
+exactly what clear returns for its rational form, so two vectors are equal
+exactly when their pairs are.  draw samples one, canonical reduces a
+cleared vector to that form, cleared gives a rational vector in it and
+combine adds two; reduced reduces a scalar, and ratio_str formats one as
+rat_str formats its rational, with no Fraction.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def rat_str(x) -> str:
     return str(x)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """The rat_str of num / den (den > 0), formed on ints."""
+    num, den = reduced(num, den)
+    return f"{num}/{den}" if den > 1 else str(num)
+
+
 def denominator_lcm(values) -> int:
     """The LCM of the denominators of rationals (or ints)."""
     out = 1
@@ -113,6 +121,16 @@ def clear_rows(mat) -> tuple:
                    for row in mat]
 
 
+def common_rows(vectors) -> tuple:
+    """Cleared vectors (numerators, den) over their common denominator, in
+    the form of clear_rows: (scale, rows), scale the LCM of the denominators
+    and rows[i] the pairs (j, scale * entry j) over the nonzero entries of
+    vector i.  For canonical vectors it is clear_rows of their rationals."""
+    scale = math.lcm(*(den for _, den in vectors))
+    return scale, [tuple((j, c * (scale // den)) for j, c in enumerate(nums) if c)
+                   for nums, den in vectors]
+
+
 def over(nums, den: int) -> list:
     """The rationals nums[i] / den; den == 1 needs no gcd."""
     if den == 1:
@@ -125,6 +143,12 @@ def canonical(nums, den: int) -> tuple:
     den divided by gcd(den, *nums), the numerators as a tuple."""
     g = math.gcd(den, *nums)
     return tuple(v // g for v in nums), den // g
+
+
+def reduced(num: int, den: int) -> tuple:
+    """The rational num / den (den > 0) as the reduced pair of ints."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def cleared(vec) -> tuple:

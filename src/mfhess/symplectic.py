@@ -24,9 +24,9 @@ only where its columns are read, once per point: the slice tangents are its
 n_- columns.  Transversality reads the orbit dimension and the Jacobian
 rank from certificates already in hand (the combined tangents' rank with
 the Casimir gradients' commuting with x, and a nonzero pairing
-determinant) and eliminates ad x or the Jacobian only when one fails.  A
-value that enters a report (an isotropy witness, the pairing determinant)
-is divided back to the exact rational.
+determinant) and eliminates ad x or the Jacobian only when one fails.  The
+pairing determinant is a reduced integer pair; only an isotropy witness is
+divided back to the exact rational.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
 
 from . import linalg
 from .liealgebra import LieAlgebra
@@ -48,7 +47,7 @@ from .invariants import InvariantFamily
 from .argshift import GradientVisit, ShiftFamily, gradient_visit
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
                          slice_sample)
-from .rational import R0, rat
+from .rational import rat, reduced
 
 
 class NotStronglyRegular(Exception):
@@ -58,9 +57,7 @@ class NotStronglyRegular(Exception):
 def omega(L: LieAlgebra, x, z1, z2) -> tuple:
     """Orbit form on tangents [x, z1], [x, z2] for cleared x, z1 and z2, by
     its definition (x, [z2, z1]), as the reduced pair (numerator, den)."""
-    num, den = L.int_killing_pair(x, L.int_bracket(z2, z1))
-    g = gcd(num, den)
-    return num // g, den // g
+    return reduced(*L.int_killing_pair(x, L.int_bracket(z2, z1)))
 
 
 @dataclass
@@ -145,7 +142,7 @@ class TransversalityResult:
     slice_dim: int
     combined_dim: int
     orbit_dim: int
-    pairing_det: object
+    pairing_det: tuple      # the reduced pair (numerator, den)
     jacobian_rank: int
     passed: bool
     frame: TangentFrame
@@ -161,7 +158,8 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     gradient g with a slice preimage is that generator's row of the Jacobian
     of the family along the slice tangents.  ad x is built here, once, for
     the slice tangents; the pairing determinant is the fraction-free
-    determinant of the integer pairing over its denominator, exactly.
+    determinant of the integer pairing over its denominator, as a reduced
+    integer pair.
 
     Two ranks are read from certificates already in hand and eliminated
     only when a certificate fails:
@@ -184,15 +182,15 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
            for g in zx.gradients]
     den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
-    pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
+    pdet = reduced(linalg.det(pairing), den ** L.n) if sl.dim == L.n else (0, 1)
     if combined == 2 * L.n and casimirs_commute(F, zx):
         orbit_dim = 2 * L.n
     else:
         orbit_dim = linalg.rank(adx[0])
-    jrank = L.n if pdet else linalg.rank(jac)
+    jrank = L.n if pdet[0] else linalg.rank(jac)
     passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n
-              and bool(pdet) and jrank == L.n)
+              and bool(pdet[0]) and jrank == L.n)
     return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
                                 combined_dim=combined, orbit_dim=orbit_dim,
                                 pairing_det=pdet, jacobian_rank=jrank, passed=passed,

@@ -13,7 +13,7 @@ by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
 gradient visit each, and the shift of the invariants along f.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
-to the verdict; a rational is formed only for a witness (_vec_str).
+to the verdict, and witnesses are formatted on integers (_vec_str).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict, field
 from functools import cached_property
 
 from . import linalg
-from .rational import clear, cleared, combine, draw, over, rat, rat_str
+from .rational import cleared, combine, draw, rat_str, ratio_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -141,7 +141,7 @@ class SuiteContext:
     ctx: GradientContext
     triple: object
     inv: object
-    y: list
+    y: tuple
     family: object
     chart: object
 
@@ -278,7 +278,8 @@ class SuiteRun:
 
 
 def _vec_str(v) -> list:
-    return [rat_str(c) for c in over(*v)]
+    nums, den = v
+    return [ratio_str(c, den) for c in nums]
 
 
 # -- individual checks -------------------------------------------------------
@@ -328,7 +329,7 @@ def check_principal_decomposition(sc: SuiteContext, config: SuiteConfig) -> dict
     dec = principal_decomposition(sc.L, sc.triple)
     dims = [len(m) for m in dec.modules]
     want = [2 * m + 1 for m in dec.exponents]
-    flat = [v for ch in dec.chains for v in ch]
+    flat = [v for ch in dec.chains for v, _ in ch]
     ok = dims == want and linalg.rank(flat) == sc.family.b
     ok = ok and tuple(sorted(dec.exponents)) == sc.rs.exponents
     return {"ok": ok, "witness": {"module_dims": dims, "exponents": list(dec.exponents)}}
@@ -359,10 +360,10 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
     if L.rank >= 2:
         # a simple root vector, the highest root vector, and a Cartan element
         # on a root hyperplane are all singular in rank >= 2
-        candidates = [L.basis_vector(L.pos_indices[0]),
-                      L.basis_vector(L.pos_indices[-1]),
+        candidates = [cleared(L.basis_vector(L.pos_indices[0])),
+                      cleared(L.basis_vector(L.pos_indices[-1])),
                       cartan_from_root_values(L, [0] + [1] * (L.rank - 1))]
-        singular += [c for c in map(cleared, candidates) if not is_regular(L, c)]
+        singular += [c for c in candidates if not is_regular(L, c)]
     singular_ranks = []
     if bad is None:
         for x in singular:
@@ -382,11 +383,10 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
          "number, and a proper subspace for a single point", 5)
 def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
-    w, f = map(sc.triple.cleared, ("w", "f"))
-    line = [combine(w, f, t) for t in range(sc.rs.coxeter_number)]
-    dim_full, basis = gradient_span(sc.ctx, sc.inv.polys, line)
+    line = [combine(sc.triple.w, sc.triple.f, t) for t in range(sc.rs.coxeter_number)]
+    dim_full, rows = gradient_span(sc.ctx, sc.inv.polys, line)
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    ok = dim_full == sc.family.b and linalg.same_span(basis, bminus)
+    ok = dim_full == sc.family.b and linalg.same_span(rows, bminus)
     dim_single, _ = gradient_span(sc.ctx, sc.inv.polys, line[:1])
     ok = ok and dim_single == L.rank and dim_single < sc.family.b
     return {"ok": ok, "witness": {"span_dim": dim_full, "single_t_dim": dim_single}}
@@ -409,7 +409,7 @@ def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
          "normalization) is the full upper Borel dimension, and the chain map "
          "relations between expansion coefficients hold exactly", 7)
 def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
-    de, de1 = (linalg.rank(sc.family.gradient_rows(sc.triple.cleared(k))[0]) for k in ("e", "e1"))
+    de, de1 = (linalg.rank(sc.family.gradient_rows(x)[0]) for x in (sc.triple.e, sc.triple.e1))
     ok = de == sc.family.b and de1 == sc.family.b
     witness = {"dim_at_e": de, "dim_at_e1": de1}
     try:
@@ -428,9 +428,9 @@ def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig,
                                run: SuiteRun | None = None) -> dict:
     L = sc.L
     run = run or SuiteRun(sc, config)
-    dim, basis = gradient_span(sc.ctx, run.along_f, [sc.triple.cleared("w")])
+    dim, rows = gradient_span(sc.ctx, run.along_f, [sc.triple.w])
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    ok = dim == sc.family.b and linalg.same_span(basis, bminus)
+    ok = dim == sc.family.b and linalg.same_span(rows, bminus)
     return {"ok": ok, "witness": {"dim": dim}}
 
 
@@ -453,7 +453,7 @@ def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
     chart = sc.chart
     F = sc.family
     rng = random.Random(f"{config.seed}:roundtrip")
-    e1, bad = sc.triple.cleared("e1"), None
+    e1, bad = sc.triple.e1, None
     for _ in range(ROUNDTRIP_POINTS):
         svals = draw(rng, F.b, COEFF_BOUND, 3)
         v = chart.point_from_cleared(*svals)
@@ -548,7 +548,7 @@ def check_transversality(sc: SuiteContext, config: SuiteConfig) -> dict:
                     "witness": {"point": _vec_str(x),
                                 "dims": [res.zx_dim, res.slice_dim, res.combined_dim,
                                          res.orbit_dim],
-                                "det": rat_str(res.pairing_det),
+                                "det": ratio_str(*res.pairing_det),
                                 "jacobian_rank": res.jacobian_rank}}
     return {"ok": True, "witness": {"points": len(pts)}}
 
@@ -610,9 +610,10 @@ def check_membership(sc: SuiteContext, config: SuiteConfig,
         return CompiledPolys(p for _, _, p in shifted_invariants(sc.inv, u))
 
     ok_f, wit_f = member(CompiledPolys(run.along_f))
-    ok_2f, _ = member(shifted(linalg.vec_scale(sc.triple.f, rat(2))))
+    fn, fd = sc.triple.f
+    ok_2f, _ = member(shifted((tuple(2 * c for c in fn), fd)))
     ok_y, _ = member(sc.family.compiled)   # the family is the shift along y
-    ok_0, _ = member(shifted(sc.L.zero()))
+    ok_0, _ = member(shifted(cleared(sc.L.zero())))
     if not (ok_f and ok_2f and ok_y):
         # a miss is inconclusive, not a refutation
         return {"ok": None, "witness": {"f": ok_f, "2f": ok_2f, "y": ok_y}}
@@ -649,8 +650,8 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
     # in the Chevalley frame are its first derivatives at e1 along that frame
     restricted = restrict_to_hess(L, sc.triple, sc.family.qs)
     units = [tuple(int(h == g) for h in range(sc.family.b)) for g in range(sc.family.b)]
-    for entry, z, rp in zip(sc.family.entries, sc.chart.zvecs, restricted):
-        zn, zd = clear(z)   # (z, e_i) is sum_j K[i][j] z_j / zd
+    zrows, zd = sc.chart.zvecs   # (z, e_i) is sum_j K[i][j] z_j / zd
+    for entry, zn, rp in zip(sc.family.entries, zrows, restricted):
         for unit, i in zip(units, L.bminus_indices):
             if rp.nums.get(unit, 0) * zd != rp.den * sum(k * zn[j] for j, k in L.int_killing[i]):
                 return {"ok": False,
@@ -663,7 +664,7 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
          "Lagrangian Hamiltonian frame, Lagrangian slice tangents, and "
          "transversal pairing on a full 2n-dimensional orbit")
 def check_polarization(sc: SuiteContext, config: SuiteConfig) -> dict:
-    bases = [sc.triple.cleared("e1")]
+    bases = [sc.triple.e1]
     bases += sample_points(sc, config.seed + 6, "hess", 1)
     total = 0
     for v0 in bases:
@@ -706,7 +707,7 @@ DETERMINISM_CLAIM = ("rebuilding and rerunning the whole suite from the same "
 
 def _convention(sc: SuiteContext, config: SuiteConfig) -> dict:
     import hashlib
-    base, y = signature_hash(sc.L), [rat_str(c) for c in sc.y]
+    base, y = signature_hash(sc.L), _vec_str(sc.y)
     blob = "|".join([base, ",".join(y), GENERATOR_ORDER_RULE])
     return {
         "hash": hashlib.sha256(blob.encode()).hexdigest()[:16],

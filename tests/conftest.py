@@ -11,13 +11,13 @@ import pytest
 from mfhess import linalg
 from mfhess.rootdata import (CartanMatrix, UnsupportedType, _layer_dims, build_root_system,
                              cartan_matrix_for_label, dual_partition)
-from mfhess.liealgebra import (chevalley_algebra, exp_ad_nilpotent, principal_triple,
-                               principal_decomposition)
+from mfhess.liealgebra import (DecompositionFailure, chevalley_algebra, exp_ad_nilpotent,
+                               principal_triple, principal_decomposition)
 from mfhess import invariants
 from mfhess.polyring import (GradientContext, Poly, _mul_packed, _pack, _packing, _power_table,
                              _unpack, coefficient_rows)
 from mfhess.rational import (R0, R1, clear, clear_rows, cleared, denominator_lcm, over, rat,
-                             rat_str, scaled, to_rat)
+                             rat_str, reduced, scaled, to_rat)
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import (NotInvertible, ShiftFamily, choose_regular_y, root_values,
                              shift_family)
@@ -119,6 +119,10 @@ def identity(n):
     return [[R1 if i == j else R0 for j in range(n)] for i in range(n)]
 
 
+def vec_scale(u, c):
+    return [c * a for a in u]
+
+
 def degrees_and_layers(rs):
     """(degrees, exponents, layers) rederived from the stored root heights."""
     layers = _layer_dims(rs.rank, rs.heights, rs.coxeter_number)
@@ -129,7 +133,7 @@ def degrees_and_layers(rs):
 
 def ut_action(L, triple, t, v):
     """exp((t/2) ad f) applied to the rational vector v, as rationals."""
-    z = linalg.vec_scale(triple.f, to_rat(t) / 2)
+    z = vec_scale(over(*triple.f), to_rat(t) / 2)
     return over(*exp_ad_nilpotent(L, cleared(z), cleared(v)))
 
 
@@ -156,8 +160,10 @@ def point_from_s(chart, svals):
 
 @pytest.fixture(scope="session")
 def helpers():
-    return SimpleNamespace(factorial_rat=factorial_rat, vec_add=vec_add, dot=dot,
-                           mat_vec=mat_vec, mat_mul=mat_mul, identity=identity,
+    return SimpleNamespace(factorial_rat=factorial_rat, vec_add=vec_add, vec_scale=vec_scale,
+                           dot=dot, mat_vec=mat_vec, mat_mul=mat_mul, identity=identity,
+                           bracket=reference_lie_bracket, ad=reference_ad,
+                           killing_pair=reference_killing_pair,
                            degrees_and_layers=degrees_and_layers, ut_action=ut_action,
                            is_strongly_regular=is_strongly_regular,
                            linear_functional=linear_functional, point_from_s=point_from_s)
@@ -173,7 +179,7 @@ def reference_poisson_bracket(ctx, p, q):
     out = Poly.zero(n)
     for i in range(n):
         for j in range(i + 1, n):
-            v = ctx.L.bracket(duals[i], duals[j])
+            v = reference_lie_bracket(ctx.L, duals[i], duals[j])
             if not any(v):
                 continue
             a = dp[i] * dq[j] - dp[j] * dq[i]
@@ -268,14 +274,14 @@ def reference_poly():
 
 def reference_pair_table(ctx):
     """GradientContext.pair_table before it ran on integers: the duals as
-    columns of the rational Gram inverse, their brackets by
-    LieAlgebra.bracket, lowered by the rational Killing matrix and cleared
-    by rational.clear_rows."""
+    columns of the rational Gram inverse, their brackets by the Fraction
+    bracket, lowered by the rational Killing matrix and cleared by
+    rational.clear_rows."""
     duals = [dual_vector(ctx, k) for k in range(ctx.nvars)]
     pairs, lins = [], []
     for i in range(ctx.nvars):
         for j in range(i + 1, ctx.nvars):
-            v = ctx.L.bracket(duals[i], duals[j])
+            v = reference_lie_bracket(ctx.L, duals[i], duals[j])
             if any(v):
                 pairs.append((i, j))
                 lins.append(mat_vec(ctx.gram, v))
@@ -315,7 +321,7 @@ def reference_zeta_apply(L, triple, y, v):
     vals = root_values(L, y)
     if not all(vals):
         raise NotInvertible("ad y is singular on the nilradical")
-    img = L.bracket(triple.e, v)
+    img = reference_lie_bracket(L, over(*triple.e), v)
     if not L.supported_in(img, L.n_indices):
         raise ValueError("zeta is defined on the upper Borel subalgebra only")
     out = L.zero()
@@ -329,10 +335,10 @@ def reference_zeta_chain(F):
     """zeta_chain before it ran on integers: the family's gradient rows at e
     divided back to rationals, each relation tested by the Fraction bracket
     and reference_zeta_apply; the chains as rational vectors."""
-    L, triple, y = F.L, F.triple, F.y
+    L, triple, y = F.L, F.triple, over(*F.y)
     if not all(root_values(L, y)):
         raise NotInvertible("ad y is singular on the nilradical")
-    rows, den = F.gradient_rows(triple.cleared("e"))
+    rows, den = F.gradient_rows(triple.e)
     coeff = {(q.j, q.k): over(row, den) for q, row in zip(F.entries, rows)}
     chains = []
     for q in sorted((q for q in F.entries if q.k == 0), key=lambda q: q.j):
@@ -340,9 +346,9 @@ def reference_zeta_chain(F):
         if q.poly.degree() > d:
             raise ValueError("gradient expansion has unexpected high-order terms")
         vecs = [coeff[(j, d - 1 - i)] for i in range(d)]
-        if any(L.bracket(y, vecs[0])):
+        if any(reference_lie_bracket(L, y, vecs[0])):
             raise ValueError(f"[y, v_0] != 0 for invariant {j}")
-        if any(L.bracket(triple.e, vecs[d - 1])):
+        if any(reference_lie_bracket(L, over(*triple.e), vecs[d - 1])):
             raise ValueError(f"[e, v_(d-1)] != 0 for invariant {j}")
         for i in range(d):
             if not L.supported_in(vecs[i], L.layer_indices(i)):
@@ -362,7 +368,8 @@ def reference_mv_membership(ctx, triple, members, sample_count, seed, coeff_boun
     L = ctx.L
     b = L.rank + L.n
     rng = random.Random(f"{seed}:mv-membership")
-    candidates = [triple.w, triple.e, triple.e1, vec_add(triple.w, triple.f)]
+    w, e, f, e1 = (over(*v) for v in (triple.w, triple.e, triple.f, triple.e1))
+    candidates = [w, e, e1, vec_add(w, f)]
     for _ in range(sample_count):
         candidates.append([rat(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
                            for _ in range(L.dim)])
@@ -589,13 +596,13 @@ def reference_restrict():
 
 def reference_chart_frame(F):
     """The chart's dual frame by the rational route: the gradients at e1
-    divided back to rationals, paired with the lower Borel basis by
-    LieAlgebra.killing_pair, and the rational pairing matrix inverted."""
+    divided back to rationals, paired with the lower Borel basis by the
+    rational Killing pairing, and the rational pairing matrix inverted."""
     L = F.L
-    rows, den = F.gradient_rows(F.triple.cleared("e1"))
+    rows, den = F.gradient_rows(F.triple.e1)
     zvecs = [[rat(v, den) for v in row] for row in rows]
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    pinv = linalg.inverse([[L.killing_pair(z, w) for w in bminus] for z in zvecs])
+    pinv = linalg.inverse([[reference_killing_pair(L, z, w) for w in bminus] for z in zvecs])
     frame = []
     for g in range(F.b):
         vec = L.zero()
@@ -906,7 +913,7 @@ def reference_coordinate_brackets(L, ctx, z):
     of their denominators."""
     forms = []
     for k in range(L.dim):
-        v = L.bracket(z, dual_vector(ctx, k))
+        v = reference_lie_bracket(L, z, dual_vector(ctx, k))
         forms.append(mat_vec(ctx.gram, v) if any(v) else None)
     den = math.lcm(*(c.denominator for f in forms if f for c in f))
     return [None if f is None else
@@ -1166,6 +1173,83 @@ def reference_lie():
                            signature=reference_signature_hash)
 
 
+def reference_solve(mat, rhs):
+    """linalg.solve in Fractions, read from the rational RREF of [mat | rhs];
+    ValueError for a pivot in the last column."""
+    n = len(mat[0])
+    rows, pivots = reference_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
+    x = [R0] * n
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][n]
+    return x
+
+
+def reference_cartan_from_root_values(L, values):
+    """cartan_from_root_values in Fractions: alpha_i(w) = sum_j c_j A[j][i]."""
+    a = L.rs.cartan.entries
+    coeffs = reference_solve([[a[j][i] for j in range(L.rank)] for i in range(L.rank)], values)
+    w = [R0] * L.dim
+    for idx, c in zip(L.cartan_indices, coeffs):
+        w[idx] = c
+    return w
+
+
+def reference_principal_triple(L):
+    """principal_triple in Fractions, as rational vectors w, e, f and e1."""
+    w = reference_cartan_from_root_values(L, [2] * L.rank)
+    simple = [i for i, r in enumerate(L.rs.positive_roots) if sum(r) == 1]
+    f = [R1 if i in [L.neg_indices[k] for k in simple] else R0 for i in range(L.dim)]
+    cols = [reference_lie_bracket(L, L.basis_vector(L.pos_indices[k]), f) for k in simple]
+    e = [R0] * L.dim
+    for k, c in zip(simple, reference_solve([list(row) for row in zip(*cols)], w)):
+        e[L.pos_indices[k]] = c
+    e1 = vec_scale(e, R1 / reference_killing_pair(L, e, f))
+    return SimpleNamespace(w=w, e=e, f=f, e1=e1)
+
+
+def reference_principal_decomposition(L, triple):
+    """principal_decomposition in Fractions for a rational triple: the
+    S-triple relations (DecompositionFailure with the package's message),
+    the rational kernel of ad e, the RREF basis of each of its ad-w layers,
+    and the modules and the chains, halved, by the Fraction bracket."""
+    def br(x, y):
+        return reference_lie_bracket(L, x, y)
+
+    for v, target, name in ((triple.f, -2, "f"), (triple.e, 2, "e")):
+        if br(triple.w, v) != vec_scale(v, target):
+            raise DecompositionFailure(f"[w, {name}] != {target} {name}")
+    if br(triple.e, triple.f) != triple.w:
+        raise DecompositionFailure("[e, f] != w")
+    ade = reference_ad(L, triple.e)
+    ker = reference_sparse_kernel([{j: c for j, c in enumerate(r) if c} for r in ade], L.dim)
+    hw = []
+    for m in sorted({L.layers[i] for v in ker for i, c in enumerate(v) if c}):
+        rows, pivots = reference_rref([[c if L.layers[i] == m else R0 for i, c in enumerate(v)]
+                                       for v in ker])
+        hw += [(m, v) for v in rows[:len(pivots)]]
+    modules, chains = [], []
+    for m, v in hw:
+        modules.append([v])
+        for _ in range(2 * m):
+            modules[-1].append(br(triple.f, modules[-1][-1]))
+        chains.append([vec_scale(modules[-1][m], rat(1, 2 ** m))])
+        for _ in range(m):
+            chains[-1].append(vec_scale(br(triple.f, chains[-1][-1]), rat(1, 2)))
+    return SimpleNamespace(modules=modules, exponents=tuple(m for m, _ in hw),
+                           cartan_reps=[ch[0] for ch in chains], chains=chains)
+
+
+@pytest.fixture(scope="session")
+def reference_principal():
+    """The Fraction routes of the principal triple, its decomposition and the
+    solves under them."""
+    return SimpleNamespace(triple=reference_principal_triple, solve=reference_solve,
+                           decomposition=reference_principal_decomposition,
+                           cartan=reference_cartan_from_root_values)
+
+
 def reference_integer_tables(L):
     """LieAlgebra.int_table and int_killing as dicts: (a, b) -> {c: coefficient}
     for every a != b with a nonzero Fraction bracket [e_a, e_b], and row i
@@ -1385,18 +1469,20 @@ def reference_matrix_images_type_A(L):
         rest = tuple(c2 - (1 if k2 == si else 0) for k2, c2 in enumerate(r))
         a_idx = L.pos_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]]
         b_idx = L.pos_indices[pos_of[rest]]
-        coeff = L.bracket(L.basis_vector(a_idx), L.basis_vector(b_idx))[L.pos_indices[ridx]]
+        coeff = reference_lie_bracket(L, L.basis_vector(a_idx),
+                                      L.basis_vector(b_idx))[L.pos_indices[ridx]]
         images[L.pos_indices[ridx]] = [
             [v / coeff for v in row] for row in _dense_bracket(images[a_idx], images[b_idx])]
         na, nb = L.neg_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]], \
             L.neg_indices[pos_of[rest]]
-        ncoeff = L.bracket(L.basis_vector(na), L.basis_vector(nb))[L.neg_indices[ridx]]
+        ncoeff = reference_lie_bracket(L, L.basis_vector(na),
+                                       L.basis_vector(nb))[L.neg_indices[ridx]]
         images[L.neg_indices[ridx]] = [
             [v / ncoeff for v in row] for row in _dense_bracket(images[na], images[nb])]
     # homomorphism check over all basis pairs
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            br = L.bracket(L.basis_vector(i), L.basis_vector(j))
+            br = reference_lie_bracket(L, L.basis_vector(i), L.basis_vector(j))
             want = _dense_zero(size)
             for c, v in enumerate(br):
                 if v:
@@ -1485,11 +1571,11 @@ def reference_transversality_check(F, chart, x):
            for g in zx.gradients]
     den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
-    pdet = linalg.det(pairing) / den ** L.n if sl.dim == L.n else R0
+    pdet = reduced(linalg.det(pairing), den ** L.n) if sl.dim == L.n else (0, 1)
     jrank = linalg.rank(jac)
     passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n
-              and bool(pdet) and jrank == L.n)
+              and bool(pdet[0]) and jrank == L.n)
     return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
                                 combined_dim=combined, orbit_dim=orbit_dim,
                                 pairing_det=pdet, jacobian_rank=jrank, passed=passed,

@@ -14,7 +14,7 @@ from mfhess.argshift import (DependentFamily, NotInvertible, choose_regular_y,
 from mfhess.liealgebra import cartan_from_root_values, exp_ad_nilpotent, is_regular
 from mfhess.invariants import load_family, save_family
 from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
-from mfhess.rational import cleared, over, rat, to_rat
+from mfhess.rational import cleared, combine, over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
@@ -27,18 +27,18 @@ def test_choose_regular_y_deterministic(bundles):
     y1 = choose_regular_y(B.L, 42)
     y2 = choose_regular_y(B.L, 42)
     assert y1 == y2
-    assert is_regular_cartan(B.L, y1)
-    assert all(v for v in root_values(B.L, y1))
-    assert not is_regular_cartan(B.L, B.L.zero())
+    assert is_regular_cartan(B.L, y1) and y1[1] == 1
+    assert all(v for v in root_values(B.L, y1[0]))
+    assert not is_regular_cartan(B.L, (B.L.zero(), 1))
 
 
 def test_a2_direction_from_simple_root_values(bundles):
     B = bundles("A2")
     y = cartan_from_root_values(B.L, [1, 2])
-    vals = root_values(B.L, y)
+    vals = root_values(B.L, y[0])
     assert all(v for v in vals)
     # the three positive roots take values 1, 2 and 3
-    assert sorted(vals) == [rat(1), rat(2), rat(3)]
+    assert sorted(vals) == [y[1], 2 * y[1], 3 * y[1]]
 
 
 def test_piece_degrees_and_top_coefficient(bundles):
@@ -54,8 +54,8 @@ def test_piece_degrees_and_top_coefficient(bundles):
     x = [rat(rng.randint(-3, 3)) for _ in range(L.dim)]
     for j, p in enumerate(B.inv.polys):
         d = B.inv.degrees[j]
-        [expansion] = restrict_affine([p], x, [B.y])
-        assert expansion.terms.get((d,), rat(0)) == p.evaluate(B.y)
+        [expansion] = restrict_affine([p], cleared(x), [B.y])
+        assert expansion.terms.get((d,), rat(0)) == p.evaluate(over(*B.y))
         # and the t^k coefficient is the k-th piece at x
         for jj, k, piece in pieces:
             if jj == j:
@@ -132,7 +132,7 @@ def test_family_rejects_a_member_with_a_term_of_another_degree(bundles, monkeypa
 
 def test_invalid_direction_rejected(bundles):
     B = bundles("A1xA1")
-    bad = B.L.basis_vector(B.L.cartan_indices[0])  # kills the second factor's root
+    bad = cleared(B.L.basis_vector(B.L.cartan_indices[0]))  # kills the second factor's root
     with pytest.raises(NotInvertible):
         shift_family(B.L, B.inv, bad, B.ctx, B.triple)
 
@@ -167,8 +167,9 @@ def test_shifted_invariants_match_poly_route(bundles, reference_shift, label):
     directional derivatives, along y, f, 2f and 0."""
     B = bundles(label)
     L = B.L
-    for u in (B.y, B.triple.f, linalg.vec_scale(B.triple.f, rat(2)), L.zero()):
-        assert shifted_invariants(B.inv, u) == reference_shift.pieces(B.inv, u)
+    f = over(*B.triple.f)
+    for u in (over(*B.y), f, [2 * c for c in f], L.zero()):
+        assert shifted_invariants(B.inv, cleared(u)) == reference_shift.pieces(B.inv, u)
 
 
 def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
@@ -284,7 +285,7 @@ def test_strong_regularity(bundles, helpers):
 def test_gradient_span_bounds(bundles):
     B = bundles("A2")
     F = B.family
-    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.cleared("e")])
+    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.e])
     assert dim == 0
     rng = random.Random("bound")
     for _ in range(5):
@@ -296,17 +297,36 @@ def test_gradient_span_bounds(bundles):
 def test_span_at_nilpotent_points(bundles):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
-        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.cleared("e")])
-        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.cleared("e1")])
+        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e])
+        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e1])
         assert de == de1 == B.family.b
+
+
+D4 = "[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]"
+SPAN_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + (B3, C3, A4, D4)
+
+
+@pytest.mark.parametrize("label", SPAN_TYPES,
+                         ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
+def test_gradient_span_matches_fraction_reference(bundles, reference_gradients, label):
+    """gradient_span's dimension and span equal those of the Fraction
+    gradients (Poly partials and Poly.evaluate): on the line w + t f of
+    check 5, on w alone, and at e and e1."""
+    B = bundles(label)
+    tri = B.triple
+    line = [combine(tri.w, tri.f, t) for t in range(B.rs.coxeter_number)]
+    for points in (line, line[:1], [tri.e, tri.e1]):
+        dim, rows = gradient_span(B.ctx, B.inv.polys, points)
+        want = [g for x in points for g in reference_gradients(B.ctx, B.inv.polys, over(*x))]
+        assert dim == linalg.rank(want) and linalg.same_span(rows, want)
 
 
 def test_shift_along_f_spans_lower_borel(bundles):
     B = bundles("A2")
     members = [p for _, _, p in shifted_invariants(B.inv, B.triple.f)]
-    dim, basis = gradient_span(B.ctx, members, [B.triple.cleared("w")])
+    dim, rows = gradient_span(B.ctx, members, [B.triple.w])
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
-    assert dim == B.family.b and linalg.same_span(basis, bminus)
+    assert dim == B.family.b and linalg.same_span(rows, bminus)
 
 
 def rational_chains(F):
@@ -324,9 +344,10 @@ def test_zeta_chain_structure(bundles, reference_zeta):
         v0 = chains[j][0]
         assert B.L.supported_in(v0, B.L.cartan_indices)
         # forward map reproduces the chain and ends in zero
+        y = over(*B.y)
         for i in range(d - 1):
-            assert reference_zeta.apply(B.L, B.triple, B.y, chains[j][i]) == chains[j][i + 1]
-        assert reference_zeta.apply(B.L, B.triple, B.y, chains[j][d - 1]) == [rat(0)] * B.L.dim
+            assert reference_zeta.apply(B.L, B.triple, y, chains[j][i]) == chains[j][i + 1]
+        assert reference_zeta.apply(B.L, B.triple, y, chains[j][d - 1]) == [0] * B.L.dim
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
@@ -354,7 +375,7 @@ def test_zeta_requires_regular_direction(bundles, reference_zeta):
     B = bundles("A1xA1")
     bad = B.L.basis_vector(B.L.cartan_indices[0])
     with pytest.raises(NotInvertible):
-        zeta_chain(replace(B.family, y=bad))
+        zeta_chain(replace(B.family, y=cleared(bad)))
     with pytest.raises(NotInvertible):
         reference_zeta.apply(B.L, B.triple, B.L.zero(), B.L.basis_vector(B.L.cartan_indices[0]))
 
@@ -384,7 +405,7 @@ def _zeta_defects(B):
                      (0, Poly.coordinate(n, L.neg_indices[0]))):
         yield replace(F, entries=[replace(q, poly=q.poly + extra) if k == i else q
                                   for k, q in enumerate(F.entries)])
-    yield replace(F, y=L.basis_vector(L.cartan_indices[0]))
+    yield replace(F, y=cleared(L.basis_vector(L.cartan_indices[0])))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
@@ -413,14 +434,14 @@ def test_membership_search(bundles):
         return mv_membership(B.ctx, B.triple, members, 3, 42, 5)
 
     ok, wit = member(B.triple.f)
-    assert ok and wit == B.triple.cleared("w")
-    ok2, _ = member(linalg.vec_scale(B.triple.f, rat(2)))
+    assert ok and wit == B.triple.w
+    ok2, _ = member(([2 * c for c in B.triple.f[0]], B.triple.f[1]))
     assert ok2  # scaling preserves certification
     ok3, wit3 = member(B.y)
     assert ok3
     # the family is the shift along y, in another order
     assert mv_membership(B.ctx, B.triple, B.family.compiled, 3, 42, 5) == (ok3, wit3)
-    ok0, wit0 = member(B.L.zero())
+    ok0, wit0 = member((B.L.zero(), 1))
     assert not ok0 and wit0 is None
 
 
@@ -436,14 +457,14 @@ def test_lazy_membership_search_matches_the_eager_route(bundles, reference_membe
     draws = []
     real = argshift.draw
     monkeypatch.setattr(argshift, "draw", lambda *args: draws.append(1) or real(*args))
-    zero = B.L.zero()
+    zero = (tuple(B.L.zero()), 1)
     blind = replace(B.triple, w=zero, e=zero, e1=zero, f=zero)
 
     def along(u):
         return CompiledPolys(p for _, _, p in shifted_invariants(B.inv, u))
 
-    cases = [(B.triple, along(u)) for u in (B.triple.f, linalg.vec_scale(B.triple.f, rat(2)),
-                                            B.y, zero)]
+    twice_f = ([2 * c for c in B.triple.f[0]], B.triple.f[1])
+    cases = [(B.triple, along(u)) for u in (B.triple.f, twice_f, B.y, zero)]
     cases.append((blind, B.family.compiled))
     outcomes = []
     for triple, members in cases:
@@ -469,7 +490,7 @@ def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, la
     denominators up to 10^6."""
     B = bundles(label)
     L, F = B.L, B.family
-    specials = [L.zero(), B.triple.e, B.triple.w, B.triple.e1,
+    specials = [L.zero(), *(over(*v) for v in (B.triple.e, B.triple.w, B.triple.e1)),
                 L.basis_vector(L.pos_indices[0])]
 
     @settings(max_examples=8 if label == "G2" else 20, deadline=None)
@@ -480,6 +501,6 @@ def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, la
         rows, den = F.gradient_rows(cleared(x))
         ref = reference_gradients(F.ctx, F.qs, x)
         assert den > 0 and [over(row, den) for row in rows] == ref
-        assert linalg.rank(rows) == linalg.rank(ref) == len(linalg.span_basis(ref))
+        assert linalg.rank(rows) == linalg.rank(ref)
 
     check()

@@ -15,7 +15,7 @@ from mfhess.invariants import (InvariantFamily, WrongDimension, decomposable_pro
                                _zero_weight_monomials, _degree_combinations)
 from mfhess.liealgebra import is_regular
 from mfhess.polyring import GradientContext, Poly, gradient, poisson_bracket
-from mfhess.rational import cleared, over, rat
+from mfhess.rational import clear, cleared, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS, UnsupportedType
 
 # sha256 of the compact JSON of Poly.to_payload() of each solved generator:
@@ -316,12 +316,12 @@ def test_gradient_rank_characterizes_regularity(bundles, label):
         found += 1
         grads = [gradient(B.ctx, p, x) for p in B.inv.polys]
         assert linalg.rank(grads) == L.rank
-        cent = linalg.kernel(L.ad(x), L.dim)
+        cent, kden = linalg.kernel(L.int_ad(cleared(x))[0], L.dim)
         assert len(cent) == L.rank
         for g in grads:
             assert linalg.rank(cent) == linalg.rank(cent + [g])
             for k in cent:
-                assert not any(L.bracket(g, k))
+                assert not any(L.int_bracket(clear(g), (k, kden))[0])
     # singular points: the origin and a simple root vector
     for x in (L.zero(), L.basis_vector(L.pos_indices[0])):
         assert not is_regular(L, cleared(x))

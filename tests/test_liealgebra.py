@@ -9,9 +9,9 @@ from mfhess import linalg, liealgebra
 from mfhess.argshift import gradient_span
 from mfhess.liealgebra import (ConstructionFailure, DimensionMismatch, LieAlgebra,
                                SingularSystem, cartan_from_root_values, chevalley_algebra,
-                               exp_ad_nilpotent, is_regular, principal_triple, signature_hash,
-                               validate_algebra)
-from mfhess.rational import clear, cleared, combine, over, rat
+                               exp_ad_nilpotent, is_regular, principal_decomposition,
+                               principal_triple, signature_hash, validate_algebra)
+from mfhess.rational import canonical, clear, cleared, combine, over, rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 EXPECTED_DIMS = {"A1": 3, "A2": 8, "A1xA1": 6, "B2": 10, "A3": 15}
@@ -31,12 +31,12 @@ def test_exhaustive_identities(bundles, label):
     assert validate_algebra(bundles(label).L) == []
 
 
-def test_killing_values_sl2(bundles):
+def test_killing_values_sl2(bundles, helpers):
     L = bundles("A1").L
     e, h, f = L.basis_vector(0), L.basis_vector(1), L.basis_vector(2)
-    assert L.killing_pair(e, f) == rat(4)
-    assert L.killing_pair(h, h) == rat(8)
-    assert L.killing_pair(e, e) == 0 and L.killing_pair(e, h) == 0
+    assert helpers.killing_pair(L, e, f) == rat(4)
+    assert helpers.killing_pair(L, h, h) == rat(8)
+    assert helpers.killing_pair(L, e, e) == 0 and helpers.killing_pair(L, e, h) == 0
     assert linalg.rank(L.killing) == 3
 
 
@@ -54,26 +54,33 @@ def test_killing_pairs_opposite_roots(bundles, label):
 
 def test_bracket_antisymmetry_and_dimension_check(bundles):
     L = bundles("A2").L
-    x = L.basis_vector(0)
-    assert not any(L.bracket(x, x))
+    x = (L.basis_vector(0), 1)
+    assert not any(L.int_bracket(x, x)[0])
     with pytest.raises(DimensionMismatch):
-        L.bracket(x, [rat(1)] * 3)
+        L.int_bracket(x, ([1] * 3, 1))
 
 
 @pytest.mark.parametrize("label", list(EXPECTED_DIMS))
 def test_principal_triple_relations(bundles, label):
+    """w, e, f and e1 are canonical points of ints, and the S-triple
+    relations hold on the integer cores."""
     B = bundles(label)
     L, tri = B.L, B.triple
-    assert L.bracket(tri.w, tri.f) == linalg.vec_scale(tri.f, rat(-2))
-    assert L.bracket(tri.w, tri.e) == linalg.vec_scale(tri.e, rat(2))
-    assert L.bracket(tri.e, tri.f) == tri.w
-    assert L.killing_pair(tri.e1, tri.f) == rat(1)
+    for nums, den in (tri.w, tri.e, tri.f, tri.e1):
+        assert canonical(nums, den) == (nums, den) and type(nums) is tuple
+        assert all(type(c) is int for c in nums) and type(den) is int
+    (fn, fd), (en, ed) = tri.f, tri.e
+    assert canonical(*L.int_bracket(tri.w, tri.f)) == canonical([-2 * c for c in fn], fd)
+    assert canonical(*L.int_bracket(tri.w, tri.e)) == canonical([2 * c for c in en], ed)
+    assert canonical(*L.int_bracket(tri.e, tri.f)) == tri.w
+    num, den = L.int_killing_pair(tri.e1, tri.f)
+    assert num == den
     # every simple root takes value 2 on w
     from mfhess.argshift import root_values
-    vals = root_values(L, tri.w)
+    vals = root_values(L, tri.w[0])
     for r, v in zip(B.rs.positive_roots, vals):
         if sum(r) == 1:
-            assert v == rat(2)
+            assert v == 2 * tri.w[1]
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "D4"])
@@ -102,10 +109,10 @@ def test_principal_decomposition_shapes(bundles, label):
     assert sorted(2 * m + 1 for m in dec.exponents) == sorted(EXPECTED_MODULES[label])
     assert sorted(dec.exponents) == list(B.rs.exponents)
     # Cartan representatives live in the Cartan subalgebra
-    for z in dec.cartan_reps:
+    for z, _ in dec.cartan_reps:
         assert B.L.supported_in(z, B.L.cartan_indices)
     # chains form a basis of the lower Borel
-    flat = [v for ch in dec.chains for v in ch]
+    flat = [v for ch in dec.chains for v, _ in ch]
     assert linalg.rank(flat) == B.rs.b
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     assert linalg.same_span(flat, bminus)
@@ -115,11 +122,11 @@ def test_regularity(bundles):
     B = bundles("A2")
     L, tri = B.L, B.triple
     assert not is_regular(L, cleared(L.zero()))
-    assert is_regular(L, tri.cleared("w"))
-    assert is_regular(L, tri.cleared("e1"))
+    assert is_regular(L, tri.w)
+    assert is_regular(L, tri.e1)
     # a simple root vector is not regular in rank >= 2
     assert not is_regular(L, cleared(L.basis_vector(L.pos_indices[0])))
-    assert L.centralizer_dim(tri.cleared("w")) == L.rank
+    assert L.centralizer_dim(tri.w) == L.rank
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -131,13 +138,13 @@ def test_lowering_expansion_interpolated(bundles, helpers, label):
     nodes = list(range(h + 1))
     for j, chain in enumerate(dec.chains):
         m = dec.exponents[j]
-        z = dec.cartan_reps[j]
+        z = over(*dec.cartan_reps[j])
         values = [helpers.ut_action(L, tri, t, z) for t in nodes]
         vmat = [[rat(t) ** k for k in range(len(nodes))] for t in nodes]
         coeffs = helpers.mat_mul(linalg.inverse(vmat), values)
         for k in range(h + 1):
             if k <= m:
-                want = [c / helpers.factorial_rat(k) for c in chain[k]]
+                want = [c / helpers.factorial_rat(k) for c in over(*chain[k])]
             else:
                 want = [rat(0)] * L.dim
             assert coeffs[k] == want
@@ -151,14 +158,14 @@ def test_lowering_orbit_spans_module_slice(bundles, helpers, label):
     for j, chain in enumerate(dec.chains):
         m = dec.exponents[j]
         ts = list(range(m + 1))
-        vecs = [helpers.ut_action(L, tri, t, dec.cartan_reps[j]) for t in ts]
+        vecs = [helpers.ut_action(L, tri, t, over(*dec.cartan_reps[j])) for t in ts]
         assert linalg.rank(vecs) == m + 1
-        assert linalg.same_span(vecs, chain)
+        assert linalg.same_span(vecs, [v for v, _ in chain])
 
 
 def line_points(B, ts):
     """The cleared points w + t f of the line through w in the f direction."""
-    return [combine(B.triple.cleared("w"), B.triple.cleared("f"), t) for t in ts]
+    return [combine(B.triple.w, B.triple.f, t) for t in ts]
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -166,15 +173,15 @@ def test_vandermonde_span_full_and_single(bundles, label):
     B = bundles(label)
     L = B.L
     h = B.rs.coxeter_number
-    dim_full, basis = gradient_span(B.ctx, B.inv.polys, line_points(B, range(h)))
+    dim_full, rows = gradient_span(B.ctx, B.inv.polys, line_points(B, range(h)))
     assert dim_full == B.rs.b
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    assert linalg.same_span(basis, bminus)
+    assert linalg.same_span(rows, bminus)
     # a single point of the line only yields the Cartan of that point
-    dim_one, basis_one = gradient_span(B.ctx, B.inv.polys, line_points(B, [0]))
+    dim_one, rows_one = gradient_span(B.ctx, B.inv.polys, line_points(B, [0]))
     assert dim_one == L.rank
     cartan = [L.basis_vector(i) for i in L.cartan_indices]
-    assert linalg.same_span(basis_one, cartan)
+    assert linalg.same_span(rows_one, cartan)
 
 
 def test_vandermonde_span_a1_two_points(bundles):
@@ -191,7 +198,8 @@ def test_killing_matrix_equals_dense_trace(algebras, reference_killing, label):
 
 def _special_vectors(L):
     tri = principal_triple(L)
-    return [L.zero()] + [L.basis_vector(i) for i in range(L.dim)] + [tri.e, tri.f, tri.e1]
+    return ([L.zero()] + [L.basis_vector(i) for i in range(L.dim)]
+            + [over(*v) for v in (tri.e, tri.f, tri.e1)])
 
 
 @st.composite
@@ -207,18 +215,24 @@ def _lie_vectors(draw, L, specials):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_integer_lie_layer_matches_fraction_reference(algebras, reference_lie, label):
+    """The integer cores on rational vectors cleared once, divided back,
+    equal the Fraction reference that reads L.table and L.killing, as
+    Fractions; a vector of ints, as basis_vector and zero give, is taken by
+    rational.clear as it is."""
     L = algebras(label)
     specials = _special_vectors(L)
     exact = type(rat(0))
+    assert all(clear(v)[0] is v for v in specials[:L.dim + 1])
 
     @settings(max_examples=60, deadline=None)
     @given(x=_lie_vectors(L, specials), y=_lie_vectors(L, specials))
     def check(x, y):
-        br = L.bracket(x, y)
+        br = over(*L.int_bracket(clear(x), clear(y)))
         assert br == reference_lie.bracket(L, x, y)
-        adx = L.ad(x)
+        rows, den = L.int_ad(clear(x))
+        adx = [over(row, den) for row in rows]
         assert adx == reference_lie.ad(L, x)
-        kp = L.killing_pair(x, y)
+        kp = rat(*L.int_killing_pair(clear(x), clear(y)))
         assert kp == reference_lie.killing_pair(L, x, y)
         assert all(type(c) is exact for c in br + [c for row in adx for c in row] + [kp])
 
@@ -270,7 +284,8 @@ def test_exp_ad_nilpotent_matches_fraction_series(algebras, reference_lie, label
     assert exp_ad_nilpotent(L, cleared(L.zero()), cleared(v)) == cleared(v)
     h = L.basis_vector(L.cartan_indices[0])
     # a root vector on which h acts by a nonzero scalar: the series never ends
-    e = next(L.basis_vector(i) for i in L.pos_indices if any(L.bracket(h, L.basis_vector(i))))
+    e = next(L.basis_vector(i) for i in L.pos_indices
+             if any(L.int_bracket((h, 1), (L.basis_vector(i), 1))[0]))
     with pytest.raises(ValueError, match="did not terminate"):
         exp_ad_nilpotent(L, cleared(h), cleared(e))
     with pytest.raises(ValueError, match="did not terminate"):
@@ -286,7 +301,7 @@ def test_validate_algebra_matches_reference(algebras, reference_lie, label):
 def _planted(L, kind):
     """L with one entry changed through dataclasses.replace: in the table a
     positive pair's sign flipped, a Cartan-root entry dropped or [e_a, e_-a]
-    doubled; in the Killing form a Cartan diagonal entry doubled, or the
+    doubled or negated; in the Killing form a Cartan diagonal entry doubled, or the
     entry (e_a, e_-a) of e_a's row doubled."""
     table, killing = dict(L.table), [list(row) for row in L.killing]
     if kind == "flipped":
@@ -294,9 +309,9 @@ def _planted(L, kind):
         table[key] = {c: -v for c, v in table[key].items()}
     elif kind == "dropped":
         del table[min(k for k in table if k[0] in L.cartan_indices)]
-    elif kind == "doubled":
+    elif kind in ("doubled", "negated"):
         key = (L.pos_indices[0], L.neg_indices[0])
-        table[key] = {c: 2 * v for c, v in table[key].items()}
+        table[key] = {c: (2 if kind == "doubled" else -1) * v for c, v in table[key].items()}
     else:
         i, j = ((L.cartan_indices[0],) * 2 if kind == "killing_diagonal"
                 else (L.pos_indices[0], L.neg_indices[0]))
@@ -337,6 +352,28 @@ def test_signature_hash_is_computed_once_per_algebra(algebras, reference_lie, mo
 
 
 ALL_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4")
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_principal_triple_and_decomposition_match_fraction_reference(algebras,
+                                                                     reference_principal,
+                                                                     label):
+    """principal_triple, cartan_from_root_values and principal_decomposition
+    on integers equal cleared(...) of their Fraction references, every
+    module and chain vector included."""
+    L = algebras(label)
+    tri = principal_triple(L)
+    ref = reference_principal.triple(L)
+    assert (tri.w, tri.e, tri.f, tri.e1) == tuple(map(cleared, (ref.w, ref.e, ref.f, ref.e1)))
+    for values in ([2] * L.rank, list(range(1, L.rank + 1)), [0] + [1] * (L.rank - 1)):
+        assert (cartan_from_root_values(L, values)
+                == cleared(reference_principal.cartan(L, values)))
+    dec = principal_decomposition(L, tri)
+    want = reference_principal.decomposition(L, ref)
+    assert dec.exponents == want.exponents
+    assert dec.modules == [[cleared(v) for v in mod] for mod in want.modules]
+    assert dec.chains == [[cleared(v) for v in ch] for ch in want.chains]
+    assert dec.cartan_reps == [cleared(z) for z in want.cartan_reps]
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)

@@ -4,7 +4,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.rational import R0, R1, clear, over, rat, to_rat
+from mfhess.rational import R0, R1, clear, cleared, over, rat, to_rat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # entries with denominators up to 10^6, zero about a third of the time
@@ -20,19 +20,19 @@ def mat(rows):
 def test_rref_rank_kernel(helpers):
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(m) == 2
-    ker = linalg.kernel(m, 3)
-    assert len(ker) == 1
+    ker, den = linalg.kernel(m, 3)
+    assert len(ker) == 1 and den > 0
     for row in m:
         assert helpers.dot(row, ker[0]) == 0
 
 
 def test_solve_and_inverse(helpers):
     a = mat([[2, 1], [1, 3]])
-    x = linalg.solve(a, [to_rat(1), to_rat(2)])
+    x = over(*linalg.solve(a, [to_rat(1), to_rat(2)]))
     assert helpers.mat_vec(a, x) == [rat(1), rat(2)]
     ainv = linalg.inverse(a)
     assert helpers.mat_mul(a, ainv) == helpers.identity(2)
-    assert linalg.det(a) == rat(5)
+    assert linalg.det([[2, 1], [1, 3]]) == 5
 
 
 def test_solve_inconsistent():
@@ -48,7 +48,7 @@ def test_solve_inconsistent():
 @given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_inverse_round_trip(helpers, rows):
     m = mat(rows)
-    if linalg.det(m) == 0:
+    if not linalg.det([clear(row)[0] for row in m]):
         return
     assert helpers.mat_mul(m, linalg.inverse(m)) == helpers.identity(3)
 
@@ -57,7 +57,7 @@ def test_inverse_round_trip(helpers, rows):
 @given(st.lists(st.lists(frac, min_size=4, max_size=4), min_size=2, max_size=4))
 def test_kernel_annihilates(helpers, rows):
     m = mat(rows)
-    ker = linalg.kernel(m, 4)
+    ker, _ = linalg.kernel(m, 4)
     assert len(ker) == 4 - linalg.rank(m)
     for v in ker:
         for row in m:
@@ -130,7 +130,7 @@ def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
     assert den > 0 and all(type(v) is int for row in basis for v in row)
     assert [over(row, den) for row in basis] == reference_kernel(rows, ncols)
     assert linalg.kernel([[r.get(j, 0) for j in range(ncols)] for r in rows],
-                         ncols) == reference_kernel(rows, ncols)
+                         ncols) == (basis, den)
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,19 +250,6 @@ def rref_span(rref, m):
     return rows[:len(pivots)]
 
 
-def rref_solve(rref, m, rhs):
-    """The solution read from the RREF of [m | rhs], 0 on the free
-    variables, or ValueError for a pivot in the last column."""
-    n = len(m[0])
-    rows, pivots = rref([list(row) + [b] for row, b in zip(m, rhs)])
-    if n in pivots:
-        return ValueError
-    x = [R0] * n
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][n]
-    return x
-
-
 def rref_inverse(rref, m):
     """The right half of the RREF of [m | I], or ValueError unless the
     pivots are 0..n-1."""
@@ -298,23 +285,25 @@ def as_kind(m, kind):
 @example((mat([[1, 2], [2, 4]]), 2), "integer")
 @example((mat([[1, 1], [1, 1]]), 2), "rational")
 @example((mat([[2, 1], [1, 3]]), 2), "mixed")
-def test_basis_routines_match_rref(reference_echelon, case, kind):
+def test_basis_routines_match_rref(reference_echelon, reference_principal, case, kind):
     """Every routine that returns a basis equals its answer read from the
-    rational RREF: the empty system has the identity kernel, and no span
-    basis or independent vector; [[1, 2], [2, 4]] has no inverse, and
-    [[1, 1], [1, 1]] x = (1, 0) no solution."""
+    rational RREF, kernel and solve as the cleared vectors of that answer:
+    the empty system has the identity kernel, and no independent vector;
+    [[1, 2], [2, 4]] has no inverse, and [[1, 1], [1, 1]] x = (1, 0) no
+    solution."""
     m, ncols = case
     m = as_kind(m, kind)
     rref = reference_echelon
-    assert linalg.kernel(m, ncols) == rref_kernel(rref, m, ncols)
-    assert linalg.span_basis(m) == rref_span(rref, m)
+    basis, den = linalg.kernel(m, ncols)
+    assert den > 0 and [over(v, den) for v in basis] == rref_kernel(rref, m, ncols)
     assert linalg.independent_subset(m) == rref(linalg.transpose(m))[1]
     for other in (m[::-1], m[1:]):
         assert linalg.same_span(m, other) == (rref_span(rref, m) == rref_span(rref, other))
     if not m:
         return
     for rhs in ([sum(row) for row in m], [int(i == 0) for i in range(len(m))]):
-        assert raised(linalg.solve, m, rhs) == rref_solve(rref, m, rhs)
+        want = raised(reference_principal.solve, m, rhs)
+        assert raised(linalg.solve, m, rhs) == (want if want is ValueError else cleared(want))
     k = min(len(m), ncols)
     block = [row[:k] for row in m[:k]]
     assert raised(linalg.inverse, block) == rref_inverse(rref, block)
@@ -362,9 +351,13 @@ def test_rank_takes_integer_rows_as_they_are(reference_echelon, case):
 @example([[0, 1], [1, 0]])
 @example([[0, 0], [1, 0]])
 def test_det_matches_rational_elimination(reference_witness, rows):
-    """The fraction-free determinant equals Gaussian elimination in Fractions,
-    on rational rows and on their integer numerators."""
+    """The fraction-free determinant of integer rows equals Gaussian
+    elimination in Fractions, on the integer numerators of rational rows
+    (over the product of the row scales) and on integers."""
     m = mat(rows)
-    assert linalg.det(m) == reference_witness.det(m)
+    cleared_rows = [clear(row) for row in m]
+    got = linalg.det([nums for nums, _ in cleared_rows])
+    assert type(got) is int
+    assert rat(got, math.prod(den for _, den in cleared_rows)) == reference_witness.det(m)
     ints = [[int(v * 10 ** 6) for v in row] for row in m]
     assert linalg.det(ints) == reference_witness.det(mat(ints))

@@ -86,3 +86,35 @@ def test_clear_rows_matches_fraction_reference(mat):
     assert rows == [tuple((j, int(c * scale)) for j, c in enumerate(row) if c)
                     for row in mat]
     assert all(type(v) is int for row in rows for _, v in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda ncols: st.lists(st.lists(fracs, min_size=ncols, max_size=ncols), max_size=5)),
+       st.integers(1, 7))
+@example([], 1)
+@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]], 5)
+def test_common_rows_of_canonical_vectors_is_clear_rows(mat, k):
+    """common_rows of the canonical cleared vectors of a matrix's rows gives
+    clear_rows of the matrix; vectors that are not reduced (numerators and
+    denominator times k) give the same rows over k times the scale."""
+    vectors = [rational.cleared(row) for row in mat]
+    assert rational.common_rows(vectors) == clear_rows(mat)
+    if mat:
+        scale, rows = clear_rows(mat)
+        scaled_up = [([k * v for v in nums], k * den) for nums, den in vectors]
+        assert rational.common_rows(scaled_up) == (
+            k * scale, [tuple((j, k * c) for j, c in row) for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints, st.integers(1, 10 ** 6))
+@example(0, 7)
+@example(-6, 4)
+@example(5, 1)
+def test_reduced_and_ratio_str_match_fraction(num, den):
+    """reduced gives the numerator and denominator of the Fraction num / den,
+    and ratio_str its rat_str, with no Fraction built."""
+    f = Fraction(num, den)
+    assert rational.reduced(num, den) == (f.numerator, f.denominator)
+    assert rational.ratio_str(num, den) == rational.rat_str(f)

@@ -42,7 +42,9 @@ def test_omega_alternating_and_well_defined(helpers, bundles):
     assert omega(L, x, c1, c1) == (0, 1)
     num, den = omega(L, x, c1, c2)
     assert omega(L, x, c2, c1) == (-num, den) and den > 0
-    for k in linalg.kernel(L.ad(over(*x)), L.dim):
+    kernel, kden = linalg.kernel(L.int_ad(x)[0], L.dim)
+    for k in kernel:
+        k = over(k, kden)
         assert omega(L, x, cleared(helpers.vec_add(z1, k)), c2) == (num, den)
         assert omega(L, x, c1, cleared(helpers.vec_add(z2, k))) == (num, den)
 
@@ -70,7 +72,7 @@ def test_orbit_frame_dimension(bundles):
     assert L.dim - L.centralizer_dim(sing) < 2 * L.n
 
 
-def test_zx_frame_lagrangian(bundles):
+def test_zx_frame_lagrangian(bundles, helpers):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
         L = B.L
@@ -81,11 +83,11 @@ def test_zx_frame_lagrangian(bundles):
             assert fr.dim == L.n
             assert isotropy_witness(L, fr) is None
             assert ([over(t, fr.tden) for t in fr.tangents]
-                    == [L.bracket(over(*x), over(g, fr.pden)) for g in fr.preimages])
+                    == [helpers.bracket(L, over(*x), over(g, fr.pden)) for g in fr.preimages])
             # Hamiltonian vectors of the underived invariants vanish
             rows, den = B.family.gradient_rows(x)
             for pos in B.family.I_positions:
-                assert not any(L.bracket(over(rows[pos], den), over(*x)))
+                assert not any(L.int_bracket((rows[pos], den), x)[0])
             assert casimirs_commute(B.family, fr)
             # a derived gradient in an invariant's place does not commute
             swapped = list(fr.gradients)
@@ -99,7 +101,7 @@ def test_zx_frame_requires_strong_regularity(bundles):
         zx_frame(B.family, cleared(B.L.zero()))
 
 
-def test_hess_lagrangian_check(bundles):
+def test_hess_lagrangian_check(bundles, helpers):
     B = bundles("A2")
     rng = random.Random("lag")
     for _ in range(5):
@@ -108,7 +110,7 @@ def test_hess_lagrangian_check(bundles):
         sl = slice_frame(B.L, B.L.int_ad(v))
         assert sl.dim == B.L.n
         assert ([over(t, sl.tden) for t in sl.tangents]
-                == [B.L.bracket(over(*v), over(z, sl.pden)) for z in sl.preimages])
+                == [helpers.bracket(B.L, over(*v), over(z, sl.pden)) for z in sl.preimages])
 
 
 def test_transversality(bundles):
@@ -122,14 +124,14 @@ def test_transversality(bundles):
             assert res.passed
             assert res.zx_dim == res.slice_dim == L.n
             assert res.combined_dim == res.orbit_dim == 2 * L.n
-            assert res.pairing_det != 0
+            assert res.pairing_det[0] != 0 and res.pairing_det[1] > 0
             assert res.jacobian_rank == L.n
 
 
 def test_transversality_requires_slice_point(bundles):
     B = bundles("A2")
     with pytest.raises(ValueError):
-        transversality_check(B.family, B.chart, B.triple.cleared("w"))
+        transversality_check(B.family, B.chart, B.triple.w)
 
 
 def test_transversality_builds_one_gradient_matrix(bundles, gradient_rows_calls):
@@ -145,8 +147,7 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
     B = bundles("A2")
     for count in (1, 3):
         gradient_rows_calls.clear()
-        rep = polarization_report(B.family, B.chart, B.inv, B.triple.cleared("e1"), count,
-                                  seed=11)
+        rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
         assert rep.all_pass
         assert len(gradient_rows_calls) == count
 
@@ -261,7 +262,7 @@ def test_polarization_requires_hess_base_point(bundles):
 
 def test_polarization_report_nilpotent_slice(bundles):
     B = bundles("A1")
-    rep = polarization_report(B.family, B.chart, B.inv, B.triple.cleared("e1"), 5, seed=11)
+    rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)
     assert rep.all_pass
     assert len(rep.verdicts) == 5
     assert all(v.orbit_dim == 2 * B.L.n for v in rep.verdicts)
@@ -310,9 +311,10 @@ coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_ad_matrix_reads_tangents_and_orbit_form(helpers, label, at, data):
     L, triple = _bare_algebra(label)
     vec = st.lists(coord, min_size=L.dim, max_size=L.dim)
-    x = {"random": lambda: data.draw(vec), "zero": L.zero, "e": lambda: triple.e}[at]()
+    x = {"random": lambda: data.draw(vec), "zero": L.zero,
+         "e": lambda: over(*triple.e)}[at]()
     z1, z2 = data.draw(vec), data.draw(vec)
-    adx = L.ad(x)
-    assert helpers.mat_vec(adx, z1) == L.bracket(x, z1)
-    value = L.killing_pair(helpers.mat_vec(adx, z2), z1)
+    adx = helpers.ad(L, x)
+    assert helpers.mat_vec(adx, z1) == helpers.bracket(L, x, z1)
+    value = helpers.killing_pair(L, helpers.mat_vec(adx, z2), z1)
     assert (value.numerator, value.denominator) == omega(L, cleared(x), cleared(z1), cleared(z2))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,9 +17,9 @@ from mfhess import argshift, cli, linalg, verifier
 from mfhess.argshift import shift_family
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
-from mfhess.liealgebra import LieAlgebra
+from mfhess.liealgebra import DecompositionFailure, LieAlgebra
 from mfhess.polyring import Poly
-from mfhess.rational import cleared, over, rat, rat_str, to_rat
+from mfhess.rational import canonical, cleared, over, rat, rat_str, to_rat
 from mfhess.symplectic import NotStronglyRegular, transversality_check
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
@@ -31,6 +33,7 @@ from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, buil
                              check_slice_lagrangian, check_strong_regularity,
                              check_trace_oracle, check_transversality, run_suite,
                              sample_points)
+from test_liealgebra import _planted
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -193,7 +196,7 @@ def test_sampling_exhaustion(a2_context):
 
 def test_hess_sampling_rejects_point_off_slice(monkeypatch):
     sc = build_context(SuiteConfig(algebra="A1", seed=5))
-    monkeypatch.setattr(sc.chart, "point_from_cleared", lambda *s: sc.triple.cleared("w"))
+    monkeypatch.setattr(sc.chart, "point_from_cleared", lambda *s: sc.triple.w)
     with pytest.raises(RegionExhausted):
         sample_points(sc, 5, "hess", 1)
 
@@ -248,7 +251,7 @@ def test_compiled_forms_are_built_on_first_read(tmp_path, cached):
     assert "compiled" not in vars(sc.family)
     family = sc.family.compiled
     assert family is sc.family.compiled
-    e1 = sc.triple.cleared("e1")
+    e1 = sc.triple.e1
     assert sc.family.gradient_rows(e1) == family.int_gradients(sc.ctx, e1)
     compiled = sc.inv.compiled
     assert compiled is sc.inv.compiled
@@ -457,10 +460,10 @@ def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
 
 @pytest.mark.parametrize("key, violation", [((1, 0), "antisymmetry fails on (0,1)"),
                                              ((2, 2), "[b2, b2] != 0")])
-def test_algebra_check_sees_keys_outside_the_table_convention(helpers, a2_context, key,
-                                                              violation):
+def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, violation):
     """The table stores [e_a, e_b] for a < b.  A key (1, 0) or (2, 2) holding
-    the row of (0, 1) is read by bracket and ad alike, and check 2 names it."""
+    the row of (0, 1) is read by int_bracket and int_ad alike, and check 2
+    names it."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
     table = dict(sc.L.table)
@@ -469,13 +472,14 @@ def test_algebra_check_sees_keys_outside_the_table_convention(helpers, a2_contex
     out = check_algebra_soundness(replace(sc, L=L), cfg)
     assert out["ok"] is False
     assert violation in out["witness"]["violations"]
-    x = over(*sample_points(sc, 5, "hess", 1)[0])
-    adx = L.ad(x)
-    for z in [L.basis_vector(i) for i in range(L.dim)] + [x]:
-        assert helpers.mat_vec(adx, z) == L.bracket(x, z)
+    x = sample_points(sc, 5, "hess", 1)[0]
+    rows, _ = L.int_ad(x)
+    for z in [(L.basis_vector(i), 1) for i in range(L.dim)] + [x]:
+        # both over the product of the denominators of x and z
+        assert [sum(map(mul, row, z[0])) for row in rows] == L.int_bracket(x, z)[0]
 
 
-def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context):
+def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context, helpers):
     """One diagonal Cartan entry of the Killing rows doubled through
     dataclasses.replace: the orbit form is no longer well defined and check 2
     reports Killing invariance."""
@@ -486,7 +490,7 @@ def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context):
     killing[c][c] *= 2
     bad = replace(sc, L=replace(sc.L, killing=killing))
     h = sc.L.basis_vector(c)
-    assert bad.L.killing_pair(h, h) == 2 * sc.L.killing_pair(h, h)
+    assert helpers.killing_pair(bad.L, h, h) == 2 * helpers.killing_pair(sc.L, h, h)
     out = check_omega_well_defined(bad, cfg)
     assert out["ok"] is False and "point" in out["witness"]
     violations = check_algebra_soundness(bad, cfg)["witness"]["violations"]
@@ -657,10 +661,10 @@ def test_one_expansion_per_shift_direction_per_run(monkeypatch, algebra):
 
 
 # Fraction constructions in one run_suite pass at seed 2024, with the sampled
-# points carried cleared from draw to verdict: what is left is built by the
-# build stages, check 3, the type-A trace oracle, check 15's pairing
-# determinant and the witnesses
-FRACTIONS_PER_PASS = {"A2": 515, "B2": 494}
+# points and the Lie layer's vectors carried cleared: what is left is built
+# by the root data and structure-constant resolution, the Gram inverse and
+# the type-A trace oracle
+FRACTIONS_PER_PASS = {"A2": 240, "B2": 139}
 
 
 @pytest.mark.parametrize("label", sorted(FRACTIONS_PER_PASS))
@@ -679,6 +683,50 @@ def test_suite_pass_builds_few_fractions(monkeypatch, label):
     monkeypatch.undo()
     assert not report.failed
     assert len(count) <= FRACTIONS_PER_PASS[label]
+
+
+# the sites that build no Fraction on a passing pass: the principal triple,
+# the shift direction and the chart at build, and checks 3, 5, 8, 15,
+# polarization and membership
+FRACTION_FREE_SITES = ("principal_triple", "choose_regular_y", "build_chart",
+                       "algebra.principal_decomposition", "invariants.shifted_gradient_span",
+                       "family.principal_shift_span", "symplectic.transversality",
+                       "symplectic.polarization", "family.membership_samples")
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_fraction_free_sites_build_no_fraction(monkeypatch, label):
+    """Each Fraction of a passing pass is counted against the innermost site
+    running (a build stage or a check id, else the pass), so a failure
+    names the site that built it."""
+    sites = ["pass"]
+    counts = {}
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts[sites[-1]] = counts.get(sites[-1], 0) + 1
+        return original(cls, *args, **kwargs)
+
+    def at(site, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            sites.append(site)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sites.pop()
+        return wrapped
+
+    for name in ("principal_triple", "choose_regular_y", "build_chart"):
+        monkeypatch.setattr(verifier, name, at(name, getattr(verifier, name)))
+    monkeypatch.setattr(verifier, "ALL_CHECKS",
+                        [at(fn.check_id, fn) for fn in verifier.ALL_CHECKS])
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = run_suite(SuiteConfig(algebra=label, seed=2024))
+    monkeypatch.undo()
+    assert not report.failed
+    assert {site: counts.get(site, 0) for site in FRACTION_FREE_SITES} == \
+        dict.fromkeys(FRACTION_FREE_SITES, 0)
 
 
 def test_no_visit_survives_a_run(a2_context, reference_witness):
@@ -743,7 +791,7 @@ def test_slice_lagrangian_fails_on_moved_base_point(helpers, a2_context):
     sc = a2_context
     assert check_slice_lagrangian(sc, cfg)["ok"]
     highest = sc.L.basis_vector(sc.L.pos_indices[-1])
-    triple = replace(sc.triple, e1=helpers.vec_add(sc.triple.e1, highest))
+    triple = replace(sc.triple, e1=cleared(helpers.vec_add(over(*sc.triple.e1), highest)))
     bad = replace(sc, triple=triple, chart=replace(sc.chart, triple=triple))
     out = check_slice_lagrangian(bad, cfg)
     assert out["ok"] is False and set(out["witness"]) == {"point"}
@@ -908,7 +956,7 @@ def test_cli_section_bad_values(values, capsys):
 
 
 def test_cli_section_checks_values(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.cleared("e1"))
+    monkeypatch.setattr(cli, "hess_section", lambda chart, values: chart.triple.e1)
     assert main(["section", "--type", "A1", "--values", "5,7"]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -967,7 +1015,8 @@ def test_transversality_det_is_exact(a2_context, reference_witness, scale):
     for x in sample_points(sc, 7, "hess", 3):
         res = transversality_check(bad.family, sc.chart, x)
         assert res.passed
-        assert rat_str(res.pairing_det) == reference_witness.pairing_det(bad.family, over(*x))
+        assert rat_str(rat(*res.pairing_det)) == reference_witness.pairing_det(bad.family,
+                                                                               over(*x))
         assert res.pairing_det != transversality_check(sc.family, sc.chart, x).pairing_det
     coordinate = Poly.coordinate(sc.L.dim, sc.L.pos_indices[0]).scale(scale)
     bad = _with_member(sc, pos, coordinate)
@@ -993,6 +1042,43 @@ def test_root_data_checks_fail_on_planted_root_system(a2_context, check, field, 
     out = check(replace(sc, rs=replace(sc.rs, **{field: value})), cfg)
     assert out["ok"] is False
     assert witness.items() <= out["witness"].items()
+
+
+def _check3_record(monkeypatch, sc):
+    """Check 3's record on the context sc, made by the suite's own loop."""
+    monkeypatch.setattr(verifier, "build_context", lambda config: sc)
+    monkeypatch.setattr(verifier, "ALL_CHECKS", [check_principal_decomposition])
+    _, records = verifier._suite_payload(SuiteConfig(algebra=sc.label, seed=5))
+    return records[0]
+
+
+@pytest.mark.parametrize("defect", ["f off the simple roots", "e doubled", "negated constant"])
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_principal_decomposition_fails_on_planted_triple_and_table(monkeypatch,
+                                                                   reference_principal,
+                                                                   label, defect):
+    """Check 3 on a copy of the context whose f gains a component at the
+    negative highest root, whose e is scaled by 2, or whose algebra has
+    [e_a, e_-a] of the first simple root negated (_planted "negated"): a
+    fail record whose witness names the broken S-triple relation, which the
+    Fraction route raises alike."""
+    sc = build_context(SuiteConfig(algebra=label, seed=5))
+    L, t = sc.L, sc.triple
+    if defect == "f off the simple roots":
+        fn = list(t.f[0])
+        fn[L.neg_indices[-1]] += 1
+        bad = replace(sc, triple=replace(t, f=canonical(fn, t.f[1])))
+    elif defect == "e doubled":
+        bad = replace(sc, triple=replace(t, e=canonical([2 * c for c in t.e[0]], t.e[1])))
+    else:
+        bad = replace(sc, L=_planted(L, "negated"))
+    assert _check3_record(monkeypatch, sc).status == "pass"
+    rec = _check3_record(monkeypatch, bad)
+    assert rec.status == "fail" and rec.witness["error"].startswith("DecompositionFailure: [")
+    rational = SimpleNamespace(**{k: over(*getattr(bad.triple, k)) for k in ("w", "e", "f")})
+    with pytest.raises(DecompositionFailure) as err:
+        reference_principal.decomposition(bad.L, rational)
+    assert rec.witness["error"] == f"DecompositionFailure: {err.value}"
 
 
 def test_membership_fails_when_every_direction_shifts_along_y(a2_context, monkeypatch):
