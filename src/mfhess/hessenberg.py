@@ -7,8 +7,8 @@ parametrization s -> e1 + sum_g s_g frame_g, done for the whole family in
 one integer pass (polyring.restrict_affine); the frame is dual (under the
 Killing pairing of the upper and lower Borel) to the gradient frame
 z_beta = dq_beta(e1) of an ordered shift family, and is read from the
-inverse of the integer pairing of the gradient rows with the integer
-Killing rows, taken on integers from a kernel (linalg.kernel).
+integer inverse (linalg.inverse) of the integer pairing of the gradient
+rows with the integer Killing rows.
 
 In these coordinates the restricted generators are unitriangular: the
 restriction of q_beta is s_beta plus a polynomial in the strictly earlier
@@ -160,11 +160,9 @@ def build_chart(F: ShiftFamily) -> HessChart:
     a violation raises NotTriangular.  The gradients at e1 are the integer
     rows of frame_rows (over den), read from the terms that reach e1 and
     not from the family's compiled form: they are paired with the lower
-    Borel basis on the integer Killing rows into the integer matrix P, and
-    the dual frame is P^-1 times den.  P^-1 is read from the kernel of
-    [P | I], the vectors (x, -P x): its canonical basis has the free
-    columns of I, with x = -P^-1 e_g on column g of I, exactly when P is
-    invertible.
+    Borel basis on the integer Killing matrix into the integer matrix P, and
+    frame vector g is den times column g of P^-1, read from linalg.inverse
+    as integer rows over one denominator; a singular P raises ValueError.
     """
     L = F.L
     triple = F.triple
@@ -175,29 +173,16 @@ def build_chart(F: ShiftFamily) -> HessChart:
                 f"frame vector for position {e.beta} is not in layer {e.m - 1}")
     if linalg.rank(rows) != F.b:
         raise NotTriangular("gradient frame at e1 is not a basis of the upper Borel")
-    # (z_beta, e_mu) = pairing[beta][mu] / den on the integer Killing rows
-    krows = L.int_killing
-    column = {idx: mu for mu, idx in enumerate(L.bminus_indices)}
-    b = F.b
-    augmented = []
-    for beta, row in enumerate(rows):
-        acc = [0] * len(column) + [int(g == beta) for g in range(b)]
-        for i, zi in enumerate(row):
-            if zi:
-                for j, k in krows[i]:
-                    mu = column.get(j)
-                    if mu is not None:
-                        acc[mu] += zi * k
-        augmented.append(acc)
-    ker, kden = linalg.kernel(augmented)
-    if any(v[b:] != [kden * (g == h) for h in range(b)] for g, v in enumerate(ker)):
-        raise ValueError("matrix is singular")
+    # (z_beta, e_mu) = pairing[beta][mu] / den on the integer Killing matrix
+    pairing = [[sum(z * L.killing[i][idx] for i, z in enumerate(row) if z)
+                for idx in L.bminus_indices] for row in rows]
+    inv, iden = linalg.inverse(pairing)
     frame = []
-    for v in ker:
+    for g in range(F.b):
         vec = L.zero()
         for mu, idx in enumerate(L.bminus_indices):
-            vec[idx] = -den * v[mu]
-        frame.append(canonical(vec, kden))
+            vec[idx] = den * inv[mu][g]
+        frame.append(canonical(vec, iden))
     restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
     violation = _unitriangular_violation(restricted)
     if violation:

@@ -25,11 +25,10 @@ per weight and joined with the Cartan monomials and with their own mirrors.
 Each monomial is one int by polyring's packing rule (whose packed ints sort
 as the exponent tuples do, the order of the equation rows) with its support
 beside it; no exponent tuple is formed until a generator is unpacked.  The
-rows of ad z have integer entries over one positive denominator, so every
-equation has integer coefficients (scaling an equation leaves the kernel
-unchanged), and linalg.sparse_kernel solves them by fraction-free
-elimination, taking over the fresh rows, and returns the kernel as integer
-numerators over one denominator.  One derivation routine (_derivation)
+rows of ad z are ints, so every equation has integer coefficients, and
+linalg.sparse_kernel solves them by fraction-free elimination, taking over
+the fresh rows, and returns the kernel as integer numerators over one
+denominator.  One derivation routine (_derivation)
 applies a raising operator's packed table to a whole list of packed
 monomials in one loop, writing straight into the target rows {image
 monomial: {column: c}}.  Those rows are the solver's equations.  On a
@@ -48,8 +47,8 @@ on integers, to be that combination; the greedy independence scan then
 runs on the vectors restricted to the free columns, len(kernel) entries
 each, where the basis is the identity.
 
-For type A an independent oracle realizes the algebra as traceless matrices
-and pulls tr(x^k) back to Chevalley coordinates.
+For type A an independent oracle realizes the algebra as traceless integer
+matrices and pulls tr(x^k) back to Chevalley coordinates.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from operator import mul
 from . import linalg
 from .liealgebra import LieAlgebra, signature_hash
 from .polyring import CompiledPolys, Poly, _mul_packed, _packing, _unpack
-from .rational import R1, clear, denominator_lcm, scaled
 from .rootdata import RootSystem, UnsupportedType
 
 
@@ -219,11 +217,10 @@ def _action_tables(L: LieAlgebra) -> list:
     """For each raising operator z (simple_root_vectors), the rows of ad z as
     the linear forms of the derivation: for each k the sparse integer row
     [(j, c_j), ...] of (ad z . x)_k, or None when it is zero.  The rows come
-    from LieAlgebra.int_ad, all over one positive denominator, which leaves
-    the kernel of the equations unchanged."""
+    from LieAlgebra.int_ad of each int basis vector z, over 1."""
     tables = []
     for z in simple_root_vectors(L):
-        rows, _ = L.int_ad(clear(z))
+        rows, _ = L.int_ad((z, 1))
         tables.append([[(j, c) for j, c in enumerate(row) if c] or None for row in rows])
     return tables
 
@@ -500,12 +497,14 @@ def _sparse_bracket(a: dict, b: dict) -> dict:
 
 def matrix_images_type_A(L: LieAlgebra) -> list:
     """Trace-zero matrix image of every basis vector, as a sparse dict
-    (i, j) -> entry: one entry for a root vector, two for a Cartan element.
+    (i, j) -> int entry: one entry for a root vector, two for a Cartan
+    element.
 
     Simple generators go to the elementary matrices; the image of every other
-    root vector is forced by the brackets already stored in the table.  The
-    homomorphism check covers every basis pair: scale * [M_a, M_b] equals
-    the sum of the integer table's entries times the images.
+    root vector is forced by the brackets already stored in the table, over
+    its structure constant, which is +-1 in type A (any other value is
+    refused).  The homomorphism check covers every basis pair: [M_a, M_b]
+    equals the sum of the integer table's entries times the images.
     """
     rs = L.rs
     if not _is_type_a(rs):
@@ -516,10 +515,10 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
     for i, r in enumerate(rs.positive_roots):
         if sum(r) == 1:
             k = r.index(1)
-            images[L.pos_indices[i]] = {(k, k + 1): R1}
-            images[L.neg_indices[i]] = {(k + 1, k): R1}
+            images[L.pos_indices[i]] = {(k, k + 1): 1}
+            images[L.neg_indices[i]] = {(k + 1, k): 1}
     for k in range(ell):
-        images[L.cartan_indices[k]] = {(k, k): R1, (k + 1, k + 1): -R1}
+        images[L.cartan_indices[k]] = {(k, k): 1, (k + 1, k + 1): -1}
     for i, r in enumerate(sorted(rs.positive_roots, key=lambda c: (sum(c), c))):
         if sum(r) == 1:
             continue
@@ -531,7 +530,9 @@ def matrix_images_type_A(L: LieAlgebra) -> list:
         for block in (L.pos_indices, L.neg_indices):
             a_idx, b_idx = block[simple], block[pos_of[rest]]
             coeff = dict(L.int_table[a_idx].get(b_idx, ())).get(block[ridx], 0)
-            images[block[ridx]] = {key: v / coeff for key, v in
+            if coeff not in (1, -1):
+                raise UnsupportedType("matrix realization failed the bracket check")
+            images[block[ridx]] = {key: v * coeff for key, v in
                                    _sparse_bracket(images[a_idx], images[b_idx]).items()}
     # homomorphism check over all basis pairs
     cols = L.int_table
@@ -550,18 +551,17 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
     """tr(x^k), k = 2..rank+1, in the Chevalley coordinates of the algebra.
 
     The matrix x = sum_c x_c M_c is held sparse, each entry a linear form
-    with exponents packed by polyring._packing and integer coefficients over
-    the LCM of the image entries.  Its powers are sparse products of those
-    forms, and each trace becomes one Poly at the end.
+    with exponents packed by polyring._packing and the integer coefficients
+    of the images.  Its powers are sparse products of those forms, and each
+    trace becomes one Poly at the end.
     """
     images = matrix_images_type_A(L)
     top = L.rank + 1
     unit, width = _packing(L.dim, top)
-    scale = denominator_lcm(v for img in images for v in img.values())
     entries: dict = {}    # (i, j) -> packed exponent -> int
     for c, img in enumerate(images):
         for key, v in img.items():
-            entries.setdefault(key, {})[unit[c]] = scaled(v, scale)
+            entries.setdefault(key, {})[unit[c]] = v
     polys = []
     power = entries
     for k in range(2, top + 1):
@@ -570,7 +570,7 @@ def trace_oracle_type_A(L: LieAlgebra) -> InvariantFamily:
         for i in range(top):
             for e, c in power.get((i, i), {}).items():
                 tr[e] = tr.get(e, 0) + c
-        polys.append(_unpack(L.dim, width, tr, scale ** k))
+        polys.append(_unpack(L.dim, width, tr, 1))
     return InvariantFamily(polys=polys, degrees=tuple(range(2, top + 1)),
                            provenance="trace-oracle")
 

@@ -1,34 +1,26 @@
 """Chevalley-basis realization of a semisimple Lie algebra.
 
 Basis order: root vectors for the positive roots (in root order), the simple
-coroots h_1..h_l, then root vectors for the negative roots.  All structure
-constants are integers.  Signs are resolved by the classical extraspecial-pair
-rule: positive roots are totally ordered by (height, coordinates); for each
-positive root t that is a sum of two positive roots, the decomposition
-t = r + s with r minimal is assigned the positive constant p+1, where p is
-the largest integer with s - p*r still a root.  Every other constant follows
-from antisymmetry, the opposition symmetry N(-a,-b) = -N(a,b), the cyclic
-relation N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0, and the Jacobi identity.
+coroots h_1..h_l, then root vectors for the negative roots.  Signs are
+resolved by the classical extraspecial-pair rule: positive roots are totally
+ordered by (height, coordinates); for each positive root t that is a sum of
+two positive roots, the decomposition t = r + s with r minimal is assigned
+the positive constant p+1, where p is the largest integer with s - p*r still
+a root.  Every other constant follows from antisymmetry, the opposition
+symmetry N(-a,-b) = -N(a,b), the cyclic relation N(a,b)/(c,c) = N(b,c)/(a,a)
+for a+b+c = 0, and the Jacobi identity.  The Killing form is the trace form
+of the adjoint representation, which cross-validates the constants.
 
-The Killing form is computed as the trace form of the adjoint representation,
-which cross-validates the structure constants.
-
-The Lie layer runs on integers.  A LieAlgebra holds its structure
-constants and its Killing matrix as ints, with no scale, and refuses any
-other entry (a Fraction or a float planted through dataclasses.replace
-among them) with ConstructionFailure.  __post_init__ builds the integer
-table once and the sparse integer Killing rows once, and the Killing
-matrix itself from the integer table when none is given.
-Every vector this module takes or returns is a cleared vector, integer
-numerators over one positive denominator (rational.clear), and a vector
-that it hands on is canonical (rational.canonical); a basis vector or zero
-is a list of ints, its own numerators over 1.  int_bracket, int_ad and
-int_killing_pair accumulate in ints and return integer numerators over the
-product of the denominators; no rational method stands beside them.  The
-principal triple holds w, e, f and e1 in canonical form, solved and tested
-on integers, and check 3's decomposition takes the kernel of ad e and its
-lowering chains on the same numerators.  Check 2 (validate_algebra) reads
-the integer table and Killing rows directly.
+Everything here runs on ints.  The resolver keeps every N(a, b) an int, each
+ratio of the integer root norms an exact division (a remainder raises
+ConstructionFailure), and a LieAlgebra refuses any structure constant or
+Killing entry that is not an int (a Fraction or a float planted through
+dataclasses.replace among them).  Every vector taken or returned is a
+cleared vector, integer numerators over one positive denominator, and one
+handed on is canonical (rational.canonical); a basis vector is a list of
+ints over 1.  int_bracket, int_ad and int_killing_pair return integer
+numerators over the product of the denominators, and the principal triple,
+check 3's decomposition and check 2 (validate_algebra) run on the same ints.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from functools import cached_property
 from math import factorial
 
 from . import linalg
-from .rational import R0, all_ints, canonical, rat, rat_str
+from .rational import all_ints, canonical
 from .rootdata import RootSystem
 
 
@@ -116,8 +108,7 @@ class LieAlgebra:
         items = [repr(self.rs.cartan.entries), repr(self.rs.positive_roots)]
         for key in sorted(self.table):
             row = self.table[key]
-            items.append(f"{key}:" + ",".join(f"{c}={rat_str(v)}"
-                                              for c, v in sorted(row.items())))
+            items.append(f"{key}:" + ",".join(f"{c}={v}" for c, v in sorted(row.items())))
         return hashlib.sha256("|".join(items).encode()).hexdigest()[:16]
 
     def check_vector(self, x) -> None:
@@ -217,7 +208,9 @@ def _roots_with_negatives(rs: RootSystem):
 
 
 class _ConstantResolver:
-    """Computes all bracket constants N(a, b) between root vectors."""
+    """Computes all bracket constants N(a, b) between root vectors, as ints:
+    each ratio of root norms is taken as one exact integer division
+    (_exact), and a remainder raises ConstructionFailure."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -279,38 +272,38 @@ class _ConstantResolver:
         c = tuple(-(ai + bi) for ai, bi in zip(a, b))
         if (a in self.order) and (c in self.order):
             # pair (c, a) is the positive pair
-            return self.norm[c] / self.norm[b] * self.n(c, a)
+            return self._exact(self.norm[c] * self.n(c, a), self.norm[b])
         # pair (b, c) is the all-negative pair
-        return self.norm[c] / self.norm[a] * self.n(b, c)
+        return self._exact(self.norm[c] * self.n(b, c), self.norm[a])
 
     def _positive_pair(self, a, b):
         t = tuple(ai + bi for ai, bi in zip(a, b))
         r1, s1 = self.extraspecial[t]
         if (a, b) == (r1, s1):
-            return rat(self.chain_p(a, b) + 1)
+            return self.chain_p(a, b) + 1
         # Jacobi identity on (e_{-r1}, e_a, e_b); the target component is e_{s1}
-        n_negr1_t = self.norm[s1] / self.norm[t] * rat(self.chain_p(r1, s1) + 1)
-        acc = R0
+        n_negr1_t = self._exact(self.norm[s1] * (self.chain_p(r1, s1) + 1), self.norm[t])
+        acc = 0
         bm = tuple(bi - ri for bi, ri in zip(b, r1))
         if bm in self.rootset:
-            acc = acc + self.n(b, tuple(-c for c in r1)) * self.n(a, bm)
+            acc += self.n(b, tuple(-c for c in r1)) * self.n(a, bm)
         am = tuple(ai - ri for ai, ri in zip(a, r1))
         if am in self.rootset:
-            acc = acc + self.n(tuple(-c for c in r1), a) * self.n(b, am)
-        return -acc / n_negr1_t
+            acc += self.n(tuple(-c for c in r1), a) * self.n(b, am)
+        return self._exact(-acc, n_negr1_t)
 
+    def coroot(self, root) -> list:
+        """The coefficients 2 c_k d_k / (root, root) of the coroot of root
+        over the simple coroots."""
+        return [self._exact(2 * c * dk, self.norm[root], "coroot coefficient")
+                for c, dk in zip(root, self.rs.symmetrizer)]
 
-def _coroot_coordinates(rs: RootSystem, root) -> list:
-    """Integer coefficients of the coroot of `root` over the simple coroots."""
-    d = rs.symmetrizer
-    droot = rs.root_norm(root) / 2
-    out = []
-    for k, c in enumerate(root):
-        val = rat(c) * d[k] / droot
-        if val.denominator != 1:
-            raise ConstructionFailure("coroot coefficients must be integers")
-        out.append(int(val))
-    return out
+    @staticmethod
+    def _exact(num: int, den: int, what: str = "structure constant") -> int:
+        q, r = divmod(num, den)
+        if r:
+            raise ConstructionFailure(f"non-integer {what} {num}/{den}")
+        return q
 
 
 def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
@@ -368,18 +361,16 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
             if all(c == 0 for c in tsum):
                 # [e_phi, e_{-phi}] = coroot of phi
                 prim = r if sum(r) > 0 else s
-                co = _coroot_coordinates(rs, prim)
+                co = resolver.coroot(prim)
                 sign = 1 if sum(r) > 0 else -1
                 put(ri, si, {n + k: sign * c for k, c in enumerate(co)})
             elif tsum in rootidx:
                 c = resolver.n(r, s)
-                if c.denominator != 1:
-                    raise ConstructionFailure(f"non-integer structure constant for {r}+{s}")
                 p = resolver.chain_p(r, s)
-                if abs(int(c)) != p + 1:
+                if abs(c) != p + 1:
                     raise ConstructionFailure(
                         f"constant {c} for pair {r},{s} violates |N| = p+1 = {p + 1}")
-                put(ri, si, {rootidx[tsum]: int(c)})
+                put(ri, si, {rootidx[tsum]: c})
 
     layers = [0] * dim
     weights = [None] * dim

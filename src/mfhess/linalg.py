@@ -8,18 +8,15 @@ index to coefficient.
 
 Pivot choices are deterministic so that every derived basis is reproducible.
 
-Every elimination runs on integers: each row is scaled by the LCM of its
-denominators (rational.clear; a row of ints is taken as it is) and
-eliminated without fractions (integer row operations, each result divided
-by its content; det by Bareiss's exact divisions).  The routines that
-return a basis or a solution (kernel, sparse_kernel, independent_subset,
-solve, inverse) read one fraction-free reduced echelon form (_echelon), so
-each returns the canonical basis that rational elimination returns.
-kernel and sparse_kernel return it as integer numerators over one positive
-denominator, solve returns a canonical cleared vector (rational.canonical)
-and det the integer determinant of an integer matrix; only inverse forms
-rationals, one per entry.  inverse is the only matrix inverse in the
-package: the Gram inverse of polyring takes it.
+Every routine takes ints only: rank and _echelon raise TypeError on any
+other entry, read in one type pass (a caller clears a rational row first;
+a positive scale of a row changes no rank, span or kernel).  Every
+elimination is fraction-free: integer row operations, each result divided
+by its content, and Bareiss's exact divisions for det.  kernel,
+sparse_kernel, independent_subset, solve and inverse read one reduced
+echelon form (_echelon), so each returns the canonical answer of rational
+elimination as integer numerators over one positive denominator.  inverse
+is the package's only matrix inverse (the Gram inverse, the chart frame).
 """
 
 from __future__ import annotations
@@ -27,7 +24,12 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .rational import R0, all_ints, canonical, clear, rat
+_INT = {int}
+
+
+def _ints_only(values) -> None:
+    if not {*map(type, values)} <= _INT:     # no bool, read at C level
+        raise TypeError("linalg takes int entries only")
 
 
 def transpose(m: list) -> list:
@@ -35,19 +37,15 @@ def transpose(m: list) -> list:
 
 
 def rank(mat: list) -> int:
-    """Exact rank by fraction-free elimination.
+    """Exact rank of a matrix of ints by fraction-free elimination.
 
-    A matrix of ints (the numerators the integer cores return) is taken as it
-    is, after one C-level type pass; otherwise a rational row is scaled by
-    the LCM of its denominators.  A positive
-    scale of a row leaves the rank unchanged.  Each step takes the last
-    remaining row as pivot row, at its first nonzero column c, and replaces
-    every other row r with a nonzero at c by (p/g) r - (r_c/g) pivot,
-    g = gcd(p, r_c), divided by its content.  These operations keep the row
-    space over Q, so the number of steps is the rank.
+    Each step takes the last remaining row as pivot row, at its first
+    nonzero column c, and replaces every other row r with a nonzero at c by
+    (p/g) r - (r_c/g) pivot, g = gcd(p, r_c), divided by its content.  These
+    operations keep the row space over Q, so the number of steps is the
+    rank.
     """
-    if not all_ints([*chain.from_iterable(mat)]):
-        mat = [row for row, _ in map(clear, mat)]
+    _ints_only(chain.from_iterable(mat))
     rows = [row for row in mat if any(row)]
     out = 0
     while rows:
@@ -80,16 +78,20 @@ def kernel(mat: list, ncols: int | None = None) -> tuple:
     return sparse_kernel([dict(enumerate(row)) for row in mat], n)
 
 
-def inverse(mat: list) -> list:
-    """The inverse, read from the reduced echelon form of [mat | I]."""
+def inverse(mat: list) -> tuple:
+    """The inverse of an integer matrix as (rows, den): row pc is pivot row
+    q of the reduced echelon form of [mat | I] at the columns of I over
+    q[pc], and den the LCM of the pivots; q is primitive and zero at the
+    other columns of mat, so den is the LCM of the reduced denominators of
+    the inverse.  ValueError if mat is singular."""
     n = len(mat)
     pivots = _dense_echelon([list(row) + [int(i == j) for j in range(n)]
                              for i, row in enumerate(mat)])
     if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    # row pc of the inverse is pivot row pc at the columns of I over its pivot
-    return [[rat(q[j], q[pc]) if j in q else R0 for j in range(n, 2 * n)]
-            for pc, q in sorted(pivots.items())]
+    den = math.lcm(*(q[pc] for pc, q in pivots.items()))
+    return [[q.get(j, 0) * (den // q[pc]) for j in range(n, 2 * n)]
+            for pc, q in sorted(pivots.items())], den
 
 
 def det(mat: list) -> int:
@@ -135,7 +137,8 @@ def solve(mat: list, rhs: list) -> tuple:
     for pc, q in pivots.items():
         if n in q:
             x[pc] = q[n] * (den // q[pc])
-    return canonical(x, den)
+    g = math.gcd(den, *x)
+    return tuple(v // g for v in x), den // g
 
 
 def independent_subset(vectors: list) -> list:
@@ -166,8 +169,8 @@ def _dense_echelon(mat: list) -> dict:
 
 
 def sparse_kernel(rows: list, ncols: int) -> tuple:
-    """Right kernel of sparse rows (dicts col -> int or rational; zero
-    entries are ignored), on integers: (basis, den), basis[i] holding the
+    """Right kernel of sparse rows (dicts col -> int; zero entries are
+    ignored), on integers: (basis, den), basis[i] holding the
     integer numerators over the one positive denominator den of the i-th
     vector of the canonical basis, which has a 1 on its free column, zeros
     on the other free columns and -q[free] / q[pc] on the pivot column pc of
@@ -189,47 +192,40 @@ def sparse_kernel(rows: list, ncols: int) -> tuple:
 
 
 def _echelon(rows: list) -> dict:
-    """The reduced echelon form of sparse rows (dicts col -> int or
-    rational; zero entries are ignored), as {pivot column: pivot row}: each
-    pivot row a primitive integer row, zero at every other pivot column and
+    """The reduced echelon form of sparse rows (dicts col -> int; zero
+    entries are ignored), as {pivot column: pivot row}: each pivot row a
+    primitive integer row, zero at every other pivot column and
     proportional to the row of the rational reduced echelon form.
 
-    Fraction-free elimination on the integer-scaled rows.  Rows are taken
-    with the highest lowest column first, then sparsest first, then in input
-    order: a new pivot then mostly sits below the columns of the earlier
-    pivot rows, so few of them need clearing.  Each row is reduced against
-    the pivot rows at the pivot columns it holds; its lowest column c0
-    becomes a pivot and is cleared from the earlier pivot rows that hold it,
-    found through a column index rather than a scan.  So every pivot row is
-    zero at every other pivot column.  Each reduction is one integer row
-    operation (_reduce_at), and the content is divided out (_primitive) only
-    where a row becomes a pivot and where a pivot row is reduced: every
-    pivot row is primitive and proportional to the row that rational
-    elimination holds at the same step, so it is fixed up to sign by the
-    row space, and sparse_kernel's (basis, den) by the rows in any order.
+    Rows are taken with the highest lowest column first, then sparsest
+    first, then in input order: a new pivot then mostly sits below the
+    columns of the earlier pivot rows, so few of them need clearing.  Each
+    row is reduced against the pivot rows at the pivot columns it holds;
+    its lowest column c0 becomes a pivot and is cleared from the earlier
+    pivot rows that hold it, found through a column index rather than a
+    scan.  So every pivot row is zero at every other pivot column.  Each
+    reduction is one integer row operation (_reduce_at), and the content is
+    divided out (_primitive) only where a row becomes a pivot and where a
+    pivot row is reduced: every pivot row is primitive and proportional to
+    the row that rational elimination holds at the same step, so it is
+    fixed up to sign by the row space, and sparse_kernel's (basis, den) by
+    the rows in any order.
 
     The row order sets only the cost.  A reduced row is zero at every pivot
     column, so its lowest column is a new leading column of the row space;
     the pivots end as the leading columns of the row space in any order.
 
-    The rows are the caller's fresh dicts, taken over and reduced in place.
-    A system of nonzero ints, as the invariant solve's equations are, is
-    used as it is after one C-level pass over its entries; otherwise a
-    rational row is overwritten with its cleared numerators (rational.clear)
-    and zero entries are deleted.  A row that reduces to zero is released
+    The rows are the caller's fresh dicts, taken over and reduced in place;
+    zero entries are deleted first.  A row that reduces to zero is released
     (set to None in the list), so the elimination holds only the rows still
     to come and the pivot rows.
     """
     values = [*chain.from_iterable(map(dict.values, rows))]
-    if not all_ints(values) or 0 in values:     # one pass over a system of nonzero ints
+    _ints_only(values)
+    if 0 in values:
         for row in rows:
-            vals = row.values()
-            ints, _ = clear(vals)
-            if ints is not vals:    # a rational row: its cleared numerators
-                row.update(zip(list(row), ints))
-            if 0 in vals:
-                for j in [j for j, c in row.items() if not c]:
-                    del row[j]
+            for j in [j for j, c in row.items() if not c]:
+                del row[j]
     del values      # not held through the elimination
     order = sorted((-min(row), len(row), idx) for idx, row in enumerate(rows) if row)
     pivots: dict[int, dict] = {}

@@ -3,18 +3,19 @@
 A Poly holds integer numerators over one positive denominator: nums maps
 an exponent tuple to a nonzero int, and den is coprime to them all, so each
 polynomial has exactly one form.  Every kernel below reads that form as it
-is, and every kernel result is built from integers by one gcd
-(Poly.from_ints); rationals appear only at the edges: Poly(n, terms) clears
-its coefficients once through rational.clear, and the terms view, the
-payload strings and the rational arithmetic that the tests use as a
-reference build them on demand.
+is and builds its result from integers by one gcd (Poly.from_ints).  This
+module and rational are the only ones that form a Fraction: Poly(n, terms)
+clears its coefficients once through rational.clear, and the terms view,
+the payload strings, gradient's rational row and the rational arithmetic
+that the tests use as a reference build them on demand.
 
 A polynomial function on the algebra is written in the coordinates of the
 Chevalley basis: a point *is* its coordinate vector, and a vector z gives the
 linear functional x -> (z, x) through the Killing pairing.  Gradients are
-taken with respect to the Killing identification, so they need the inverse
-Gram matrix: (dp(x), z) is the first-order coefficient of p(x + t z), which
-makes dp(x) the inverse Gram matrix applied to the coordinate partials.
+taken with respect to the Killing identification: dp(x) is the inverse Gram
+matrix applied to the coordinate partials.  The inverse is linalg.inverse of
+the Killing matrix, held by GradientContext as sparse integer rows over one
+denominator.
 
 The Poisson bracket of p and q is the function x -> (x, [dp(x), dq(x)]),
 computed symbolically through the precomputed brackets of the coordinate
@@ -25,21 +26,12 @@ one pair; argshift.pairwise_commute runs each of them once per family member.
 
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation reads a cleared point
-(integer numerators over one positive denominator, rational.canonical) and
-accumulates in ints.  Each term forms its coordinate
-product P once; its partial along k is e_k (P // N_k), an exact division,
-and a term with a zero coordinate adds only to that coordinate's partial,
-and only when it is its sole zero with exponent 1 (values drop such a term
-at its first zero).  Points of Hess are zero on most of the upper
-nilradical, so most terms stop early.  The integer core, int_gradients,
-returns the gradient matrix as integer numerators over one positive
-denominator, which pointwise checks read as it is (a rank or a vanishing
-test does not change under a positive scale, nor does a span), and it is
-the only gradient kernel: gradient divides its one row back to rationals.
-values returns the values as one canonical cleared vector.
-No partial derivatives are stored, and gradients are never formed as
-polynomials.  The inverse Gram matrix it applies is linalg.inverse of the
-Killing matrix, held as sparse integer rows (GradientContext).
+(integer numerators over one positive denominator, rational.canonical).
+int_gradients, the only gradient kernel, returns the gradient matrix as
+integer numerators over one positive denominator, which pointwise checks
+read as it is (a rank, a span or a vanishing test does not change under a
+positive scale); values returns one canonical cleared vector.  No partial
+derivatives are stored, and gradients are never formed as polynomials.
 
 Restriction to an affine subspace s -> base + sum_g s_g directions[g] (Hess,
 in the chart's dual frame or in the Chevalley frame) is also taken on integers:
@@ -66,8 +58,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .rational import (R0, R1, all_ints, canonical, clear, clear_rows, common_rows, over,
-                       parse_ratio, rat, rat_str, to_rat)
+from .rational import (R0, R1, all_ints, canonical, clear, common_rows, over, parse_ratio,
+                       rat, rat_str, to_rat)
 
 
 _STR_INT = {str, int}
@@ -294,7 +286,9 @@ class Poly:
 
 
 def coefficient_rows(polys, columns=None) -> list:
-    """Coefficient vector of each polynomial over a list of monomials.
+    """The integer numerator row of each polynomial over a list of
+    monomials: its coefficient vector times its positive den, which changes
+    no rank and no span.
 
     columns defaults to the sorted union of the polynomials' monomials; a
     term outside a given column list raises KeyError.
@@ -304,8 +298,8 @@ def coefficient_rows(polys, columns=None) -> list:
     col = {e: i for i, e in enumerate(columns)}
     rows = []
     for p in polys:
-        row = [R0] * len(columns)
-        for e, c in p.terms.items():
+        row = [0] * len(columns)
+        for e, c in p.nums.items():
             row[col[e]] = c
         rows.append(row)
     return rows
@@ -315,24 +309,23 @@ def coefficient_rows(polys, columns=None) -> list:
 class GradientContext:
     """Killing Gram matrix and its exact inverse for one algebra.
 
-    gram_inv is linalg.inverse of the Gram matrix and gram_inv_int its
-    rational.clear_rows form (g, rows), row i listing its nonzero
-    (k, g * entry).  The inverse is validated on integers: the sparse
-    product of the algebra's integer Killing rows with gram_inv_int must be
-    g times the identity.
+    gram_inv_int is linalg.inverse of the Gram matrix, (rows, g), held
+    sparse: row i lists its nonzero (k, g * entry), g the LCM of the
+    denominators of the inverse.  The inverse is validated on integers: the
+    sparse product of the algebra's integer Killing rows with gram_inv_int
+    must be g times the identity.
     """
 
     L: object
     gram: list = field(repr=False, init=False)
-    gram_inv: list = field(repr=False, init=False)
     gram_inv_int: tuple = field(repr=False, init=False)
     _pair_table: tuple = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
         self.gram = self.L.killing
-        self.gram_inv = linalg.inverse(self.gram)
-        self.gram_inv_int = clear_rows(self.gram_inv)
-        g, inv_rows = self.gram_inv_int
+        inv, g = linalg.inverse(self.gram)
+        inv_rows = [tuple((k, c) for k, c in enumerate(row) if c) for row in inv]
+        self.gram_inv_int = inv_rows, g
         for i, row in enumerate(self.L.int_killing):
             acc: dict = {}
             for j, a in row:
@@ -362,7 +355,7 @@ class GradientContext:
         """
         if self._pair_table is None:
             n = self.nvars
-            g, inv_rows = self.gram_inv_int
+            inv_rows, g = self.gram_inv_int
             krows = self.L.int_killing
             scale = g * g
             duals = []
@@ -489,7 +482,7 @@ class CompiledPolys:
         if len(nums) != self.n:
             raise ValueError("point has wrong dimension")
         pw, dp = self._tables(nums, den)
-        ginv_scale, ginv_rows = ctx.gram_inv_int
+        ginv_rows, ginv_scale = ctx.gram_inv_int
         n = self.n
         out = []
         for terms in self.polys:

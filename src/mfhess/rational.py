@@ -1,21 +1,19 @@
 """Exact rational scalars.
 
 All arithmetic in this package is exact, and its one rational type is
-fractions.Fraction.  Floats are rejected everywhere.
-
-This module alone turns rationals into integers over one scale: clear for a
-vector (an elimination row, or the coefficients that polyring.Poly holds
-as integer numerators over one denominator), clear_rows for a fixed matrix
-held as sparse integer rows (the Gram inverse), common_rows for cleared
-vectors over their common denominator (the chart frame), and over back.
+fractions.Fraction; floats are rejected everywhere.  A Fraction is formed
+only at the edges: outside input (to_rat) and the Poly coefficients of
+polyring.  No module but this one and polyring imports a rational.
 
 Every vector handed between modules (a point, the principal triple, the
 shift direction) is a cleared vector in canonical form, (numerators, den)
-with the numerators a tuple, den > 0 and gcd(den, *numerators) == 1:
-exactly what clear returns for its rational form, so two vectors are equal
-exactly when their pairs are.  draw samples one, canonical reduces a
-cleared vector to that form, cleared gives a rational vector in it and
-combine adds two; reduced reduces a scalar, and ratio_str formats one as
+with the numerators a tuple, den > 0 and gcd(den, *numerators) == 1, so two
+vectors are equal exactly when their pairs are.  This module alone turns
+rationals into integers over one scale and back: clear takes a rational
+vector to integers over the LCM of its denominators, cleared to canonical
+form and over back to rationals; draw samples a cleared vector, canonical
+reduces one, combine adds two and common_rows puts several over one scale
+(the chart frame).  reduced reduces a scalar, and ratio_str formats one as
 rat_str formats its rational, with no Fraction.
 """
 
@@ -76,19 +74,6 @@ def ratio_str(num: int, den: int) -> str:
     return f"{num}/{den}" if den > 1 else str(num)
 
 
-def denominator_lcm(values) -> int:
-    """The LCM of the denominators of rationals (or ints)."""
-    out = 1
-    for c in values:
-        out = math.lcm(out, int(c.denominator))
-    return out
-
-
-def scaled(c, scale: int) -> int:
-    """The integer c * scale, for a scale that c's denominator divides."""
-    return int(c.numerator) * (scale // int(c.denominator))
-
-
 def all_ints(vec) -> bool:
     """Whether every element is of type int (no bool), read at C level, not
     by a Python generator."""
@@ -112,20 +97,12 @@ def clear(vec) -> tuple:
     return [c.numerator * (den // c.denominator) for c in vec], den
 
 
-def clear_rows(mat) -> tuple:
-    """A matrix of rationals as (scale, rows): scale the LCM of all its
-    denominators and rows[i] the tuple of pairs (j, scale * mat[i][j]) over
-    the nonzero entries of row i."""
-    scale = denominator_lcm(c for row in mat for c in row)
-    return scale, [tuple((j, scaled(c, scale)) for j, c in enumerate(row) if c)
-                   for row in mat]
-
-
 def common_rows(vectors) -> tuple:
-    """Cleared vectors (numerators, den) over their common denominator, in
-    the form of clear_rows: (scale, rows), scale the LCM of the denominators
-    and rows[i] the pairs (j, scale * entry j) over the nonzero entries of
-    vector i.  For canonical vectors it is clear_rows of their rationals."""
+    """Cleared vectors (numerators, den) over their common denominator:
+    (scale, rows), scale the LCM of the denominators and rows[i] the pairs
+    (j, scale * entry j) over the nonzero entries of vector i.  For
+    canonical vectors scale is the LCM of the denominators of their
+    rationals."""
     scale = math.lcm(*(den for _, den in vectors))
     return scale, [tuple((j, c * (scale // den)) for j, c in enumerate(nums) if c)
                    for nums, den in vectors]

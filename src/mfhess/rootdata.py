@@ -10,13 +10,13 @@ The derived combinatorics: exponents m_j, degrees d_j = m_j + 1, Coxeter
 number h, and the layer dimensions r_m (r_1 = rank, r_m = number of positive
 roots of height m-1 for m >= 2).  The layer sequence is the dual partition
 of the degree sequence and both sum to b = rank + number of positive roots.
+The symmetrizer d_i (1, 2 or 3 on a finite type) and every root norm are ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .rational import rat
+from math import gcd
 
 
 class NonFiniteType(Exception):
@@ -116,12 +116,12 @@ class RootSystem:
         a = self.cartan.entries
         return sum(c * a[i][k] for k, c in enumerate(coords))
 
-    def root_norm(self, coords):
+    def root_norm(self, coords) -> int:
         """Squared length (phi, phi) with short roots normalized to length 2."""
         a = self.cartan.entries
         d = self.symmetrizer
         # (alpha_m, alpha_k) = d_k * A[k][m]
-        total = rat(0)
+        total = 0
         for k, ck in enumerate(coords):
             if not ck:
                 continue
@@ -139,29 +139,28 @@ def _simple_reflection(rs_entries, coords, i):
 
 
 def _symmetrizer(entries) -> tuple:
-    """Positive d_i with d_i A[i][j] = d_j A[j][i]; min over each component is 1."""
+    """Positive ints d_i with d_i A[i][j] = d_j A[j][i], coprime over each
+    component, so the smallest is 1 on a finite type.  A component is walked
+    from its first index; where d_i A[i][j] / A[j][i] is not an int, the
+    component found so far is scaled first."""
     n = len(entries)
-    d = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
-            continue
-        comp = [start]
-        d[start] = rat(1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and entries[i][j] != 0:
-                    val = d[i] * entries[i][j] / entries[j][i]
-                    if d[j] is None:
-                        d[j] = val
+        if not d[start]:
+            d[start], comp = 1, [start]
+            for i in comp:      # comp grows as the walk reaches new indices
+                for j in range(n):
+                    if entries[i][j] and not d[j]:
+                        num, den = d[i] * entries[i][j], entries[j][i]
+                        for k in comp:
+                            d[k] *= abs(den) // gcd(num, den)
+                        d[j] = d[i] * entries[i][j] // den
                         comp.append(j)
-                        queue.append(j)
-                    elif d[j] != val:
-                        raise NonFiniteType("Cartan matrix is not symmetrizable")
-        low = min(d[j] for j in comp)
-        for j in comp:
-            d[j] = d[j] / low
+            g = gcd(*(d[k] for k in comp))
+            for k in comp:
+                d[k] //= g
+    if any(d[i] * entries[i][j] != d[j] * entries[j][i] for i in range(n) for j in range(n)):
+        raise NonFiniteType("Cartan matrix is not symmetrizable")
     return tuple(d)
 
 

@@ -25,8 +25,7 @@ n_- columns.  Transversality reads the orbit dimension and the Jacobian
 rank from certificates already in hand (the combined tangents' rank with
 the Casimir gradients' commuting with x, and a nonzero pairing
 determinant) and eliminates ad x or the Jacobian only when one fails.  The
-pairing determinant is a reduced integer pair; only an isotropy witness is
-divided back to the exact rational.
+pairing determinant and an isotropy witness are reduced integer pairs.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -47,7 +46,7 @@ from .invariants import InvariantFamily
 from .argshift import GradientVisit, ShiftFamily, gradient_visit
 from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
                          slice_sample)
-from .rational import rat, reduced
+from .rational import reduced
 
 
 class NotStronglyRegular(Exception):
@@ -118,14 +117,15 @@ def casimirs_commute(F: ShiftFamily, frame: TangentFrame) -> bool:
 
 def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
     """First pair i < j with omega_x(z_i, z_j) = (z_i, [x, z_j]) nonzero, as
-    (i, j, exact value), or None if the frame is isotropic."""
+    (i, j, (num, den)), the value num / den reduced, or None if the frame is
+    isotropic."""
     z, t = frame.preimages, frame.tangents
     for i in range(len(z)):
         zi = (z[i], frame.pden)
         for j in range(i + 1, len(z)):
             num, den = L.int_killing_pair(zi, (t[j], frame.tden))
             if num:
-                return (i, j, rat(num, den))
+                return (i, j, reduced(num, den))
     return None
 
 

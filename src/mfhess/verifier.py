@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict, field
 from functools import cached_property
 
 from . import linalg
-from .rational import cleared, combine, draw, rat_str, ratio_str
+from .rational import cleared, combine, draw, ratio_str
 from .rootdata import (CartanMatrix, UnsupportedType,
                        build_root_system, cartan_matrix_for_label,
                        dual_partition, SUPPORTED_LABELS, FLAGGED_LABELS)
@@ -482,7 +482,7 @@ def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
         return {"ok": False, "witness": {"error": str(exc)}}
     ok = ser[0] == 1 and ser[1] == sc.rs.rank
     return {"ok": ok, "witness": {"order": order,
-                                  "head": [rat_str(c) for c in ser[:5]]}}
+                                  "head": [str(c) for c in ser[:5]]}}
 
 
 @_record("hess.strong_regularity",
@@ -517,7 +517,7 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
         if wit is not None:
             return {"ok": False, "witness": {"point": _vec_str(x),
                                              "pair": [wit[0], wit[1]],
-                                             "value": rat_str(wit[2])}}
+                                             "value": ratio_str(*wit[2])}}
         if not casimirs_commute(F, frame):
             return {"ok": False,
                     "witness": {"point": _vec_str(x),

@@ -11,13 +11,12 @@ import pytest
 from mfhess import linalg
 from mfhess.rootdata import (CartanMatrix, UnsupportedType, _layer_dims, build_root_system,
                              cartan_matrix_for_label, dual_partition)
-from mfhess.liealgebra import (DecompositionFailure, chevalley_algebra, exp_ad_nilpotent,
-                               principal_triple, principal_decomposition)
+from mfhess.liealgebra import (DecompositionFailure, _ConstantResolver, chevalley_algebra,
+                               exp_ad_nilpotent, principal_triple, principal_decomposition)
 from mfhess import invariants
 from mfhess.polyring import (GradientContext, Poly, _mul_packed, _pack, _packing, _power_table,
                              _unpack, coefficient_rows)
-from mfhess.rational import (R0, R1, clear, clear_rows, cleared, denominator_lcm, over, rat,
-                             rat_str, reduced, scaled, to_rat)
+from mfhess.rational import R0, R1, clear, cleared, over, rat, rat_str, reduced, to_rat
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import (NotInvertible, ShiftFamily, choose_regular_y, root_values,
                              shift_family)
@@ -63,6 +62,10 @@ INLINE_CARTAN = {
     "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
     "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    # for the root data, the algebra and the Gram inverse only
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+           [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]],
 }
 
 _ALGEBRAS = {}
@@ -142,9 +145,33 @@ def is_strongly_regular(F, x):
     return linalg.rank(F.gradient_rows(cleared(x))[0]) == F.b
 
 
-def dual_vector(ctx, k):
-    """u_k with (u_k, x) = x_k for every x."""
-    return [row[k] for row in ctx.gram_inv]
+_GRAM_INVERSES = {}
+
+
+def reference_gram_inverse(ctx):
+    """The Gram inverse in Fractions, once per context (held with it); it is
+    symmetric, and row k is the dual vector u_k, (u_k, x) = x_k."""
+    if id(ctx) not in _GRAM_INVERSES:
+        _GRAM_INVERSES[id(ctx)] = ctx, reference_inverse(ctx.gram)
+    return _GRAM_INVERSES[id(ctx)][1]
+
+
+def reference_inverse(mat):
+    """linalg.inverse in Fractions: the right half of the rational RREF of
+    [mat | I]; ValueError unless the pivots are 0..n-1."""
+    n = len(mat)
+    rows, pivots = reference_rref([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
+
+
+def clear_rows(mat):
+    """A rational matrix as (scale, rows): scale the LCM of its denominators,
+    rows[i] the pairs (j, scale * mat[i][j]) with mat[i][j] != 0."""
+    scale = math.lcm(1, *(to_rat(c).denominator for row in mat for c in row))
+    return scale, [tuple((j, int(c * scale)) for j, c in enumerate(row) if c) for row in mat]
 
 
 def linear_functional(ctx, z):
@@ -166,14 +193,16 @@ def helpers():
                            killing_pair=reference_killing_pair,
                            degrees_and_layers=degrees_and_layers, ut_action=ut_action,
                            is_strongly_regular=is_strongly_regular,
-                           linear_functional=linear_functional, point_from_s=point_from_s)
+                           linear_functional=linear_functional, point_from_s=point_from_s,
+                           inverse=reference_inverse, gram_inverse=reference_gram_inverse,
+                           clear_rows=clear_rows)
 
 
 def reference_poisson_bracket(ctx, p, q):
     """The Poly-product bracket: sum over i < j of (dp_i dq_j - dp_j dq_i)
     times the linear Poly {x_i, x_j}, with every product in Poly.__mul__."""
     n = ctx.nvars
-    duals = [dual_vector(ctx, k) for k in range(n)]
+    duals = reference_gram_inverse(ctx)
     dp = [p.partial(k) for k in range(n)]
     dq = [q.partial(k) for k in range(n)]
     out = Poly.zero(n)
@@ -276,8 +305,8 @@ def reference_pair_table(ctx):
     """GradientContext.pair_table before it ran on integers: the duals as
     columns of the rational Gram inverse, their brackets by the Fraction
     bracket, lowered by the rational Killing matrix and cleared by
-    rational.clear_rows."""
-    duals = [dual_vector(ctx, k) for k in range(ctx.nvars)]
+    clear_rows."""
+    duals = reference_gram_inverse(ctx)
     pairs, lins = [], []
     for i in range(ctx.nvars):
         for j in range(i + 1, ctx.nvars):
@@ -568,11 +597,11 @@ def reference_restrict_affine(polys, base, directions):
     dpow = _power_table(den, top)
     out = []
     for p in polys:
-        scale = denominator_lcm(p.terms.values())
+        scale = math.lcm(1, *(c.denominator for c in p.terms.values()))
         deg = p.degree()
         acc = {}
         for e, c in p.terms.items():
-            term = {0: scaled(c, scale) * dpow[deg - sum(e)]}
+            term = {0: int(c * scale) * dpow[deg - sum(e)]}
             for k, ek in enumerate(e):
                 if not ek:
                     continue
@@ -602,7 +631,7 @@ def reference_chart_frame(F):
     rows, den = F.gradient_rows(F.triple.e1)
     zvecs = [[rat(v, den) for v in row] for row in rows]
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
-    pinv = linalg.inverse([[reference_killing_pair(L, z, w) for w in bminus] for z in zvecs])
+    pinv = reference_inverse([[reference_killing_pair(L, z, w) for w in bminus] for z in zvecs])
     frame = []
     for g in range(F.b):
         vec = L.zero()
@@ -620,7 +649,8 @@ def reference_frame():
 def reference_gradients_from_polys(ctx, polys, x):
     """dp(x) for each polynomial p through its Poly partials and
     Poly.evaluate: the inverse Gram matrix applied to the partials' values."""
-    return [mat_vec(ctx.gram_inv, [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
+    return [mat_vec(reference_gram_inverse(ctx),
+                    [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
             for p in polys]
 
 
@@ -668,7 +698,7 @@ def reference_compiled_int_gradients(compiled, ctx, x):
     e N^(e - 1) of its own power, with no division."""
     pw, dp = _reference_powers(compiled, x)
     dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
-    ginv_scale, ginv_rows = ctx.gram_inv_int
+    ginv_rows, ginv_scale = ctx.gram_inv_int
     out = []
     for terms in compiled.polys:
         part = [0] * compiled.n
@@ -701,7 +731,7 @@ def reference_gradient_polynomials(ctx, p):
     out = []
     for i in range(ctx.nvars):
         acc = Poly.zero(ctx.nvars)
-        for k, coeff in enumerate(ctx.gram_inv[i]):
+        for k, coeff in enumerate(reference_gram_inverse(ctx)[i]):
             if coeff and not partials[k].is_zero():
                 acc = acc + partials[k].scale(coeff)
         out.append(acc)
@@ -816,55 +846,15 @@ def reference_multisets():
 
 
 def reference_sparse_kernel(rows, ncols):
-    """Kernel of sparse rows by rational elimination: rows sparsest first,
-    each reduced against the pivot rows, scaled to 1 at its lowest column,
-    which is then cleared from the earlier pivot rows; one basis vector per
-    free column."""
-    work = [dict(r) for r in rows if r]
-    pivot_of_col = {}
-
-    def eliminate(row):
-        for c in sorted(row):
-            if c in pivot_of_col and row.get(c):
-                piv = pivot_of_col[c]
-                f = row[c]
-                for cc, val in piv.items():
-                    nv = row.get(cc, R0) - f * val
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-        return row
-
-    order = sorted(range(len(work)), key=lambda i: (len(work[i]), i))
-    for idx in order:
-        row = eliminate(work[idx])
-        if not row:
-            continue
-        c0 = min(row)
-        inv = R1 / row[c0]
-        row = {c: v * inv for c, v in row.items()}
-        for pc, prow in list(pivot_of_col.items()):
-            if c0 in prow:
-                f = prow[c0]
-                for cc, val in row.items():
-                    nv = prow.get(cc, R0) - f * val
-                    if nv:
-                        prow[cc] = nv
-                    elif cc in prow:
-                        del prow[cc]
-        pivot_of_col[c0] = row
-    pivcols = set(pivot_of_col)
+    """The kernel of sparse rows read from the rational RREF of the dense
+    matrix: for each free column a vector with 1 there, 0 on the other free
+    columns and minus the pivot rows' entries on the pivot columns."""
+    rref, pivots = reference_rref([[r.get(j, R0) for j in range(ncols)] for r in rows])
     basis = []
-    for free in range(ncols):
-        if free in pivcols:
-            continue
-        v = [R0] * ncols
-        v[free] = R1
-        for pc, prow in pivot_of_col.items():
-            coeff = prow.get(free)
-            if coeff:
-                v[pc] = -coeff
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [R1 if j == free else R0 for j in range(ncols)]
+        for r, p in enumerate(pivots):
+            v[p] = -rref[r][free]
         basis.append(v)
     return basis
 
@@ -911,14 +901,9 @@ def reference_coordinate_brackets(L, ctx, z):
     [(j, c_j), ...] (None when zero): the rational bracket of z with the dual
     vector u_k, paired through the dense Gram matrix, all scaled by the LCM
     of their denominators."""
-    forms = []
-    for k in range(L.dim):
-        v = reference_lie_bracket(L, z, dual_vector(ctx, k))
-        forms.append(mat_vec(ctx.gram, v) if any(v) else None)
-    den = math.lcm(*(c.denominator for f in forms if f for c in f))
-    return [None if f is None else
-            [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
-            for f in forms]
+    forms = [mat_vec(ctx.gram, reference_lie_bracket(L, z, u))
+             for u in reference_gram_inverse(ctx)]
+    return [list(row) or None for row in clear_rows(forms)[1]]
 
 
 def reference_two_sided_vectors(L):
@@ -1153,6 +1138,68 @@ def reference_exp_ad_nilpotent(L, z, v):
         out = [o + scale * c for o, c in zip(out, cur)]
 
 
+def reference_symmetrizer(a):
+    """The d_i with d_i A[i][j] = d_j A[j][i] in Fractions: each vector of
+    the rational kernel of those equations is the d of one component, up to
+    a positive scale, and is divided by its least nonzero entry."""
+    n = len(a)
+    eqs = [{i: rat(a[i][j]), j: rat(-a[j][i])} for i in range(n) for j in range(i + 1, n)
+           if a[i][j]]
+    d = [R0] * n
+    for v in reference_sparse_kernel(eqs, n):
+        low = min(c for c in v if c)
+        d = [x + c / low for x, c in zip(d, v)]
+    return d
+
+
+class ReferenceResolver(_ConstantResolver):
+    """The structure-constant resolver on Fractions: the root norms
+    (phi, phi) = sum of c_k c_m d_k A[k][m] over the Fraction symmetrizer,
+    and each ratio of norms, coroot coefficients among them, a Fraction."""
+
+    def __init__(self, rs):
+        super().__init__(rs)
+        a, d = rs.cartan.entries, reference_symmetrizer(rs.cartan.entries)
+        self.norm = {r: sum((x * y * d[k] * a[k][m] for k, x in enumerate(r)
+                             for m, y in enumerate(r)), R0) for r in self.norm}
+
+    @staticmethod
+    def _exact(num, den, what=None):
+        return rat(num, den)
+
+
+def reference_chevalley_table(L):
+    """L.table by the Fraction route, keyed a < b: [h_k, e_r] = r(h_k) e_r,
+    [e_r, e_-r] the coroot of r, and [e_r, e_s] = N(r, s) e_(r+s), both by
+    the ReferenceResolver."""
+    a, res = L.rs.cartan.entries, ReferenceResolver(L.rs)
+    index = {w: i for i, w in enumerate(L.weights) if any(w)}
+    table = {}
+
+    def put(i, j, k, v):
+        if v:
+            table.setdefault((min(i, j), max(i, j)), {})[k] = v if i < j else -v
+
+    for r, i in index.items():
+        for h, hi in enumerate(L.cartan_indices):
+            put(hi, i, i, sum(c * a[h][k] for k, c in enumerate(r)))
+        for s, j in index.items():
+            t = tuple(x + y for x, y in zip(r, s))
+            if i < j and not any(t):
+                for k, c in enumerate(res.coroot(r)):
+                    put(i, j, L.cartan_indices[k], c)
+            elif i < j and t in index:
+                put(i, j, index[t], res.n(r, s))
+    return table
+
+
+@pytest.fixture(scope="session")
+def reference_roots():
+    """The Fraction routes of the root data and the structure constants."""
+    return SimpleNamespace(symmetrizer=reference_symmetrizer, resolver=ReferenceResolver,
+                           table=reference_chevalley_table)
+
+
 def reference_signature_hash(L):
     """liealgebra.signature_hash as it was computed on every call."""
     items = [repr(L.rs.cartan.entries), repr(L.rs.positive_roots)]
@@ -1246,6 +1293,7 @@ def reference_principal():
     """The Fraction routes of the principal triple, its decomposition and the
     solves under them."""
     return SimpleNamespace(triple=reference_principal_triple, solve=reference_solve,
+                           inverse=reference_inverse,
                            decomposition=reference_principal_decomposition,
                            cartan=reference_cartan_from_root_values)
 
@@ -1313,7 +1361,7 @@ def reference_selection(kernel, polys, degrees, d, monos):
     the full coefficient vectors: the products of the lower generators, then
     the kernel vectors; kept kernel vectors in kernel order."""
     rows = coefficient_rows(reference_decomposable_products(polys, degrees, d), monos)
-    kept = linalg.independent_subset(rows + kernel)
+    kept = linalg.independent_subset(rows + [clear(v)[0] for v in kernel])
     return [i - len(rows) for i in kept if i >= len(rows)]
 
 
@@ -1343,9 +1391,7 @@ def reference_fraction_selection(kernel, decomposables, d):
     the greedy scan run on the rational vectors restricted to the free
     columns."""
     free = [max(c for c, v in enumerate(k) if v) for k in kernel]
-    m = math.lcm(*(v.denominator for k in kernel for v in k if v))
-    ints = [[(c, v.numerator * (m // v.denominator)) for c, v in enumerate(k) if v]
-            for k in kernel]
+    m, ints = clear_rows(kernel)
     for dec in decomposables:
         combo = {}
         for f, pairs in zip(free, ints):
@@ -1358,7 +1404,7 @@ def reference_fraction_selection(kernel, decomposables, d):
                 f"degree {d}: a product of lower generators is not invariant")
     restricted = ([[rat(dec.get(f, 0)) for f in free] for dec in decomposables]
                   + [[k[f] for f in free] for k in kernel])
-    kept = linalg.independent_subset(restricted)
+    kept = linalg.independent_subset([clear(row)[0] for row in restricted])
     return [i - len(decomposables) for i in kept if i >= len(decomposables)]
 
 
@@ -1366,8 +1412,7 @@ def reference_fraction_normalize(vec, monos, nvars):
     """The primitive integer multiple of a rational vector with a positive
     first nonzero entry, by the LCM of its denominators, as a polynomial
     over exponent tuples."""
-    denom = math.lcm(*(c.denominator for c in vec if c))
-    ints = [int(c * denom) for c in vec]
+    ints, _ = clear(vec)
     g = math.gcd(*ints)
     if g:
         ints = [c // g for c in ints]
@@ -1467,18 +1512,13 @@ def reference_matrix_images_type_A(L):
         si = next(k for k, c in enumerate(r) if c and
                   tuple(c2 - (1 if k2 == k else 0) for k2, c2 in enumerate(r)) in pos_of)
         rest = tuple(c2 - (1 if k2 == si else 0) for k2, c2 in enumerate(r))
-        a_idx = L.pos_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]]
-        b_idx = L.pos_indices[pos_of[rest]]
-        coeff = reference_lie_bracket(L, L.basis_vector(a_idx),
-                                      L.basis_vector(b_idx))[L.pos_indices[ridx]]
-        images[L.pos_indices[ridx]] = [
-            [v / coeff for v in row] for row in _dense_bracket(images[a_idx], images[b_idx])]
-        na, nb = L.neg_indices[pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]], \
-            L.neg_indices[pos_of[rest]]
-        ncoeff = reference_lie_bracket(L, L.basis_vector(na),
-                                       L.basis_vector(nb))[L.neg_indices[ridx]]
-        images[L.neg_indices[ridx]] = [
-            [v / ncoeff for v in row] for row in _dense_bracket(images[na], images[nb])]
+        simple = pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]
+        for block in (L.pos_indices, L.neg_indices):
+            a_idx, b_idx = block[simple], block[pos_of[rest]]
+            coeff = reference_lie_bracket(L, L.basis_vector(a_idx),
+                                          L.basis_vector(b_idx))[block[ridx]]
+            images[block[ridx]] = [[v / coeff for v in row]
+                                   for row in _dense_bracket(images[a_idx], images[b_idx])]
     # homomorphism check over all basis pairs
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -1497,6 +1537,25 @@ def reference_matrix_images_type_A(L):
 @pytest.fixture(scope="session")
 def reference_images():
     return reference_matrix_images_type_A
+
+
+def reference_trace_oracle(L):
+    """tr(x^k), k = 2..rank+1, by Poly products of the entries of the dense
+    Fraction matrix x = sum_c x_c M_c."""
+    n, size, images = L.dim, L.rank + 1, reference_matrix_images_type_A(L)
+    x = [[sum((Poly.coordinate(n, c).scale(m[i][j]) for c, m in enumerate(images) if m[i][j]),
+              Poly.zero(n)) for j in range(size)] for i in range(size)]
+    power, out = x, []
+    for _ in range(size - 1):
+        power = [[sum((power[i][k] * x[k][j] for k in range(size)), Poly.zero(n))
+                  for j in range(size)] for i in range(size)]
+        out.append(sum((power[i][i] for i in range(size)), Poly.zero(n)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_trace():
+    return reference_trace_oracle
 
 
 def reference_det(mat):

@@ -1,10 +1,11 @@
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import linalg
-from mfhess.rational import R0, R1, clear, cleared, over, rat, to_rat
+from mfhess.rational import clear, cleared, over, rat, to_rat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # entries with denominators up to 10^6, zero about a third of the time
@@ -17,8 +18,19 @@ def mat(rows):
     return [[to_rat(v) for v in row] for row in rows]
 
 
+def ints(rows):
+    """Each row as ints, times the LCM of its denominators (rational.clear):
+    the rows that linalg takes, with the same rank, span and kernel."""
+    return [clear(row)[0] for row in mat(rows)]
+
+
+def int_rows(rows):
+    """Sparse rows, each times the LCM of its denominators."""
+    return [dict(zip(r, clear(list(r.values()))[0])) for r in rows]
+
+
 def test_rref_rank_kernel(helpers):
-    m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    m = ints([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(m) == 2
     ker, den = linalg.kernel(m, 3)
     assert len(ker) == 1 and den > 0
@@ -27,18 +39,19 @@ def test_rref_rank_kernel(helpers):
 
 
 def test_solve_and_inverse(helpers):
-    a = mat([[2, 1], [1, 3]])
-    x = over(*linalg.solve(a, [to_rat(1), to_rat(2)]))
+    a = ints([[2, 1], [1, 3]])
+    x = over(*linalg.solve(a, [1, 2]))
     assert helpers.mat_vec(a, x) == [rat(1), rat(2)]
-    ainv = linalg.inverse(a)
-    assert helpers.mat_mul(a, ainv) == helpers.identity(2)
+    rows, den = linalg.inverse(a)
+    assert (rows, den) == ([[3, -1], [-1, 2]], 5)
+    assert helpers.mat_mul(a, [over(row, den) for row in rows]) == helpers.identity(2)
     assert linalg.det([[2, 1], [1, 3]]) == 5
 
 
 def test_solve_inconsistent():
-    a = mat([[1, 1], [1, 1]])
+    a = ints([[1, 1], [1, 1]])
     try:
-        linalg.solve(a, [to_rat(0), to_rat(1)])
+        linalg.solve(a, [0, 1])
         assert False, "expected ValueError"
     except ValueError:
         pass
@@ -47,16 +60,22 @@ def test_solve_inconsistent():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_inverse_round_trip(helpers, rows):
-    m = mat(rows)
-    if not linalg.det([clear(row)[0] for row in m]):
+    """The integer rows of inverse over den are the Fraction inverse, and den
+    the LCM of its denominators."""
+    m = ints(rows)
+    if not linalg.det(m):
         return
-    assert helpers.mat_mul(m, linalg.inverse(m)) == helpers.identity(3)
+    inv, den = linalg.inverse(m)
+    assert helpers.mat_mul(m, [over(row, den) for row in inv]) == helpers.identity(3)
+    want = helpers.inverse(m)
+    assert [over(row, den) for row in inv] == want
+    assert den == math.lcm(*(c.denominator for row in want for c in row))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(frac, min_size=4, max_size=4), min_size=2, max_size=4))
 def test_kernel_annihilates(helpers, rows):
-    m = mat(rows)
+    m = ints(rows)
     ker, _ = linalg.kernel(m, 4)
     assert len(ker) == 4 - linalg.rank(m)
     for v in ker:
@@ -65,11 +84,11 @@ def test_kernel_annihilates(helpers, rows):
 
 
 def test_span_helpers(helpers):
-    v1 = [rat(1), rat(0), rat(1)]
-    v2 = [rat(0), rat(1), rat(0)]
+    v1 = [1, 0, 1]
+    v2 = [0, 1, 0]
     assert linalg.rank([v1, v2, helpers.vec_add(v1, v2)]) == 2
     assert linalg.rank([v1, v2]) == linalg.rank([v1, v2, helpers.vec_add(v1, v2)])
-    assert linalg.rank([v1, v2]) != linalg.rank([v1, v2, [rat(0), rat(0), rat(1)]])
+    assert linalg.rank([v1, v2]) != linalg.rank([v1, v2, [0, 0, 1]])
     assert linalg.same_span([v1, v2], [helpers.vec_add(v1, v2), v2])
 
 
@@ -123,13 +142,13 @@ def sparse_systems(draw):
            {0: rat(1), 1: rat(1), 2: rat(2), 3: rat(3)}], 4))
 def test_sparse_kernel_matches_rational_elimination(reference_kernel, system):
     """The integer rows of sparse_kernel over its positive denominator divide
-    back to the rational kernel; sparse_kernel takes its rows over, so it
-    gets copies."""
+    back to the rational kernel; sparse_kernel takes the rows cleared, and
+    takes them over, so it gets copies."""
     rows, ncols = system
-    basis, den = linalg.sparse_kernel([dict(r) for r in rows], ncols)
+    basis, den = linalg.sparse_kernel(int_rows(rows), ncols)
     assert den > 0 and all(type(v) is int for row in basis for v in row)
     assert [over(row, den) for row in basis] == reference_kernel(rows, ncols)
-    assert linalg.kernel([[r.get(j, 0) for j in range(ncols)] for r in rows],
+    assert linalg.kernel([[r.get(j, 0) for j in range(ncols)] for r in int_rows(rows)],
                          ncols) == (basis, den)
 
 
@@ -143,6 +162,7 @@ def test_pivot_rows_are_primitive_and_the_kernel_ignores_row_order(system, rnd):
     reduced included, so sparse_kernel returns the same (basis, den) for
     every permutation of its rows."""
     rows, ncols = system
+    rows = int_rows(rows)
     pivots = linalg._echelon([dict(r) for r in rows])
     assert all(math.gcd(*q.values()) == 1 for q in pivots.values())
     want = linalg.sparse_kernel([dict(r) for r in rows], ncols)
@@ -162,7 +182,7 @@ def test_rows_that_vanish_are_released(system):
     """_echelon sets each row that reduces to zero to None in its list;
     every other row is a pivot row or was empty from the start."""
     rows, ncols = system
-    work = [dict(r) for r in rows]
+    work = int_rows(rows)
     pivots = linalg._echelon(work)
     held = {id(q) for q in pivots.values()}
     assert all(r is None or id(r) in held or not r for r in work)
@@ -174,8 +194,8 @@ def test_vandermonde_solve(helpers):
     # values of 1 + 2t + 3t^2 componentwise
     nodes = [0, 1, 2]
     values = [[to_rat(1 + 2 * t + 3 * t * t)] for t in nodes]
-    vmat = [[rat(t) ** k for k in range(len(nodes))] for t in nodes]
-    coeffs = helpers.mat_mul(linalg.inverse(vmat), values)
+    rows, den = linalg.inverse([[t ** k for k in range(len(nodes))] for t in nodes])
+    coeffs = helpers.mat_mul([over(row, den) for row in rows], values)
     assert [c[0] for c in coeffs] == [rat(1), rat(2), rat(3)]
 
 
@@ -193,11 +213,11 @@ def greedy_independent(vectors):
 def test_independent_subset_matches_greedy_scan(data):
     dim = data.draw(st.integers(min_value=1, max_value=4))
     small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    vectors = mat(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
-                                     min_size=1, max_size=6)))
+    vectors = ints(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                                      min_size=1, max_size=6)))
     # repeated and zero vectors make sure dependencies occur
     repeats = data.draw(st.lists(st.integers(0, len(vectors) - 1), max_size=3))
-    vectors += [vectors[i] for i in repeats] + [[rat(0)] * dim]
+    vectors += [vectors[i] for i in repeats] + [[0] * dim]
     order = data.draw(st.permutations(range(len(vectors))))
     vectors = [vectors[i] for i in order]
     assert linalg.independent_subset(vectors) == greedy_independent(vectors)
@@ -227,37 +247,15 @@ def rank_matrices(draw):
 @settings(max_examples=120, deadline=None)
 @given(rank_matrices())
 def test_integer_rank_matches_rref(reference_echelon, m):
-    assert linalg.rank(m) == len(reference_echelon(m)[1])
-    assert linalg.rank(linalg.transpose(m)) == len(reference_echelon(m)[1])
-
-
-def rref_kernel(rref, m, ncols):
-    """The kernel read from the RREF: one vector per free column, minus the
-    pivot rows' entries there."""
-    rows, pivots = rref(m)
-    basis = []
-    for free in range(ncols):
-        if free not in pivots:
-            v = [R1 if j == free else R0 for j in range(ncols)]
-            for r, p in enumerate(pivots):
-                v[p] = -rows[r][free]
-            basis.append(v)
-    return basis
+    """The rank of the cleared rows and of their transpose is the RREF pivot
+    count of the rational matrix."""
+    assert linalg.rank(ints(m)) == len(reference_echelon(m)[1])
+    assert linalg.rank(linalg.transpose(ints(m))) == len(reference_echelon(m)[1])
 
 
 def rref_span(rref, m):
     rows, pivots = rref(m)
     return rows[:len(pivots)]
-
-
-def rref_inverse(rref, m):
-    """The right half of the RREF of [m | I], or ValueError unless the
-    pivots are 0..n-1."""
-    n = len(m)
-    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
-        return ValueError
-    return [row[n:] for row in rows]
 
 
 def raised(fn, *args):
@@ -269,7 +267,8 @@ def raised(fn, *args):
 
 def as_kind(m, kind):
     """m as drawn (rational), as integer rows (each row times the LCM of its
-    denominators), or as integer rows with every odd column over j + 1."""
+    denominators), or as integer rows with every odd column over j + 1;
+    linalg takes the integer kind alone."""
     if kind == "rational":
         return m
     ints = [clear(row)[0] for row in m]
@@ -285,17 +284,26 @@ def as_kind(m, kind):
 @example((mat([[1, 2], [2, 4]]), 2), "integer")
 @example((mat([[1, 1], [1, 1]]), 2), "rational")
 @example((mat([[2, 1], [1, 3]]), 2), "mixed")
-def test_basis_routines_match_rref(reference_echelon, reference_principal, case, kind):
+def test_basis_routines_match_rref(reference_echelon, reference_kernel, reference_principal,
+                                   case, kind):
     """Every routine that returns a basis equals its answer read from the
-    rational RREF, kernel and solve as the cleared vectors of that answer:
-    the empty system has the identity kernel, and no independent vector;
-    [[1, 2], [2, 4]] has no inverse, and [[1, 1], [1, 1]] x = (1, 0) no
-    solution."""
+    rational RREF, kernel, solve and inverse as the cleared vectors of that
+    answer: the empty system has the identity kernel, and no independent
+    vector; [[1, 2], [2, 4]] has no inverse, and [[1, 1], [1, 1]] x = (1, 0)
+    no solution.  A matrix with a rational entry raises TypeError in each
+    routine, and its rows are cleared first."""
     m, ncols = case
     m = as_kind(m, kind)
+    if any(type(v) is not int for row in m for v in row):
+        for fn in (linalg.rank, linalg.independent_subset, lambda m: linalg.kernel(m, ncols),
+                   lambda m: linalg.same_span(m, m), lambda m: linalg.solve(m, [0] * len(m))):
+            with pytest.raises(TypeError):
+                fn(m)
+        m = [clear(row)[0] for row in m]
     rref = reference_echelon
     basis, den = linalg.kernel(m, ncols)
-    assert den > 0 and [over(v, den) for v in basis] == rref_kernel(rref, m, ncols)
+    assert den > 0 and [over(v, den) for v in basis] == \
+        reference_kernel([dict(enumerate(row)) for row in m], ncols)
     assert linalg.independent_subset(m) == rref(linalg.transpose(m))[1]
     for other in (m[::-1], m[1:]):
         assert linalg.same_span(m, other) == (rref_span(rref, m) == rref_span(rref, other))
@@ -306,16 +314,32 @@ def test_basis_routines_match_rref(reference_echelon, reference_principal, case,
         assert raised(linalg.solve, m, rhs) == (want if want is ValueError else cleared(want))
     k = min(len(m), ncols)
     block = [row[:k] for row in m[:k]]
-    assert raised(linalg.inverse, block) == rref_inverse(rref, block)
+    want = raised(reference_principal.inverse, block)
+    got = raised(linalg.inverse, block)
+    assert got == want if want is ValueError else [over(row, got[1]) for row in got[0]] == want
 
 
 def test_integer_rank_edge_cases():
     assert linalg.rank([]) == 0
-    assert linalg.rank(mat([[0, 0, 0], [0, 0, 0]])) == 0
-    assert linalg.rank(mat([[0], [0], [5]])) == 1
-    assert linalg.rank(mat([["-1/999999", "1/1000000", 0]])) == 1
+    assert linalg.rank(ints([[0, 0, 0], [0, 0, 0]])) == 0
+    assert linalg.rank(ints([[0], [0], [5]])) == 1
+    assert linalg.rank(ints([["-1/999999", "1/1000000", 0]])) == 1
     big = rat(10 ** 6 - 1, 10 ** 6)
-    assert linalg.rank([[big, rat(1)], [big * 3, rat(3)]]) == 1
+    assert linalg.rank(ints([[big, 1], [big * 3, 3]])) == 1
+
+
+@pytest.mark.parametrize("plant", [rat, lambda v: rat(v, 7), float, bool],
+                         ids=["whole", "seventh", "float", "bool"])
+def test_a_planted_non_int_entry_raises_type_error(plant):
+    """A Fraction, even a whole one, a float or a bool planted in a matrix
+    handed to rank or sparse_kernel raises TypeError; it is never cleared
+    or coerced."""
+    m = [[1, 2, 0], [0, 3, 1]]
+    m[1][1] = plant(m[1][1])
+    with pytest.raises(TypeError, match="int entries only"):
+        linalg.rank(m)
+    with pytest.raises(TypeError, match="int entries only"):
+        linalg.sparse_kernel([dict(enumerate(row)) for row in m], 3)
 
 
 @st.composite
@@ -333,16 +357,19 @@ def scaled_integer_rows(draw):
 @example(([[0, 0], [0, 0]], [1, 7]))
 @example(([[2, 4], [1, 2], [3, 7]], [5, 10 ** 6, 3]))
 def test_rank_takes_integer_rows_as_they_are(reference_echelon, case):
-    """The rank of integer rows equals the rank of the same rows over
-    positive denominators and the RREF pivot count; a row that mixes ints
-    and rationals is scaled like a rational row."""
+    """The rank of integer rows equals the RREF pivot count of the same rows
+    over positive denominators; rows over denominators, or that mix ints
+    and rationals, are refused, and their cleared rows have the RREF rank."""
     rows, dens = case
     fractions = [[rat(v, d) for v in row] for row, d in zip(rows, dens)]
-    want = len(reference_echelon(fractions)[1])
-    assert linalg.rank(rows) == linalg.rank(fractions) == want
+    assert linalg.rank(rows) == len(reference_echelon(fractions)[1])
     mixed = [[rat(v, d) if j % 2 else v for j, v in enumerate(row)]
              for row, d in zip(rows, dens)]
-    assert linalg.rank(mixed) == len(reference_echelon(mat(mixed))[1])
+    for m in (fractions, mixed):
+        if any(type(v) is not int for row in m for v in row):
+            with pytest.raises(TypeError):
+                linalg.rank(m)
+        assert linalg.rank(ints(m)) == len(reference_echelon(mat(m))[1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mfhess import linalg
 from mfhess.polyring import (CompiledPolys, GradientContext, Poly, _pack, _packing, _unpack,
                              coefficient_rows, gradient, poisson_bracket, restrict_affine)
-from mfhess.rational import cleared, over, rat, to_rat
+from mfhess.rational import clear, cleared, over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -188,7 +188,7 @@ def test_invariant_gradient_in_cartan_at_regular_semisimple(bundles):
     for g in grads:
         assert L.supported_in(g, L.cartan_indices)
     # they form a basis of the Cartan subalgebra
-    assert linalg.rank(grads) == L.rank
+    assert linalg.rank([clear(g)[0] for g in grads]) == L.rank
 
 
 def test_poisson_self_and_linear(helpers, bundles):
@@ -355,8 +355,8 @@ def test_hamiltonian_tangent_to_orbit(helpers, bundles):
         x = rand_point(rng, n)
         v = hamiltonian(helpers, B, p, x)
         image = [helpers.bracket(L, L.basis_vector(i), x) for i in range(n)]
-        image = [r for r in image if any(r)]
-        assert linalg.rank(image) == linalg.rank(image + [v])
+        image = [clear(r)[0] for r in image if any(r)]
+        assert linalg.rank(image) == linalg.rank(image + [clear(v)[0]])
 
 
 def test_gradient_polys_match_pointwise(bundles, reference_gradient_polys):
@@ -381,9 +381,12 @@ def test_coefficient_rows():
     p = Poly(2, {(1, 0): rat(2), (0, 1): rat(-1)})
     q = Poly(2, {(2, 0): rat(3)})
     # default columns: the sorted union (0,1), (1,0), (2,0)
-    assert coefficient_rows([p, q]) == [[rat(-1), rat(2), rat(0)],
-                                        [rat(0), rat(0), rat(3)]]
-    assert coefficient_rows([p], [(1, 0), (0, 1)]) == [[rat(2), rat(-1)]]
+    assert coefficient_rows([p, q]) == [[-1, 2, 0], [0, 0, 3]]
+    assert coefficient_rows([p], [(1, 0), (0, 1)]) == [[2, -1]]
+    # each row is the numerator row of its polynomial, over its den
+    half = Poly(2, {(1, 0): rat(1, 2), (0, 1): rat(-1, 3)})
+    assert coefficient_rows([half]) == [[-2, 3]]
+    assert {type(c) for row in coefficient_rows([p, q, half]) for c in row} == {int}
     with pytest.raises(KeyError):
         coefficient_rows([q], [(1, 0), (0, 1)])
 
@@ -542,19 +545,22 @@ def test_restrict_affine_rejects_mismatched_dimensions():
         restrict_affine([Poly.const(2, 1)], ([0] * 2, 1), [([1], 1)])
 
 
-@pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "G2", "B3", "D4"])
+@pytest.mark.parametrize("label", ["A1", "A1xA1", "A2", "B2", "G2", "B3", "D4",
+                                   "A3", "C2", "C3", "A4", "F4", "E6"])
 def test_gram_inverse_by_blocks_is_the_dense_inverse(helpers, algebras, label):
     """The Gram inverse is linalg.inverse of the whole Killing matrix, and
-    gram_inv_int its integer rows over one scale.  The name predates the
-    whole-matrix inverse and is kept so that the test ids stay stable."""
+    gram_inv_int its rows held sparse over the same denominator: the
+    Fraction inverse cleared by clear_rows, over the LCM of its
+    denominators.  The name predates the whole-matrix inverse and is kept
+    so that the test ids stay stable."""
     L = algebras(label)
     ctx = GradientContext(L)
     assert ctx.gram is L.killing
-    assert ctx.gram_inv == linalg.inverse(L.killing)
-    assert helpers.mat_mul(ctx.gram, ctx.gram_inv) == helpers.identity(L.dim)
-    g, rows = ctx.gram_inv_int
-    assert [dict(row) for row in rows] == [
-        {k: g * c for k, c in enumerate(row) if c} for row in ctx.gram_inv]
+    want = helpers.gram_inverse(ctx)
+    assert helpers.mat_mul(ctx.gram, want) == helpers.identity(L.dim)
+    scale, want_rows = helpers.clear_rows(want)
+    assert ctx.gram_inv_int == (want_rows, scale)
+    assert linalg.inverse(L.killing) == ([[scale * c for c in row] for row in want], scale)
 
 
 def test_gram_inverse_validation_sees_a_wrong_block(algebras, monkeypatch):
@@ -565,9 +571,9 @@ def test_gram_inverse_validation_sees_a_wrong_block(algebras, monkeypatch):
     h = L.cartan_indices[0]
 
     def doubled_cartan_entry(mat):
-        out = [list(row) for row in original(mat)]
-        out[h][h] *= 2
-        return out
+        rows, den = original(mat)
+        rows[h][h] *= 2
+        return rows, den
 
     monkeypatch.setattr(linalg, "inverse", doubled_cartan_entry)
     with pytest.raises(ValueError, match="validation failed"):

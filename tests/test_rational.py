@@ -1,11 +1,13 @@
+import ast
 import math
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mfhess import rational
-from mfhess.rational import R1, clear, clear_rows, parse_ratio, rat, to_rat
+from mfhess.rational import R1, clear, parse_ratio, rat, to_rat
 
 ints = st.integers(-10 ** 6, 10 ** 6)
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -73,31 +75,18 @@ def test_clear_scales_by_the_lcm_of_denominators(row):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5).flatmap(
-    lambda ncols: st.lists(st.lists(fracs, min_size=ncols, max_size=ncols), max_size=5)))
-@example([])
-@example([[Fraction(0), Fraction(0)]])
-@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]])
-def test_clear_rows_matches_fraction_reference(mat):
-    """clear_rows against Fractions: the scale is the LCM of every
-    denominator and row i lists (j, scale * mat[i][j]) for the nonzero
-    entries, in column order."""
-    scale, rows = clear_rows([[rat(c.numerator, c.denominator) for c in row] for row in mat])
-    assert scale == math.lcm(1, *(c.denominator for row in mat for c in row))
-    assert rows == [tuple((j, int(c * scale)) for j, c in enumerate(row) if c)
-                    for row in mat]
-    assert all(type(v) is int for row in rows for _, v in row)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5).flatmap(
     lambda ncols: st.lists(st.lists(fracs, min_size=ncols, max_size=ncols), max_size=5)),
        st.integers(1, 7))
 @example([], 1)
 @example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]], 5)
-def test_common_rows_of_canonical_vectors_is_clear_rows(mat, k):
+def test_common_rows_of_canonical_vectors_is_clear_rows(helpers, mat, k):
     """common_rows of the canonical cleared vectors of a matrix's rows gives
-    clear_rows of the matrix; vectors that are not reduced (numerators and
-    denominator times k) give the same rows over k times the scale."""
+    the Fraction reference clear_rows of the matrix: the scale is the LCM
+    of every denominator and row i lists (j, scale * mat[i][j]) for the
+    nonzero entries, in column order; vectors that are not reduced
+    (numerators and denominator times k) give the same rows over k times
+    the scale."""
+    clear_rows = helpers.clear_rows
     vectors = [rational.cleared(row) for row in mat]
     assert rational.common_rows(vectors) == clear_rows(mat)
     if mat:
@@ -118,3 +107,31 @@ def test_reduced_and_ratio_str_match_fraction(num, den):
     f = Fraction(num, den)
     assert rational.reduced(num, den) == (f.numerator, f.denominator)
     assert rational.ratio_str(num, den) == rational.rat_str(f)
+
+
+RATIONAL_NAMES = {"rat", "R0", "R1", "over"}
+
+
+def test_only_rational_and_polyring_import_rationals():
+    """No module of the package but rational and polyring imports fractions
+    or a rational constructor (rat, R0, R1, over): the others compute on
+    ints and cleared vectors."""
+    src = os.path.dirname(rational.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name in ("rational.py", "polyring.py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {a.name for a in node.names} & {"fractions"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} & RATIONAL_NAMES
+                if node.module == "fractions":
+                    names.add("fractions")
+            else:
+                continue
+            if names:
+                found.setdefault(name, set()).update(names)
+    assert not found

@@ -115,3 +115,20 @@ def test_root_norms():
     assert norms[(1, 0)] == 4       # long simple root
     assert norms[(1, 1)] == 2
     assert norms[(1, 2)] == 4
+
+
+# every label and G2, and inline B3, C3, A4, D4, F4 and E6
+ROOT_DATA_TYPES = LABELS + ["G2", "B3", "C3", "A4", "D4", "F4", "E6"]
+
+
+@pytest.mark.parametrize("label", ROOT_DATA_TYPES)
+def test_root_data_are_ints_and_match_the_fraction_reference(algebras, reference_roots, label):
+    """The symmetrizer and every root norm are ints equal to their Fraction
+    routes; a finite type has d_i in 1, 2, 3 with smallest 1."""
+    rs = algebras(label).rs
+    assert rs.symmetrizer == tuple(reference_roots.symmetrizer(rs.cartan.entries))
+    assert {type(d) for d in rs.symmetrizer} == {int} and min(rs.symmetrizer) == 1
+    assert set(rs.symmetrizer) <= {1, 2, 3}
+    norms, want = [rs.root_norm(r) for r in rs.positive_roots], reference_roots.resolver(rs).norm
+    assert norms == [want[r] for r in rs.positive_roots]
+    assert {type(v) for v in norms} == {int}

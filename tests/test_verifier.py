@@ -13,13 +13,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from mfhess import argshift, cli, linalg, verifier
+from mfhess import argshift, cli, liealgebra, linalg, verifier
 from mfhess.argshift import shift_family
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess
 from mfhess.liealgebra import DecompositionFailure, LieAlgebra
 from mfhess.polyring import Poly
 from mfhess.rational import canonical, cleared, over, rat, rat_str, to_rat
+from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 from mfhess.symplectic import NotStronglyRegular, transversality_check
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
@@ -67,6 +68,23 @@ def test_report_schema(a1_report):
         assert check["status"] in ("pass", "fail", "inconclusive", "skipped")
     crits = [c["criterion"] for c in data["checks"] if c["criterion"]]
     assert sorted(crits) == list(range(1, 18))
+
+
+def test_an_inexact_norm_ratio_fails_the_algebra_stage(monkeypatch):
+    """A resolver norm that makes one division inexact (3 for B2's highest
+    root, whose norm is 4) ends as a build.algebra fail record at stage
+    algebra, as a non-integer structure constant does."""
+    init = liealgebra._ConstantResolver.__init__
+
+    def planted(self, rs):
+        init(self, rs)
+        self.norm[max(self.pos)] = 3
+
+    monkeypatch.setattr(liealgebra._ConstantResolver, "__init__", planted)
+    build = run_suite(SuiteConfig(algebra="B2", seed=2024)).checks[0]
+    assert (build.check_id, build.status, build.witness["stage"]) == \
+        ("build.algebra", "fail", "algebra")
+    assert build.witness["error"].startswith("ConstructionFailure: non-integer structure")
 
 
 def test_unsupported_type_recorded():
@@ -660,17 +678,17 @@ def test_one_expansion_per_shift_direction_per_run(monkeypatch, algebra):
     assert len(calls) == len(set(calls)) == 4
 
 
-# Fraction constructions in one run_suite pass at seed 2024, with the sampled
-# points and the Lie layer's vectors carried cleared: what is left is built
-# by the root data and structure-constant resolution, the Gram inverse and
-# the type-A trace oracle
-FRACTIONS_PER_PASS = {"A2": 240, "B2": 139}
+# Fraction constructions in one run_suite pass at seed 2024: the sampled
+# points, the Lie layer, the root data, the structure constants, the Gram
+# inverse and the type-A trace oracle all run on ints
+FRACTIONS_PER_PASS = 0
 
 
-@pytest.mark.parametrize("label", sorted(FRACTIONS_PER_PASS))
+@pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS)
 def test_suite_pass_builds_few_fractions(monkeypatch, label):
     """A rational put back on the pass path (a point, a value vector, a
-    series, a sampled coefficient) raises the count above its bound."""
+    series, a root norm, a structure constant) raises the count above its
+    bound."""
     count = []
     original = Fraction.__new__
 
@@ -679,19 +697,22 @@ def test_suite_pass_builds_few_fractions(monkeypatch, label):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    report = run_suite(SuiteConfig(algebra=label, seed=2024))
+    report = run_suite(SuiteConfig(algebra=label, seed=2024, enable_g2=True))
     monkeypatch.undo()
     assert not report.failed
-    assert len(count) <= FRACTIONS_PER_PASS[label]
+    assert len(count) <= FRACTIONS_PER_PASS
 
 
-# the sites that build no Fraction on a passing pass: the principal triple,
-# the shift direction and the chart at build, and checks 3, 5, 8, 15,
-# polarization and membership
-FRACTION_FREE_SITES = ("principal_triple", "choose_regular_y", "build_chart",
-                       "algebra.principal_decomposition", "invariants.shifted_gradient_span",
-                       "family.principal_shift_span", "symplectic.transversality",
-                       "symplectic.polarization", "family.membership_samples")
+# the sites that build no Fraction on a passing pass: the root data, the
+# algebra, the Gram inverse, the principal triple, the shift direction and
+# the chart at build, and checks 3, 5, 8, 15, polarization, membership and
+# the trace oracle
+BUILD_SITES = ("build_root_system", "chevalley_algebra", "GradientContext",
+               "principal_triple", "choose_regular_y", "build_chart")
+FRACTION_FREE_SITES = BUILD_SITES + (
+    "algebra.principal_decomposition", "invariants.shifted_gradient_span",
+    "family.principal_shift_span", "symplectic.transversality", "symplectic.polarization",
+    "family.membership_samples", "invariants.trace_oracle_agreement")
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -717,7 +738,7 @@ def test_fraction_free_sites_build_no_fraction(monkeypatch, label):
                 sites.pop()
         return wrapped
 
-    for name in ("principal_triple", "choose_regular_y", "build_chart"):
+    for name in BUILD_SITES:
         monkeypatch.setattr(verifier, name, at(name, getattr(verifier, name)))
     monkeypatch.setattr(verifier, "ALL_CHECKS",
                         [at(fn.check_id, fn) for fn in verifier.ALL_CHECKS])
