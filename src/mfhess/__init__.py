@@ -15,7 +15,7 @@ from .argshift import (ShiftFamily, choose_regular_y, shift_family, pairwise_com
                        phi, gradient_visit, gradient_span, zeta_chain,
                        mv_membership, DependentFamily, NotInvertible)
 from .hessenberg import (HessChart, build_chart, restrict_to_hess, hess_section,
-                         orbit_slice, slice_membership, poincare_series, NotTriangular)
+                         poincare_series, NotTriangular)
 from .symplectic import (omega, zx_frame, hess_lagrangian_check, transversality_check,
                          polarization_report, NotStronglyRegular, TangentFrame)
 from .verifier import SuiteConfig, VerificationReport, run_suite, sample_points

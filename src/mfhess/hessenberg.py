@@ -6,9 +6,9 @@ of polynomial functions to Hess is substitution of the affine
 parametrization s -> e1 + sum_g s_g frame_g, done for the whole family in
 one integer pass (polyring.restrict_affine); the frame is dual (under the
 Killing pairing of the upper and lower Borel) to the gradient frame
-z_beta = dq_beta(e1) of an ordered shift family, and is read from the
+z_beta = dq_beta(e1) of an ordered shift family, and is read from the one
 integer inverse (linalg.inverse) of the integer pairing of the gradient
-rows with the integer Killing rows.
+rows with the integer Killing rows, whose singularity is the basis test.
 
 In these coordinates the restricted generators are unitriangular: the
 restriction of q_beta is s_beta plus a polynomial in the strictly earlier
@@ -17,30 +17,33 @@ map invertible on Hess by one ascending division-free substitution pass,
 which is the exact section implemented here.
 
 Orbit slices of Hess are cut out by fixing the values of the underived
-invariants; their infinitesimal structure (tangents from the lower
-nilradical, trivial isotropy) is read from ad x by symplectic.slice_frame.
+invariants; slice_sample draws points exp(ad z) v0, z in the lower
+nilradical, of the slice through v0, and their infinitesimal structure
+(tangents from the lower nilradical, trivial isotropy) is read from ad x by
+symplectic.slice_frame.
 
-Points, value vectors, chart coordinates s and the frame vectors are
-canonical cleared vectors (rational.canonical), so equal vectors have equal
-pairs, and the gradient frame is held as the integer rows of frame_rows:
-the chart sums its points on integers, the section solves on them, slice
-points come from exp_ad_nilpotent on integers, and check 11's series are
-series of ints.
+Points, value vectors and chart coordinates s are canonical cleared
+vectors (rational.canonical), so equal vectors have equal pairs.  Both
+frames are held once, as integer rows over one positive denominator
+(rows, den): the gradient frame as frame_rows gives it, the dual frame over
+the LCM of its vectors' reduced denominators.  The chart sums its points on
+integers, the section solves on them, slice points come from
+exp_ad_nilpotent on integers, and check 11's series are series of ints.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from math import gcd
 
 from . import linalg
 from .liealgebra import LieAlgebra, PrincipalTriple, exp_ad_nilpotent
-from .invariants import InvariantFamily
 from .argshift import ShiftFamily
 from .polyring import CompiledPolys, restrict_affine
-from .rational import canonical, common_rows, draw, reduced
+from .rational import canonical, draw, reduced
 from .rootdata import RootSystem
 
 
@@ -99,22 +102,15 @@ def _unitriangular_violation(restricted: list) -> str | None:
 
 @dataclass
 class HessChart:
-    L: LieAlgebra
     triple: PrincipalTriple
-    family: ShiftFamily
     # frame_rows(F): z_beta = dq_beta(e1), a basis of the upper Borel, as
     # integer rows over one positive denominator (rows, den)
     zvecs: tuple
-    frame: list            # dual frame in the lower Borel: (z_beta, frame_gamma) = delta,
-                           # canonical points
+    # the dual frame in the lower Borel, (z_beta, frame_gamma) = delta, in the
+    # same form: frame vector g is rows[g] / den, den the LCM of the reduced
+    # denominators of the frame vectors
+    frame: tuple
     restricted: list       # restrictions of the generators, in frame coordinates
-    # (den, supports) = rational.common_rows(frame): the frame as integer
-    # numerators over one denominator, supports[g] the nonzero
-    # (index, numerator) pairs of frame vector g
-    frame_int: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.frame_int = common_rows(self.frame)
 
     # each restricted generator compiled alone, on first read: the section
     # evaluates one per step, and no build stage reads them
@@ -132,12 +128,14 @@ class HessChart:
 
         With the frame Fr / df and e1 = E / de, coordinate i is
         (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df)."""
-        (fden, supports), (enums, eden) = self.frame_int, self.triple.e1
+        (rows, fden), (enums, eden) = self.frame, self.triple.e1
         acc = [0] * len(enums)
-        for s, support in zip(snums, supports):
+        idx = range(len(enums))
+        for s, row in zip(snums, rows):
             if s:
-                for i, c in support:
-                    acc[i] += s * c
+                # a frame row is zero off its layer of b_-: visit its nonzeros
+                for i in compress(idx, row):
+                    acc[i] += s * row[i]
         scale = sden * fden
         return canonical([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
 
@@ -161,8 +159,12 @@ def build_chart(F: ShiftFamily) -> HessChart:
     rows of frame_rows (over den), read from the terms that reach e1 and
     not from the family's compiled form: they are paired with the lower
     Borel basis on the integer Killing matrix into the integer matrix P, and
-    frame vector g is den times column g of P^-1, read from linalg.inverse
-    as integer rows over one denominator; a singular P raises ValueError.
+    frame vector g is den times column g of P^-1, read from the one
+    linalg.inverse as integer rows over one denominator.  The rows lie in
+    the upper Borel once the layer test passes, and the Killing pairing of
+    the upper with the lower Borel is nondegenerate, so P is singular
+    exactly when the rows are dependent: the inverse's ValueError is the
+    basis test.
     """
     L = F.L
     triple = F.triple
@@ -171,24 +173,28 @@ def build_chart(F: ShiftFamily) -> HessChart:
         if not L.supported_in(row, L.layer_indices(e.m - 1)):
             raise NotTriangular(
                 f"frame vector for position {e.beta} is not in layer {e.m - 1}")
-    if linalg.rank(rows) != F.b:
-        raise NotTriangular("gradient frame at e1 is not a basis of the upper Borel")
     # (z_beta, e_mu) = pairing[beta][mu] / den on the integer Killing matrix
     pairing = [[sum(z * L.killing[i][idx] for i, z in enumerate(row) if z)
                 for idx in L.bminus_indices] for row in rows]
-    inv, iden = linalg.inverse(pairing)
-    frame = []
-    for g in range(F.b):
-        vec = L.zero()
-        for mu, idx in enumerate(L.bminus_indices):
-            vec[idx] = den * inv[mu][g]
-        frame.append(canonical(vec, iden))
-    restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries], frame)
+    try:
+        inv, iden = linalg.inverse(pairing)
+    except ValueError:
+        raise NotTriangular("gradient frame at e1 is not a basis of the upper Borel") from None
+    # one gcd puts the frame over the LCM of its vectors' reduced
+    # denominators, the smallest ints for restrict_affine to multiply
+    k = gcd(iden, den * gcd(*chain.from_iterable(inv)))
+    frows = [L.zero() for _ in range(F.b)]
+    for idx, inv_row in zip(L.bminus_indices, inv):
+        for vec, c in zip(frows, inv_row):
+            vec[idx] = den * c // k
+    fden = iden // k
+    restricted = restrict_to_hess(L, triple, [e.poly for e in F.entries],
+                                  [(vec, fden) for vec in frows])
     violation = _unitriangular_violation(restricted)
     if violation:
         raise NotTriangular(violation)
-    return HessChart(L=L, triple=triple, family=F, zvecs=(rows, den),
-                     frame=frame, restricted=restricted)
+    return HessChart(triple=triple, zvecs=(rows, den), frame=(frows, fden),
+                     restricted=restricted)
 
 
 def hess_section(chart: HessChart, cvals) -> tuple:
@@ -220,20 +226,6 @@ def hess_section(chart: HessChart, cvals) -> tuple:
 
 
 # -- orbit slices ------------------------------------------------------------
-
-
-@dataclass
-class OrbitSlice:
-    base_point: tuple
-    values: tuple      # the invariant values that cut out the slice, cleared
-
-
-def orbit_slice(inv: InvariantFamily, v0) -> OrbitSlice:
-    return OrbitSlice(base_point=v0, values=inv.compiled.values(v0))
-
-
-def slice_membership(s: OrbitSlice, inv: InvariantFamily, v) -> bool:
-    return inv.compiled.values(v) == s.values
 
 
 def slice_sample(L: LieAlgebra, v0, count: int, rng: random.Random,

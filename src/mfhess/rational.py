@@ -13,8 +13,8 @@ rationals into integers over one scale and back: clear takes a rational
 vector to integers over the LCM of its denominators, cleared to canonical
 form and over back to rationals; draw samples a cleared vector, canonical
 reduces one, combine adds two and common_rows puts several over one scale
-(the chart frame).  reduced reduces a scalar, and ratio_str formats one as
-rat_str formats its rational, with no Fraction.
+(restrict_affine's base and directions).  reduced reduces a scalar, and
+ratio_str formats one as rat_str formats its rational, with no Fraction.
 """
 
 from __future__ import annotations

@@ -32,20 +32,20 @@ generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
 orbit tangent space; at a point of the slice Hess the lower-nilradical
 tangents span the n-dimensional isotropic tangent space of the orbit slice;
 the two are complementary and pair nonsingularly.  All of this is certified
-pointwise with exact arithmetic.
+pointwise with exact arithmetic; polarization_report gives these verdicts
+over a sampled orbit slice as one bool per point.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
 from .argshift import GradientVisit, ShiftFamily, gradient_visit
-from .hessenberg import (HessChart, orbit_slice, point_in_hess, slice_membership,
-                         slice_sample)
+from .hessenberg import HessChart, point_in_hess, slice_sample
 from .rational import reduced
 
 
@@ -197,66 +197,31 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
                                 frame=zx, slice=sl)
 
 
-@dataclass
-class PointVerdict:
-    """At a point that is not strongly regular nothing else is measured: the
-    other verdicts are False there and orbit_dim is None."""
-    strongly_regular: bool
-    zx_lagrangian: bool
-    slice_lagrangian: bool
-    transversal: bool
-    orbit_dim: int | None
-    in_slice: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.strongly_regular and self.zx_lagrangian and
-                self.slice_lagrangian and self.transversal and self.in_slice)
-
-
-@dataclass
-class PolarizationReport:
-    base_point: tuple
-    invariant_values: tuple     # cleared
-    verdicts: list = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.all_ok for v in self.verdicts)
-
-
 def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
-                        v0, count: int, seed: int) -> PolarizationReport:
-    """Pointwise polarization data over a sampled orbit slice of Hess.
+                        v0, count: int, seed: int) -> list:
+    """Whether each point of a sampled orbit slice of Hess is polarized, one
+    bool per point: v0 first, then count - 1 points exp(ad z) v0.
 
-    At each sampled point of the slice through the cleared point v0: strong
-    regularity, the
-    Hamiltonian frame is Lagrangian, the slice tangents are Lagrangian, the
-    two are transversal, and the orbit has full dimension 2n.  The slice
-    exp(ad n_-) v0 stays in Hess, so v0 must be a point of Hess.  Each point
-    takes its dimensions, its frames and ad x from one transversality_check.
+    A point passes when it is strongly regular, its Hamiltonian frame and
+    its slice tangents are Lagrangian, the two are transversal on an orbit
+    of full dimension 2n, and its invariant values are v0's.  The slice
+    stays in Hess, so v0 must be a cleared point of Hess.  Each point takes
+    its dimensions, its frames and ad x from one transversality_check, and
+    every point is evaluated.
     """
     L = F.L
     if not point_in_hess(L, chart.triple, v0):
         raise ValueError("polarization is checked on slices through points of Hess")
-    s = orbit_slice(inv, v0)
+    values = inv.compiled.values(v0)
     rng = random.Random(f"{seed}:polarization")
-    points = [v0] + slice_sample(L, v0, max(count - 1, 0), rng)
-    report = PolarizationReport(base_point=v0, invariant_values=s.values)
-    for x in points:
+    out = []
+    for x in [v0] + slice_sample(L, v0, max(count - 1, 0), rng):
         try:
             res = transversality_check(F, chart, x)
         except NotStronglyRegular:
             res = None
-        sreg = res is not None
-        verdict = PointVerdict(
-            strongly_regular=sreg,
-            zx_lagrangian=sreg and isotropy_witness(L, res.frame) is None,
-            slice_lagrangian=sreg and res.slice_dim == L.n
-            and isotropy_witness(L, res.slice) is None,
-            transversal=sreg and res.passed,
-            orbit_dim=res.orbit_dim if sreg else None,
-            in_slice=slice_membership(s, inv, x),
-        )
-        report.verdicts.append(verdict)
-    return report
+        ok = (res is not None and isotropy_witness(L, res.frame) is None
+              and res.slice_dim == L.n and isotropy_witness(L, res.slice) is None
+              and res.passed)
+        out.append(inv.compiled.values(x) == values and ok)
+    return out

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -7,13 +8,12 @@ import pytest
 
 from mfhess import linalg
 from mfhess.hessenberg import (NotTriangular, _unitriangular_violation, build_chart,
-                               frame_rows, hess_section, orbit_slice, point_in_hess,
-                               poincare_series, restrict_to_hess, slice_membership,
-                               slice_sample)
+                               frame_rows, hess_section, point_in_hess, poincare_series,
+                               restrict_to_hess, slice_sample)
 from mfhess.liealgebra import DimensionMismatch, exp_ad_nilpotent
 from mfhess.polyring import CompiledPolys, Poly, restrict_affine
 from mfhess.argshift import phi
-from mfhess.rational import clear, cleared, over, rat, rat_str, R0, R1
+from mfhess.rational import canonical, clear, cleared, over, rat, rat_str, R0, R1
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 from mfhess.symplectic import slice_frame
 
@@ -28,9 +28,16 @@ def rational_zvecs(chart):
     return [over(row, den) for row in rows]
 
 
+def canonical_frame(chart):
+    """The chart's dual frame as canonical cleared vectors."""
+    rows, den = chart.frame
+    return [canonical(row, den) for row in rows]
+
+
 def rational_frame(chart):
     """The chart's dual frame as rational vectors."""
-    return [over(*v) for v in chart.frame]
+    rows, den = chart.frame
+    return [over(row, den) for row in rows]
 
 
 def test_restriction_of_f_functional_is_one(bundles, helpers):
@@ -50,7 +57,7 @@ def test_restriction_of_upper_borel_linear_functionals(bundles, helpers):
     B = bundles("A2")
     # in the chart frame the functional of a frame vector is its coordinate
     lzs = [helpers.linear_functional(B.ctx, z) for z in rational_zvecs(B.chart)]
-    assert restrict_to_hess(B.L, B.triple, lzs, B.chart.frame) == \
+    assert restrict_to_hess(B.L, B.triple, lzs, canonical_frame(B.chart)) == \
         [Poly.coordinate(B.family.b, beta) for beta in range(B.family.b)]
     # with the default frame a linear functional restricts to degree <= 1
     lz = helpers.linear_functional(B.ctx, B.L.basis_vector(B.L.pos_indices[0]))
@@ -83,7 +90,7 @@ def test_integer_pairing_gives_the_rational_frame(bundles, reference_frame, labe
     Borel basis equals the frame of the rational pairing, as canonical
     points."""
     B = bundles(label)
-    assert B.chart.frame == [cleared(v) for v in reference_frame(B.family)]
+    assert canonical_frame(B.chart) == [cleared(v) for v in reference_frame(B.family)]
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", B3])
@@ -165,6 +172,38 @@ def test_build_chart_rejects_non_triangular_restriction(bundles, helpers, pos, b
     assert str(err.value) == message
 
 
+def _with_poly_of(F, pos, source):
+    """F with member pos given the polynomial of member source."""
+    poly = F.entries[source].poly
+    return replace(F, entries=[replace(e, poly=poly) if idx == pos else e
+                               for idx, e in enumerate(F.entries)])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", B3])
+def test_build_chart_rejects_dependent_frame(bundles, label):
+    """Two equal members of one degree: their gradients at e1 lie in their
+    layer, so the layer test passes and the basis test refuses the frame."""
+    F = bundles(label).family
+    i, j = next((i, j) for i, a in enumerate(F.entries)
+                for j, b in enumerate(F.entries) if i < j and a.m == b.m)
+    with pytest.raises(NotTriangular) as err:
+        build_chart(_with_poly_of(F, j, i))
+    assert str(err.value) == "gradient frame at e1 is not a basis of the upper Borel"
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", B3])
+def test_build_chart_rejects_member_off_its_layer(bundles, label):
+    """A member given the polynomial of a member of a higher layer: its
+    gradient at e1 leaves its layer, and the layer test names it."""
+    F = bundles(label).family
+    i, j = next((i, j) for i, a in enumerate(F.entries)
+                for j, b in enumerate(F.entries) if a.m < b.m)
+    e = F.entries[i]
+    with pytest.raises(NotTriangular) as err:
+        build_chart(_with_poly_of(F, i, j))
+    assert str(err.value) == f"frame vector for position {e.beta} is not in layer {e.m - 1}"
+
+
 def test_unit_diagonal_is_read_as_numerator_equal_to_denominator():
     """A diagonal coefficient is 1 exactly when its numerator equals the
     polynomial's denominator; 2 s_1, or s_1 / 2, is not a unit diagonal."""
@@ -203,6 +242,35 @@ def test_restricted_generators_are_pinned(bundles, label):
     payload = [p.to_payload() for p in B.chart.restricted]
     digest = hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
     assert digest == RESTRICTED_DIGESTS[label]
+
+
+# sha256 of the compact JSON of the canonical frame vectors [nums, den],
+# recorded with the frame held as canonical points
+FRAME_DIGESTS = {
+    "A1": "c5fb289e71e67aee63b349aac8db986e9bf0ab2e57677b0251380e822e07f252",
+    "A1xA1": "6b3cae0698eb577a95f3d24df9601188223603cdf6b1c6943e8537f172e68ca6",
+    "A2": "444f55624f8c98e9c18ddef4a8ea7a8115113a4937f4a4cfe045e711056274d0",
+    "A3": "d6b3db87f57032fee87c9a28292342b832fa2fd384790f6e309f50f10f2f42aa",
+    "B2": "9d80b55eb02e48ad28793ee5e4226406c3988d4e989a0506a6f1ce1b81b91c50",
+    "B3": "ebdace9d994a1978a3d98c469e6553e9d7f8ecd64942da73ab31af66f7c5c9be",
+    "C2": "d115d0224cda845f539949a0a63ed64f06d059408c2b9c0a6d25549e0d1f5acf",
+    "C3": "4b5b4efefcbf75fcfbc99d5c054c3f9b6177e31184b5b831ec48b69726e28ea9",
+    "G2": "9c3f714f759ae60b254fc2529d2e32f270d05500084b7ac725e983f8ae5315f2",
+    "A4": "bd710f94e81bb010fe9dcbef6e2fdc39b30448dc74d522e4a331496c47e0cccb",
+}
+
+
+@pytest.mark.parametrize("label", sorted(FRAME_DIGESTS))
+def test_frame_is_pinned_over_the_lcm_of_its_denominators(bundles, label):
+    """The chart holds its dual frame once, as integer rows over the LCM of
+    the frame vectors' reduced denominators: no larger scale, which would
+    make restrict_affine multiply larger ints."""
+    B = bundles(INLINE_TYPES.get(label, label))
+    vecs = canonical_frame(B.chart)
+    payload = [[list(nums), den] for nums, den in vecs]
+    digest = hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+    assert digest == FRAME_DIGESTS[label]
+    assert B.chart.frame[1] == math.lcm(*(den for _, den in vecs))
 
 
 def test_leading_term_against_interpolation(bundles, helpers):
@@ -284,11 +352,10 @@ def test_orbit_slice_membership_and_exponential(bundles, helpers):
     L = B.L
     rng = random.Random("slice")
     v0 = helpers.point_from_s(B.chart, rand_svals(rng, B.family.b, 3))
-    s = orbit_slice(B.inv, v0)
-    assert slice_membership(s, B.inv, v0)
+    values = B.inv.compiled.values(v0)
     for v in slice_sample(L, v0, 4, rng):
         assert point_in_hess(L, B.triple, v)
-        assert slice_membership(s, B.inv, v)
+        assert B.inv.compiled.values(v) == values
         assert slice_frame(L, L.int_ad(v)).dim == L.n
 
 
@@ -297,10 +364,10 @@ def test_slice_partition_of_sampled_points(bundles, helpers):
     rng = random.Random("partition")
     pts = [helpers.point_from_s(B.chart, rand_svals(rng, B.family.b, 2)) for _ in range(5)]
     for p in pts:
-        sp = orbit_slice(B.inv, p)
+        values = B.inv.compiled.values(p)
         for q in pts:
-            same_values = cleared([f.evaluate(over(*q)) for f in B.inv.polys]) == sp.values
-            assert slice_membership(sp, B.inv, q) == same_values
+            same_values = cleared([f.evaluate(over(*q)) for f in B.inv.polys]) == values
+            assert (B.inv.compiled.values(q) == values) == same_values
 
 
 def test_exponential_preserves_slice_plane(bundles):

@@ -148,7 +148,7 @@ def test_polarization_builds_one_gradient_matrix_per_point(bundles, gradient_row
     for count in (1, 3):
         gradient_rows_calls.clear()
         rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, count, seed=11)
-        assert rep.all_pass
+        assert rep == [True] * count
         assert len(gradient_rows_calls) == count
 
 
@@ -263,11 +263,9 @@ def test_polarization_requires_hess_base_point(bundles):
 def test_polarization_report_nilpotent_slice(bundles):
     B = bundles("A1")
     rep = polarization_report(B.family, B.chart, B.inv, B.triple.e1, 5, seed=11)
-    assert rep.all_pass
-    assert len(rep.verdicts) == 5
-    assert all(v.orbit_dim == 2 * B.L.n for v in rep.verdicts)
+    assert rep == [True] * 5
     # e1 is nilpotent: every invariant vanishes on its slice
-    assert rep.invariant_values == ((0,) * len(B.inv.polys), 1)
+    assert B.inv.compiled.values(B.triple.e1) == ((0,) * len(B.inv.polys), 1)
 
 
 def test_polarization_report_semisimple_slice(bundles):
@@ -275,8 +273,8 @@ def test_polarization_report_semisimple_slice(bundles):
     # a slice through a point with generic invariant values
     v0 = B.chart.point_from_cleared(*clear([rat(1), rat(2), rat(-1), rat(1, 2), rat(3)]))
     rep = polarization_report(B.family, B.chart, B.inv, v0, 4, seed=12)
-    assert rep.all_pass
-    assert any(rep.invariant_values[0])
+    assert rep == [True] * 4
+    assert any(B.inv.compiled.values(v0)[0])
 
 
 def test_invariant_values_conserved_along_exponential(bundles):

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from mfhess import argshift, cli, liealgebra, linalg, verifier
 from mfhess.argshift import shift_family
 from mfhess.cli import main
-from mfhess.hessenberg import point_in_hess
+from mfhess.hessenberg import point_in_hess, slice_sample
 from mfhess.liealgebra import DecompositionFailure, LieAlgebra
 from mfhess.polyring import Poly
 from mfhess.rational import canonical, cleared, over, rat, rat_str, to_rat
@@ -190,21 +191,22 @@ def a2_context():
 
 
 def test_sampling_regions(a2_context):
+    """sample_points draws distinct, repeatable points of Hess; the slice
+    that check 16 draws through one of them with slice_sample keeps the
+    invariant values."""
     sc = a2_context
-    assert sample_points(sc, 5, "hess", 0) == []
-    hess = sample_points(sc, 5, "hess", 3)
+    assert sample_points(sc, 5, 0) == []
+    hess = sample_points(sc, 5, 3)
     assert len(set(map(tuple, hess))) == 3
     for v in hess:
         assert point_in_hess(sc.L, sc.triple, v)
     v0 = hess[0]
-    slc = sample_points(sc, 5, "slice", 3, v0=v0)
+    slc = slice_sample(sc.L, v0, 3, random.Random("5:sample:slice"))
     vals = [p.evaluate(over(*v0)) for p in sc.inv.polys]
     for v in slc:
         assert [p.evaluate(over(*v)) for p in sc.inv.polys] == vals
     # determinism
-    assert sample_points(sc, 5, "hess", 3) == hess
-    with pytest.raises(ValueError):
-        sample_points(sc, 5, "nowhere", 1)
+    assert sample_points(sc, 5, 3) == hess
 
 
 def test_sampling_exhaustion(a2_context):
@@ -216,7 +218,7 @@ def test_hess_sampling_rejects_point_off_slice(monkeypatch):
     sc = build_context(SuiteConfig(algebra="A1", seed=5))
     monkeypatch.setattr(sc.chart, "point_from_cleared", lambda *s: sc.triple.w)
     with pytest.raises(RegionExhausted):
-        sample_points(sc, 5, "hess", 1)
+        sample_points(sc, 5, 1)
 
 
 def test_cache_round_trip_through_context(tmp_path):
@@ -366,15 +368,19 @@ def _x0x1(sc):
     return Poly.coordinate(n, 0) * Poly.coordinate(n, 1)
 
 
-def _tampered_family_cache(cache_dir):
-    """The A2 seed-5 config whose cache dir holds a family file with x0*x1
-    added to entry 2."""
+def _add_x0x1_to_entry_2(sc, entries):
+    poly = Poly.from_payload(sc.L.dim, entries[2]["poly"]) + _x0x1(sc)
+    entries[2]["poly"] = poly.to_payload()
+
+
+def _tampered_family_cache(cache_dir, edit=_add_x0x1_to_entry_2):
+    """The A2 seed-5 config whose cache dir holds a family file whose entry
+    payloads edit(sc, entries) changed, by default x0*x1 added to entry 2."""
     cfg = SuiteConfig(algebra="A2", seed=5, cache_dir=str(cache_dir))
     sc = build_context(cfg)
     path = next(cache_dir.glob("family_*.json"))
     data = json.loads(path.read_text())
-    poly = Poly.from_payload(sc.L.dim, data["entries"][2]["poly"]) + _x0x1(sc)
-    data["entries"][2]["poly"] = poly.to_payload()
+    edit(sc, data["entries"])
     path.write_text(json.dumps(data))
     return cfg
 
@@ -388,6 +394,24 @@ def test_tampered_family_cache_is_a_build_failure(tmp_path):
     assert build.witness["stage"] == "chart"
     assert all(c.status == "skipped" for c in rep.checks[1:])
     assert main(["verify", "--type", "A2", "--seed", "5", "--cache-dir", str(tmp_path)]) == 1
+
+
+def test_dependent_frame_in_family_cache_is_a_build_failure(tmp_path):
+    """A cached family whose two members of one degree are equal: both
+    gradients at e1 lie in their layer, so the chart's basis test is what
+    refuses the frame, as a build fail record at stage chart."""
+    def copy_member(sc, entries):
+        i, j = next((i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))
+                    if entries[i]["m"] == entries[j]["m"])
+        entries[j]["poly"] = entries[i]["poly"]
+
+    rep = run_suite(_tampered_family_cache(tmp_path, copy_member))
+    build = rep.checks[0]
+    assert (build.check_id, build.status) == ("build.algebra", "fail")
+    assert build.witness == {
+        "error": "NotTriangular: gradient frame at e1 is not a basis of the upper Borel",
+        "stage": "chart"}
+    assert all(c.status == "skipped" for c in rep.checks[1:])
 
 
 def test_commutativity_fails_on_planted_term(a2_context, reference_bracket):
@@ -490,7 +514,7 @@ def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, v
     out = check_algebra_soundness(replace(sc, L=L), cfg)
     assert out["ok"] is False
     assert violation in out["witness"]["violations"]
-    x = sample_points(sc, 5, "hess", 1)[0]
+    x = sample_points(sc, 5, 1)[0]
     rows, _ = L.int_ad(x)
     for z in [(L.basis_vector(i), 1) for i in range(L.dim)] + [x]:
         # both over the product of the denominators of x and z
@@ -1033,7 +1057,7 @@ def test_transversality_det_is_exact(a2_context, reference_witness, scale):
     pos = sc.family.N_positions[0]
     square = Poly.coordinate(sc.L.dim, sc.L.cartan_indices[0]) ** 2
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + square.scale(scale))
-    for x in sample_points(sc, 7, "hess", 3):
+    for x in sample_points(sc, 7, 3):
         res = transversality_check(bad.family, sc.chart, x)
         assert res.passed
         assert rat_str(rat(*res.pairing_det)) == reference_witness.pairing_det(bad.family,
