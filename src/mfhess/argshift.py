@@ -33,8 +33,9 @@ partial derivatives are cached.  Every point read here is a canonical
 cleared vector (rational.canonical), and phi returns the values in that form
 too.  gradient_rows returns the gradient matrix as integer numerators over
 one denominator, which the rank tests and the tangent frames read as they
-are; gradient_visit adds the point and the rank, so a point visited by
-several readers is ranked once.
+are; gradient_visit adds the point and the rank, taken on its first read,
+so a point visited by several readers is ranked at most once, and a point
+that a certificate settles (symplectic.pairing_certificate) not at all.
 """
 
 from __future__ import annotations
@@ -329,13 +330,17 @@ class GradientVisit:
     point: tuple
     rows: list
     den: int
-    rank: int
+
+    @cached_property
+    def rank(self) -> int:
+        """Taken on the first read only."""
+        return linalg.rank(self.rows)
 
 
 def gradient_visit(F: ShiftFamily, x) -> GradientVisit:
-    """Build the gradient matrix at the cleared point x and its rank, once."""
+    """Build the gradient matrix at the cleared point x, once."""
     rows, den = F.gradient_rows(x)
-    return GradientVisit(point=x, rows=rows, den=den, rank=linalg.rank(rows))
+    return GradientVisit(point=x, rows=rows, den=den)
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:

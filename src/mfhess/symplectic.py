@@ -17,15 +17,35 @@ and stays on integers from its gradients to its verdict; omega returns its
 value as a reduced integer pair.  A TangentFrame holds integer preimages
 and integer tangents, each list over one positive denominator.
 The Hamiltonian tangents are LieAlgebra.int_bracket(x, z) and the pairings
-LieAlgebra.int_killing_pair.  A point's gradient matrix and its rank come
-from one argshift.gradient_visit, which zx_frame builds or is handed (check
-13 reads the visits check 12 built).  ad x (LieAlgebra.int_ad) is built
-only where its columns are read, once per point: the slice tangents are its
-n_- columns.  Transversality reads the orbit dimension and the Jacobian
-rank from certificates already in hand (the combined tangents' rank with
-the Casimir gradients' commuting with x, and a nonzero pairing
-determinant) and eliminates ad x or the Jacobian only when one fails.  The
-pairing determinant and an isotropy witness are reduced integer pairs.
+LieAlgebra.int_killing_pair.  ad x (LieAlgebra.int_ad) is built only where
+its columns are read, once per point: the slice tangents are its n_-
+columns.  The pairing determinant and an isotropy witness are reduced
+integer pairs.
+
+A point x of Hess is settled by one certificate (pairing_certificate),
+built from the b gradients, the brackets [x, g], one ad x and the n x n
+pairing M_ij = (g_i, [x, e_j]) of the derived gradients with the slice
+tangents (read as -([x, g_i], e_j), one sparse Killing row per entry), with
+one l x dim rank call.  It holds when det M is nonzero, the
+slice tangents are isotropic, the underived gradients commute with x and
+are independent.  Then, in exact linear algebra:
+- the n Hamiltonian tangents and the n slice tangents are each independent
+  (M is their pairing), so zx_dim = slice_dim = n;
+- a vector sum c_i [x, g_i] in both spans pairs to zero with every slice
+  tangent (the slice is isotropic), so c M = 0, c = 0, and the combined
+  rank is 2n;
+- the underived gradients lie in z(x), so dim z(x) >= l, and the combined
+  tangents in the image of ad x, so rank ad x = dim - l = 2n: x is
+  regular and its orbit has dimension 2n;
+- ad x maps a relation sum a_i g_i + sum c_k h_k = 0 among the gradients
+  (h_k the underived ones) to sum a_i [x, g_i] = 0, so a = 0 and then
+  c = 0: the b gradients are independent and x is strongly regular;
+- M is n rows of the b x n Jacobian, whose rank is then n.
+Transversality (check 15 and every polarization point) and checks 12 and
+13 read these dimensions from it.  Where it fails they eliminate, in the
+order zx_frame, slice_frame, the ranks of the combined tangents, ad x and
+the Jacobian, so every result, exception and witness is the eliminating
+route's.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -39,7 +59,7 @@ over a sampled orbit slice as one bool per point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .liealgebra import LieAlgebra
@@ -70,15 +90,16 @@ class TangentFrame:
     point: tuple | None = None      # zx_frame: x, cleared
 
 
-def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
+def slice_frame(L: LieAlgebra, adx, dim: int | None = None) -> TangentFrame:
     """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
-    columns of ad x = (integer rows, den).  The dimension is their rank."""
+    columns of ad x = (integer rows, den).  The dimension is their rank,
+    taken here unless a certificate already gave it as dim."""
     rows, den = adx
     idx = L.nminus_indices
     tangents = [[row[j] for row in rows] for j in idx]
     units = [[int(i == j) for j in range(L.dim)] for i in idx]
     return TangentFrame(preimages=units, pden=1, tangents=tangents, tden=den,
-                        dim=linalg.rank(tangents))
+                        dim=linalg.rank(tangents) if dim is None else dim)
 
 
 def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFrame:
@@ -86,23 +107,29 @@ def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFr
 
     Requires strong regularity, read from the rank of the visit's gradient
     matrix; the n tangents [x, g] are verified independent.  visit is the
-    gradient_visit of x when one was already built (check 12 builds it for
-    check 13), else it is built here.  The frame carries all b gradients,
-    the only ones built for this visit, and the cleared point; it builds no
-    ad x.
+    gradient_visit of x when one was already built (a failed certificate
+    hands its own), else it is built here.  The frame carries all b
+    gradients, the only ones built for this visit, and the cleared point;
+    it builds no ad x.
     """
     if visit is None:
         visit = gradient_visit(F, x)
     if visit.rank != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
+    frame = _hamiltonian_frame(F, visit)
+    if linalg.rank(frame.tangents) != F.L.n:
+        raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
+    return frame
+
+
+def _hamiltonian_frame(F: ShiftFamily, visit: GradientVisit) -> TangentFrame:
+    """The tangents [x, g] of the derived gradients at the visit's point,
+    with dimension n, which the caller proves."""
     L = F.L
     xc, rows, den = visit.point, visit.rows, visit.den
     preimages = [rows[i] for i in F.N_positions]
     brackets = [L.int_bracket(xc, (g, den)) for g in preimages]
-    tangents = [t for t, _ in brackets]
-    if linalg.rank(tangents) != L.n:
-        raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
-    return TangentFrame(preimages=preimages, pden=den, tangents=tangents,
+    return TangentFrame(preimages=preimages, pden=den, tangents=[t for t, _ in brackets],
                         tden=brackets[0][1], dim=L.n, gradients=rows, point=xc)
 
 
@@ -129,6 +156,46 @@ def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
     return None
 
 
+@dataclass
+class PairingCertificate:
+    """One visit to a point x of Hess: its gradient visit and, only when
+    the certificate holds, the Hamiltonian frame and the slice tangents
+    with dimension n each and the pairing determinant as a reduced pair.
+    The visit's rank is not taken, and ad x is not kept: a suite pass
+    holds the certificates of all its Hess points at once."""
+    visit: GradientVisit
+    frame: TangentFrame | None = None
+    slice: TangentFrame | None = None
+    pairing_det: tuple | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.frame is not None
+
+
+def pairing_certificate(F: ShiftFamily, x) -> PairingCertificate:
+    """Build the certificate at the cleared point x (see the module
+    docstring): det M nonzero, the slice isotropic, the underived gradients
+    commuting with x and of rank l.  A family without n derived and l
+    underived members is never certified."""
+    L = F.L
+    visit = gradient_visit(F, x)
+    cert = PairingCertificate(visit=visit)
+    if len(F.N_positions) != L.n or len(F.I_positions) != L.rank:
+        return cert
+    zx = _hamiltonian_frame(F, visit)
+    # M_ij = (g_i, [x, e_j]) = -([x, g_i], e_j) by invariance: one sparse
+    # Killing row per slice direction, over the tangents' denominator
+    num = linalg.det([[-sum(t[k] * c for k, c in L.int_killing[j]) for j in L.nminus_indices]
+                      for t in zx.tangents])
+    sl = slice_frame(L, L.int_ad(x), L.n)
+    if (num and isotropy_witness(L, sl) is None and casimirs_commute(F, zx)
+            and linalg.rank([visit.rows[i] for i in F.I_positions]) == L.rank):
+        cert.frame, cert.slice = zx, sl
+        cert.pairing_det = reduced(num, zx.tden ** L.n)
+    return cert
+
+
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
     """At the cleared point v: the lower-nilradical tangents have dimension n
     and are isotropic."""
@@ -147,6 +214,9 @@ class TransversalityResult:
     passed: bool
     frame: TangentFrame
     slice: TangentFrame
+    # whether a pairing certificate gave every dimension; both routes give
+    # equal results, so the route is not compared
+    certified: bool = field(default=False, compare=False)
 
 
 def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityResult:
@@ -156,13 +226,14 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
 
     The pairing omega_x(g, e_i) = (g, [x, e_i]) of a derived generator's
     gradient g with a slice preimage is that generator's row of the Jacobian
-    of the family along the slice tangents.  ad x is built here, once, for
-    the slice tangents; the pairing determinant is the fraction-free
-    determinant of the integer pairing over its denominator, as a reduced
-    integer pair.
+    of the family along the slice tangents; its determinant is the
+    fraction-free determinant of the integer pairing over its denominator,
+    as a reduced integer pair.
 
-    Two ranks are read from certificates already in hand and eliminated
-    only when a certificate fails:
+    Where pairing_certificate holds, every dimension is read from it and
+    nothing is eliminated.  Where it fails, the gradient visit is the
+    certificate's and the rest runs as follows, with two ranks read from
+    certificates in hand and eliminated only when one fails:
     - orbit_dim = rank(ad x) is 2n when the combined tangents have rank 2n
       (they lie in the image of ad x, so rank(ad x) >= 2n) and the l
       underived invariants' gradients commute with x (they are independent,
@@ -173,7 +244,14 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     L = F.L
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
-    zx = zx_frame(F, x)
+    cert = pairing_certificate(F, x)
+    n = L.n
+    if cert.holds:
+        return TransversalityResult(zx_dim=n, slice_dim=n, combined_dim=2 * n,
+                                    orbit_dim=2 * n, pairing_det=cert.pairing_det,
+                                    jacobian_rank=n, passed=True, frame=cert.frame,
+                                    slice=cert.slice, certified=True)
+    zx = zx_frame(F, x, cert.visit)
     adx = L.int_ad(zx.point)
     sl = slice_frame(L, adx)
     combined = linalg.rank(zx.tangents + sl.tangents)
@@ -182,15 +260,15 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
            for g in zx.gradients]
     den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
-    pdet = reduced(linalg.det(pairing), den ** L.n) if sl.dim == L.n else (0, 1)
-    if combined == 2 * L.n and casimirs_commute(F, zx):
-        orbit_dim = 2 * L.n
+    pdet = reduced(linalg.det(pairing), den ** n) if sl.dim == n else (0, 1)
+    if combined == 2 * n and casimirs_commute(F, zx):
+        orbit_dim = 2 * n
     else:
         orbit_dim = linalg.rank(adx[0])
-    jrank = L.n if pdet[0] else linalg.rank(jac)
-    passed = (zx.dim == L.n and sl.dim == L.n
-              and combined == 2 * L.n and orbit_dim == 2 * L.n
-              and bool(pdet[0]) and jrank == L.n)
+    jrank = n if pdet[0] else linalg.rank(jac)
+    passed = (zx.dim == n and sl.dim == n
+              and combined == 2 * n and orbit_dim == 2 * n
+              and bool(pdet[0]) and jrank == n)
     return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
                                 combined_dim=combined, orbit_dim=orbit_dim,
                                 pairing_det=pdet, jacobian_rank=jrank, passed=passed,
@@ -204,10 +282,11 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
 
     A point passes when it is strongly regular, its Hamiltonian frame and
     its slice tangents are Lagrangian, the two are transversal on an orbit
-    of full dimension 2n, and its invariant values are v0's.  The slice
-    stays in Hess, so v0 must be a cleared point of Hess.  Each point takes
-    its dimensions, its frames and ad x from one transversality_check, and
-    every point is evaluated.
+    of full dimension 2n, and its invariant values are v0's, taken at the
+    first point.  The slice stays in Hess, so v0 must be a cleared point of
+    Hess.  Each point takes its dimensions, its frames and ad x from one
+    transversality_check; a certified one has isotropic slice tangents
+    already.  Every point is evaluated.
     """
     L = F.L
     if not point_in_hess(L, chart.triple, v0):
@@ -215,13 +294,14 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     values = inv.compiled.values(v0)
     rng = random.Random(f"{seed}:polarization")
     out = []
-    for x in [v0] + slice_sample(L, v0, max(count - 1, 0), rng):
+    for k, x in enumerate([v0] + slice_sample(L, v0, max(count - 1, 0), rng)):
         try:
             res = transversality_check(F, chart, x)
         except NotStronglyRegular:
             res = None
         ok = (res is not None and isotropy_witness(L, res.frame) is None
-              and res.slice_dim == L.n and isotropy_witness(L, res.slice) is None
+              and res.slice_dim == L.n
+              and (res.certified or isotropy_witness(L, res.slice) is None)
               and res.passed)
-        out.append(inv.compiled.values(x) == values and ok)
+        out.append((not k or inv.compiled.values(x) == values) and ok)
     return out

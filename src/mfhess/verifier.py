@@ -10,7 +10,11 @@ identical configuration produce identical bytes.
 
 What several checks of one pass read is computed once per pass and held
 by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
-gradient visit each, and the shift of the invariants along f.
+pairing certificate each (symplectic.pairing_certificate), and the shift of
+the invariants along f.  Where a point's certificate holds, check 12 reads
+strong regularity and regularity from it and check 13 its Hamiltonian
+frame and the commuting of the underived gradients with x, so only check
+13's isotropy is computed; where it fails, both eliminate.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
 to the verdict, and witnesses are formatted on integers (_vec_str).  Hess
@@ -35,14 +39,14 @@ from .liealgebra import (chevalley_algebra, principal_triple, principal_decompos
 from .polyring import CompiledPolys, GradientContext, coefficient_rows
 from . import invariants as invmod
 from .invariants import invariant_generators, trace_oracle_type_A
-from .argshift import (GradientVisit, choose_regular_y, shift_family, shifted_invariants,
-                       pairwise_commute, phi, gradient_visit, gradient_span,
+from .argshift import (choose_regular_y, shift_family, shifted_invariants,
+                       pairwise_commute, phi, gradient_span,
                        zeta_chain, mv_membership, load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, point_in_hess, poincare_series,
                          restrict_to_hess, slice_sample)
-from .symplectic import (omega, zx_frame, isotropy_witness, hess_lagrangian_check,
-                         transversality_check, polarization_report, casimirs_commute,
-                         slice_frame)
+from .symplectic import (PairingCertificate, omega, zx_frame, isotropy_witness,
+                         hess_lagrangian_check, transversality_check, polarization_report,
+                         casimirs_commute, pairing_certificate, slice_frame)
 
 
 class RegionExhausted(Exception):
@@ -243,24 +247,25 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
 
 class SuiteRun:
     """What one suite pass shares between checks, each built when first read:
-    the Hess points of checks 12 and 13 with their gradient visits (check 12
-    reads the ranks, check 13 hands each visit to zx_frame), and the shift
-    of the invariants along f that checks 8 and membership read.  A run
-    belongs to one _suite_payload pass, never to the context, family or
-    chart; a check called alone makes its own."""
+    the Hess points of checks 12 and 13 with one pairing certificate each
+    (one gradient visit and one ad x per point; where the certificate
+    fails, check 12 ranks the visit and check 13 hands it to zx_frame), and
+    the shift of the invariants along f that checks 8 and membership read.
+    A run belongs to one _suite_payload pass, never to the context, family
+    or chart; a check called alone makes its own."""
 
     def __init__(self, sc: SuiteContext, config: SuiteConfig):
         self.sc, self.config = sc, config
-        self._visits = {}
+        self._certificates = {}
 
     @cached_property
     def hess_points(self) -> list:
         return sample_points(self.sc, self.config.seed, HESS_POINTS)
 
-    def hess_visit(self, i: int) -> GradientVisit:
-        if i not in self._visits:
-            self._visits[i] = gradient_visit(self.sc.family, self.hess_points[i])
-        return self._visits[i]
+    def hess_certificate(self, i: int) -> PairingCertificate:
+        if i not in self._certificates:
+            self._certificates[i] = pairing_certificate(self.sc.family, self.hess_points[i])
+        return self._certificates[i]
 
     @cached_property
     def along_f(self) -> list:
@@ -483,7 +488,10 @@ def check_strong_regularity(sc: SuiteContext, config: SuiteConfig,
     run = run or SuiteRun(sc, config)
     pts = run.hess_points
     for i, x in enumerate(pts):
-        if run.hess_visit(i).rank != sc.family.b:
+        cert = run.hess_certificate(i)
+        if cert.holds:
+            continue
+        if cert.visit.rank != sc.family.b:
             return {"ok": False, "witness": {"point": _vec_str(x)}}
         if not is_regular(sc.L, x):
             return {"ok": False,
@@ -502,13 +510,14 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
     run = run or SuiteRun(sc, config)
     pts = run.hess_points
     for i, x in enumerate(pts):
-        frame = zx_frame(F, x, run.hess_visit(i))
+        cert = run.hess_certificate(i)
+        frame = cert.frame if cert.holds else zx_frame(F, x, cert.visit)
         wit = isotropy_witness(L, frame)
         if wit is not None:
             return {"ok": False, "witness": {"point": _vec_str(x),
                                              "pair": [wit[0], wit[1]],
                                              "value": ratio_str(*wit[2])}}
-        if not casimirs_commute(F, frame):
+        if not cert.holds and not casimirs_commute(F, frame):
             return {"ok": False,
                     "witness": {"point": _vec_str(x),
                                 "kind": "invariant with nonzero Hamiltonian vector"}}
@@ -552,14 +561,14 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
     values = sc.inv.compiled.values(base)
     rng = random.Random(f"{config.seed + 4}:sample:slice")
     pts = [base] + slice_sample(L, base, SLICE_POINTS, rng)
-    for v in pts:
+    for k, v in enumerate(pts):
         if slice_frame(L, L.int_ad(v)).dim != L.n:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "nontrivial isotropy"}}
         if not point_in_hess(L, sc.triple, v):
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "left the slice plane"}}
-        if sc.inv.compiled.values(v) != values:
+        if k and sc.inv.compiled.values(v) != values:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "invariant values changed"}}
     return {"ok": True, "witness": {"points": len(pts),

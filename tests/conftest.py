@@ -1455,6 +1455,20 @@ def reference_generators():
 
 
 @pytest.fixture
+def rank_shapes(monkeypatch):
+    """The (rows, columns) of every linalg.rank call during one test."""
+    shapes = []
+    original = linalg.rank
+
+    def counted(mat):
+        shapes.append((len(mat), len(mat[0]) if mat else 0))
+        return original(mat)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    return shapes
+
+
+@pytest.fixture
 def gradient_rows_calls(monkeypatch):
     """The points of every ShiftFamily.gradient_rows call during one test."""
     calls = []

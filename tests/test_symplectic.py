@@ -16,7 +16,8 @@ from mfhess.symplectic import (NotStronglyRegular, TransversalityResult,
                                casimirs_commute, hess_lagrangian_check, isotropy_witness,
                                omega, slice_frame, polarization_report,
                                transversality_check, zx_frame)
-from mfhess.verifier import (SuiteConfig, SuiteContext, check_polarization,
+from mfhess.verifier import (SuiteConfig, SuiteContext, check_hamiltonian_frame,
+                             check_polarization, check_strong_regularity,
                              check_transversality)
 from mfhess.rational import clear, cleared, over, rat
 
@@ -156,20 +157,6 @@ CERT_LABELS = SUPPORTED_LABELS + FLAGGED_LABELS + ("[[2,-1,0],[-1,2,-1],[0,-2,2]
 CERT_IDS = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",)
 
 
-@pytest.fixture
-def rank_shapes(monkeypatch):
-    """The (rows, columns) of every linalg.rank call during one test."""
-    shapes = []
-    original = linalg.rank
-
-    def counted(mat):
-        shapes.append((len(mat), len(mat[0]) if mat else 0))
-        return original(mat)
-
-    monkeypatch.setattr(linalg, "rank", counted)
-    return shapes
-
-
 def _eliminated(B, shapes) -> tuple:
     """Whether ad x (dim x dim) and the Jacobian (b x n) were ranked."""
     return ((B.L.dim, B.L.dim) in shapes, (B.family.b, B.L.n) in shapes)
@@ -224,7 +211,8 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     longer commutes with x makes transversality rank ad x, a dependent
     member raises NotStronglyRegular, a zero pairing determinant makes it
     rank the Jacobian.  Each result or exception equals the reference
-    route's, and so do the outputs of check 15 and polarization."""
+    route's, and so do the outputs of check 15 and polarization; checks 12
+    and 13 give what they give with every pairing certificate failed."""
     B = bundles(label)
     bad = _planted_family(B, defect)
     rng = random.Random(f"fallback:{label}")
@@ -244,14 +232,82 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
         assert any(jac for _, jac in forced)
     sc = SuiteContext(label=label, rs=B.rs, L=B.L, ctx=B.ctx, triple=B.triple, inv=B.inv,
                       y=B.y, family=bad, chart=B.chart)
-    monkeypatch.setattr(verifier, "TRANSVERSALITY_POINTS", 3)
-    monkeypatch.setattr(verifier, "SLICE_POINTS", 3)
+    for name in ("HESS_POINTS", "TRANSVERSALITY_POINTS", "SLICE_POINTS"):
+        monkeypatch.setattr(verifier, name, 3)
     cfg = SuiteConfig(algebra=label, seed=5)
-    checks = (check_transversality, check_polarization)
+    checks = (check_strong_regularity, check_hamiltonian_frame, check_transversality,
+              check_polarization)
     outs = [_outcome(check, sc, cfg) for check in checks]
     monkeypatch.setattr(symplectic, "transversality_check", reference_transversality)
     monkeypatch.setattr(verifier, "transversality_check", reference_transversality)
+    monkeypatch.setattr(symplectic.PairingCertificate, "holds", property(lambda c: False))
     assert outs == [_outcome(check, sc, cfg) for check in checks]
+
+
+def _fail_condition(monkeypatch, B, condition):
+    """Make one condition of the pairing certificate fail and leave every
+    other reader as it is: the first determinant of each pairing reads 0,
+    the slice tangents (a frame without gradients) get an isotropy witness,
+    symplectic's casimirs_commute says no, or the l x dim rank of the
+    underived gradients reads -1."""
+    if condition == "det":
+        seen, original = set(), linalg.det
+
+        def det(mat):
+            key = repr(mat)
+            if key in seen:
+                return original(mat)
+            seen.add(key)
+            return 0
+
+        monkeypatch.setattr(linalg, "det", det)
+    elif condition == "isotropy":
+        original = symplectic.isotropy_witness
+        monkeypatch.setattr(symplectic, "isotropy_witness",
+                            lambda L, fr: (0, 1, (1, 1)) if fr.gradients is None
+                            else original(L, fr))
+    elif condition == "casimirs":
+        monkeypatch.setattr(symplectic, "casimirs_commute", lambda F, fr: False)
+    else:
+        original = linalg.rank
+        underived = (B.L.rank, B.L.dim)
+        monkeypatch.setattr(linalg, "rank", lambda mat: -1 if (len(mat), len(mat[0]))
+                            == underived else original(mat))
+
+
+@pytest.mark.parametrize("condition", ["det", "isotropy", "casimirs", "underived rank"])
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_each_failed_condition_falls_back_to_eliminations(bundles, reference_transversality,
+                                                          rank_shapes, monkeypatch, label,
+                                                          condition):
+    """One certificate condition failed at a time sends transversality and
+    checks 12 and 13 to the eliminations, which rank the b x dim gradient
+    matrix, and gives the reference result: the eliminating transversality
+    and the checks' outputs with every certificate failed."""
+    B = bundles(label)
+    rng = random.Random(f"condition:{label}")
+    points = [hess_point(B, rng) for _ in range(2)]
+    want = [reference_transversality(B.family, B.chart, x) for x in points]
+    sc = SuiteContext(label=label, rs=B.rs, L=B.L, ctx=B.ctx, triple=B.triple, inv=B.inv,
+                      y=B.y, family=B.family, chart=B.chart)
+    monkeypatch.setattr(verifier, "HESS_POINTS", 3)
+    cfg = SuiteConfig(algebra=label, seed=5)
+    checks = (check_strong_regularity, check_hamiltonian_frame)
+    with monkeypatch.context() as forced:
+        forced.setattr(symplectic.PairingCertificate, "holds", property(lambda c: False))
+        eliminated = [check(sc, cfg) for check in checks]
+    _fail_condition(monkeypatch, B, condition)
+    gradients = (B.family.b, B.L.dim)
+    for x, ref in zip(points, want):
+        rank_shapes.clear()
+        res = transversality_check(B.family, B.chart, x)
+        assert gradients in rank_shapes and not res.certified
+        assert res == ref and res.passed
+    rank_shapes.clear()
+    run = verifier.SuiteRun(sc, cfg)
+    assert [check(sc, cfg, run) for check in checks] == eliminated
+    assert rank_shapes.count(gradients) == 3
+    assert not any(run.hess_certificate(i).holds for i in range(3))
 
 
 def test_polarization_requires_hess_base_point(bundles):

@@ -807,8 +807,10 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
 
 
 def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
-    """Checks 14 to 16, omega_well_defined and polarization build ad x once
-    per visited point through the integer core; check 13 reads no ad x."""
+    """Checks 12 and 13 build one ad x per Hess point between them, in the
+    pass's pairing certificates; checks 14 to 16, omega_well_defined and
+    polarization build ad x once per visited point through the integer
+    core."""
     sc = a2_context
     for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
                         ("TRANSVERSALITY_POINTS", 4), ("SLICE_POINTS", 3)):
@@ -822,13 +824,42 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(LieAlgebra, "int_ad", counted)
-    visits = [(check_hamiltonian_frame, 0), (check_slice_lagrangian, 2),
+    run = verifier.SuiteRun(sc, cfg)
+    assert check_strong_regularity(sc, cfg, run)["ok"]
+    assert check_hamiltonian_frame(sc, cfg, run)["ok"]
+    assert len(calls) == 3
+    visits = [(check_slice_lagrangian, 2),
               (check_transversality, 4), (check_slice_infinitesimal, 1 + 3),
               (check_omega_well_defined, 3), (check_polarization, 2 * 3)]
     for check, points in visits:
         calls.clear()
         assert check(sc, cfg)["ok"], check.check_id
         assert len(calls) == points, check.check_id
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_certified_points_rank_only_the_underived_gradients(label, rank_shapes,
+                                                            monkeypatch):
+    """Where every sampled point is certified, checks 12, 13, 15 and
+    polarization rank the l x dim underived gradients and nothing else: not
+    the b gradients, a frame, the combined tangents, ad x or the Jacobian."""
+    sc = build_context(SuiteConfig(algebra=label, seed=5))
+    for name in ("HESS_POINTS", "TRANSVERSALITY_POINTS", "SLICE_POINTS"):
+        monkeypatch.setattr(verifier, name, 3)
+    cfg = SuiteConfig(algebra=label, seed=5)
+    L, b = sc.L, sc.family.b
+    eliminated = {(b, L.dim), (L.n, L.dim), (2 * L.n, L.dim), (L.dim, L.dim), (b, L.n)}
+    assert (L.rank, L.dim) not in eliminated
+    run = verifier.SuiteRun(sc, cfg)
+    for check in (check_strong_regularity, check_hamiltonian_frame, check_transversality,
+                  check_polarization):
+        rank_shapes.clear()
+        assert (check(sc, cfg, run) if check.reads_run else check(sc, cfg))["ok"]
+        assert eliminated.isdisjoint(rank_shapes), check.check_id
+        # check 13 reads the certificates check 12 built
+        assert set(rank_shapes) == ({(L.rank, L.dim)} if check is not check_hamiltonian_frame
+                                    else set()), check.check_id
+    assert all(run.hess_certificate(i).holds for i in range(3))
 
 
 def test_slice_lagrangian_fails_on_moved_base_point(helpers, a2_context):
