@@ -30,10 +30,12 @@ one l x dim rank call.  It holds when det M is nonzero, the
 slice tangents are isotropic, the underived gradients commute with x and
 are independent.  Then, in exact linear algebra:
 - the n Hamiltonian tangents and the n slice tangents are each independent
-  (M is their pairing), so zx_dim = slice_dim = n;
-- a vector sum c_i [x, g_i] in both spans pairs to zero with every slice
-  tangent (the slice is isotropic), so c M = 0, c = 0, and the combined
-  rank is 2n;
+  (M pairs the slice tangents with the g_i, and -M the Hamiltonian tangents
+  with the e_j), so zx_dim = slice_dim = n;
+- a vector in both spans pairs to zero with every slice preimage e_k, as
+  the slice is isotropic ((e_k, [x, e_j]) = 0), while as sum c_i [x, g_i]
+  it pairs with e_k to -(c M)_k; so c M = 0, c = 0, and the combined rank
+  is 2n;
 - the underived gradients lie in z(x), so dim z(x) >= l, and the combined
   tangents in the image of ad x, so rank ad x = dim - l = 2n: x is
   regular and its orbit has dimension 2n;
@@ -159,14 +161,12 @@ def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
 @dataclass
 class PairingCertificate:
     """One visit to a point x of Hess: its gradient visit and, only when
-    the certificate holds, the Hamiltonian frame and the slice tangents
-    with dimension n each and the pairing determinant as a reduced pair.
-    The visit's rank is not taken, and ad x is not kept: a suite pass
-    holds the certificates of all its Hess points at once."""
+    the certificate holds, the Hamiltonian frame with dimension n.  The
+    visit's rank is not taken, and neither ad x nor the slice tangents are
+    kept: a suite pass holds the certificates of all its Hess points at
+    once, and checks 12 and 13 read only these two."""
     visit: GradientVisit
     frame: TangentFrame | None = None
-    slice: TangentFrame | None = None
-    pairing_det: tuple | None = None
 
     @property
     def holds(self) -> bool:
@@ -178,11 +178,18 @@ def pairing_certificate(F: ShiftFamily, x) -> PairingCertificate:
     docstring): det M nonzero, the slice isotropic, the underived gradients
     commuting with x and of rank l.  A family without n derived and l
     underived members is never certified."""
+    return _certify(F, x)[0]
+
+
+def _certify(F: ShiftFamily, x) -> tuple:
+    """pairing_certificate at x, with the slice tangents (dimension n) and
+    the pairing determinant as a reduced pair where it holds, which only
+    transversality reads, else None for both."""
     L = F.L
     visit = gradient_visit(F, x)
     cert = PairingCertificate(visit=visit)
     if len(F.N_positions) != L.n or len(F.I_positions) != L.rank:
-        return cert
+        return cert, None, None
     zx = _hamiltonian_frame(F, visit)
     # M_ij = (g_i, [x, e_j]) = -([x, g_i], e_j) by invariance: one sparse
     # Killing row per slice direction, over the tangents' denominator
@@ -191,9 +198,9 @@ def pairing_certificate(F: ShiftFamily, x) -> PairingCertificate:
     sl = slice_frame(L, L.int_ad(x), L.n)
     if (num and isotropy_witness(L, sl) is None and casimirs_commute(F, zx)
             and linalg.rank([visit.rows[i] for i in F.I_positions]) == L.rank):
-        cert.frame, cert.slice = zx, sl
-        cert.pairing_det = reduced(num, zx.tden ** L.n)
-    return cert
+        cert.frame = zx
+        return cert, sl, reduced(num, zx.tden ** L.n)
+    return cert, None, None
 
 
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
@@ -232,25 +239,18 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
 
     Where pairing_certificate holds, every dimension is read from it and
     nothing is eliminated.  Where it fails, the gradient visit is the
-    certificate's and the rest runs as follows, with two ranks read from
-    certificates in hand and eliminated only when one fails:
-    - orbit_dim = rank(ad x) is 2n when the combined tangents have rank 2n
-      (they lie in the image of ad x, so rank(ad x) >= 2n) and the l
-      underived invariants' gradients commute with x (they are independent,
-      x being strongly regular, so dim z(x) >= l and rank(ad x) <= 2n);
-    - jacobian_rank is n when the pairing determinant is nonzero: its n rows
-      are rows of the Jacobian, which has n columns.
+    certificate's and every dimension is eliminated.
     """
     L = F.L
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
-    cert = pairing_certificate(F, x)
+    cert, sl, pdet = _certify(F, x)
     n = L.n
     if cert.holds:
         return TransversalityResult(zx_dim=n, slice_dim=n, combined_dim=2 * n,
-                                    orbit_dim=2 * n, pairing_det=cert.pairing_det,
-                                    jacobian_rank=n, passed=True, frame=cert.frame,
-                                    slice=cert.slice, certified=True)
+                                    orbit_dim=2 * n, pairing_det=pdet, jacobian_rank=n,
+                                    passed=True, frame=cert.frame, slice=sl,
+                                    certified=True)
     zx = zx_frame(F, x, cert.visit)
     adx = L.int_ad(zx.point)
     sl = slice_frame(L, adx)
@@ -261,11 +261,8 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     den = zx.pden * sl.tden
     pairing = [jac[i] for i in F.N_positions]
     pdet = reduced(linalg.det(pairing), den ** n) if sl.dim == n else (0, 1)
-    if combined == 2 * n and casimirs_commute(F, zx):
-        orbit_dim = 2 * n
-    else:
-        orbit_dim = linalg.rank(adx[0])
-    jrank = n if pdet[0] else linalg.rank(jac)
+    orbit_dim = linalg.rank(adx[0])
+    jrank = linalg.rank(jac)
     passed = (zx.dim == n and sl.dim == n
               and combined == 2 * n and orbit_dim == 2 * n
               and bool(pdet[0]) and jrank == n)
