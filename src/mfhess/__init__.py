@@ -17,8 +17,7 @@ from .argshift import (ShiftFamily, choose_regular_y, shift_family, pairwise_com
 from .hessenberg import (HessChart, build_chart, restrict_to_hess, hess_section,
                          poincare_series, NotTriangular)
 from .symplectic import (omega, zx_frame, hess_lagrangian_check, transversality_check,
-                         pairing_certificate, polarization_report, NotStronglyRegular,
-                         PairingCertificate, TangentFrame)
+                         polarization_report, NotStronglyRegular, HessVisit, TangentFrame)
 from .verifier import SuiteConfig, VerificationReport, run_suite, sample_points
 
 __version__ = "0.1.0"

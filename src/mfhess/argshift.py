@@ -35,7 +35,7 @@ too.  gradient_rows returns the gradient matrix as integer numerators over
 one denominator, which the rank tests and the tangent frames read as they
 are; gradient_visit adds the point and the rank, taken on its first read,
 so a point visited by several readers is ranked at most once, and a point
-that a certificate settles (symplectic.pairing_certificate) not at all.
+that its pairing certificate settles (symplectic.HessVisit) not at all.
 """
 
 from __future__ import annotations

@@ -492,11 +492,6 @@ class PrincipalDecomposition:
     exponents: tuple       # ad-w weight of each highest weight vector, halved
     chains: list           # chains z_{j k} = (ad f / 2)^k z_j, k = 0..m_j
 
-    @property
-    def cartan_reps(self) -> list:
-        """z_j, the Cartan representative of each summand."""
-        return [chain[0] for chain in self.chains]
-
 
 def cartan_from_root_values(L: LieAlgebra, values) -> tuple:
     """The Cartan element whose simple-root values are the given integers,

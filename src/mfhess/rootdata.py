@@ -107,10 +107,6 @@ class RootSystem:
     layer_dims: tuple              # r_1..r_h
     symmetrizer: tuple = field(repr=False, default=())  # d_i with d_i A[i][j] symmetric
 
-    @property
-    def b(self) -> int:
-        return self.rank + self.num_positive
-
     def pairing(self, coords, i: int) -> int:
         """Value of the i-th simple coroot on the root with given coordinates."""
         a = self.cartan.entries

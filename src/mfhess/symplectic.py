@@ -11,24 +11,21 @@ shifting a preimage by a centralizer element leaves it unchanged).
 
 Every verdict here is a rank or a vanishing test, and neither changes when
 a vector is scaled by a positive integer.  So a visited point arrives as a
-canonical cleared vector (integer numerators over one denominator,
-rational.canonical), as the sampler and hessenberg.slice_sample draw it,
-and stays on integers from its gradients to its verdict; omega returns its
-value as a reduced integer pair.  A TangentFrame holds integer preimages
-and integer tangents, each list over one positive denominator.
-The Hamiltonian tangents are LieAlgebra.int_bracket(x, z) and the pairings
-LieAlgebra.int_killing_pair.  ad x (LieAlgebra.int_ad) is built only where
-its columns are read, once per point: the slice tangents are its n_-
-columns.  The pairing determinant and an isotropy witness are reduced
-integer pairs.
+canonical cleared vector (rational.canonical), as the sampler and
+hessenberg.slice_sample draw it, and stays on integers to its verdict.  A
+TangentFrame holds integer preimages and integer tangents, each list over
+one positive denominator; omega, the pairing determinant and an isotropy
+witness are reduced integer pairs.
 
-A point x of Hess is settled by one certificate (pairing_certificate),
-built from the b gradients, the brackets [x, g], one ad x and the n x n
-pairing M_ij = (g_i, [x, e_j]) of the derived gradients with the slice
-tangents (read as -([x, g_i], e_j), one sparse Killing row per entry), with
-one l x dim rank call.  It holds when det M is nonzero, the
-slice tangents are isotropic, the underived gradients commute with x and
-are independent.  Then, in exact linear algebra:
+A point x of Hess is settled by one HessVisit, the only code that knows
+the pairing certificate.  It is built with one gradient visit, one bracket
+pass [x, g] over the b gradients and one ad x (its n_- columns are the
+slice tangents [x, e_j]).  The b x n Jacobian J_ij = (g_i, [x, e_j]) is
+read by invariance as -([x, g_i], e_j), one sparse Killing row per entry,
+from those brackets; M is its n rows of derived gradients, and the whole
+is built only where the certificate fails.  It holds when det M is nonzero,
+the slice tangents are isotropic, the underived gradients commute with x
+and have rank l (one l x dim rank call).  Then, in exact linear algebra:
 - the n Hamiltonian tangents and the n slice tangents are each independent
   (M pairs the slice tangents with the g_i, and -M the Hamiltonian tangents
   with the e_j), so zx_dim = slice_dim = n;
@@ -42,12 +39,12 @@ are independent.  Then, in exact linear algebra:
 - ad x maps a relation sum a_i g_i + sum c_k h_k = 0 among the gradients
   (h_k the underived ones) to sum a_i [x, g_i] = 0, so a = 0 and then
   c = 0: the b gradients are independent and x is strongly regular;
-- M is n rows of the b x n Jacobian, whose rank is then n.
-Transversality (check 15 and every polarization point) and checks 12 and
-13 read these dimensions from it.  Where it fails they eliminate, in the
-order zx_frame, slice_frame, the ranks of the combined tangents, ad x and
-the Jacobian, so every result, exception and witness is the eliminating
-route's.
+- M is n rows of the Jacobian, whose rank is then n.
+Each claim of checks 12, 13, 15 and polarization is one read on the visit:
+n, 2n or True where the certificate holds, else a rank of the matrices the
+visit already holds, so every result, exception and witness is the
+eliminating route's.  A certified visit drops its brackets, ad x and the
+slice, which nothing reads again.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -61,7 +58,8 @@ over a sampled orbit slice as one bool per point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .liealgebra import LieAlgebra
@@ -87,61 +85,51 @@ class TangentFrame:
     pden: int
     tangents: list     # integer numerators of [x, z] for each preimage z, over tden
     tden: int
-    dim: int
-    gradients: list | None = None   # zx_frame: all b family gradients at x, over pden
-    point: tuple | None = None      # zx_frame: x, cleared
+    gradients: list | None = None   # Hamiltonian frame: all b family gradients at x, over pden
+    point: tuple | None = None      # Hamiltonian frame: x, cleared
+
+    @cached_property
+    def dim(self) -> int:
+        """The rank of the tangents, taken on the first read."""
+        return linalg.rank(self.tangents)
 
 
-def slice_frame(L: LieAlgebra, adx, dim: int | None = None) -> TangentFrame:
+def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
     """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
-    columns of ad x = (integer rows, den).  The dimension is their rank,
-    taken here unless a certificate already gave it as dim."""
+    columns of ad x = (integer rows, den)."""
     rows, den = adx
     idx = L.nminus_indices
-    tangents = [[row[j] for row in rows] for j in idx]
-    units = [[int(i == j) for j in range(L.dim)] for i in idx]
-    return TangentFrame(preimages=units, pden=1, tangents=tangents, tden=den,
-                        dim=linalg.rank(tangents) if dim is None else dim)
+    return TangentFrame(preimages=[[int(i == j) for j in range(L.dim)] for i in idx], pden=1,
+                        tangents=[[row[j] for row in rows] for j in idx], tden=den)
 
 
-def zx_frame(F: ShiftFamily, x, visit: GradientVisit | None = None) -> TangentFrame:
-    """Hamiltonian tangent frame of the non-invariant generators at x.
+def _hamiltonian_frame(F: ShiftFamily, visit: GradientVisit, tangents: list) -> TangentFrame:
+    """The frame of the visit's derived gradients, from the int_bracket
+    tangents [x, g] of all b gradients."""
+    N, rows = F.N_positions, visit.rows
+    return TangentFrame(preimages=[rows[i] for i in N], pden=visit.den,
+                        tangents=[tangents[i] for i in N], tden=visit.point[1] * visit.den,
+                        gradients=rows, point=visit.point)
 
-    Requires strong regularity, read from the rank of the visit's gradient
-    matrix; the n tangents [x, g] are verified independent.  visit is the
-    gradient_visit of x when one was already built (a failed certificate
-    hands its own), else it is built here.  The frame carries all b
-    gradients, the only ones built for this visit, and the cleared point;
-    it builds no ad x.
-    """
-    if visit is None:
-        visit = gradient_visit(F, x)
+
+def _checked(F: ShiftFamily, visit: GradientVisit, frame: TangentFrame) -> TangentFrame:
+    """The Hamiltonian frame, once ranks show the visit's gradients and the
+    frame's n tangents independent."""
     if visit.rank != F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
-    frame = _hamiltonian_frame(F, visit)
-    if linalg.rank(frame.tangents) != F.L.n:
+    if frame.dim != F.L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
     return frame
 
 
-def _hamiltonian_frame(F: ShiftFamily, visit: GradientVisit) -> TangentFrame:
-    """The tangents [x, g] of the derived gradients at the visit's point,
-    with dimension n, which the caller proves."""
-    L = F.L
-    xc, rows, den = visit.point, visit.rows, visit.den
-    preimages = [rows[i] for i in F.N_positions]
-    brackets = [L.int_bracket(xc, (g, den)) for g in preimages]
-    return TangentFrame(preimages=preimages, pden=den, tangents=[t for t, _ in brackets],
-                        tden=brackets[0][1], dim=L.n, gradients=rows, point=xc)
-
-
-def casimirs_commute(F: ShiftFamily, frame: TangentFrame) -> bool:
-    """Whether the gradient of every underived family member commutes with x,
-    read from a zx_frame at x: the Hamiltonian vectors of the invariants
-    vanish."""
-    L = F.L
-    return not any(any(L.int_bracket(frame.point, (frame.gradients[i], frame.pden))[0])
-                   for i in F.I_positions)
+def zx_frame(F: ShiftFamily, x) -> TangentFrame:
+    """Hamiltonian tangent frame of the non-invariant generators at x, by
+    elimination: strong regularity is the rank of the b gradients, and the
+    n tangents [x, g] are ranked.  The frame carries all b gradients and the
+    cleared point; no ad x is built."""
+    visit = gradient_visit(F, x)
+    tangents = [F.L.int_bracket(x, (g, visit.den))[0] for g in visit.rows]
+    return _checked(F, visit, _hamiltonian_frame(F, visit, tangents))
 
 
 def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
@@ -156,51 +144,6 @@ def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
             if num:
                 return (i, j, reduced(num, den))
     return None
-
-
-@dataclass
-class PairingCertificate:
-    """One visit to a point x of Hess: its gradient visit and, only when
-    the certificate holds, the Hamiltonian frame with dimension n.  The
-    visit's rank is not taken, and neither ad x nor the slice tangents are
-    kept: a suite pass holds the certificates of all its Hess points at
-    once, and checks 12 and 13 read only these two."""
-    visit: GradientVisit
-    frame: TangentFrame | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.frame is not None
-
-
-def pairing_certificate(F: ShiftFamily, x) -> PairingCertificate:
-    """Build the certificate at the cleared point x (see the module
-    docstring): det M nonzero, the slice isotropic, the underived gradients
-    commuting with x and of rank l.  A family without n derived and l
-    underived members is never certified."""
-    return _certify(F, x)[0]
-
-
-def _certify(F: ShiftFamily, x) -> tuple:
-    """pairing_certificate at x, with the slice tangents (dimension n) and
-    the pairing determinant as a reduced pair where it holds, which only
-    transversality reads, else None for both."""
-    L = F.L
-    visit = gradient_visit(F, x)
-    cert = PairingCertificate(visit=visit)
-    if len(F.N_positions) != L.n or len(F.I_positions) != L.rank:
-        return cert, None, None
-    zx = _hamiltonian_frame(F, visit)
-    # M_ij = (g_i, [x, e_j]) = -([x, g_i], e_j) by invariance: one sparse
-    # Killing row per slice direction, over the tangents' denominator
-    num = linalg.det([[-sum(t[k] * c for k, c in L.int_killing[j]) for j in L.nminus_indices]
-                      for t in zx.tangents])
-    sl = slice_frame(L, L.int_ad(x), L.n)
-    if (num and isotropy_witness(L, sl) is None and casimirs_commute(F, zx)
-            and linalg.rank([visit.rows[i] for i in F.I_positions]) == L.rank):
-        cert.frame = zx
-        return cert, sl, reduced(num, zx.tden ** L.n)
-    return cert, None, None
 
 
 def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
@@ -221,9 +164,106 @@ class TransversalityResult:
     passed: bool
     frame: TangentFrame
     slice: TangentFrame
-    # whether a pairing certificate gave every dimension; both routes give
-    # equal results, so the route is not compared
-    certified: bool = field(default=False, compare=False)
+
+
+class HessVisit:
+    """One visit to a cleared point x of Hess (see the module docstring):
+    every claim about x is one read here, and only here is the certificate
+    chosen over elimination.  The four conditions of the certificate are
+    read first by certified, which drops the brackets, ad x and the slice
+    once it holds, as a suite pass holds its visits for the whole pass; so
+    transversality, which carries the slice, is read first on its visit."""
+
+    def __init__(self, F: ShiftFamily, x):
+        L = F.L
+        self.F = F
+        self.gradients = gradient_visit(F, x)
+        self._tangents = [L.int_bracket(x, (g, self.gradients.den))[0]
+                          for g in self.gradients.rows]
+        self._frame = _hamiltonian_frame(F, self.gradients, self._tangents)
+        self._adx = L.int_ad(x)
+        self.slice = slice_frame(L, self._adx)
+
+    def _jacobian(self, positions) -> list:
+        """Rows i of J_ij = (g_i, [x, e_j]) = -([x, g_i], e_j), one sparse
+        Killing row per slice direction, over the tangents' denominator."""
+        L = self.F.L
+        killing = [L.int_killing[j] for j in L.nminus_indices]
+        return [[-sum(t[k] * c for k, c in row) for row in killing]
+                for t in (self._tangents[i] for i in positions)]
+
+    # -- the conditions of the certificate
+
+    @cached_property
+    def pairing_det(self) -> tuple:
+        """det M as a reduced pair; (0, 1) unless there are n derived members."""
+        n = self.F.L.n
+        M = self._jacobian(self.F.N_positions)
+        return reduced(linalg.det(M) if len(M) == n else 0, self._frame.tden ** n)
+
+    @cached_property
+    def slice_isotropic(self) -> bool:
+        return isotropy_witness(self.F.L, self.slice) is None
+
+    @cached_property
+    def casimirs_commute(self) -> bool:
+        """Whether [x, g] vanishes for every underived member's gradient g."""
+        return not any(any(self._tangents[i]) for i in self.F.I_positions)
+
+    @cached_property
+    def underived_rank(self) -> int:
+        return linalg.rank([self.gradients.rows[i] for i in self.F.I_positions])
+
+    @cached_property
+    def certified(self) -> bool:
+        """det M nonzero, the slice isotropic, and the underived members,
+        l of them, commuting with x and independent."""
+        held = (bool(self.pairing_det[0]) and self.slice_isotropic and self.casimirs_commute
+                and len(self.F.I_positions) == self.F.L.rank == self.underived_rank)
+        if held:
+            del self._tangents, self._adx, self.slice
+        return held
+
+    # -- the claims
+
+    @property
+    def strongly_regular(self) -> bool:
+        return self.certified or self.gradients.rank == self.F.b
+
+    @cached_property
+    def orbit_dim(self) -> int:
+        return 2 * self.F.L.n if self.certified else linalg.rank(self._adx[0])
+
+    @property
+    def regular(self) -> bool:
+        return self.orbit_dim == 2 * self.F.L.n
+
+    @property
+    def frame(self) -> TangentFrame:
+        """The Hamiltonian frame, raising as zx_frame does where x is not
+        strongly regular or its tangents are dependent."""
+        return self._frame if self.certified else _checked(self.F, self.gradients, self._frame)
+
+    @cached_property
+    def transversality(self) -> TransversalityResult:
+        """Check 15 at x (see transversality_check)."""
+        sl = self.slice     # read before certified drops it
+        zx, n = self.frame, self.F.L.n
+        zx_dim, slice_dim, combined, jrank = (n, n, 2 * n, n) if self.certified else (
+            zx.dim, sl.dim, linalg.rank(zx.tangents + sl.tangents),
+            linalg.rank(self._jacobian(range(self.F.b))))
+        passed = (zx_dim == slice_dim == jrank == n and combined == self.orbit_dim == 2 * n
+                  and bool(self.pairing_det[0]))
+        return TransversalityResult(zx_dim=zx_dim, slice_dim=slice_dim,
+                                    combined_dim=combined, orbit_dim=self.orbit_dim,
+                                    pairing_det=self.pairing_det, jacobian_rank=jrank,
+                                    passed=passed, frame=zx, slice=sl)
+
+
+def _hess_visit(F: ShiftFamily, chart: HessChart, x) -> HessVisit:
+    if not point_in_hess(F.L, chart.triple, x):
+        raise ValueError("transversality is checked at points of the affine slice")
+    return HessVisit(F, x)
 
 
 def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityResult:
@@ -235,41 +275,10 @@ def transversality_check(F: ShiftFamily, chart: HessChart, x) -> TransversalityR
     gradient g with a slice preimage is that generator's row of the Jacobian
     of the family along the slice tangents; its determinant is the
     fraction-free determinant of the integer pairing over its denominator,
-    as a reduced integer pair.
-
-    Where pairing_certificate holds, every dimension is read from it and
-    nothing is eliminated.  Where it fails, the gradient visit is the
-    certificate's and every dimension is eliminated.
+    as a reduced integer pair.  Every dimension is read from the point's
+    HessVisit.
     """
-    L = F.L
-    if not point_in_hess(L, chart.triple, x):
-        raise ValueError("transversality is checked at points of the affine slice")
-    cert, sl, pdet = _certify(F, x)
-    n = L.n
-    if cert.holds:
-        return TransversalityResult(zx_dim=n, slice_dim=n, combined_dim=2 * n,
-                                    orbit_dim=2 * n, pairing_det=pdet, jacobian_rank=n,
-                                    passed=True, frame=cert.frame, slice=sl,
-                                    certified=True)
-    zx = zx_frame(F, x, cert.visit)
-    adx = L.int_ad(zx.point)
-    sl = slice_frame(L, adx)
-    combined = linalg.rank(zx.tangents + sl.tangents)
-    # every entry is over the one denominator pden * tden
-    jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
-           for g in zx.gradients]
-    den = zx.pden * sl.tden
-    pairing = [jac[i] for i in F.N_positions]
-    pdet = reduced(linalg.det(pairing), den ** n) if sl.dim == n else (0, 1)
-    orbit_dim = linalg.rank(adx[0])
-    jrank = linalg.rank(jac)
-    passed = (zx.dim == n and sl.dim == n
-              and combined == 2 * n and orbit_dim == 2 * n
-              and bool(pdet[0]) and jrank == n)
-    return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
-                                combined_dim=combined, orbit_dim=orbit_dim,
-                                pairing_det=pdet, jacobian_rank=jrank, passed=passed,
-                                frame=zx, slice=sl)
+    return _hess_visit(F, chart, x).transversality
 
 
 def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
@@ -281,9 +290,8 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     its slice tangents are Lagrangian, the two are transversal on an orbit
     of full dimension 2n, and its invariant values are v0's, taken at the
     first point.  The slice stays in Hess, so v0 must be a cleared point of
-    Hess.  Each point takes its dimensions, its frames and ad x from one
-    transversality_check; a certified one has isotropic slice tangents
-    already.  Every point is evaluated.
+    Hess.  Each point is read from one HessVisit, and every point is
+    evaluated.
     """
     L = F.L
     if not point_in_hess(L, chart.triple, v0):
@@ -292,13 +300,11 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     rng = random.Random(f"{seed}:polarization")
     out = []
     for k, x in enumerate([v0] + slice_sample(L, v0, max(count - 1, 0), rng)):
+        visit = _hess_visit(F, chart, x)
         try:
-            res = transversality_check(F, chart, x)
+            res = visit.transversality
+            ok = isotropy_witness(L, res.frame) is None and visit.slice_isotropic and res.passed
         except NotStronglyRegular:
-            res = None
-        ok = (res is not None and isotropy_witness(L, res.frame) is None
-              and res.slice_dim == L.n
-              and (res.certified or isotropy_witness(L, res.slice) is None)
-              and res.passed)
+            ok = False
         out.append((not k or inv.compiled.values(x) == values) and ok)
     return out

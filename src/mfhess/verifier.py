@@ -10,11 +10,11 @@ identical configuration produce identical bytes.
 
 What several checks of one pass read is computed once per pass and held
 by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
-pairing certificate each (symplectic.pairing_certificate), and the shift of
-the invariants along f.  Where a point's certificate holds, check 12 reads
-strong regularity and regularity from it and check 13 its Hamiltonian
-frame and the commuting of the underived gradients with x, so only check
-13's isotropy is computed; where it fails, both eliminate.
+symplectic.HessVisit each, and the shift of the invariants along f.  Check
+12 reads strong regularity and regularity from the visit and check 13 its
+Hamiltonian frame and the commuting of the underived gradients with x, so
+only check 13's isotropy is computed here; the visit alone chooses
+between its pairing certificate and elimination.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
 to the verdict, and witnesses are formatted on integers (_vec_str).  Hess
@@ -44,9 +44,8 @@ from .argshift import (choose_regular_y, shift_family, shifted_invariants,
                        zeta_chain, mv_membership, load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, point_in_hess, poincare_series,
                          restrict_to_hess, slice_sample)
-from .symplectic import (PairingCertificate, omega, zx_frame, isotropy_witness,
-                         hess_lagrangian_check, transversality_check, polarization_report,
-                         casimirs_commute, pairing_certificate, slice_frame)
+from .symplectic import (HessVisit, omega, isotropy_witness, hess_lagrangian_check,
+                         transversality_check, polarization_report, slice_frame)
 
 
 class RegionExhausted(Exception):
@@ -247,25 +246,23 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
 
 class SuiteRun:
     """What one suite pass shares between checks, each built when first read:
-    the Hess points of checks 12 and 13 with one pairing certificate each
-    (one gradient visit and one ad x per point; where the certificate
-    fails, check 12 ranks the visit and check 13 hands it to zx_frame), and
-    the shift of the invariants along f that checks 8 and membership read.
+    the Hess points of checks 12 and 13 with one HessVisit each, and the
+    shift of the invariants along f that checks 8 and membership read.
     A run belongs to one _suite_payload pass, never to the context, family
     or chart; a check called alone makes its own."""
 
     def __init__(self, sc: SuiteContext, config: SuiteConfig):
         self.sc, self.config = sc, config
-        self._certificates = {}
+        self._visits = {}
 
     @cached_property
     def hess_points(self) -> list:
         return sample_points(self.sc, self.config.seed, HESS_POINTS)
 
-    def hess_certificate(self, i: int) -> PairingCertificate:
-        if i not in self._certificates:
-            self._certificates[i] = pairing_certificate(self.sc.family, self.hess_points[i])
-        return self._certificates[i]
+    def hess_visit(self, i: int) -> HessVisit:
+        if i not in self._visits:
+            self._visits[i] = HessVisit(self.sc.family, self.hess_points[i])
+        return self._visits[i]
 
     @cached_property
     def along_f(self) -> list:
@@ -488,12 +485,10 @@ def check_strong_regularity(sc: SuiteContext, config: SuiteConfig,
     run = run or SuiteRun(sc, config)
     pts = run.hess_points
     for i, x in enumerate(pts):
-        cert = run.hess_certificate(i)
-        if cert.holds:
-            continue
-        if cert.visit.rank != sc.family.b:
+        visit = run.hess_visit(i)
+        if not visit.strongly_regular:
             return {"ok": False, "witness": {"point": _vec_str(x)}}
-        if not is_regular(sc.L, x):
+        if not visit.regular:
             return {"ok": False,
                     "witness": {"point": _vec_str(x), "kind": "not regular"}}
     return {"ok": True, "witness": {"points": len(pts)}}
@@ -505,23 +500,20 @@ def check_strong_regularity(sc: SuiteContext, config: SuiteConfig,
          "underived generators have vanishing Hamiltonian vectors", 13, reads_run=True)
 def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
                             run: SuiteRun | None = None) -> dict:
-    L = sc.L
-    F = sc.family
     run = run or SuiteRun(sc, config)
     pts = run.hess_points
     for i, x in enumerate(pts):
-        cert = run.hess_certificate(i)
-        frame = cert.frame if cert.holds else zx_frame(F, x, cert.visit)
-        wit = isotropy_witness(L, frame)
+        visit = run.hess_visit(i)
+        wit = isotropy_witness(sc.L, visit.frame)
         if wit is not None:
             return {"ok": False, "witness": {"point": _vec_str(x),
                                              "pair": [wit[0], wit[1]],
                                              "value": ratio_str(*wit[2])}}
-        if not cert.holds and not casimirs_commute(F, frame):
+        if not visit.casimirs_commute:
             return {"ok": False,
                     "witness": {"point": _vec_str(x),
                                 "kind": "invariant with nonzero Hamiltonian vector"}}
-    return {"ok": True, "witness": {"points": len(pts), "frame_dim": L.n}}
+    return {"ok": True, "witness": {"points": len(pts), "frame_dim": sc.L.n}}
 
 
 @_record("symplectic.slice_lagrangian",

@@ -1284,8 +1284,7 @@ def reference_principal_decomposition(L, triple):
         chains.append([vec_scale(modules[-1][m], rat(1, 2 ** m))])
         for _ in range(m):
             chains[-1].append(vec_scale(br(triple.f, chains[-1][-1]), rat(1, 2)))
-    return SimpleNamespace(modules=modules, exponents=tuple(m for m, _ in hw),
-                           cartan_reps=[ch[0] for ch in chains], chains=chains)
+    return SimpleNamespace(modules=modules, exponents=tuple(m for m, _ in hw), chains=chains)
 
 
 @pytest.fixture(scope="session")

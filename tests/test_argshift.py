@@ -70,7 +70,7 @@ def test_piece_degrees_and_top_coefficient(bundles):
 def test_family_graded_dimensions(bundles, label, expected):
     B = bundles(label)
     assert B.family.graded_dims() == expected
-    assert B.family.b == B.rs.b
+    assert B.family.b == B.rs.rank + B.rs.num_positive
 
 
 def test_family_ordering_and_index_split(bundles):

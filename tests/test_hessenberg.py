@@ -44,13 +44,13 @@ def test_restriction_of_f_functional_is_one(bundles, helpers):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
         lf = helpers.linear_functional(B.ctx, over(*B.triple.f))
-        assert restrict_to_hess(B.L, B.triple, [lf]) == [Poly.const(B.rs.b, 1)]
+        assert restrict_to_hess(B.L, B.triple, [lf]) == [Poly.const(B.family.b, 1)]
 
 
 def test_restriction_of_constant(bundles):
     B = bundles("A2")
     p = Poly.const(B.L.dim, rat(5, 3))
-    assert restrict_to_hess(B.L, B.triple, [p]) == [Poly.const(B.rs.b, rat(5, 3))]
+    assert restrict_to_hess(B.L, B.triple, [p]) == [Poly.const(B.family.b, rat(5, 3))]
 
 
 def test_restriction_of_upper_borel_linear_functionals(bundles, helpers):

@@ -110,11 +110,11 @@ def test_principal_decomposition_shapes(bundles, label):
     assert sorted(2 * m + 1 for m in dec.exponents) == sorted(EXPECTED_MODULES[label])
     assert sorted(dec.exponents) == list(B.rs.exponents)
     # Cartan representatives live in the Cartan subalgebra
-    for z, _ in dec.cartan_reps:
-        assert B.L.supported_in(z, B.L.cartan_indices)
+    for chain in dec.chains:
+        assert B.L.supported_in(chain[0][0], B.L.cartan_indices)
     # chains form a basis of the lower Borel
     flat = [v for ch in dec.chains for v, _ in ch]
-    assert linalg.rank(flat) == B.rs.b
+    assert linalg.rank(flat) == B.rs.rank + B.rs.num_positive
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     assert linalg.same_span(flat, bminus)
 
@@ -139,7 +139,7 @@ def test_lowering_expansion_interpolated(bundles, helpers, label):
     nodes = list(range(h + 1))
     for j, chain in enumerate(dec.chains):
         m = dec.exponents[j]
-        z = over(*dec.cartan_reps[j])
+        z = over(*chain[0])
         values = [helpers.ut_action(L, tri, t, z) for t in nodes]
         rows, den = linalg.inverse([[t ** k for k in range(len(nodes))] for t in nodes])
         coeffs = helpers.mat_mul([over(row, den) for row in rows], values)
@@ -159,7 +159,7 @@ def test_lowering_orbit_spans_module_slice(bundles, helpers, label):
     for j, chain in enumerate(dec.chains):
         m = dec.exponents[j]
         ts = list(range(m + 1))
-        vecs = [clear(helpers.ut_action(L, tri, t, over(*dec.cartan_reps[j])))[0] for t in ts]
+        vecs = [clear(helpers.ut_action(L, tri, t, over(*chain[0])))[0] for t in ts]
         assert linalg.rank(vecs) == m + 1
         assert linalg.same_span(vecs, [v for v, _ in chain])
 
@@ -175,7 +175,7 @@ def test_vandermonde_span_full_and_single(bundles, label):
     L = B.L
     h = B.rs.coxeter_number
     dim_full, rows = gradient_span(B.ctx, B.inv.polys, line_points(B, range(h)))
-    assert dim_full == B.rs.b
+    assert dim_full == B.rs.rank + B.rs.num_positive
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     assert linalg.same_span(rows, bminus)
     # a single point of the line only yields the Cartan of that point
@@ -188,7 +188,7 @@ def test_vandermonde_span_full_and_single(bundles, label):
 def test_vandermonde_span_a1_two_points(bundles):
     B = bundles("A1")
     dim, _ = gradient_span(B.ctx, B.inv.polys, line_points(B, [0, 1]))
-    assert dim == 2 == B.rs.b
+    assert dim == 2 == B.rs.rank + B.rs.num_positive
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
@@ -395,7 +395,6 @@ def test_principal_triple_and_decomposition_match_fraction_reference(algebras,
     assert dec.exponents == want.exponents
     assert dec.modules == [[cleared(v) for v in mod] for mod in want.modules]
     assert dec.chains == [[cleared(v) for v in ch] for ch in want.chains]
-    assert dec.cartan_reps == [cleared(z) for z in want.cartan_reps]
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)

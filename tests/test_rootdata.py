@@ -30,7 +30,7 @@ def test_positive_roots_match_hand_enumeration(label):
 
 def test_a1_counts():
     rs = build("A1")
-    assert rs.num_positive == 1 and rs.b == 2
+    assert rs.num_positive == 1 and rs.rank + rs.num_positive == 2
     assert rs.degrees == (2,) and rs.layer_dims == (1, 1)
 
 
@@ -40,7 +40,7 @@ def test_a2_counts(helpers):
     assert sorted(rs.heights) == [1, 1, 2]
     assert rs.coxeter_number == 3
     d, m, r = helpers.degrees_and_layers(rs)
-    assert d == (2, 3) and r == (2, 2, 1) and sum(d) == 5 == rs.b
+    assert d == (2, 3) and r == (2, 2, 1) and sum(d) == 5 == rs.rank + rs.num_positive
     assert m == (1, 2)
 
 
@@ -50,14 +50,15 @@ def test_b2_counts(helpers):
     assert sorted(rs.heights) == [1, 1, 2, 3]
     assert rs.coxeter_number == 4
     d, _, r = helpers.degrees_and_layers(rs)
-    assert d == (2, 4) and sum(r) == 6 == rs.b
+    assert d == (2, 4) and sum(r) == 6 == rs.rank + rs.num_positive
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_degree_layer_duality(label):
     rs = build(label)
-    assert sum(rs.degrees) == rs.b
-    assert sum(rs.layer_dims) == rs.b
+    b = rs.rank + rs.num_positive
+    assert sum(rs.degrees) == b
+    assert sum(rs.layer_dims) == b
     assert tuple(dual_partition(rs.degrees)) == rs.layer_dims
     assert tuple(sorted(dual_partition(rs.layer_dims))) == rs.degrees
     assert list(rs.layer_dims) == sorted(rs.layer_dims, reverse=True)

@@ -5,20 +5,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfhess import linalg, symplectic, verifier
+from mfhess import linalg, verifier
 from mfhess.liealgebra import (chevalley_algebra, exp_ad_nilpotent, is_regular,
                                principal_triple)
 from mfhess.argshift import phi
 from mfhess.polyring import Poly
 from mfhess.rootdata import (FLAGGED_LABELS, SUPPORTED_LABELS, CartanMatrix,
                              build_root_system, cartan_matrix_for_label)
-from mfhess.symplectic import (NotStronglyRegular, TransversalityResult,
-                               casimirs_commute, hess_lagrangian_check, isotropy_witness,
-                               omega, slice_frame, polarization_report,
-                               transversality_check, zx_frame)
-from mfhess.verifier import (SuiteConfig, SuiteContext, check_hamiltonian_frame,
-                             check_polarization, check_strong_regularity,
-                             check_transversality)
+from mfhess.symplectic import (HessVisit, NotStronglyRegular, TransversalityResult,
+                               hess_lagrangian_check, isotropy_witness, omega, slice_frame,
+                               polarization_report, transversality_check, zx_frame)
+from mfhess.verifier import (SuiteConfig, SuiteContext, build_context,
+                             check_hamiltonian_frame, check_polarization,
+                             check_strong_regularity, check_transversality, sample_points)
 from mfhess.rational import clear, cleared, over, rat
 
 
@@ -89,11 +88,13 @@ def test_zx_frame_lagrangian(bundles, helpers):
             rows, den = B.family.gradient_rows(x)
             for pos in B.family.I_positions:
                 assert not any(L.int_bracket((rows[pos], den), x)[0])
-            assert casimirs_commute(B.family, fr)
-            # a derived gradient in an invariant's place does not commute
-            swapped = list(fr.gradients)
-            swapped[B.family.I_positions[0]] = fr.gradients[B.family.N_positions[0]]
-            assert not casimirs_commute(B.family, replace(fr, gradients=swapped))
+            assert HessVisit(B.family, x).casimirs_commute
+            # a derived member in an invariant's place does not commute
+            F = B.family
+            entries = list(F.entries)
+            entries[F.I_positions[0]] = replace(entries[F.I_positions[0]],
+                                                poly=entries[F.N_positions[0]].poly)
+            assert not HessVisit(replace(F, entries=entries), x).casimirs_commute
 
 
 def test_zx_frame_requires_strong_regularity(bundles):
@@ -211,8 +212,9 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     longer commutes with x or a zero pairing determinant makes
     transversality rank ad x and the Jacobian, a dependent member raises
     NotStronglyRegular.  Each result or exception equals the reference
-    route's, and so do the outputs of check 15 and polarization; checks 12
-    and 13 give what they give with every pairing certificate failed."""
+    route's, and checks 12, 13, 15 and polarization give what they give
+    with every pairing certificate failed, check 15 on the reference
+    route."""
     B = bundles(label)
     bad = _planted_family(B, defect)
     rng = random.Random(f"fallback:{label}")
@@ -236,41 +238,33 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     checks = (check_strong_regularity, check_hamiltonian_frame, check_transversality,
               check_polarization)
     outs = [_outcome(check, sc, cfg) for check in checks]
-    monkeypatch.setattr(symplectic, "transversality_check", reference_transversality)
     monkeypatch.setattr(verifier, "transversality_check", reference_transversality)
-    monkeypatch.setattr(symplectic.PairingCertificate, "holds", property(lambda c: False))
+    monkeypatch.setattr(HessVisit, "certified", property(lambda v: False))
     assert outs == [_outcome(check, sc, cfg) for check in checks]
 
 
-def _fail_condition(monkeypatch, B, condition):
-    """Make one condition of the pairing certificate fail and leave every
-    other reader as it is: the first determinant of each pairing reads 0,
-    the slice tangents (a frame without gradients) get an isotropy witness,
-    symplectic's casimirs_commute says no, or the l x dim rank of the
-    underived gradients reads -1."""
-    if condition == "det":
-        seen, original = set(), linalg.det
+# each condition of the pairing certificate, as the HessVisit attribute that
+# holds it, and a value that fails it
+CONDITIONS = {"det": ("pairing_det", (0, 1)), "isotropy": ("slice_isotropic", False),
+              "casimirs": ("casimirs_commute", False), "underived rank": ("underived_rank", -1)}
 
-        def det(mat):
-            key = repr(mat)
-            if key in seen:
-                return original(mat)
-            seen.add(key)
-            return 0
 
-        monkeypatch.setattr(linalg, "det", det)
-    elif condition == "isotropy":
-        original = symplectic.isotropy_witness
-        monkeypatch.setattr(symplectic, "isotropy_witness",
-                            lambda L, fr: (0, 1, (1, 1)) if fr.gradients is None
-                            else original(L, fr))
-    elif condition == "casimirs":
-        monkeypatch.setattr(symplectic, "casimirs_commute", lambda F, fr: False)
-    else:
-        original = linalg.rank
-        underived = (B.L.rank, B.L.dim)
-        monkeypatch.setattr(linalg, "rank", lambda mat: -1 if (len(mat), len(mat[0]))
-                            == underived else original(mat))
+def _fail_condition(monkeypatch, condition):
+    """Make one condition of the pairing certificate fail at HessVisit and
+    leave every other reader as it is: the first read of the condition on
+    each visit, which HessVisit.certified makes, gives the failing value,
+    and every later read the value the visit computes."""
+    name, failed = CONDITIONS[condition]
+    compute = HessVisit.__dict__[name].func
+    seen = []
+
+    def read(visit):
+        if any(v is visit for v in seen):
+            return compute(visit)
+        seen.append(visit)
+        return failed
+
+    monkeypatch.setattr(HessVisit, name, property(read))
 
 
 @pytest.mark.parametrize("condition", ["det", "isotropy", "casimirs", "underived rank"])
@@ -292,20 +286,67 @@ def test_each_failed_condition_falls_back_to_eliminations(bundles, reference_tra
     cfg = SuiteConfig(algebra=label, seed=5)
     checks = (check_strong_regularity, check_hamiltonian_frame)
     with monkeypatch.context() as forced:
-        forced.setattr(symplectic.PairingCertificate, "holds", property(lambda c: False))
+        forced.setattr(HessVisit, "certified", property(lambda v: False))
         eliminated = [check(sc, cfg) for check in checks]
-    _fail_condition(monkeypatch, B, condition)
+    _fail_condition(monkeypatch, condition)
     gradients = (B.family.b, B.L.dim)
     for x, ref in zip(points, want):
         rank_shapes.clear()
         res = transversality_check(B.family, B.chart, x)
-        assert gradients in rank_shapes and not res.certified
+        assert gradients in rank_shapes and _eliminated(B, rank_shapes) == (True, True)
         assert res == ref and res.passed
     rank_shapes.clear()
     run = verifier.SuiteRun(sc, cfg)
     assert [check(sc, cfg, run) for check in checks] == eliminated
     assert rank_shapes.count(gradients) == 3
-    assert not any(run.hess_certificate(i).holds for i in range(3))
+    assert not any(run.hess_visit(i).certified for i in range(3))
+
+
+def test_repeated_underived_member_is_never_certified(bundles):
+    """l + 1 underived members of rank l: the certificate needs exactly l,
+    and the b + 1 gradients are dependent."""
+    B = bundles("A2")
+    F = B.family
+    bad = replace(F, entries=F.entries + [F.entries[F.I_positions[0]]])
+    visit = HessVisit(bad, hess_point(B, random.Random("repeat")))
+    assert visit.underived_rank == B.L.rank
+    assert not visit.certified and not visit.strongly_regular
+    with pytest.raises(NotStronglyRegular):
+        visit.frame
+
+
+@functools.cache
+def _context_2024(label):
+    return build_context(SuiteConfig(algebra=label, seed=2024, enable_g2=True))
+
+
+def _hess_points_2024(sc) -> list:
+    return [sc.triple.e1] + sample_points(sc, 2024, 8)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A1xA1", "B2", "C2", "A3", "G2"])
+def test_pairing_determinant_is_constant_on_hess(label):
+    """The reduced pairing determinant at each of 8 sampled Hess points is
+    its value at e1, which is nonzero: the premise of certifying all of Hess
+    from one determinant."""
+    sc = _context_2024(label)
+    dets = [HessVisit(sc.family, x).pairing_det for x in _hess_points_2024(sc)]
+    assert dets[0][0] and dets == [dets[0]] * 9
+    assert dets[0] == {"A2": (625, 10368), "C2": (-52, 9375)}.get(label, dets[0])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_planted_coordinate_has_zero_pairing_determinant_on_hess(label):
+    """A coordinate function in any derived member's place gives the
+    determinant (0, 1) at e1 and at every sampled Hess point."""
+    sc = _context_2024(label)
+    F, L = sc.family, sc.L
+    coordinate = Poly.coordinate(L.dim, L.pos_indices[0])
+    points = _hess_points_2024(sc)
+    for pos in F.N_positions:
+        bad = replace(F, entries=[replace(e, poly=coordinate) if i == pos else e
+                                  for i, e in enumerate(F.entries)])
+        assert [HessVisit(bad, x).pairing_det for x in points] == [(0, 1)] * 9, pos
 
 
 def test_polarization_requires_hess_base_point(bundles):

@@ -22,7 +22,7 @@ from mfhess.liealgebra import DecompositionFailure, LieAlgebra
 from mfhess.polyring import Poly
 from mfhess.rational import canonical, cleared, over, rat, rat_str, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
-from mfhess.symplectic import NotStronglyRegular, transversality_check
+from mfhess.symplectic import HessVisit, NotStronglyRegular, transversality_check
 from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
                              check_algebra_soundness, check_chart_section,
                              check_commutativity, check_degree_duality, check_gradient_rank,
@@ -807,27 +807,45 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
 
 
 def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
-    """Checks 12 and 13 build one ad x per Hess point between them, in the
-    pass's pairing certificates; checks 14 to 16, omega_well_defined and
-    polarization build ad x once per visited point through the integer
-    core."""
+    """Checks 12 and 13 build one ad x and b brackets per Hess point between
+    them, in the pass's HessVisits, and check 15 the same per point, whether
+    the certificate holds or every certificate fails; checks 14 to 16,
+    omega_well_defined and polarization build ad x once per visited point
+    through the integer core."""
     sc = a2_context
+    b = sc.family.b
     for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
                         ("TRANSVERSALITY_POINTS", 4), ("SLICE_POINTS", 3)):
         monkeypatch.setattr(verifier, name, count)
     cfg = SuiteConfig(algebra="A2", seed=5)
-    calls = []
-    original = LieAlgebra.int_ad
+    calls, brackets = [], []
+    original, bracket = LieAlgebra.int_ad, LieAlgebra.int_bracket
 
     def counted(self, x):
         calls.append(x)
         return original(self, x)
 
+    def counted_bracket(self, x, y):
+        brackets.append(x)
+        return bracket(self, x, y)
+
     monkeypatch.setattr(LieAlgebra, "int_ad", counted)
-    run = verifier.SuiteRun(sc, cfg)
-    assert check_strong_regularity(sc, cfg, run)["ok"]
-    assert check_hamiltonian_frame(sc, cfg, run)["ok"]
-    assert len(calls) == 3
+    monkeypatch.setattr(LieAlgebra, "int_bracket", counted_bracket)
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(HessVisit, "certified", property(lambda v: False))
+            calls.clear()
+            brackets.clear()
+            run = verifier.SuiteRun(sc, cfg)
+            assert check_strong_regularity(sc, cfg, run)["ok"]
+            assert check_hamiltonian_frame(sc, cfg, run)["ok"]
+            assert (len(calls), len(brackets)) == (3, 3 * b), forced
+            assert all(run.hess_visit(i).certified is not forced for i in range(3))
+            calls.clear()
+            brackets.clear()
+            assert check_transversality(sc, cfg)["ok"]
+            assert (len(calls), len(brackets)) == (4, 4 * b), forced
     visits = [(check_slice_lagrangian, 2),
               (check_transversality, 4), (check_slice_infinitesimal, 1 + 3),
               (check_omega_well_defined, 3), (check_polarization, 2 * 3)]
@@ -856,10 +874,13 @@ def test_certified_points_rank_only_the_underived_gradients(label, rank_shapes,
         rank_shapes.clear()
         assert (check(sc, cfg, run) if check.reads_run else check(sc, cfg))["ok"]
         assert eliminated.isdisjoint(rank_shapes), check.check_id
-        # check 13 reads the certificates check 12 built
+        # check 13 reads the visits check 12 built
         assert set(rank_shapes) == ({(L.rank, L.dim)} if check is not check_hamiltonian_frame
                                     else set()), check.check_id
-    assert all(run.hess_certificate(i).holds for i in range(3))
+    # a certified visit keeps no ad x, slice or Jacobian for the rest of the pass
+    for i in range(3):
+        visit = run.hess_visit(i)
+        assert visit.certified and not {"_tangents", "_adx", "slice"} & set(vars(visit))
 
 
 def test_slice_lagrangian_fails_on_moved_base_point(helpers, a2_context):
