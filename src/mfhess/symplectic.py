@@ -44,7 +44,7 @@ Each claim of checks 12, 13, 15 and polarization is one read on the visit:
 n, 2n or True where the certificate holds, else a rank of the matrices the
 visit already holds, so every result, exception and witness is the
 eliminating route's.  A certified visit drops its brackets, ad x and the
-slice, which nothing reads again.
+slice, which no claim reads again; a later read builds them anew.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -64,7 +64,7 @@ from functools import cached_property
 from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
-from .argshift import GradientVisit, ShiftFamily, gradient_visit
+from .argshift import ShiftFamily, gradient_visit
 from .hessenberg import HessChart, point_in_hess, slice_sample
 from .rational import reduced
 
@@ -103,23 +103,14 @@ def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
                         tangents=[[row[j] for row in rows] for j in idx], tden=den)
 
 
-def _hamiltonian_frame(F: ShiftFamily, visit: GradientVisit, tangents: list) -> TangentFrame:
-    """The frame of the visit's derived gradients, from the int_bracket
-    tangents [x, g] of all b gradients."""
-    N, rows = F.N_positions, visit.rows
-    return TangentFrame(preimages=[rows[i] for i in N], pden=visit.den,
-                        tangents=[tangents[i] for i in N], tden=visit.point[1] * visit.den,
-                        gradients=rows, point=visit.point)
-
-
-def _checked(F: ShiftFamily, visit: GradientVisit, frame: TangentFrame) -> TangentFrame:
-    """The Hamiltonian frame, once ranks show the visit's gradients and the
+def _checked(visit: HessVisit) -> TangentFrame:
+    """The visit's Hamiltonian frame, once ranks show its gradients and the
     frame's n tangents independent."""
-    if visit.rank != F.b:
+    if visit.gradients.rank != visit.F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
-    if frame.dim != F.L.n:
+    if visit._frame.dim != visit.F.L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
-    return frame
+    return visit._frame
 
 
 def zx_frame(F: ShiftFamily, x) -> TangentFrame:
@@ -127,9 +118,7 @@ def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     elimination: strong regularity is the rank of the b gradients, and the
     n tangents [x, g] are ranked.  The frame carries all b gradients and the
     cleared point; no ad x is built."""
-    visit = gradient_visit(F, x)
-    tangents = [F.L.int_bracket(x, (g, visit.den))[0] for g in visit.rows]
-    return _checked(F, visit, _hamiltonian_frame(F, visit, tangents))
+    return _checked(HessVisit(F, x))
 
 
 def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
@@ -169,20 +158,31 @@ class TransversalityResult:
 class HessVisit:
     """One visit to a cleared point x of Hess (see the module docstring):
     every claim about x is one read here, and only here is the certificate
-    chosen over elimination.  The four conditions of the certificate are
-    read first by certified, which drops the brackets, ad x and the slice
-    once it holds, as a suite pass holds its visits for the whole pass; so
-    transversality, which carries the slice, is read first on its visit."""
+    chosen over elimination."""
 
     def __init__(self, F: ShiftFamily, x):
-        L = F.L
-        self.F = F
-        self.gradients = gradient_visit(F, x)
-        self._tangents = [L.int_bracket(x, (g, self.gradients.den))[0]
-                          for g in self.gradients.rows]
-        self._frame = _hamiltonian_frame(F, self.gradients, self._tangents)
-        self._adx = L.int_ad(x)
-        self.slice = slice_frame(L, self._adx)
+        self.F, self.gradients = F, gradient_visit(F, x)
+
+    @cached_property
+    def _tangents(self) -> list:
+        x, den = self.gradients.point, self.gradients.den
+        return [self.F.L.int_bracket(x, (g, den))[0] for g in self.gradients.rows]
+
+    @cached_property
+    def _frame(self) -> TangentFrame:
+        """The derived gradients' frame, carrying all b gradients and x."""
+        v, N = self.gradients, self.F.N_positions
+        return TangentFrame(preimages=[v.rows[i] for i in N], pden=v.den,
+                            tangents=[self._tangents[i] for i in N], tden=v.point[1] * v.den,
+                            gradients=v.rows, point=v.point)
+
+    @cached_property
+    def _adx(self) -> tuple:
+        return self.F.L.int_ad(self.gradients.point)
+
+    @cached_property
+    def slice(self) -> TangentFrame:
+        return slice_frame(self.F.L, self._adx)
 
     def _jacobian(self, positions) -> list:
         """Rows i of J_ij = (g_i, [x, e_j]) = -([x, g_i], e_j), one sparse
@@ -220,8 +220,9 @@ class HessVisit:
         l of them, commuting with x and independent."""
         held = (bool(self.pairing_det[0]) and self.slice_isotropic and self.casimirs_commute
                 and len(self.F.I_positions) == self.F.L.rank == self.underived_rank)
-        if held:
-            del self._tangents, self._adx, self.slice
+        if held:    # a suite pass holds its visits; nothing certified reads these again
+            for name in ("_tangents", "_adx", "slice"):
+                self.__dict__.pop(name, None)
         return held
 
     # -- the claims
@@ -242,12 +243,12 @@ class HessVisit:
     def frame(self) -> TangentFrame:
         """The Hamiltonian frame, raising as zx_frame does where x is not
         strongly regular or its tangents are dependent."""
-        return self._frame if self.certified else _checked(self.F, self.gradients, self._frame)
+        return self._frame if self.certified else _checked(self)
 
     @cached_property
     def transversality(self) -> TransversalityResult:
         """Check 15 at x (see transversality_check)."""
-        sl = self.slice     # read before certified drops it
+        sl = self.slice
         zx, n = self.frame, self.F.L.n
         zx_dim, slice_dim, combined, jrank = (n, n, 2 * n, n) if self.certified else (
             zx.dim, sl.dim, linalg.rank(zx.tangents + sl.tangents),

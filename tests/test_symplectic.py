@@ -213,8 +213,8 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     transversality rank ad x and the Jacobian, a dependent member raises
     NotStronglyRegular.  Each result or exception equals the reference
     route's, and checks 12, 13, 15 and polarization give what they give
-    with every pairing certificate failed, check 15 on the reference
-    route."""
+    with every pairing certificate failed, check 15 and polarization on the
+    reference route."""
     B = bundles(label)
     bad = _planted_family(B, defect)
     rng = random.Random(f"fallback:{label}")
@@ -239,6 +239,8 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
               check_polarization)
     outs = [_outcome(check, sc, cfg) for check in checks]
     monkeypatch.setattr(verifier, "transversality_check", reference_transversality)
+    monkeypatch.setattr(HessVisit, "transversality", property(
+        lambda v: reference_transversality(v.F, B.chart, v.gradients.point)))
     monkeypatch.setattr(HessVisit, "certified", property(lambda v: False))
     assert outs == [_outcome(check, sc, cfg) for check in checks]
 
@@ -411,3 +413,16 @@ def test_ad_matrix_reads_tangents_and_orbit_form(helpers, label, at, data):
     assert helpers.mat_vec(adx, z1) == helpers.bracket(L, x, z1)
     value = helpers.killing_pair(L, helpers.mat_vec(adx, z2), z1)
     assert (value.numerator, value.denominator) == omega(L, cleared(x), cleared(z1), cleared(z2))
+
+
+def test_claims_read_in_any_order_after_certification(bundles):
+    """A certified visit drops its brackets, ad x and slice; a later read of
+    any claim or part builds them again and gives the fresh visit's value."""
+    B = bundles("A2")
+    x = hess_point(B, random.Random("order"))
+    visit = HessVisit(B.family, x)
+    assert visit.certified
+    assert visit.transversality == HessVisit(B.family, x).transversality
+    assert visit.slice.dim == B.L.n and visit._adx == B.L.int_ad(x)
+    assert visit._jacobian(B.family.N_positions) == HessVisit(B.family, x)._jacobian(
+        B.family.N_positions)
