@@ -8,14 +8,13 @@ independent; regraded by degree and ordered degree-major they give the
 generator list q_1..q_b.  The positions carrying the underived invariants
 (k = 0) form the index set I, the rest form N.
 
-Also here: gradient visits, which rank the b gradients at a point (b
-exactly at a strongly regular point), gradient spans over points (the span
-of the gradients of a list of polynomials at every point of a list), the
-chain map zeta built from a regular Cartan element and the nilpositive
-element of a principal triple (its chains are the family's own gradient
-rows at that element, its relations tested on integers), and a sampled
-membership test: do given compiled members of a shifted family reach the
-maximal gradient span b at some sampled point?
+Also here: gradient spans over points (the span of the gradients of a list
+of polynomials at every point of a list), the chain map zeta built from a
+regular Cartan element and the nilpositive element of a principal triple
+(its chains are the family's own gradient rows at that element, its
+relations tested on integers), and a sampled membership test: do given
+compiled members of a shifted family reach the maximal gradient span b at
+some sampled point?
 
 The pieces come from one integer Taylor pass over the terms of each I_j,
 with polyring's packed exponents; a family holds them, so the chain map and
@@ -33,9 +32,8 @@ partial derivatives are cached.  Every point read here is a canonical
 cleared vector (rational.canonical), and phi returns the values in that form
 too.  gradient_rows returns the gradient matrix as integer numerators over
 one denominator, which the rank tests and the tangent frames read as they
-are; gradient_visit adds the point and the rank, taken on its first read,
-so a point visited by several readers is ranked at most once, and a point
-that its pairing certificate settles (symplectic.HessVisit) not at all.
+are; at a Hess point symplectic.HessVisit reads them once and ranks them
+only where its pairing certificate fails.
 """
 
 from __future__ import annotations
@@ -319,28 +317,6 @@ def phi(F: ShiftFamily, x) -> tuple:
     """The b generator values at a cleared point, as a canonical cleared
     vector."""
     return F.compiled.values(x)
-
-
-@dataclass
-class GradientVisit:
-    """One visit to a cleared point: the point, the b family gradients there
-    as integer rows over the positive denominator den, and their rank,
-    which is b exactly at a strongly regular point.  Every reader of the
-    visit takes the matrix and its rank from here."""
-    point: tuple
-    rows: list
-    den: int
-
-    @cached_property
-    def rank(self) -> int:
-        """Taken on the first read only."""
-        return linalg.rank(self.rows)
-
-
-def gradient_visit(F: ShiftFamily, x) -> GradientVisit:
-    """Build the gradient matrix at the cleared point x, once."""
-    rows, den = F.gradient_rows(x)
-    return GradientVisit(point=x, rows=rows, den=den)
 
 
 def gradient_span(ctx: GradientContext, polys, points) -> tuple:

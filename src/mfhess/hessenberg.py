@@ -20,7 +20,7 @@ Orbit slices of Hess are cut out by fixing the values of the underived
 invariants; slice_sample draws points exp(ad z) v0, z in the lower
 nilradical, of the slice through v0, and their infinitesimal structure
 (tangents from the lower nilradical, trivial isotropy) is read from ad x by
-symplectic.slice_frame.
+the slice of a symplectic.HessVisit.
 
 Points, value vectors and chart coordinates s are canonical cleared
 vectors (rational.canonical), so equal vectors have equal pairs.  Both

@@ -186,15 +186,15 @@ class LieAlgebra:
     def layer_indices(self, m: int) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay == m)
 
-    @property
+    @cached_property
     def bminus_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay <= 0)
 
-    @property
+    @cached_property
     def nminus_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay < 0)
 
-    @property
+    @cached_property
     def n_indices(self) -> tuple:
         return tuple(i for i, lay in enumerate(self.layers) if lay > 0)
 

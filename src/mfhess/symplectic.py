@@ -17,15 +17,18 @@ TangentFrame holds integer preimages and integer tangents, each list over
 one positive denominator; omega, the pairing determinant and an isotropy
 witness are reduced integer pairs.
 
-A point x of Hess is settled by one HessVisit, the only code that knows
-the pairing certificate.  It is built with one gradient visit, one bracket
-pass [x, g] over the b gradients and one ad x (its n_- columns are the
-slice tangents [x, e_j]).  The b x n Jacobian J_ij = (g_i, [x, e_j]) is
-read by invariance as -([x, g_i], e_j), one sparse Killing row per entry,
-from those brackets; M is its n rows of derived gradients, and the whole
-is built only where the certificate fails.  It holds when det M is nonzero,
-the slice tangents are isotropic, the underived gradients commute with x
-and have rank l (one l x dim rank call).  Then, in exact linear algebra:
+A point x of Hess is settled by one HessVisit, the only holder of what is
+known at x and the only code that knows the pairing certificate.  Each part
+is built on its first read: the b gradients (one gradient_rows call) and
+their rank, one bracket pass [x, g] over them, and one ad x (its n_- columns
+are the slice tangents [x, e_j]), so a visit that reads only the slice, as
+checks 14 and 16 do, evaluates no gradient.  The b x n Jacobian
+J_ij = (g_i, [x, e_j]) is read by invariance as -([x, g_i], e_j), one
+sparse Killing row per entry, from those brackets; M is its n rows of
+derived gradients, and the whole is built only where the certificate
+fails.  It holds when det M is nonzero, the slice tangents are isotropic,
+the underived gradients commute with x and have rank l (one l x dim rank
+call).  Then, in exact linear algebra:
 - the n Hamiltonian tangents and the n slice tangents are each independent
   (M pairs the slice tangents with the g_i, and -M the Hamiltonian tangents
   with the e_j), so zx_dim = slice_dim = n;
@@ -44,7 +47,8 @@ Each claim of checks 12, 13, 15 and polarization is one read on the visit:
 n, 2n or True where the certificate holds, else a rank of the matrices the
 visit already holds, so every result, exception and witness is the
 eliminating route's.  A certified visit drops its brackets, ad x and the
-slice, which no claim reads again; a later read builds them anew.
+slice, which no claim reads again; a later read builds them anew.  Checks
+14 and 16 read the slice alone: its rank, and check 14 its isotropy.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
@@ -64,7 +68,7 @@ from functools import cached_property
 from . import linalg
 from .liealgebra import LieAlgebra
 from .invariants import InvariantFamily
-from .argshift import ShiftFamily, gradient_visit
+from .argshift import ShiftFamily
 from .hessenberg import HessChart, point_in_hess, slice_sample
 from .rational import reduced
 
@@ -85,8 +89,6 @@ class TangentFrame:
     pden: int
     tangents: list     # integer numerators of [x, z] for each preimage z, over tden
     tden: int
-    gradients: list | None = None   # Hamiltonian frame: all b family gradients at x, over pden
-    point: tuple | None = None      # Hamiltonian frame: x, cleared
 
     @cached_property
     def dim(self) -> int:
@@ -94,19 +96,10 @@ class TangentFrame:
         return linalg.rank(self.tangents)
 
 
-def slice_frame(L: LieAlgebra, adx) -> TangentFrame:
-    """Tangents [x, e_i] of the orbit slice, i in the lower nilradical: those
-    columns of ad x = (integer rows, den)."""
-    rows, den = adx
-    idx = L.nminus_indices
-    return TangentFrame(preimages=[[int(i == j) for j in range(L.dim)] for i in idx], pden=1,
-                        tangents=[[row[j] for row in rows] for j in idx], tden=den)
-
-
 def _checked(visit: HessVisit) -> TangentFrame:
     """The visit's Hamiltonian frame, once ranks show its gradients and the
     frame's n tangents independent."""
-    if visit.gradients.rank != visit.F.b:
+    if visit.gradient_rank != visit.F.b:
         raise NotStronglyRegular("generator gradients are dependent at this point")
     if visit._frame.dim != visit.F.L.n:
         raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
@@ -116,8 +109,7 @@ def _checked(visit: HessVisit) -> TangentFrame:
 def zx_frame(F: ShiftFamily, x) -> TangentFrame:
     """Hamiltonian tangent frame of the non-invariant generators at x, by
     elimination: strong regularity is the rank of the b gradients, and the
-    n tangents [x, g] are ranked.  The frame carries all b gradients and the
-    cleared point; no ad x is built."""
+    n tangents [x, g] are ranked; no ad x is built."""
     return _checked(HessVisit(F, x))
 
 
@@ -133,13 +125,6 @@ def isotropy_witness(L: LieAlgebra, frame: TangentFrame) -> tuple | None:
             if num:
                 return (i, j, reduced(num, den))
     return None
-
-
-def hess_lagrangian_check(L: LieAlgebra, v) -> bool:
-    """At the cleared point v: the lower-nilradical tangents have dimension n
-    and are isotropic."""
-    sl = slice_frame(L, L.int_ad(v))
-    return sl.dim == L.n and isotropy_witness(L, sl) is None
 
 
 @dataclass
@@ -161,28 +146,43 @@ class HessVisit:
     chosen over elimination."""
 
     def __init__(self, F: ShiftFamily, x):
-        self.F, self.gradients = F, gradient_visit(F, x)
+        self.F, self.x = F, x
+
+    @cached_property
+    def gradients(self) -> tuple:
+        """The b family gradients at x, (integer rows, positive den)."""
+        return self.F.gradient_rows(self.x)
+
+    @cached_property
+    def gradient_rank(self) -> int:
+        """b exactly where x is strongly regular."""
+        return linalg.rank(self.gradients[0])
 
     @cached_property
     def _tangents(self) -> list:
-        x, den = self.gradients.point, self.gradients.den
-        return [self.F.L.int_bracket(x, (g, den))[0] for g in self.gradients.rows]
+        rows, den = self.gradients
+        return [self.F.L.int_bracket(self.x, (g, den))[0] for g in rows]
 
     @cached_property
     def _frame(self) -> TangentFrame:
-        """The derived gradients' frame, carrying all b gradients and x."""
-        v, N = self.gradients, self.F.N_positions
-        return TangentFrame(preimages=[v.rows[i] for i in N], pden=v.den,
-                            tangents=[self._tangents[i] for i in N], tden=v.point[1] * v.den,
-                            gradients=v.rows, point=v.point)
+        """The derived gradients' frame."""
+        (rows, den), N = self.gradients, self.F.N_positions
+        return TangentFrame(preimages=[rows[i] for i in N], pden=den,
+                            tangents=[self._tangents[i] for i in N], tden=self.x[1] * den)
 
     @cached_property
     def _adx(self) -> tuple:
-        return self.F.L.int_ad(self.gradients.point)
+        return self.F.L.int_ad(self.x)
 
     @cached_property
     def slice(self) -> TangentFrame:
-        return slice_frame(self.F.L, self._adx)
+        """Tangents [x, e_j] of the orbit slice, j in the lower nilradical:
+        those columns of ad x."""
+        L = self.F.L
+        rows, den = self._adx
+        idx = L.nminus_indices
+        return TangentFrame(preimages=[[int(i == j) for j in range(L.dim)] for i in idx], pden=1,
+                            tangents=[[row[j] for row in rows] for j in idx], tden=den)
 
     def _jacobian(self, positions) -> list:
         """Rows i of J_ij = (g_i, [x, e_j]) = -([x, g_i], e_j), one sparse
@@ -212,7 +212,7 @@ class HessVisit:
 
     @cached_property
     def underived_rank(self) -> int:
-        return linalg.rank([self.gradients.rows[i] for i in self.F.I_positions])
+        return linalg.rank([self.gradients[0][i] for i in self.F.I_positions])
 
     @cached_property
     def certified(self) -> bool:
@@ -229,7 +229,7 @@ class HessVisit:
 
     @property
     def strongly_regular(self) -> bool:
-        return self.certified or self.gradients.rank == self.F.b
+        return self.certified or self.gradient_rank == self.F.b
 
     @cached_property
     def orbit_dim(self) -> int:

@@ -14,7 +14,8 @@ symplectic.HessVisit each, and the shift of the invariants along f.  Check
 12 reads strong regularity and regularity from the visit and check 13 its
 Hamiltonian frame and the commuting of the underived gradients with x, so
 only check 13's isotropy is computed here; the visit alone chooses
-between its pairing certificate and elimination.
+between its pairing certificate and elimination.  Checks 14 and 16 read
+the slice of a HessVisit of their own, which evaluates no gradient.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
 to the verdict, and witnesses are formatted on integers (_vec_str).  Hess
@@ -44,8 +45,8 @@ from .argshift import (choose_regular_y, shift_family, shifted_invariants,
                        zeta_chain, mv_membership, load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, point_in_hess, poincare_series,
                          restrict_to_hess, slice_sample)
-from .symplectic import (HessVisit, omega, isotropy_witness, hess_lagrangian_check,
-                         transversality_check, polarization_report, slice_frame)
+from .symplectic import (HessVisit, omega, isotropy_witness, transversality_check,
+                         polarization_report)
 
 
 class RegionExhausted(Exception):
@@ -522,7 +523,8 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
 def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig) -> dict:
     pts = sample_points(sc, config.seed + 1, LAGRANGIAN_POINTS)
     for v in pts:
-        if not hess_lagrangian_check(sc.L, v):
+        visit = HessVisit(sc.family, v)
+        if not (visit.slice.dim == sc.L.n and visit.slice_isotropic):
             return {"ok": False, "witness": {"point": _vec_str(v)}}
     return {"ok": True, "witness": {"points": len(pts)}}
 
@@ -554,7 +556,7 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
     rng = random.Random(f"{config.seed + 4}:sample:slice")
     pts = [base] + slice_sample(L, base, SLICE_POINTS, rng)
     for k, v in enumerate(pts):
-        if slice_frame(L, L.int_ad(v)).dim != L.n:
+        if HessVisit(sc.family, v).slice.dim != L.n:
             return {"ok": False, "witness": {"point": _vec_str(v),
                                              "kind": "nontrivial isotropy"}}
         if not point_in_hess(L, sc.triple, v):

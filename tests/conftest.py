@@ -21,7 +21,7 @@ from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import (NotInvertible, ShiftFamily, choose_regular_y, root_values,
                              shift_family)
 from mfhess.hessenberg import build_chart, point_in_hess
-from mfhess.symplectic import TransversalityResult, slice_frame, zx_frame
+from mfhess.symplectic import NotStronglyRegular, TangentFrame, TransversalityResult
 
 SEED = 42
 
@@ -1628,22 +1628,34 @@ def reference_witness():
 
 
 def reference_transversality_check(F, chart, x):
-    """Check 15 at x with both ranks eliminated: orbit_dim is rank(ad x) and
+    """Check 15 at x with every rank eliminated, and no part of
+    symplectic.HessVisit read: the Hamiltonian frame from the family's
+    gradient rows and brackets [x, g], raising as zx_frame does, and the
+    slice from the n_- columns of ad x.  orbit_dim is rank(ad x) and
     jacobian_rank is rank(jac), whatever the other results are; x is a
     cleared point."""
     L = F.L
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
-    zx = zx_frame(F, x)
-    adx = L.int_ad(zx.point)
-    sl = slice_frame(L, adx)
+    rows, den = F.gradient_rows(x)
+    if linalg.rank(rows) != F.b:
+        raise NotStronglyRegular("generator gradients are dependent at this point")
+    derived = [rows[i] for i in F.N_positions]
+    zx = TangentFrame(preimages=derived, pden=den,
+                      tangents=[L.int_bracket(x, (g, den))[0] for g in derived],
+                      tden=x[1] * den)
+    if zx.dim != L.n:
+        raise ValueError("Hamiltonian tangents are dependent at a strongly regular point")
+    adx = L.int_ad(x)
+    sl = TangentFrame(preimages=[[int(i == j) for j in range(L.dim)] for i in L.nminus_indices],
+                      pden=1, tangents=[[row[j] for row in adx[0]] for j in L.nminus_indices],
+                      tden=adx[1])
     orbit_dim = linalg.rank(adx[0])
     combined = linalg.rank(zx.tangents + sl.tangents)
-    jac = [[L.int_killing_pair((g, zx.pden), (t, sl.tden))[0] for t in sl.tangents]
-           for g in zx.gradients]
-    den = zx.pden * sl.tden
+    jac = [[L.int_killing_pair((g, den), (t, sl.tden))[0] for t in sl.tangents]
+           for g in rows]
     pairing = [jac[i] for i in F.N_positions]
-    pdet = reduced(linalg.det(pairing), den ** L.n) if sl.dim == L.n else (0, 1)
+    pdet = reduced(linalg.det(pairing), (den * sl.tden) ** L.n) if sl.dim == L.n else (0, 1)
     jrank = linalg.rank(jac)
     passed = (zx.dim == L.n and sl.dim == L.n
               and combined == 2 * L.n and orbit_dim == 2 * L.n

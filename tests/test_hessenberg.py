@@ -15,7 +15,7 @@ from mfhess.polyring import CompiledPolys, Poly, restrict_affine
 from mfhess.argshift import phi
 from mfhess.rational import canonical, clear, cleared, over, rat, rat_str, R0, R1
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
-from mfhess.symplectic import slice_frame
+from mfhess.symplectic import HessVisit
 
 
 def rand_svals(rng, b, bound=4):
@@ -356,7 +356,7 @@ def test_orbit_slice_membership_and_exponential(bundles, helpers):
     for v in slice_sample(L, v0, 4, rng):
         assert point_in_hess(L, B.triple, v)
         assert B.inv.compiled.values(v) == values
-        assert slice_frame(L, L.int_ad(v)).dim == L.n
+        assert HessVisit(B.family, v).slice.dim == L.n
 
 
 def test_slice_partition_of_sampled_points(bundles, helpers):

@@ -1,7 +1,8 @@
 """The refactor oracle: every suite report keeps the digest the benchmark
 recorded in perfbench/expected.json, computed by the benchmark's own code.
 G2 and inline B3, C3, A4 and D4, outside the benchmark's suite workload,
-keep digests recorded below with the same code."""
+and every default type and G2 at seed 42, the default of the CLI and of
+scripts/run_all_types.py, keep digests recorded below with the same code."""
 
 import importlib.util
 import json
@@ -63,3 +64,24 @@ def test_wider_report_matches_recorded_digest(label):
                                                      enable_g2=True))
     assert report.counts["fail"] == 0
     assert BENCH.report_digest(report.as_dict()) == want
+
+
+# report_digest of the seed-42 report of the six default types and G2,
+# recorded before checks 14 and 16 read the slice of a symplectic.HessVisit
+SEED42_DIGESTS = {
+    "A1": "1ab8e7dfa6f42f13b388621f7f399ad9ad9f07b0011b2e8cb180bda118a64092",
+    "A1xA1": "e2bcd351e3c78c3265cd4d82bdbcc78c8d8a61f14de03e94f51056f64edb5b9b",
+    "A2": "dff90d78c1190f9216a2459500ffde3fa970c4f9785a6e77c43f8508a49d2d37",
+    "B2": "399486635c70d4b8ed61b4b64a6ff660ccfac8854f5164eefe341b64b1e7cefb",
+    "C2": "ce36aad1e67a665103a8e2a7329411f3b0b49afbbb0067fffd7260389bf396e9",
+    "A3": "cf911f663d39ae417dfceab03ab905a7b76a82abbfb74dbd7b47846e9a9de7e0",
+    "G2": "265b2ad057996a1db214aee97b56f7325e40ffe01a128fdf3837597d9018eaf4",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SEED42_DIGESTS))
+def test_seed_42_report_matches_recorded_digest(label):
+    report = verifier.run_suite(verifier.SuiteConfig(algebra=label, seed=42,
+                                                     enable_g2=label == "G2"))
+    assert report.counts["fail"] == 0
+    assert BENCH.report_digest(report.as_dict()) == SEED42_DIGESTS[label]

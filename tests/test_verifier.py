@@ -806,12 +806,13 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
     assert out["witness"]["kind"] == "invariant with nonzero Hamiltonian vector"
 
 
-def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
-    """Checks 12 and 13 build one ad x and b brackets per Hess point between
-    them, in the pass's HessVisits, and check 15 the same per point, whether
-    the certificate holds or every certificate fails; checks 14 to 16,
-    omega_well_defined and polarization build ad x once per visited point
-    through the integer core."""
+def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch, gradient_rows_calls):
+    """Checks 12 and 13 build one ad x, b brackets and one gradient matrix
+    per Hess point between them, in the pass's HessVisits, and check 15 the
+    same per point, whether the certificate holds or every certificate
+    fails; checks 14 to 16, omega_well_defined and polarization build ad x
+    once per visited point through the integer core, and checks 14 and 16,
+    which read only the slice, no gradient matrix."""
     sc = a2_context
     b = sc.family.b
     for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
@@ -837,22 +838,26 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch):
                 m.setattr(HessVisit, "certified", property(lambda v: False))
             calls.clear()
             brackets.clear()
+            gradient_rows_calls.clear()
             run = verifier.SuiteRun(sc, cfg)
             assert check_strong_regularity(sc, cfg, run)["ok"]
             assert check_hamiltonian_frame(sc, cfg, run)["ok"]
-            assert (len(calls), len(brackets)) == (3, 3 * b), forced
+            assert (len(calls), len(brackets), len(gradient_rows_calls)) == (3, 3 * b, 3), forced
             assert all(run.hess_visit(i).certified is not forced for i in range(3))
             calls.clear()
             brackets.clear()
+            gradient_rows_calls.clear()
             assert check_transversality(sc, cfg)["ok"]
-            assert (len(calls), len(brackets)) == (4, 4 * b), forced
-    visits = [(check_slice_lagrangian, 2),
-              (check_transversality, 4), (check_slice_infinitesimal, 1 + 3),
-              (check_omega_well_defined, 3), (check_polarization, 2 * 3)]
-    for check, points in visits:
+            assert (len(calls), len(brackets), len(gradient_rows_calls)) == (4, 4 * b, 4), forced
+    # (check, ad matrices, gradient matrices)
+    visits = [(check_slice_lagrangian, 2, 0),
+              (check_transversality, 4, 4), (check_slice_infinitesimal, 1 + 3, 0),
+              (check_omega_well_defined, 3, 0), (check_polarization, 2 * 3, 2 * 3)]
+    for check, points, gradients in visits:
         calls.clear()
+        gradient_rows_calls.clear()
         assert check(sc, cfg)["ok"], check.check_id
-        assert len(calls) == points, check.check_id
+        assert (len(calls), len(gradient_rows_calls)) == (points, gradients), check.check_id
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
