@@ -319,12 +319,10 @@ def phi(F: ShiftFamily, x) -> tuple:
     return F.compiled.values(x)
 
 
-def gradient_span(ctx: GradientContext, polys, points) -> tuple:
-    """(dimension, rows) of the span of dp(x) over the given polys p and
+def gradient_span(ctx: GradientContext, compiled: CompiledPolys, points) -> tuple:
+    """(dimension, rows) of the span of dp(x) over the compiled polys p and
     cleared points x: rows the integer gradient rows themselves, which span
-    it, since a positive scale of a row leaves the span unchanged.  The
-    polynomials are compiled once."""
-    compiled = CompiledPolys(polys)
+    it, since a positive scale of a row leaves the span unchanged."""
     rows = [g for x in points for g in compiled.int_gradients(ctx, x)[0]]
     return linalg.rank(rows), rows
 

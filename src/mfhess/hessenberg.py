@@ -27,8 +27,9 @@ vectors (rational.canonical), so equal vectors have equal pairs.  Both
 frames are held once, as integer rows over one positive denominator
 (rows, den): the gradient frame as frame_rows gives it, the dual frame over
 the LCM of its vectors' reduced denominators.  The chart sums its points on
-integers, the section solves on them, slice points come from
-exp_ad_nilpotent on integers, and check 11's series are series of ints.
+integers over the dual frame's nonzeros, the section solves on them, slice
+points come from exp_ad_nilpotent on integers, and check 11's series are
+series of ints.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from math import gcd
 
 from . import linalg
@@ -118,24 +119,28 @@ class HessChart:
     def compiled(self) -> list:
         return [CompiledPolys([rp]) for rp in self.restricted]
 
+    # each frame row's nonzero (index, numerator) pairs, on first read: a
+    # frame row is zero off its layer of b_-
+    @cached_property
+    def frame_support(self) -> list:
+        return [[(i, c) for i, c in enumerate(row) if c] for row in self.frame[0]]
+
     @property
     def b(self) -> int:
         return len(self.zvecs[0])
 
     def point_from_cleared(self, snums, sden: int) -> tuple:
         """The point e1 + sum_g s_g frame_g of Hess for s = snums / sden,
-        summed on integers, as a canonical point.
+        summed on integers over the frame's nonzeros, as a canonical point.
 
         With the frame Fr / df and e1 = E / de, coordinate i is
         (E_i sden df + de sum_g snums_g Fr_gi) / (de sden df)."""
-        (rows, fden), (enums, eden) = self.frame, self.triple.e1
+        fden, (enums, eden) = self.frame[1], self.triple.e1
         acc = [0] * len(enums)
-        idx = range(len(enums))
-        for s, row in zip(snums, rows):
+        for s, support in zip(snums, self.frame_support):
             if s:
-                # a frame row is zero off its layer of b_-: visit its nonzeros
-                for i in compress(idx, row):
-                    acc[i] += s * row[i]
+                for i, c in support:
+                    acc[i] += s * c
         scale = sden * fden
         return canonical([e * scale + eden * a for e, a in zip(enums, acc)], eden * scale)
 

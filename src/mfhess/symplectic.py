@@ -22,7 +22,7 @@ known at x and the only code that knows the pairing certificate.  Each part
 is built on its first read: the b gradients (one gradient_rows call) and
 their rank, one bracket pass [x, g] over them, and one ad x (its n_- columns
 are the slice tangents [x, e_j]), so a visit that reads only the slice, as
-checks 14 and 16 do, evaluates no gradient.  The b x n Jacobian
+check 16 does, evaluates no gradient.  The b x n Jacobian
 J_ij = (g_i, [x, e_j]) is read by invariance as -([x, g_i], e_j), one
 sparse Killing row per entry, from those brackets; M is its n rows of
 derived gradients, and the whole is built only where the certificate
@@ -43,20 +43,21 @@ call).  Then, in exact linear algebra:
   (h_k the underived ones) to sum a_i [x, g_i] = 0, so a = 0 and then
   c = 0: the b gradients are independent and x is strongly regular;
 - M is n rows of the Jacobian, whose rank is then n.
-Each claim of checks 12, 13, 15 and polarization is one read on the visit:
+Each claim of checks 12 to 15 and polarization is one read on the visit:
 n, 2n or True where the certificate holds, else a rank of the matrices the
 visit already holds, so every result, exception and witness is the
 eliminating route's.  A certified visit drops its brackets, ad x and the
-slice, which no claim reads again; a later read builds them anew.  Checks
-14 and 16 read the slice alone: its rank, and check 14 its isotropy.
+slice, which no claim reads again; a later read builds them anew.  Check
+14 reads slice_dim and the slice's isotropy, check 16 the slice's rank.
 
 At a strongly regular x the Hamiltonian vectors of the non-invariant family
 generators span an n-dimensional isotropic subspace Z_x of the 2n-dimensional
 orbit tangent space; at a point of the slice Hess the lower-nilradical
 tangents span the n-dimensional isotropic tangent space of the orbit slice;
 the two are complementary and pair nonsingularly.  All of this is certified
-pointwise with exact arithmetic; polarization_report gives these verdicts
-over a sampled orbit slice as one bool per point.
+pointwise with exact arithmetic; slice_polarization gives these verdicts
+over a sampled orbit slice through a visited point as one bool per point,
+and polarization_report through a point.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ class TransversalityResult:
     pairing_det: tuple      # the reduced pair (numerator, den)
     jacobian_rank: int
     passed: bool
-    frame: TangentFrame
-    slice: TangentFrame
 
 
 class HessVisit:
@@ -240,6 +239,10 @@ class HessVisit:
         return self.orbit_dim == 2 * self.F.L.n
 
     @property
+    def slice_dim(self) -> int:
+        return self.F.L.n if self.certified else self.slice.dim
+
+    @property
     def frame(self) -> TangentFrame:
         """The Hamiltonian frame, raising as zx_frame does where x is not
         strongly regular or its tangents are dependent."""
@@ -248,17 +251,19 @@ class HessVisit:
     @cached_property
     def transversality(self) -> TransversalityResult:
         """Check 15 at x (see transversality_check)."""
-        sl = self.slice
-        zx, n = self.frame, self.F.L.n
-        zx_dim, slice_dim, combined, jrank = (n, n, 2 * n, n) if self.certified else (
-            zx.dim, sl.dim, linalg.rank(zx.tangents + sl.tangents),
-            linalg.rank(self._jacobian(range(self.F.b))))
-        passed = (zx_dim == slice_dim == jrank == n and combined == self.orbit_dim == 2 * n
+        n = self.F.L.n
+        if self.certified:
+            zx_dim, combined, jrank = n, 2 * n, n
+        else:
+            zx = self.frame
+            zx_dim, combined, jrank = (zx.dim, linalg.rank(zx.tangents + self.slice.tangents),
+                                       linalg.rank(self._jacobian(range(self.F.b))))
+        passed = (zx_dim == self.slice_dim == jrank == n and combined == self.orbit_dim == 2 * n
                   and bool(self.pairing_det[0]))
-        return TransversalityResult(zx_dim=zx_dim, slice_dim=slice_dim,
+        return TransversalityResult(zx_dim=zx_dim, slice_dim=self.slice_dim,
                                     combined_dim=combined, orbit_dim=self.orbit_dim,
                                     pairing_det=self.pairing_det, jacobian_rank=jrank,
-                                    passed=passed, frame=zx, slice=sl)
+                                    passed=passed)
 
 
 def _hess_visit(F: ShiftFamily, chart: HessChart, x) -> HessVisit:
@@ -294,17 +299,24 @@ def polarization_report(F: ShiftFamily, chart: HessChart, inv: InvariantFamily,
     Hess.  Each point is read from one HessVisit, and every point is
     evaluated.
     """
-    L = F.L
-    if not point_in_hess(L, chart.triple, v0):
+    return slice_polarization(chart, inv, HessVisit(F, v0), count, seed)
+
+
+def slice_polarization(chart: HessChart, inv: InvariantFamily, base: HessVisit,
+                       count: int, seed: int) -> list:
+    """polarization_report on the slice through the point of base, whose
+    verdict is read from base itself."""
+    F, v0 = base.F, base.x
+    if not point_in_hess(F.L, chart.triple, v0):
         raise ValueError("polarization is checked on slices through points of Hess")
     values = inv.compiled.values(v0)
     rng = random.Random(f"{seed}:polarization")
     out = []
-    for k, x in enumerate([v0] + slice_sample(L, v0, max(count - 1, 0), rng)):
-        visit = _hess_visit(F, chart, x)
+    for k, x in enumerate([v0] + slice_sample(F.L, v0, max(count - 1, 0), rng)):
+        visit = _hess_visit(F, chart, x) if k else base
         try:
-            res = visit.transversality
-            ok = isotropy_witness(L, res.frame) is None and visit.slice_isotropic and res.passed
+            ok = (visit.transversality.passed and isotropy_witness(F.L, visit.frame) is None
+                  and visit.slice_isotropic)
         except NotStronglyRegular:
             ok = False
         out.append((not k or inv.compiled.values(x) == values) and ok)

@@ -9,13 +9,16 @@ serialized form contains no timing or environment data, so two runs with an
 identical configuration produce identical bytes.
 
 What several checks of one pass read is computed once per pass and held
-by that pass alone (SuiteRun): the Hess points of checks 12 and 13 with one
-symplectic.HessVisit each, and the shift of the invariants along f.  Check
-12 reads strong regularity and regularity from the visit and check 13 its
-Hamiltonian frame and the commuting of the underived gradients with x, so
-only check 13's isotropy is computed here; the visit alone chooses
-between its pairing certificate and elimination.  Checks 14 and 16 read
-the slice of a HessVisit of their own, which evaluates no gradient.
+by that pass alone (SuiteRun): one sample of Hess with one
+symplectic.HessVisit per point, and the compiled shift of the invariants
+along f.  Checks 12 to 15, omega_well_defined and polarization's random
+base read prefixes of that sample through its visits: check 12 strong
+regularity and regularity, check 13 the Hamiltonian frame and the commuting
+of the underived gradients with x, check 14 the slice's dimension and
+isotropy, check 15 transversality, so only check 13's isotropy is computed
+here; the visit alone chooses between its pairing certificate and
+elimination.  Check 16 reads the slice of a HessVisit of its own base,
+which evaluates no gradient.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
 to the verdict, and witnesses are formatted on integers (_vec_str).  Hess
@@ -45,8 +48,7 @@ from .argshift import (choose_regular_y, shift_family, shifted_invariants,
                        zeta_chain, mv_membership, load_family_cache, save_family_cache)
 from .hessenberg import (build_chart, hess_section, point_in_hess, poincare_series,
                          restrict_to_hess, slice_sample)
-from .symplectic import (HessVisit, omega, isotropy_witness, transversality_check,
-                         polarization_report)
+from .symplectic import HessVisit, omega, isotropy_witness, slice_polarization
 
 
 class RegionExhausted(Exception):
@@ -60,6 +62,7 @@ SIGN_RULE = "extraspecial pairs positive, positive roots ordered by height then 
 
 # How many points each sampled check visits and how large the sampled
 # coefficients are; check 11 expands its series to twice the Coxeter number.
+# Checks 12 to 15 read prefixes of one sample of the largest of their counts.
 HESS_POINTS = 20            # checks 12 and 13
 LAGRANGIAN_POINTS = 10      # check 14
 TRANSVERSALITY_POINTS = 10  # check 15
@@ -247,10 +250,11 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
 
 class SuiteRun:
     """What one suite pass shares between checks, each built when first read:
-    the Hess points of checks 12 and 13 with one HessVisit each, and the
-    shift of the invariants along f that checks 8 and membership read.
+    its one sample of Hess with one HessVisit per point, of which checks 12
+    to 15, omega_well_defined and polarization read prefixes, and the shift
+    of the invariants along f, compiled, that checks 8 and membership read.
     A run belongs to one _suite_payload pass, never to the context, family
-    or chart; a check called alone makes its own."""
+    or chart."""
 
     def __init__(self, sc: SuiteContext, config: SuiteConfig):
         self.sc, self.config = sc, config
@@ -258,7 +262,8 @@ class SuiteRun:
 
     @cached_property
     def hess_points(self) -> list:
-        return sample_points(self.sc, self.config.seed, HESS_POINTS)
+        count = max(HESS_POINTS, LAGRANGIAN_POINTS, TRANSVERSALITY_POINTS)
+        return sample_points(self.sc, self.config.seed, count)
 
     def hess_visit(self, i: int) -> HessVisit:
         if i not in self._visits:
@@ -266,8 +271,8 @@ class SuiteRun:
         return self._visits[i]
 
     @cached_property
-    def along_f(self) -> list:
-        return [p for _, _, p in shifted_invariants(self.sc.inv, self.sc.triple.f)]
+    def along_f(self) -> CompiledPolys:
+        return CompiledPolys(p for _, _, p in shifted_invariants(self.sc.inv, self.sc.triple.f))
 
 
 def _vec_str(v) -> list:
@@ -280,7 +285,7 @@ def _vec_str(v) -> list:
 
 def _record(check_id, claim, criterion=None, reads_run=False):
     """Name a check.  A check with reads_run takes the pass's SuiteRun as a
-    third argument, and makes its own when called without one."""
+    third argument."""
     def wrap(fn):
         fn.check_id = check_id
         fn.claim = claim
@@ -377,10 +382,10 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
 def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig) -> dict:
     L = sc.L
     line = [combine(sc.triple.w, sc.triple.f, t) for t in range(sc.rs.coxeter_number)]
-    dim_full, rows = gradient_span(sc.ctx, sc.inv.polys, line)
+    dim_full, rows = gradient_span(sc.ctx, sc.inv.compiled, line)
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     ok = dim_full == sc.family.b and linalg.same_span(rows, bminus)
-    dim_single, _ = gradient_span(sc.ctx, sc.inv.polys, line[:1])
+    dim_single, _ = gradient_span(sc.ctx, sc.inv.compiled, line[:1])
     ok = ok and dim_single == L.rank and dim_single < sc.family.b
     return {"ok": ok, "witness": {"span_dim": dim_full, "single_t_dim": dim_single}}
 
@@ -417,10 +422,8 @@ def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("family.principal_shift_span",
          "shifting along the principal nilpotent f and taking gradients at w "
          "spans exactly the lower Borel", 8, reads_run=True)
-def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig,
-                               run: SuiteRun | None = None) -> dict:
+def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
-    run = run or SuiteRun(sc, config)
     dim, rows = gradient_span(sc.ctx, run.along_f, [sc.triple.w])
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     ok = dim == sc.family.b and linalg.same_span(rows, bminus)
@@ -481,69 +484,58 @@ def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("hess.strong_regularity",
          "random points of the affine slice are strongly regular (independent "
          "generator gradients), hence regular", 12, reads_run=True)
-def check_strong_regularity(sc: SuiteContext, config: SuiteConfig,
-                            run: SuiteRun | None = None) -> dict:
-    run = run or SuiteRun(sc, config)
-    pts = run.hess_points
-    for i, x in enumerate(pts):
-        visit = run.hess_visit(i)
+def check_strong_regularity(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
+    for visit in map(run.hess_visit, range(HESS_POINTS)):
         if not visit.strongly_regular:
-            return {"ok": False, "witness": {"point": _vec_str(x)}}
+            return {"ok": False, "witness": {"point": _vec_str(visit.x)}}
         if not visit.regular:
             return {"ok": False,
-                    "witness": {"point": _vec_str(x), "kind": "not regular"}}
-    return {"ok": True, "witness": {"points": len(pts)}}
+                    "witness": {"point": _vec_str(visit.x), "kind": "not regular"}}
+    return {"ok": True, "witness": {"points": HESS_POINTS}}
 
 
 @_record("symplectic.hamiltonian_frame",
          "at sampled slice points the Hamiltonian vectors of the derived "
          "generators span an isotropic space of dimension n while the "
          "underived generators have vanishing Hamiltonian vectors", 13, reads_run=True)
-def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig,
-                            run: SuiteRun | None = None) -> dict:
-    run = run or SuiteRun(sc, config)
-    pts = run.hess_points
-    for i, x in enumerate(pts):
-        visit = run.hess_visit(i)
+def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
+    for visit in map(run.hess_visit, range(HESS_POINTS)):
         wit = isotropy_witness(sc.L, visit.frame)
         if wit is not None:
-            return {"ok": False, "witness": {"point": _vec_str(x),
+            return {"ok": False, "witness": {"point": _vec_str(visit.x),
                                              "pair": [wit[0], wit[1]],
                                              "value": ratio_str(*wit[2])}}
         if not visit.casimirs_commute:
             return {"ok": False,
-                    "witness": {"point": _vec_str(x),
+                    "witness": {"point": _vec_str(visit.x),
                                 "kind": "invariant with nonzero Hamiltonian vector"}}
-    return {"ok": True, "witness": {"points": len(pts), "frame_dim": sc.L.n}}
+    return {"ok": True, "witness": {"points": HESS_POINTS, "frame_dim": sc.L.n}}
 
 
 @_record("symplectic.slice_lagrangian",
          "at sampled slice points the lower-nilradical tangents have dimension "
-         "n and the orbit form vanishes on them", 14)
-def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig) -> dict:
-    pts = sample_points(sc, config.seed + 1, LAGRANGIAN_POINTS)
-    for v in pts:
-        visit = HessVisit(sc.family, v)
-        if not (visit.slice.dim == sc.L.n and visit.slice_isotropic):
-            return {"ok": False, "witness": {"point": _vec_str(v)}}
-    return {"ok": True, "witness": {"points": len(pts)}}
+         "n and the orbit form vanishes on them", 14, reads_run=True)
+def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
+    for visit in map(run.hess_visit, range(LAGRANGIAN_POINTS)):
+        if not (visit.slice_dim == sc.L.n and visit.slice_isotropic):
+            return {"ok": False, "witness": {"point": _vec_str(visit.x)}}
+    return {"ok": True, "witness": {"points": LAGRANGIAN_POINTS}}
 
 
 @_record("symplectic.transversality",
          "at sampled slice points the Hamiltonian frame and the slice tangents "
-         "decompose the orbit tangent space and pair nonsingularly", 15)
-def check_transversality(sc: SuiteContext, config: SuiteConfig) -> dict:
-    pts = sample_points(sc, config.seed + 2, TRANSVERSALITY_POINTS)
-    for x in pts:
-        res = transversality_check(sc.family, sc.chart, x)
+         "decompose the orbit tangent space and pair nonsingularly", 15, reads_run=True)
+def check_transversality(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
+    for visit in map(run.hess_visit, range(TRANSVERSALITY_POINTS)):
+        res = visit.transversality
         if not res.passed:
             return {"ok": False,
-                    "witness": {"point": _vec_str(x),
+                    "witness": {"point": _vec_str(visit.x),
                                 "dims": [res.zx_dim, res.slice_dim, res.combined_dim,
                                          res.orbit_dim],
                                 "det": ratio_str(*res.pairing_det),
                                 "jacobian_rank": res.jacobian_rank}}
-    return {"ok": True, "witness": {"points": len(pts)}}
+    return {"ok": True, "witness": {"points": TRANSVERSALITY_POINTS}}
 
 
 @_record("hess.slice_infinitesimal",
@@ -592,10 +584,7 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
          "sampled certification of maximal gradient span: the principal "
          "nilpotent and the chosen Cartan direction certify, scaling preserves "
          "certification, and the zero direction never certifies", reads_run=True)
-def check_membership(sc: SuiteContext, config: SuiteConfig,
-                     run: SuiteRun | None = None) -> dict:
-    run = run or SuiteRun(sc, config)
-
+def check_membership(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     def member(members):
         return mv_membership(sc.ctx, sc.triple, members, MEMBERSHIP_SAMPLES,
                              config.seed, COEFF_BOUND)
@@ -603,7 +592,7 @@ def check_membership(sc: SuiteContext, config: SuiteConfig,
     def shifted(u):
         return CompiledPolys(p for _, _, p in shifted_invariants(sc.inv, u))
 
-    ok_f, wit_f = member(CompiledPolys(run.along_f))
+    ok_f, wit_f = member(run.along_f)
     fn, fd = sc.triple.f
     ok_2f, _ = member(shifted((tuple(2 * c for c in fn), fd)))
     ok_y, _ = member(sc.family.compiled)   # the family is the shift along y
@@ -618,11 +607,11 @@ def check_membership(sc: SuiteContext, config: SuiteConfig,
 
 @_record("symplectic.omega_well_defined",
          "the orbit form evaluated on bracket preimages is unchanged when a "
-         "preimage is shifted by a centralizer element")
-def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig) -> dict:
+         "preimage is shifted by a centralizer element", reads_run=True)
+def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     rng = random.Random(f"{config.seed}:omega")
-    pts = sample_points(sc, config.seed + 5, 3)
+    pts = [run.hess_visit(i).x for i in range(3)]
     for x in pts:
         cent, kden = linalg.sparse_kernel([dict(enumerate(r)) for r in L.int_ad(x)[0]], L.dim)
         z1, z2 = draw(rng, L.dim, 3, 3), draw(rng, L.dim, 3, 3)
@@ -656,18 +645,15 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("symplectic.polarization",
          "over sampled orbit slices every point is strongly regular with "
          "Lagrangian Hamiltonian frame, Lagrangian slice tangents, and "
-         "transversal pairing on a full 2n-dimensional orbit")
-def check_polarization(sc: SuiteContext, config: SuiteConfig) -> dict:
-    bases = [sc.triple.e1]
-    bases += sample_points(sc, config.seed + 6, 1)
+         "transversal pairing on a full 2n-dimensional orbit", reads_run=True)
+def check_polarization(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     total = 0
-    for v0 in bases:
-        verdicts = polarization_report(sc.family, sc.chart, sc.inv, v0,
-                                       SLICE_POINTS, config.seed)
+    for base in (HessVisit(sc.family, sc.triple.e1), run.hess_visit(0)):
+        verdicts = slice_polarization(sc.chart, sc.inv, base, SLICE_POINTS, config.seed)
         total += len(verdicts)
         if not all(verdicts):
             return {"ok": False,
-                    "witness": {"base": _vec_str(v0), "index": verdicts.index(False)}}
+                    "witness": {"base": _vec_str(base.x), "index": verdicts.index(False)}}
     return {"ok": True, "witness": {"points": total}}
 
 

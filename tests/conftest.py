@@ -1629,11 +1629,11 @@ def reference_witness():
 
 def reference_transversality_check(F, chart, x):
     """Check 15 at x with every rank eliminated, and no part of
-    symplectic.HessVisit read: the Hamiltonian frame from the family's
-    gradient rows and brackets [x, g], raising as zx_frame does, and the
-    slice from the n_- columns of ad x.  orbit_dim is rank(ad x) and
-    jacobian_rank is rank(jac), whatever the other results are; x is a
-    cleared point."""
+    symplectic.HessVisit read, as (result, Hamiltonian frame, slice): the
+    frame from the family's gradient rows and brackets [x, g], raising as
+    zx_frame does, and the slice from the n_- columns of ad x.  orbit_dim is
+    rank(ad x) and jacobian_rank is rank(jac), whatever the other results
+    are; x is a cleared point."""
     L = F.L
     if not point_in_hess(L, chart.triple, x):
         raise ValueError("transversality is checked at points of the affine slice")
@@ -1662,8 +1662,7 @@ def reference_transversality_check(F, chart, x):
               and bool(pdet[0]) and jrank == L.n)
     return TransversalityResult(zx_dim=zx.dim, slice_dim=sl.dim,
                                 combined_dim=combined, orbit_dim=orbit_dim,
-                                pairing_det=pdet, jacobian_rank=jrank, passed=passed,
-                                frame=zx, slice=sl)
+                                pairing_det=pdet, jacobian_rank=jrank, passed=passed), zx, sl
 
 
 @pytest.fixture(scope="session")

@@ -285,20 +285,20 @@ def test_strong_regularity(bundles, helpers):
 def test_gradient_span_bounds(bundles):
     B = bundles("A2")
     F = B.family
-    dim, _ = gradient_span(B.ctx, [Poly.const(B.L.dim, 3)], [B.triple.e])
+    dim, _ = gradient_span(B.ctx, CompiledPolys([Poly.const(B.L.dim, 3)]), [B.triple.e])
     assert dim == 0
     rng = random.Random("bound")
     for _ in range(5):
         x = [rat(rng.randint(-3, 3)) for _ in range(B.L.dim)]
-        dim, _ = gradient_span(B.ctx, F.qs, [cleared(x)])
+        dim, _ = gradient_span(B.ctx, F.compiled, [cleared(x)])
         assert dim <= F.b
 
 
 def test_span_at_nilpotent_points(bundles):
     for label in ("A1", "A2", "B2"):
         B = bundles(label)
-        de, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e])
-        de1, _ = gradient_span(B.ctx, B.family.qs, [B.triple.e1])
+        de, _ = gradient_span(B.ctx, B.family.compiled, [B.triple.e])
+        de1, _ = gradient_span(B.ctx, B.family.compiled, [B.triple.e1])
         assert de == de1 == B.family.b
 
 
@@ -316,7 +316,7 @@ def test_gradient_span_matches_fraction_reference(bundles, reference_gradients, 
     tri = B.triple
     line = [combine(tri.w, tri.f, t) for t in range(B.rs.coxeter_number)]
     for points in (line, line[:1], [tri.e, tri.e1]):
-        dim, rows = gradient_span(B.ctx, B.inv.polys, points)
+        dim, rows = gradient_span(B.ctx, B.inv.compiled, points)
         want = [clear(g)[0] for x in points
                 for g in reference_gradients(B.ctx, B.inv.polys, over(*x))]
         assert dim == linalg.rank(want) and linalg.same_span(rows, want)
@@ -324,7 +324,7 @@ def test_gradient_span_matches_fraction_reference(bundles, reference_gradients, 
 
 def test_shift_along_f_spans_lower_borel(bundles):
     B = bundles("A2")
-    members = [p for _, _, p in shifted_invariants(B.inv, B.triple.f)]
+    members = CompiledPolys(p for _, _, p in shifted_invariants(B.inv, B.triple.f))
     dim, rows = gradient_span(B.ctx, members, [B.triple.w])
     bminus = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     assert dim == B.family.b and linalg.same_span(rows, bminus)

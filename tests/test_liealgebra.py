@@ -174,12 +174,12 @@ def test_vandermonde_span_full_and_single(bundles, label):
     B = bundles(label)
     L = B.L
     h = B.rs.coxeter_number
-    dim_full, rows = gradient_span(B.ctx, B.inv.polys, line_points(B, range(h)))
+    dim_full, rows = gradient_span(B.ctx, B.inv.compiled, line_points(B, range(h)))
     assert dim_full == B.rs.rank + B.rs.num_positive
     bminus = [L.basis_vector(i) for i in L.bminus_indices]
     assert linalg.same_span(rows, bminus)
     # a single point of the line only yields the Cartan of that point
-    dim_one, rows_one = gradient_span(B.ctx, B.inv.polys, line_points(B, [0]))
+    dim_one, rows_one = gradient_span(B.ctx, B.inv.compiled, line_points(B, [0]))
     assert dim_one == L.rank
     cartan = [L.basis_vector(i) for i in L.cartan_indices]
     assert linalg.same_span(rows_one, cartan)
@@ -187,7 +187,7 @@ def test_vandermonde_span_full_and_single(bundles, label):
 
 def test_vandermonde_span_a1_two_points(bundles):
     B = bundles("A1")
-    dim, _ = gradient_span(B.ctx, B.inv.polys, line_points(B, [0, 1]))
+    dim, _ = gradient_span(B.ctx, B.inv.compiled, line_points(B, [0, 1]))
     assert dim == 2 == B.rs.rank + B.rs.num_positive
 
 

@@ -17,7 +17,8 @@ from mfhess.symplectic import (HessVisit, NotStronglyRegular, TransversalityResu
                                transversality_check, zx_frame)
 from mfhess.verifier import (SuiteConfig, SuiteContext, build_context,
                              check_hamiltonian_frame, check_polarization,
-                             check_strong_regularity, check_transversality, sample_points)
+                             check_slice_lagrangian, check_strong_regularity,
+                             check_transversality, sample_points)
 from mfhess.rational import clear, cleared, over, rat
 
 
@@ -162,11 +163,19 @@ def _eliminated(B, shapes) -> tuple:
     return ((B.L.dim, B.L.dim) in shapes, (B.family.b, B.L.n) in shapes)
 
 
+def _visit_parts(F, x) -> tuple:
+    """A fresh visit's transversality, Hamiltonian frame and slice, read in
+    that order: what reference_transversality_check returns."""
+    visit = HessVisit(F, x)
+    return visit.transversality, visit.frame, visit.slice
+
+
 @pytest.mark.parametrize("label", CERT_LABELS, ids=CERT_IDS)
 def test_transversality_certificates_match_eliminations(bundles, reference_transversality,
                                                         rank_shapes, label):
-    """At sampled Hess points every field of the result equals the route
-    that ranks ad x and the Jacobian, and neither is ranked."""
+    """At sampled Hess points every field of the result, and the visit's
+    Hamiltonian frame and slice, equal the route that ranks ad x and the
+    Jacobian, and neither is ranked."""
     B = bundles(label)
     rng = random.Random(f"certificate:{label}")
     for _ in range(3):
@@ -174,7 +183,8 @@ def test_transversality_certificates_match_eliminations(bundles, reference_trans
         rank_shapes.clear()
         res = transversality_check(B.family, B.chart, x)
         assert res.passed and _eliminated(B, rank_shapes) == (False, False)
-        assert res == reference_transversality(B.family, B.chart, x)
+        want = reference_transversality(B.family, B.chart, x)
+        assert res == want[0] and _visit_parts(B.family, x) == want
 
 
 def _planted_family(B, defect):
@@ -210,10 +220,10 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     """A planted defect breaks a certificate: an underived member that no
     longer commutes with x or a zero pairing determinant makes
     transversality rank ad x and the Jacobian, a dependent member raises
-    NotStronglyRegular.  Each result or exception equals the reference
-    route's, and checks 12, 13, 15 and polarization give what they give
-    with every pairing certificate failed, check 15 and polarization on the
-    reference route."""
+    NotStronglyRegular.  Each result or exception, and a visit's Hamiltonian
+    frame and slice, equal the reference route's, and checks 12 to 15 and
+    polarization give what they give with every pairing certificate failed,
+    transversality and the Hamiltonian frame on the reference route."""
     B = bundles(label)
     bad = _planted_family(B, defect)
     rng = random.Random(f"fallback:{label}")
@@ -224,7 +234,9 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
         got = _outcome(transversality_check, bad, B.chart, x)
         if isinstance(got, TransversalityResult):
             forced.append(_eliminated(B, rank_shapes))
-        assert got == _outcome(reference_transversality, bad, B.chart, x)
+        want = _outcome(reference_transversality, bad, B.chart, x)
+        assert _outcome(_visit_parts, bad, x) == want
+        assert got == (want[0] if isinstance(got, TransversalityResult) else want)
     if defect == "dependent":
         assert forced == []
     else:
@@ -234,14 +246,16 @@ def test_failed_certificates_fall_back_to_eliminations(bundles, reference_transv
     for name in ("HESS_POINTS", "TRANSVERSALITY_POINTS", "SLICE_POINTS"):
         monkeypatch.setattr(verifier, name, 3)
     cfg = SuiteConfig(algebra=label, seed=5)
-    checks = (check_strong_regularity, check_hamiltonian_frame, check_transversality,
-              check_polarization)
-    outs = [_outcome(check, sc, cfg) for check in checks]
-    monkeypatch.setattr(verifier, "transversality_check", reference_transversality)
-    monkeypatch.setattr(HessVisit, "transversality", property(
-        lambda v: reference_transversality(v.F, B.chart, v.x)))
+    checks = (check_strong_regularity, check_hamiltonian_frame, check_slice_lagrangian,
+              check_transversality, check_polarization)
+    run = verifier.SuiteRun(sc, cfg)
+    outs = [_outcome(check, sc, cfg, run) for check in checks]
+    for name, part in (("transversality", 0), ("frame", 1)):
+        monkeypatch.setattr(HessVisit, name, property(
+            lambda v, part=part: reference_transversality(v.F, B.chart, v.x)[part]))
     monkeypatch.setattr(HessVisit, "certified", property(lambda v: False))
-    assert outs == [_outcome(check, sc, cfg) for check in checks]
+    run = verifier.SuiteRun(sc, cfg)
+    assert outs == [_outcome(check, sc, cfg, run) for check in checks]
 
 
 # each condition of the pairing certificate, as the HessVisit attribute that
@@ -275,8 +289,9 @@ def test_each_failed_condition_falls_back_to_eliminations(bundles, reference_tra
                                                           condition):
     """One certificate condition failed at a time sends transversality and
     checks 12 and 13 to the eliminations, which rank the b x dim gradient
-    matrix, and gives the reference result: the eliminating transversality
-    and the checks' outputs with every certificate failed."""
+    matrix, and gives the reference result: the eliminating transversality,
+    Hamiltonian frame and slice, and the checks' outputs with every
+    certificate failed."""
     B = bundles(label)
     rng = random.Random(f"condition:{label}")
     points = [hess_point(B, rng) for _ in range(2)]
@@ -288,19 +303,32 @@ def test_each_failed_condition_falls_back_to_eliminations(bundles, reference_tra
     checks = (check_strong_regularity, check_hamiltonian_frame)
     with monkeypatch.context() as forced:
         forced.setattr(HessVisit, "certified", property(lambda v: False))
-        eliminated = [check(sc, cfg) for check in checks]
+        run = verifier.SuiteRun(sc, cfg)
+        eliminated = [check(sc, cfg, run) for check in checks]
     _fail_condition(monkeypatch, condition)
     gradients = (B.family.b, B.L.dim)
     for x, ref in zip(points, want):
         rank_shapes.clear()
         res = transversality_check(B.family, B.chart, x)
         assert gradients in rank_shapes and _eliminated(B, rank_shapes) == (True, True)
-        assert res == ref and res.passed
+        assert res == ref[0] and res.passed
+        assert _visit_parts(B.family, x) == ref
     rank_shapes.clear()
     run = verifier.SuiteRun(sc, cfg)
     assert [check(sc, cfg, run) for check in checks] == eliminated
     assert rank_shapes.count(gradients) == 3
     assert not any(run.hess_visit(i).certified for i in range(3))
+
+
+def test_slice_dim_is_n_where_certified_else_the_slice_rank(bundles):
+    """slice_dim is n at a certified visit, which keeps no slice, and the
+    rank of the slice elsewhere: 0 at the origin, whose vanishing slice is
+    isotropic."""
+    B = bundles("A2")
+    visit = HessVisit(B.family, hess_point(B, random.Random("slice dim")))
+    assert visit.slice_dim == B.L.n and visit.certified and "slice" not in vars(visit)
+    origin = HessVisit(B.family, cleared(B.L.zero()))
+    assert origin.slice_dim == 0 and origin.slice_isotropic and not origin.certified
 
 
 def test_repeated_underived_member_is_never_certified(bundles):

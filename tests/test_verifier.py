@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import io
 import json
 import os
@@ -15,15 +16,16 @@ from types import SimpleNamespace
 import pytest
 
 from mfhess import argshift, cli, liealgebra, linalg, verifier
-from mfhess.argshift import shift_family
+from mfhess.argshift import mv_membership, shift_family
 from mfhess.cli import main
 from mfhess.hessenberg import point_in_hess, slice_sample
 from mfhess.liealgebra import DecompositionFailure, LieAlgebra
-from mfhess.polyring import Poly
+from mfhess.polyring import CompiledPolys, Poly
 from mfhess.rational import canonical, cleared, over, rat, rat_str, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 from mfhess.symplectic import HessVisit, NotStronglyRegular, transversality_check
-from mfhess.verifier import (RegionExhausted, SuiteConfig, _sample_regular, build_context,
+from mfhess.verifier import (RegionExhausted, SuiteConfig, SuiteRun, _sample_regular,
+                             build_context,
                              check_algebra_soundness, check_chart_section,
                              check_commutativity, check_degree_duality, check_gradient_rank,
                              check_graded_dimensions, check_hamiltonian_frame,
@@ -465,13 +467,13 @@ def test_pointwise_checks_fail_on_dependent_member(a2_context):
     F = sc.family
     pos, other = F.N_positions[0], F.N_positions[1]
     bad = _with_member(sc, pos, F.entries[other].poly.scale(2))
-    out = check_strong_regularity(bad, cfg)
+    out = check_strong_regularity(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False and "point" in out["witness"]
     with pytest.raises(NotStronglyRegular):
-        check_hamiltonian_frame(bad, cfg)
+        check_hamiltonian_frame(bad, cfg, SuiteRun(bad, cfg))
     with pytest.raises(NotStronglyRegular):
-        check_transversality(bad, cfg)
-    out = check_polarization(bad, cfg)
+        check_transversality(bad, cfg, SuiteRun(bad, cfg))
+    out = check_polarization(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False and set(out["witness"]) == {"base", "index"}
 
 
@@ -480,10 +482,10 @@ def test_pointwise_checks_fail_on_planted_derived_term(a2_context):
     sc = a2_context
     pos = sc.family.N_positions[0]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
-    out = check_hamiltonian_frame(bad, cfg)
+    out = check_hamiltonian_frame(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert len(out["witness"]["pair"]) == 2 and out["witness"]["value"] != "0"
-    assert check_polarization(bad, cfg)["ok"] is False
+    assert check_polarization(bad, cfg, SuiteRun(bad, cfg))["ok"] is False
 
 
 def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
@@ -533,7 +535,7 @@ def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context, h
     bad = replace(sc, L=replace(sc.L, killing=killing))
     h = sc.L.basis_vector(c)
     assert helpers.killing_pair(bad.L, h, h) == 2 * helpers.killing_pair(sc.L, h, h)
-    out = check_omega_well_defined(bad, cfg)
+    out = check_omega_well_defined(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False and "point" in out["witness"]
     violations = check_algebra_soundness(bad, cfg)["witness"]["violations"]
     assert violations and all(v.startswith("Killing invariance fails on") for v in violations)
@@ -578,7 +580,7 @@ def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch, reference_
         return out
 
     monkeypatch.setattr(linalg, "sparse_kernel", recorded)
-    assert check_omega_well_defined(sc, cfg)["ok"]
+    assert check_omega_well_defined(sc, cfg, SuiteRun(sc, cfg))["ok"]
     assert len(calls) == 3
     for rows, ncols, (basis, den) in calls:
         assert [over(v, den) for v in basis] == reference_kernel(rows, ncols)
@@ -622,12 +624,16 @@ def test_graded_dimensions_fail_on_dropped_member(a2_context):
                          ids=["criterion-4", "criterion-5", "criterion-8"])
 def test_invariant_checks_fail_on_repeated_invariant(a2_context, check):
     cfg = SuiteConfig(algebra="A2", seed=5)
+
+    def alone(sc):
+        return check(sc, cfg, SuiteRun(sc, cfg)) if check.reads_run else check(sc, cfg)
+
     sc = a2_context
-    assert check(sc, cfg)["ok"]
+    assert alone(sc)["ok"]
     polys = list(sc.inv.polys)
     polys[1] = polys[0]
     bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    out = check(bad, cfg)
+    out = alone(bad)
     assert out["ok"] is False and out["witness"]
 
 
@@ -647,7 +653,7 @@ def test_hamiltonian_frame_builds_one_gradient_matrix_per_point(a2_context, monk
                                                                 gradient_rows_calls, k):
     monkeypatch.setattr(verifier, "HESS_POINTS", k)
     cfg = SuiteConfig(algebra="A2", seed=5)
-    assert check_hamiltonian_frame(a2_context, cfg)["ok"]
+    assert check_hamiltonian_frame(a2_context, cfg, SuiteRun(a2_context, cfg))["ok"]
     assert len(gradient_rows_calls) == k
 
 
@@ -656,7 +662,7 @@ def test_strong_regularity_builds_one_gradient_matrix_per_point(a2_context, monk
                                                                 gradient_rows_calls, k):
     monkeypatch.setattr(verifier, "HESS_POINTS", k)
     cfg = SuiteConfig(algebra="A2", seed=5)
-    assert check_strong_regularity(a2_context, cfg)["ok"]
+    assert check_strong_regularity(a2_context, cfg, SuiteRun(a2_context, cfg))["ok"]
     assert len(gradient_rows_calls) == k
 
 
@@ -801,18 +807,19 @@ def test_hamiltonian_frame_fails_on_planted_invariant_term(a2_context):
     sc = a2_context
     pos = sc.family.I_positions[0]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
-    out = check_hamiltonian_frame(bad, cfg)
+    out = check_hamiltonian_frame(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert out["witness"]["kind"] == "invariant with nonzero Hamiltonian vector"
 
 
 def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch, gradient_rows_calls):
-    """Checks 12 and 13 build one ad x, b brackets and one gradient matrix
-    per Hess point between them, in the pass's HessVisits, and check 15 the
-    same per point, whether the certificate holds or every certificate
-    fails; checks 14 to 16, omega_well_defined and polarization build ad x
-    once per visited point through the integer core, and checks 14 and 16,
-    which read only the slice, no gradient matrix."""
+    """Checks 12 to 15 build one ad x, b brackets and one gradient matrix
+    per point of the pass's sample between them, in its HessVisits, whether
+    the certificate holds or every certificate fails: checks 12 and 13 at
+    their 3 points, check 14 none at its 2, check 15 at its fourth point
+    alone.  Check 16 and omega_well_defined build ad x once per point they
+    visit and no gradient matrix, and polarization both once per point but
+    its random base, the sample's first point."""
     sc = a2_context
     b = sc.family.b
     for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
@@ -832,6 +839,10 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch, gradient_rows_
 
     monkeypatch.setattr(LieAlgebra, "int_ad", counted)
     monkeypatch.setattr(LieAlgebra, "int_bracket", counted_bracket)
+    # (check, ad matrices, gradient matrices), after checks 12 and 13 in one run
+    later = [(check_slice_lagrangian, 0, 0), (check_transversality, 1, 1),
+             (check_slice_infinitesimal, 1 + 3, 0), (check_omega_well_defined, 3, 0),
+             (check_polarization, 3 + 2, 3 + 2)]
     for forced in (False, True):
         with monkeypatch.context() as m:
             if forced:
@@ -839,64 +850,135 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch, gradient_rows_
             calls.clear()
             brackets.clear()
             gradient_rows_calls.clear()
-            run = verifier.SuiteRun(sc, cfg)
+            run = SuiteRun(sc, cfg)
             assert check_strong_regularity(sc, cfg, run)["ok"]
             assert check_hamiltonian_frame(sc, cfg, run)["ok"]
             assert (len(calls), len(brackets), len(gradient_rows_calls)) == (3, 3 * b, 3), forced
             assert all(run.hess_visit(i).certified is not forced for i in range(3))
-            calls.clear()
-            brackets.clear()
-            gradient_rows_calls.clear()
-            assert check_transversality(sc, cfg)["ok"]
-            assert (len(calls), len(brackets), len(gradient_rows_calls)) == (4, 4 * b, 4), forced
-    # (check, ad matrices, gradient matrices)
-    visits = [(check_slice_lagrangian, 2, 0),
-              (check_transversality, 4, 4), (check_slice_infinitesimal, 1 + 3, 0),
-              (check_omega_well_defined, 3, 0), (check_polarization, 2 * 3, 2 * 3)]
-    for check, points, gradients in visits:
-        calls.clear()
-        gradient_rows_calls.clear()
-        assert check(sc, cfg)["ok"], check.check_id
-        assert (len(calls), len(gradient_rows_calls)) == (points, gradients), check.check_id
+            for check, points, gradients in later:
+                calls.clear()
+                brackets.clear()
+                gradient_rows_calls.clear()
+                assert (check(sc, cfg, run) if check.reads_run else check(sc, cfg))["ok"]
+                assert (len(calls), len(gradient_rows_calls)) == (points, gradients), \
+                    (check.check_id, forced)
+                if check in (check_slice_lagrangian, check_transversality):
+                    assert len(brackets) == gradients * b, (check.check_id, forced)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_certified_points_rank_only_the_underived_gradients(label, rank_shapes,
                                                             monkeypatch):
-    """Where every sampled point is certified, checks 12, 13, 15 and
+    """Where every sampled point is certified, checks 12 to 15 and
     polarization rank the l x dim underived gradients and nothing else: not
-    the b gradients, a frame, the combined tangents, ad x or the Jacobian."""
+    the b gradients, a frame, the slice, the combined tangents, ad x or the
+    Jacobian; checks 13 to 15 rank nothing at the visits check 12
+    certified."""
     sc = build_context(SuiteConfig(algebra=label, seed=5))
-    for name in ("HESS_POINTS", "TRANSVERSALITY_POINTS", "SLICE_POINTS"):
+    for name in ("HESS_POINTS", "LAGRANGIAN_POINTS", "TRANSVERSALITY_POINTS", "SLICE_POINTS"):
         monkeypatch.setattr(verifier, name, 3)
     cfg = SuiteConfig(algebra=label, seed=5)
     L, b = sc.L, sc.family.b
     eliminated = {(b, L.dim), (L.n, L.dim), (2 * L.n, L.dim), (L.dim, L.dim), (b, L.n)}
     assert (L.rank, L.dim) not in eliminated
-    run = verifier.SuiteRun(sc, cfg)
-    for check in (check_strong_regularity, check_hamiltonian_frame, check_transversality,
-                  check_polarization):
+    run = SuiteRun(sc, cfg)
+    for check in (check_strong_regularity, check_hamiltonian_frame, check_slice_lagrangian,
+                  check_transversality, check_polarization):
         rank_shapes.clear()
-        assert (check(sc, cfg, run) if check.reads_run else check(sc, cfg))["ok"]
+        assert check(sc, cfg, run)["ok"]
         assert eliminated.isdisjoint(rank_shapes), check.check_id
-        # check 13 reads the visits check 12 built
-        assert set(rank_shapes) == ({(L.rank, L.dim)} if check is not check_hamiltonian_frame
-                                    else set()), check.check_id
+        new_points = check in (check_strong_regularity, check_polarization)
+        assert set(rank_shapes) == ({(L.rank, L.dim)} if new_points else set()), check.check_id
     # a certified visit keeps no ad x, slice or Jacobian for the rest of the pass
     for i in range(3):
         visit = run.hess_visit(i)
         assert visit.certified and not {"_tangents", "_adx", "slice"} & set(vars(visit))
 
 
+def test_one_hess_sample_per_pass(a2_context, monkeypatch, gradient_rows_calls, rank_shapes):
+    """A run draws one sample of Hess, of the largest of the counts of checks
+    12 to 15.  Checks 12 to 15, omega_well_defined and polarization's random
+    base visit prefixes of it through the same HessVisit objects; checks 12
+    to 15 build one gradient matrix and one ad x per sampled point between
+    them; checks 14 and 15 make no gradient_rows, int_ad or rank call at the
+    visits check 12 certified; and with every certificate forced to fail
+    each output is the same."""
+    sc = a2_context
+    for name, count in (("HESS_POINTS", 3), ("LAGRANGIAN_POINTS", 2),
+                        ("TRANSVERSALITY_POINTS", 4)):
+        monkeypatch.setattr(verifier, name, count)
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    draws, read, ads = [], [], []
+    sample, hess_visit, int_ad = verifier.sample_points, SuiteRun.hess_visit, LieAlgebra.int_ad
+
+    def drawn(sc, seed, count):
+        draws.append((seed, count))
+        return sample(sc, seed, count)
+
+    def visited(run, i):
+        read.append((i, hess_visit(run, i)))
+        return read[-1][1]
+
+    def ad(L, x):
+        ads.append(x)
+        return int_ad(L, x)
+
+    monkeypatch.setattr(verifier, "sample_points", drawn)
+    monkeypatch.setattr(SuiteRun, "hess_visit", visited)
+    monkeypatch.setattr(LieAlgebra, "int_ad", ad)
+    checks = (check_strong_regularity, check_hamiltonian_frame, check_slice_lagrangian,
+              check_transversality, check_omega_well_defined, check_polarization)
+    run = SuiteRun(sc, cfg)
+    outs, work, objects = [], {}, {}
+    for check in checks:
+        del read[:], ads[:], gradient_rows_calls[:], rank_shapes[:]
+        outs.append(check(sc, cfg, run))
+        assert outs[-1]["ok"], check.check_id
+        work[check.check_id] = (sorted({i for i, _ in read}), list(gradient_rows_calls),
+                                list(ads), list(rank_shapes))
+        for i, visit in read:
+            assert objects.setdefault(i, visit) is visit and visit.x == run.hess_points[i]
+    assert draws == [(5, 4)] and len(run.hess_points) == 4
+    assert run.hess_points[:3] == sample(sc, 5, 3)
+    prefixes = {check.check_id: work[check.check_id][0] for check in checks}
+    assert prefixes == {"hess.strong_regularity": [0, 1, 2],
+                        "symplectic.hamiltonian_frame": [0, 1, 2],
+                        "symplectic.slice_lagrangian": [0, 1],
+                        "symplectic.transversality": [0, 1, 2, 3],
+                        "symplectic.omega_well_defined": [0, 1, 2],
+                        "symplectic.polarization": [0]}
+    first_four = [work[check.check_id] for check in checks[:4]]
+    assert sum(len(w[1]) for w in first_four) == sum(len(w[2]) for w in first_four) == 4
+    assert all(run.hess_visit(i).certified for i in range(4))
+    assert work["symplectic.slice_lagrangian"][1:] == ([], [], [])
+    # check 15's only work is its fourth point, which check 12 did not visit
+    last = run.hess_points[3]
+    assert work["symplectic.transversality"][1:] == ([last], [last], [(sc.L.rank, sc.L.dim)])
+    monkeypatch.setattr(HessVisit, "certified", property(lambda v: False))
+    run = SuiteRun(sc, cfg)
+    assert [check(sc, cfg, run) for check in checks] == outs
+
+
 def test_slice_lagrangian_fails_on_moved_base_point(helpers, a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_slice_lagrangian(sc, cfg)["ok"]
+    assert check_slice_lagrangian(sc, cfg, SuiteRun(sc, cfg))["ok"]
     highest = sc.L.basis_vector(sc.L.pos_indices[-1])
     triple = replace(sc.triple, e1=cleared(helpers.vec_add(over(*sc.triple.e1), highest)))
     bad = replace(sc, triple=triple, chart=replace(sc.chart, triple=triple))
-    out = check_slice_lagrangian(bad, cfg)
+    out = check_slice_lagrangian(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False and set(out["witness"]) == {"point"}
+
+
+def test_slice_lagrangian_fails_on_vanishing_slice(a2_context, monkeypatch):
+    """A sample of origins: the slice tangents vanish there, so they are
+    isotropic, and check 14 fails on their dimension alone."""
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    sc = a2_context
+    origin = cleared(sc.L.zero())
+    monkeypatch.setattr(verifier, "sample_points", lambda sc, seed, count: [origin] * count)
+    out = check_slice_lagrangian(sc, cfg, SuiteRun(sc, cfg))
+    assert out == {"ok": False, "witness": {"point": ["0"] * sc.L.dim}}
 
 
 def test_slice_infinitesimal_fails_on_planted_cartan_square(a2_context):
@@ -1096,7 +1178,7 @@ def test_hamiltonian_frame_witness_value_is_exact(a2_context, reference_witness,
     sc = a2_context
     pos = sc.family.N_positions[0]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc).scale(scale))
-    wit = check_hamiltonian_frame(bad, cfg)["witness"]
+    wit = check_hamiltonian_frame(bad, cfg, SuiteRun(bad, cfg))["witness"]
     x = [to_rat(c) for c in wit["point"]]
     assert (wit["pair"][0], wit["pair"][1], wit["value"]) == \
         reference_witness.isotropy(bad.family, x)
@@ -1122,7 +1204,7 @@ def test_transversality_det_is_exact(a2_context, reference_witness, scale):
         assert res.pairing_det != transversality_check(sc.family, sc.chart, x).pairing_det
     coordinate = Poly.coordinate(sc.L.dim, sc.L.pos_indices[0]).scale(scale)
     bad = _with_member(sc, pos, coordinate)
-    out = check_transversality(bad, cfg)
+    out = check_transversality(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     x = [to_rat(c) for c in out["witness"]["point"]]
     assert out["witness"]["det"] == reference_witness.pairing_det(bad.family, x)
@@ -1190,8 +1272,70 @@ def test_membership_fails_when_every_direction_shifts_along_y(a2_context, monkey
     raising."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_membership(sc, cfg)["ok"] is True
+    assert check_membership(sc, cfg, SuiteRun(sc, cfg))["ok"] is True
     original = argshift.shifted_invariants
     monkeypatch.setattr(verifier, "shifted_invariants", lambda inv, u: original(inv, sc.y))
-    assert check_membership(sc, cfg) == {"ok": False,
+    assert check_membership(sc, cfg, SuiteRun(sc, cfg)) == {"ok": False,
                                          "witness": {"kind": "zero direction certified"}}
+
+
+# (label, defect) -> membership's sub-verdicts (full gradient span found along
+# f, 2f, y and 0) and the record's status
+MEMBERSHIP_DEFECTS = {
+    ("A2", "binomial"): ({"f": True, "2f": True, "y": True, "0": False}, "pass"),
+    ("B2", "binomial"): ({"f": True, "2f": True, "y": True, "0": False}, "pass"),
+    ("A1", "one zero piece"): ({"f": True, "2f": True, "y": True, "0": True}, "fail"),
+    ("A2", "one zero piece"): ({"f": True, "2f": True, "y": True, "0": False}, "pass"),
+    ("A2", "zero pieces"): ({"f": True, "2f": True, "y": True, "0": True}, "fail"),
+}
+
+
+@pytest.mark.parametrize("label, defect", list(MEMBERSHIP_DEFECTS))
+def test_membership_sub_verdicts_on_planted_expansions(monkeypatch, label, defect):
+    """Which sub-verdicts of family.membership_samples a defect planted in
+    the verifier's shifted_invariants turns, and the record that results.
+    The plant reaches the shifts along f, 2f and 0, not the family (the
+    shift along y).  Every binomial C(e, 1) of the Taylor pass one too large
+    turns none, and check 8, which reads the same expansion along f, still
+    passes.  A nonzero piece k > 0 along the zero direction (the piece along
+    f in its place) turns the 0 sub-verdict, and fails the record, only
+    once the planted pieces reach full span: one piece does on A1 (b = 2),
+    not on A2, where every piece does."""
+    cfg = SuiteConfig(algebra=label, seed=5)
+    sc = build_context(cfg)
+    original = argshift.shifted_invariants
+    zero = cleared(sc.L.zero())
+
+    def planted(inv, u):
+        if defect == "binomial":
+            with monkeypatch.context() as m:
+                m.setattr(argshift, "comb", lambda e, a: math.comb(e, a) + (a == 1))
+                return original(inv, u)
+        pieces = original(inv, u)
+        if u != zero:
+            return pieces
+        along_f = original(inv, sc.triple.f)
+        moved = [i for i, (_, k, _) in enumerate(pieces) if k][:1 if defect == "one zero piece"
+                                                                  else None]
+        return [along_f[i] if i in moved else piece for i, piece in enumerate(pieces)]
+
+    fn, fd = sc.triple.f
+    directions = {"f": sc.triple.f, "2f": (tuple(2 * c for c in fn), fd), "0": zero}
+    changed = {name for name, u in directions.items() if planted(sc.inv, u) != original(sc.inv, u)}
+    assert changed == ({"f", "2f"} if defect == "binomial" else {"0"})
+    monkeypatch.setattr(verifier, "shifted_invariants", planted)
+    run = SuiteRun(sc, cfg)
+
+    def member(members):
+        return mv_membership(sc.ctx, sc.triple, members, verifier.MEMBERSHIP_SAMPLES,
+                             cfg.seed, verifier.COEFF_BOUND)[0]
+
+    verdicts = {name: member(CompiledPolys(p for _, _, p in planted(sc.inv, u)))
+                for name, u in directions.items()}
+    verdicts["y"] = member(sc.family.compiled)
+    out = check_membership(sc, cfg, run)
+    status = {True: "pass", False: "fail", None: "inconclusive"}[out["ok"]]
+    assert (verdicts, status) == MEMBERSHIP_DEFECTS[label, defect]
+    if status == "fail":
+        assert out["witness"] == {"kind": "zero direction certified"}
+    assert check_principal_shift_span(sc, cfg, run)["ok"]
