@@ -11,14 +11,14 @@ identical configuration produce identical bytes.
 What several checks of one pass read is computed once per pass and held
 by that pass alone (SuiteRun): one sample of Hess with one
 symplectic.HessVisit per point, and the compiled shift of the invariants
-along f.  Checks 12 to 15, omega_well_defined and polarization's random
-base read prefixes of that sample through its visits: check 12 strong
-regularity and regularity, check 13 the Hamiltonian frame and the commuting
-of the underived gradients with x, check 14 the slice's dimension and
-isotropy, check 15 transversality, so only check 13's isotropy is computed
-here; the visit alone chooses between its pairing certificate and
-elimination.  Check 16 reads the slice of a HessVisit of its own base,
-which evaluates no gradient.
+along f.  Checks 12 to 15 and polarization's random base read prefixes
+of that sample through its visits, and omega_well_defined its first three
+points alone: check 12 strong regularity and regularity, check 13 the
+Hamiltonian frame and the commuting of the underived gradients with x,
+check 14 the slice's dimension and isotropy, check 15 transversality, so
+only check 13's isotropy is computed here; the visit alone chooses
+between its pairing certificate and elimination.  Check 16 reads the slice
+of a HessVisit of its own base, which evaluates no gradient.
 
 Points are drawn as canonical cleared vectors (rational.draw) and stay so
 to the verdict, and witnesses are formatted on integers (_vec_str).  Hess
@@ -251,10 +251,10 @@ def _sample_regular(sc: SuiteContext, seed: int, count: int, bound: int,
 class SuiteRun:
     """What one suite pass shares between checks, each built when first read:
     its one sample of Hess with one HessVisit per point, of which checks 12
-    to 15, omega_well_defined and polarization read prefixes, and the shift
-    of the invariants along f, compiled, that checks 8 and membership read.
-    A run belongs to one _suite_payload pass, never to the context, family
-    or chart."""
+    to 15, omega_well_defined (points only) and polarization read prefixes,
+    and the shift of the invariants along f, compiled, that checks 8 and
+    membership read.  A run belongs to one _suite_payload pass, never to the
+    context, family or chart."""
 
     def __init__(self, sc: SuiteContext, config: SuiteConfig):
         self.sc, self.config = sc, config
@@ -283,21 +283,20 @@ def _vec_str(v) -> list:
 # -- individual checks -------------------------------------------------------
 
 
-def _record(check_id, claim, criterion=None, reads_run=False):
-    """Name a check.  A check with reads_run takes the pass's SuiteRun as a
-    third argument."""
+def _record(check_id, claim, criterion=None):
+    """Name a check.  Every check takes (sc, config, run), run the pass's
+    SuiteRun."""
     def wrap(fn):
         fn.check_id = check_id
         fn.claim = claim
         fn.criterion = criterion
-        fn.reads_run = reads_run
         return fn
     return wrap
 
 
 @_record("roots.degree_partition_duality",
          "invariant degrees sum to b and are dual to the layer dimensions", 1)
-def check_degree_duality(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_degree_duality(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     rs = sc.rs
     b = rs.rank + rs.num_positive
     ok = sum(rs.degrees) == b
@@ -314,7 +313,7 @@ def check_degree_duality(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("algebra.jacobi_and_killing",
          "bracket satisfies antisymmetry and Jacobi on all basis triples; "
          "the trace form is invariant and nondegenerate", 2)
-def check_algebra_soundness(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_algebra_soundness(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     errs = validate_algebra(sc.L)
     return {"ok": not errs,
             "witness": {"dim": sc.L.dim, "violations": errs[:3]}}
@@ -323,7 +322,7 @@ def check_algebra_soundness(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("algebra.principal_decomposition",
          "the algebra splits into rank-many irreducible modules of dimensions "
          "2m+1 whose lowering chains give a basis of the lower Borel", 3)
-def check_principal_decomposition(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_principal_decomposition(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     """principal_decomposition builds each module from 2m + 1 vectors and
     raises unless the chains span the lower Borel, so what is left to
     compare is its exponents with the root data's."""
@@ -337,7 +336,7 @@ def check_principal_decomposition(sc: SuiteContext, config: SuiteConfig) -> dict
          "invariant gradients have rank equal to the rank of the algebra exactly "
          "at regular points, drop rank at singular points, and centralize the "
          "centralizer of the point", 4)
-def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_gradient_rank(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L, ctx, inv = sc.L, sc.ctx, sc.inv
     pts = _sample_regular(sc, config.seed, REGULAR_POINTS, COEFF_BOUND)
     bad = None
@@ -379,7 +378,7 @@ def check_gradient_rank(sc: SuiteContext, config: SuiteConfig) -> dict:
          "invariant gradients along the line through w in the f direction span "
          "the lower Borel once the number of line points reaches the Coxeter "
          "number, and a proper subspace for a single point", 5)
-def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     line = [combine(sc.triple.w, sc.triple.f, t) for t in range(sc.rs.coxeter_number)]
     dim_full, rows = gradient_span(sc.ctx, sc.inv.compiled, line)
@@ -393,7 +392,7 @@ def check_shifted_gradient_span(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("family.pairwise_commutativity",
          "all pairwise Poisson brackets of the ordered generators vanish "
          "identically as polynomials", 6)
-def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_commutativity(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     ok, data = pairwise_commute(sc.family)
     if ok:
         return {"ok": True, "witness": {"pairs": data}}
@@ -406,7 +405,7 @@ def check_commutativity(sc: SuiteContext, config: SuiteConfig) -> dict:
          "the family's gradient span at the nilpositive element (and its "
          "normalization) is the full upper Borel dimension, and the chain map "
          "relations between expansion coefficients hold exactly", 7)
-def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_span_and_chain(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     de, de1 = (linalg.rank(sc.family.gradient_rows(x)[0]) for x in (sc.triple.e, sc.triple.e1))
     ok = de == sc.family.b and de1 == sc.family.b
     witness = {"dim_at_e": de, "dim_at_e1": de1}
@@ -421,7 +420,7 @@ def check_span_and_chain(sc: SuiteContext, config: SuiteConfig) -> dict:
 
 @_record("family.principal_shift_span",
          "shifting along the principal nilpotent f and taking gradients at w "
-         "spans exactly the lower Borel", 8, reads_run=True)
+         "spans exactly the lower Borel", 8)
 def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     dim, rows = gradient_span(sc.ctx, run.along_f, [sc.triple.w])
@@ -433,7 +432,7 @@ def check_principal_shift_span(sc: SuiteContext, config: SuiteConfig, run: Suite
 @_record("family.graded_dimensions",
          "the shifted family is a basis of a b-dimensional space whose graded "
          "dimensions equal the layer dimensions", 9)
-def check_graded_dimensions(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_graded_dimensions(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     dims = sc.family.graded_dims()
     expected = {m + 1: r for m, r in enumerate(sc.rs.layer_dims)}
     total = sum(dims.values())
@@ -445,7 +444,7 @@ def check_graded_dimensions(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("chart.unitriangular_and_section",
          "restricted generators are unitriangular in the dual gradient frame "
          "and the value map on the slice inverts exactly in both directions", 10)
-def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_chart_section(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     chart = sc.chart
     F = sc.family
     rng = random.Random(f"{config.seed}:roundtrip")
@@ -470,7 +469,7 @@ def check_chart_section(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("chart.poincare_series",
          "the degree-wise and layer-wise product forms of the graded series "
          "agree coefficientwise to the truncation order", 11)
-def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_poincare(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     order = 2 * sc.rs.coxeter_number
     try:
         ser = poincare_series(sc.rs, order)
@@ -483,7 +482,7 @@ def check_poincare(sc: SuiteContext, config: SuiteConfig) -> dict:
 
 @_record("hess.strong_regularity",
          "random points of the affine slice are strongly regular (independent "
-         "generator gradients), hence regular", 12, reads_run=True)
+         "generator gradients), hence regular", 12)
 def check_strong_regularity(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     for visit in map(run.hess_visit, range(HESS_POINTS)):
         if not visit.strongly_regular:
@@ -497,7 +496,7 @@ def check_strong_regularity(sc: SuiteContext, config: SuiteConfig, run: SuiteRun
 @_record("symplectic.hamiltonian_frame",
          "at sampled slice points the Hamiltonian vectors of the derived "
          "generators span an isotropic space of dimension n while the "
-         "underived generators have vanishing Hamiltonian vectors", 13, reads_run=True)
+         "underived generators have vanishing Hamiltonian vectors", 13)
 def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     for visit in map(run.hess_visit, range(HESS_POINTS)):
         wit = isotropy_witness(sc.L, visit.frame)
@@ -514,7 +513,7 @@ def check_hamiltonian_frame(sc: SuiteContext, config: SuiteConfig, run: SuiteRun
 
 @_record("symplectic.slice_lagrangian",
          "at sampled slice points the lower-nilradical tangents have dimension "
-         "n and the orbit form vanishes on them", 14, reads_run=True)
+         "n and the orbit form vanishes on them", 14)
 def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     for visit in map(run.hess_visit, range(LAGRANGIAN_POINTS)):
         if not (visit.slice_dim == sc.L.n and visit.slice_isotropic):
@@ -524,7 +523,7 @@ def check_slice_lagrangian(sc: SuiteContext, config: SuiteConfig, run: SuiteRun)
 
 @_record("symplectic.transversality",
          "at sampled slice points the Hamiltonian frame and the slice tangents "
-         "decompose the orbit tangent space and pair nonsingularly", 15, reads_run=True)
+         "decompose the orbit tangent space and pair nonsingularly", 15)
 def check_transversality(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     for visit in map(run.hess_visit, range(TRANSVERSALITY_POINTS)):
         res = visit.transversality
@@ -541,7 +540,7 @@ def check_transversality(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -
 @_record("hess.slice_infinitesimal",
          "slice points have trivial isotropy in the lower nilradical and the "
          "exponential orbit stays in the slice with unchanged invariant values", 16)
-def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     [base] = sample_points(sc, config.seed + 3, 1)
     values = sc.inv.compiled.values(base)
@@ -564,7 +563,7 @@ def check_slice_infinitesimal(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("invariants.trace_oracle_agreement",
          "for type A the solved generators and the matrix trace powers span the "
          "same spaces modulo products of lower generators")
-def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_trace_oracle(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     if not invmod._is_type_a(sc.rs):
         return {"ok": None, "witness": {"note": "matrix oracle applies to type A only"}}
     oracle = trace_oracle_type_A(sc.L)
@@ -583,7 +582,7 @@ def check_trace_oracle(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("family.membership_samples",
          "sampled certification of maximal gradient span: the principal "
          "nilpotent and the chosen Cartan direction certify, scaling preserves "
-         "certification, and the zero direction never certifies", reads_run=True)
+         "certification, and the zero direction never certifies")
 def check_membership(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     def member(members):
         return mv_membership(sc.ctx, sc.triple, members, MEMBERSHIP_SAMPLES,
@@ -607,11 +606,11 @@ def check_membership(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> di
 
 @_record("symplectic.omega_well_defined",
          "the orbit form evaluated on bracket preimages is unchanged when a "
-         "preimage is shifted by a centralizer element", reads_run=True)
+         "preimage is shifted by a centralizer element")
 def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     rng = random.Random(f"{config.seed}:omega")
-    pts = [run.hess_visit(i).x for i in range(3)]
+    pts = run.hess_points[:3]
     for x in pts:
         cent, kden = linalg.sparse_kernel([dict(enumerate(r)) for r in L.int_ad(x)[0]], L.dim)
         z1, z2 = draw(rng, L.dim, 3, 3), draw(rng, L.dim, 3, 3)
@@ -627,7 +626,7 @@ def check_omega_well_defined(sc: SuiteContext, config: SuiteConfig, run: SuiteRu
 @_record("hess.leading_term_frame",
          "the gradient frame at the base point matches the first-order "
          "expansion of each restricted generator in the lower Borel directions")
-def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
+def check_leading_term(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     L = sc.L
     # independent route: the linear terms of each member restricted to Hess
     # in the Chevalley frame are its first derivatives at e1 along that frame
@@ -645,7 +644,7 @@ def check_leading_term(sc: SuiteContext, config: SuiteConfig) -> dict:
 @_record("symplectic.polarization",
          "over sampled orbit slices every point is strongly regular with "
          "Lagrangian Hamiltonian frame, Lagrangian slice tangents, and "
-         "transversal pairing on a full 2n-dimensional orbit", reads_run=True)
+         "transversal pairing on a full 2n-dimensional orbit")
 def check_polarization(sc: SuiteContext, config: SuiteConfig, run: SuiteRun) -> dict:
     total = 0
     for base in (HessVisit(sc.family, sc.triple.e1), run.hess_visit(0)):
@@ -717,7 +716,7 @@ def _suite_payload(config: SuiteConfig) -> tuple:
     run = SuiteRun(sc, config)
     for fn in ALL_CHECKS:
         try:
-            out = fn(sc, config, run) if fn.reads_run else fn(sc, config)
+            out = fn(sc, config, run)
             if out["ok"] is None:
                 status = "inconclusive" if "note" not in out["witness"] else "skipped"
             else:

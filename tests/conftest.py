@@ -2,20 +2,18 @@ import hashlib
 import json
 import math
 import random
-from collections import Counter
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
 
 from mfhess import linalg
-from mfhess.rootdata import (CartanMatrix, UnsupportedType, _layer_dims, build_root_system,
+from mfhess.rootdata import (CartanMatrix, _layer_dims, build_root_system,
                              cartan_matrix_for_label, dual_partition)
 from mfhess.liealgebra import (DecompositionFailure, _ConstantResolver, chevalley_algebra,
                                exp_ad_nilpotent, principal_triple, principal_decomposition)
 from mfhess import invariants
-from mfhess.polyring import (GradientContext, Poly, _mul_packed, _pack, _packing, _power_table,
-                             _unpack, coefficient_rows)
+from mfhess.polyring import GradientContext, Poly, coefficient_rows
 from mfhess.rational import R0, R1, clear, cleared, over, rat, rat_str, reduced, to_rat
 from mfhess.invariants import _degree_combinations, invariant_generators
 from mfhess.argshift import (NotInvertible, ShiftFamily, choose_regular_y, root_values,
@@ -86,15 +84,9 @@ def algebras():
 
 
 # -- routes that no run of the package reaches, kept for the tests alone:
-# rational helpers that build inputs and references, and the rational
-# routes that the integer pointwise layer replaced
-
-
-def factorial_rat(k):
-    out = R1
-    for i in range(2, k + 1):
-        out = out * i
-    return out
+# rational helpers that build inputs, and one reference per concept, the
+# most direct definition at hand (tests/test_conftest.py fails on a name
+# here that no test reaches)
 
 
 def vec_add(u, v):
@@ -145,15 +137,21 @@ def is_strongly_regular(F, x):
     return linalg.rank(F.gradient_rows(cleared(x))[0]) == F.b
 
 
-_GRAM_INVERSES = {}
+_HELD = {}
+
+
+def held(kind, obj, make):
+    """make(obj), once per object and kind for the session; obj is held
+    with the result, so its id is not reused."""
+    if (kind, id(obj)) not in _HELD:
+        _HELD[kind, id(obj)] = obj, make(obj)
+    return _HELD[kind, id(obj)][1]
 
 
 def reference_gram_inverse(ctx):
-    """The Gram inverse in Fractions, once per context (held with it); it is
-    symmetric, and row k is the dual vector u_k, (u_k, x) = x_k."""
-    if id(ctx) not in _GRAM_INVERSES:
-        _GRAM_INVERSES[id(ctx)] = ctx, reference_inverse(ctx.gram)
-    return _GRAM_INVERSES[id(ctx)][1]
+    """The Gram inverse in Fractions, once per context; it is symmetric, and
+    row k is the dual vector u_k, (u_k, x) = x_k."""
+    return held("gram inverse", ctx, lambda ctx: reference_inverse(ctx.gram))
 
 
 def reference_inverse(mat):
@@ -187,10 +185,9 @@ def point_from_s(chart, svals):
 
 @pytest.fixture(scope="session")
 def helpers():
-    return SimpleNamespace(factorial_rat=factorial_rat, vec_add=vec_add, vec_scale=vec_scale,
-                           dot=dot, mat_vec=mat_vec, mat_mul=mat_mul, identity=identity,
-                           bracket=reference_lie_bracket, ad=reference_ad,
-                           killing_pair=reference_killing_pair,
+    return SimpleNamespace(vec_add=vec_add, vec_scale=vec_scale, dot=dot, mat_vec=mat_vec,
+                           mat_mul=mat_mul, identity=identity,
+                           bracket=reference_lie_bracket, killing_pair=reference_killing_pair,
                            degrees_and_layers=degrees_and_layers, ut_action=ut_action,
                            is_strongly_regular=is_strongly_regular,
                            linear_functional=linear_functional, point_from_s=point_from_s,
@@ -240,7 +237,7 @@ def reference_terms(terms):
 
 
 def reference_unpack(n, width, acc, scale):
-    """_unpack before the integer form: packed exponent -> int over scale,
+    """_unpack in Fractions: packed exponent -> int over scale,
     one rational per nonzero term."""
     mask = (1 << width) - 1
     shifts = [width * (n - 1 - k) for k in range(n)]
@@ -249,60 +246,34 @@ def reference_unpack(n, width, acc, scale):
 
 
 def reference_payload(p):
-    """Poly.to_payload before the integer form: the rat_str of every
+    """Poly.to_payload in Fractions: the rat_str of every
     rational coefficient, in (degree, exponent) order."""
     items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     return [[list(e), rat_str(c)] for e, c in items]
 
 
-def reference_int_payload(p):
-    """Poly.to_payload before its fast paths: every polynomial sorted by
-    (degree, exponent), and a gcd taken per term whatever den is."""
-    out = []
-    for e in sorted(p.nums, key=lambda e: (sum(e), e)):
-        c = p.nums[e]
-        g = math.gcd(c, p.den)
-        out.append([list(e), str(c // g) if g == p.den else f"{c // g}/{p.den // g}"])
-    return out
-
-
 def reference_from_payload(n, payload):
-    """Poly.from_payload before it parsed strings itself: each exponent
-    vector checked on its own, and each distinct coefficient string made a
-    rational by to_rat."""
-    terms = {}
-    parsed = {}
-    for e, c in payload:
-        e = tuple(e)
+    """Poly.from_payload by its definition: each exponent vector n
+    nonnegative ints, named once, and each coefficient read by to_rat."""
+    for e, _ in payload:
         if len(e) != n or not {*map(type, e)} <= {int} or min(e, default=0) < 0:
             raise ValueError(f"exponent vector {list(e)} is not {n} nonnegative ints")
-        if type(c) is str:
-            r = parsed.get(c)
-            if r is None:
-                r = to_rat(c)
-                r = parsed[c] = (int(r.numerator), int(r.denominator))
-        else:
-            r = to_rat(c)
-            r = (int(r.numerator), int(r.denominator))
-        terms[e] = r
-    den = 1
-    for _, d in terms.values():
-        if d != 1:
-            den = math.lcm(den, d)
-    return Poly.from_ints(n, {e: c * (den // d) for e, (c, d) in terms.items()}, den)
+    terms = {tuple(e): to_rat(c) for e, c in payload}
+    if len(terms) != len(payload):
+        raise ValueError("the payload names an exponent vector twice")
+    return Poly(n, terms)
 
 
 @pytest.fixture(scope="session")
 def reference_poly():
-    """The Fraction route of the Poly representation (its terms, _unpack and
-    to_payload), and the integer payload routes before their fast paths."""
+    """The Fraction route of the Poly representation: its terms, _unpack,
+    to_payload and from_payload."""
     return SimpleNamespace(terms=reference_terms, unpack=reference_unpack,
-                           payload=reference_payload, int_payload=reference_int_payload,
-                           from_payload=reference_from_payload)
+                           payload=reference_payload, from_payload=reference_from_payload)
 
 
 def reference_pair_table(ctx):
-    """GradientContext.pair_table before it ran on integers: the duals as
+    """GradientContext.pair_table in Fractions: the duals as
     columns of the rational Gram inverse, their brackets by the Fraction
     bracket, lowered by the rational Killing matrix and cleared by
     clear_rows."""
@@ -328,14 +299,13 @@ def reference_pairs():
 
 
 def reference_hess_section(chart, cvals):
-    """hess_section before it ran on integers: each step evaluates the
-    restricted generator at the rational coordinates solved so far
-    (CompiledPolys.values) and subtracts in rationals."""
+    """hess_section in rationals: each step evaluates the restricted
+    generator at the coordinates solved so far (Poly.evaluate, the later
+    ones still 0) and subtracts."""
     cvals = [to_rat(c) for c in cvals]
     svals = [R0] * chart.b
     for bi in range(chart.b):
-        rest = reference_compiled_values(chart.compiled[bi], svals)[0]
-        svals[bi] = cvals[bi] - rest
+        svals[bi] = cvals[bi] - chart.restricted[bi].evaluate(svals)
     return point_from_s(chart, svals)
 
 
@@ -361,7 +331,7 @@ def reference_zeta_apply(L, triple, y, v):
 
 
 def reference_zeta_chain(F):
-    """zeta_chain before it ran on integers: the family's gradient rows at e
+    """zeta_chain in Fractions: the family's gradient rows at e
     divided back to rationals, each relation tested by the Fraction bracket
     and reference_zeta_apply; the chains as rational vectors."""
     L, triple, y = F.L, F.triple, over(*F.y)
@@ -391,7 +361,7 @@ def reference_zeta_chain(F):
 
 
 def reference_mv_membership(ctx, triple, members, sample_count, seed, coeff_bound):
-    """mv_membership before it drew its candidates lazily: all of them built
+    """mv_membership with every candidate drawn first: all of them built
     up front as rational vectors (w, e, e1, w + f, then the random ones),
     then tested in turn; the witness as a rational vector."""
     L = ctx.L
@@ -409,7 +379,7 @@ def reference_mv_membership(ctx, triple, members, sample_count, seed, coeff_boun
 
 
 def reference_poincare_series(rs, order):
-    """poincare_series before it ran on ints: both product forms multiplied
+    """poincare_series in Fractions: both product forms multiplied
     out as Fraction series, which must agree."""
     def mul(a, b):
         out = [R0] * (order + 1)
@@ -512,7 +482,7 @@ def reference_shifted_pieces(inv, u):
         out.append((j, 0, p))
         for k in range(1, d):
             cur = reference_directional_derivative(cur, u)
-            out.append((j, k, cur.scale(R1 / factorial_rat(k))))
+            out.append((j, k, cur.scale(rat(1, math.factorial(k)))))
     return out
 
 
@@ -526,8 +496,9 @@ def reference_shift():
 
 def reference_compose_poly(p, subs):
     """p with subs[k] (all over one variable set) substituted for variable k,
-    by Poly products: the powers of each subs[k] are tabulated once and
-    every term is multiplied out with Poly.__mul__."""
+    by Poly products: the powers of each subs[k] are tabulated once, every
+    term is multiplied out with Poly.__mul__, and the products' terms are
+    summed into one coefficient dict."""
     if len(subs) != p.n:
         raise ValueError("substitution list has wrong length")
     m = subs[0].n
@@ -539,14 +510,15 @@ def reference_compose_poly(p, subs):
             cache.append(cache[-1] * subs[k])
         return cache[e]
 
-    out = Poly.zero(m)
+    out = {}
     for e, c in p.terms.items():
         term = Poly.const(m, c)
         for k, ek in enumerate(e):
             if ek:
                 term = term * power(k, ek)
-        out = out + term
-    return out
+        for f, v in term.terms.items():
+            out[f] = out.get(f, R0) + v
+    return Poly(m, out)
 
 
 def affine_substitution(base, directions):
@@ -574,55 +546,6 @@ def affine_subs():
     return affine_substitution
 
 
-def reference_restrict_affine(polys, base, directions):
-    """restrict_affine before constant forms were folded in and monomials
-    shared: every term of every polynomial multiplied out over the packed
-    power tables of all of its coordinates' integer affine forms, a term
-    touching a zero form skipped."""
-    polys = list(polys)
-    n = len(base)
-    base = [to_rat(c) for c in base]
-    directions = [[to_rat(c) for c in d] for d in directions]
-    m = len(directions)
-    top = max([0] + [p.degree() for p in polys])
-    unit, width = _packing(m, top)
-    den, (brow, *drows) = clear_rows([base] + directions)
-    forms = [{} for _ in range(n)]
-    for k, c in brow:
-        forms[k][0] = c
-    for u, drow in zip(unit, drows):
-        for k, c in drow:
-            forms[k][u] = c
-    powers = [[{0: 1}, form] for form in forms]
-    dpow = _power_table(den, top)
-    out = []
-    for p in polys:
-        scale = math.lcm(1, *(c.denominator for c in p.terms.values()))
-        deg = p.degree()
-        acc = {}
-        for e, c in p.terms.items():
-            term = {0: int(c * scale) * dpow[deg - sum(e)]}
-            for k, ek in enumerate(e):
-                if not ek:
-                    continue
-                if not forms[k]:
-                    break
-                pk = powers[k]
-                while len(pk) <= ek:
-                    pk.append(_mul_packed(pk[-1], forms[k]))
-                term = _mul_packed(term, pk[ek])
-            else:
-                for te, tc in term.items():
-                    acc[te] = acc.get(te, 0) + tc
-        out.append(_unpack(m, width, acc, scale * dpow[deg] if deg >= 0 else 1))
-    return out
-
-
-@pytest.fixture(scope="session")
-def reference_restrict():
-    return reference_restrict_affine
-
-
 def reference_chart_frame(F):
     """The chart's dual frame by the rational route: the gradients at e1
     divided back to rationals, paired with the lower Borel basis by the
@@ -646,12 +569,41 @@ def reference_frame():
     return reference_chart_frame
 
 
-def reference_gradients_from_polys(ctx, polys, x):
-    """dp(x) for each polynomial p through its Poly partials and
-    Poly.evaluate: the inverse Gram matrix applied to the partials' values."""
-    return [mat_vec(reference_gram_inverse(ctx),
-                    [p.partial(k).evaluate(x) for k in range(ctx.nvars)])
-            for p in polys]
+def reference_polys_values(polys, points):
+    """p(x) for each point x and each polynomial p: the sum of c x^e over the
+    terms of p, in integers over the point's common denominator.  Each
+    polynomial's terms are listed once."""
+    def listed(p):
+        return max(p.degree(), 0), [(c, sum(e), [(k, ek) for k, ek in enumerate(e) if ek])
+                                    for e, c in p.nums.items()]
+
+    tables = [held("terms", p, listed) for p in polys]
+    out = []
+    for x in points:
+        nums, den = clear([to_rat(c) for c in x])
+        row = []
+        for p, (top, terms) in zip(polys, tables):
+            total = 0
+            for c, deg, support in terms:
+                for k, ek in support:
+                    c *= nums[k] ** ek
+                total += c * den ** (top - deg)
+            row.append(rat(total, p.den * den ** top))
+        out.append(row)
+    return out
+
+
+def reference_gradients_from_polys(ctx, polys, points):
+    """dp(x) for each point x and each polynomial p: the inverse Gram matrix
+    applied to the values at x of p's Poly partials, which are taken once
+    per polynomial."""
+    n = ctx.nvars
+    ginv = [[(k, c) for k, c in enumerate(row) if c] for row in reference_gram_inverse(ctx)]
+    partials = [dk for p in polys
+                for dk in held("partials", p, lambda p: [p.partial(k) for k in range(p.n)])]
+    return [[[sum((c * values[i + k] for k, c in row), R0) for row in ginv]
+             for i in range(0, len(values), n)]
+            for values in reference_polys_values(partials, points)]
 
 
 @pytest.fixture(scope="session")
@@ -659,190 +611,32 @@ def reference_gradients():
     return reference_gradients_from_polys
 
 
-def _reference_powers(compiled, x):
-    """Power tables, up to the top degree of compiled, of the numerators N of
-    the point x over its common denominator D and of D itself."""
-    if len(x) != compiled.n:
-        raise ValueError("point has wrong dimension")
-    nums, den = clear([to_rat(c) for c in x])
-    tables = []
-    for base in nums + [den]:
-        row = [1]
-        for _ in range(compiled.top):
-            row.append(row[-1] * base)
-        tables.append(row)
-    return tables[:-1], tables[-1]
-
-
-def reference_compiled_values(compiled, x):
-    """p(x) for each polynomial of a CompiledPolys, every factor of every
-    term multiplied in, zeros included."""
-    pw, dp = _reference_powers(compiled, x)
-    whole = compiled.scale * dp[compiled.top]
-    out = []
-    for terms in compiled.polys:
-        acc = 0
-        for c, lift, support in terms:
-            t = c * dp[lift] if lift else c
-            for k, ek in support:
-                t *= pw[k][ek]
-            acc += t
-        out.append(rat(acc, whole) if acc else R0)
-    return out
-
-
-def reference_compiled_int_gradients(compiled, ctx, x):
-    """The (rows, den) of CompiledPolys.int_gradients by prefix and suffix
-    products: each term's partial along its i-th support coordinate is the
-    product of the factors before it, those after it, and the derivative
-    e N^(e - 1) of its own power, with no division."""
-    pw, dp = _reference_powers(compiled, x)
-    dpw = [[e * row[e - 1] if e else 0 for e in range(len(row))] for row in pw]
-    ginv_rows, ginv_scale = ctx.gram_inv_int
-    out = []
-    for terms in compiled.polys:
-        part = [0] * compiled.n
-        for c, lift, support in terms:
-            base = c * dp[lift] if lift else c
-            pre = [base]
-            for k, ek in support:
-                pre.append(pre[-1] * pw[k][ek])
-            suf = 1
-            for i in range(len(support) - 1, -1, -1):
-                k, ek = support[i]
-                part[k] += pre[i] * suf * dpw[k][ek]
-                suf *= pw[k][ek]
-        out.append([sum(g * part[k] for k, g in grow) for grow in ginv_rows])
-    return out, ginv_scale * compiled.scale * dp[max(compiled.top - 1, 0)]
-
-
 @pytest.fixture(scope="session")
-def reference_compiled():
-    """The compiled kernel before the product-once rewrite: values with every
-    factor multiplied in, gradients by prefix and suffix products."""
-    return SimpleNamespace(values=reference_compiled_values,
-                           int_gradients=reference_compiled_int_gradients)
-
-
-def reference_gradient_polynomials(ctx, p):
-    """The coordinates of x -> dp(x) as polynomials: the inverse Gram matrix
-    applied to the Poly partials, summed with Poly.__add__ and scale."""
-    partials = [p.partial(k) for k in range(ctx.nvars)]
-    out = []
-    for i in range(ctx.nvars):
-        acc = Poly.zero(ctx.nvars)
-        for k, coeff in enumerate(reference_gram_inverse(ctx)[i]):
-            if coeff and not partials[k].is_zero():
-                acc = acc + partials[k].scale(coeff)
-        out.append(acc)
-    return out
-
-
-@pytest.fixture(scope="session")
-def reference_gradient_polys():
-    return reference_gradient_polynomials
-
-
-def _append_monomials(out, free, remaining, prefix):
-    if not free:
-        out.append(tuple(prefix + [remaining]))
-        return
-    for k in range(remaining + 1):
-        _append_monomials(out, free - 1, remaining - k, prefix + [k])
+def reference_values():
+    return reference_polys_values
 
 
 def reference_zero_weight_monomials(L, d):
-    """Every exponent tuple of total degree d, filtered to root-lattice
-    weight zero and sorted lexicographically."""
-    ell = L.rank
-    zero = tuple([0] * ell)
-    monos = []
-    _append_monomials(monos, L.dim - 1, d, [])
-    out = []
-    for e in monos:
-        w = [0] * ell
-        for k, p in enumerate(e):
-            if p:
-                wk = L.weights[k]
-                for i in range(ell):
-                    w[i] += p * wk[i]
-        if tuple(w) == zero:
-            out.append(e)
-    return sorted(out, key=lambda t: (sum(t), t))
+    """Every exponent tuple of total degree d (a multiset of d variables),
+    filtered to root-lattice weight zero and sorted lexicographically; once
+    per algebra and degree."""
+    def filtered(L):
+        zero = (0,) * L.rank
+        out = []
+        for combo in combinations_with_replacement(range(L.dim), d):
+            if not combo or tuple(map(sum, zip(*map(L.weights.__getitem__, combo)))) == zero:
+                e = [0] * L.dim
+                for k in combo:
+                    e[k] += 1
+                out.append(tuple(e))
+        return sorted(out)
+
+    return held(("zero weight", d), L, filtered)
 
 
 @pytest.fixture(scope="session")
 def reference_zero_weight():
     return reference_zero_weight_monomials
-
-
-def _append_tuple_zero_weight(out, codes, reach, exps, k, remaining, weight):
-    if k == len(exps):
-        out.append(tuple(exps))
-        return
-    after = reach[k + 1]
-    for e in range(remaining + 1):
-        w = weight + e * codes[k]
-        if -w in after[remaining - e]:
-            exps[k] = e
-            _append_tuple_zero_weight(out, codes, reach, exps, k + 1, remaining - e, w)
-    exps[k] = 0
-
-
-def reference_tuple_zero_weight(L, d):
-    """The zero-weight exponent tuples of degree d, in ascending order, from
-    the weight-directed recursion over every variable: the reach table that
-    invariants._zero_weight_monomials walked before the root-pair join."""
-    n = L.dim
-    codes = invariants._weight_codes(L, d)
-    reach = [None] * (n + 1)
-    reach[n] = [{0}] + [set() for _ in range(d)]
-    for k in range(n - 1, -1, -1):
-        row = [reach[k + 1][0]]
-        for r in range(1, d + 1):
-            row.append(reach[k + 1][r] | {w + codes[k] for w in row[r - 1]})
-        reach[k] = row
-    out = []
-    if 0 in reach[0][d]:
-        _append_tuple_zero_weight(out, codes, reach, [0] * n, 0, d, 0)
-    return out
-
-
-def reference_packed_zero_weight(L, d):
-    """The enumeration before it packed as it went: the exponent tuples of
-    reference_tuple_zero_weight, each then packed by polyring._pack."""
-    unit, _ = _packing(L.dim, d)
-    return [_pack(e, unit) for e in reference_tuple_zero_weight(L, d)]
-
-
-@pytest.fixture(scope="session")
-def reference_packed_enumeration():
-    return reference_packed_zero_weight
-
-
-def reference_closing_multisets(L, d):
-    """The positive-root multisets that close to a zero-weight monomial of
-    degree d, by brute force: every multiset of at most d positive roots,
-    kept when its size plus the fewest roots of any multiset of its weight
-    is at most d.  As {(weight, size): sorted supports}."""
-    by_weight = {}
-    for size in range(d + 1):
-        for combo in combinations_with_replacement(range(L.n), size):
-            weight = tuple(sum(L.weights[k][j] for k in combo) for j in range(L.rank))
-            by_weight.setdefault(weight, []).append(combo)
-    out = {}
-    for weight, combos in by_weight.items():
-        fewest = min(len(c) for c in combos)
-        for combo in combos:
-            if len(combo) + fewest <= d:
-                out.setdefault((weight, len(combo)), []).append(
-                    tuple(Counter(combo).items()))
-    return {key: sorted(v) for key, v in out.items()}
-
-
-@pytest.fixture(scope="session")
-def reference_multisets():
-    return reference_closing_multisets
 
 
 def reference_sparse_kernel(rows, ncols):
@@ -913,13 +707,14 @@ def reference_two_sided_vectors(L):
             + [L.basis_vector(L.neg_indices[i]) for i in simple])
 
 
-def reference_invariant_equations(L, ctx, monos):
-    """Invariance under all 2l simple root vectors, on exponent tuples: one
-    row {column: c} per vector and image monomial, the derivation
-    sum_k {(z, .), x_k} d/dx_k of each vector applied to each monomial."""
+def reference_invariant_equations(L, ctx, monos, vectors):
+    """Invariance under each of the vectors (all 2l simple root vectors make
+    a polynomial invariant), on exponent tuples: one row {column: c} per
+    vector and image monomial, the derivation sum_k {(z, .), x_k} d/dx_k of
+    each vector applied to each monomial."""
     col = {e: i for i, e in enumerate(monos)}
     equations = []
-    for z in reference_two_sided_vectors(L):
+    for z in vectors:
         forms = reference_coordinate_brackets(L, ctx, z)
         rows = {}
         for e in monos:
@@ -934,81 +729,6 @@ def reference_invariant_equations(L, ctx, monos):
                     row[col[e]] = row.get(col[e], 0) + ek * c
         equations.extend(rows[t] for t in sorted(rows))
     return equations
-
-
-def reference_monomial_derivation(action, packed, support):
-    """invariants._derivation before it took a whole monomial list: the
-    image of one packed monomial, as the unmerged terms (packed target,
-    e_k * c_j)."""
-    out = []
-    for k, ek in support:
-        lin = action[k]
-        if lin is not None:
-            for delta, cj in lin:
-                out.append((packed + delta, ek * cj))
-    return out
-
-
-def reference_packed_equations(tables, monos, unit):
-    """invariants._equations with one derivation list per monomial, merged
-    into the target rows."""
-    equations = []
-    for action in tables:
-        action = invariants._packed_action(action, unit)
-        rows = {}
-        for col, (e, support) in enumerate(monos):
-            for tgt, c in reference_monomial_derivation(action, e, support):
-                row = rows.setdefault(tgt, {})
-                row[col] = row.get(col, 0) + c
-        equations.extend(rows[tgt] for tgt in sorted(rows))
-    return equations
-
-
-def reference_solver_conditions(L, fam):
-    """meets_solver_conditions with the image loop it had: each term's
-    derivation list accumulated into one image per raising operator, the
-    weight summed over the support, and two dense ranks over the sorted
-    columns at every degree."""
-    if fam.degrees != L.rs.degrees or len(fam.polys) != len(fam.degrees):
-        return False
-    if any(not p.is_homogeneous() or p.degree() != d
-           for p, d in zip(fam.polys, fam.degrees)):
-        return False
-    tables = invariants._action_tables(L)
-    packed = []
-    for p, d in zip(fam.polys, fam.degrees):
-        codes = invariants._weight_codes(L, d)
-        unit, _ = _packing(L.dim, d)
-        terms = [(_pack(e, unit), c) for e, c in p.nums.items()]
-        packed.append({e: c for (e, _), c in terms})
-        if any(sum(ek * codes[k] for k, ek in support) for (_, support), _ in terms):
-            return False
-        for action in tables:
-            action = invariants._packed_action(action, unit)
-            image = {}
-            for (e, support), c in terms:
-                for tgt, v in reference_monomial_derivation(action, e, support):
-                    image[tgt] = image.get(tgt, 0) + c * v
-            if any(image.values()):
-                return False
-    for d in sorted(set(fam.degrees)):
-        unit, _ = _packing(L.dim, d)
-        rows = [prod for _, prod in invariants._packed_products(fam.polys, fam.degrees, d, unit)]
-        ndec = len(rows)
-        rows += [terms for terms, dd in zip(packed, fam.degrees) if dd == d]
-        cols = sorted({e for row in rows for e in row})
-        mat = [[row.get(e, 0) for e in cols] for row in rows]
-        if linalg.rank(mat) != linalg.rank(mat[:ndec]) + len(rows) - ndec:
-            return False
-    return True
-
-
-@pytest.fixture(scope="session")
-def reference_derivation():
-    """The per-monomial derivation route: the solver's equations and the
-    cache re-check built on it."""
-    return SimpleNamespace(equations=reference_packed_equations,
-                           conditions=reference_solver_conditions)
 
 
 @pytest.fixture(scope="session")
@@ -1049,31 +769,22 @@ def reference_lie_bracket(L, x, y):
 
 
 def reference_ad(L, x):
-    """Dense Fraction matrix of ad x in one pass over L.table: [e_a, e_b] =
-    row puts x_a row in column b and -x_b row in column a."""
-    L.check_vector(x)
-    m = [[R0] * L.dim for _ in range(L.dim)]
-    for (a, b), row in L.table.items():
-        xa, xb = x[a], x[b]
-        if xa or xb:
-            for k, v in row.items():
-                if xa:
-                    m[k][b] += xa * v
-                if xb:
-                    m[k][a] -= xb * v
-    return m
+    """Dense Fraction matrix of ad x: column b is the bracket [x, e_b]."""
+    cols = [reference_lie_bracket(L, x, L.basis_vector(b)) for b in range(L.dim)]
+    return [list(row) for row in zip(*cols)]
 
 
 def reference_killing_pair(L, x, y):
     """(x, y) summed in Fractions over the rows of L.killing."""
     L.check_vector(x)
     L.check_vector(y)
+    ny = [(j, yj) for j, yj in enumerate(y) if yj]
     total = R0
     for i, xi in enumerate(x):
         if xi:
-            for j, kij in enumerate(L.killing[i]):
-                yj = y[j]
-                if yj and kij:
+            for j, yj in ny:
+                kij = L.killing[i][j]
+                if kij:
                     total = total + xi * yj * kij
     return total
 
@@ -1134,7 +845,7 @@ def reference_exp_ad_nilpotent(L, z, v):
             return out
         if k > L.dim + 1:
             raise ValueError("exp(ad z) series did not terminate; z is not ad-nilpotent")
-        scale = R1 / factorial_rat(k)
+        scale = rat(1, math.factorial(k))
         out = [o + scale * c for o, c in zip(out, cur)]
 
 
@@ -1201,7 +912,7 @@ def reference_roots():
 
 
 def reference_signature_hash(L):
-    """liealgebra.signature_hash as it was computed on every call."""
+    """liealgebra.signature_hash computed afresh from L.table."""
     items = [repr(L.rs.cartan.entries), repr(L.rs.positive_roots)]
     for key in sorted(L.table):
         row = L.table[key]
@@ -1292,43 +1003,22 @@ def reference_principal():
     """The Fraction routes of the principal triple, its decomposition and the
     solves under them."""
     return SimpleNamespace(triple=reference_principal_triple, solve=reference_solve,
-                           inverse=reference_inverse,
                            decomposition=reference_principal_decomposition,
                            cartan=reference_cartan_from_root_values)
 
 
-def reference_integer_tables(L):
-    """LieAlgebra.int_table and int_killing as dicts: (a, b) -> {c: coefficient}
-    for every a != b with a nonzero Fraction bracket [e_a, e_b], and row i
-    -> {j: entry} over the nonzero entries of row i of L.killing."""
-    basis = [L.basis_vector(i) for i in range(L.dim)]
-    table = {}
-    for a in range(L.dim):
-        for b in range(L.dim):
-            row = {c: v for c, v in enumerate(reference_lie_bracket(L, basis[a], basis[b])) if v}
-            if row:
-                table[(a, b)] = row
-    return table, [{j: c for j, c in enumerate(row) if c} for row in L.killing]
-
-
-@pytest.fixture(scope="session")
-def reference_int_tables():
-    return reference_integer_tables
-
-
 def reference_killing_matrix(L):
-    """tr(ad e_i ad e_j) for every pair, by dense dot products of the
-    Fraction adjoint matrices."""
-    ads = [reference_ad(L, L.basis_vector(i)) for i in range(L.dim)]
+    """The trace form tr(ad e_i ad e_j) for every pair: the sum over k of
+    the k-th coordinate of [e_i, [e_j, e_k]], by the Fraction bracket."""
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    inner = [[reference_lie_bracket(L, basis[j], basis[k]) for k in range(L.dim)]
+             for j in range(L.dim)]
     out = [[R0] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
         for j in range(i, L.dim):
-            tr = R0
-            a, b = ads[i], ads[j]
-            for r in range(L.dim):
-                tr = tr + dot(a[r], [b[c][r] for c in range(L.dim)])
-            out[i][j] = tr
-            out[j][i] = tr
+            out[i][j] = out[j][i] = sum(
+                (reference_lie_bracket(L, basis[i], inner[j][k])[k] for k in range(L.dim)
+                 if any(inner[j][k])), R0)
     return out
 
 
@@ -1369,90 +1059,6 @@ def reference_select():
     return reference_selection
 
 
-def reference_fraction_kernel(rows, ncols):
-    """sparse_kernel before its integer core: the canonical basis as
-    rationals, -q[free] / q[pc] formed from each pivot row q of
-    linalg._echelon (which takes the rows over)."""
-    pivots = linalg._echelon(rows)
-    basis = {free: [R0] * ncols for free in range(ncols) if free not in pivots}
-    for free, v in basis.items():
-        v[free] = R1
-    for pc, q in pivots.items():
-        for j, c in q.items():
-            if j in basis:
-                basis[j][pc] = rat(-c, q[pc])
-    return list(basis.values())
-
-
-def reference_fraction_selection(kernel, decomposables, d):
-    """_new_kernel_vectors on rational kernel vectors: each kernel vector
-    scaled by the LCM of all kernel denominators for the certificate, and
-    the greedy scan run on the rational vectors restricted to the free
-    columns."""
-    free = [max(c for c, v in enumerate(k) if v) for k in kernel]
-    m, ints = clear_rows(kernel)
-    for dec in decomposables:
-        combo = {}
-        for f, pairs in zip(free, ints):
-            a = dec.get(f)
-            if a:
-                for c, v in pairs:
-                    combo[c] = combo.get(c, 0) + a * v
-        if {c: v for c, v in combo.items() if v} != {c: m * v for c, v in dec.items()}:
-            raise invariants.WrongDimension(
-                f"degree {d}: a product of lower generators is not invariant")
-    restricted = ([[rat(dec.get(f, 0)) for f in free] for dec in decomposables]
-                  + [[k[f] for f in free] for k in kernel])
-    kept = linalg.independent_subset([clear(row)[0] for row in restricted])
-    return [i - len(decomposables) for i in kept if i >= len(decomposables)]
-
-
-def reference_fraction_normalize(vec, monos, nvars):
-    """The primitive integer multiple of a rational vector with a positive
-    first nonzero entry, by the LCM of its denominators, as a polynomial
-    over exponent tuples."""
-    ints, _ = clear(vec)
-    g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
-    if next((c for c in ints if c), 0) < 0:
-        ints = [-c for c in ints]
-    return Poly(nvars, {m: rat(c) for m, c in zip(monos, ints) if c})
-
-
-def reference_generator_route(L):
-    """The invariant solve's generators by the rational route it took before
-    it passed integers along: tuple enumeration then packing, the rational
-    kernel, the rational selection and normalization by LCM."""
-    degrees = L.rs.degrees
-    tables = invariants._action_tables(L)
-    generators, gen_degrees = [], []
-    for d in sorted(set(degrees)):
-        mult = sum(1 for x in degrees if x == d)
-        monos = reference_tuple_zero_weight(L, d)
-        unit, _ = _packing(L.dim, d)
-        packed = [_pack(e, unit) for e in monos]
-        kernel = reference_fraction_kernel(invariants._equations(tables, packed, unit),
-                                           len(packed))
-        columns = {e: col for col, (e, _) in enumerate(packed)}
-        decomposables = [{columns[e]: c for e, c in prod.items() if c} for _, prod in
-                         invariants._packed_products(generators, gen_degrees, d, unit)]
-        for i in reference_fraction_selection(kernel, decomposables, d)[:mult]:
-            generators.append(reference_fraction_normalize(kernel[i], monos, L.dim))
-            gen_degrees.append(d)
-    return generators
-
-
-@pytest.fixture(scope="session")
-def reference_generators():
-    """The rational kernel, selection and normalization of the invariant
-    solve, and the whole solve along them."""
-    return SimpleNamespace(kernel=reference_fraction_kernel,
-                           select=reference_fraction_selection,
-                           normalize=reference_fraction_normalize,
-                           solve=reference_generator_route)
-
-
 @pytest.fixture
 def rank_shapes(monkeypatch):
     """The (rows, columns) of every linalg.rank call during one test."""
@@ -1481,83 +1087,12 @@ def gradient_rows_calls(monkeypatch):
     return calls
 
 
-def _dense_zero(n):
-    return [[R0] * n for _ in range(n)]
-
-
-def _dense_bracket(a, b):
-    n = len(a)
-    ab = [[sum((a[i][k] * b[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
-    ba = [[sum((b[i][k] * a[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-
-
-def reference_matrix_images_type_A(L):
-    """Dense Fraction matrix image of every basis vector, with dense
-    products for every basis pair of the homomorphism check.
-
-    Simple generators go to the elementary matrices; the image of every other
-    root vector is forced by the brackets already stored in the table.
-    """
-    rs = L.rs
-    ell = rs.rank
-    size = ell + 1
-    images: list = [None] * L.dim
-    pos_of = {r: i for i, r in enumerate(rs.positive_roots)}
-    for i, r in enumerate(rs.positive_roots):
-        if sum(r) == 1:
-            k = r.index(1)
-            ep = _dense_zero(size)
-            ep[k][k + 1] = R1
-            em = _dense_zero(size)
-            em[k + 1][k] = R1
-            images[L.pos_indices[i]] = ep
-            images[L.neg_indices[i]] = em
-    for k in range(ell):
-        h = _dense_zero(size)
-        h[k][k] = R1
-        h[k + 1][k + 1] = -R1
-        images[L.cartan_indices[k]] = h
-    for i, r in enumerate(sorted(rs.positive_roots, key=lambda c: (sum(c), c))):
-        if sum(r) == 1:
-            continue
-        ridx = pos_of[r]
-        si = next(k for k, c in enumerate(r) if c and
-                  tuple(c2 - (1 if k2 == k else 0) for k2, c2 in enumerate(r)) in pos_of)
-        rest = tuple(c2 - (1 if k2 == si else 0) for k2, c2 in enumerate(r))
-        simple = pos_of[tuple(1 if k2 == si else 0 for k2 in range(ell))]
-        for block in (L.pos_indices, L.neg_indices):
-            a_idx, b_idx = block[simple], block[pos_of[rest]]
-            coeff = reference_lie_bracket(L, L.basis_vector(a_idx),
-                                          L.basis_vector(b_idx))[block[ridx]]
-            images[block[ridx]] = [[v / coeff for v in row]
-                                   for row in _dense_bracket(images[a_idx], images[b_idx])]
-    # homomorphism check over all basis pairs
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            br = reference_lie_bracket(L, L.basis_vector(i), L.basis_vector(j))
-            want = _dense_zero(size)
-            for c, v in enumerate(br):
-                if v:
-                    want = [[w + v * m for w, m in zip(wr, mr)]
-                            for wr, mr in zip(want, images[c])]
-            got = _dense_bracket(images[i], images[j])
-            if got != want:
-                raise UnsupportedType("matrix realization failed the bracket check")
-    return images
-
-
-@pytest.fixture(scope="session")
-def reference_images():
-    return reference_matrix_images_type_A
-
-
 def reference_trace_oracle(L):
     """tr(x^k), k = 2..rank+1, by Poly products of the entries of the dense
-    Fraction matrix x = sum_c x_c M_c."""
-    n, size, images = L.dim, L.rank + 1, reference_matrix_images_type_A(L)
-    x = [[sum((Poly.coordinate(n, c).scale(m[i][j]) for c, m in enumerate(images) if m[i][j]),
-              Poly.zero(n)) for j in range(size)] for i in range(size)]
+    matrix x = sum_c x_c M_c over the images M_c of matrix_images_type_A."""
+    n, size, images = L.dim, L.rank + 1, invariants.matrix_images_type_A(L)
+    x = [[sum((Poly.coordinate(n, c).scale(m[(i, j)]) for c, m in enumerate(images)
+               if (i, j) in m), Poly.zero(n)) for j in range(size)] for i in range(size)]
     power, out = x, []
     for _ in range(size - 1):
         power = [[sum((power[i][k] * x[k][j] for k in range(size)), Poly.zero(n))
@@ -1572,33 +1107,27 @@ def reference_trace():
 
 
 def reference_det(mat):
-    """Determinant by rational Gaussian elimination."""
+    """Determinant by cofactor expansion along the rows in turn, each minor
+    (the last rows on a set of columns) expanded once."""
     n = len(mat)
-    rows = [list(r) for r in mat]
-    sign = R1
-    out = R1
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c]), None)
-        if sel is None:
-            return R0
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        out = out * piv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out * sign
+    minors = {(): R1}
+
+    def minor(cols):
+        if cols not in minors:
+            r = n - len(cols)
+            minors[cols] = sum(((-1) ** i * mat[r][c] * minor(cols[:i] + cols[i + 1:])
+                                for i, c in enumerate(cols) if mat[r][c]), R0)
+        return minors[cols]
+
+    return minor(tuple(range(n)))
 
 
 def reference_isotropy_value(F, x):
-    """Check 13's witness at x in Fractions: gradients by Poly.evaluate,
+    """Check 13's witness at x in Fractions: gradients by the Poly partials,
     tangents [x, g] and pairings (z_i, [x, z_j]) summed in Fractions; the
     first nonzero pair as (i, j, value string), or None."""
     L = F.L
-    rows = reference_gradients_from_polys(F.ctx, F.qs, x)
+    [rows] = reference_gradients_from_polys(F.ctx, F.qs, [x])
     z = [rows[i] for i in F.N_positions]
     t = [reference_lie_bracket(L, x, g) for g in z]
     for i in range(len(z)):
@@ -1612,9 +1141,9 @@ def reference_isotropy_value(F, x):
 def reference_pairing_det(F, x):
     """Check 15's witness at x in Fractions: the determinant of the pairings
     (g, [x, e_i]) of the derived generators' gradients with the slice
-    tangents, by rational Gaussian elimination."""
+    tangents, by cofactor expansion."""
     L = F.L
-    rows = reference_gradients_from_polys(F.ctx, F.qs, x)
+    [rows] = reference_gradients_from_polys(F.ctx, F.qs, [x])
     tangents = [reference_lie_bracket(L, x, L.basis_vector(i)) for i in L.nminus_indices]
     return rat_str(reference_det([[reference_killing_pair(L, rows[i], t) for t in tangents]
                                   for i in F.N_positions]))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from mfhess.argshift import (DependentFamily, NotInvertible, choose_regular_y,
 from mfhess.liealgebra import cartan_from_root_values, exp_ad_nilpotent, is_regular
 from mfhess.invariants import load_family, save_family
 from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
-from mfhess.rational import clear, cleared, combine, over, rat, to_rat
+from mfhess.rational import clear, cleared, combine, draw, over, rat, to_rat
 from mfhess.rootdata import FLAGGED_LABELS, SUPPORTED_LABELS
 
 B3 = "[[2,-1,0],[-1,2,-1],[0,-2,2]]"
@@ -172,6 +173,37 @@ def test_shifted_invariants_match_poly_route(bundles, reference_shift, label):
         assert shifted_invariants(B.inv, cleared(u)) == reference_shift.pieces(B.inv, u)
 
 
+def _chain_identity_breaks(B, pieces, points):
+    """The first (point, j, k) at which [x, grad p_k(x)] != -[f, grad p_(k-1)(x)]
+    for the pieces p_k of invariant j (p_(-1) = 0), or None: differentiate
+    [x + t f, grad I(x + t f)] = 0 in t.  On integers: gradients by
+    CompiledPolys.int_gradients, brackets by int_bracket."""
+    L, f = B.L, B.triple.f
+    for i, x in enumerate(points):
+        rows, den = CompiledPolys(p for _, _, p in pieces).int_gradients(B.ctx, x)
+        grads = {(j, k): (row, den) for (j, k, _), row in zip(pieces, rows)}
+        for j, k in grads:
+            lhs, ld = L.int_bracket(x, grads[(j, k)])
+            rhs, rd = L.int_bracket(f, grads[(j, k - 1)]) if k else ([0] * L.dim, 1)
+            if any(a * rd != -b * ld for a, b in zip(lhs, rhs)):
+                return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_shift_pieces_along_f_satisfy_the_chain_identity(bundles, monkeypatch, label):
+    """The pieces of shifted_invariants along f satisfy
+    [x, grad p_k] = -[f, grad p_(k-1)] at three drawn points, and break it
+    when every binomial C(e, 1) of the Taylor pass is one too large, a
+    defect that no sub-verdict of the membership check sees."""
+    B = bundles(label)
+    rng = random.Random(f"chain:{label}")
+    points = [draw(rng, B.L.dim, 5, 3) for _ in range(3)]
+    assert _chain_identity_breaks(B, shifted_invariants(B.inv, B.triple.f), points) is None
+    monkeypatch.setattr(argshift, "comb", lambda e, a: math.comb(e, a) + (a == 1))
+    assert _chain_identity_breaks(B, shifted_invariants(B.inv, B.triple.f), points) is not None
+
+
 def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,
                                                         malformed_exponents):
     B = bundles("A2")
@@ -310,15 +342,17 @@ SPAN_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + (B3, C3, A4, D4)
                          ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4"))
 def test_gradient_span_matches_fraction_reference(bundles, reference_gradients, label):
     """gradient_span's dimension and span equal those of the Fraction
-    gradients (Poly partials and Poly.evaluate): on the line w + t f of
+    gradients of the Poly partials: on the line w + t f of
     check 5, on w alone, and at e and e1."""
     B = bundles(label)
     tri = B.triple
     line = [combine(tri.w, tri.f, t) for t in range(B.rs.coxeter_number)]
-    for points in (line, line[:1], [tri.e, tri.e1]):
+    nilpotent = [tri.e, tri.e1]
+    grads = dict(zip(line + nilpotent, reference_gradients(
+        B.ctx, B.inv.polys, [over(*x) for x in line + nilpotent])))
+    for points in (line, line[:1], nilpotent):
         dim, rows = gradient_span(B.ctx, B.inv.compiled, points)
-        want = [clear(g)[0] for x in points
-                for g in reference_gradients(B.ctx, B.inv.polys, over(*x))]
+        want = [clear(g)[0] for x in points for g in grads[x]]
         assert dim == linalg.rank(want) and linalg.same_span(rows, want)
 
 
@@ -353,17 +387,19 @@ def test_zeta_chain_structure(bundles, reference_zeta):
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3,),
                          ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("B3",))
-def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gradient_polys,
-                                                          label):
-    """Chains from the pieces' gradients at e against the t-expansion of the
-    gradient polynomials of each invariant along e + t y."""
+def test_zeta_chain_matches_gradient_polynomial_expansion(bundles, reference_gradients,
+                                                          reference_shift, label):
+    """Chains against the t-expansion of the gradient of each invariant along
+    e + t y: its t^k coefficient is the gradient at e of the piece
+    (1/k!) d_y^k I_j, by Poly directional derivatives and partials, and v_i
+    is the coefficient of t^(d - 1 - i)."""
     B = bundles(label)
     chains = rational_chains(B.family)
-    for j, (p, d) in enumerate(zip(B.inv.polys, B.inv.degrees)):
-        comps = restrict_affine(reference_gradient_polys(B.ctx, p), B.triple.e, [B.y])
-        assert all(a < d for comp in comps for (a,) in comp.terms)
-        want = [[comp.terms.get((d - 1 - i,), rat(0)) for comp in comps] for i in range(d)]
-        assert chains[j] == want
+    pieces = reference_shift.pieces(B.inv, over(*B.y))
+    [grads] = reference_gradients(B.ctx, [p for _, _, p in pieces], [over(*B.triple.e)])
+    coeff = {(j, k): g for (j, k, _), g in zip(pieces, grads)}
+    for j, d in enumerate(B.inv.degrees):
+        assert chains[j] == [coeff[(j, d - 1 - i)] for i in range(d)]
 
 
 def test_zeta_chain_a1_length(bundles):
@@ -485,7 +521,7 @@ wide = st.one_of(st.just(0), st.integers(-4, 4),
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, label):
-    """gradient_rows over its denominator equals the Poly.evaluate gradients,
+    """gradient_rows over its denominator equals the Poly-partial gradients,
     and the rank of the integer rows equals the rank of the Fraction rows, at
     special points (zero, e, w, e1, a root vector) and at points with
     denominators up to 10^6."""
@@ -500,7 +536,7 @@ def test_gradient_rows_match_fraction_reference(bundles, reference_gradients, la
     def check(x):
         x = [to_rat(c) for c in x]
         rows, den = F.gradient_rows(cleared(x))
-        ref = reference_gradients(F.ctx, F.qs, x)
+        [ref] = reference_gradients(F.ctx, F.qs, [x])
         assert den > 0 and [over(row, den) for row in rows] == ref
         assert linalg.rank(rows) == linalg.rank([clear(row)[0] for row in ref])
 

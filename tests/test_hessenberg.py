@@ -94,18 +94,18 @@ def test_integer_pairing_gives_the_rational_frame(bundles, reference_frame, labe
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", B3])
-def test_restrict_affine_matches_reference_on_chart_frames(bundles, reference_restrict,
-                                                           label):
+def test_restrict_affine_matches_reference_on_chart_frames(bundles, reference_compose,
+                                                           affine_subs, label):
     """On Hess in the chart's dual frame and in the Chevalley frame of the
     lower Borel, where e1's coordinates fold in as constants, the shared
-    expansion gives the restriction of every member term by term."""
+    expansion gives the Poly-product substitution of every member."""
     B = bundles(label)
     qs = B.family.qs
     chevalley = [B.L.basis_vector(i) for i in B.L.bminus_indices]
     e1 = over(*B.triple.e1)
     for frame in (rational_frame(B.chart), chevalley):
         assert (restrict_affine(qs, B.triple.e1, [cleared(v) for v in frame])
-                == reference_restrict(qs, e1, frame))
+                == [reference_compose(q, affine_subs(e1, frame)) for q in qs])
 
 
 def test_point_in_hess_rejects_wrong_length(bundles):

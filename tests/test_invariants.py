@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from operator import mul
 
 import pytest
 
@@ -58,22 +59,27 @@ def test_zero_weight_enumeration_matches_filter(algebras, reference_zero_weight,
 
 
 @pytest.mark.parametrize("label, degrees", DEGREE_CASES)
-def test_packed_enumeration_matches_tuple_route(algebras, reference_packed_enumeration,
-                                                label, degrees):
-    """The (packed, support) pairs of the root-pair join equal the exponent
-    tuples of the reach-table recursion over every variable, packed
-    afterwards, in the same order, at every degree up to the top one."""
+def test_packed_enumeration_matches_tuple_route(algebras, reference_zero_weight, label,
+                                                degrees):
+    """The (packed, support) pairs of the root-pair join are the exponent
+    tuples of the filter over all monomials, packed and read as supports,
+    in the same order, at every degree up to the top one."""
     L = algebras(label)
     for d in degrees or range(max(L.rs.degrees) + 1):
-        assert _zero_weight_monomials(L, d) == reference_packed_enumeration(L, d), d
+        unit, _ = polyring._packing(L.dim, d)
+        assert _zero_weight_monomials(L, d) == [
+            (sum(map(mul, e, unit)), tuple((k, ek) for k, ek in enumerate(e) if ek))
+            for e in reference_zero_weight(L, d)], d
 
 
 @pytest.mark.parametrize("label, degrees", DEGREE_CASES)
-def test_positive_multisets_are_exactly_those_that_close(algebras, reference_multisets, label,
-                                                         degrees):
+def test_positive_multisets_are_exactly_those_that_close(algebras, reference_zero_weight,
+                                                         label, degrees):
     """The table keeps a multiset of a roots and weight lam exactly when
-    a + m(lam) <= d, and each entry's packed int, size and weight are its
-    support's."""
+    a + m(lam) <= d, which is when it is the positive part of a zero-weight
+    monomial of degree d (close it with the mirror of a multiset of m(lam)
+    roots and fill with a Cartan monomial); and each entry's packed int,
+    size and weight are its support's."""
     L = algebras(label)
     for d in degrees or range(max(L.rs.degrees) + 1):
         unit, _ = polyring._packing(L.dim, d)
@@ -86,7 +92,13 @@ def test_positive_multisets_are_exactly_those_that_close(algebras, reference_mul
                     assert weight == tuple(sum(e * L.weights[k][j] for k, e in support)
                                            for j in range(L.rank))
                     got.setdefault((weight, size), []).append(support)
-        assert {key: sorted(v) for key, v in got.items()} == reference_multisets(L, d), d
+        want: dict = {}
+        for e in reference_zero_weight(L, d):
+            support = tuple((k, e[k]) for k in L.pos_indices if e[k])
+            weight = tuple(sum(ek * L.weights[k][j] for k, ek in support) for j in range(L.rank))
+            want.setdefault((weight, sum(ek for _, ek in support)), set()).add(support)
+        assert {key: sorted(v) for key, v in got.items()} == \
+            {key: sorted(v) for key, v in want.items()}, d
 
 
 def _planted_weights(L, defect):
@@ -139,7 +151,7 @@ def test_raising_equations_have_the_two_sided_kernel(algebras, reference_equatio
         monos = zero_weight_exponents(L, d)
         unit, _ = polyring._packing(L.dim, d)
         ours = invariants._equations(tables, _zero_weight_monomials(L, d), unit)
-        theirs = reference_equations.equations(L, ctx, monos)
+        theirs = reference_equations.equations(L, ctx, monos, reference_equations.vectors(L))
         assert len(theirs) == 2 * len(ours), d
         assert (_rational(linalg.sparse_kernel(ours, len(monos)))
                 == _rational(linalg.sparse_kernel(theirs, len(monos)))), d
@@ -163,18 +175,23 @@ EQUATION_TYPES = SUPPORTED_LABELS + FLAGGED_LABELS + ("B3", "C3", "A4", "D4")
 
 
 @pytest.mark.parametrize("label", EQUATION_TYPES)
-def test_equations_match_the_per_monomial_route(algebras, reference_derivation, label):
-    """_derivation on the whole monomial list writes the rows that one
-    derivation list per monomial merges into, operator by operator, at
-    every invariant degree, each row with its columns ascending."""
+def test_equations_match_the_per_monomial_route(algebras, reference_equations, label):
+    """_derivation on the whole monomial list writes, operator by operator
+    and at every invariant degree, the negated rows of the derivation
+    sum_k {(z, .), x_k} d/dx_k of that raising operator z (its rows of ad z
+    are the negated forms), each row with its columns ascending."""
     L = algebras(label)
+    ctx = GradientContext(L)
     tables = invariants._action_tables(L)
+    vectors = reference_equations.vectors(L)
     for d in sorted(set(L.rs.degrees)):
         monos = _zero_weight_monomials(L, d)
+        tuples = zero_weight_exponents(L, d)
         unit, _ = polyring._packing(L.dim, d)
         for i, table in enumerate(tables):
             ours = invariants._equations([table], monos, unit)
-            assert ours == reference_derivation.equations([table], monos, unit), (d, i)
+            theirs = reference_equations.equations(L, ctx, tuples, [vectors[i]])
+            assert ours == [{c: -v for c, v in row.items()} for row in theirs], (d, i)
             assert all(list(row) == sorted(row) for row in ours), (d, i)
 
 
@@ -219,16 +236,16 @@ def _planted_families(L, fam):
 
 
 @pytest.mark.parametrize("label", EQUATION_TYPES)
-def test_solver_conditions_match_the_image_route(algebras, reference_derivation, label):
-    """meets_solver_conditions gives the verdict of the per-term image loop
-    on the solved family and on every planted family, the tampered A2 cache
-    family (x0*x1 on the quadratic) among them."""
+def test_solver_conditions_match_the_image_route(algebras, label):
+    """meets_solver_conditions accepts the solved family and its rescaled
+    copy and refuses every planted family, each of which breaks one
+    condition by construction, the tampered A2 cache family (x0*x1 on the
+    quadratic) among them.  The name predates these fixed verdicts and is
+    kept so that the test ids stay stable."""
     L = algebras(label)
     fam = invariant_generators(L)
     verdicts = {name: meets_solver_conditions(L, f)
                 for name, f in _planted_families(L, fam).items()}
-    assert verdicts == {name: reference_derivation.conditions(L, f)
-                        for name, f in _planted_families(L, fam).items()}
     assert verdicts["solved"] and verdicts["rescaled"]
     assert not any(v for name, v in verdicts.items() if name not in ("solved", "rescaled"))
 
@@ -432,34 +449,48 @@ def test_selection_matches_full_vector_scan(algebras, reference_select, monkeypa
 
 
 @pytest.mark.parametrize("label", SELECTION_LABELS)
-def test_integer_solve_matches_rational_route(algebras, reference_generators, label):
-    """The integer kernel, selection and normalization give the generators
-    of the rational route, and at each degree the integer kernel divides
-    back to the rational kernel and selects the same vectors."""
+def test_integer_solve_matches_rational_route(algebras, label):
+    """At each degree the integer kernel is the canonical kernel basis over
+    den > 0, checked against its definition rather than a second
+    elimination (a dense rational RREF takes 54 s on G2 at degree 6): as
+    many vectors as invariants of the degree, each killed by every
+    equation, each row den at its own free column (its last nonzero) and 0
+    at the others' (together these make it the kernel vector that the RREF
+    reads off, since its last nonzero column is not a pivot).  The
+    generators of the degree are the first selected vectors made primitive
+    with a positive first coefficient; the selection itself is compared with
+    the full-vector scan in test_selection_matches_full_vector_scan.  The
+    name predates this check and is kept so that the test ids stay
+    stable."""
     L = algebras(label)
     fam = invariant_generators(L)
-    assert fam.polys == reference_generators.solve(L)
     tables = invariants._action_tables(L)
     for d in sorted(set(L.rs.degrees)):
         monos = _zero_weight_monomials(L, d)
-        unit, width = polyring._packing(L.dim, d)
-        kernel = linalg.sparse_kernel(invariants._equations(tables, monos, unit), len(monos))
+        unit, _ = polyring._packing(L.dim, d)
+        equations = invariants._equations(tables, monos, unit)
+        kernel = linalg.sparse_kernel([dict(row) for row in equations], len(monos))
         basis, den = kernel
         assert den > 0 and all(type(v) is int for row in basis for v in row)
-        rational = reference_generators.kernel(invariants._equations(tables, monos, unit),
-                                               len(monos))
-        assert _rational(kernel) == rational, d
+        free = [max(c for c, v in enumerate(row) if v) for row in basis]
+        assert len(set(free)) == len(basis) == invariant_space_dimension(L.rs.degrees, d), d
+        assert all(row[f] == (den if i == j else 0)
+                   for i, row in enumerate(basis) for j, f in enumerate(free)), d
+        assert not any(sum(c * row[j] for j, c in eq.items()) for eq in equations
+                       for row in basis), d
         lower = [(p, dd) for p, dd in zip(fam.polys, fam.degrees) if dd < d]
         columns = {e: col for col, (e, _) in enumerate(monos)}
         decomposables = [{columns[e]: c for e, c in prod.items() if c} for _, prod in
                          invariants._packed_products([p for p, _ in lower],
                                                      [dd for _, dd in lower], d, unit)]
         kept = invariants._new_kernel_vectors(kernel, decomposables, d)
-        assert kept == reference_generators.select(rational, decomposables, d), d
-        tuples = zero_weight_exponents(L, d)
-        for i in kept:
-            assert (invariants._normalize_generator(basis[i], monos, L.dim, width)
-                    == reference_generators.normalize(rational[i], tuples, L.dim)), (d, i)
+        want = []
+        for i in kept[:L.rs.degrees.count(d)]:
+            g = math.gcd(*basis[i])
+            g = -g if next(c for c in basis[i] if c) < 0 else g
+            want.append(Poly(L.dim, {e: c // g for e, c in
+                                     zip(zero_weight_exponents(L, d), basis[i]) if c}))
+        assert [p for p, dd in zip(fam.polys, fam.degrees) if dd == d] == want, d
 
 
 @pytest.mark.parametrize("label", ["A1xA1", "A2", "B2", "A3", "G2"])
@@ -555,16 +586,32 @@ def test_cache_file_bytes_are_compact_sorted_json(tmp_path, bundles):
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3"])
-def test_sparse_images_match_dense_reference(algebras, reference_images, label):
-    """Each sparse image holds exactly the nonzero entries of the dense
-    image: one for a root vector, two for a Cartan element."""
+def test_sparse_images_match_dense_reference(algebras, helpers, label):
+    """The images are the homomorphism that sends e_k to E_(k, k+1), its
+    mirror to E_(k+1, k) and h_k to E_kk - E_(k+1, k+1): each Fraction
+    bracket [e_a, e_b] goes to the commutator of the dense images, and the
+    generators fix every image.  Each sparse image holds exactly its nonzero
+    entries: one for a root vector, two for a Cartan element."""
     L = algebras(label)
     size = L.rank + 1
-    dense = reference_images(L)
-    sparse = matrix_images_type_A(L)
-    for c, (s, d) in enumerate(zip(sparse, dense)):
-        assert s == {(i, j): d[i][j] for i in range(size) for j in range(size) if d[i][j]}
-        assert len(s) == (2 if c in L.cartan_indices else 1)
+    images = matrix_images_type_A(L)
+    for i, r in enumerate(L.rs.positive_roots):
+        if sum(r) == 1:
+            k = r.index(1)
+            assert images[L.pos_indices[i]] == {(k, k + 1): 1}
+            assert images[L.neg_indices[i]] == {(k + 1, k): 1}
+    for k, c in enumerate(L.cartan_indices):
+        assert images[c] == {(k, k): 1, (k + 1, k + 1): -1}
+    dense = [[[img.get((i, j), 0) for j in range(size)] for i in range(size)] for img in images]
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            ab, ba = helpers.mat_mul(dense[a], dense[b]), helpers.mat_mul(dense[b], dense[a])
+            br = helpers.bracket(L, L.basis_vector(a), L.basis_vector(b))
+            assert [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)] == \
+                [[sum(v * dense[c][i][j] for c, v in enumerate(br)) for j in range(size)]
+                 for i in range(size)], (a, b)
+    for c, img in enumerate(images):
+        assert all(img.values()) and len(img) == (2 if c in L.cartan_indices else 1)
 
 
 def test_sparse_images_check_every_basis_pair(algebras):

@@ -419,10 +419,10 @@ def test_dependent_frame_in_family_cache_is_a_build_failure(tmp_path):
 def test_commutativity_fails_on_planted_term(a2_context, reference_bracket):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_commutativity(sc, cfg)["ok"]
+    assert check_commutativity(sc, cfg, SuiteRun(sc, cfg))["ok"]
     pos = sc.family.N_positions[0]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
-    out = check_commutativity(bad, cfg)
+    out = check_commutativity(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     i, j = out["witness"]["pair"]
     assert pos + 1 in (i, j)
@@ -439,7 +439,7 @@ def test_commutativity_fails_on_planted_invariant_term(a2_context, reference_pai
     sc = a2_context
     pos = sc.family.I_positions[-1]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
-    out = check_commutativity(bad, cfg)
+    out = check_commutativity(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     ok, (i, j, br) = reference_pairwise(bad.family)
     assert not ok and pos in (i, j)
@@ -491,13 +491,13 @@ def test_pointwise_checks_fail_on_planted_derived_term(a2_context):
 def test_algebra_check_fails_on_flipped_structure_constant(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_algebra_soundness(sc, cfg)["ok"]
+    assert check_algebra_soundness(sc, cfg, SuiteRun(sc, cfg))["ok"]
     key = next(k for k in sorted(sc.L.table) if k[0] in sc.L.pos_indices
                and k[1] in sc.L.pos_indices)
     table = dict(sc.L.table)
     table[key] = {c: -v for c, v in table[key].items()}
     bad = replace(sc, L=replace(sc.L, table=table))
-    out = check_algebra_soundness(bad, cfg)
+    out = check_algebra_soundness(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert out["witness"]["violations"]
 
@@ -513,7 +513,8 @@ def test_algebra_check_sees_keys_outside_the_table_convention(a2_context, key, v
     table = dict(sc.L.table)
     table[key] = dict(table[(0, 1)])
     L = replace(sc.L, table=table)
-    out = check_algebra_soundness(replace(sc, L=L), cfg)
+    bad = replace(sc, L=L)
+    out = check_algebra_soundness(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert violation in out["witness"]["violations"]
     x = sample_points(sc, 5, 1)[0]
@@ -537,7 +538,7 @@ def test_omega_and_killing_invariance_fail_on_doubled_cartan_entry(a2_context, h
     assert helpers.killing_pair(bad.L, h, h) == 2 * helpers.killing_pair(sc.L, h, h)
     out = check_omega_well_defined(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False and "point" in out["witness"]
-    violations = check_algebra_soundness(bad, cfg)["witness"]["violations"]
+    violations = check_algebra_soundness(bad, cfg, SuiteRun(bad, cfg))["witness"]["violations"]
     assert violations and all(v.startswith("Killing invariance fails on") for v in violations)
 
 
@@ -547,7 +548,7 @@ def test_gradient_rank_fails_on_planted_linear_term(a2_context):
     polys = list(sc.inv.polys)
     polys[0] = polys[0] + Poly.coordinate(sc.L.dim, sc.L.cartan_indices[0])
     bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    out = check_gradient_rank(bad, cfg)
+    out = check_gradient_rank(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert out["witness"]["kind"] == "gradient outside the centralizer center"
     assert "point" in out["witness"]
@@ -562,7 +563,8 @@ def test_gradient_rank_takes_no_kernel(a2_context, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(linalg, "kernel", counted)
-    assert check_gradient_rank(a2_context, SuiteConfig(algebra="A2", seed=5))["ok"]
+    cfg = SuiteConfig(algebra="A2", seed=5)
+    assert check_gradient_rank(a2_context, cfg, SuiteRun(a2_context, cfg))["ok"]
     assert calls == []
 
 
@@ -589,14 +591,15 @@ def test_omega_centralizer_is_the_rational_kernel(label, monkeypatch, reference_
 def test_leading_term_fails_on_planted_derived_term(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_leading_term(sc, cfg) == {"ok": True, "witness": {"positions": 5}}
+    assert check_leading_term(sc, cfg, SuiteRun(sc, cfg)) == {"ok": True,
+                                                              "witness": {"positions": 5}}
     n = sc.L.dim
     pos = sc.family.N_positions[1]
     # x_{e[0,-1]} x_{e[0,1]} moves the derivative at e1 along e[0,-1] by e1[0]
     low = sc.L.labels.index("e[0,-1]")
     term = Poly.coordinate(n, low) * Poly.coordinate(n, 0)
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + term)
-    assert check_leading_term(bad, cfg) == {
+    assert check_leading_term(bad, cfg, SuiteRun(bad, cfg)) == {
         "ok": False, "witness": {"position": pos + 1, "direction": "e[0,-1]"}}
 
 
@@ -606,16 +609,16 @@ def test_graded_dimensions_read_the_family_ranks(a2_context, monkeypatch):
     cfg = SuiteConfig(algebra="A2", seed=5)
     a2_context.family.graded_dims()
     monkeypatch.setattr(linalg, "rank", lambda mat: pytest.fail("check 9 ranked again"))
-    assert check_graded_dimensions(a2_context, cfg)["ok"]
+    assert check_graded_dimensions(a2_context, cfg, SuiteRun(a2_context, cfg))["ok"]
 
 
 def test_graded_dimensions_fail_on_dropped_member(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_graded_dimensions(sc, cfg)["ok"]
+    assert check_graded_dimensions(sc, cfg, SuiteRun(sc, cfg))["ok"]
     F = sc.family
     bad = replace(sc, family=replace(F, entries=F.entries[:-1]))
-    assert check_graded_dimensions(bad, cfg) == {
+    assert check_graded_dimensions(bad, cfg, SuiteRun(bad, cfg)) == {
         "ok": False, "witness": {"graded": {"1": 2, "2": 2}, "total": 4}}
 
 
@@ -626,7 +629,7 @@ def test_invariant_checks_fail_on_repeated_invariant(a2_context, check):
     cfg = SuiteConfig(algebra="A2", seed=5)
 
     def alone(sc):
-        return check(sc, cfg, SuiteRun(sc, cfg)) if check.reads_run else check(sc, cfg)
+        return check(sc, cfg, SuiteRun(sc, cfg))
 
     sc = a2_context
     assert alone(sc)["ok"]
@@ -640,10 +643,10 @@ def test_invariant_checks_fail_on_repeated_invariant(a2_context, check):
 def test_chart_section_fails_on_planted_member_term(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_chart_section(sc, cfg)["ok"]
+    assert check_chart_section(sc, cfg, SuiteRun(sc, cfg))["ok"]
     pos = sc.family.N_positions[0]
     bad = _with_member(sc, pos, sc.family.entries[pos].poly + _x0x1(sc))
-    out = check_chart_section(bad, cfg)
+    out = check_chart_section(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert out["witness"]["kind"] == "section after values"
 
@@ -859,7 +862,7 @@ def test_one_ad_matrix_per_visited_point(a2_context, monkeypatch, gradient_rows_
                 calls.clear()
                 brackets.clear()
                 gradient_rows_calls.clear()
-                assert (check(sc, cfg, run) if check.reads_run else check(sc, cfg))["ok"]
+                assert check(sc, cfg, run)["ok"]
                 assert (len(calls), len(gradient_rows_calls)) == (points, gradients), \
                     (check.check_id, forced)
                 if check in (check_slice_lagrangian, check_transversality):
@@ -897,8 +900,9 @@ def test_certified_points_rank_only_the_underived_gradients(label, rank_shapes,
 
 def test_one_hess_sample_per_pass(a2_context, monkeypatch, gradient_rows_calls, rank_shapes):
     """A run draws one sample of Hess, of the largest of the counts of checks
-    12 to 15.  Checks 12 to 15, omega_well_defined and polarization's random
-    base visit prefixes of it through the same HessVisit objects; checks 12
+    12 to 15.  Checks 12 to 15 and polarization's random base visit
+    prefixes of it through the same HessVisit objects, and omega_well_defined
+    reads its first three points without a visit; checks 12
     to 15 build one gradient matrix and one ad x per sampled point between
     them; checks 14 and 15 make no gradient_rows, int_ad or rank call at the
     visits check 12 certified; and with every certificate forced to fail
@@ -945,8 +949,10 @@ def test_one_hess_sample_per_pass(a2_context, monkeypatch, gradient_rows_calls, 
                         "symplectic.hamiltonian_frame": [0, 1, 2],
                         "symplectic.slice_lagrangian": [0, 1],
                         "symplectic.transversality": [0, 1, 2, 3],
-                        "symplectic.omega_well_defined": [0, 1, 2],
+                        "symplectic.omega_well_defined": [],
                         "symplectic.polarization": [0]}
+    # omega reads the first three sampled points without a visit
+    assert work["symplectic.omega_well_defined"][2] == run.hess_points[:3]
     first_four = [work[check.check_id] for check in checks[:4]]
     assert sum(len(w[1]) for w in first_four) == sum(len(w[2]) for w in first_four) == 4
     assert all(run.hess_visit(i).certified for i in range(4))
@@ -984,12 +990,12 @@ def test_slice_lagrangian_fails_on_vanishing_slice(a2_context, monkeypatch):
 def test_slice_infinitesimal_fails_on_planted_cartan_square(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_slice_infinitesimal(sc, cfg)["ok"]
+    assert check_slice_infinitesimal(sc, cfg, SuiteRun(sc, cfg))["ok"]
     n = sc.L.dim
     polys = list(sc.inv.polys)
     polys[0] = polys[0] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 2
     bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    out = check_slice_infinitesimal(bad, cfg)
+    out = check_slice_infinitesimal(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert out["witness"]["kind"] == "invariant values changed"
 
@@ -997,25 +1003,28 @@ def test_slice_infinitesimal_fails_on_planted_cartan_square(a2_context):
 def test_trace_oracle_fails_on_planted_cartan_cube(a2_context):
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_trace_oracle(sc, cfg) == {"ok": True, "witness": {"degrees": [2, 3]}}
+    assert check_trace_oracle(sc, cfg, SuiteRun(sc, cfg)) == {"ok": True,
+                                                              "witness": {"degrees": [2, 3]}}
     n = sc.L.dim
     polys = list(sc.inv.polys)
     assert sc.inv.degrees[1] == 3
     polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
     bad = replace(sc, inv=replace(sc.inv, polys=polys))
-    assert check_trace_oracle(bad, cfg) == {"ok": False, "witness": {"degree": 3}}
+    assert check_trace_oracle(bad, cfg, SuiteRun(bad, cfg)) == {"ok": False,
+                                                                "witness": {"degree": 3}}
 
 
 def test_span_and_chain_fails_on_planted_non_invariant_term(a2_context):
     """A family shifted from an invariant plus a Cartan cube."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check_span_and_chain(sc, cfg)["witness"]["chain"] == "verified"
+    assert check_span_and_chain(sc, cfg, SuiteRun(sc, cfg))["witness"]["chain"] == "verified"
     n = sc.L.dim
     polys = list(sc.inv.polys)
     polys[1] = polys[1] + Poly.coordinate(n, sc.L.cartan_indices[0]) ** 3
     family = shift_family(sc.L, replace(sc.inv, polys=polys), sc.y, sc.ctx, sc.triple)
-    out = check_span_and_chain(replace(sc, family=family), cfg)
+    bad = replace(sc, family=family)
+    out = check_span_and_chain(bad, cfg, SuiteRun(bad, cfg))
     assert out == {"ok": False, "witness": {"dim_at_e": 5, "dim_at_e1": 5,
                                             "chain_error": "zeta(v_0) != v_1 for invariant 1"}}
 
@@ -1029,7 +1038,8 @@ def test_span_and_chain_fails_on_planted_high_degree_term(a2_context):
     # the cube joins the underived member of invariant 0 only
     entries = [replace(q, poly=q.poly + cube) if (q.j, q.k) == (0, 0) else q
                for q in sc.family.entries]
-    out = check_span_and_chain(replace(sc, family=replace(sc.family, entries=entries)), cfg)
+    bad = replace(sc, family=replace(sc.family, entries=entries))
+    out = check_span_and_chain(bad, cfg, SuiteRun(bad, cfg))
     assert out == {"ok": False, "witness": {
         "dim_at_e": 5, "dim_at_e1": 5,
         "chain_error": "gradient expansion has unexpected high-order terms"}}
@@ -1222,8 +1232,9 @@ def test_root_data_checks_fail_on_planted_root_system(a2_context, check, field, 
     reports wrong degrees or exponents: a fail with a witness."""
     cfg = SuiteConfig(algebra="A2", seed=5)
     sc = a2_context
-    assert check(sc, cfg)["ok"] is True
-    out = check(replace(sc, rs=replace(sc.rs, **{field: value})), cfg)
+    assert check(sc, cfg, SuiteRun(sc, cfg))["ok"] is True
+    bad = replace(sc, rs=replace(sc.rs, **{field: value}))
+    out = check(bad, cfg, SuiteRun(bad, cfg))
     assert out["ok"] is False
     assert witness.items() <= out["witness"].items()
 
