@@ -19,10 +19,18 @@ some sampled point?
 The pieces come from one integer Taylor pass over the terms of each I_j,
 with polyring's packed exponents; a family holds them, so the chain map and
 the membership test along y read the family instead of shifting again.
-Pairwise commutativity (criterion 6) is decided exactly, with each member's
-partials and Hamiltonian folds {x_i, q} computed once for the whole sweep;
-a member whose folds vanish is a Casimir (an underived invariant) and its
-pairs need no product.
+Pairwise commutativity (criterion 6) is decided exactly, first by a
+certificate that forms no product (chain_certificate): every underived
+member I_j is a Casimir, its n folds {x_i, I_j} vanishing, and every derived
+member is the Taylor coefficient of the one before it along y, k p_k =
+d_y p_(k-1) (taylor_break, which takes any pieces and any direction).  The
+t^k coefficient of {x_i, I_j}(x + t y) = 0 is then the chain identity
+fold p_k + fold_y p_(k-1) = 0, and with the antisymmetry of the pair table
+it gives {p_k, q_m} = {p_(k+1), q_(m-1)} = ... = 0 for every pair
+(Mishchenko and Fomenko, 1978).  Where the certificate refuses, which
+refutes nothing, the product sweep decides, with each member's partials and
+Hamiltonian folds computed once for the whole sweep; a member whose folds
+vanish is a Casimir and its pairs need no product.
 
 A family compiles its members (polyring.CompiledPolys) once, on the first
 pointwise read, not when it is built: no build stage evaluates the whole
@@ -254,12 +262,90 @@ def shift_family(L: LieAlgebra, inv: InvariantFamily, y, ctx: GradientContext,
     return family
 
 
+def taylor_break(pieces, u) -> tuple | None:
+    """The first (j, k), in the order of pieces, at which a piece is not the
+    Taylor coefficient of the one before it along the cleared direction u:
+    k p_k != d_u p_(k-1), or no piece (j, k - 1) is given.  None when every
+    piece with k > 0 passes.  pieces is a list of (j, k, p), as
+    shifted_invariants returns them, for any u.
+
+    The test runs on packed integers: with u = U / D and p_k, p_(k-1) over
+    their denominators s_k, s_(k-1), the packed numerators of
+    s_k sum_i U_i dp_(k-1)/dx_i and of k D s_(k-1) p_k must be equal.  Only
+    the support of U is differentiated along."""
+    U, D = u
+    support = [(i, c) for i, c in enumerate(U) if c]
+    n = pieces[0][2].n
+    unit, _ = _packing(n, max(p.degree() for _, _, p in pieces))
+    by_key = {(j, k): p for j, k, p in pieces}
+    for j, k, p in pieces:
+        if not k:
+            continue
+        prev = by_key.get((j, k - 1))
+        if prev is None:
+            return j, k
+        acc: dict = {}
+        for e, c in prev.nums.items():
+            pe = sum(map(mul, e, unit))
+            for i, Ui in support:
+                if e[i]:
+                    key = pe - unit[i]
+                    acc[key] = acc.get(key, 0) + c * e[i] * Ui
+        scale = k * D * prev.den
+        want = {sum(map(mul, e, unit)): c * scale for e, c in p.nums.items()}
+        if {pe: c * p.den for pe, c in acc.items() if c} != want:
+            return j, k
+    return None
+
+
+def chain_certificate(F: ShiftFamily) -> tuple | None:
+    """None when every underived member I_j (k = 0) is a Casimir and every
+    derived member p_k is the Taylor coefficient of the one before it along
+    y; else the first (j, k) refused, Casimirs first, in family order.
+
+    A Casimir's n folds {x_i, I_j} vanish on packed integers (_int_partials
+    and _int_folds, as the product sweep takes them); the Taylor recursion
+    k p_k = d_y p_(k-1) is taylor_break's.  pairwise_commute states why the
+    two prove every pair commutes.  No Fraction is formed."""
+    n = F.ctx.nvars
+    unit, _ = _packing(n, max(e.poly.degree() for e in F.entries))
+    _, rows = F.ctx.pair_table()
+    everywhere = [True] * n
+    for e in F.entries:
+        if not e.k and any(_int_folds(rows, _int_partials(e.poly, unit)[1], unit, everywhere)):
+            return e.j, 0
+    return taylor_break([(e.j, e.k, e.poly) for e in F.entries], F.y)
+
+
 def pairwise_commute(F: ShiftFamily) -> tuple:
-    """Exact symbolic check that all pairs of generators Poisson commute.
+    """Exact check that all pairs of generators Poisson commute.
 
     Returns (True, number of pairs) or (False, (i, j, nonzero bracket)), the
     pair being the first nonzero one in the sweep i < j with i outer and its
     bracket the one poisson_bracket gives.
+
+    The family is first read by chain_certificate, which forms no product.
+    Where it holds, each member p_k is the t^k coefficient of I_j(x + t y)
+    for a Casimir I_j, so the t^k coefficient of {x_i, I_j}(x + t y) = 0 is
+    the chain identity fold p_k + fold_y p_(k-1) = 0 (p_(-1) = 0), fold_y
+    being the fold with each {x_i, x_j} frozen at y.  For members p_k and
+    q_m, Leibniz, the identity for q, the antisymmetry of the frozen pair
+    table (which pair_table builds in) and the identity for p give
+    {p_k, q_m} = {p_(k+1), q_(m-1)}, and m + 1 steps reach q_(-1) = 0
+    (Mishchenko and Fomenko, 1978): every pair commutes, with neither a
+    product nor the Jacobi identity.  Where the certificate refuses, the
+    product sweep decides, and its verdict and witness are those of the
+    per-pair sweep; the refusal alone refutes nothing (a Cartan-linear
+    member with a term dropped still commutes with every member of weight
+    zero).
+    """
+    if chain_certificate(F) is None:
+        return True, F.b * (F.b - 1) // 2
+    return _product_sweep(F)
+
+
+def _product_sweep(F: ShiftFamily) -> tuple:
+    """pairwise_commute's verdict from the brackets themselves.
 
     The brackets are poisson_bracket's three integer steps, each run once per
     member instead of once per pair, on one exponent packing wide enough for
@@ -268,11 +354,11 @@ def pairwise_commute(F: ShiftFamily) -> tuple:
     one member's folds are alive at a time, so the sweep runs with j outer.
     Each pair's product is dropped once tested, and the last product of a
     member releases each fold as it reads it.  A member whose folds all
-    vanish is a Casimir (here, an underived invariant): {p, q_j} =
-    sum_i dp/dx_i {x_i, q_j} is zero for every p, and so is {q_j, p} =
-    -{p, q_j}, so its pairs are zero with no product.  Once a nonzero pair
-    (i0, j0) is found, a later j can only precede it in i-outer order through
-    some i < i0, and only those are tested.
+    vanish is a Casimir: {p, q_j} = sum_i dp/dx_i {x_i, q_j} is zero for
+    every p, and so is {q_j, p} = -{p, q_j}, so its pairs are zero with no
+    product.  Once a nonzero pair (i0, j0) is found, a later j can only
+    precede it in i-outer order through some i < i0, and only those are
+    tested.
     """
     qs = F.qs
     b = len(qs)

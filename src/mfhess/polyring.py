@@ -22,7 +22,9 @@ computed symbolically through the precomputed brackets of the coordinate
 functions themselves, in three integer steps: the partials of p and q, the
 folds {x_i, q} = sum_j dq/dx_j {x_i, x_j} (the Hamiltonian vector field of
 q) and the product sum_i dp/dx_i {x_i, q}.  poisson_bracket runs them for
-one pair; argshift.pairwise_commute runs each of them once per family member.
+one pair.  argshift.pairwise_commute takes the partials and folds of the
+underived family members only, to certify them Casimirs, and runs all three
+steps, once per member, only where its certificate refuses.
 
 Values and gradients at points are taken on integers: a list of polynomials
 is compiled once (CompiledPolys) and each evaluation reads a cleared point
@@ -604,8 +606,9 @@ def poisson_bracket(ctx: GradientContext, p: Poly, q: Poly) -> Poly:
     (_int_folds), taken only for the rows where dp/dx_i != 0, and the
     product sum_i dp/dx_i {x_i, q} (_int_product), each dp/dx_i multiplied
     once.  Each fold is multiplied
-    as it is made, so one is alive at a time.  pairwise_commute runs the
-    same steps once per family member instead of once per pair.
+    as it is made, so one is alive at a time.  Where its chain certificate
+    refuses, argshift.pairwise_commute runs the same steps once per family
+    member instead of once per pair.
     """
     n = ctx.nvars
     if p.n != n or q.n != n:

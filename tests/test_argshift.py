@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhess import argshift, linalg
-from mfhess.argshift import (DependentFamily, NotInvertible, choose_regular_y,
-                             gradient_span, is_regular_cartan,
+from mfhess.argshift import (DependentFamily, NotInvertible, chain_certificate,
+                             choose_regular_y, gradient_span, is_regular_cartan,
                              load_family_cache, mv_membership, pairwise_commute,
                              save_family_cache, phi, root_values, shift_family,
-                             shifted_invariants, zeta_chain)
+                             shifted_invariants, taylor_break, zeta_chain)
 from mfhess.liealgebra import cartan_from_root_values, exp_ad_nilpotent, is_regular
 from mfhess.invariants import load_family, save_family
 from mfhess.polyring import CompiledPolys, Poly, coefficient_rows, poisson_bracket, restrict_affine
@@ -141,24 +141,38 @@ def test_invalid_direction_rejected(bundles):
 @pytest.mark.parametrize("label,pairs", [
     ("A1", 1), ("A2", 10),
     pytest.param(A4, 91, id="A4inline-91"),
+    pytest.param(B3, 66, id="B3inline-66"),
+    pytest.param(C3, 66, id="C3inline-66"),
 ])
 def test_pairwise_commutativity(bundles, label, pairs):
-    ok, count = pairwise_commute(bundles(label).family)
+    """The chain certificate holds; on inline B3 and C3 the per-pair
+    reference sweep would take about 1.2 s together."""
+    F = bundles(label).family
+    assert chain_certificate(F) is None
+    ok, count = pairwise_commute(F)
     assert ok and count == pairs
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (A4,),
                          ids=SUPPORTED_LABELS + FLAGGED_LABELS + ("A4",))
 def test_pairwise_commute_matches_reference_sweep(bundles, reference_pairwise,
-                                                  reference_bracket, label):
-    """The fold-once sweep returns the (ok, count) of the per-pair sweep.  The
-    labels sweep over the Poly-product bracket; G2 and A4 sweep over
-    poisson_bracket (the Poly-product sweep takes about 35 s on each), whose
-    agreement with that bracket is tested in test_polyring."""
+                                                  reference_bracket, monkeypatch, label):
+    """The chain certificate holds, and pairwise_commute returns the
+    (ok, count) of the per-pair sweep without forming a product.  The labels
+    sweep over the Poly-product bracket; G2 and A4 sweep over poisson_bracket
+    (the Poly-product sweep takes about 35 s on each), whose agreement with
+    that bracket is tested in test_polyring."""
     F = bundles(label).family
     bracket = poisson_bracket if label in FLAGGED_LABELS + (A4,) else reference_bracket
     want = reference_pairwise(F, bracket)
-    assert pairwise_commute(F) == want == (True, F.b * (F.b - 1) // 2)
+    assert chain_certificate(F) is None
+    assert argshift._product_sweep(F) == want == (True, F.b * (F.b - 1) // 2)
+
+    def no_product(*args):
+        raise AssertionError("the product sweep ran on a certified family")
+
+    monkeypatch.setattr(argshift, "_int_product", no_product)
+    assert pairwise_commute(F) == want
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS + FLAGGED_LABELS + (B3, C3, A4),
@@ -195,13 +209,20 @@ def test_shift_pieces_along_f_satisfy_the_chain_identity(bundles, monkeypatch, l
     """The pieces of shifted_invariants along f satisfy
     [x, grad p_k] = -[f, grad p_(k-1)] at three drawn points, and break it
     when every binomial C(e, 1) of the Taylor pass is one too large, a
-    defect that no sub-verdict of the membership check sees."""
+    defect that no sub-verdict of the membership check sees.  taylor_break
+    accepts the true pieces along f and refuses the planted ones at their
+    first derived piece."""
     B = bundles(label)
+    f = B.triple.f
     rng = random.Random(f"chain:{label}")
     points = [draw(rng, B.L.dim, 5, 3) for _ in range(3)]
-    assert _chain_identity_breaks(B, shifted_invariants(B.inv, B.triple.f), points) is None
+    pieces = shifted_invariants(B.inv, f)
+    assert _chain_identity_breaks(B, pieces, points) is None
+    assert taylor_break(pieces, f) is None
     monkeypatch.setattr(argshift, "comb", lambda e, a: math.comb(e, a) + (a == 1))
-    assert _chain_identity_breaks(B, shifted_invariants(B.inv, B.triple.f), points) is not None
+    planted = shifted_invariants(B.inv, f)
+    assert _chain_identity_breaks(B, planted, points) is not None
+    assert taylor_break(planted, f) == (0, 1)
 
 
 def test_family_cache_with_malformed_exponents_is_a_miss(tmp_path, bundles,

@@ -271,8 +271,14 @@ def test_poisson_bracket_at_packing_width(bundles, reference_bracket, k):
 @pytest.mark.parametrize("label", list(SUPPORTED_LABELS) + list(FLAGGED_LABELS)
                          + ["B3", "C3", "A4", "D4"])
 def test_integer_pair_table_equals_the_fraction_route(algebras, reference_pairs, label):
+    """The table is also antisymmetric entry by entry, which the chain
+    certificate of pairwise_commute reads."""
     ctx = GradientContext(algebras(label))
-    assert ctx.pair_table() == reference_pairs(ctx)
+    scale, rows = ctx.pair_table()
+    assert (scale, rows) == reference_pairs(ctx)
+    for i, row in enumerate(rows):
+        for j, lin in row:
+            assert (i, tuple((k, -c) for k, c in lin)) in rows[j]
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])

@@ -447,18 +447,48 @@ def test_commutativity_fails_on_planted_invariant_term(a2_context, reference_pai
     assert out["witness"]["bracket_terms"] == len(br.terms) > 0
 
 
-@pytest.mark.parametrize("where", ["derived", "invariant"])
-def test_pairwise_commute_matches_reference_on_planted_terms(a2_context, reference_pairwise,
-                                                              where):
-    """On both planted defects the fold-once sweep returns the per-pair
-    sweep's first nonzero pair and its exact bracket."""
-    sc = a2_context
+def _planted_family(sc, where, monkeypatch):
+    """sc's family with one planted defect: x0*x1 added to a derived member
+    or to an invariant, every binomial C(e, 1) of the Taylor pass along y
+    one too large, or the first term of the first k = 1 member dropped."""
     F = sc.family
-    pos = F.N_positions[0] if where == "derived" else F.I_positions[-1]
-    bad = _with_member(sc, pos, F.entries[pos].poly + _x0x1(sc)).family
-    ok, (i, j, br) = argshift.pairwise_commute(bad)
-    assert (ok, (i, j, br)) == reference_pairwise(bad)
-    assert not ok and not br.is_zero()
+    if where == "binomial":
+        with monkeypatch.context() as m:
+            m.setattr(argshift, "comb", lambda e, a: math.comb(e, a) + (a == 1))
+            return shift_family(sc.L, sc.inv, sc.y, sc.ctx, sc.triple)
+    if where == "dropped":
+        pos = next(idx for idx, e in enumerate(F.entries) if e.k == 1)
+        p = F.entries[pos].poly
+        first = min(p.nums)
+        poly = Poly.from_ints(p.n, {e: c for e, c in p.nums.items() if e != first}, p.den)
+    else:
+        pos = F.N_positions[0] if where == "derived" else F.I_positions[-1]
+        poly = F.entries[pos].poly + _x0x1(sc)
+    return _with_member(sc, pos, poly).family
+
+
+@pytest.mark.parametrize("where, label, refused, verdict", [
+    ("derived", "A2", (0, 1), (False, (0, 1))),
+    ("invariant", "A2", (1, 0), (False, (0, 4))),
+    ("binomial", "A2", (0, 1), (True, 10)),
+    ("binomial", "B2", (0, 1), (False, (3, 4))),
+    ("dropped", "A2", (0, 1), (True, 10)),
+], ids=["derived", "invariant", "binomial-A2", "binomial-B2", "dropped"])
+def test_pairwise_commute_matches_reference_on_planted_terms(a2_context, bundles,
+                                                              reference_pairwise, monkeypatch,
+                                                              where, label, refused, verdict):
+    """The chain certificate refuses every planted defect, and the product
+    sweep then returns the per-pair sweep's verdict: its first nonzero pair
+    and exact bracket, or the pair count where the defect still commutes (a
+    Cartan-linear member with a term dropped commutes with every member of
+    weight zero, and the A2 family with a wrong binomial is commutative)."""
+    sc = a2_context if label == "A2" else bundles(label)
+    bad = _planted_family(sc, where, monkeypatch)
+    assert argshift.chain_certificate(bad) == refused
+    ok, info = argshift.pairwise_commute(bad)
+    assert (ok, info) == reference_pairwise(bad)
+    assert (ok, info if ok else info[:2]) == verdict
+    assert ok or not info[2].is_zero()
 
 
 def test_pointwise_checks_fail_on_dependent_member(a2_context):
